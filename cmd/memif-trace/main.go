@@ -8,7 +8,7 @@
 // Usage:
 //
 //	memif-trace [-reqs N] [-pages N] [-op migrate|replicate] [-race detect|recover|prevent] [-v]
-//	memif-trace -rt [-reqs N] [-rt-bytes N] [-rt-controllers N] [-rt-chunk N] [-rt-trace N]
+//	memif-trace -rt [-reqs N] [-rt-bytes N] [-rt-controllers N] [-rt-chunk N]
 //	memif-trace -serve :9090 [-serve-for 30s] [-reqs N] [-rt-bytes N]
 //	memif-trace -outliers http://host:9090/debug/outliers [-top K]
 //	memif-trace -check-metrics metrics.txt
@@ -27,9 +27,9 @@
 //
 // With -rt the scenario runs on the realtime device instead — real
 // goroutines, real copies, wall-clock time — and prints its obs layer:
-// outcome counters, latency/size histograms, queue watermarks, and (with
-// -rt-trace) the ring-buffer event trace of the submit / kick / dispatch
-// / chunk / complete edges.
+// outcome counters, latency/size histograms, queue watermarks, and the
+// last captured request lifecycles, one row per request with the time
+// each pipeline edge took.
 package main
 
 import (
@@ -41,7 +41,7 @@ import (
 	"memif/internal/core"
 	"memif/internal/hw"
 	"memif/internal/machine"
-	"memif/internal/obs"
+	"memif/internal/obs/lifecycle"
 	"memif/internal/realtime"
 	"memif/internal/sim"
 	"memif/internal/uapi"
@@ -57,7 +57,6 @@ func main() {
 	rtBytes := flag.Int("rt-bytes", 4<<20, "realtime: bytes per request")
 	rtControllers := flag.Int("rt-controllers", 0, "realtime: transfer controllers (0 = default)")
 	rtChunk := flag.Int("rt-chunk", 0, "realtime: chunk bytes (0 = default, <0 disables chunking)")
-	rtTrace := flag.Int("rt-trace", 32, "realtime: event-trace ring depth (0 disables)")
 	serveAddr := flag.String("serve", "", "serve /metrics, /trace and /debug/pprof on this address")
 	serveFor := flag.Duration("serve-for", 0, "with -serve: shut down after this long (0 = forever)")
 	checkMetricsPath := flag.String("check-metrics", "", "validate a scraped /metrics file and exit")
@@ -102,7 +101,7 @@ func main() {
 	}
 
 	if *rt {
-		runRealtime(*reqs, *rtBytes, *rtControllers, *rtChunk, *rtTrace)
+		runRealtime(*reqs, *rtBytes, *rtControllers, *rtChunk)
 		return
 	}
 
@@ -216,7 +215,7 @@ func main() {
 
 // runRealtime drives the realtime device through a burst of copies and
 // renders its observability layer.
-func runRealtime(reqs, bytesPer, controllers, chunkBytes, traceDepth int) {
+func runRealtime(reqs, bytesPer, controllers, chunkBytes int) {
 	opts := realtime.DefaultOptions()
 	if controllers > 0 {
 		opts.Controllers = controllers
@@ -224,7 +223,7 @@ func runRealtime(reqs, bytesPer, controllers, chunkBytes, traceDepth int) {
 	if chunkBytes != 0 {
 		opts.ChunkBytes = chunkBytes
 	}
-	opts.TraceDepth = traceDepth
+	opts.TraceFullCapture = true
 	d := realtime.Open(opts)
 
 	src := make([]byte, bytesPer)
@@ -282,8 +281,35 @@ func runRealtime(reqs, bytesPer, controllers, chunkBytes, traceDepth int) {
 		st.SubmissionHighWater, st.CompletionHighWater)
 	fmt.Printf("latency (ns): %v\n", st.Latency)
 	fmt.Printf("sizes (bytes): %v\n", st.Sizes)
-	if len(st.Trace) > 0 {
-		fmt.Printf("\nlast %d trace events:\n%s", len(st.Trace),
-			obs.FormatEvents(st.Trace, realtime.EventName))
+	showLifecycles(st.Lifecycle.Captured)
+}
+
+// lifecycleRows bounds the lifecycle table of the -rt mode.
+const lifecycleRows = 32
+
+// showLifecycles prints the most recent captured lifecycles, oldest
+// first, with the same edge columns as the outlier table.
+func showLifecycles(lcs []lifecycle.Lifecycle) {
+	if len(lcs) > lifecycleRows {
+		lcs = lcs[len(lcs)-lifecycleRows:]
+	}
+	if len(lcs) == 0 {
+		return
+	}
+	fmt.Printf("\nlast %d request lifecycles:\n%5s %5s %10s %9s %6s", len(lcs), "seq", "slot", "bytes", "outcome", "flags")
+	for _, e := range outlierEdges {
+		fmt.Printf(" %16s", e.name)
+	}
+	fmt.Printf(" %12s\n", "total")
+	for _, lc := range lcs {
+		fmt.Printf("%5d %5d %10d %9v %#6x", lc.Seq, lc.Slot, lc.Bytes, lc.Outcome, lc.Flags)
+		for _, d := range edgeDurations(lc.TS) {
+			if d < 0 {
+				fmt.Printf(" %16s", "-")
+			} else {
+				fmt.Printf(" %16v", time.Duration(d))
+			}
+		}
+		fmt.Printf(" %12v\n", time.Duration(lc.TS[lifecycle.StageRetrieved]-lc.TS[lifecycle.StageSubmit]))
 	}
 }

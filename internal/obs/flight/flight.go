@@ -2,14 +2,15 @@
 // tail-latency forensics for the realtime pipeline and the tiering
 // daemon.
 //
-// The lifecycle tracer (PR 4) answers "where does a *typical* request
-// spend its time" by sampling 1/128 of requests into span histograms.
-// It cannot answer "why was *this* request slow" — at 1/128 the p99.9
-// outlier is almost never sampled. The flight recorder closes that gap
-// with three cooperating pieces:
+// Lifecycle sampling (package lifecycle) answers "where does a
+// *typical* request spend its time" by deriving span histograms from
+// 1/128 of requests. It cannot answer "why was *this* request slow" —
+// at 1/128 the p99.9 outlier is almost never sampled. The flight
+// recorder closes that gap with three cooperating pieces:
 //
-//   - Retroactive outlier capture. Stage stamping is left on for every
-//     request (one atomic store per transition); at retrieval the total
+//   - Retroactive outlier capture. Every request carries its stage
+//     stamps on its own record (plain fields fed by amortized clocks;
+//     only sampled requests read fresh ones); at retrieval the total
 //     latency is compared against an adaptive per-(class,tenant)
 //     threshold — an EWMA of recent completions, scaled by a
 //     multiplier and clamped by a floor. A breaching request has its

@@ -1,48 +1,26 @@
-// Package lifecycle is the per-request lifecycle tracer: it timestamps
-// every stage transition a request makes through an asynchronous move
+// Package lifecycle is the reader side of per-request stage tracing: the
+// vocabulary of stages a request passes through in an asynchronous move
 // pipeline (submit → flushed → dispatched → copy start/end → completed →
-// retrieved) and derives per-stage latency histograms from the stamps —
-// the latency-budget attribution the paper's Section 6 builds its whole
-// argument on, turned into an always-on instrument.
+// retrieved), and everything derived from a finished request's stamp
+// vector — per-stage latency histograms, a ring of recently completed
+// lifecycles, and a Chrome trace_event export. It is the latency-budget
+// attribution the paper's Section 6 builds its whole argument on, turned
+// into an always-on instrument.
 //
-// # Hot-path cost model
-//
-// Records are preallocated per request slot and indexed by the slot
-// number, so tracing allocates nothing after construction. Every
-// transition on an active request is one atomic store of a nanosecond
-// stamp; on an inactive request the instrumentation site pays one
-// atomic load (the active check) and nothing else. The sampling
-// decision itself is a slot-local counter increment and a mask test,
-// taken once per request at Begin — no tracer-global contended write
-// on the unsampled path. All of the expensive work — computing span
-// durations, feeding histograms, pushing the capture ring — happens at
-// End, which runs on the application's completion-retrieval path, never
-// on the device's worker or controller goroutines (the interrupt path).
-//
-// # Sampling and capture
-//
-// A Tracer samples one request in 2^shift (shift 0 samples everything —
-// the full-capture debug mode). Sampled lifecycles feed the per-span
-// histograms and, once complete, are copied into a fixed-depth capture
-// ring from which ChromeTraceJSON renders a Chrome trace_event timeline
-// (chrome://tracing, Perfetto).
-//
-// The flight recorder's retroactive outlier capture deliberately does
-// NOT ride on the Tracer: stamping every request through these records
-// costs an atomic store per stage per request, which breaks the
-// recorder's <2% overhead budget. The realtime device instead keeps its
-// armed-mode stamps in plain per-Request fields ordered by the
-// pipeline's own queue handoffs (see the device's lcEnd), while the
-// Tracer stays the sampled, full-fidelity instrument.
-//
-// Subsystems whose request records carry their own stage timestamps
-// (the simulated core device under swapd and streamrt) skip the Tracer
-// and feed a SpanSet directly through ObserveStamps, producing the same
-// per-stage histograms on virtual time.
+// The package never stamps. Every pipeline keeps its stage timestamps on
+// its own request record (the realtime device's Request, the simulated
+// core device's MovReq under swapd and streamrt), written by the
+// goroutines that already own the record at each handoff. When the
+// application retrieves a completion, the pipeline assembles the seven
+// stamps into one vector and hands it here: a SpanSet derives the
+// stage-pair spans, and a Collector adds the 1-in-2^shift sampling
+// decision, per-class attribution and the capture ring on top. All of
+// that work runs on the retrieval path, never on a worker or controller
+// goroutine (the interrupt path).
 //
 // The package follows the obs ground rules: everything is lock-free,
-// safe from any goroutine, and nil-safe, so instrumentation sites need
-// no enabled-checks.
+// safe from any goroutine, and nil-safe, so call sites need no
+// enabled-checks.
 package lifecycle
 
 import (
@@ -140,8 +118,8 @@ func (s Span) String() string {
 // Span.
 func SpanNames() [NumSpans]string { return spanNames }
 
-// stageSpans lists the spans derived from stage pairs at End (the
-// chunk-level SpanRingWait / SpanStealDelay are observed separately).
+// stageSpans lists the spans derived from stage pairs (the chunk-level
+// SpanRingWait / SpanStealDelay are observed separately).
 var stageSpans = [...]struct {
 	span     Span
 	from, to Stage
@@ -177,9 +155,8 @@ func (o Outcome) String() string {
 	}
 }
 
-// SpanSet is a bundle of per-span latency histograms. Subsystems that
-// carry stage timestamps on their own request records feed it directly;
-// the Tracer embeds one for the records it manages.
+// SpanSet is a bundle of per-span latency histograms, fed one finished
+// stamp vector at a time.
 type SpanSet struct {
 	spans [NumSpans]obs.Histogram
 }
@@ -214,9 +191,8 @@ func (s *SpanSet) ObserveStamps(ts *[NumStages]int64) {
 }
 
 // Stamps assembles a stage-stamp array from the seven stage times of a
-// request record (0 = stage never reached) — the bridge for subsystems
-// whose requests carry their own timestamps, like the simulated core
-// device's MovReq. Feed the result to ObserveStamps.
+// request record (0 = stage never reached). Feed the result to
+// ObserveStamps.
 func Stamps(submit, flushed, dispatched, copyStart, copyEnd, completed, retrieved int64) [NumStages]int64 {
 	var ts [NumStages]int64
 	ts[StageSubmit] = submit
@@ -268,11 +244,10 @@ const (
 	FlagStolen uint32 = 1 << 1
 )
 
-// Lifecycle is one completed, captured request lifecycle: the slot it
-// ran in, a global order stamp (0 when the lifecycle was unsampled),
-// the payload size, the priority class (0 on pipelines without
-// classes), the outcome, the path flags, and the raw stage timestamps
-// (0 = stage never reached).
+// Lifecycle is one completed request lifecycle: the slot it ran in, the
+// payload size, the priority class (0 on pipelines without classes), the
+// outcome, the path flags, and the raw stage timestamps (0 = stage never
+// reached). Seq orders captured lifecycles; Collect assigns it.
 type Lifecycle struct {
 	Seq     uint64
 	Slot    int
@@ -283,27 +258,10 @@ type Lifecycle struct {
 	TS      [NumStages]int64
 }
 
-// record is the preallocated per-slot state. active gates stamping
-// (sampled lifecycles only); sampled additionally gates the histogram
-// and capture-ring work at End. count drives the sampling decision
-// slot-locally, so an unsampled Begin never touches a cacheline shared
-// across submitters.
-type record struct {
-	count   atomic.Uint64
-	active  atomic.Uint32
-	sampled atomic.Uint32
-	flags   atomic.Uint32
-	class   atomic.Uint32
-	bytes   atomic.Int64
-	seq     atomic.Uint64
-	outcome atomic.Uint32
-	ts      [NumStages]atomic.Int64
-}
-
-// captureSlot is one lock-free capture-ring entry. Like obs.Trace, the
-// seq word is stored last so a fully published slot is identifiable;
-// a slot mid-rewrite at snapshot time may carry mixed stamps — accepted
-// for a diagnostic ring, and never a data race (every field is atomic).
+// captureSlot is one lock-free capture-ring entry. The seq word is
+// stored last so a fully published slot is identifiable; a slot
+// mid-rewrite at snapshot time may carry mixed stamps — accepted for a
+// diagnostic ring, and never a data race (every field is atomic).
 type captureSlot struct {
 	seq     atomic.Uint64
 	slot    atomic.Int64
@@ -314,267 +272,111 @@ type captureSlot struct {
 	ts      [NumStages]atomic.Int64
 }
 
-// DefaultCaptureDepth is the capture-ring depth when the caller passes 0.
+// DefaultCaptureDepth is the depth of a Collector's completed-lifecycle
+// ring.
 const DefaultCaptureDepth = 256
 
-// Tracer owns the per-slot records of one device and the histograms
-// derived from them. A nil *Tracer is valid and records nothing.
-type Tracer struct {
-	mask       uint64 // sample when (seq-1)&mask == 0
+// Collector turns the finished stamp vectors of one device's sampled
+// requests into histograms and a capture ring. The device makes the
+// sampling decision through Sample when a request is submitted, stamps
+// its own request record on the way through, and hands the completed
+// Lifecycle to Collect at retrieval. A nil *Collector is valid: it
+// samples nothing and records nothing.
+type Collector struct {
+	mask       uint64 // sample when (n-1)&mask == 0
 	shift      int
-	recs       []record
-	seq        atomic.Uint64
 	begun      obs.Counter
 	ended      obs.Counter
 	aborted    obs.Counter
 	spans      SpanSet
 	classSpans []SpanSet // per-class attribution; empty without classes
-	capture    []captureSlot
+	capture    [DefaultCaptureDepth]captureSlot
 	capCur     atomic.Uint64
 }
 
-// New returns a tracer for slots request slots sampling one request in
-// 2^sampleShift (shift 0 = every request, the full-capture mode), with
-// a captureDepth-deep completed-lifecycle ring (0 = DefaultCaptureDepth).
-// classes > 0 additionally attributes every span to the request's
-// priority class (Begin's class argument), giving per-class stage
-// latencies alongside the global ones. A negative sampleShift returns
-// nil — tracing disabled; every method is nil-safe.
-func New(slots, sampleShift, captureDepth, classes int) *Tracer {
-	if sampleShift < 0 || slots <= 0 {
+// NewCollector returns a collector sampling one request in 2^sampleShift
+// (shift 0 = every request, the full-capture mode). classes > 0
+// additionally attributes every span to the lifecycle's priority class,
+// giving per-class stage latencies alongside the global ones. A negative
+// sampleShift returns nil — tracing disabled; every method is nil-safe.
+func NewCollector(sampleShift, classes int) *Collector {
+	if sampleShift < 0 {
 		return nil
 	}
 	if sampleShift > 62 {
 		sampleShift = 62
 	}
-	if captureDepth <= 0 {
-		captureDepth = DefaultCaptureDepth
-	}
 	if classes < 0 {
 		classes = 0
 	}
-	return &Tracer{
+	return &Collector{
 		mask:       uint64(1)<<uint(sampleShift) - 1,
 		shift:      sampleShift,
-		recs:       make([]record, slots),
 		classSpans: make([]SpanSet, classes),
-		capture:    make([]captureSlot, captureDepth),
 	}
 }
 
-// SampleShift reports the configured shift (-1 on a nil tracer).
-func (t *Tracer) SampleShift() int {
-	if t == nil {
-		return -1
-	}
-	return t.shift
-}
-
-// Begin opens a lifecycle on slot, making the sampling decision and —
-// when sampled — stamping StageSubmit with nano. class attributes the
-// lifecycle's spans to a priority class (pass 0 on pipelines without
-// classes). It reports whether the lifecycle is sampled. A previous
-// lifecycle left un-ended on the slot (an aborted submission) is
-// overwritten.
-//
-// The decision counts slot-locally — each slot samples its own 1st,
-// 2^shift+1'th, ... request — so the unsampled path costs a counter
-// bump and a mask test on the slot's own cacheline, never a contended
-// RMW on tracer-global state. The global Seq order stamp is taken only
-// for sampled lifecycles (1 in 2^shift), where its cost vanishes.
-func (t *Tracer) Begin(slot, class int, bytes, nano int64) bool {
-	if t == nil || slot >= len(t.recs) {
+// Sample makes the sampling decision for the n'th request (counting
+// from 1) of whatever stream the caller counts — the realtime device
+// counts per request slot, so each slot samples its own 1st,
+// 2^shift+1'th, ... request and the unsampled path never touches state
+// shared across submitters. It reports whether the request is sampled;
+// the caller records that on the request and stamps it with fresh
+// clocks.
+func (c *Collector) Sample(n uint64) bool {
+	if c == nil || (n-1)&c.mask != 0 {
 		return false
 	}
-	r := &t.recs[slot]
-	c := r.count.Add(1)
-	sampled := (c-1)&t.mask == 0
-	if !sampled {
-		if r.active.Load() != 0 {
-			r.active.Store(0) // clear a lifecycle left open by a failed submit
-		}
-		return false
-	}
-	for i := 1; i < NumStages; i++ {
-		r.ts[i].Store(0)
-	}
-	r.ts[StageSubmit].Store(nano)
-	r.class.Store(uint32(class))
-	r.bytes.Store(bytes)
-	r.flags.Store(0)
-	r.outcome.Store(uint32(OutcomeOK))
-	// The global order stamp is taken only for sampled lifecycles
-	// (1 in 2^shift), where its contended-RMW cost vanishes.
-	r.seq.Store(t.seq.Add(1))
-	r.sampled.Store(1)
-	t.begun.Inc()
-	r.active.Store(1)
+	c.begun.Inc()
 	return true
 }
 
-// Active reports whether slot has an open lifecycle being stamped —
-// the one-atomic-load check stamping sites use before reading a clock.
-func (t *Tracer) Active(slot int) bool {
-	return t != nil && slot < len(t.recs) && t.recs[slot].active.Load() != 0
-}
-
-// Sampled reports whether the lifecycle currently open on slot is
-// sampled — the check sites feeding histograms (and other per-sample
-// costs, like a chunk push timestamp) use. Implies Active.
-func (t *Tracer) Sampled(slot int) bool {
-	if t == nil || slot >= len(t.recs) {
-		return false
+// Drop accounts for a sampled request that never entered the pipeline
+// (its submission failed back to the caller), so Begun stays equal to
+// Ended + Aborted + in flight.
+func (c *Collector) Drop() {
+	if c != nil {
+		c.aborted.Inc()
 	}
-	r := &t.recs[slot]
-	return r.active.Load() != 0 && r.sampled.Load() != 0
-}
-
-// StampPending reports whether slot's open lifecycle still lacks a
-// stamp for stage — lets a caller that already paid a clock read for
-// an earlier stamp skip re-reading for a stage stamped by a peer.
-func (t *Tracer) StampPending(slot int, st Stage) bool {
-	if t == nil || slot >= len(t.recs) {
-		return false
-	}
-	r := &t.recs[slot]
-	return r.active.Load() != 0 && r.ts[st].Load() == 0
-}
-
-// SetFlag ORs a Flag* bit into slot's open lifecycle. Go 1.22 has no
-// atomic Or, so this is a CAS loop — uncontended in practice (the
-// writers of distinct flags run on different goroutines but rarely on
-// the same request at the same instant).
-func (t *Tracer) SetFlag(slot int, flag uint32) {
-	if t == nil || slot >= len(t.recs) {
-		return
-	}
-	r := &t.recs[slot]
-	if r.active.Load() == 0 {
-		return
-	}
-	for {
-		old := r.flags.Load()
-		if old&flag == flag || r.flags.CompareAndSwap(old, old|flag) {
-			return
-		}
-	}
-}
-
-// Transition stamps stage with nano on slot's open lifecycle: one
-// atomic store. No-op when the lifecycle is inactive (one atomic load).
-func (t *Tracer) Transition(slot int, st Stage, nano int64) {
-	if !t.Active(slot) {
-		return
-	}
-	t.recs[slot].ts[st].Store(nano)
-}
-
-// TransitionFirst stamps stage only if it has no stamp yet — for stages
-// reached concurrently by several goroutines where the earliest wins
-// (StageCopyStart across parallel chunk copies).
-func (t *Tracer) TransitionFirst(slot int, st Stage, nano int64) {
-	if !t.Active(slot) {
-		return
-	}
-	t.recs[slot].ts[st].CompareAndSwap(0, nano)
 }
 
 // ObserveQueueWait records a chunk-level dispatch-ring wait for a
 // request of the given class; stolen chunks are additionally attributed
 // to SpanStealDelay.
-func (t *Tracer) ObserveQueueWait(class int, d int64, stolen bool) {
-	if t == nil {
+func (c *Collector) ObserveQueueWait(class int, d int64, stolen bool) {
+	if c == nil {
 		return
 	}
-	t.spans.Observe(SpanRingWait, d)
+	c.spans.Observe(SpanRingWait, d)
 	if stolen {
-		t.spans.Observe(SpanStealDelay, d)
+		c.spans.Observe(SpanStealDelay, d)
 	}
-	if class >= 0 && class < len(t.classSpans) {
-		t.classSpans[class].Observe(SpanRingWait, d)
+	if class >= 0 && class < len(c.classSpans) {
+		c.classSpans[class].Observe(SpanRingWait, d)
 		if stolen {
-			t.classSpans[class].Observe(SpanStealDelay, d)
+			c.classSpans[class].Observe(SpanStealDelay, d)
 		}
 	}
 }
 
-// Abort closes slot's open lifecycle without deriving anything — for
-// submissions that failed back to the caller (the request never entered
-// the pipeline).
-func (t *Tracer) Abort(slot int) {
-	if t == nil || slot >= len(t.recs) {
+// Collect takes one sampled request's completed lifecycle: it derives
+// every stage-pair span of lc.TS into the global and per-class
+// histograms — and into extra when non-nil, so a caller can attribute
+// the same vector to a second dimension (the realtime device's
+// per-tenant stage latencies) without deriving twice — stamps lc.Seq
+// and pushes the lifecycle onto the capture ring. Runs on the
+// application's retrieval goroutine, never the device's.
+func (c *Collector) Collect(lc *Lifecycle, extra *SpanSet) {
+	if c == nil {
 		return
 	}
-	r := &t.recs[slot]
-	if r.active.Load() == 0 {
-		return
+	c.spans.ObserveStamps(&lc.TS)
+	extra.ObserveStamps(&lc.TS)
+	if lc.Class >= 0 && lc.Class < len(c.classSpans) {
+		c.classSpans[lc.Class].ObserveStamps(&lc.TS)
 	}
-	sampled := r.sampled.Load() != 0
-	r.active.Store(0)
-	if sampled {
-		t.aborted.Inc()
-	}
-}
-
-// End closes slot's open lifecycle: stamps StageRetrieved with nano,
-// derives every stage-pair span into the histograms, and pushes the
-// completed lifecycle onto the capture ring. Runs on the application's
-// retrieval goroutine, never the device's.
-func (t *Tracer) End(slot int, outcome Outcome, nano int64) {
-	t.EndInto(slot, outcome, nano, nil)
-}
-
-// EndInto is End with one extra attribution target: the derived spans
-// are also observed into extra (when non-nil), so a caller can attribute
-// the same lifecycle to a second dimension — the realtime device uses it
-// for per-tenant stage latencies — without stamping or deriving twice.
-//
-// It returns the closed lifecycle (complete stamp vector, flags,
-// outcome) and whether one was open, so the caller can feed the same
-// sampled lifecycle to the flight recorder's breach check without
-// re-deriving the stamps.
-func (t *Tracer) EndInto(slot int, outcome Outcome, nano int64, extra *SpanSet) (Lifecycle, bool) {
-	if t == nil || slot >= len(t.recs) {
-		return Lifecycle{}, false
-	}
-	r := &t.recs[slot]
-	if r.active.Load() == 0 {
-		return Lifecycle{}, false
-	}
-	r.ts[StageRetrieved].Store(nano)
-	r.outcome.Store(uint32(outcome))
-	var ts [NumStages]int64
-	for i := range ts {
-		ts[i] = r.ts[i].Load()
-	}
-	class := int(r.class.Load())
-	lc := Lifecycle{
-		Seq:     r.seq.Load(),
-		Slot:    slot,
-		Class:   class,
-		Bytes:   r.bytes.Load(),
-		Outcome: outcome,
-		Flags:   r.flags.Load(),
-		TS:      ts,
-	}
-	if r.sampled.Load() != 0 {
-		t.spans.ObserveStamps(&ts)
-		if extra != nil {
-			extra.ObserveStamps(&ts)
-		}
-		if class < len(t.classSpans) {
-			t.classSpans[class].ObserveStamps(&ts)
-		}
-		t.pushCapture(lc)
-		t.ended.Inc()
-	}
-	r.active.Store(0)
-	return lc, true
-}
-
-func (t *Tracer) pushCapture(lc Lifecycle) {
-	seq := t.capCur.Add(1)
-	s := &t.capture[(seq-1)%uint64(len(t.capture))]
+	lc.Seq = c.capCur.Add(1)
+	s := &c.capture[(lc.Seq-1)%uint64(len(c.capture))]
 	s.slot.Store(int64(lc.Slot))
 	s.class.Store(uint32(lc.Class))
 	s.bytes.Store(lc.Bytes)
@@ -584,31 +386,32 @@ func (t *Tracer) pushCapture(lc Lifecycle) {
 		s.ts[i].Store(lc.TS[i])
 	}
 	s.seq.Store(lc.Seq)
+	c.ended.Inc()
 }
 
-// Snapshot captures the tracer state: sampling counters, the per-span
-// histograms and the retained completed lifecycles in Seq order.
-// Nil-safe (zero snapshot, Enabled false).
-func (t *Tracer) Snapshot() Snapshot {
-	if t == nil {
+// Snapshot captures the collector state: sampling counters, the
+// per-span histograms and the retained completed lifecycles in Seq
+// order. Nil-safe (zero snapshot, Enabled false).
+func (c *Collector) Snapshot() Snapshot {
+	if c == nil {
 		return Snapshot{SampleShift: -1}
 	}
 	s := Snapshot{
 		Enabled:     true,
-		SampleShift: t.shift,
-		Begun:       t.begun.Load(),
-		Ended:       t.ended.Load(),
-		Aborted:     t.aborted.Load(),
-		Spans:       t.spans.Snapshot(),
+		SampleShift: c.shift,
+		Begun:       c.begun.Load(),
+		Ended:       c.ended.Load(),
+		Aborted:     c.aborted.Load(),
+		Spans:       c.spans.Snapshot(),
 	}
-	if len(t.classSpans) > 0 {
-		s.ClassSpans = make([]SpanSnapshot, len(t.classSpans))
-		for i := range t.classSpans {
-			s.ClassSpans[i] = t.classSpans[i].Snapshot()
+	if len(c.classSpans) > 0 {
+		s.ClassSpans = make([]SpanSnapshot, len(c.classSpans))
+		for i := range c.classSpans {
+			s.ClassSpans[i] = c.classSpans[i].Snapshot()
 		}
 	}
-	for i := range t.capture {
-		cs := &t.capture[i]
+	for i := range c.capture {
+		cs := &c.capture[i]
 		seq := cs.seq.Load()
 		if seq == 0 {
 			continue
@@ -633,26 +436,27 @@ func (t *Tracer) Snapshot() Snapshot {
 // Spans captures only the global per-span histograms — the cheap
 // accessor for periodic consumers (e.g. an adaptive-threshold retuner)
 // that must not pay Snapshot's capture-ring scan. Nil-safe.
-func (t *Tracer) Spans() SpanSnapshot {
-	if t == nil {
+func (c *Collector) Spans() SpanSnapshot {
+	if c == nil {
 		return SpanSnapshot{}
 	}
-	return t.spans.Snapshot()
+	return c.spans.Snapshot()
 }
 
-// Snapshot is a point-in-time view of a Tracer.
+// Snapshot is a point-in-time view of a Collector.
 type Snapshot struct {
-	// Enabled is false on a disabled (nil) tracer; SampleShift is the
+	// Enabled is false on a disabled (nil) collector; SampleShift is the
 	// configured 1-in-2^k shift (-1 when disabled).
 	Enabled     bool
 	SampleShift int
-	// Begun / Ended / Aborted count sampled lifecycles opened, completed
-	// through retrieval, and abandoned by failed submissions.
+	// Begun / Ended / Aborted count sampled lifecycles opened (Sample),
+	// completed through retrieval (Collect), and abandoned by failed
+	// submissions (Drop).
 	Begun, Ended, Aborted int64
 	// Spans holds the per-stage latency histograms.
 	Spans SpanSnapshot
 	// ClassSpans holds the same histograms split by priority class,
-	// indexed by class; empty when the tracer was built without classes.
+	// indexed by class; empty when the collector was built without classes.
 	ClassSpans []SpanSnapshot
 	// Captured holds the retained completed lifecycles, oldest first.
 	Captured []Lifecycle

@@ -5,26 +5,40 @@ import (
 	"testing"
 )
 
+// collect pushes one finished lifecycle with the given stamps through c.
+func collect(c *Collector, slot, class int, out Outcome, ts [NumStages]int64) {
+	c.Collect(&Lifecycle{Slot: slot, Class: class, Bytes: 64, Outcome: out, TS: ts}, nil)
+}
+
 func TestSamplingRate(t *testing.T) {
-	// shift 3: exactly every 8th Begin (the 1st, 9th, 17th, ...) is
-	// sampled — the decision is a deterministic counter, not a PRNG.
-	tr := New(4, 3, 0, 0)
+	// shift 3: exactly every 8th request of a stream (the 1st, 9th,
+	// 17th, ...) is sampled — the decision is a deterministic counter,
+	// not a PRNG.
+	c := NewCollector(3, 0)
 	sampled := 0
-	for i := 0; i < 64; i++ {
-		if tr.Begin(0, 0, 100, int64(i+1)) {
-			sampled++
-			if i%8 != 0 {
-				t.Errorf("request %d sampled, want only multiples of 8", i)
-			}
+	for n := uint64(1); n <= 64; n++ {
+		if !c.Sample(n) {
+			continue
 		}
-		tr.End(0, OutcomeOK, int64(i+1000))
+		sampled++
+		if (n-1)%8 != 0 {
+			t.Errorf("request %d sampled, want only 1, 9, 17, ...", n)
+		}
+		if n == 1 {
+			c.Drop() // a failed submission: counted, never collected
+			continue
+		}
+		collect(c, 0, 0, OutcomeOK, Stamps(int64(n), 0, 0, 0, 0, 0, int64(n+1000)))
 	}
 	if sampled != 8 {
 		t.Errorf("sampled %d of 64 at shift 3, want 8", sampled)
 	}
-	s := tr.Snapshot()
-	if s.Begun != 8 || s.Ended != 8 {
-		t.Errorf("begun/ended = %d/%d, want 8/8", s.Begun, s.Ended)
+	s := c.Snapshot()
+	if s.Begun != 8 || s.Ended != 7 || s.Aborted != 1 {
+		t.Errorf("begun/ended/aborted = %d/%d/%d, want 8/7/1", s.Begun, s.Ended, s.Aborted)
+	}
+	if len(s.Captured) != 7 {
+		t.Errorf("captured %d, want 7 (a dropped lifecycle must not capture)", len(s.Captured))
 	}
 	if s.SampleShift != 3 || !s.Enabled {
 		t.Errorf("snapshot shift/enabled = %d/%v", s.SampleShift, s.Enabled)
@@ -32,26 +46,20 @@ func TestSamplingRate(t *testing.T) {
 }
 
 func TestFullCaptureAndSpans(t *testing.T) {
-	tr := New(2, 0, 8, 0)
-	tr.Begin(1, 0, 4096, 100)
-	tr.Transition(1, StageFlushed, 110)
-	tr.Transition(1, StageDispatched, 130)
-	tr.TransitionFirst(1, StageCopyStart, 160)
-	tr.TransitionFirst(1, StageCopyStart, 170) // later racer must lose
-	tr.Transition(1, StageCopyEnd, 200)
-	tr.Transition(1, StageCompleted, 210)
-	tr.ObserveQueueWait(0, 25, false)
-	tr.ObserveQueueWait(0, 40, true)
-	tr.End(1, OutcomeOK, 260)
+	c := NewCollector(0, 0)
+	wantTS := Stamps(100, 110, 130, 160, 200, 210, 260)
+	c.ObserveQueueWait(0, 25, false)
+	c.ObserveQueueWait(0, 40, true)
+	lc := Lifecycle{Slot: 1, Bytes: 4096, Flags: FlagStolen, TS: wantTS}
+	c.Collect(&lc, nil)
 
-	s := tr.Snapshot()
+	s := c.Snapshot()
 	if len(s.Captured) != 1 {
 		t.Fatalf("captured %d lifecycles, want 1", len(s.Captured))
 	}
-	lc := s.Captured[0]
-	wantTS := Stamps(100, 110, 130, 160, 200, 210, 260)
-	if lc.TS != wantTS {
-		t.Errorf("TS = %v, want %v", lc.TS, wantTS)
+	got := s.Captured[0]
+	if got != lc || got.Seq != 1 {
+		t.Errorf("captured %+v, want %+v with Seq 1", got, lc)
 	}
 	for span, want := range map[Span]int64{
 		SpanStagingWait:     10,
@@ -71,105 +79,81 @@ func TestFullCaptureAndSpans(t *testing.T) {
 	if h := s.Spans.Spans[SpanStealDelay]; h.Count != 1 || h.Sum != 40 {
 		t.Errorf("steal delay: count=%d sum=%d, want 1/40", h.Count, h.Sum)
 	}
+	if sp := c.Spans(); sp != s.Spans {
+		t.Errorf("Spans() = %+v, want the snapshot's %+v", sp, s.Spans)
+	}
 }
 
 func TestMissingEndpointsSkipSpans(t *testing.T) {
 	// An ErrNoSlots-style failure goes submit -> completed directly;
 	// only spans with both endpoints may record.
-	tr := New(1, 0, 0, 0)
-	tr.Begin(0, 0, 0, 100)
-	tr.Transition(0, StageCompleted, 150)
-	tr.End(0, OutcomeFailed, 180)
-	s := tr.Snapshot()
+	c := NewCollector(0, 0)
+	collect(c, 0, 0, OutcomeFailed, Stamps(100, 0, 0, 0, 0, 150, 180))
+	s := c.Snapshot()
 	for _, span := range []Span{SpanStagingWait, SpanDispatchWait, SpanCopy} {
-		if c := s.Spans.Spans[span].Count; c != 0 {
-			t.Errorf("span %s recorded %d samples with missing endpoints", span, c)
+		if n := s.Spans.Spans[span].Count; n != 0 {
+			t.Errorf("span %s recorded %d samples with missing endpoints", span, n)
 		}
 	}
-	if c := s.Spans.Spans[SpanCompletionDwell].Count; c != 1 {
-		t.Errorf("completion dwell count = %d, want 1", c)
+	if n := s.Spans.Spans[SpanCompletionDwell].Count; n != 1 {
+		t.Errorf("completion dwell count = %d, want 1", n)
 	}
-	if c := s.Spans.Spans[SpanTotal].Count; c != 1 {
-		t.Errorf("total count = %d, want 1", c)
+	if n := s.Spans.Spans[SpanTotal].Count; n != 1 {
+		t.Errorf("total count = %d, want 1", n)
 	}
 	if len(s.Captured) != 1 || s.Captured[0].Outcome != OutcomeFailed {
 		t.Errorf("captured = %+v", s.Captured)
 	}
 }
 
-func TestAbortAndSlotReuse(t *testing.T) {
-	tr := New(1, 0, 4, 0)
-	tr.Begin(0, 0, 0, 10)
-	tr.Abort(0)
-	if tr.Sampled(0) {
-		t.Error("slot still sampled after Abort")
-	}
-	// Reuse the slot: stale stamps must not leak into the new lifecycle.
-	tr.Begin(0, 0, 0, 50)
-	tr.Transition(0, StageFlushed, 60)
-	tr.End(0, OutcomeOK, 70)
-	s := tr.Snapshot()
-	if s.Aborted != 1 || s.Ended != 1 || s.Begun != 2 {
-		t.Errorf("begun/ended/aborted = %d/%d/%d, want 2/1/1", s.Begun, s.Ended, s.Aborted)
-	}
-	if len(s.Captured) != 1 {
-		t.Fatalf("captured %d, want 1 (aborted lifecycle must not capture)", len(s.Captured))
-	}
-	if ts := s.Captured[0].TS; ts[StageSubmit] != 50 || ts[StageDispatched] != 0 {
-		t.Errorf("stale stamps leaked across reuse: %v", ts)
-	}
-}
-
 func TestCaptureRingWrap(t *testing.T) {
-	tr := New(1, 0, 4, 0)
-	for i := int64(1); i <= 10; i++ {
-		tr.Begin(0, 0, i, i*100)
-		tr.End(0, OutcomeOK, i*100+50)
+	c := NewCollector(0, 0)
+	const extra = 6
+	for i := int64(1); i <= DefaultCaptureDepth+extra; i++ {
+		collect(c, 0, 0, OutcomeOK, Stamps(i*100, 0, 0, 0, 0, 0, i*100+50))
 	}
-	s := tr.Snapshot()
-	if len(s.Captured) != 4 {
-		t.Fatalf("captured %d, want ring depth 4", len(s.Captured))
+	s := c.Snapshot()
+	if len(s.Captured) != DefaultCaptureDepth {
+		t.Fatalf("captured %d, want ring depth %d", len(s.Captured), DefaultCaptureDepth)
 	}
 	for i, lc := range s.Captured {
 		if i > 0 && lc.Seq <= s.Captured[i-1].Seq {
-			t.Errorf("capture not in seq order: %v", s.Captured)
+			t.Fatalf("capture not in seq order at %d: %d after %d", i, lc.Seq, s.Captured[i-1].Seq)
 		}
-		if lc.Seq < 7 {
-			t.Errorf("old lifecycle %d survived a depth-4 ring", lc.Seq)
+		if lc.Seq <= extra {
+			t.Errorf("old lifecycle %d survived the wrap", lc.Seq)
 		}
 	}
 }
 
 func TestPerClassSpans(t *testing.T) {
-	tr := New(2, 0, 4, 3)
+	c := NewCollector(0, 3)
 	run := func(slot, class int, base int64) {
-		tr.Begin(slot, class, 64, base)
-		tr.Transition(slot, StageFlushed, base+10)
-		tr.ObserveQueueWait(class, 7, false)
-		tr.End(slot, Outcome(0), base+100)
+		c.ObserveQueueWait(class, 7, false)
+		collect(c, slot, class, OutcomeOK, Stamps(base, base+10, 0, 0, 0, 0, base+100))
 	}
 	run(0, 0, 1000)
 	run(1, 2, 2000)
 	run(0, 2, 3000)
-	s := tr.Snapshot()
+	s := c.Snapshot()
 	if len(s.ClassSpans) != 3 {
 		t.Fatalf("ClassSpans len = %d, want 3", len(s.ClassSpans))
 	}
-	if c := s.ClassSpans[0].Spans[SpanTotal].Count; c != 1 {
-		t.Errorf("class 0 total count = %d, want 1", c)
+	if n := s.ClassSpans[0].Spans[SpanTotal].Count; n != 1 {
+		t.Errorf("class 0 total count = %d, want 1", n)
 	}
-	if c := s.ClassSpans[2].Spans[SpanTotal].Count; c != 2 {
-		t.Errorf("class 2 total count = %d, want 2", c)
+	if n := s.ClassSpans[2].Spans[SpanTotal].Count; n != 2 {
+		t.Errorf("class 2 total count = %d, want 2", n)
 	}
-	if c := s.ClassSpans[1].Spans[SpanTotal].Count; c != 0 {
-		t.Errorf("class 1 total count = %d, want 0", c)
+	if n := s.ClassSpans[1].Spans[SpanTotal].Count; n != 0 {
+		t.Errorf("class 1 total count = %d, want 0", n)
 	}
-	if c := s.ClassSpans[2].Spans[SpanRingWait].Count; c != 2 {
-		t.Errorf("class 2 ring wait count = %d, want 2", c)
+	if n := s.ClassSpans[2].Spans[SpanRingWait].Count; n != 2 {
+		t.Errorf("class 2 ring wait count = %d, want 2", n)
 	}
 	// The global spans see everything regardless of class.
-	if c := s.Spans.Spans[SpanTotal].Count; c != 3 {
-		t.Errorf("global total count = %d, want 3", c)
+	if n := s.Spans.Spans[SpanTotal].Count; n != 3 {
+		t.Errorf("global total count = %d, want 3", n)
 	}
 	// Captured lifecycles carry their class.
 	classes := map[int]int{}
@@ -178,6 +162,12 @@ func TestPerClassSpans(t *testing.T) {
 	}
 	if classes[0] != 1 || classes[2] != 2 {
 		t.Errorf("captured classes = %v, want {0:1, 2:2}", classes)
+	}
+	// A second attribution target receives the same vector.
+	var tenant SpanSet
+	c.Collect(&Lifecycle{TS: Stamps(10, 20, 0, 0, 0, 0, 90)}, &tenant)
+	if h := tenant.Snapshot().Spans[SpanTotal]; h.Count != 1 || h.Sum != 80 {
+		t.Errorf("extra span set total: count=%d sum=%d, want 1/80", h.Count, h.Sum)
 	}
 }
 
@@ -191,46 +181,38 @@ func TestNegativeDurationClamped(t *testing.T) {
 }
 
 func TestNilSafety(t *testing.T) {
-	var tr *Tracer
-	if tr.Begin(0, 0, 0, 1) || tr.Sampled(0) {
-		t.Error("nil tracer claims sampling")
+	var c *Collector
+	if c.Sample(1) {
+		t.Error("nil collector claims sampling")
 	}
-	tr.Transition(0, StageFlushed, 1)
-	tr.TransitionFirst(0, StageCopyStart, 1)
-	tr.ObserveQueueWait(0, 1, true)
-	tr.Abort(0)
-	tr.End(0, OutcomeOK, 1)
-	if s := tr.Snapshot(); s.Enabled || s.SampleShift != -1 {
+	c.ObserveQueueWait(0, 1, true)
+	c.Drop()
+	c.Collect(&Lifecycle{TS: Stamps(1, 2, 3, 4, 5, 6, 7)}, nil)
+	if s := c.Snapshot(); s.Enabled || s.SampleShift != -1 {
 		t.Errorf("nil snapshot = %+v", s)
 	}
-	if tr.SampleShift() != -1 {
-		t.Error("nil SampleShift != -1")
+	if sp := c.Spans(); sp != (SpanSnapshot{}) {
+		t.Errorf("nil Spans() = %+v", sp)
 	}
 	var ss *SpanSet
 	ss.Observe(SpanCopy, 1)
 	ts := Stamps(1, 2, 3, 4, 5, 6, 7)
 	ss.ObserveStamps(&ts)
 	_ = ss.Snapshot()
-	if New(0, 0, 0, 0) != nil || New(10, -1, 0, 0) != nil {
-		t.Error("disabled configs must return nil")
+	if NewCollector(-1, 0) != nil {
+		t.Error("a negative shift must return nil")
 	}
 }
 
 func TestChromeTraceJSON(t *testing.T) {
-	tr := New(2, 0, 8, 0)
+	c := NewCollector(0, 0)
 	for slot := 0; slot < 2; slot++ {
 		base := int64(1000 * (slot + 1))
-		tr.Begin(slot, 0, 4096, base)
-		tr.Transition(slot, StageFlushed, base+10)
-		tr.Transition(slot, StageDispatched, base+20)
-		tr.Transition(slot, StageCopyStart, base+30)
-		tr.Transition(slot, StageCopyEnd, base+90)
-		tr.Transition(slot, StageCompleted, base+95)
-		tr.End(slot, OutcomeOK, base+120)
+		collect(c, slot, 0, OutcomeOK, Stamps(base, base+10, base+20, base+30, base+90, base+95, base+120))
 	}
 	blob, err := ChromeTraceGroupsJSON([]TraceGroup{
-		{Process: "a", Lifecycles: tr.Snapshot().Captured},
-		{Process: "b", Lifecycles: tr.Snapshot().Captured},
+		{Process: "a", Lifecycles: c.Snapshot().Captured},
+		{Process: "b", Lifecycles: c.Snapshot().Captured},
 	})
 	if err != nil {
 		t.Fatal(err)

@@ -1,6 +1,6 @@
 // Package obs is the device-side observability layer: lock-free
-// counters, high-watermark gauges, power-of-two latency/size histograms,
-// and an optional fixed-depth ring-buffer event trace.
+// counters, high-watermark gauges and power-of-two latency/size
+// histograms.
 //
 // Everything here is safe to update from any goroutine — including the
 // realtime device's controller goroutines, which play the role of
@@ -18,8 +18,6 @@ package obs
 import (
 	"fmt"
 	"math/bits"
-	"sort"
-	"strings"
 	"sync/atomic"
 )
 
@@ -244,95 +242,4 @@ func (s HistogramSnapshot) String() string {
 	}
 	return fmt.Sprintf("n=%d mean=%.0f p50≤%d p90≤%d p99≤%d max≤%d",
 		s.Count, s.Mean(), s.Quantile(0.50), s.Quantile(0.90), s.Quantile(0.99), s.Max())
-}
-
-// Event is one trace entry: a kind code defined by the instrumented
-// subsystem, a wall-clock (or virtual) timestamp, and two payload words
-// whose meaning the kind defines (typically a request index and a size).
-type Event struct {
-	Seq  uint64
-	Nano int64
-	Kind uint32
-	A, B uint64
-}
-
-// eventSlot is the lock-free storage for one ring slot. seq is stored
-// last, so a slot whose seq matches the cursor-derived value has fully
-// published fields (for same-slot rewrites the read is best-effort; see
-// Snapshot).
-type eventSlot struct {
-	seq  atomic.Uint64
-	nano atomic.Int64
-	kind atomic.Uint32
-	a, b atomic.Uint64
-}
-
-// Trace is a fixed-depth lock-free ring buffer of Events. A nil *Trace
-// is valid and records nothing, so instrumentation sites need no
-// enabled-checks.
-type Trace struct {
-	slots  []eventSlot
-	cursor atomic.Uint64
-}
-
-// NewTrace returns a trace keeping the last depth events, or nil when
-// depth <= 0 (tracing disabled).
-func NewTrace(depth int) *Trace {
-	if depth <= 0 {
-		return nil
-	}
-	return &Trace{slots: make([]eventSlot, depth)}
-}
-
-// Record appends an event. Safe from any goroutine; wait-free except for
-// the single atomic add. No-op on a nil trace.
-func (t *Trace) Record(nano int64, kind uint32, a, b uint64) {
-	if t == nil {
-		return
-	}
-	seq := t.cursor.Add(1)
-	s := &t.slots[(seq-1)%uint64(len(t.slots))]
-	s.nano.Store(nano)
-	s.kind.Store(kind)
-	s.a.Store(a)
-	s.b.Store(b)
-	s.seq.Store(seq)
-}
-
-// Snapshot returns the retained events in recording order. Under
-// concurrent Record calls the snapshot is best-effort: a slot being
-// rewritten at capture time may be dropped or carry mixed fields — an
-// accepted property of a diagnostic ring, never a data race.
-func (t *Trace) Snapshot() []Event {
-	if t == nil {
-		return nil
-	}
-	evs := make([]Event, 0, len(t.slots))
-	for i := range t.slots {
-		s := &t.slots[i]
-		seq := s.seq.Load()
-		if seq == 0 {
-			continue
-		}
-		evs = append(evs, Event{
-			Seq:  seq,
-			Nano: s.nano.Load(),
-			Kind: s.kind.Load(),
-			A:    s.a.Load(),
-			B:    s.b.Load(),
-		})
-	}
-	sort.Slice(evs, func(i, j int) bool { return evs[i].Seq < evs[j].Seq })
-	return evs
-}
-
-// FormatEvents renders events one per line through the caller's
-// kind-name function.
-func FormatEvents(evs []Event, kindName func(uint32) string) string {
-	var b strings.Builder
-	for _, e := range evs {
-		fmt.Fprintf(&b, "%6d %14dns %-10s a=%-6d b=%d\n",
-			e.Seq, e.Nano, kindName(e.Kind), e.A, e.B)
-	}
-	return b.String()
 }

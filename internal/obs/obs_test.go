@@ -120,70 +120,6 @@ func TestQuantileEmptyAndEdges(t *testing.T) {
 	}
 }
 
-func TestNilTraceIsNoop(t *testing.T) {
-	var tr *Trace
-	tr.Record(1, 2, 3, 4) // must not panic
-	if got := tr.Snapshot(); got != nil {
-		t.Errorf("nil trace snapshot = %v", got)
-	}
-	if NewTrace(0) != nil {
-		t.Error("NewTrace(0) should be nil")
-	}
-}
-
-func TestTraceOrderAndWrap(t *testing.T) {
-	tr := NewTrace(4)
-	for i := 0; i < 10; i++ {
-		tr.Record(int64(i), uint32(i), uint64(i), 0)
-	}
-	evs := tr.Snapshot()
-	if len(evs) != 4 {
-		t.Fatalf("len = %d, want 4", len(evs))
-	}
-	for i, e := range evs {
-		want := uint64(7 + i) // seqs 7..10 survive the wrap
-		if e.Seq != want {
-			t.Errorf("event %d seq = %d, want %d", i, e.Seq, want)
-		}
-		if e.Nano != int64(e.Seq-1) || uint64(e.Kind) != e.Seq-1 {
-			t.Errorf("event %d fields inconsistent: %+v", i, e)
-		}
-	}
-}
-
-func TestTraceConcurrent(t *testing.T) {
-	tr := NewTrace(64)
-	var wg sync.WaitGroup
-	for g := 0; g < 4; g++ {
-		wg.Add(1)
-		go func(g int) {
-			defer wg.Done()
-			for i := 0; i < 500; i++ {
-				tr.Record(int64(i), uint32(g), uint64(i), uint64(g))
-			}
-		}(g)
-	}
-	wg.Wait()
-	evs := tr.Snapshot()
-	if len(evs) != 64 {
-		t.Fatalf("snapshot len = %d, want 64", len(evs))
-	}
-	for i := 1; i < len(evs); i++ {
-		if evs[i].Seq <= evs[i-1].Seq {
-			t.Fatalf("snapshot not seq-ordered at %d", i)
-		}
-	}
-}
-
-func TestFormatEvents(t *testing.T) {
-	tr := NewTrace(2)
-	tr.Record(10, 1, 42, 4096)
-	out := FormatEvents(tr.Snapshot(), func(k uint32) string { return "submit" })
-	if out == "" {
-		t.Error("empty render")
-	}
-}
-
 func TestGaugeCurrentAndWatermark(t *testing.T) {
 	var g Gauge
 	g.Set(10)

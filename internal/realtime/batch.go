@@ -81,7 +81,7 @@ func (d *Device) submitBatch(reqs []*Request) error {
 		// Running it once at the end drains everything staged above (and
 		// anything a neighbor staged meanwhile) with a single recolor
 		// and at most a single kick.
-		d.flushShard(sh, reqs[0].idx)
+		d.flushShard(sh)
 	}
 	return nil
 }
@@ -100,8 +100,8 @@ func (d *Device) RetrieveCompletedBatch(buf []*Request) int {
 	// flight accounting: the retrieve timestamp is read at the first
 	// completion (an empty call costs nothing) and every request's lane
 	// and SLO arithmetic folds locally until Flush. Batch-level
-	// staleness only shifts breach latencies by microseconds; the
-	// sampled lifecycles inside lcEnd still read fresh clocks.
+	// staleness only shifts breach latencies by microseconds; a sampled
+	// request reads a fresh clock inside lcEnd.
 	var acc flight.Acc
 	acc.Init(d.fr)
 	var nano int64

@@ -100,12 +100,8 @@ func (d *Device) ambient() flight.Ambient {
 		staging += int64(sh.Size())
 	}
 	amb.StagingDepth = staging
-	if d.rings != nil {
-		var rd int64
-		for _, cr := range d.rings {
-			rd += cr.size()
-		}
-		amb.RingDepth = rd
+	for _, cr := range d.rings {
+		amb.RingDepth += cr.size()
 	}
 	for c := 0; c < NumClasses; c++ {
 		amb.ClassInFlight[c] = d.classInFlight[c].n.Load()

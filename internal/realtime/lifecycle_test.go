@@ -46,7 +46,7 @@ func checkMonotone(t *testing.T, lc lifecycle.Lifecycle) {
 func TestLifecycleCleanPipelineFullStamps(t *testing.T) {
 	d := Open(Options{
 		NumReqs: 32, Controllers: 2, StagingShards: 2, ChunkBytes: 8 << 10,
-		TraceFullCapture: true, TraceCaptureDepth: 128,
+		TraceFullCapture: true,
 	})
 	defer d.Close()
 

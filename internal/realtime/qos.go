@@ -20,7 +20,7 @@ package realtime
 //     inline threshold is copied by the worker itself (the "syscall
 //     path polls" case — no ring push, no controller wakeup), while
 //     larger transfers park on the ring/notify path. The threshold
-//     self-tunes from the lifecycle tracer's span histograms so it
+//     self-tunes from the sampled requests' span histograms so it
 //     lands where the inline copy costs about as much as the dispatch
 //     overhead it saves.
 

@@ -90,9 +90,15 @@
 // # Observability
 //
 // Every edge (submit, kick, wake, dispatch, chunk, complete, cancel) is
-// counted — and optionally traced into a ring buffer — through the
-// lock-free primitives of package obs; Stats returns a consistent-enough
-// snapshot at any time, including under full load.
+// counted through the lock-free primitives of package obs; Stats returns
+// a consistent-enough snapshot at any time, including under full load.
+//
+// Every request also carries its own stage stamps (see Request): the
+// goroutine that owns the request at each handoff writes the stamp into
+// a plain field, and the retrieval path assembles them into the
+// seven-stage vector that feeds the flight recorder's breach check for
+// every request and the lifecycle span histograms for the sampled one in
+// 2^TraceSampleShift.
 //
 // Running this under `go test -race` validates the protocol's lock
 // freedom claims with real preemption, which the deterministic simulator
@@ -187,32 +193,19 @@ type Options struct {
 	// protocol (and of the paper's single shared area).
 	StagingShards int
 	// RingDepth is the per-controller chunk ring capacity, rounded up
-	// to a power of two. 0 means DefaultRingDepth. Ignored when
-	// LegacyCopyQueue is set.
+	// to a power of two. 0 means DefaultRingDepth.
 	RingDepth int
-	// LegacyCopyQueue routes chunks through a single shared unbuffered
-	// channel — the pre-ring dispatch path, kept for the work-stealing
-	// ablation benchmarks. Production devices should leave this false.
-	LegacyCopyQueue bool
-	// TraceDepth enables the ring-buffer event trace with that many
-	// slots; 0 disables tracing (the default — counters and histograms
-	// are always on).
-	TraceDepth int
-	// TraceSampleShift tunes the per-request lifecycle tracer: one
-	// request in 2^shift gets every stage transition timestamped and
-	// attributed to the per-stage latency histograms. 0 means
-	// DefaultTraceSampleShift; negative disables lifecycle tracing
-	// entirely (every instrumentation site then costs one nil check).
+	// TraceSampleShift tunes lifecycle sampling: one request in 2^shift
+	// is stamped with fresh clock reads at every stage and attributed to
+	// the per-stage latency histograms and the capture ring behind
+	// Stats().Lifecycle. 0 means DefaultTraceSampleShift; negative
+	// disables lifecycle sampling entirely.
 	TraceSampleShift int
 	// TraceFullCapture samples every request regardless of
 	// TraceSampleShift — the debug mode for reconstructing a complete
 	// timeline. Its overhead is measured in EXPERIMENTS.md; leave it off
 	// in production and benchmarks.
 	TraceFullCapture bool
-	// TraceCaptureDepth is the completed-lifecycle capture ring depth
-	// behind Stats().Lifecycle.Captured and the Chrome trace export
-	// (0 = lifecycle.DefaultCaptureDepth).
-	TraceCaptureDepth int
 	// QoS tunes priority classes, admission control and adaptive
 	// completion; the zero value applies the defaults (see QoSOptions).
 	QoS QoSOptions
@@ -238,9 +231,9 @@ type Options struct {
 	// and per-class/per-tenant SLO burn rates. The zero value arms it
 	// with defaults; set Flight.Disable to fall back to pure
 	// 1-in-2^TraceSampleShift lifecycle sampling. The recorder is
-	// independent of the tracer: armed stage stamps live in plain
-	// Request fields and a breach synthesizes its vector from them, so
-	// capture has no sampling holes even with the tracer off.
+	// independent of the sampling: every request carries stage stamps
+	// while it is armed, so capture has no sampling holes even with
+	// TraceSampleShift negative.
 	Flight flight.Options
 	// Chaos installs test-only fault-injection hooks. Leave nil outside
 	// the verification suite.
@@ -332,22 +325,47 @@ type Request struct {
 	tenant     atomic.Uint32
 	state      atomic.Uint32
 	chunksLeft atomic.Int32
-	submitted  atomic.Int64 // UnixNano
-	completed  atomic.Int64
 
-	// Flight-recorder stage stamps, written only with the recorder
-	// armed (d.frArmed) and read solely on the retrieval path when a
-	// breach synthesizes its stamp vector (lcEnd). flushedNs and
-	// dispatchedNs each have one writer per lifecycle whose write is
-	// ordered before the reader by the pipeline's queue handoffs, so
-	// they are plain fields — no atomic store on the per-request hot
-	// path. copyStartNs is contended by parallel chunk controllers
-	// (first fresh stamp wins) and stays atomic. None are cleared on
-	// slot reuse: a stale value is older than the new submitted stamp,
-	// and every reader discards stamps below it.
+	// The request's stage stamps (UnixNano), the one record of where its
+	// time went: stamps (below) assembles them into the seven-stage
+	// vector on the retrieval path. Every stamping site writes the same
+	// field whether the request is sampled or not and only chooses its
+	// clock — a fresh time.Now for a sampled request, the site's
+	// pass-amortized clock otherwise (0, and no store, with the flight
+	// recorder disarmed).
+	//
+	// submitted and completed are atomic because Latency may race their
+	// writers. The rest are written by whichever goroutine owns the
+	// request at that stage and published by the queue handoff that
+	// passes it on, so they are plain fields:
+	//
+	//   - stageSeq, sampled: the submitter, in stage, before the staging
+	//     enqueue. stageSeq counts this slot's submissions and drives the
+	//     1-in-2^shift decision slot-locally.
+	//   - flushedNs: the flusher (submitter or worker), before the
+	//     submission-queue enqueue.
+	//   - dispatchedNs, inlined: the worker, in dispatch, before any
+	//     chunk push or the inline copy.
+	//   - copyStartNs: parallel chunk controllers race for it (the first
+	//     stamp of this life wins the CAS), so it is atomic. stolenNs
+	//     likewise: any controller that stole a chunk of a sampled
+	//     request stores its pop time.
+	//
+	// None are cleared on slot reuse. Every writer clamps its stamp up
+	// to submitted (an amortized clock may predate the submission), so a
+	// value below the current submitted stamp can only be a previous
+	// occupant's, and the reader treats it as "stage not reached".
+	// inlined is read only behind a current dispatchedNs, sampled only
+	// behind a nonzero submitted.
+	submitted    atomic.Int64
+	completed    atomic.Int64
+	stageSeq     uint64
+	sampled      bool
+	inlined      bool
 	flushedNs    int64
 	dispatchedNs int64
 	copyStartNs  atomic.Int64
+	stolenNs     atomic.Int64
 }
 
 // word packs st with the request's tenant claim.
@@ -374,47 +392,13 @@ func (r *Request) Latency() (time.Duration, bool) {
 }
 
 // chunk is one unit of controller work: a byte range of one request.
-// nano carries the ring-push timestamp when the request's lifecycle is
-// sampled (0 otherwise), so the consumer can attribute the dispatch-ring
-// wait — and steal delay — without any per-chunk allocation.
+// nano carries the ring-push timestamp when the request is sampled (0
+// otherwise), so the consumer can attribute the dispatch-ring wait —
+// and steal delay — without any per-chunk allocation.
 type chunk struct {
 	idx      uint32
 	off, end int
 	nano     int64
-}
-
-// Trace event kinds recorded when Options.TraceDepth > 0. Payload words
-// A/B per kind: request index and size/chunk-count/error code.
-const (
-	EvSubmit uint32 = iota
-	EvKick
-	EvWake
-	EvDispatch
-	EvChunk
-	EvComplete
-	EvCancel
-)
-
-// EventName renders a trace kind for display.
-func EventName(k uint32) string {
-	switch k {
-	case EvSubmit:
-		return "submit"
-	case EvKick:
-		return "kick"
-	case EvWake:
-		return "wake"
-	case EvDispatch:
-		return "dispatch"
-	case EvChunk:
-		return "chunk"
-	case EvComplete:
-		return "complete"
-	case EvCancel:
-		return "cancel"
-	default:
-		return fmt.Sprintf("ev(%d)", k)
-	}
 }
 
 // metrics is the device's obs instrument set.
@@ -462,7 +446,6 @@ type metrics struct {
 	_              [64]byte
 	completionHW   obs.Gauge
 	latency        obs.Histogram
-	trace          *obs.Trace
 }
 
 // ctrCounters is one transfer controller's private counter block,
@@ -485,8 +468,8 @@ type paddedCount struct {
 }
 
 // StatsSnapshot is a point-in-time view of the device counters,
-// histograms, queue watermarks and (when enabled) the event trace.
-// Safe to take from any goroutine at any time.
+// histograms, queue watermarks and sampled lifecycles. Safe to take
+// from any goroutine at any time.
 type StatsSnapshot struct {
 	// Request outcomes. Completed counts every terminal request,
 	// including the Canceled / Expired / Failed subsets.
@@ -545,8 +528,7 @@ type StatsSnapshot struct {
 	SubmissionHighWater, CompletionHighWater int64
 	// Live queue depths sampled at Stats time (the watermark fields
 	// above carry the maxima): per-shard staging, submission,
-	// completion, and per-controller dispatch-ring occupancy. Nil ring
-	// depths mean the legacy shared-channel dispatch path.
+	// completion, and per-controller dispatch-ring occupancy.
 	// CompletionDepth sums the per-ring occupancies in
 	// CompletionDepths (one entry per completion ring).
 	StagingDepths                    []int64
@@ -556,19 +538,15 @@ type StatsSnapshot struct {
 	// Latency is the submission-to-completion histogram (ns); Sizes the
 	// request payload histogram (bytes).
 	Latency, Sizes obs.HistogramSnapshot
-	// Lifecycle is the per-request lifecycle tracer snapshot: per-stage
-	// latency histograms (staging wait, dispatch wait, ring wait, steal
-	// delay, copy, completion dwell) and the captured complete
-	// lifecycles. Enabled is false when Options.TraceSampleShift < 0.
+	// Lifecycle is the sampled-lifecycle snapshot: per-stage latency
+	// histograms (staging wait, dispatch wait, ring wait, steal delay,
+	// copy, completion dwell) and the last captured complete lifecycles.
+	// Enabled is false when Options.TraceSampleShift < 0.
 	Lifecycle lifecycle.Snapshot
 	// Flight is the flight-recorder snapshot: captured outliers and
 	// stall reports, adaptive per-lane thresholds, and SLO burn rates.
-	// Flight.Enabled is false when Options.Flight.Disable is set (or
-	// lifecycle tracing is off entirely).
+	// Flight.Enabled is false when Options.Flight.Disable is set.
 	Flight flight.Snapshot
-	// Trace holds the retained ring-buffer events (nil unless
-	// Options.TraceDepth > 0). Render with obs.FormatEvents(…, EventName).
-	Trace []obs.Event
 }
 
 // ClassStats is one priority class's slice of the device counters.
@@ -634,9 +612,8 @@ type Device struct {
 	notify chan struct{} // completion edge for parked Polls
 	done   chan struct{} // closed at Close: unblocks sleeping Polls
 
-	rings []*chunkRing  // per-controller chunk rings (nil in legacy mode)
+	rings []*chunkRing  // per-controller chunk rings
 	work  chan struct{} // work-available edge for parked controllers
-	copyQ chan chunk    // legacy shared dispatch channel (ablation only)
 
 	// ctr holds the per-controller counter blocks; ctr[Controllers] is
 	// the worker's slot for the inline-completion path. See ctrCounters.
@@ -652,7 +629,7 @@ type Device struct {
 	_       [56]byte
 	wg      sync.WaitGroup
 	m       metrics
-	lc      *lifecycle.Tracer // nil when lifecycle tracing is disabled
+	lc      *lifecycle.Collector // nil when lifecycle sampling is disabled
 	chaos   *ChaosHooks
 
 	// Flight recorder (nil fields when Options.Flight.Disable). fr and
@@ -662,10 +639,9 @@ type Device struct {
 	frWatch *flight.Watchdog
 	frStop  chan struct{}
 	frWg    sync.WaitGroup
-	// frArmed mirrors fr != nil as a plain bool the per-request paths
-	// branch on: with the recorder armed, every request carries the
-	// cheap plain-field stage stamps lcEnd synthesizes breach vectors
-	// from (see Request.flushedNs).
+	// frArmed mirrors fr != nil as a plain bool the stamping sites
+	// branch on: with the recorder armed they keep a pass-amortized
+	// clock, so every unsampled request carries stage stamps too.
 	frArmed bool
 	compCap int64 // summed completion-ring capacity (watchdog high water)
 }
@@ -773,23 +749,18 @@ func Open(opts Options) *Device {
 	d.pollTokens.New = func() any {
 		return &pollerToken{ring: d.pollSeq.Add(1) % uint32(nCompRings)}
 	}
-	if opts.LegacyCopyQueue {
-		d.copyQ = make(chan chunk)
-	} else {
-		d.rings = make([]*chunkRing, opts.Controllers)
-		for i := range d.rings {
-			d.rings[i] = newChunkRing(opts.RingDepth)
-		}
-		d.work = make(chan struct{}, opts.Controllers)
+	d.rings = make([]*chunkRing, opts.Controllers)
+	for i := range d.rings {
+		d.rings[i] = newChunkRing(opts.RingDepth)
 	}
-	d.m.trace = obs.NewTrace(opts.TraceDepth)
+	d.work = make(chan struct{}, opts.Controllers)
 	lcShift := opts.TraceSampleShift
 	if opts.TraceFullCapture {
 		lcShift = 0
 	} else if lcShift == 0 {
 		lcShift = DefaultTraceSampleShift
 	}
-	d.lc = lifecycle.New(opts.NumReqs, lcShift, opts.TraceCaptureDepth, NumClasses)
+	d.lc = lifecycle.NewCollector(lcShift, NumClasses)
 	if !opts.Flight.Disable {
 		fo := opts.Flight
 		if fo.Classes <= 0 || fo.Classes > flight.MaxClasses {
@@ -799,11 +770,8 @@ func Open(opts Options) *Device {
 	}
 	if d.fr != nil {
 		// Retroactive capture needs stage stamps for every request, not
-		// 1/128 — but not through the tracer's atomic records, whose
-		// per-stage stores cost more than the recorder's whole overhead
-		// budget. Armed stamps live in plain Request fields instead
-		// (amortized clock, one writer per handoff stage); the tracer
-		// stays the sampled full-fidelity instrument.
+		// 1/128 — cheap ones: plain Request fields fed by amortized
+		// clocks. Only the sampled requests pay for fresh clock reads.
 		d.frArmed = true
 		d.frWatch = flight.NewWatchdog(opts.Flight.Watchdog)
 		d.frStop = make(chan struct{})
@@ -931,24 +899,8 @@ func (d *Device) FreeRequest(r *Request) {
 	d.mustEnqueue(d.freeList, r.idx)
 }
 
-// trace records an event when tracing is enabled.
-func (d *Device) trace(kind uint32, a, b uint64) {
-	if d.m.trace != nil {
-		d.m.trace.Record(time.Now().UnixNano(), kind, a, b)
-	}
-}
-
-// lcStamp timestamps one lifecycle stage for idx. The inactive fast
-// path is a single atomic load — the clock is only read for the one
-// request in 2^TraceSampleShift actually being traced.
-func (d *Device) lcStamp(idx uint32, st lifecycle.Stage) {
-	if d.lc.Active(int(idx)) {
-		d.lc.Transition(int(idx), st, time.Now().UnixNano())
-	}
-}
-
-// lcOutcome classifies a retrieved request's error for the tracer and
-// the outlier record.
+// lcOutcome classifies a retrieved request's error for the lifecycle
+// and the outlier record.
 func lcOutcome(err error) lifecycle.Outcome {
 	switch {
 	case err == nil:
@@ -962,43 +914,100 @@ func lcOutcome(err error) lifecycle.Outcome {
 	}
 }
 
-// lcEnd closes r's lifecycle on the retrieval path and — with the
-// flight recorder armed — runs the breach check through the caller's
-// batch accumulator: the completed latency trains the lane EWMA and SLO
-// counters (folded once per batch by acc.Flush), and a breach copies a
-// full seven-stage stamp vector plus the ambient congestion picture
-// into the outlier ring. No sampling holes: every retrieved request
-// takes the breach check.
+// stamps assembles r's seven-stage vector and path flags from its stamp
+// fields, on the retrieval path, ending at retrieved (no earlier than
+// its completed stamp). A field below the submitted stamp was last
+// written for the slot's previous occupant: this request never reached
+// that stage (it failed at the flush, or was canceled before any chunk
+// ran) and the stage stays 0. A stage that was reached is clamped up to
+// the stage before it, because an amortized clock can lag a fresher
+// upstream stamp by microseconds. An inline request's copy began at its
+// dispatch stamp — the worker copied right there and wrote no
+// copy-start of its own. CopyEnd has no field: the finisher's one clock
+// read is both the end of the last chunk and the completion.
+func (r *Request) stamps(retrieved int64) (ts [lifecycle.NumStages]int64, flags uint32) {
+	sub := r.submitted.Load()
+	last := sub
+	at := func(v int64) int64 {
+		if v < sub {
+			return 0
+		}
+		if v < last {
+			v = last
+		}
+		last = v
+		return v
+	}
+	fl := at(r.flushedNs)
+	disp := at(r.dispatchedNs)
+	cs := r.copyStartNs.Load()
+	if disp != 0 && r.inlined {
+		cs, flags = disp, lifecycle.FlagInline
+	}
+	cs = at(cs)
+	comp := at(r.completed.Load())
+	var ce int64
+	if cs != 0 {
+		ce = comp
+	}
+	if r.stolenNs.Load() >= sub {
+		flags |= lifecycle.FlagStolen
+	}
+	return lifecycle.Stamps(sub, fl, disp, cs, ce, comp, retrieved), flags
+}
+
+// lcEnd closes r's lifecycle on the retrieval path. With the flight
+// recorder armed, the completed latency runs the breach check through
+// the caller's batch accumulator (which also trains the lane EWMA and
+// SLO counters, folded once per batch by acc.Flush) — for every
+// retrieved request, so capture has no sampling holes. Only a breach or
+// a sampled request builds the stamp vector: a breach copies it, plus
+// the ambient congestion picture, into the outlier ring; a sampled
+// request hands it to the collector, which derives the global,
+// per-class and per-tenant stage spans from it and keeps it in the
+// capture ring.
 //
-// Sampled lifecycles (1 in 2^shift) close through the tracer with a
-// fresh clock read and capture their genuine stamp vector. Every other
-// request pays only plain loads: its vector is synthesized on breach
-// from the armed stamps (Request.flushedNs et al.) with nano — the
-// caller's batch-amortized retrieve timestamp (0 = read here) — as the
-// retrieved stage. Stamps below the submitted stamp are a previous
-// occupant's and are discarded; the worker's pass-amortized clock makes
-// intra-pipeline stamps at most a few microseconds stale, invisible at
-// the millisecond scale that defines a breach. A missing copy-start
-// stamp means the worker copied inline at dispatch, so the dispatch
-// stamp is the exact copy-start time and the record is flagged inline.
+// nano is the caller's batch-amortized retrieve timestamp (0 = read the
+// clock here); a sampled request reads a fresh one regardless. The
+// shared clock can predate a completion that landed while the batch was
+// being drained, hence the clamp.
 func (d *Device) lcEnd(r *Request, nano int64, acc *flight.Acc) {
-	if d.lc.Active(int(r.idx)) {
-		out := lcOutcome(r.Err)
-		// The tenant span set rides the same stamp derivation:
-		// per-tenant stage attribution at zero extra clock reads.
-		lc, ok := d.lc.EndInto(int(r.idx), out, time.Now().UnixNano(), &d.tenantOf(r).spans)
-		if !ok || d.fr == nil {
-			return
-		}
-		lat := lc.TS[lifecycle.StageRetrieved] - lc.TS[lifecycle.StageSubmit]
-		tenant := int(r.tenant.Load())
-		thr, breach := acc.Observe(lc.Class, tenant, lat, out == lifecycle.OutcomeOK)
-		if !breach {
-			return
-		}
-		o := flight.Outlier{
+	sub := r.submitted.Load()
+	if sub == 0 {
+		// Shed before staging (admission or slot exhaustion): there is
+		// no pipeline latency to attribute, nano-sub would read as an
+		// epoch-sized breach, and r.sampled is a previous occupant's.
+		return
+	}
+	if !r.sampled && d.fr == nil {
+		return
+	}
+	if r.sampled || nano == 0 {
+		nano = time.Now().UnixNano()
+	}
+	if comp := r.completed.Load(); nano < comp {
+		nano = comp
+	}
+	lat := nano - sub
+	tenant := int(r.tenant.Load())
+	thr, breach := acc.Observe(int(r.Class), tenant, lat, r.Err == nil)
+	if !breach && !r.sampled {
+		return
+	}
+	lc := lifecycle.Lifecycle{
+		Slot:    int(r.idx),
+		Class:   int(r.Class),
+		Bytes:   int64(len(r.Src)),
+		Outcome: lcOutcome(r.Err),
+	}
+	lc.TS, lc.Flags = r.stamps(nano)
+	if r.sampled {
+		d.lc.Collect(&lc, &d.tenantOf(r).spans)
+	}
+	if breach {
+		d.fr.Capture(&flight.Outlier{
 			Kind:        flight.KindLatency,
-			Nano:        lc.TS[lifecycle.StageRetrieved],
+			Nano:        nano,
 			Slot:        int32(lc.Slot),
 			Class:       int32(lc.Class),
 			Tenant:      uint32(tenant),
@@ -1009,81 +1018,8 @@ func (d *Device) lcEnd(r *Request, nano int64, acc *flight.Acc) {
 			ThresholdNs: thr,
 			TS:          lc.TS,
 			Ambient:     d.ambient(),
-		}
-		d.fr.Capture(&o)
-		return
+		})
 	}
-	if d.fr == nil {
-		return
-	}
-	if nano == 0 {
-		nano = time.Now().UnixNano()
-	}
-	sub := r.submitted.Load()
-	if sub == 0 {
-		// Shed before staging (admission or slot exhaustion): there is
-		// no pipeline latency to attribute, and nano-sub would read as
-		// an epoch-sized breach with an empty stamp vector.
-		return
-	}
-	lat := nano - sub
-	tenant := int(r.tenant.Load())
-	thr, breach := acc.Observe(int(r.Class), tenant, lat, r.Err == nil)
-	if !breach {
-		return
-	}
-	// Synthesize the stamp vector (breaches only — the hot path never
-	// runs this). Clamps keep it monotone: amortized clocks can lag a
-	// fresher upstream stamp by microseconds, and stale stamps from the
-	// slot's previous life fall below the submitted stamp.
-	comp := r.completed.Load()
-	disp := r.dispatchedNs
-	if disp < sub {
-		disp = sub
-	}
-	var flags uint32
-	cs := r.copyStartNs.Load()
-	if cs < sub {
-		cs = disp
-		flags |= lifecycle.FlagInline
-	} else if cs < disp {
-		cs = disp
-	}
-	if comp < cs {
-		comp = cs
-	}
-	fl := r.flushedNs
-	if fl < sub {
-		fl = sub
-	} else if fl > disp {
-		fl = disp
-	}
-	if nano < comp {
-		nano = comp
-	}
-	o := flight.Outlier{
-		Kind:        flight.KindLatency,
-		Nano:        nano,
-		Slot:        int32(r.idx),
-		Class:       int32(r.Class),
-		Tenant:      uint32(tenant),
-		Bytes:       int64(len(r.Src)),
-		Outcome:     int32(lcOutcome(r.Err)),
-		Flags:       flags,
-		LatencyNs:   lat,
-		ThresholdNs: thr,
-		TS: [lifecycle.NumStages]int64{
-			lifecycle.StageSubmit:     sub,
-			lifecycle.StageFlushed:    fl,
-			lifecycle.StageDispatched: disp,
-			lifecycle.StageCopyStart:  cs,
-			lifecycle.StageCopyEnd:    comp,
-			lifecycle.StageCompleted:  comp,
-			lifecycle.StageRetrieved:  nano,
-		},
-		Ambient: d.ambient(),
-	}
-	d.fr.Capture(&o)
 }
 
 // wake posts the (single-token) completion edge for parked Polls.
@@ -1161,19 +1097,24 @@ const flushRetries = 64
 // enqueueSubmission moves one request index onto its class's submission
 // queue, retrying briefly across transient slab exhaustion. false means
 // the retry budget ran out and the caller must fail the request rather
-// than drop it. nano stamps StageFlushed when nonzero — flush loops
-// read the clock once per pass instead of once per request.
+// than drop it. nano is the caller's flush-pass clock for the flushed
+// stamp (0 with the flight recorder disarmed): flush loops read the
+// clock once per pass instead of once per request, and only a sampled
+// request reads its own.
 func (d *Device) enqueueSubmission(idx uint32, nano int64) bool {
 	class := ClassForeground
 	var ts *tenantState
-	if r, valid := d.req(idx); valid {
+	r, valid := d.req(idx)
+	if valid {
 		class = r.Class
 		ts = d.tenantOf(r)
+		if r.sampled {
+			nano = time.Now().UnixNano()
+		}
 		if nano != 0 {
-			// Armed flight stamp, drain-pass amortized. Plain field:
-			// written before the enqueue publishes idx, so the
-			// retrieval-side reader is ordered behind it.
-			r.flushedNs = nano
+			// Plain field: written before the enqueue publishes idx, so
+			// the retrieval-side reader is ordered behind it.
+			r.flushedNs = max(nano, r.submitted.Load())
 		}
 	}
 	q := d.submission[class]
@@ -1185,11 +1126,13 @@ func (d *Device) enqueueSubmission(idx uint32, nano int64) bool {
 					ts.queued.Add(1) // popSubmission decrements at dispatch
 				}
 				d.m.submissionHW.Observe(d.submissionDepth())
-				d.lcStamp(idx, lifecycle.StageFlushed)
 				return true
 			}
 		}
 		if attempt >= flushRetries {
+			if valid {
+				r.flushedNs = 0 // never flushed: the caller fails it from here
+			}
 			return false
 		}
 		d.m.enqueueRetries.Inc()
@@ -1227,12 +1170,7 @@ func (d *Device) mustEnqueue(q *rbq.Queue, idx uint32) {
 // that already claimed the request wins over it, because Cancel's
 // contract ("will complete with ErrCanceled") must hold no matter which
 // path posts the completion.
-func (d *Device) finish(r *Request, forced error) { d.finishAt(r, forced, 0) }
-
-// finishAt is finish with a caller-supplied completion timestamp (0 =
-// read the clock here): the copy path's last chunk already read the
-// clock for its CopyEnd stamp and hands the same value down.
-func (d *Device) finishAt(r *Request, forced error, now int64) {
+func (d *Device) finish(r *Request, forced error) {
 	old := r.state.Swap(stDone) & stateMask
 	if old == stDone {
 		// Completion already fired. This must never happen; count it
@@ -1249,13 +1187,8 @@ func (d *Device) finishAt(r *Request, forced error, now int64) {
 		err = ErrDeadline
 	}
 	r.Err = err
-	if now == 0 {
-		now = time.Now().UnixNano()
-	}
+	now := time.Now().UnixNano()
 	r.completed.Store(now)
-	if d.lc.Active(int(r.idx)) {
-		d.lc.Transition(int(r.idx), lifecycle.StageCompleted, now)
-	}
 	ts := d.tenantOf(r)
 	if s := r.submitted.Load(); s > 0 {
 		lat := now - s
@@ -1284,7 +1217,6 @@ func (d *Device) finishAt(r *Request, forced error, now int64) {
 	if d.chaos != nil && d.chaos.OnFinish != nil {
 		d.chaos.OnFinish(r.idx, err)
 	}
-	d.trace(EvComplete, uint64(r.idx), uint64(len(r.Src)))
 	d.pushCompletion(r.idx)
 	d.m.completionHW.Observe(d.completionDepth())
 	d.wake()
@@ -1304,11 +1236,13 @@ func (d *Device) shard() *rbq.Queue {
 // stage marks r pending and enqueues it on sh, returning the color
 // observed atomically with the enqueue. ok is false on slab exhaustion
 // (or a forced chaos failure), with r left stPending for the caller to
-// resolve.
+// resolve. It also takes the submitted stamp and makes the request's
+// sampling decision, slot-locally: both are published to every later
+// stamping site by the staging enqueue.
 func (d *Device) stage(sh *rbq.Queue, r *Request) (rbq.Color, bool) {
-	now := time.Now().UnixNano()
-	r.submitted.Store(now)
-	d.lc.Begin(int(r.idx), int(r.Class), int64(len(r.Src)), now)
+	r.submitted.Store(time.Now().UnixNano())
+	r.stageSeq++
+	r.sampled = d.lc.Sample(r.stageSeq)
 	r.state.Store(r.word(stPending))
 	if d.chaos != nil && d.chaos.StagingEnqueue != nil && d.chaos.StagingEnqueue(r.idx) {
 		return 0, false // forced slab exhaustion
@@ -1319,7 +1253,6 @@ func (d *Device) stage(sh *rbq.Queue, r *Request) (rbq.Color, bool) {
 	}
 	d.accept(r)
 	d.m.sizes.Observe(int64(len(r.Src)))
-	d.trace(EvSubmit, uint64(r.idx), uint64(len(r.Src)))
 	return color, true
 }
 
@@ -1348,18 +1281,19 @@ func (d *Device) unstage(r *Request) bool {
 		return true
 	}
 	// The request never entered the pipeline: the caller gets the error
-	// back and keeps the slot, so its traced lifecycle ends here.
-	d.lc.Abort(int(r.idx))
+	// back and keeps the slot, so a sampled lifecycle ends here.
+	if r.sampled {
+		d.lc.Drop()
+	}
 	return false
 }
 
 // flushShard runs the blue-side of the Section 4.4 protocol on one
 // shard: drain it into the submission queue, recolor it red, and kick
-// the worker if nobody else already has. traceIdx labels the kick event.
-func (d *Device) flushShard(sh *rbq.Queue, traceIdx uint32) {
-	// One clock read covers every armed flight stamp in this drain;
-	// the tracer's per-request lazy read still fires solely for sampled
-	// requests.
+// the worker if nobody else already has.
+func (d *Device) flushShard(sh *rbq.Queue) {
+	// One clock read covers the flushed stamp of every unsampled request
+	// in this drain.
 	var flushNano int64
 	if d.frArmed {
 		flushNano = time.Now().UnixNano()
@@ -1387,7 +1321,6 @@ flush:
 	}
 	// The kick-start "syscall".
 	d.m.kicks.Inc()
-	d.trace(EvKick, uint64(traceIdx), 0)
 	select {
 	case d.kick <- struct{}{}:
 	default: // worker already has a pending kick
@@ -1430,7 +1363,7 @@ func (d *Device) submit(r *Request) error {
 		return ErrNoSlots
 	}
 	if color == rbq.Blue {
-		d.flushShard(sh, r.idx)
+		d.flushShard(sh)
 	}
 	return nil
 }
@@ -1445,11 +1378,7 @@ func (d *Device) Cancel(r *Request) bool {
 	// succeed against the pending word of that same owner, so the
 	// written canceled word always carries a consistent tenant id.
 	ten := r.tenant.Load()
-	if r.state.CompareAndSwap(packState(ten, stPending), packState(ten, stCanceled)) {
-		d.trace(EvCancel, uint64(r.idx), 0)
-		return true
-	}
-	return false
+	return r.state.CompareAndSwap(packState(ten, stPending), packState(ten, stCanceled))
 }
 
 // busyPollRecheckEvery is how many idle spin passes a busy-polling
@@ -1457,43 +1386,39 @@ func (d *Device) Cancel(r *Request) bool {
 // ~1/64 the time.Now cost of checking every pass.
 const busyPollRecheckEvery = 64
 
-// worker is the kernel thread: drain the staging shards, chunk and
-// dispatch submissions to the controllers, then — in busy-poll mode —
-// keep spinning through the idle budget, or recolor the shards blue
-// and sleep.
-// workerClockEvery bounds how many armed flight stamps reuse one
+// workerClockEvery bounds how many unsampled stage stamps reuse one
 // worker/controller clock read: staleness stays under ~16 op-times
 // (microseconds) while the per-request clock cost drops to ~1/16 of a
 // time.Now (which at ~60ns would alone consume the recorder's whole
 // overhead budget).
 const workerClockEvery = 16
 
+// worker is the kernel thread: drain the staging shards, chunk and
+// dispatch submissions to the controllers, then — in busy-poll mode —
+// keep spinning through the idle budget, or recolor the shards blue
+// and sleep.
 func (d *Device) worker() {
 	defer func() {
-		if d.rings != nil {
-			close(d.work) // controllers drain their rings and exit
-		} else {
-			close(d.copyQ)
-		}
+		close(d.work) // controllers drain their rings and exit
 		d.wg.Done()
 	}()
 	busy := d.opts.BusyPoll
 	var idleSince time.Time // zero while working (or before the first budget clock read)
 	idleSpins := 0
-	// wNano is the worker's amortized clock for armed flight stamps:
-	// refreshed once per drain pass and at least every
-	// workerClockEvery dispatches, never per request. The stamps it
-	// feeds only ever surface in breach records, where millisecond
-	// latencies dwarf the microseconds of pass-level staleness; the
-	// sampled 1/2^shift lifecycles read fresh clocks as always.
+	// wNano is the worker's amortized clock for the flushed and
+	// dispatched stamps of unsampled requests, kept only with the flight
+	// recorder armed: refreshed at least every workerClockEvery stamps,
+	// never per request. The stamps it feeds only ever surface in breach
+	// records, where millisecond latencies dwarf the microseconds of
+	// staleness; the sampled 1/2^shift requests read fresh clocks.
 	var wNano int64
 	sinceClock := 0
 	for {
 		// Drain every shard round-robin: one element per shard per
-		// pass, so no shard starves behind a full neighbor. Armed
-		// Flushed stamps share the worker's amortized clock — under
-		// load a pass often moves a single element before the next
-		// dispatch, so a per-pass read would degenerate to per-request.
+		// pass, so no shard starves behind a full neighbor. Flushed
+		// stamps share the worker's amortized clock — under load a
+		// pass often moves a single element before the next dispatch,
+		// so a per-pass read would degenerate to per-request.
 		for {
 			moved := false
 			var drainNano int64
@@ -1599,7 +1524,6 @@ func (d *Device) worker() {
 		<-d.kick
 		d.m.wakes.Inc()
 		idleSpins, idleSince = 0, time.Time{}
-		d.trace(EvWake, 0, 0)
 	}
 }
 
@@ -1617,20 +1541,17 @@ func (d *Device) dispatch(idx uint32, wNano int64) {
 	if d.chaos != nil && d.chaos.BeforeDispatch != nil {
 		d.chaos.BeforeDispatch(idx)
 	}
-	if d.frArmed {
-		// Armed flight stamp from the worker's amortized clock; plain
-		// field, written before any handoff publishes idx onward. The
-		// inline path below copies right here, so on breach a missing
-		// copy-start stamp resolves to exactly this value.
-		r.dispatchedNs = wNano
+	// The dispatched stamp: a fresh clock for a sampled request (it also
+	// serves as every chunk's ring-push stamp below), the worker's
+	// amortized one otherwise. Plain fields, written before any handoff
+	// publishes idx onward; inlined is set on the inline path below.
+	stamp := wNano
+	if r.sampled {
+		stamp = time.Now().UnixNano()
 	}
-	// Sampled lifecycles get a fresh clock read: it serves the dispatch
-	// stamp, the inline path's CopyStart pre-stamp, and every chunk's
-	// push stamp below; the gap between them is a few branches.
-	var dispatchNano int64
-	if d.lc.Active(int(idx)) {
-		dispatchNano = time.Now().UnixNano()
-		d.lc.Transition(int(idx), lifecycle.StageDispatched, dispatchNano)
+	if stamp != 0 {
+		r.dispatchedNs = max(stamp, r.submitted.Load())
+		r.inlined = false
 	}
 	// Observe cancellation and deadline before any byte moves.
 	if !r.Deadline.IsZero() && time.Now().After(r.Deadline) {
@@ -1646,27 +1567,19 @@ func (d *Device) dispatch(idx uint32, wNano int64) {
 		nChunks = (n + d.chunkBytes - 1) / d.chunkBytes
 	}
 	r.chunksLeft.Store(int32(nChunks))
-	d.trace(EvDispatch, uint64(idx), uint64(nChunks))
 	// Adaptive completion, the paper's Section 5 poll/interrupt split:
 	// a single-chunk request at or below the inline threshold is copied
 	// by the worker itself. runChunk keeps every invariant (cancel
 	// check, chunk countdown, exactly-once finish); only the transport
-	// changes. Ring mode only — the legacy channel path stays pure for
-	// the ablation benchmarks.
-	if nChunks == 1 && d.rings != nil {
+	// changes.
+	if nChunks == 1 {
 		if th := d.inline.Load(); th > 0 && int64(n) <= th {
 			d.m.inlineCompleted.Inc()
-			if dispatchNano != 0 {
-				// The copy starts right here on the worker: reuse the
-				// sampled dispatch clock read for the CopyStart stamp
-				// (runChunk's StampPending guard skips its own) and flag
-				// the lifecycle so a slow inline request is legible as
-				// one. The armed path stores nothing — a breach record
-				// infers inline from the missing copy-start stamp.
-				d.lc.SetFlag(int(idx), lifecycle.FlagInline)
-				d.lc.TransitionFirst(int(idx), lifecycle.StageCopyStart, dispatchNano)
-			}
-			d.runChunk(chunk{idx: idx, off: 0, end: n}, len(d.ctr)-1, 0)
+			// The copy starts right here on the worker, so the dispatched
+			// stamp is also the exact copy-start: no second stamp, just
+			// the mark that makes a slow inline request legible as one.
+			r.inlined = true
+			d.runChunk(chunk{idx: idx, off: 0, end: n}, len(d.ctr)-1, false, 0)
 			return
 		}
 	}
@@ -1675,11 +1588,11 @@ func (d *Device) dispatch(idx uint32, wNano int64) {
 	// measured against it on the consumer side (zero = unsampled —
 	// deliberately 1/2^shift even with the flight recorder armed, so
 	// controllers don't pay a clock read plus a histogram push per
-	// chunk for every request; the armed path needs stage stamps, not
+	// chunk for every request; breach forensics needs stage stamps, not
 	// ring-wait spans).
 	var pushNano int64
-	if d.rings != nil && d.lc.Sampled(int(idx)) {
-		pushNano = dispatchNano
+	if r.sampled {
+		pushNano = stamp
 	}
 	for i := 0; i < nChunks; i++ {
 		c := chunk{idx: idx, off: 0, end: n, nano: pushNano}
@@ -1689,13 +1602,6 @@ func (d *Device) dispatch(idx uint32, wNano int64) {
 			if c.end > n {
 				c.end = n
 			}
-		}
-		if d.rings == nil {
-			// Legacy path: the unbuffered handoff blocks the worker
-			// whenever every controller is mid-copy — even if only one
-			// of them is actually busy.
-			d.copyQ <- c
-			continue
 		}
 		d.pushChunk(c)
 	}
@@ -1731,24 +1637,12 @@ func (d *Device) pushChunk(c chunk) {
 // completion path (the interrupt handler's Release+Notify).
 func (d *Device) controller(id int) {
 	defer d.wg.Done()
-	if d.rings == nil {
-		for c := range d.copyQ {
-			// Legacy ablation path: per-chunk channel handoffs dwarf a
-			// clock read, so the armed copy-start stamp is simply fresh.
-			var csNano int64
-			if d.frArmed {
-				csNano = time.Now().UnixNano()
-			}
-			d.runChunk(c, id, csNano)
-		}
-		return
-	}
 	own := d.rings[id]
 	n := len(d.rings)
 	spins := 0
-	// csNano is this controller's amortized clock for armed copy-start
-	// stamps, refreshed every workerClockEvery chunks (see wNano in the
-	// worker for the staleness argument).
+	// csNano is this controller's amortized clock for the copy-start
+	// stamps of unsampled requests, refreshed every workerClockEvery
+	// chunks (see wNano in the worker for the staleness argument).
 	var csNano int64
 	sinceClock := 0
 	for {
@@ -1764,25 +1658,13 @@ func (d *Device) controller(id int) {
 		}
 		if ok {
 			spins = 0
-			if stolen {
-				d.lc.SetFlag(int(c.idx), lifecycle.FlagStolen)
-			}
-			if c.nano != 0 {
-				class := 0
-				if r, valid := d.req(c.idx); valid {
-					class = int(r.Class)
-				}
-				d.lc.ObserveQueueWait(class, time.Now().UnixNano()-c.nano, stolen)
-			}
 			if d.frArmed {
 				if sinceClock >= workerClockEvery || csNano == 0 {
 					csNano, sinceClock = time.Now().UnixNano(), 0
 				}
 				sinceClock++
-				d.runChunk(c, id, csNano)
-				continue
 			}
-			d.runChunk(c, id, 0)
+			d.runChunk(c, id, stolen, csNano)
 			continue
 		}
 		// Nothing anywhere: spin briefly (work often lands within a
@@ -1807,7 +1689,7 @@ func (d *Device) controller(id int) {
 				if !ok {
 					return
 				}
-				d.runChunk(c, id, csNano)
+				d.runChunk(c, id, false, csNano)
 			}
 		}
 	}
@@ -1816,36 +1698,40 @@ func (d *Device) controller(id int) {
 // runChunk copies one chunk (unless its request is already terminal)
 // and fires the completion when it was the request's last chunk. slot
 // selects the caller's private counter block: the controller id, or the
-// worker's extra slot on the inline path. csNano is the caller's
-// amortized clock for the armed flight copy-start stamp (0 on the
-// inline path, whose breach records resolve copy-start to the dispatch
-// stamp — the exact moment the worker's copy began).
-func (d *Device) runChunk(c chunk, slot int, csNano int64) {
+// worker's extra slot on the inline path. stolen marks a chunk popped
+// from another controller's ring. csNano is the caller's amortized
+// clock for the copy-start stamp (0 with the flight recorder disarmed,
+// and on the inline path, whose copy starts at its dispatched stamp).
+func (d *Device) runChunk(c chunk, slot int, stolen bool, csNano int64) {
 	r, ok := d.req(c.idx)
 	if !ok {
 		return
+	}
+	if c.nano != 0 {
+		// A sampled request's chunk, off a ring: one fresh clock read
+		// closes the chunk's ring wait (and steal delay) and is its
+		// copy-start stamp.
+		csNano = time.Now().UnixNano()
+		d.lc.ObserveQueueWait(int(r.Class), csNano-c.nano, stolen)
+		if stolen {
+			r.stolenNs.Store(csNano)
+		}
 	}
 	if d.chaos != nil && d.chaos.BeforeChunkCopy != nil {
 		d.chaos.BeforeChunkCopy(c.idx, c.off, c.end)
 	}
 	if csNano != 0 {
-		// Armed copy-start: the first fresh stamp wins; a value below
-		// the submitted stamp is a leftover from the slot's previous
-		// life and loses to this chunk's stamp. A failed CAS means a
-		// parallel chunk of the same request won the race.
-		if cs := r.copyStartNs.Load(); cs < r.submitted.Load() {
-			r.copyStartNs.CompareAndSwap(cs, csNano)
+		// The copy window opens at the first chunk to reach any
+		// controller and closes when the finisher retires the last one —
+		// a canceled request still gets the stamp, bounding the time its
+		// chunks occupied controllers. A value below the submitted stamp
+		// is a leftover from the slot's previous life and loses to this
+		// chunk's stamp; a failed CAS means a parallel chunk of the same
+		// request won the race.
+		sub := r.submitted.Load()
+		if cs := r.copyStartNs.Load(); cs < sub {
+			r.copyStartNs.CompareAndSwap(cs, max(csNano, sub))
 		}
-	}
-	// The sampled copy window opens at the first chunk to reach any
-	// controller (first stamp wins) and closes when the finisher
-	// retires the last one — a canceled request still gets the stamps,
-	// bounding the time its chunks occupied controllers. StampPending
-	// folds the active check and the already-stamped check into one
-	// load, so the inline path's pre-stamp and every chunk after the
-	// first skip the clock.
-	if d.lc.StampPending(int(c.idx), lifecycle.StageCopyStart) {
-		d.lc.TransitionFirst(int(c.idx), lifecycle.StageCopyStart, time.Now().UnixNano())
 	}
 	// A cancel or deadline that won after dispatch stops the
 	// copying; the chunk countdown still runs so the completion
@@ -1855,16 +1741,7 @@ func (d *Device) runChunk(c chunk, slot int, csNano int64) {
 		d.ctr[slot].bytesMoved.Add(int64(c.end - c.off))
 	}
 	d.ctr[slot].chunks.Add(1)
-	d.trace(EvChunk, uint64(c.idx), uint64(c.end-c.off))
 	if r.chunksLeft.Add(-1) == 0 {
-		// One clock read serves the CopyEnd stamp and the completion
-		// timestamp in finishAt.
-		if d.lc.Active(int(c.idx)) {
-			now := time.Now().UnixNano()
-			d.lc.Transition(int(c.idx), lifecycle.StageCopyEnd, now)
-			d.finishAt(r, nil, now)
-			return
-		}
 		d.finish(r, nil)
 	}
 }
@@ -1884,7 +1761,7 @@ func (d *Device) RetrieveCompleted() *Request {
 	d.m.retrieved.Inc()
 	// Single-completion retrieve: the accumulator holds one request's
 	// worth of lane accounting, flushed immediately (same cost shape as
-	// the unbatched recorder path). lcEnd reads its own clock lazily.
+	// the unbatched recorder path). lcEnd reads its own clock.
 	var acc flight.Acc
 	acc.Init(d.fr)
 	d.lcEnd(r, 0, &acc)
@@ -2047,18 +1924,15 @@ func (d *Device) PollContext(ctx context.Context) bool {
 }
 
 // Stats returns a snapshot of the device's counters, histograms, queue
-// watermarks and trace. Safe from any goroutine at any time.
+// watermarks and sampled lifecycles. Safe from any goroutine at any time.
 func (d *Device) Stats() StatsSnapshot {
 	staging := make([]int64, len(d.staging))
 	for i, sh := range d.staging {
 		staging[i] = int64(sh.Size())
 	}
-	var ringDepths []int64
-	if d.rings != nil {
-		ringDepths = make([]int64, len(d.rings))
-		for i, r := range d.rings {
-			ringDepths[i] = r.size()
-		}
+	ringDepths := make([]int64, len(d.rings))
+	for i, r := range d.rings {
+		ringDepths[i] = r.size()
 	}
 	var classes [NumClasses]ClassStats
 	for c := range classes {
@@ -2126,7 +2000,6 @@ func (d *Device) Stats() StatsSnapshot {
 		CompletionHighWater:  d.m.completionHW.Load(),
 		Latency:              d.m.latency.Snapshot(),
 		Sizes:                d.m.sizes.Snapshot(),
-		Trace:                d.m.trace.Snapshot(),
 	}
 }
 

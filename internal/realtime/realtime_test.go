@@ -868,31 +868,11 @@ func TestWorkStealingUnblocksStalledController(t *testing.T) {
 	}
 }
 
-// TestLegacyCopyQueueCorrectness keeps the ablation path honest: the
-// shared-channel dispatch must still move bytes correctly.
-func TestLegacyCopyQueueCorrectness(t *testing.T) {
-	d := Open(Options{NumReqs: 16, Controllers: 4, ChunkBytes: 4096, LegacyCopyQueue: true})
-	defer d.Close()
-	size := 1<<19 + 777
-	src := make([]byte, size)
-	rand.New(rand.NewSource(7)).Read(src)
-	r := d.AllocRequest()
-	r.Src, r.Dst = src, make([]byte, size)
-	if err := d.Submit(r); err != nil {
-		t.Fatal(err)
-	}
-	got := drainOne(t, d)
-	if got.Err != nil || !bytes.Equal(got.Src, got.Dst) {
-		t.Fatalf("legacy path corrupt: err=%v", got.Err)
-	}
-	if st := d.Stats(); st.Steals != 0 {
-		t.Errorf("Steals = %d on the legacy path, want 0", st.Steals)
-	}
-	d.FreeRequest(got)
-}
-
+// TestStatsSnapshotAndTrace checks the counters and histograms of a
+// small run and that every request's lifecycle — the trace memif-trace
+// -rt prints — was captured with a full stamp vector.
 func TestStatsSnapshotAndTrace(t *testing.T) {
-	d := Open(Options{NumReqs: 16, Controllers: 2, ChunkBytes: 4096, TraceDepth: 64})
+	d := Open(Options{NumReqs: 16, Controllers: 2, ChunkBytes: 4096, TraceFullCapture: true})
 	const n = 10
 	src := bytes.Repeat([]byte{3}, 16384)
 	for i := 0; i < n; i++ {
@@ -921,19 +901,11 @@ func TestStatsSnapshotAndTrace(t *testing.T) {
 	if st.Sizes.Count != n || st.Sizes.Sum != n*16384 {
 		t.Errorf("Sizes = n%d sum%d", st.Sizes.Count, st.Sizes.Sum)
 	}
-	if len(st.Trace) == 0 {
-		t.Error("TraceDepth set but no events captured")
+	if len(st.Lifecycle.Captured) != n {
+		t.Errorf("captured %d lifecycles, want %d", len(st.Lifecycle.Captured), n)
 	}
-	var kinds [8]bool
-	for _, e := range st.Trace {
-		if e.Kind < 8 {
-			kinds[e.Kind] = true
-		}
-	}
-	for _, k := range []uint32{EvDispatch, EvChunk, EvComplete} {
-		if !kinds[k] {
-			t.Errorf("no %s events in trace", EventName(k))
-		}
+	for _, lc := range st.Lifecycle.Captured {
+		checkFullVector(t, lc)
 	}
 	d.Close()
 }

@@ -255,7 +255,6 @@ func (t *Tenant) CancelAll() int {
 	n := 0
 	for _, r := range d.reqs {
 		if r.state.Load() == pending && r.state.CompareAndSwap(pending, canceled) {
-			d.trace(EvCancel, uint64(r.idx), 0)
 			n++
 		}
 	}

@@ -410,12 +410,16 @@ func TestTenantQueueDepthAccounting(t *testing.T) {
 		t.Fatal(err)
 	}
 	const n = 4
-	for i := 0; i < n; i++ {
-		r := d.AllocRequest()
-		r.Src, r.Dst = []byte{1, 2}, make([]byte, 2)
-		if err := ten.Submit(r); err != nil {
-			t.Fatal(err)
-		}
+	// One batch, so all n are on the submission queue before the flush's
+	// kick wakes the worker: the depth below never depends on the submit
+	// loop outrunning the first dispatch.
+	reqs := make([]*Request, n)
+	for i := range reqs {
+		reqs[i] = d.AllocRequest()
+		reqs[i].Src, reqs[i].Dst = []byte{1, 2}, make([]byte, 2)
+	}
+	if err := ten.SubmitBatch(reqs); err != nil {
+		t.Fatal(err)
 	}
 	<-entered // worker parked with one request in dispatch, rest queued
 	// The parked request has been popped (depth n-1); allow either n-1 or

@@ -301,8 +301,8 @@ func DefaultRealtimeClassShares() [RealtimeNumClasses]float64 {
 
 // RealtimeStats is the snapshot RealtimeDevice.Stats returns: outcome
 // counters, latency/size histograms, per-class breakdowns, QoS and
-// adaptive-completion counters, queue watermarks, and the optional
-// ring-buffer event trace.
+// adaptive-completion counters, queue watermarks, and the sampled
+// request lifecycles.
 type RealtimeStats = realtime.StatsSnapshot
 
 // RealtimeClassStats is one priority class's slice of the device
@@ -497,7 +497,7 @@ func StreamDirect(p *Proc, as *AddressSpace, k StreamKernel, base, length int64,
 // Observability: metrics, lifecycle traces, HTTP exposition.
 // ---------------------------------------------------------------------
 
-// LifecycleSnapshot is the per-request lifecycle tracer's view,
+// LifecycleSnapshot is the view of the sampled request lifecycles,
 // available as RealtimeStats.Lifecycle: per-stage latency histograms
 // (staging wait, dispatch wait, ring wait, steal delay, copy,
 // completion dwell), the same broken down per priority class

@@ -10,10 +10,14 @@ import (
 	"context"
 	"errors"
 	"strings"
+	"sync/atomic"
 	"testing"
 	"time"
 
 	"memif"
+	// Only for the test-only fault-injection hooks, which the facade
+	// deliberately does not export.
+	"memif/internal/realtime"
 )
 
 // TestFacadeSymbolCoverage references every exported symbol. Most of
@@ -297,7 +301,19 @@ func TestRealtimeFacadeQoS(t *testing.T) {
 	ropts := memif.DefaultRealtimeOptions()
 	ropts.NumReqs = 8
 	ropts.Controllers = 1
-	// Scavenger admission cuts off at 50% occupancy = 4 slots.
+	// Scavenger admission cuts off at 50% occupancy = 4 slots. The burst
+	// below must hold that many requests in flight at once, so it stalls
+	// every copy until the shed has been seen — whether a copy outlasts
+	// the submit loop is the host's business, not the test's.
+	var stall atomic.Bool
+	release := make(chan struct{})
+	ropts.Chaos = &realtime.ChaosHooks{
+		BeforeChunkCopy: func(uint32, int, int) {
+			if stall.Load() {
+				<-release
+			}
+		},
+	}
 	var d *memif.RealtimeDevice = memif.OpenRealtime(ropts)
 
 	payload := make([]byte, 1<<10)
@@ -337,11 +353,11 @@ func TestRealtimeFacadeQoS(t *testing.T) {
 	d.FreeRequest(got)
 
 	// Burst scavenger submissions past the class's occupancy share
-	// (50% of 8 slots = 4 in flight). The payloads are large (512 KiB,
-	// above the inline-copy threshold) so each accepted request holds
-	// its slot for a memcpy-bound service time while the submit loop
-	// runs in microseconds — occupancy crosses the limit and admission
-	// sheds with the typed overload error.
+	// (50% of 8 slots = 4 in flight). With the copies stalled every
+	// accepted request stays in flight, so exactly the fifth submission
+	// crosses the limit and admission sheds it with the typed overload
+	// error — well inside the 8-slot slab.
+	stall.Store(true)
 	const big = 512 << 10
 	bigSrc := make([]byte, big)
 	var overErr error
@@ -357,8 +373,13 @@ func TestRealtimeFacadeQoS(t *testing.T) {
 			t.Fatalf("scavenger submit: %v", err)
 		}
 	}
+	stall.Store(false)
+	close(release)
 	if overErr == nil {
 		t.Fatal("no scavenger submission was shed at 4x capacity")
+	}
+	if len(held) != 4 {
+		t.Errorf("%d scavenger submissions accepted before the shed, want 4", len(held))
 	}
 	var oe *memif.RealtimeOverloadError
 	if !errors.As(overErr, &oe) {
