@@ -63,7 +63,9 @@ func main() {
 	run("fig7", func() { bench.ReportFig7(w, bench.Fig7()) })
 	run("fig8", func() { bench.ReportFig8(w, bench.Fig8Sweep()) })
 	run("table4", func() { bench.ReportTable4(w, bench.Table4()) })
-	run("ablate", func() { bench.ReportAblations(w, bench.Ablations()) })
+	run("ablate", func() {
+		bench.ReportAblations(w, append(bench.Ablations(), bench.IrqVsPollThroughput()))
+	})
 	run("extra", func() {
 		rows := []bench.MultiAppResult{
 			bench.MultiApp(2, 4<<10, 16),

@@ -45,10 +45,10 @@ func (a AblationResult) Factor() float64 {
 	return a.Off / a.On
 }
 
-// ablationMigrate runs a stream of 16-page 4 KB migrations through a
-// device with the given options and returns the per-request CPU cost in
-// microseconds and the selected breakdown phase in microseconds.
-func ablationMigrate(opts core.Options, reqs int, pagesPerReq int) (cpuPerReqUS float64, bd *stats.Breakdown) {
+// ablationMigrate runs a burst of 4 KB-page migrations through a device
+// with the given options and returns the per-request CPU cost in
+// microseconds, the phase breakdown, and the burst's throughput.
+func ablationMigrate(opts core.Options, reqs int, pagesPerReq int) (cpuPerReqUS float64, bd *stats.Breakdown, gbs float64) {
 	m := newEvalMachine()
 	as := m.NewAddressSpace(hw.Page4K)
 	d := core.Open(m, as, opts)
@@ -62,13 +62,15 @@ func ablationMigrate(opts core.Options, reqs int, pagesPerReq int) (cpuPerReqUS 
 		d.Breakdown.Reset()
 		d.UserMeter.Reset()
 		d.KernMeter.Reset()
+		start := p.Now()
 		for i := 1; i <= reqs; i++ {
 			submitMove(p, d, uapi.OpMigrate, base+int64(i)*reqBytes, 0, reqBytes, hw.NodeFast, uint64(i))
 		}
 		waitAll(p, d, reqs, nil)
+		gbs = stats.ThroughputGBs(int64(reqs)*reqBytes, p.Now()-start)
 	})
 	cpu := sim.MeterGroup{d.UserMeter, d.KernMeter}.Busy()
-	return float64(cpu) / float64(reqs) / 1e3, d.Breakdown
+	return float64(cpu) / float64(reqs) / 1e3, d.Breakdown, gbs
 }
 
 // AblateGangLookup compares gang page lookup against per-page vertical
@@ -78,8 +80,8 @@ func AblateGangLookup() AblationResult {
 	on := core.DefaultOptions()
 	off := on
 	off.GangLookup = false
-	_, bdOn := ablationMigrate(on, reqs, pages)
-	_, bdOff := ablationMigrate(off, reqs, pages)
+	_, bdOn, _ := ablationMigrate(on, reqs, pages)
+	_, bdOff, _ := ablationMigrate(off, reqs, pages)
 	return AblationResult{
 		Name:   "gang-page-lookup",
 		Metric: "prep µs/request",
@@ -95,8 +97,8 @@ func AblateDescReuse() AblationResult {
 	on := core.DefaultOptions()
 	off := on
 	off.DescReuse = false
-	_, bdOn := ablationMigrate(on, reqs, pages)
-	_, bdOff := ablationMigrate(off, reqs, pages)
+	_, bdOn, _ := ablationMigrate(on, reqs, pages)
+	_, bdOff, _ := ablationMigrate(off, reqs, pages)
 	return AblationResult{
 		Name:   "descriptor-chain-reuse",
 		Metric: "dmacfg µs/request",
@@ -114,8 +116,8 @@ func AblateRaceHandling() AblationResult {
 	on := core.DefaultOptions() // RaceDetect
 	off := on
 	off.RaceMode = core.RacePrevent
-	_, bdOn := ablationMigrate(on, reqs, pages)
-	_, bdOff := ablationMigrate(off, reqs, pages)
+	_, bdOn, _ := ablationMigrate(on, reqs, pages)
+	_, bdOff, _ := ablationMigrate(off, reqs, pages)
 	return AblationResult{
 		Name:   "race-detection-vs-prevention",
 		Metric: "release µs/request",
@@ -124,22 +126,46 @@ func AblateRaceHandling() AblationResult {
 	}
 }
 
+// irqVsPoll runs the same 16-page burst with the kernel thread's adaptive
+// completion (polling below 512 KB) and with the interrupt path forced
+// for everything.
+func irqVsPoll() (cpuOn, cpuOff, gbsOn, gbsOff float64) {
+	const reqs, pages = 64, 16
+	on := core.DefaultOptions()
+	off := on
+	off.PollThresholdBytes = 0
+	cpuOn, _, gbsOn = ablationMigrate(on, reqs, pages)
+	cpuOff, _, gbsOff = ablationMigrate(off, reqs, pages)
+	return
+}
+
 // AblateIrqVsPoll compares the kernel thread's adaptive completion
 // (polling for small transfers) against forcing the interrupt path for
 // everything: metric is total CPU per 16-page request (the IRQ path pays
 // interrupt entry and a kthread wake per request).
 func AblateIrqVsPoll() AblationResult {
-	const reqs, pages = 64, 16
-	on := core.DefaultOptions() // poll below 512 KB
-	off := on
-	off.PollThresholdBytes = 0 // always IRQ
-	cpuOn, _ := ablationMigrate(on, reqs, pages)
-	cpuOff, _ := ablationMigrate(off, reqs, pages)
+	cpuOn, cpuOff, _, _ := irqVsPoll()
 	return AblationResult{
 		Name:   "adaptive-polling-vs-irq",
 		Metric: "CPU µs/request",
 		On:     cpuOn,
 		Off:    cpuOff,
+	}
+}
+
+// IrqVsPollThroughput is the other axis of AblateIrqVsPoll, reported
+// beside it and not part of Ablations: on burst throughput the interrupt
+// path wins, because Release and Notify run in interrupt context on
+// another core, concurrently with the worker, while the polling worker
+// does everything itself. Polling buys CPU time, not bandwidth.
+func IrqVsPollThroughput() AblationResult {
+	_, _, gbsOn, gbsOff := irqVsPoll()
+	return AblationResult{
+		Name:           "adaptive-polling-vs-irq",
+		Metric:         "GB/s",
+		On:             gbsOn,
+		Off:            gbsOff,
+		HigherIsBetter: true,
 	}
 }
 

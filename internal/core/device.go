@@ -47,6 +47,10 @@ type Device struct {
 	lastArrival sim.Time
 	gapEWMA     int64
 
+	// pipe holds the polled requests the worker has started and not yet
+	// reaped, oldest first; at most pipeDepth (worker.go).
+	pipe []*inflight
+
 	// recoverMap resolves a faulting PTE slot back to its in-flight
 	// migration (RaceRecover mode).
 	recoverMap map[*slotKey]*inflight
@@ -185,6 +189,17 @@ flush:
 // queue into the submission queue, recolor it red, and — if this thread
 // won the recoloring — issue the MOV_ONE kick-start syscall. Non-blocking
 // aside from the bounded syscall work.
+//
+// Ordering: requests are dequeued in submission order, but one is
+// prepared while earlier ones are still in flight, whatever their size —
+// above PollThresholdBytes behind an interrupt-completed transfer, below
+// it behind the worker's polled pipeline. Requests that touch the same
+// pages are therefore not serialised by the device. A migration of pages
+// that an unfinished migration still holds fails with ErrBusy (resubmit
+// it after retrieving the first); a replication is not ordered against a
+// migration of its source or destination that has not been notified yet
+// and may copy the bytes of either side of the move. Wait for a request's
+// notification before submitting one that depends on it.
 func (d *Device) Submit(p *sim.Proc, r *uapi.MovReq) error {
 	color, err := d.stage(p, r)
 	if err != nil {

@@ -48,22 +48,52 @@ type pageMove struct {
 	noop     bool // page already resides on the destination node
 }
 
-// inflight is one request being served: its pages, its DMA batches, and
+// inflight is one request being served: its pages, its DMA segments, and
 // completion state.
 type inflight struct {
-	req       *uapi.MovReq
-	pages     []pageMove // migrations only
-	batches   [][]dma.Segment
-	nextBatch int
-	transfer  *dma.Transfer
-	aborted   bool // recover-mode fault handler took over
-	released  bool
-	txn       bool // transactional migration (ReqTxn)
-	keepSrc   bool // retain committed source frames as shadow copies
+	req      *uapi.MovReq
+	pages    []pageMove    // migrations only
+	segs     []dma.Segment // everything the request copies, one per page
+	nextSeg  int           // first segment no transfer has been started for
+	pinned   bool          // the request holds a pin on every frame of segs
+	transfer *dma.Transfer // the batch of segs in flight
+	aborted  bool          // recover-mode fault handler took over
+	released bool
+	txn      bool // transactional migration (ReqTxn)
+	keepSrc  bool // retain committed source frames as shadow copies
 
 	// Migration claim to drop once the move ends (success or abort).
 	claimVPN uint64
 	claimN   int
+}
+
+// moreBatches reports whether segments remain that no transfer was
+// started for (requests above MaxChainPages move in consecutive batches).
+func (inf *inflight) moreBatches() bool { return inf.nextSeg < len(inf.segs) }
+
+// pin takes the request's own hold on every frame it copies, from Prep
+// to Release (the driver's get_user_pages). The engine pins a batch only
+// while it is programmed or in flight; without this hold an overlapping
+// request — a migration of a region this one replicates from — could
+// free the frames of a batch that has yet to start.
+func (inf *inflight) pin() {
+	for _, s := range inf.segs {
+		s.Src.Pin()
+		s.Dst.Pin()
+	}
+	inf.pinned = true
+}
+
+// unpin drops the request's hold exactly once.
+func (inf *inflight) unpin() {
+	if !inf.pinned {
+		return
+	}
+	inf.pinned = false
+	for _, s := range inf.segs {
+		s.Src.Unpin()
+		s.Dst.Unpin()
+	}
 }
 
 // dropClaim releases the in-flight migration claim exactly once.
@@ -109,15 +139,22 @@ func (d *Device) serveNext(p *sim.Proc, m *sim.Meter, ctx execCtx) (found, start
 
 // serveReq performs operations 1–3 of Table 1 for one request and starts
 // its DMA. Completion (operations 4–5) happens on the interrupt path or,
-// for small requests served by the kernel thread, in polling mode. It
-// reports whether a transfer was started (false: the request failed
-// validation and its failure notification has already been posted).
+// for small requests served by the kernel thread, in polling mode: the
+// request joins the worker's pipeline and reap completes it. It reports
+// whether a transfer was started (false: the request failed validation
+// and its failure notification has already been posted, or it needed no
+// transfer).
 func (d *Device) serveReq(p *sim.Proc, m *sim.Meter, ctx execCtx, req *uapi.MovReq) bool {
 	req.Status = uapi.StatusInFlight
 	req.Dispatched = p.Now()
 	inf, errc := d.prepare(p, m, req)
 	if errc != uapi.ErrNone {
 		d.complete(p, m, req, errc)
+		return false
+	}
+	if inf.aborted {
+		// A write trapped into the recover handler while Remap was
+		// spending its CPU time: the request is already completed.
 		return false
 	}
 	// Dispatched → CopyStart brackets the page lookup and PTE work of
@@ -136,33 +173,26 @@ func (d *Device) serveReq(p *sim.Proc, m *sim.Meter, ctx execCtx, req *uapi.MovR
 	// copies (and pages already in place) has no bytes to move: commit
 	// it here, with no DMA and hence no completion interrupt. Returning
 	// false tells the syscall path to wake the worker itself.
-	if inf.txn && len(inf.batches) == 0 {
+	if inf.txn && len(inf.segs) == 0 {
 		d.finish(p, m, inf)
 		return false
 	}
+	inf.pin()
 
 	// Decide the completion mode (Section 5.4): the kernel thread polls
 	// small transfers with the interrupt off; everything else, and
 	// everything started from the syscall path, completes by interrupt.
 	poll := ctx == ctxKthread && req.Length < d.opts.PollThresholdBytes
-	if !poll {
-		d.startBatch(p, m, inf, true)
-		return true
+	if !d.startBatch(p, m, inf, !poll) {
+		return false
 	}
-	for {
-		if !d.startBatch(p, m, inf, false) {
-			return true // failed mid-flight; already completed
+	if poll {
+		if len(d.pipe) > 0 {
+			d.stats.Overlapped++
 		}
-		p.WaitEvent(inf.transfer.Done)
-		d.busy(p, m, stats.PhaseInterface, d.M.Plat.Cost.PollCheck)
-		if inf.aborted {
-			return true // recover handler already completed the request
-		}
-		if inf.nextBatch >= len(inf.batches) {
-			d.finish(p, m, inf)
-			return true
-		}
+		d.pipe = append(d.pipe, inf)
 	}
+	return true
 }
 
 // prepare validates the request and performs Prep (gang page lookup) and,
@@ -200,7 +230,7 @@ func (d *Device) prepare(p *sim.Proc, m *sim.Meter, req *uapi.MovReq) (*inflight
 			}
 			segs[i] = dma.Segment{Src: sf, Dst: df, Bytes: pb}
 		}
-		return &inflight{req: req, batches: d.splitBatches(segs)}, uapi.ErrNone
+		return &inflight{req: req, segs: segs}, uapi.ErrNone
 
 	case uapi.OpMigrate:
 		if !d.hasNode(req.DstNode) {
@@ -234,11 +264,10 @@ func (d *Device) prepare(p *sim.Proc, m *sim.Meter, req *uapi.MovReq) (*inflight
 			as.MigRelease(vpn, n)
 			return nil, errc
 		}
-		segs := make([]dma.Segment, n)
+		inf.segs = make([]dma.Segment, n)
 		for i, pg := range inf.pages {
-			segs[i] = dma.Segment{Src: pg.oldFrame, Dst: pg.newFrame, Bytes: pb}
+			inf.segs[i] = dma.Segment{Src: pg.oldFrame, Dst: pg.newFrame, Bytes: pb}
 		}
-		inf.batches = d.splitBatches(segs)
 		return inf, uapi.ErrNone
 	default:
 		return nil, uapi.ErrBadRequest
@@ -447,9 +476,7 @@ func (d *Device) prepareTxn(p *sim.Proc, m *sim.Meter, inf *inflight, slots []*p
 		inf.pages = append(inf.pages, pg)
 	}
 	d.busy(p, m, stats.PhaseRemap, ns)
-	if len(segs) > 0 {
-		inf.batches = d.splitBatches(segs)
-	}
+	inf.segs = segs
 	return uapi.ErrNone
 }
 
@@ -502,28 +529,19 @@ func (d *Device) rollbackRemap(p *sim.Proc, m *sim.Meter, inf *inflight) {
 	inf.pages = nil
 }
 
-// splitBatches cuts a segment list into DMA transfers of at most
-// MaxChainPages descriptors each.
-func (d *Device) splitBatches(segs []dma.Segment) [][]dma.Segment {
-	var out [][]dma.Segment
-	for len(segs) > 0 {
-		n := d.opts.MaxChainPages
-		if n > len(segs) {
-			n = len(segs)
-		}
-		out = append(out, segs[:n])
-		segs = segs[n:]
-	}
-	return out
-}
-
 // startBatch performs operation 3 (DMA configuration) for the next batch
+// — at most MaxChainPages segments, the PaRAM array bounds chain length —
 // and triggers it. With irq true the completion is delivered to the
 // interrupt path. It reports whether the transfer was started; on false
-// the request has already been completed as failed.
+// the request has already been completed as failed — here, or by the
+// recover fault handler, which can take the request over at any yield of
+// the serving context, such as the descriptor writes.
 func (d *Device) startBatch(p *sim.Proc, m *sim.Meter, inf *inflight, irq bool) bool {
-	batch := inf.batches[inf.nextBatch]
-	inf.nextBatch++
+	batch := inf.segs[inf.nextSeg:]
+	if len(batch) > d.opts.MaxChainPages {
+		batch = batch[:d.opts.MaxChainPages]
+	}
+	inf.nextSeg += len(batch)
 	t0 := p.Now()
 	tr, err := d.M.DMA.Program(p, d.opts.DescReuse, batch, m)
 	d.Breakdown.Add(stats.PhaseDMACfg, int64(p.Now()-t0))
@@ -531,8 +549,14 @@ func (d *Device) startBatch(p *sim.Proc, m *sim.Meter, inf *inflight, irq bool) 
 		// Descriptor exhaustion — should not happen with MaxChainPages
 		// capped at the PaRAM size; fail the request.
 		inf.released = true
+		inf.unpin()
 		inf.dropClaim(d.AS)
 		d.complete(p, m, inf.req, uapi.ErrBadRequest)
+		return false
+	}
+	if inf.aborted {
+		// The handler found no transfer to drop; drop this one unstarted.
+		d.M.DMA.Abort(tr)
 		return false
 	}
 	tr.Class = uint8(inf.req.Class)
@@ -558,6 +582,7 @@ func (d *Device) finish(p *sim.Proc, m *sim.Meter, inf *inflight) {
 		return
 	}
 	inf.released = true
+	inf.unpin()
 	if inf.txn {
 		d.finishTxn(p, m, inf)
 		return
@@ -613,8 +638,8 @@ func (d *Device) finish(p *sim.Proc, m *sim.Meter, inf *inflight) {
 				as.Rmap.Move(pg.oldFrame, pg.newFrame)
 			}
 			releaseNS += cost.PageFree
-			if pg.oldFrame.RefCount == 0 && !pg.oldFrame.Pinned && !pg.oldFrame.FileBacked {
-				as.Mem.Free(pg.oldFrame)
+			if pg.oldFrame.RefCount == 0 && !pg.oldFrame.FileBacked {
+				as.Mem.Release(pg.oldFrame)
 			}
 		}
 		d.busy(p, m, stats.PhaseRelease, releaseNS)
@@ -713,7 +738,7 @@ func (d *Device) finishTxn(p *sim.Proc, m *sim.Meter, inf *inflight) {
 			moved += pb
 		}
 		if inf.keepSrc && pg.oldFrame.RefCount == 0 &&
-			!pg.oldFrame.Pinned && !pg.oldFrame.FileBacked {
+			!pg.oldFrame.Pinned() && !pg.oldFrame.FileBacked {
 			// Non-exclusive tiering: the source frame stays valid until
 			// the page is next dirtied, making the reverse move free.
 			as.SetShadow(mp.vpn, pg.oldFrame, pg.newFrame.ID)
@@ -721,8 +746,8 @@ func (d *Device) finishTxn(p *sim.Proc, m *sim.Meter, inf *inflight) {
 		} else {
 			as.DropShadow(mp.vpn)
 			ns += cost.PageFree
-			if pg.oldFrame.RefCount == 0 && !pg.oldFrame.Pinned && !pg.oldFrame.FileBacked {
-				as.Mem.Free(pg.oldFrame)
+			if pg.oldFrame.RefCount == 0 && !pg.oldFrame.FileBacked {
+				as.Mem.Release(pg.oldFrame)
 			}
 		}
 	}
@@ -786,6 +811,7 @@ func (d *Device) handleRecoverFault(p *sim.Proc, addr int64, slot *pagetable.Slo
 	if inf.transfer != nil {
 		d.M.DMA.Abort(inf.transfer)
 	}
+	inf.unpin()
 	var ns int64
 	for _, pg := range inf.pages {
 		for _, mp := range pg.maps {
@@ -794,6 +820,8 @@ func (d *Device) handleRecoverFault(p *sim.Proc, addr int64, slot *pagetable.Slo
 			ns += cost.PTEReplace + cost.TLBFlushPage
 			delete(d.recoverMap, mp.slot)
 		}
+		// Never mapped; freed once the dropped transfer lets go of it.
+		d.AS.Mem.Release(pg.newFrame)
 	}
 	ns += int64(len(inf.pages)) * cost.PageFree
 	d.busy(p, d.UserMeter, stats.PhaseRelease, ns)
@@ -805,18 +833,5 @@ func (d *Device) handleRecoverFault(p *sim.Proc, addr int64, slot *pagetable.Slo
 	// before returning to the faulting access.
 	d.busy(p, d.UserMeter, stats.PhaseInterface, cost.KthreadWake)
 	d.workSignal.Signal()
-	// The new frames may still be pinned by the (aborted) transfer;
-	// reclaim them once the engine lets go.
-	tr := inf.transfer
-	d.M.Eng.Spawn("memif-reclaim", func(cp *sim.Proc) {
-		if tr != nil {
-			cp.WaitEvent(tr.Done)
-		}
-		for _, pg := range inf.pages {
-			if pg.newFrame.RefCount == 0 && !pg.newFrame.Pinned {
-				d.AS.Mem.Free(pg.newFrame)
-			}
-		}
-	})
 	return true
 }

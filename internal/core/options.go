@@ -94,6 +94,10 @@ type Stats struct {
 	BytesMoved     int64
 	Replications   int64
 	Migrations     int64
+	// Overlapped counts polled requests the worker prepared and started
+	// while an earlier polled transfer of the device was still unreaped:
+	// zero with one request outstanding.
+	Overlapped int64
 
 	// Transactional migration activity (ReqTxn requests).
 	TxnMigrations int64 // transactional migrations served

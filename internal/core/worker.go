@@ -7,6 +7,13 @@ import (
 	"memif/internal/uapi"
 )
 
+// pipeDepth is how many polled requests the worker keeps started at once:
+// one transfer active on the engine's single channel plus one queued
+// behind it, which the engine begins the instant the first ends with no
+// CPU involved. That is exactly what keeps a single channel fed; a third
+// would only sit in the queue.
+const pipeDepth = 2
+
 // worker is the memif kernel thread (Section 5.4). Once woken — by the
 // completion interrupt of a kick-started request — it flushes the staging
 // queue, serves every queued request, and only recolors the staging queue
@@ -16,16 +23,37 @@ import (
 // As a schedulable kernel context it can sleep, which is what permits the
 // polling completion mode for small transfers; and it runs on a core of
 // its own, shielding the application from the driver's CPU work.
+//
+// Polled requests form a two-stage software pipeline, NAPI-style: the
+// worker polls between requests while there is work and never sleeps on
+// one transfer while another request is queued. Each pass of the loop
+//
+//  1. reaps: every started transfer whose completion has fired gets its
+//     poll check and then its next batch or Release+Notify;
+//  2. prepares ahead: at most one more request is dequeued, prepared and
+//     started (Prep/Remap/DMAcfg run under the transfer in flight);
+//  3. waits on the oldest transfer only when the pipeline is full or
+//     nothing else is queued.
+//
+// Reaping first keeps a finished request's notification from waiting
+// behind the prepare of the next. With one request outstanding step 2
+// finds the queues empty (a plain load, no queue operation) and the loop
+// degenerates to prepare, start, wait, finish: the serial timeline.
 func (d *Device) worker(p *sim.Proc) {
 	for {
+		d.reap(p)
 		d.drainStaging(p)
+		if len(d.pipe) > 0 && (len(d.pipe) == pipeDepth || d.Area.Submission.Empty()) {
+			p.WaitEvent(d.pipe[0].transfer.Done)
+			continue
+		}
 		if found, _ := d.serveNext(p, d.KernMeter, ctxKthread); found {
 			continue
 		}
-		// Queues look empty. Linger in polling mode for the idle grace
-		// before going to sleep: a steady request stream (e.g. the
-		// streaming runtime's refills) keeps being served without a
-		// single further syscall.
+		// Queues look empty and no polled transfer is in flight. Linger
+		// in polling mode for the idle grace before going to sleep: a
+		// steady request stream (e.g. the streaming runtime's refills)
+		// keeps being served without a single further syscall.
 		if d.linger(p) {
 			continue
 		}
@@ -43,6 +71,34 @@ func (d *Device) worker(p *sim.Proc) {
 		if d.closed && d.Area.Staging.Empty() && d.Area.Submission.Empty() {
 			return
 		}
+	}
+}
+
+// reap is the polling half of the pipeline: every started polled request
+// whose current transfer has completed pays its poll check and moves on —
+// the next batch of a multi-batch request, or Release and Notify. Any
+// finished entry is reaped, not only the oldest: transfers of different
+// classes complete out of order.
+func (d *Device) reap(p *sim.Proc) {
+	for i := 0; i < len(d.pipe); {
+		inf := d.pipe[i]
+		if !inf.transfer.Done.Fired() {
+			i++
+			continue
+		}
+		d.busy(p, d.KernMeter, stats.PhaseInterface, d.M.Plat.Cost.PollCheck)
+		switch {
+		case inf.aborted:
+			// The recover handler already completed the request.
+		case inf.moreBatches():
+			if d.startBatch(p, d.KernMeter, inf, false) {
+				i++
+				continue
+			}
+		default:
+			d.finish(p, d.KernMeter, inf)
+		}
+		d.pipe = append(d.pipe[:i], d.pipe[i+1:]...)
 	}
 }
 
@@ -118,7 +174,7 @@ func (d *Device) irqComplete(inf *inflight) {
 			d.workSignal.Signal()
 			return
 		}
-		if inf.nextBatch < len(inf.batches) {
+		if inf.moreBatches() {
 			if d.startBatch(p, d.KernMeter, inf, true) {
 				return
 			}

@@ -276,6 +276,13 @@ func (e *Engine) Program(p *sim.Proc, reuse bool, segs []Segment, meters ...*sim
 			d.chainBytes = bytes
 		}
 	}
+	// Pin before the descriptor writes take their CPU time: whoever gives
+	// the frames up meanwhile (a recover-fault abort) defers the free to
+	// the unpin instead of freeing what the transfer is about to target.
+	for _, s := range segs {
+		s.Src.Pin()
+		s.Dst.Pin()
+	}
 	if p != nil {
 		p.Busy(cpu, meters...)
 	}
@@ -289,10 +296,6 @@ func (e *Engine) Program(p *sim.Proc, reuse bool, segs []Segment, meters ...*sim
 		src:     segs[0].Src.Node,
 		dst:     segs[0].Dst.Node,
 		Done:    sim.NewEvent(e.eng),
-	}
-	for _, s := range segs {
-		s.Src.Pinned = true
-		s.Dst.Pinned = true
 	}
 	return t, nil
 }
@@ -364,10 +367,12 @@ func (e *Engine) complete(t *Transfer) {
 	}
 }
 
+// releaseResources unpins the frames and recycles an owned descriptor
+// run; complete and Abort between them call it exactly once per transfer.
 func (t *Transfer) releaseResources(e *Engine) {
 	for _, s := range t.segs {
-		s.Src.Pinned = false
-		s.Dst.Pinned = false
+		s.Src.Unpin()
+		s.Dst.Unpin()
 	}
 	if t.ownsRun {
 		e.markRun(t.first, t.nDesc, false)

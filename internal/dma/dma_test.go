@@ -330,16 +330,48 @@ func TestPinningDuringTransfer(t *testing.T) {
 	r.eng.Spawn("drv", func(p *sim.Proc) {
 		segs := r.segs(t, 1, 4096)
 		tr, _ := r.dma.Program(p, true, segs)
-		if !segs[0].Src.Pinned || !segs[0].Dst.Pinned {
+		if !segs[0].Src.Pinned() || !segs[0].Dst.Pinned() {
 			t.Error("frames not pinned after Program")
 		}
 		r.dma.Start(tr, false, nil)
 		p.WaitEvent(tr.Done)
-		if segs[0].Src.Pinned || segs[0].Dst.Pinned {
+		if segs[0].Src.Pinned() || segs[0].Dst.Pinned() {
 			t.Error("frames still pinned after completion")
 		}
 	})
 	r.eng.Run()
+}
+
+// Two transfers that share a frame (a region replicated while it is being
+// migrated): the frame stays pinned until the second one lets go, whatever
+// the first one does — complete or be dropped from the queue.
+func TestSharedFramePinnedUntilLastTransfer(t *testing.T) {
+	for _, abortSecond := range []bool{false, true} {
+		r := newRig()
+		r.eng.Spawn("drv", func(p *sim.Proc) {
+			a, b := r.segs(t, 1, 4096), r.segs(t, 1, 4096)
+			shared := a[0].Src
+			b[0].Src = shared
+			t1, _ := r.dma.Program(p, true, a)
+			t2, _ := r.dma.Program(p, true, b)
+			r.dma.Start(t1, false, nil)
+			r.dma.Start(t2, false, nil)
+			if abortSecond {
+				r.dma.Abort(t2)
+			} else {
+				p.WaitEvent(t1.Done)
+			}
+			if !shared.Pinned() {
+				t.Errorf("abortSecond=%v: shared frame unpinned with a transfer still holding it", abortSecond)
+			}
+			p.WaitEvent(t1.Done)
+			p.WaitEvent(t2.Done)
+			if shared.Pinned() || a[0].Dst.Pinned() || b[0].Dst.Pinned() {
+				t.Errorf("abortSecond=%v: frames still pinned after both transfers", abortSecond)
+			}
+		})
+		r.eng.Run()
+	}
 }
 
 func TestProgramValidation(t *testing.T) {

@@ -85,7 +85,7 @@ func TestEngineRandomWorkout(t *testing.T) {
 			var wantTransfers int64
 			for _, rc := range all {
 				for _, s := range rc.segs {
-					if s.Src.Pinned || s.Dst.Pinned {
+					if s.Src.Pinned() || s.Dst.Pinned() {
 						t.Fatalf("frame still pinned after drain")
 					}
 					copied := s.Dst.Data[0] == rc.seed

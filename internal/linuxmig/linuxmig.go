@@ -144,8 +144,8 @@ func (mg *Migrator) migrateOne(p *sim.Proc, addr int64, dstNode hw.NodeID) error
 	as.InvalidatePage(as.VPN(addr))
 	oldFrame.RefCount--
 	newFrame.RefCount++
-	if oldFrame.RefCount == 0 && !oldFrame.Pinned {
-		as.Mem.Free(oldFrame)
+	if oldFrame.RefCount == 0 {
+		as.Mem.Release(oldFrame)
 	}
 	as.ReleaseMigrationGate(slot)
 	mg.busy(p, stats.PhaseRelease, cost.PTEReplace+cost.TLBFlushPage+cost.PageFree+cost.RmapBook)

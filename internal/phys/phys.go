@@ -34,11 +34,40 @@ type Frame struct {
 	Data []byte
 
 	// Page-descriptor state.
-	RefCount   int  // mappings referencing the frame
-	Pinned     bool // pinned for an in-flight DMA transfer
-	FileBacked bool // owned by a file's page cache (vm.File)
-	freed      bool
+	RefCount    int  // mappings referencing the frame
+	FileBacked  bool // owned by a file's page cache (vm.File)
+	pins        int  // in-flight DMA transfers reading or writing the frame
+	freeOnUnpin bool // Release found the frame pinned: the last Unpin frees it
+	freed       bool
+	mem         *Memory
 }
+
+// Pin marks the frame as source or target of one more in-flight DMA
+// transfer. Transfers of one device overlap and may share frames (a
+// replication reading a region that is being migrated), so the pin is a
+// count: the frame stays pinned until every transfer has let go.
+func (f *Frame) Pin() {
+	if f.freed {
+		panic(fmt.Sprintf("phys: pinning freed %v", f))
+	}
+	f.pins++
+}
+
+// Unpin drops one pin. The last one performs the free that Release
+// deferred while the frame was pinned.
+func (f *Frame) Unpin() {
+	if f.pins <= 0 {
+		panic(fmt.Sprintf("phys: unpinning unpinned %v", f))
+	}
+	f.pins--
+	if f.pins == 0 && f.freeOnUnpin {
+		f.freeOnUnpin = false
+		f.mem.Free(f)
+	}
+}
+
+// Pinned reports whether any in-flight DMA transfer holds the frame.
+func (f *Frame) Pinned() bool { return f.pins > 0 }
 
 func (f *Frame) String() string {
 	return fmt.Sprintf("frame%d@node%d[%#x,+%d]", f.ID, f.Node, f.Addr, f.Size)
@@ -132,7 +161,6 @@ func (m *Memory) Alloc(node hw.NodeID, size int64) (*Frame, error) {
 		st.free[size] = fl[:len(fl)-1]
 		f.freed = false
 		f.RefCount = 0
-		f.Pinned = false
 		f.FileBacked = false
 		for i := range f.Data {
 			f.Data[i] = 0
@@ -152,6 +180,7 @@ func (m *Memory) Alloc(node hw.NodeID, size int64) (*Frame, error) {
 		Node: node,
 		Addr: st.nextAddr,
 		Size: size,
+		mem:  m,
 	}
 	if !m.dataless {
 		f.Data = make([]byte, size)
@@ -173,8 +202,8 @@ func (m *Memory) Free(f *Frame) {
 	if f.RefCount != 0 {
 		panic(fmt.Sprintf("phys: freeing mapped %v (refcount %d)", f, f.RefCount))
 	}
-	if f.Pinned {
-		panic(fmt.Sprintf("phys: freeing pinned %v", f))
+	if f.pins > 0 {
+		panic(fmt.Sprintf("phys: freeing pinned %v (%d pins)", f, f.pins))
 	}
 	if f.FileBacked {
 		panic(fmt.Sprintf("phys: freeing page-cache-owned %v", f))
@@ -184,6 +213,18 @@ func (m *Memory) Free(f *Frame) {
 	st.used -= f.Size
 	st.free[f.Size] = append(st.free[f.Size], f)
 	m.stats[f.Node].Frees++
+}
+
+// Release gives up the owner's claim on an unmapped frame: it is freed
+// now or, while DMA transfers still pin it, by the last Unpin. Skipping
+// the free of a pinned frame instead would leak it — nobody else holds a
+// reference once the owner has moved on.
+func (m *Memory) Release(f *Frame) {
+	if f.pins > 0 {
+		f.freeOnUnpin = true
+		return
+	}
+	m.Free(f)
 }
 
 // Lookup resolves a FrameID, validating it the way the memif driver

@@ -108,13 +108,64 @@ func TestFreeMappedPanics(t *testing.T) {
 func TestFreePinnedPanics(t *testing.T) {
 	m := newMem()
 	f, _ := m.Alloc(hw.NodeFast, 4096)
-	f.Pinned = true
+	f.Pin()
 	defer func() {
 		if recover() == nil {
 			t.Error("freeing pinned frame did not panic")
 		}
 	}()
 	m.Free(f)
+}
+
+// The pin is a count: transfers that share a frame each hold it, and a
+// Release that finds the frame pinned is performed by the last Unpin —
+// not skipped (a leak), not performed under a transfer still using it.
+func TestPinCountDefersRelease(t *testing.T) {
+	m := newMem()
+	f, _ := m.Alloc(hw.NodeFast, 4096)
+	f.Pin()
+	f.Pin()
+	m.Release(f)
+	f.Unpin()
+	if !f.Pinned() || m.Used(hw.NodeFast) != 4096 {
+		t.Fatalf("freed under the second pin: pinned=%v used=%d", f.Pinned(), m.Used(hw.NodeFast))
+	}
+	if _, ok := m.Lookup(f.ID); !ok {
+		t.Error("frame under a pin is no longer live")
+	}
+	f.Unpin()
+	if f.Pinned() || m.Used(hw.NodeFast) != 0 {
+		t.Errorf("last unpin did not free: pinned=%v used=%d", f.Pinned(), m.Used(hw.NodeFast))
+	}
+	// Unpinned frames are released on the spot, and a pin without a
+	// Release frees nothing.
+	g, _ := m.Alloc(hw.NodeFast, 4096)
+	g.Pin()
+	g.Unpin()
+	if m.Used(hw.NodeFast) != 4096 {
+		t.Error("unpin freed a frame nobody released")
+	}
+	m.Release(g)
+	if m.Used(hw.NodeFast) != 0 {
+		t.Error("Release of an unpinned frame did not free it")
+	}
+}
+
+func TestPinMisusePanics(t *testing.T) {
+	m := newMem()
+	f, _ := m.Alloc(hw.NodeFast, 4096)
+	mustPanic := func(what string, fn func()) {
+		t.Helper()
+		defer func() {
+			if recover() == nil {
+				t.Errorf("%s did not panic", what)
+			}
+		}()
+		fn()
+	}
+	mustPanic("unpinning an unpinned frame", f.Unpin)
+	m.Free(f)
+	mustPanic("pinning a freed frame", f.Pin)
 }
 
 func TestLookupValidation(t *testing.T) {

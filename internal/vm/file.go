@@ -93,7 +93,7 @@ func (f *File) Drop() {
 			delete(f.cache, idx)
 			continue
 		}
-		if fr.RefCount == 0 && !fr.Pinned {
+		if fr.RefCount == 0 && !fr.Pinned() {
 			if f.rmap != nil {
 				f.rmap.DropCacheRef(fr.ID)
 			}

@@ -207,8 +207,8 @@ func (as *AddressSpace) Munmap(p *sim.Proc, base int64) error {
 			f.RefCount--
 			// File-backed frames stay in the page cache even with no
 			// mappings left (drop the cache to reclaim them).
-			if f.RefCount == 0 && !f.Pinned && !f.FileBacked {
-				as.Mem.Free(f)
+			if f.RefCount == 0 && !f.FileBacked {
+				as.Mem.Release(f)
 			}
 		}
 		as.DropShadow(vpn)
@@ -498,8 +498,8 @@ func (as *AddressSpace) DropShadow(vpn uint64) {
 	}
 	delete(as.shadows, vpn)
 	f := sc.frame
-	if f.RefCount == 0 && !f.Pinned && !f.FileBacked {
-		as.Mem.Free(f)
+	if f.RefCount == 0 && !f.FileBacked {
+		as.Mem.Release(f)
 	}
 }
 
