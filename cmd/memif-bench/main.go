@@ -17,6 +17,9 @@
 //	ablate     design-choice ablations (DESIGN.md section 5)
 //	extra      beyond the paper: multi-app sharing, compute-bound limits
 //	all        everything above (default)
+//	migspeed   numactl's migspeed on the simulated machine, the Figure 8
+//	           Linux baseline (not part of all):
+//	           migspeed [-pages N] [-pagesize 4K|64K|2M] [-loops N] [-memif] [-xeon]
 package main
 
 import (
@@ -32,6 +35,10 @@ func main() {
 	if len(os.Args) > 1 {
 		cmd = os.Args[1]
 	}
+	if cmd == "migspeed" {
+		migspeed(os.Args[2:])
+		return
+	}
 	w := os.Stdout
 	run := func(name string, fn func()) {
 		if cmd == name || cmd == "all" {
@@ -44,7 +51,7 @@ func main() {
 		"ablate": true, "extra": true, "all": true}
 	if !known[cmd] {
 		fmt.Fprintf(os.Stderr, "memif-bench: unknown command %q\n", cmd)
-		fmt.Fprintln(os.Stderr, "commands: platform sloc sec2 fig6 fig7 fig8 table4 ablate extra all")
+		fmt.Fprintln(os.Stderr, "commands: platform sloc sec2 fig6 fig7 fig8 table4 ablate extra all migspeed")
 		os.Exit(2)
 	}
 

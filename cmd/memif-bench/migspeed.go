@@ -1,12 +1,3 @@
-// migspeed mirrors the utility of the same name shipped with numactl,
-// which the paper uses as the Linux baseline in Figure 8: it migrates a
-// region between the two memory nodes in a loop and reports the achieved
-// throughput. Optionally it runs the same workload through memif for a
-// side-by-side comparison.
-//
-// Usage:
-//
-//	migspeed [-pages N] [-pagesize 4K|64K|2M] [-loops N] [-memif] [-xeon]
 package main
 
 import (
@@ -23,13 +14,19 @@ import (
 	"memif/internal/uapi"
 )
 
-func main() {
-	pages := flag.Int("pages", 256, "pages per migration request")
-	pageSize := flag.String("pagesize", "4K", "page size: 4K, 64K or 2M")
-	loops := flag.Int("loops", 16, "migration round trips")
-	useMemif := flag.Bool("memif", false, "also measure memif migration")
-	xeon := flag.Bool("xeon", false, "use the Xeon E5 platform instead of KeyStone II")
-	flag.Parse()
+// migspeed mirrors the utility of the same name shipped with numactl,
+// which the paper uses as the Linux baseline in Figure 8: it migrates a
+// region between the two memory nodes in a loop and reports the achieved
+// throughput. Optionally it runs the same workload through memif for a
+// side-by-side comparison.
+func migspeed(args []string) {
+	fs := flag.NewFlagSet("memif-bench migspeed", flag.ExitOnError)
+	pages := fs.Int("pages", 256, "pages per migration request")
+	pageSize := fs.String("pagesize", "4K", "page size: 4K, 64K or 2M")
+	loops := fs.Int("loops", 16, "migration round trips")
+	useMemif := fs.Bool("memif", false, "also measure memif migration")
+	xeon := fs.Bool("xeon", false, "use the Xeon E5 platform instead of KeyStone II")
+	_ = fs.Parse(args) // ExitOnError: Parse exits instead of returning an error
 
 	var pb int64
 	switch *pageSize {

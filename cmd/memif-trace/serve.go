@@ -242,7 +242,7 @@ func runSimScenario() (swapd.MetricsSnapshot, streamrt.MetricsSnapshot, streamrt
 	m2.Eng.Run()
 
 	sw := sd.Metrics()
-	if sw.Evictions == 0 {
+	if sw.Demotions == 0 {
 		fmt.Fprintln(os.Stderr, "memif-trace: warning: sim scenario produced no evictions")
 	}
 	return sw, eopts.Metrics.Snapshot(), engSnap

@@ -86,8 +86,8 @@ func main() {
 
 	st := sd.Stats()
 	fmt.Printf("daemon: %d evictions (%d MB), %d aborted by racing use\n",
-		st.Evictions, st.BytesEvicted>>20, st.FailedEvictions)
-	if st.Evictions == 0 {
+		st.Demotions, st.BytesDemoted>>20, st.Aborts)
+	if st.Demotions == 0 {
 		log.Fatal("expected the daemon to evict under pressure")
 	}
 }

@@ -299,34 +299,42 @@ func TestWatchdogBacklogAndStarvation(t *testing.T) {
 	}
 }
 
+// Four goroutines observe, breach and capture while the test goroutine
+// snapshots; stall records share the ring with the breach records. The
+// ring is deep enough for every capture of the run, so once the writers
+// are done nothing may be missing: every breach and every stall is still
+// retained (the no-holes conservation a deep ring owes its reader —
+// retained breaches >= breaches - (captured - breaches) is the weaker
+// form that holds whenever breaches alone fit the ring).
 func TestConcurrentCaptureAndSnapshot(t *testing.T) {
-	r := New(Options{RingDepth: 64, ThresholdFloorNs: 1, Warmup: 1})
-	r.EnsureTenants(4)
+	const workers, perWorker = 4, 2048
+	r := New(Options{RingDepth: 2 * workers * perWorker, ThresholdFloorNs: 1, ThresholdMult: 1, Warmup: 1})
+	r.EnsureTenants(workers)
 	var wg sync.WaitGroup
-	stop := make(chan struct{})
-	for g := 0; g < 4; g++ {
+	for g := 0; g < workers; g++ {
 		wg.Add(1)
 		go func(g int) {
 			defer wg.Done()
-			for i := 0; ; i++ {
-				select {
-				case <-stop:
-					return
-				default:
-				}
+			for i := 0; i < perWorker; i++ {
 				lat := int64(1_000 + i%7)
 				if thr, breach := r.Observe(g%2, g, lat, true); breach {
 					o := Outlier{Kind: KindLatency, Class: int32(g % 2), Tenant: uint32(g), LatencyNs: lat, ThresholdNs: thr}
 					r.Capture(&o)
 				}
 				if i%64 == 0 {
-					r.Capture(&Outlier{Kind: KindLatency, LatencyNs: lat})
+					r.CaptureStall(ReasonWorkerStall, int64(i), Ambient{})
 				}
 			}
 		}(g)
 	}
-	deadline := time.Now().Add(100 * time.Millisecond)
-	for time.Now().Before(deadline) {
+	done := make(chan struct{})
+	go func() { wg.Wait(); close(done) }()
+	for running := true; running; {
+		select {
+		case <-done:
+			running = false
+		default:
+		}
 		s := r.Snapshot()
 		for i := 1; i < len(s.Outliers); i++ {
 			if s.Outliers[i].Seq <= s.Outliers[i-1].Seq {
@@ -335,8 +343,22 @@ func TestConcurrentCaptureAndSnapshot(t *testing.T) {
 		}
 		r.Tick(time.Since(time.Time{}).Nanoseconds())
 	}
-	close(stop)
-	wg.Wait()
+	s := r.Snapshot()
+	var latency, stalls int64
+	for _, o := range s.Outliers {
+		switch o.Kind {
+		case KindLatency:
+			latency++
+		case KindStall:
+			stalls++
+		}
+	}
+	if s.Breaches == 0 || s.Captured != s.Breaches+s.Stalls {
+		t.Fatalf("counters: breaches %d + stalls %d != captured %d", s.Breaches, s.Stalls, s.Captured)
+	}
+	if latency != s.Breaches || stalls != s.Stalls {
+		t.Errorf("ring of %d retains %d of %d breaches and %d of %d stalls", s.RingDepth, latency, s.Breaches, stalls, s.Stalls)
+	}
 }
 
 func TestKindReasonJSON(t *testing.T) {

@@ -209,22 +209,6 @@ func (s HistogramSnapshot) QuantileInterp(q float64) float64 {
 	return float64(s.Max())
 }
 
-// P999 returns the interpolated 99.9th percentile — the tail the
-// flight recorder explains request by request.
-func (s HistogramSnapshot) P999() float64 { return s.QuantileInterp(0.999) }
-
-// Quantiles returns the interpolated estimate for each requested
-// quantile in one pass per value, in the order given. Report code asks
-// for its whole column set at once instead of scattering QuantileInterp
-// calls.
-func (s HistogramSnapshot) Quantiles(qs ...float64) []float64 {
-	out := make([]float64, len(qs))
-	for i, q := range qs {
-		out[i] = s.QuantileInterp(q)
-	}
-	return out
-}
-
 // Max returns the upper bound of the highest occupied bucket.
 func (s HistogramSnapshot) Max() int64 {
 	for i := NumBuckets - 1; i >= 0; i-- {

@@ -204,11 +204,6 @@ func SwapdMetrics(device string, s swapd.MetricsSnapshot) []Metric {
 		counter("memif_swapd_bytes_demoted_total", "Requested bytes of completed demotions.", lb, s.BytesDemoted),
 		counter("memif_swapd_bytes_moved_total", "Bytes actually copied by DMA (excludes zero-copy PTE flips).", lb, s.BytesMoved),
 		hist("memif_swapd_promotion_lag_ns", "Region-turned-hot to promotion-committed lag (virtual ns).", lb, s.PromotionLag),
-		// Legacy eviction view (demotion-side aliases), kept for
-		// dashboards written against the seed daemon.
-		counter("memif_swapd_evictions_total", "Completed fast-memory evictions.", lb, s.Evictions),
-		counter("memif_swapd_failed_evictions_total", "Evictions aborted by racing application accesses.", lb, s.FailedEvictions),
-		counter("memif_swapd_bytes_evicted_total", "Bytes migrated back to the slow node.", lb, s.BytesEvicted),
 		hist("memif_swapd_eviction_latency_ns", "Submission-to-completion latency of successful migrations (virtual ns).", lb, s.Latency),
 		hist("memif_swapd_eviction_bytes", "Per-migration payload size (bytes).", lb, s.Sizes),
 	}

@@ -216,7 +216,6 @@ func TestAllSubsystemConverters(t *testing.T) {
 	sw := swapd.MetricsSnapshot{
 		Promotions: 7, Demotions: 16, ZeroCopyDemotions: 5, Aborts: 3,
 		BytesPromoted: 7 << 20, BytesDemoted: 16 << 20, BytesMoved: 11 << 20,
-		Evictions: 16, FailedEvictions: 3, BytesEvicted: 16 << 20,
 		Latency:      sampleHistogram(100, 200, 400),
 		Sizes:        sampleHistogram(1 << 20),
 		PromotionLag: sampleHistogram(2_000_000),
@@ -249,7 +248,7 @@ func TestAllSubsystemConverters(t *testing.T) {
 		`memif_swapd_txn_aborts_total{device="swapd0"} 3`,
 		`memif_swapd_bytes_moved_total{device="swapd0"} 11534336`,
 		`memif_swapd_promotion_lag_ns_count{device="swapd0"} 1`,
-		`memif_swapd_evictions_total{device="swapd0"} 16`,
+		`memif_swapd_bytes_demoted_total{device="swapd0"} 16777216`,
 		`memif_swapd_stage_latency_ns_count{device="swapd0",stage="copy"} 16`,
 		`memif_swapd_flight_breaches_total{device="swapd0"} 2`,
 		`memif_swapd_flight_domain_events_total{device="swapd0"} 3`,

@@ -122,8 +122,7 @@ func TestFlightRetroactiveCaptureNoSamplingHoles(t *testing.T) {
 
 // A request shed before staging (admission, slot exhaustion) carries no
 // pipeline latency; the armed breach check must skip it rather than
-// capture an epoch-sized "breach" with an empty stamp vector. Covered
-// here by the membench overload gate too, but this pins the unit.
+// capture an epoch-sized "breach" with an empty stamp vector.
 func TestFlightSkipsUnstagedRequests(t *testing.T) {
 	d := Open(Options{
 		NumReqs: 8, Controllers: 1, StagingShards: 1,

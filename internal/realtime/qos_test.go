@@ -306,16 +306,10 @@ func TestInlineRetuneDisabled(t *testing.T) {
 
 // TestInlineCompletionCountsAndCopies: a request at or under the
 // threshold is copied by the worker itself and counted as inline; one
-// above it takes the ring path.
+// above it takes the ring path, and so does everything on a device
+// opened with inline completion off.
 func TestInlineCompletionCountsAndCopies(t *testing.T) {
-	d := Open(Options{
-		NumReqs:     8,
-		Controllers: 1,
-		QoS:         QoSOptions{InlineThreshold: 4 << 10, DisableRetune: true},
-	})
-	defer d.Close()
-
-	run := func(n int) *Request {
+	run := func(d *Device, n int) *Request {
 		r := d.AllocRequest()
 		src := make([]byte, n)
 		for i := range src {
@@ -331,7 +325,14 @@ func TestInlineCompletionCountsAndCopies(t *testing.T) {
 		return r
 	}
 
-	small := run(4 << 10)
+	d := Open(Options{
+		NumReqs:     8,
+		Controllers: 1,
+		QoS:         QoSOptions{InlineThreshold: 4 << 10, DisableRetune: true},
+	})
+	defer d.Close()
+
+	small := run(d, 4<<10)
 	if got := d.Stats().InlineCompleted; got != 1 {
 		t.Errorf("InlineCompleted after small request = %d, want 1", got)
 	}
@@ -340,7 +341,7 @@ func TestInlineCompletionCountsAndCopies(t *testing.T) {
 	}
 	d.FreeRequest(small)
 
-	large := run(8 << 10)
+	large := run(d, 8<<10)
 	if got := d.Stats().InlineCompleted; got != 1 {
 		t.Errorf("InlineCompleted after large request = %d, want still 1", got)
 	}
@@ -348,6 +349,15 @@ func TestInlineCompletionCountsAndCopies(t *testing.T) {
 		t.Errorf("ring-path completion: %v", large.Err)
 	}
 	d.FreeRequest(large)
+
+	off := Open(Options{NumReqs: 8, Controllers: 1, QoS: QoSOptions{InlineThreshold: -1}})
+	defer off.Close()
+	if r := run(off, 4<<10); r.Err != nil || !bytes.Equal(r.Src, r.Dst) {
+		t.Errorf("always-notify completion corrupt: err=%v", r.Err)
+	}
+	if got := off.Stats().InlineCompleted; got != 0 {
+		t.Errorf("InlineCompleted = %d with InlineThreshold -1, want 0", got)
+	}
 }
 
 // TestPollContextCanceled: an already-canceled context returns

@@ -3,10 +3,10 @@ package realtime
 import (
 	"bytes"
 	"errors"
+	"fmt"
 	"strings"
 	"sync"
 	"testing"
-	"time"
 
 	"memif/internal/rbq"
 )
@@ -479,95 +479,206 @@ func TestTenantBatchSubmit(t *testing.T) {
 	}
 }
 
-// TestTenantWeightedThroughput is the end-to-end fairness check: two
-// closed-loop backlogged tenants at weights 4 and 1 must see completed
-// work in roughly that ratio while both stay saturated.
-func TestTenantWeightedThroughput(t *testing.T) {
-	// DRR order binds throughput only when the scheduler has a standing
-	// backlog, so the pipeline downstream of it must be the bottleneck:
-	// one controller, slowed per chunk, with per-tenant quotas larger
-	// than the 64-deep chunk ring so dispatch backpressure reaches the
-	// submission queues.
-	d := Open(Options{
-		NumReqs:     256,
-		Controllers: 1,
-		QoS:         QoSOptions{InlineThreshold: -1},
-		Chaos: &ChaosHooks{
-			BeforeChunkCopy: func(idx uint32, off, end int) { time.Sleep(10 * time.Microsecond) },
-		},
-	})
+// openStalled opens a device whose worker blocks in BeforeDispatch on
+// the first request it pops, so a test can build a standing backlog
+// behind it with no race against dispatch. From then on the hook logs
+// the owning tenant of every request in the order the scheduler pops
+// them: order[0] was popped before the backlog formed, everything after
+// it with the whole backlog visible. Call order only after draining
+// every completion.
+func openStalled(o Options) (d *Device, release func(), order func() []uint32) {
+	stall := make(chan struct{})
+	var popped []uint32
+	o.StagingShards = 1 // arrival order is submit order
+	o.Chaos = &ChaosHooks{BeforeDispatch: func(idx uint32) {
+		popped = append(popped, d.reqs[idx].tenant.Load())
+		<-stall
+	}}
+	d = Open(o)
+	var once sync.Once
+	return d, func() { once.Do(func() { close(stall) }) }, func() []uint32 { return popped }
+}
+
+// submitSmall submits one small copy through ten, reporting the
+// admission result.
+func submitSmall(t *testing.T, d *Device, ten *Tenant) error {
+	t.Helper()
+	r := d.AllocRequest()
+	if r == nil {
+		t.Fatal("request slab exhausted")
+	}
+	r.Src, r.Dst = []byte{1, 2, 3, 4}, make([]byte, 4)
+	err := ten.Submit(r)
+	if err != nil {
+		d.FreeRequest(r)
+	}
+	return err
+}
+
+// TestTenantWeightedDispatchOrder is the end-to-end DRR check, with the
+// park/wake worker and with the spinning one: two tenants at weights 4
+// and 1, both backlogged to their quota behind a stalled worker, are
+// served 80:20 over the next hundred dispatches, give or take one
+// quantum for the round the stall interrupted.
+func TestTenantWeightedDispatchOrder(t *testing.T) {
+	for _, mode := range []struct {
+		name string
+		busy bool
+	}{{"parkwake", false}, {"busypoll", true}} {
+		t.Run(mode.name, func(t *testing.T) {
+			const quota = 96
+			d, release, order := openStalled(Options{NumReqs: 256, Controllers: 1, BusyPoll: mode.busy})
+			defer d.Close()
+			defer release()
+			heavy, err := d.OpenTenant(TenantConfig{Name: "heavy", Weight: 4, SlotQuota: quota})
+			if err != nil {
+				t.Fatal(err)
+			}
+			light, err := d.OpenTenant(TenantConfig{Name: "light", Weight: 1, SlotQuota: quota})
+			if err != nil {
+				t.Fatal(err)
+			}
+			for i := 0; i < quota; i++ {
+				for _, ten := range []*Tenant{heavy, light} {
+					if err := submitSmall(t, d, ten); err != nil {
+						t.Fatalf("%s submit %d within quota: %v", ten.Name(), i, err)
+					}
+				}
+			}
+			release()
+			for _, r := range drainAll(t, d, 2*quota) {
+				d.FreeRequest(r)
+			}
+			served := 0
+			for _, ten := range order()[1:101] {
+				if ten == heavy.id {
+					served++
+				}
+			}
+			if served < 80-4 || served > 80+4 {
+				t.Errorf("heavy tenant got %d of 100 backlogged dispatches, want 80 ± one quantum of 4", served)
+			}
+		})
+	}
+}
+
+// TestTenantFleetDispatchOrder is fairness and isolation at fleet scale,
+// read from the scheduler's own pop order instead of a throughput
+// window: 1,021 equal-weight tenants and a 1/2/4-weight trio each park
+// eight rounds of work behind a stalled worker; an aggressor floods past
+// its quota and mass-cancels; a victim submits one request last of all.
+// While every cohort and trio tenant is still backlogged, the cohort is
+// served evenly (Jain's index), the trio in proportion to its weights,
+// and the victim waits at most one DRR round — the reason its latency
+// holds under the aggressor's storm.
+func TestTenantFleetDispatchOrder(t *testing.T) {
+	const (
+		cohortN   = 1021
+		rounds    = 8
+		trioSum   = 1 + 2 + 4
+		aggrQuota = 16
+		aggrFlood = 28
+	)
+	d, release, order := openStalled(Options{NumReqs: (cohortN+trioSum)*rounds + aggrFlood + 1, Controllers: 1})
 	defer d.Close()
-	heavy, err := d.OpenTenant(TenantConfig{Name: "heavy", Weight: 4, SlotQuota: 96})
-	if err != nil {
-		t.Fatal(err)
-	}
-	light, err := d.OpenTenant(TenantConfig{Name: "light", Weight: 1, SlotQuota: 96})
-	if err != nil {
-		t.Fatal(err)
-	}
+	defer release()
 
-	stop := make(chan struct{})
-	var wg sync.WaitGroup
-	// Shared drainer: completions from both tenants funnel through the
-	// one completion queue; per-tenant attribution comes from Stats.
-	wg.Add(1)
-	go func() {
-		defer wg.Done()
-		for {
-			if r := d.RetrieveCompleted(); r != nil {
-				d.FreeRequest(r)
-				continue
-			}
-			select {
-			case <-stop:
-				return
-			default:
-				d.Poll(time.Millisecond)
-			}
+	open := func(name string, weight, quota int) *Tenant {
+		ten, err := d.OpenTenant(TenantConfig{Name: name, Weight: weight, SlotQuota: quota})
+		if err != nil {
+			t.Fatal(err)
 		}
-	}()
-	// Closed-loop submitters: each keeps its tenant saturated at its
-	// quota; ErrOverload is the backpressure signal.
-	runner := func(ten *Tenant) {
-		defer wg.Done()
-		src := bytes.Repeat([]byte{7}, 4<<10)
-		dst := make([]byte, len(src))
-		for {
-			select {
-			case <-stop:
-				return
-			default:
-			}
-			r := d.AllocRequest()
-			if r == nil {
-				time.Sleep(50 * time.Microsecond)
-				continue
-			}
-			r.Src, r.Dst = src, dst
-			if err := ten.Submit(r); err != nil {
-				d.FreeRequest(r)
-				time.Sleep(50 * time.Microsecond)
+		return ten
+	}
+	var fleet []*Tenant // cohort, then trio
+	var weights []int   // fleet[i]'s DRR weight
+	for i := 0; i < cohortN; i++ {
+		fleet, weights = append(fleet, open(fmt.Sprintf("cohort-%04d", i), 1, rounds)), append(weights, 1)
+	}
+	for _, w := range []int{1, 2, 4} {
+		fleet, weights = append(fleet, open(fmt.Sprintf("weighted-%d", w), w, w*rounds)), append(weights, w)
+	}
+	aggr := open("aggressor", 1, aggrQuota)
+	victim := open("victim", 2, 4)
+
+	admitted := make(map[uint32]int) // cohort and trio only
+	total := 0
+	for r := 0; r < rounds; r++ {
+		for i, ten := range fleet {
+			for k := 0; k < weights[i]; k++ {
+				if err := submitSmall(t, d, ten); err != nil {
+					t.Fatalf("%s: %v", ten.Name(), err)
+				}
+				admitted[ten.id]++
+				total++
 			}
 		}
 	}
-	wg.Add(2)
-	go runner(heavy)
-	go runner(light)
-
-	// Warm up, then measure a completion window.
-	time.Sleep(50 * time.Millisecond)
-	h0, l0 := heavy.Stats().Completed, light.Stats().Completed
-	time.Sleep(300 * time.Millisecond)
-	h1, l1 := heavy.Stats().Completed, light.Stats().Completed
-	close(stop)
-	wg.Wait()
-
-	dh, dl := h1-h0, l1-l0
-	if dl == 0 || dh == 0 {
-		t.Fatalf("no progress in window: heavy=%d light=%d", dh, dl)
+	for i := 0; i < aggrFlood; i++ {
+		if err := submitSmall(t, d, aggr); err == nil {
+			total++
+		} else if !errors.Is(err, ErrOverload) {
+			t.Fatalf("aggressor flood: %v", err)
+		}
 	}
-	ratio := float64(dh) / float64(dl)
-	if ratio < 2.0 || ratio > 8.0 {
-		t.Errorf("weighted throughput ratio = %.2f (heavy %d, light %d), want ~4 (accept [2, 8])", ratio, dh, dl)
+	if won := aggr.CancelAll(); won == 0 {
+		t.Error("aggressor's CancelAll claimed nothing from a frozen backlog")
+	}
+	if err := submitSmall(t, d, victim); err != nil {
+		t.Fatalf("victim shed behind the aggressor's overload: %v", err)
+	}
+	total++
+	release()
+	for _, r := range drainAll(t, d, total) {
+		d.FreeRequest(r)
+	}
+
+	if st := aggr.Stats(); st.Shed != aggrFlood-aggrQuota || st.Canceled == 0 {
+		t.Errorf("aggressor shed %d (want %d), canceled %d (want > 0)", st.Shed, aggrFlood-aggrQuota, st.Canceled)
+	}
+	if st := victim.Stats(); st.Shed != 0 || st.Canceled != 0 || st.Completed != 1 {
+		t.Errorf("victim: shed %d canceled %d completed %d, want 0/0/1", st.Shed, st.Canceled, st.Completed)
+	}
+
+	// The backlogged window: from the first pop after the stall to the
+	// pop that empties the first cohort or trio tenant.
+	pops := order()
+	admitted[pops[0]]-- // popped before the backlog formed
+	served := make(map[uint32]int)
+	victimAt := -1
+	for i, ten := range pops[1:] {
+		served[ten]++
+		if ten == victim.id {
+			victimAt = i + 1
+		}
+		if served[ten] == admitted[ten] {
+			break
+		}
+	}
+	var sum, sumSq float64
+	for _, ten := range fleet[:cohortN] {
+		x := float64(served[ten.id])
+		sum += x
+		sumSq += x * x
+	}
+	if jain := sum * sum / (cohortN * sumSq); !(jain >= 0.90) {
+		t.Errorf("Jain's index over the cohort's service counts = %.4f, want >= 0.90", jain)
+	}
+	trioTotal := 0
+	for _, ten := range fleet[cohortN:] {
+		trioTotal += served[ten.id]
+	}
+	for i, ten := range fleet[cohortN:] {
+		w := weights[cohortN+i]
+		// |served − total·w/trioSum| ≤ w, in integers.
+		if off := trioSum*served[ten.id] - trioTotal*w; off > trioSum*w || off < -trioSum*w {
+			t.Errorf("%s served %d of the trio's %d dispatches, more than one quantum from its %d/%d share",
+				ten.Name(), served[ten.id], trioTotal, w, trioSum)
+		}
+	}
+	// One round visits every backlogged tenant once for its quantum; the
+	// victim, activated last, is reached before that round ends.
+	if round := cohortN + trioSum + 1 + 2; victimAt < 0 || victimAt > round {
+		t.Errorf("victim dispatched at position %d, want within one DRR round (%d pops)", victimAt, round)
 	}
 }

@@ -2,12 +2,15 @@ package streamrt
 
 import (
 	"errors"
+	"math/bits"
 	"math/rand"
 	"strings"
 	"sync"
 	"testing"
 
+	"memif/internal/core"
 	"memif/internal/hw"
+	"memif/internal/obs"
 	"memif/internal/obs/flight"
 	"memif/internal/obs/lifecycle"
 	"memif/internal/sim"
@@ -18,42 +21,92 @@ import (
 // TestEngineMultiStreamChecksums is the tentpole's happy path: three
 // streams multiplex over one engine concurrently (one proc each), every
 // checksum matches the input, and the ring is mmap'd O(ring size) —
-// never per chunk.
+// never per chunk. Beside them a foreground prober ping-pongs one page
+// through a sibling device on the same DMA engine every 50 µs, 20 ms
+// alone and then for as long as the streams ingest: its p99 under ingest
+// must stay within one log2 histogram bucket of its uncontended p99.
+// Today it sits exactly one bucket up (32767 → 65535 ns; virtual time,
+// so the reading repeats) because a probe can queue behind a whole
+// 512 KiB fill; splitting fills into smaller transfers (ROADMAP item 1)
+// is expected to close that bucket.
 func TestEngineMultiStreamChecksums(t *testing.T) {
 	m, d := setup()
+	app := core.Open(m, d.AS, core.DefaultOptions())
 	var e *Engine
 	want := make([]uint64, 3)
 	handles := make([]*Stream, 3)
 	results := make([]Result, 3)
+	var aloneHist, ingestHist obs.Histogram
+	ingestStart := sim.Time(0) // 0 until the prober's baseline window closes
+	ingestDone := false
+	m.Eng.Spawn("prober", func(p *sim.Proc) {
+		defer app.Close()
+		page, err := d.AS.Mmap(p, 4096, hw.NodeSlow, "probe")
+		if err != nil {
+			t.Error(err)
+			return
+		}
+		dst := hw.NodeFast
+		probe := func(h *obs.Histogram) {
+			r := app.AllocRequest(p)
+			r.Op, r.Class = uapi.OpMigrate, uapi.ClassForeground
+			r.SrcBase, r.Length, r.DstNode = page, 4096, dst
+			if err := app.Submit(p, r); err != nil {
+				t.Errorf("probe submit: %v", err)
+			}
+			for app.RetrieveCompleted(p) == nil {
+				app.Poll(p, 0)
+			}
+			if r.Status == uapi.StatusDone {
+				h.Observe(int64(r.Completed - r.Submitted))
+				dst = 1 - dst // NodeFast <-> NodeSlow
+			}
+			app.FreeRequest(p, r)
+			p.SleepNS(50_000)
+		}
+		for p.Now() < 20_000_000 {
+			probe(&aloneHist)
+		}
+		ingestStart = p.Now()
+		for !ingestDone {
+			probe(&ingestHist)
+		}
+		if err := d.AS.Munmap(p, page); err != nil { // leave the fast node as found
+			t.Error(err)
+		}
+	})
 	m.Eng.Spawn("main", func(p *sim.Proc) {
 		defer d.Close()
 		opts := DefaultEngineOptions()
 		opts.RingBufs = 6
+		length := int64(24) * opts.BufBytes
+		bases := make([]int64, 3)
+		for i := range bases {
+			var err error
+			if bases[i], err = d.AS.Mmap(p, length, hw.NodeSlow, "input"); err != nil {
+				t.Fatal(err)
+			}
+			want[i], _ = workloads.FillInput(p, d.AS, bases[i], length, uint64(i+1))
+		}
+		for ingestStart == 0 {
+			p.SleepNS(500_000)
+		}
 		var err error
 		e, err = OpenEngine(p, d, opts)
 		if err != nil {
 			t.Fatal(err)
 		}
-		var wg sync.WaitGroup
 		for i := 0; i < 3; i++ {
 			i := i
-			length := int64(24) * opts.BufBytes
-			base, err := d.AS.Mmap(p, length, hw.NodeSlow, "input")
-			if err != nil {
-				t.Fatal(err)
-			}
-			want[i], _ = workloads.FillInput(p, d.AS, base, length, uint64(i+1))
 			s, err := e.OpenStream(p, StreamSpec{
-				Kernel: workloads.Triad, Base: base, Length: length,
+				Kernel: workloads.Triad, Base: bases[i], Length: length,
 				Class: uapi.ClassBackground, Credits: 2,
 			})
 			if err != nil {
 				t.Fatal(err)
 			}
 			handles[i] = s
-			wg.Add(1)
 			m.Eng.Spawn(s.Name(), func(cp *sim.Proc) {
-				defer wg.Done()
 				results[i], err = s.Run(cp)
 				if err != nil {
 					t.Errorf("stream %d: %v", i, err)
@@ -65,6 +118,7 @@ func TestEngineMultiStreamChecksums(t *testing.T) {
 			p.SleepNS(100_000)
 		}
 		e.Close(p)
+		ingestDone = true
 	})
 	m.Eng.Run()
 	for i := range results {
@@ -85,11 +139,23 @@ func TestEngineMultiStreamChecksums(t *testing.T) {
 	if es.Stalls != 0 {
 		t.Errorf("engine recorded %d stalls", es.Stalls)
 	}
+	if es.FastChunks+es.SlowChunks != 3*24 {
+		t.Errorf("%d fast + %d slow chunks consumed, want %d", es.FastChunks, es.SlowChunks, 3*24)
+	}
 	if es.StreamsOpened != 3 || es.StreamsClosed != 3 || es.OpenStreams != 0 {
 		t.Errorf("stream lifecycle counts: %+v", es)
 	}
 	if used := d.AS.Mem.Used(hw.NodeFast); used != 0 {
 		t.Errorf("fast node still holds %d bytes after engine close", used)
+	}
+	alone, ingest := aloneHist.Snapshot(), ingestHist.Snapshot()
+	if alone.Count == 0 || ingest.Count == 0 {
+		t.Fatalf("prober recorded %d moves alone, %d under ingest", alone.Count, ingest.Count)
+	}
+	ap, ip := alone.Quantile(0.99), ingest.Quantile(0.99)
+	t.Logf("prober p99: %d ns alone (%d moves), %d ns under ingest (%d moves)", ap, alone.Count, ip, ingest.Count)
+	if b := bits.Len64(uint64(ip)) - bits.Len64(uint64(ap)); b > 1 || b < -1 {
+		t.Errorf("foreground p99 under ingest (%d ns) is %d log2 buckets from its baseline (%d ns)", ip, b, ap)
 	}
 }
 

@@ -82,7 +82,7 @@ type StreamStats struct {
 	// TailWaits counts waits for in-flight fills after all chunks were
 	// assigned — the benign end-of-stream drain. Stalls counts waits
 	// with no fill in flight to wait for; the never-stall design keeps
-	// this zero and membench gates on it structurally.
+	// this zero (TestEngineMultiStreamChecksums gates on it).
 	TailWaits, Stalls int64
 	// Closed reports the handle was closed (by Close or completion).
 	Closed bool
@@ -101,7 +101,7 @@ type EngineSnapshot struct {
 	// RingBufs / BufBytes echo the engine geometry; FreeBufs is the
 	// current free-buffer count; BufMmaps counts mmap calls the engine
 	// ever made for its ring — O(ring size), never O(chunks), which
-	// membench gates on.
+	// TestEngineMultiStreamChecksums gates on.
 	RingBufs int
 	BufBytes int64
 	FreeBufs int

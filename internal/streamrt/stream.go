@@ -236,7 +236,8 @@ func (s *Stream) Consume(p *sim.Proc) (done bool, err error) {
 
 		// Everything is assigned; only in-flight fills can finish the
 		// stream. With none outstanding the stream is wedged — that is
-		// a runtime bug, counted as a stall (gated to zero in membench).
+		// a runtime bug, counted as a stall (gated to zero in the tests
+		// and by the benchmark's sim_streams check).
 		if s.credits.inFlight == 0 {
 			s.stalls.Inc()
 			e.stalls.Inc()

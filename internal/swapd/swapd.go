@@ -123,12 +123,6 @@ type Stats struct {
 	BytesPromoted     int64 // requested bytes of completed promotions
 	BytesDemoted      int64 // requested bytes of completed demotions
 	BytesMoved        int64 // bytes actually copied by DMA (excludes PTE flips)
-
-	// Legacy eviction view (the seed daemon's counters): evictions are
-	// demotions, failures are aborts.
-	Evictions       int64
-	FailedEvictions int64
-	BytesEvicted    int64
 }
 
 // metrics is the daemon's obs instrument set: the Stats counters, a
@@ -148,9 +142,6 @@ type metrics struct {
 type MetricsSnapshot struct {
 	Promotions, Demotions, ZeroCopyDemotions, Aborts int64
 	BytesPromoted, BytesDemoted, BytesMoved          int64
-
-	// Legacy eviction view (demotion-side aliases).
-	Evictions, FailedEvictions, BytesEvicted int64
 
 	// Latency is the submission-to-completion histogram of successful
 	// migrations (virtual ns); Sizes the per-migration byte histogram;
@@ -287,9 +278,6 @@ func (d *Daemon) Stats() Stats {
 		BytesPromoted:     d.m.bytesPromoted.Load(),
 		BytesDemoted:      d.m.bytesDemoted.Load(),
 		BytesMoved:        d.m.bytesMoved.Load(),
-		Evictions:         d.m.demotions.Load(),
-		FailedEvictions:   d.m.aborts.Load(),
-		BytesEvicted:      d.m.bytesDemoted.Load(),
 	}
 }
 
@@ -304,9 +292,6 @@ func (d *Daemon) Metrics() MetricsSnapshot {
 		BytesPromoted:     d.m.bytesPromoted.Load(),
 		BytesDemoted:      d.m.bytesDemoted.Load(),
 		BytesMoved:        d.m.bytesMoved.Load(),
-		Evictions:         d.m.demotions.Load(),
-		FailedEvictions:   d.m.aborts.Load(),
-		BytesEvicted:      d.m.bytesDemoted.Load(),
 		Latency:           d.m.latency.Snapshot(),
 		Sizes:             d.m.sizes.Snapshot(),
 		PromotionLag:      d.m.promoLag.Snapshot(),

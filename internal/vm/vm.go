@@ -189,6 +189,10 @@ func (as *AddressSpace) Munmap(p *sim.Proc, base int64) error {
 		return fmt.Errorf("%w: munmap(%#x)", ErrNoVMA, base)
 	}
 	v := as.vmas[idx]
+	// Drop the VMA before anything that can yield: the charge below
+	// suspends the proc, and a concurrent Munmap shifting the slice
+	// would leave idx naming a neighbour.
+	as.vmas = append(as.vmas[:idx], as.vmas[idx+1:]...)
 	cost := &as.Plat.Cost
 	pages := v.Length / as.PageBytes
 	for i := int64(0); i < pages; i++ {
@@ -214,7 +218,6 @@ func (as *AddressSpace) Munmap(p *sim.Proc, base int64) error {
 		as.DropShadow(vpn)
 	}
 	charge(p, pages*(cost.PageFree+cost.PTEReplace))
-	as.vmas = append(as.vmas[:idx], as.vmas[idx+1:]...)
 	return nil
 }
 

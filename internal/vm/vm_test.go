@@ -140,6 +140,7 @@ func TestConcurrentMmapNoOverlap(t *testing.T) {
 		i := i
 		eng.Spawn("mapper", func(p *sim.Proc) {
 			length := int64(4+i) * 4096
+			var mine []int64
 			for j := 0; j < 8; j++ {
 				base, err := as.Mmap(p, length, hw.NodeSlow, "r")
 				if err != nil {
@@ -147,11 +148,22 @@ func TestConcurrentMmapNoOverlap(t *testing.T) {
 					return
 				}
 				got = append(got, region{base, length})
+				mine = append(mine, base)
 				p.SleepNS(10)
+			}
+			// Munmap yields too (it charges the teardown): four procs
+			// unmapping at once must each remove their own VMA.
+			for _, base := range mine {
+				if err := as.Munmap(p, base); err != nil {
+					t.Errorf("Munmap(%#x): %v", base, err)
+				}
 			}
 		})
 	}
 	eng.Run()
+	if used := as.Mem.Used(hw.NodeSlow); used != 0 {
+		t.Errorf("%d bytes still allocated after every region was unmapped", used)
+	}
 	for i, a := range got {
 		for _, b := range got[i+1:] {
 			if a.base < b.base+b.length && b.base < a.base+a.length {

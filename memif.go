@@ -334,18 +334,6 @@ var (
 	ErrBadSizes = realtime.ErrBadSizes
 )
 
-// Deprecated aliases of the unified error taxonomy above, kept so code
-// written against the pre-QoS facade keeps compiling; use ErrCanceled,
-// ErrDeadline and ErrNoSlots in new code.
-var (
-	// Deprecated: use ErrCanceled.
-	ErrRealtimeCanceled = realtime.ErrCanceled
-	// Deprecated: use ErrDeadline.
-	ErrRealtimeDeadline = realtime.ErrDeadline
-	// Deprecated: use ErrNoSlots.
-	ErrRealtimeNoSlots = realtime.ErrNoSlots
-)
-
 // RealtimePollContext blocks until a completion notification is pending
 // on d or ctx is done — poll(2) with a context. Method form:
 // d.PollContext(ctx); the time.Duration variant d.Poll(timeout) is a
@@ -536,7 +524,7 @@ type StreamMetricsSnapshot = streamrt.MetricsSnapshot
 // ObsHandler serves the observability endpoints — /metrics (Prometheus
 // text format), /trace (Chrome trace_event JSON), /debug/pprof/* — for
 // a set of registered collectors; mount it on any http server. See
-// cmd/memif-trace -serve and cmd/membench -http for ready-made setups.
+// cmd/memif-trace -serve for a ready-made setup.
 type ObsHandler = obshttp.Handler
 
 // ObsMetric is one exposition sample a collector produces.

@@ -171,12 +171,6 @@ func TestFacadeSymbolCoverage(t *testing.T) {
 	qos.InlineThreshold = -1
 	_ = qos
 
-	// Error taxonomy: the deprecated aliases must be the same values.
-	if !errors.Is(memif.ErrRealtimeCanceled, memif.ErrCanceled) ||
-		!errors.Is(memif.ErrRealtimeDeadline, memif.ErrDeadline) ||
-		!errors.Is(memif.ErrRealtimeNoSlots, memif.ErrNoSlots) {
-		t.Error("deprecated error aliases diverged from the unified taxonomy")
-	}
 	for _, err := range []error{memif.ErrCanceled, memif.ErrDeadline, memif.ErrNoSlots,
 		memif.ErrOverload, memif.ErrClosed, memif.ErrBadSizes} {
 		if err == nil || err.Error() == "" {
