@@ -210,18 +210,6 @@ func BenchmarkTLBIndirect(b *testing.B) {
 	b.ReportMetric(r.OverheadPct, "scan-overhead-%")
 }
 
-// BenchmarkGuidance measures user-guided vs reactive-transparent
-// placement (the Section 2.1 argument).
-func BenchmarkGuidance(b *testing.B) {
-	var r bench.GuidanceResult
-	for i := 0; i < b.N; i++ {
-		r = bench.Guidance()
-	}
-	b.ReportMetric(r.StaticMBs, "static-MB/s")
-	b.ReportMetric(r.GuidedMBs, "guided-MB/s")
-	b.ReportMetric(r.AdvisorMBs, "advisor-MB/s")
-}
-
 // BenchmarkRedBlueQueue measures the real (wall-clock, multi-goroutine)
 // red-blue queue under the memif submit pattern.
 func BenchmarkRedBlueQueue(b *testing.B) {

@@ -85,8 +85,6 @@ func main() {
 		bench.ReportProjection(w, bench.Projection())
 		fmt.Fprintln(w)
 		bench.ReportTLBIndirect(w, bench.TLBIndirect())
-		fmt.Fprintln(w)
-		bench.ReportGuidance(w, bench.Guidance())
 	})
 }
 

@@ -106,12 +106,11 @@ func runServe(addr string, serveFor time.Duration, reqs, bytesPer int) {
 	}
 	delayCopies.Store(false)
 
-	swSnap, stSnap, engSnap := runSimScenario()
+	swSnap, engSnap := runSimScenario()
 
 	h := obshttp.NewHandler()
 	h.Register(obshttp.RealtimeCollector("rt0", d))
 	h.Register(func() []obshttp.Metric { return obshttp.SwapdMetrics("swapd0", swSnap) })
-	h.Register(func() []obshttp.Metric { return obshttp.StreamMetrics("stream0", stSnap) })
 	h.Register(func() []obshttp.Metric { return obshttp.StreamEngineMetrics("eng0", engSnap) })
 	h.RegisterTrace("realtime", func() []lifecycle.Lifecycle {
 		return d.Stats().Lifecycle.Captured
@@ -142,7 +141,7 @@ func runServe(addr string, serveFor time.Duration, reqs, bytesPer int) {
 // runs Triad and Add concurrently through one prefetch ring, with its
 // flight recorder set aggressive so /debug/outliers has stream-fill
 // records to serve.
-func runSimScenario() (swapd.MetricsSnapshot, streamrt.MetricsSnapshot, streamrt.EngineSnapshot) {
+func runSimScenario() (swapd.MetricsSnapshot, streamrt.EngineSnapshot) {
 	const bufBytes = 1 << 20
 
 	// Swap-out pressure: 10 x 1 MB promoted into the 6 MB fast node.
@@ -198,7 +197,6 @@ func runSimScenario() (swapd.MetricsSnapshot, streamrt.MetricsSnapshot, streamrt
 	as2 := m2.NewAddressSpace(hw.Page4K)
 	dev2 := core.Open(m2, as2, core.DefaultOptions())
 	eopts := streamrt.DefaultEngineOptions()
-	eopts.Metrics = &streamrt.Metrics{}
 	eopts.Flight = flight.Options{ThresholdFloorNs: 1, ThresholdMult: 1, Warmup: 4, RingDepth: 64}
 	var engSnap streamrt.EngineSnapshot
 	m2.Eng.Spawn("app", func(p *sim.Proc) {
@@ -211,6 +209,7 @@ func runSimScenario() (swapd.MetricsSnapshot, streamrt.MetricsSnapshot, streamrt
 		length := int64(16) * eopts.BufBytes
 		kernels := []workloads.Kernel{workloads.Triad, workloads.Add}
 		done := 0
+		var streams []*streamrt.Stream
 		for i, k := range kernels {
 			base, err := as2.Mmap(p, length, hw.NodeSlow, fmt.Sprintf("input%d", i))
 			if err != nil {
@@ -226,6 +225,7 @@ func runSimScenario() (swapd.MetricsSnapshot, streamrt.MetricsSnapshot, streamrt
 				fmt.Fprintf(os.Stderr, "memif-trace: open stream: %v\n", err)
 				return
 			}
+			streams = append(streams, s)
 			m2.Eng.Spawn(k.Name, func(cp *sim.Proc) {
 				if _, err := s.Run(cp); err != nil {
 					fmt.Fprintf(os.Stderr, "memif-trace: stream %s: %v\n", k.Name, err)
@@ -238,6 +238,12 @@ func runSimScenario() (swapd.MetricsSnapshot, streamrt.MetricsSnapshot, streamrt
 		}
 		eng.Close(p)
 		engSnap = eng.Snapshot()
+		// Finished streams have left the engine's registry; their
+		// handles still answer Stats, and the scrape wants their
+		// per-stage histograms.
+		for _, s := range streams {
+			engSnap.Streams = append(engSnap.Streams, s.Stats())
+		}
 	})
 	m2.Eng.Run()
 
@@ -245,7 +251,7 @@ func runSimScenario() (swapd.MetricsSnapshot, streamrt.MetricsSnapshot, streamrt
 	if sw.Demotions == 0 {
 		fmt.Fprintln(os.Stderr, "memif-trace: warning: sim scenario produced no evictions")
 	}
-	return sw, eopts.Metrics.Snapshot(), engSnap
+	return sw, engSnap
 }
 
 // stageFamilies are the per-subsystem stage-histogram families the

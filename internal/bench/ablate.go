@@ -10,12 +10,6 @@ import (
 	"memif/internal/uapi"
 )
 
-// Thin aliases keep the ablation body readable.
-var (
-	streamrtDefault = streamrt.DefaultConfig
-	streamrtRun     = streamrt.Run
-)
-
 // AblationResult compares one design choice on vs off.
 type AblationResult struct {
 	Name string
@@ -185,14 +179,9 @@ func AblateAdaptiveLinger() AblationResult {
 		var mbs float64
 		runApp(m, func(p *sim.Proc) {
 			defer d.Close()
-			cfg := streamrtDefault()
 			const input = 32 << 20
 			base := mmapOrDie(p, as, input, hw.NodeSlow, "input")
-			res, err := streamrtRun(p, d, WordCount, base, input, cfg)
-			if err != nil {
-				panic(err)
-			}
-			mbs = res.ThroughputMBs
+			mbs = streamWholeRing(p, d, WordCount, base, input, streamrt.DefaultConfig()).ThroughputMBs
 		})
 		return mbs
 	}

@@ -143,10 +143,7 @@ func Limitations() []LimitationRow {
 			if err != nil {
 				panic(err)
 			}
-			fast, err := streamrt.Run(p, d, k, base, input, cfg)
-			if err != nil {
-				panic(err)
-			}
+			fast := streamWholeRing(p, d, k, base, input, cfg)
 			row.LinuxMBs = direct.ThroughputMBs
 			row.MemifMBs = fast.ThroughputMBs
 		})

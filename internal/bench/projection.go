@@ -56,10 +56,7 @@ func projectionRun(plat *hw.Platform, pageBytes int64, cfg streamrt.Config, k wo
 		if err != nil {
 			panic(err)
 		}
-		fr, err := streamrt.Run(p, d, k, base, input, cfg)
-		if err != nil {
-			panic(err)
-		}
+		fr := streamWholeRing(p, d, k, base, input, cfg)
 		direct, fast = dr.ThroughputMBs, fr.ThroughputMBs
 	})
 	return direct, fast
@@ -76,7 +73,6 @@ func Projection() []ProjectionRow {
 			BufBytes: 4 << 20, // larger buffers: fast node is 1 GB now
 			NumBufs:  16,
 			FastNode: hw.NodeFast,
-			SlowNode: hw.NodeSlow,
 		}
 		dF, fF := projectionRun(FuturePlatform(), hw.Page64K, future, k)
 

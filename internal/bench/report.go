@@ -161,16 +161,6 @@ func ReportTLBIndirect(w io.Writer, r TLBIndirectResult) {
 		r.ScanIdleNS/1e3, r.ScanMigratingNS/1e3, r.OverheadPct)
 }
 
-// ReportGuidance prints the user-guided vs reactive comparison.
-func ReportGuidance(w io.Writer, r GuidanceResult) {
-	fmt.Fprintf(w, "User-guided vs transparent placement (Section 2.1), skewed 8 MB working set\n")
-	fmt.Fprintf(w, "  %-28s %8.0f MB/s\n", "static (all slow)", r.StaticMBs)
-	fmt.Fprintf(w, "  %-28s %8.0f MB/s (%+.0f%%)\n", "user-guided (proactive)", r.GuidedMBs, (r.GuidedMBs/r.StaticMBs-1)*100)
-	fmt.Fprintf(w, "  %-28s %8.0f MB/s (%+.0f%%; %d promotions, %d demotions, monitor tax %0.f%%)\n",
-		"reactive advisor", r.AdvisorMBs, (r.AdvisorMBs/r.StaticMBs-1)*100,
-		r.Advisor.Promotions, r.Advisor.Demotions, 12.0)
-}
-
 // SLoC walks a source tree and counts non-blank Go source lines per
 // top-level component, the shape of Table 3.
 func SLoC(root string) (map[string]int, error) {

@@ -346,6 +346,9 @@ func TestValidationFailures(t *testing.T) {
 			{"zero length", func(r *uapi.MovReq) { r.Length = 0 }},
 			{"overrun", func(r *uapi.MovReq) { r.Length = 64 * 4096 }},
 			{"bad node", func(r *uapi.MovReq) { r.DstNode = hw.NodeID(9) }},
+			// The class would otherwise reach the DMA queue as an
+			// unnamed tenth priority level.
+			{"unknown class", func(r *uapi.MovReq) { r.Class = uapi.Class(9) }},
 		}
 		for _, tc := range cases {
 			r := d.AllocRequest(p)
@@ -362,8 +365,17 @@ func TestValidationFailures(t *testing.T) {
 		r := d.AllocRequest(p)
 		r.Op = uapi.OpReplicate
 		r.SrcBase, r.DstBase, r.Length = base, 0x20<<20, 8*4096
-		if got := submitAndWait(t, d, p, r); got.Err != uapi.ErrBadRequest {
+		got := submitAndWait(t, d, p, r)
+		if got.Err != uapi.ErrBadRequest {
 			t.Errorf("bad dst: %v", got)
+		}
+		d.FreeRequest(p, got)
+		// Rejected requests never reach the engine and leak no slot.
+		if n := m.DMA.Stats().Transfers; n != 0 {
+			t.Errorf("%d DMA transfers started by requests that failed validation", n)
+		}
+		if err := d.Area.Audit(nil); err != nil {
+			t.Error(err)
 		}
 	})
 	m.Eng.Run()

@@ -203,6 +203,11 @@ func (d *Device) prepare(p *sim.Proc, m *sim.Meter, req *uapi.MovReq) (*inflight
 	if req.Length <= 0 || req.Length%pb != 0 {
 		return nil, uapi.ErrBadRequest
 	}
+	// The class becomes the transfer's DMA queue priority; the request
+	// array is user-writable, so an unnamed level stops here.
+	if req.Class > uapi.ClassScavenger {
+		return nil, uapi.ErrBadRequest
+	}
 	if as.CheckRegion(req.SrcBase, req.Length) != nil {
 		return nil, uapi.ErrBadRequest
 	}

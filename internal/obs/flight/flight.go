@@ -560,6 +560,31 @@ func (r *Recorder) Capture(o *Outlier) {
 	r.captured.Add(1)
 }
 
+// ObserveLane is Observe plus the capture for clients that complete one
+// request at a time on the simulated clock (swapd, streamrt): a
+// successful request's latency trains lane (class, tenant), and a breach
+// captures its stamp vector with the ambient picture, stamped at the
+// request's completion time. reason types the lane's records
+// (ReasonNone for plain request latency).
+func (r *Recorder) ObserveLane(reason Reason, class, tenant int, latNs, bytes int64, ts *[lifecycle.NumStages]int64, amb Ambient) {
+	thr, breach := r.Observe(class, tenant, latNs, true)
+	if !breach {
+		return
+	}
+	r.Capture(&Outlier{
+		Reason:      reason,
+		Nano:        ts[lifecycle.StageCompleted],
+		Slot:        -1,
+		Class:       int32(class),
+		Tenant:      uint32(tenant),
+		Bytes:       bytes,
+		LatencyNs:   latNs,
+		ThresholdNs: thr,
+		TS:          *ts,
+		Ambient:     amb,
+	})
+}
+
 // CaptureStall records a watchdog finding: no single request, just the
 // typed reason and the ambient congestion picture.
 func (r *Recorder) CaptureStall(reason Reason, nano int64, amb Ambient) {

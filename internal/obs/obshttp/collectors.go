@@ -25,8 +25,6 @@ func RealtimeMetrics(device string, s realtime.StatsSnapshot) []Metric {
 		counter("memif_realtime_failed_total", "Requests failing for other reasons.", lb, s.Failed),
 		counter("memif_realtime_kicks_total", "Kick-start syscall-equivalents issued.", lb, s.Kicks),
 		counter("memif_realtime_worker_wakes_total", "Times the worker slept and was woken.", lb, s.WorkerWakes),
-		counter("memif_realtime_busy_poll_spins_total", "Busy-poll worker spin passes with no work found.", lb, s.BusyPollSpins),
-		counter("memif_realtime_busy_poll_parks_total", "Busy-poll idle budget exhaustions (worker fell back to park/wake).", lb, s.BusyPollParks),
 		counter("memif_realtime_poller_spins_total", "Poll/PollContext micro-waits resolved by spinning (no sleep paid).", lb, s.PollerSpins),
 		counter("memif_realtime_poller_parks_total", "Poll/PollContext blocking sleeps after the spin budget missed.", lb, s.PollerParks),
 		counter("memif_realtime_batches_total", "SubmitBatch calls.", lb, s.Batches),
@@ -228,26 +226,6 @@ func swapdLane(c int) string {
 // SwapdCollector wraps a live daemon's Metrics method as a Collector.
 func SwapdCollector(device string, d *swapd.Daemon) Collector {
 	return func() []Metric { return SwapdMetrics(device, d.Metrics()) }
-}
-
-// StreamMetrics maps a streamrt.MetricsSnapshot onto the memif_stream_*
-// namespace. Stage latencies are in virtual (simulated) nanoseconds.
-func StreamMetrics(device string, s streamrt.MetricsSnapshot) []Metric {
-	lb := deviceLabel(device)
-	ms := []Metric{
-		counter("memif_stream_fast_chunks_total", "Chunks consumed out of prefetch buffers.", lb, s.FastChunks),
-		counter("memif_stream_slow_chunks_total", "Chunks consumed straight from the slow node.", lb, s.SlowChunks),
-		counter("memif_stream_bytes_prefetched_total", "Payload replicated into prefetch buffers.", lb, s.BytesPrefetched),
-		hist("memif_stream_fill_latency_ns", "Submit-to-completion latency of prefetch fills (virtual ns).", lb, s.FillLatency),
-	}
-	return append(ms, SpanMetrics("memif_stream_stage_latency_ns",
-		"Per-stage latency attribution of prefetch fills (virtual ns).", lb, s.Stages)...)
-}
-
-// StreamCollector wraps a live Metrics set's Snapshot method as a
-// Collector.
-func StreamCollector(device string, m *streamrt.Metrics) Collector {
-	return func() []Metric { return StreamMetrics(device, m.Snapshot()) }
 }
 
 // StreamEngineMetrics maps a streamrt.EngineSnapshot onto the

@@ -14,7 +14,7 @@
 // The package deliberately pulls, never pushes: collectors are closures
 // that snapshot a subsystem when a scrape arrives, so an idle handler
 // costs nothing and a scrape costs one snapshot per subsystem. The
-// bundled converters (RealtimeMetrics, SwapdMetrics, StreamMetrics)
+// bundled converters (RealtimeMetrics, SwapdMetrics, StreamEngineMetrics)
 // map the realtime device, the swap daemon and the streaming runtime
 // onto a stable metric namespace; ParseExposition validates rendered
 // output so CI can assert the exposition stays well-formed without a
@@ -331,10 +331,17 @@ func writeHistogram(w io.Writer, m Metric) {
 			renderLabels(append(append([]Label(nil), m.Labels...),
 				Label{"le", strconv.FormatInt(obs.BucketUpper(i), 10)})), cum)
 	}
+	// A snapshot taken under load is per-field atomic only: Count may
+	// trail the buckets by the samples in flight, and a +Inf below the
+	// last bucket is an invalid exposition.
+	count := m.Hist.Count
+	if count < cum {
+		count = cum
+	}
 	fmt.Fprintf(w, "%s_bucket%s %d\n", m.Name,
-		renderLabels(append(append([]Label(nil), m.Labels...), Label{"le", "+Inf"})), m.Hist.Count)
+		renderLabels(append(append([]Label(nil), m.Labels...), Label{"le", "+Inf"})), count)
 	fmt.Fprintf(w, "%s_sum%s %d\n", m.Name, renderLabels(m.Labels), m.Hist.Sum)
-	fmt.Fprintf(w, "%s_count%s %d\n", m.Name, renderLabels(m.Labels), m.Hist.Count)
+	fmt.Fprintf(w, "%s_count%s %d\n", m.Name, renderLabels(m.Labels), count)
 }
 
 func renderLabels(ls []Label) string {

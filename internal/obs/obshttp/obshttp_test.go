@@ -18,6 +18,7 @@ import (
 	"memif/internal/realtime"
 	"memif/internal/streamrt"
 	"memif/internal/swapd"
+	"memif/internal/uapi"
 )
 
 func sampleHistogram(vals ...int64) obs.HistogramSnapshot {
@@ -201,8 +202,8 @@ func TestHandlerEndpointsLiveDevice(t *testing.T) {
 	}
 }
 
-// TestAllSubsystemConverters renders all three namespaces — realtime,
-// swapd, streamrt — through one handler and validates the combined
+// TestAllSubsystemConverters renders the two simulated-side namespaces
+// — swapd, streamrt — through one handler and validates the combined
 // exposition, per-stage histograms included.
 func TestAllSubsystemConverters(t *testing.T) {
 	var spans lifecycle.SpanSet
@@ -228,15 +229,16 @@ func TestAllSubsystemConverters(t *testing.T) {
 			},
 		},
 	}
-	st := streamrt.MetricsSnapshot{
+	st := streamrt.EngineSnapshot{Streams: []streamrt.StreamStats{{
+		Name:       "s",
 		FastChunks: 12, SlowChunks: 4, BytesPrefetched: 6 << 20,
 		FillLatency: sampleHistogram(300, 600),
 		Stages:      spans.Snapshot(),
-	}
+	}}}
 
 	h := NewHandler()
 	h.Register(func() []Metric { return SwapdMetrics("swapd0", sw) })
-	h.Register(func() []Metric { return StreamMetrics("", st) })
+	h.Register(func() []Metric { return StreamEngineMetrics("", st) })
 	text := h.MetricsText()
 	if err := ParseExposition(text); err != nil {
 		t.Fatalf("combined exposition invalid: %v\n%s", err, text)
@@ -255,11 +257,31 @@ func TestAllSubsystemConverters(t *testing.T) {
 		`memif_swapd_flight_captured_total{device="swapd0"} 5`,
 		`memif_swapd_flight_threshold_ns{device="swapd0",class="scavenger"} 6000000`,
 		`memif_swapd_flight_threshold_ns{device="swapd0",class="promotion_lag"} 8000000`,
-		"memif_stream_fast_chunks_total 12",
-		`memif_stream_stage_latency_ns_count{stage="staging_wait"} 16`,
+		`memif_stream_fast_chunks_total{stream="s"} 12`,
+		`memif_stream_stage_latency_ns_count{stream="s",stage="staging_wait"} 16`,
 	} {
 		if !strings.Contains(string(text), want) {
 			t.Errorf("exposition missing %q", want)
+		}
+	}
+}
+
+// TestClassVocabulariesCoincide pins what the swapd and stream
+// converters assume when they label uapi.Class lanes with
+// realtime.ClassName: the two enums have the same values and names. It
+// is the stand-in for making them one type, which waits on a change to
+// benchmark/ (it imports both).
+func TestClassVocabulariesCoincide(t *testing.T) {
+	for _, c := range []struct {
+		sim uapi.Class
+		rt  realtime.Class
+	}{
+		{uapi.ClassForeground, realtime.ClassForeground},
+		{uapi.ClassBackground, realtime.ClassBackground},
+		{uapi.ClassScavenger, realtime.ClassScavenger},
+	} {
+		if label := realtime.ClassName(int(c.sim)); c.sim.String() != label || c.rt.String() != label {
+			t.Errorf("class %d: uapi %q, label %q, realtime %q", c.sim, c.sim, label, c.rt)
 		}
 	}
 }

@@ -58,7 +58,7 @@ func (d *Device) submitBatch(reqs []*Request) error {
 			// the completion queue instead of failing the whole batch.
 			r.submitted.Store(0) // no pipeline latency to attribute
 			r.state.Store(r.word(stPending))
-			d.accept(r)
+			d.accept(r.Class, d.tenantOf(r))
 			d.finish(r, err)
 			continue
 		}
@@ -67,7 +67,7 @@ func (d *Device) submitBatch(reqs []*Request) error {
 			// Staging failed mid-batch. The request was accepted, so it
 			// must surface as a completion: ErrNoSlots, or ErrCanceled
 			// if a cancel already claimed it (finish resolves that).
-			d.accept(r)
+			d.accept(r.Class, d.tenantOf(r))
 			d.finish(r, ErrNoSlots)
 			continue
 		}

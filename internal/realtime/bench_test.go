@@ -212,32 +212,23 @@ func BenchmarkSmallRequest8Submitters(b *testing.B) {
 		benchConcurrentSubmit(b, 8, size, 16,
 			Options{NumReqs: 512, Controllers: 4, StagingShards: 4})
 	})
-	b.Run("sharded-busypoll", func(b *testing.B) {
-		benchConcurrentSubmit(b, 8, size, 1,
-			Options{NumReqs: 512, Controllers: 4, StagingShards: 4, BusyPoll: true})
-	})
 }
 
 // BenchmarkSmallRequestAllocs is the zero-allocation gate (run by the
 // CI alloc-gate job with -benchmem): one single-chunk 4 KB
-// Submit→Retrieve cycle per op, busy-poll on so no channel machinery
-// runs, retrieval by spin (Poll lazily allocates its reusable timer, a
+// Submit→Retrieve cycle per op on the default park/wake worker,
+// retrieval by spin (Poll lazily allocates its reusable timer, a
 // per-device one-time cost that is not part of the hot path under
 // test). Must report 0 allocs/op; every steady-state allocation on
 // this path is a regression.
 func BenchmarkSmallRequestAllocs(b *testing.B) {
-	d := Open(Options{
-		NumReqs:       16,
-		StagingShards: 1,
-		BusyPoll:      true,
-		BusyPollIdle:  time.Hour,
-	})
+	d := Open(Options{NumReqs: 16, StagingShards: 1})
 	defer d.Close()
 	src := make([]byte, 4<<10)
 	dst := make([]byte, 4<<10)
 
 	// Warm-up outside the measured window: first-use pool fills (poller
-	// tokens, shard tokens) and the one blue→red transition.
+	// tokens, shard tokens).
 	for i := 0; i < 64; i++ {
 		r := d.AllocRequest()
 		r.Src, r.Dst = src, dst

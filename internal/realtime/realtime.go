@@ -12,11 +12,10 @@
 //   - the SubmitRequest flush protocol (Section 4.4) decides with one
 //     atomically-observed color whether the caller must kick the worker;
 //   - a worker goroutine plays the kernel thread: woken by the "syscall"
-//     (a channel send) — or spinning in its place under Options.BusyPoll —
-//     it drains the queues, splits large requests into chunks, and
-//     dispatches them to a pool of transfer goroutines (the DMA engine's
-//     transfer controllers), recoloring the staging queues blue before
-//     sleeping;
+//     (a channel send), it drains the queues, splits large requests into
+//     chunks, and dispatches them to a pool of transfer goroutines (the
+//     DMA engine's transfer controllers), recoloring the staging queues
+//     blue before sleeping;
 //   - completions are posted from the transfer goroutines — the
 //     interrupt path — without the application holding any lock, onto
 //     min(GOMAXPROCS, Controllers) bounded MPMC completion rings (ring
@@ -27,20 +26,6 @@
 //     (when a completer can run concurrently; see spinWait) so a
 //     completion landing within ~1 µs costs no timer or channel round
 //     trip.
-//
-// # Busy-poll worker mode
-//
-// Options.BusyPoll is the io_uring SQPOLL analogue: instead of
-// recoloring the shards blue and parking on the kick channel the moment
-// the pipeline runs dry, the worker keeps spinning (yielding the
-// processor each pass) for Options.BusyPollIdle. While it spins the
-// shards stay red, so the Section 4.4 protocol itself erases the
-// submit-side kick: a submitter observes red, stages its request and
-// returns — no flush, no channel send, no syscall-equivalent at all.
-// Only when the idle budget is exhausted does the worker fall back to
-// the default recolor-blue → refill-check → park sequence, which keeps
-// the park token lossless and the first post-idle submitter's single
-// kick semantics exactly as in park/wake mode.
 //
 // # Sharded staging
 //
@@ -209,18 +194,6 @@ type Options struct {
 	// QoS tunes priority classes, admission control and adaptive
 	// completion; the zero value applies the defaults (see QoSOptions).
 	QoS QoSOptions
-	// BusyPoll spins the dispatch worker instead of parking it the
-	// moment the pipeline runs dry (the io_uring SQPOLL analogue).
-	// While the worker spins the staging shards stay red, so the
-	// submit fast path degenerates to stage-and-return: no flush, no
-	// kick-channel send. Costs up to one core while enabled; see
-	// BusyPollIdle for the bound.
-	BusyPoll bool
-	// BusyPollIdle is how long a busy-polling worker keeps spinning
-	// with no work before falling back to the default recolor-and-park
-	// path (it re-enters the spin on the next kick). 0 means
-	// DefaultBusyPollIdle. Ignored unless BusyPoll is set.
-	BusyPollIdle time.Duration
 	// CompletionRings is the number of MPMC completion rings
 	// completions are spread across (ring = slot index % N). 0 means
 	// min(GOMAXPROCS, Controllers), clamped to [1, NumReqs].
@@ -239,12 +212,6 @@ type Options struct {
 	// the verification suite.
 	Chaos *ChaosHooks
 }
-
-// DefaultBusyPollIdle is the default spin budget of a busy-polling
-// worker: long enough that request gaps at realistic rates (tens of
-// thousands per second) never let the worker park, short enough that an
-// idle device stops burning a core within a millisecond.
-const DefaultBusyPollIdle = time.Millisecond
 
 // DefaultTraceSampleShift is the default lifecycle sampling rate: one
 // request in 2^7 = 128, cheap enough to leave on under full load (the
@@ -424,12 +391,11 @@ type metrics struct {
 	doubleCompletes     obs.Counter
 	_                   [64]byte
 	// Worker-side: bumped only on the dispatch goroutine.
-	wakes, inlineCompleted       obs.Counter
-	agedPops, retunes            obs.Counter
-	dispatchRetries              obs.Counter
-	busyPollSpins, busyPollParks obs.Counter
-	dispatched                   obs.Counter
-	_                            [64]byte
+	wakes, inlineCompleted obs.Counter
+	agedPops, retunes      obs.Counter
+	dispatchRetries        obs.Counter
+	dispatched             obs.Counter
+	_                      [64]byte
 	// Poller-side: bumped in Poll/PollContext's micro-wait and on the
 	// retrieval paths (the watchdog's progress probe).
 	pollerSpins, pollerParks obs.Counter
@@ -480,12 +446,6 @@ type StatsSnapshot struct {
 	// Kicks can stay near 1 for a burst). Batches counts SubmitBatch
 	// calls — each costs at most one kick regardless of its length.
 	Kicks, WorkerWakes, Batches int64
-	// BusyPollSpins counts idle passes of a busy-polling worker (each
-	// is one full shard-drain + submission-pop that found nothing,
-	// followed by a yield); BusyPollParks counts the times the spin
-	// budget ran out and the worker fell back to the park path. Both
-	// stay 0 with BusyPoll off.
-	BusyPollSpins, BusyPollParks int64
 	// PollerSpins counts Poll/PollContext calls whose bounded
 	// spin-before-sleep micro-wait observed a completion without
 	// parking; PollerParks counts blocking waits on the notify edge.
@@ -619,8 +579,7 @@ type Device struct {
 	// the worker's slot for the inline-completion path. See ctrCounters.
 	ctr []ctrCounters
 
-	busyPollIdle time.Duration // resolved Options.BusyPollIdle
-	pollSpin     bool          // poller micro-wait enabled; see spinWait
+	pollSpin bool // poller micro-wait enabled; see spinWait
 
 	closing atomic.Bool // CloseDrain: reject new submissions
 	closed  atomic.Bool
@@ -672,9 +631,6 @@ func Open(opts Options) *Device {
 	} else if chunkBytes < 0 {
 		chunkBytes = 0 // disabled
 	}
-	if opts.BusyPollIdle <= 0 {
-		opts.BusyPollIdle = DefaultBusyPollIdle
-	}
 	nCompRings := opts.CompletionRings
 	if nCompRings <= 0 {
 		nCompRings = runtime.GOMAXPROCS(0)
@@ -698,21 +654,20 @@ func Open(opts Options) *Device {
 	numQueues := 1 + NumClasses + shards
 	slab := rbq.NewSlabForQueues(opts.NumReqs, numQueues, 5+numQueues)
 	d := &Device{
-		opts:         opts,
-		chunkBytes:   chunkBytes,
-		qos:          qos,
-		reqs:         make([]*Request, opts.NumReqs),
-		slab:         slab,
-		freeList:     slab.NewQueue(rbq.Blue),
-		staging:      make([]*rbq.Queue, shards),
-		compRings:    make([]*compRing, nCompRings),
-		ctr:          make([]ctrCounters, opts.Controllers+1),
-		busyPollIdle: opts.BusyPollIdle,
-		pollSpin:     opts.BusyPoll || runtime.GOMAXPROCS(0) > 1,
-		kick:         make(chan struct{}, 1),
-		notify:       make(chan struct{}, 1),
-		done:         make(chan struct{}),
-		chaos:        opts.Chaos,
+		opts:       opts,
+		chunkBytes: chunkBytes,
+		qos:        qos,
+		reqs:       make([]*Request, opts.NumReqs),
+		slab:       slab,
+		freeList:   slab.NewQueue(rbq.Blue),
+		staging:    make([]*rbq.Queue, shards),
+		compRings:  make([]*compRing, nCompRings),
+		ctr:        make([]ctrCounters, opts.Controllers+1),
+		pollSpin:   runtime.GOMAXPROCS(0) > 1,
+		kick:       make(chan struct{}, 1),
+		notify:     make(chan struct{}, 1),
+		done:       make(chan struct{}),
+		chaos:      opts.Chaos,
 	}
 	// Size each ring for every slot mapped to it, so a push can never
 	// find it full (a slot has at most one outstanding completion).
@@ -1247,24 +1202,28 @@ func (d *Device) stage(sh *rbq.Queue, r *Request) (rbq.Color, bool) {
 	if d.chaos != nil && d.chaos.StagingEnqueue != nil && d.chaos.StagingEnqueue(r.idx) {
 		return 0, false // forced slab exhaustion
 	}
+	// Once enqueued the slot is the pipeline's: it can complete, be freed
+	// and be resubmitted by another tenant before this call returns, so
+	// whatever is accounted after the enqueue is read before it.
+	class, ts, size := r.Class, d.tenantOf(r), int64(len(r.Src))
 	color, ok := sh.Enqueue(r.idx)
 	if !ok {
 		return 0, false
 	}
-	d.accept(r)
-	d.m.sizes.Observe(int64(len(r.Src)))
+	d.accept(class, ts)
+	d.m.sizes.Observe(size)
 	return color, true
 }
 
 // accept does the accepted-submission accounting: the global, per-class
 // and per-tenant submitted counters plus the class and tenant in-flight
 // tokens, which finish releases. Every path that will eventually reach
-// finish must come through here exactly once.
-func (d *Device) accept(r *Request) {
+// finish must come through here exactly once, with the class and tenant
+// read while the caller still owns the request.
+func (d *Device) accept(class Class, ts *tenantState) {
 	d.m.submitted.Inc()
-	d.m.classSubmitted[r.Class].Inc()
-	d.classInFlight[r.Class].n.Add(1)
-	ts := d.tenantOf(r)
+	d.m.classSubmitted[class].Inc()
+	d.classInFlight[class].n.Add(1)
 	ts.submitted.Inc()
 	ts.inFlight.Add(1)
 }
@@ -1276,7 +1235,7 @@ func (d *Device) accept(r *Request) {
 // the chaos suite pins). Reports whether a completion was posted.
 func (d *Device) unstage(r *Request) bool {
 	if !r.state.CompareAndSwap(r.word(stPending), stIdle) {
-		d.accept(r)
+		d.accept(r.Class, d.tenantOf(r))
 		d.finish(r, nil)
 		return true
 	}
@@ -1381,11 +1340,6 @@ func (d *Device) Cancel(r *Request) bool {
 	return r.state.CompareAndSwap(packState(ten, stPending), packState(ten, stCanceled))
 }
 
-// busyPollRecheckEvery is how many idle spin passes a busy-polling
-// worker makes between clock reads: the idle budget is enforced with
-// ~1/64 the time.Now cost of checking every pass.
-const busyPollRecheckEvery = 64
-
 // workerClockEvery bounds how many unsampled stage stamps reuse one
 // worker/controller clock read: staleness stays under ~16 op-times
 // (microseconds) while the per-request clock cost drops to ~1/16 of a
@@ -1394,17 +1348,13 @@ const busyPollRecheckEvery = 64
 const workerClockEvery = 16
 
 // worker is the kernel thread: drain the staging shards, chunk and
-// dispatch submissions to the controllers, then — in busy-poll mode —
-// keep spinning through the idle budget, or recolor the shards blue
+// dispatch submissions to the controllers, then recolor the shards blue
 // and sleep.
 func (d *Device) worker() {
 	defer func() {
 		close(d.work) // controllers drain their rings and exit
 		d.wg.Done()
 	}()
-	busy := d.opts.BusyPoll
-	var idleSince time.Time // zero while working (or before the first budget clock read)
-	idleSpins := 0
 	// wNano is the worker's amortized clock for the flushed and
 	// dispatched stamps of unsampled requests, kept only with the flight
 	// recorder armed: refreshed at least every workerClockEvery stamps,
@@ -1446,7 +1396,6 @@ func (d *Device) worker() {
 			}
 		}
 		if idx, ok := d.popSubmission(); ok {
-			idleSpins, idleSince = 0, time.Time{}
 			if d.frArmed {
 				if sinceClock >= workerClockEvery || wNano == 0 {
 					wNano, sinceClock = time.Now().UnixNano(), 0
@@ -1455,36 +1404,6 @@ func (d *Device) worker() {
 			}
 			d.dispatch(idx, wNano)
 			continue
-		}
-		// Busy-poll spin phase: the pipeline is dry but the idle budget
-		// is not. The shards stay red, so submitters keep hitting the
-		// stage-and-return fast path (no flush, no kick) and the drain
-		// loop above picks their work up on the next pass. Yield each
-		// pass — on a loaded box the spinning worker must not starve
-		// the very submitters it is polling for — and read the clock
-		// only every busyPollRecheckEvery passes.
-		if busy && !d.closed.Load() {
-			exhausted := false
-			d.m.busyPollSpins.Inc()
-			idleSpins++
-			if idleSpins >= busyPollRecheckEvery {
-				idleSpins = 0
-				now := time.Now()
-				if idleSince.IsZero() {
-					idleSince = now
-				} else if now.Sub(idleSince) >= d.busyPollIdle {
-					idleSince = time.Time{}
-					exhausted = true
-				}
-			}
-			if !exhausted {
-				runtime.Gosched()
-				continue
-			}
-			// Budget spent: fall through to the default recolor-and-park
-			// sequence, whose refill check keeps the park token lossless
-			// exactly as in park/wake mode.
-			d.m.busyPollParks.Inc()
 		}
 		// Before sleeping, recolor each shard blue independently; a
 		// shard that refilled under us refuses the recolor and sends
@@ -1523,7 +1442,6 @@ func (d *Device) worker() {
 		}
 		<-d.kick
 		d.m.wakes.Inc()
-		idleSpins, idleSince = 0, time.Time{}
 	}
 }
 
@@ -1795,9 +1713,8 @@ const pollSpinBudget = 128
 // within the budget.
 //
 // Spinning only pays when a completer can make progress while this
-// poller burns cycles: a busy-poll worker never sleeps, and on
-// GOMAXPROCS > 1 the worker/controllers run on other Ps. On a
-// single-P park/wake device the yields are pure overhead — each
+// poller burns cycles: on GOMAXPROCS > 1 the worker/controllers run
+// on other Ps. On a single-P device the yields are pure overhead — each
 // backoff pass is a real context switch that delays the controllers
 // the poller is waiting on (measured: ~3× overload throughput loss at
 // GOMAXPROCS=1) — so there the poller goes straight to its timed
@@ -1977,8 +1894,6 @@ func (d *Device) Stats() StatsSnapshot {
 		Failed:               d.m.failed.Load(),
 		Kicks:                d.m.kicks.Load(),
 		WorkerWakes:          d.m.wakes.Load(),
-		BusyPollSpins:        d.m.busyPollSpins.Load(),
-		BusyPollParks:        d.m.busyPollParks.Load(),
 		PollerSpins:          d.m.pollerSpins.Load(),
 		PollerParks:          d.m.pollerParks.Load(),
 		Batches:              d.m.batches.Load(),

@@ -515,51 +515,45 @@ func submitSmall(t *testing.T, d *Device, ten *Tenant) error {
 	return err
 }
 
-// TestTenantWeightedDispatchOrder is the end-to-end DRR check, with the
-// park/wake worker and with the spinning one: two tenants at weights 4
-// and 1, both backlogged to their quota behind a stalled worker, are
-// served 80:20 over the next hundred dispatches, give or take one
-// quantum for the round the stall interrupted.
+// TestTenantWeightedDispatchOrder is the end-to-end DRR check: two
+// tenants at weights 4 and 1, both backlogged to their quota behind a
+// stalled worker, are served 80:20 over the next hundred dispatches,
+// give or take one quantum for the round the stall interrupted.
 func TestTenantWeightedDispatchOrder(t *testing.T) {
-	for _, mode := range []struct {
-		name string
-		busy bool
-	}{{"parkwake", false}, {"busypoll", true}} {
-		t.Run(mode.name, func(t *testing.T) {
-			const quota = 96
-			d, release, order := openStalled(Options{NumReqs: 256, Controllers: 1, BusyPoll: mode.busy})
-			defer d.Close()
-			defer release()
-			heavy, err := d.OpenTenant(TenantConfig{Name: "heavy", Weight: 4, SlotQuota: quota})
-			if err != nil {
-				t.Fatal(err)
-			}
-			light, err := d.OpenTenant(TenantConfig{Name: "light", Weight: 1, SlotQuota: quota})
-			if err != nil {
-				t.Fatal(err)
-			}
-			for i := 0; i < quota; i++ {
-				for _, ten := range []*Tenant{heavy, light} {
-					if err := submitSmall(t, d, ten); err != nil {
-						t.Fatalf("%s submit %d within quota: %v", ten.Name(), i, err)
-					}
+	t.Run("parkwake", func(t *testing.T) {
+		const quota = 96
+		d, release, order := openStalled(Options{NumReqs: 256, Controllers: 1})
+		defer d.Close()
+		defer release()
+		heavy, err := d.OpenTenant(TenantConfig{Name: "heavy", Weight: 4, SlotQuota: quota})
+		if err != nil {
+			t.Fatal(err)
+		}
+		light, err := d.OpenTenant(TenantConfig{Name: "light", Weight: 1, SlotQuota: quota})
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i := 0; i < quota; i++ {
+			for _, ten := range []*Tenant{heavy, light} {
+				if err := submitSmall(t, d, ten); err != nil {
+					t.Fatalf("%s submit %d within quota: %v", ten.Name(), i, err)
 				}
 			}
-			release()
-			for _, r := range drainAll(t, d, 2*quota) {
-				d.FreeRequest(r)
+		}
+		release()
+		for _, r := range drainAll(t, d, 2*quota) {
+			d.FreeRequest(r)
+		}
+		served := 0
+		for _, ten := range order()[1:101] {
+			if ten == heavy.id {
+				served++
 			}
-			served := 0
-			for _, ten := range order()[1:101] {
-				if ten == heavy.id {
-					served++
-				}
-			}
-			if served < 80-4 || served > 80+4 {
-				t.Errorf("heavy tenant got %d of 100 backlogged dispatches, want 80 ± one quantum of 4", served)
-			}
-		})
-	}
+		}
+		if served < 80-4 || served > 80+4 {
+			t.Errorf("heavy tenant got %d of 100 backlogged dispatches, want 80 ± one quantum of 4", served)
+		}
+	})
 }
 
 // TestTenantFleetDispatchOrder is fairness and isolation at fleet scale,

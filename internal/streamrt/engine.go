@@ -9,7 +9,6 @@ import (
 	"memif/internal/hw"
 	"memif/internal/obs"
 	"memif/internal/obs/flight"
-	"memif/internal/obs/lifecycle"
 	"memif/internal/sim"
 	"memif/internal/uapi"
 )
@@ -37,15 +36,11 @@ type EngineOptions struct {
 	// RingBufs is how many pinned buffers the engine carves out of the
 	// fast node at open — the only mmaps it ever performs.
 	RingBufs int
-	// FastNode hosts the ring; SlowNode is where inputs nominally
-	// live (documentation — the fallback reads wherever the stream's
-	// Base is actually mapped).
-	FastNode, SlowNode hw.NodeID
+	// FastNode hosts the ring. (Inputs are read wherever the stream's
+	// Base is actually mapped.)
+	FastNode hw.NodeID
 	// MaxStreams caps concurrently open streams. Default 64.
 	MaxStreams int
-	// Metrics, when non-nil, additionally accumulates engine-wide
-	// totals into the legacy shared instrument set.
-	Metrics *Metrics
 	// Flight configures the always-on flight recorder. The engine
 	// lives on the simulated clock, so SLO burn windows and the
 	// watchdog are forced off (the swapd convention); outlier capture
@@ -61,7 +56,6 @@ func DefaultEngineOptions() EngineOptions {
 		BufBytes:   512 << 10,
 		RingBufs:   8,
 		FastNode:   hw.NodeFast,
-		SlowNode:   hw.NodeSlow,
 		MaxStreams: 64,
 	}
 }
@@ -261,11 +255,10 @@ func (e *Engine) retire(s *Stream) {
 func cookie(sid, buf int) uint64 { return uint64(sid)<<32 | uint64(uint32(buf)) }
 
 // drain retrieves every pending completion and dispatches it to its
-// stream. Every field of the request is captured before FreeRequest —
-// the slot may be reallocated and overwritten by another proc the
-// moment FreeRequest yields, so reading r afterwards is a
-// use-after-free (the original one-shot runtime formatted r.Err after
-// freeing; see TestFillFailureErrNotClobberedBySlotReuse).
+// stream. Everything it needs of the request is copied out before
+// FreeRequest — the slot may be reallocated and overwritten by another
+// proc the moment FreeRequest yields, so reading r afterwards is a
+// use-after-free (see TestFillFailureErrNotClobberedBySlotReuse).
 func (e *Engine) drain(p *sim.Proc) {
 	freed := false
 	for {
@@ -277,9 +270,8 @@ func (e *Engine) drain(p *sim.Proc) {
 		ok := r.Status == uapi.StatusDone
 		errCode := r.Err
 		length := r.Length
-		submitted, flushed := int64(r.Submitted), int64(r.Flushed)
-		dispatched, copyStart := int64(r.Dispatched), int64(r.CopyStart)
-		completed, retrieved := int64(r.Completed), int64(r.Retrieved)
+		lat := int64(r.Latency())
+		ts := r.Stamps()
 		e.d.FreeRequest(p, r) // yields; r is dead past this point
 
 		sid, buf := int(ck>>32), int(uint32(ck))
@@ -287,22 +279,16 @@ func (e *Engine) drain(p *sim.Proc) {
 		e.outstandingG.Set(int64(e.outstanding))
 		s := e.byID[sid]
 
-		if ok {
-			lat := completed - submitted
-			ts := lifecycle.Stamps(submitted, flushed, dispatched, copyStart,
-				completed, completed, retrieved)
-			if m := e.opts.Metrics; m != nil {
-				m.FillLatency.Observe(lat)
-				m.BytesPrefetched.Add(length)
-				m.Stages.ObserveStamps(&ts)
-			}
-			if s != nil {
-				s.fillLatency.Observe(lat)
-				s.stages.ObserveStamps(&ts)
-				s.bytesPrefetched.Add(length)
-				e.bytesPrefetched.Add(length)
-				e.observeFlight(s, lat, length, completed, &ts)
-			}
+		if ok && s != nil {
+			s.fillLatency.Observe(lat)
+			s.stages.ObserveStamps(&ts)
+			s.bytesPrefetched.Add(length)
+			e.bytesPrefetched.Add(length)
+			// One (class, tenant) lane per stream: a breach lets
+			// /debug/outliers attribute the slow fill to staging wait,
+			// dispatch wait, copy time or completion dwell.
+			e.fr.ObserveLane(flight.ReasonNone, int(s.spec.Class), s.id, lat, length, &ts,
+				flight.Ambient{SubmissionDepth: int64(e.outstanding)})
 		}
 
 		switch {
@@ -333,30 +319,6 @@ func (e *Engine) drain(p *sim.Proc) {
 	}
 	if freed && !e.closed {
 		e.refill(p)
-	}
-}
-
-// observeFlight trains the stream's (class, tenant) lane with one
-// successful fill; a threshold breach captures the full seven-stage
-// stamp vector so /debug/outliers can attribute the slow fill to
-// staging wait, dispatch wait, copy time or completion dwell.
-func (e *Engine) observeFlight(s *Stream, lat, length, completed int64, ts *[lifecycle.NumStages]int64) {
-	if e.fr == nil {
-		return
-	}
-	amb := flight.Ambient{SubmissionDepth: int64(e.outstanding)}
-	if thr, breach := e.fr.Observe(int(s.spec.Class), s.id, lat, true); breach {
-		e.fr.Capture(&flight.Outlier{
-			Nano:        completed,
-			Slot:        -1,
-			Class:       int32(s.spec.Class),
-			Tenant:      uint32(s.id),
-			Bytes:       length,
-			LatencyNs:   lat,
-			ThresholdNs: thr,
-			TS:          *ts,
-			Ambient:     amb,
-		})
 	}
 }
 

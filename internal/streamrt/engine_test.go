@@ -419,13 +419,13 @@ func TestChaosCloseMidFlight(t *testing.T) {
 	}
 }
 
-// TestFillFailureErrNotClobberedBySlotReuse pins the use-after-free fix:
-// the original one-shot runtime formatted r.Err after FreeRequest(r),
-// and FreeRequest yields (it charges CPU), so another proc could
-// reallocate the slot and overwrite Err before the error string was
-// built. The engine captures Status/Err before freeing; with a recycler
-// proc aggressively reusing freed slots, the surfaced error must still
-// name the real failure code, not the recycler's overwrite.
+// TestFillFailureErrNotClobberedBySlotReuse pins a use-after-free fix:
+// formatting r.Err after FreeRequest(r) is a bug, because FreeRequest
+// yields (it charges CPU), so another proc can reallocate the slot and
+// overwrite Err before the error string is built. The engine captures
+// Status/Err before freeing; with a recycler proc aggressively reusing
+// freed slots, the surfaced error must still name the real failure
+// code, not the recycler's overwrite.
 func TestFillFailureErrNotClobberedBySlotReuse(t *testing.T) {
 	m, d := setup()
 	var runErr error
@@ -447,7 +447,7 @@ func TestFillFailureErrNotClobberedBySlotReuse(t *testing.T) {
 		base, _ := d.AS.Mmap(p, length, hw.NodeSlow, "input")
 		// Input range extends past the mapping: the fill of the last
 		// chunk fails with badreq.
-		_, runErr = Run(p, d, workloads.Add, base+cfg.BufBytes, length, cfg)
+		_, runErr = run(p, d, workloads.Add, base+cfg.BufBytes, length, cfg)
 	})
 	m.Eng.Run()
 	if runErr == nil {

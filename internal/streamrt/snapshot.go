@@ -6,50 +6,6 @@ import (
 	"memif/internal/obs/lifecycle"
 )
 
-// Metrics is the runtime's shared obs instrument set. One Metrics may
-// be attached to any number of runs or engines (its primitives are
-// lock-free); it aggregates across streams without attribution.
-//
-// Per-stream attribution lives in StreamStats / EngineSnapshot; Metrics
-// is kept for the original one-shot API and for dashboards that want
-// engine-wide totals under the pre-redesign series names.
-type Metrics struct {
-	// FillLatency is the submit-to-completion histogram of prefetch
-	// fills (virtual ns).
-	FillLatency obs.Histogram
-	// FastChunks / SlowChunks count chunks consumed from prefetch
-	// buffers vs. straight from the slow node.
-	FastChunks, SlowChunks obs.Counter
-	// BytesPrefetched totals the payload replicated into buffers.
-	BytesPrefetched obs.Counter
-	// Stages attributes fill latency per pipeline stage (staging wait,
-	// dispatch wait, copy, completion dwell) from each fill request's
-	// stage stamps, in virtual ns.
-	Stages lifecycle.SpanSet
-}
-
-// MetricsSnapshot is a point-in-time copy of Metrics.
-type MetricsSnapshot struct {
-	FillLatency            obs.HistogramSnapshot
-	FastChunks, SlowChunks int64
-	BytesPrefetched        int64
-	Stages                 lifecycle.SpanSnapshot
-}
-
-// Snapshot captures the metrics. Nil-safe (zero snapshot).
-func (m *Metrics) Snapshot() MetricsSnapshot {
-	if m == nil {
-		return MetricsSnapshot{}
-	}
-	return MetricsSnapshot{
-		FillLatency:     m.FillLatency.Snapshot(),
-		FastChunks:      m.FastChunks.Load(),
-		SlowChunks:      m.SlowChunks.Load(),
-		BytesPrefetched: m.BytesPrefetched.Load(),
-		Stages:          m.Stages.Snapshot(),
-	}
-}
-
 // StreamStats is a point-in-time copy of one stream's counters, safe to
 // take from any goroutine.
 type StreamStats struct {

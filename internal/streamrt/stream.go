@@ -207,9 +207,6 @@ func (s *Stream) Consume(p *sim.Proc) (done bool, err error) {
 			s.consumed++
 			s.fastChunks.Inc()
 			e.fastChunks.Inc()
-			if m := e.opts.Metrics; m != nil {
-				m.FastChunks.Inc()
-			}
 			e.refill(p)
 			return s.finishChunk(p), e.err
 		}
@@ -228,9 +225,6 @@ func (s *Stream) Consume(p *sim.Proc) (done bool, err error) {
 			s.consumed++
 			s.slowChunks.Inc()
 			e.slowChunks.Inc()
-			if m := e.opts.Metrics; m != nil {
-				m.SlowChunks.Inc()
-			}
 			return s.finishChunk(p), nil
 		}
 
@@ -272,8 +266,7 @@ func (s *Stream) fail(err error) {
 }
 
 // Run drives Consume until the stream completes, then closes the
-// handle and reports the run — the handle-based equivalent of the
-// original one-shot Run.
+// handle and reports the run.
 func (s *Stream) Run(p *sim.Proc) (Result, error) {
 	for {
 		done, err := s.Consume(p)

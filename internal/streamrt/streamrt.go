@@ -3,13 +3,13 @@
 // prefetch buffers and manages outstanding memif replications like
 // asynchronous I/O requests.
 //
-// The original one-shot sketch (one kernel, one run, buffers carved and
-// torn down per call) survives as the deprecated Run/RunDirect
-// wrappers. The current shape is a long-lived orchestrator: an Engine
-// opened over a core.Device mmaps its buffer ring once and recycles it
-// across any number of concurrent Stream handles, each paced by
-// credit-based backpressure (OpenStream / Stream.Consume in engine.go
-// and stream.go; the credit protocol in credits.go).
+// The runtime is a long-lived orchestrator: an Engine opened over a
+// core.Device mmaps its buffer ring once and recycles it across any
+// number of concurrent Stream handles, each paced by credit-based
+// backpressure (OpenStream / Stream.Consume in engine.go and stream.go;
+// the credit protocol in credits.go). RunDirect is the in-place
+// reference it is measured against: Table 4's "Linux" rows and the
+// checksum oracle of the tests and the benchmark.
 //
 // The paper's invariants are kept: as soon as a stream opens, the
 // engine fills buffers for it by replicating data from the slow node
@@ -24,30 +24,24 @@ package streamrt
 import (
 	"fmt"
 
-	"memif/internal/core"
 	"memif/internal/hw"
-	"memif/internal/obs/flight"
 	"memif/internal/sim"
 	"memif/internal/stats"
-	"memif/internal/uapi"
 	"memif/internal/vm"
 	"memif/internal/workloads"
 )
 
-// Config sizes the prefetch-buffer array of the deprecated one-shot
-// API. New code should build EngineOptions directly.
+// Config is the prefetch-buffer geometry of one Table 4 cell: RunDirect
+// consumes in BufBytes steps, and the experiments in internal/bench size
+// a single-stream engine from the rest.
 type Config struct {
 	// BufBytes is the size of one prefetch buffer (a multiple of the
 	// page size).
 	BufBytes int64
 	// NumBufs is how many buffers are carved out of the fast node.
 	NumBufs int
-	// FastNode is where buffers live; SlowNode is where input streams
-	// from.
-	FastNode, SlowNode hw.NodeID
-	// Metrics, when non-nil, accumulates runtime observability across
-	// runs: fill latencies, prefetch bytes, fast/slow chunk counts.
-	Metrics *Metrics
+	// FastNode is where buffers live.
+	FastNode hw.NodeID
 }
 
 // DefaultConfig returns the configuration used for Table 4: eight 512 KB
@@ -57,7 +51,6 @@ func DefaultConfig() Config {
 		BufBytes: 512 << 10,
 		NumBufs:  8,
 		FastNode: hw.NodeFast,
-		SlowNode: hw.NodeSlow,
 	}
 }
 
@@ -74,17 +67,11 @@ type Result struct {
 	Checksum uint64
 }
 
-// ErrInput flags bad run parameters.
-//
-// Deprecated: it is the same error as ErrBadStream, kept so existing
-// errors.Is checks keep working.
-var ErrInput = ErrBadStream
-
 // RunDirect streams the kernel over [base, base+length) in place — the
 // "Linux" rows of Table 4, where the data stays on the slow node.
 func RunDirect(p *sim.Proc, as *vm.AddressSpace, k workloads.Kernel, base, length int64, cfg Config) (Result, error) {
 	if length <= 0 || cfg.BufBytes <= 0 || length%cfg.BufBytes != 0 {
-		return Result{}, fmt.Errorf("%w: length %d not a multiple of buffer size %d", ErrInput, length, cfg.BufBytes)
+		return Result{}, fmt.Errorf("%w: length %d not a multiple of buffer size %d", ErrBadStream, length, cfg.BufBytes)
 	}
 	scratch := make([]byte, cfg.BufBytes)
 	var acc uint64
@@ -105,46 +92,4 @@ func RunDirect(p *sim.Proc, as *vm.AddressSpace, k workloads.Kernel, base, lengt
 		SlowChunks:    length / cfg.BufBytes,
 		Checksum:      acc,
 	}, nil
-}
-
-// Run streams the kernel over [base, base+length) through the memif
-// prefetch-buffer pipeline — the "Memif" rows of Table 4.
-//
-// Deprecated: Run opens a single-stream Engine per call, recreating the
-// one-shot behaviour (carve ring, stream, tear down). Long-lived code
-// should hold an Engine and OpenStream instead, which keeps the ring
-// pinned across runs and multiplexes streams.
-func Run(p *sim.Proc, d *core.Device, k workloads.Kernel, base, length int64, cfg Config) (Result, error) {
-	if cfg.NumBufs < 1 || cfg.BufBytes <= 0 || cfg.BufBytes%d.AS.PageBytes != 0 {
-		return Result{}, fmt.Errorf("%w: config %+v", ErrInput, cfg)
-	}
-	spec := StreamSpec{
-		Kernel:  k,
-		Base:    base,
-		Length:  length,
-		Class:   uapi.ClassBackground,
-		Credits: cfg.NumBufs,
-		Name:    "oneshot",
-	}
-	if err := spec.Validate(cfg.BufBytes); err != nil {
-		return Result{}, err
-	}
-	e, err := OpenEngine(p, d, EngineOptions{
-		BufBytes:   cfg.BufBytes,
-		RingBufs:   cfg.NumBufs,
-		FastNode:   cfg.FastNode,
-		SlowNode:   cfg.SlowNode,
-		MaxStreams: 1,
-		Metrics:    cfg.Metrics,
-		Flight:     flight.Options{Disable: true},
-	})
-	if err != nil {
-		return Result{}, err
-	}
-	defer e.Close(p)
-	s, err := e.OpenStream(p, spec)
-	if err != nil {
-		return Result{}, err
-	}
-	return s.Run(p)
 }

@@ -1,12 +1,14 @@
 package streamrt
 
 import (
+	"errors"
 	"testing"
 
 	"memif/internal/core"
 	"memif/internal/hw"
 	"memif/internal/machine"
 	"memif/internal/sim"
+	"memif/internal/uapi"
 	"memif/internal/workloads"
 )
 
@@ -15,6 +17,33 @@ func setup() (*machine.Machine, *core.Device) {
 	as := m.NewAddressSpace(4096)
 	d := core.Open(m, as, core.DefaultOptions())
 	return m, d
+}
+
+// openWholeRing opens an engine of cfg's geometry and one background
+// stream holding every ring buffer — the Table 4 "Memif" shape. The
+// caller closes the engine.
+func openWholeRing(p *sim.Proc, d *core.Device, k workloads.Kernel, base, length int64, cfg Config) (*Engine, *Stream, error) {
+	e, err := OpenEngine(p, d, EngineOptions{BufBytes: cfg.BufBytes, RingBufs: cfg.NumBufs, FastNode: cfg.FastNode})
+	if err != nil {
+		return nil, nil, err
+	}
+	s, err := e.OpenStream(p, StreamSpec{Kernel: k, Base: base, Length: length, Class: uapi.ClassBackground, Credits: cfg.NumBufs})
+	if err != nil {
+		e.Close(p)
+		return nil, nil, err
+	}
+	return e, s, nil
+}
+
+// run streams [base, base+length) through a whole-ring stream and
+// tears the engine down.
+func run(p *sim.Proc, d *core.Device, k workloads.Kernel, base, length int64, cfg Config) (Result, error) {
+	e, s, err := openWholeRing(p, d, k, base, length, cfg)
+	if err != nil {
+		return Result{}, err
+	}
+	defer e.Close(p)
+	return s.Run(p)
 }
 
 func TestDirectRunChecksumAndThroughput(t *testing.T) {
@@ -68,7 +97,7 @@ func TestMemifRunBeatsDirect(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				fast, err = Run(p, d, k, base, length, cfg)
+				fast, err = run(p, d, k, base, length, cfg)
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -99,7 +128,7 @@ func TestRunFreesBuffersAndSlots(t *testing.T) {
 		length := int64(8) * cfg.BufBytes
 		base, _ := d.AS.Mmap(p, length, hw.NodeSlow, "input")
 		workloads.FillInput(p, d.AS, base, length, 1)
-		if _, err := Run(p, d, workloads.Add, base, length, cfg); err != nil {
+		if _, err := run(p, d, workloads.Add, base, length, cfg); err != nil {
 			t.Fatal(err)
 		}
 		if used := d.AS.Mem.Used(hw.NodeFast); used != 0 {
@@ -123,16 +152,16 @@ func TestRunInputValidation(t *testing.T) {
 		defer d.Close()
 		cfg := DefaultConfig()
 		base, _ := d.AS.Mmap(p, cfg.BufBytes, hw.NodeSlow, "input")
-		if _, err := Run(p, d, workloads.Add, base, cfg.BufBytes+5, cfg); err == nil {
-			t.Error("unaligned length accepted")
+		if _, err := run(p, d, workloads.Add, base, cfg.BufBytes+5, cfg); !errors.Is(err, ErrBadStream) {
+			t.Errorf("unaligned length: %v", err)
 		}
-		if _, err := RunDirect(p, d.AS, workloads.Add, base, -1, cfg); err == nil {
-			t.Error("negative length accepted")
+		if _, err := RunDirect(p, d.AS, workloads.Add, base, -1, cfg); !errors.Is(err, ErrBadStream) {
+			t.Errorf("negative length: %v", err)
 		}
 		bad := cfg
 		bad.NumBufs = 0
-		if _, err := Run(p, d, workloads.Add, base, cfg.BufBytes, bad); err == nil {
-			t.Error("zero buffers accepted")
+		if _, err := run(p, d, workloads.Add, base, cfg.BufBytes, bad); !errors.Is(err, ErrBadStream) {
+			t.Errorf("zero buffers: %v", err)
 		}
 	})
 	m.Eng.Run()
@@ -146,7 +175,7 @@ func TestSmallInputFewerChunksThanBuffers(t *testing.T) {
 		length := int64(2) * cfg.BufBytes // 2 chunks, 8 buffers
 		base, _ := d.AS.Mmap(p, length, hw.NodeSlow, "input")
 		want, _ := workloads.FillInput(p, d.AS, base, length, 3)
-		res, err := Run(p, d, workloads.Triad, base, length, cfg)
+		res, err := run(p, d, workloads.Triad, base, length, cfg)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -174,7 +203,7 @@ func TestFallbackUnderFillPressure(t *testing.T) {
 		base, _ := d.AS.Mmap(p, length, hw.NodeSlow, "input")
 		sprinter := workloads.Kernel{Name: "sprinter", ComputePerByteNS: 0.01}
 		var err error
-		res, err = Run(p, d, sprinter, base, length, cfg)
+		res, err = run(p, d, sprinter, base, length, cfg)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -191,11 +220,12 @@ func TestFallbackUnderFillPressure(t *testing.T) {
 
 // The never-stall fallback must be invisible to correctness: a run
 // that consumes chunks straight from slow memory produces bit-identical
-// results to a run that prefetched every chunk, and the metrics counter
+// results to a run that prefetched every chunk, and the engine's counter
 // attributes exactly the fallback consumptions.
 func TestFallbackChecksumMatchesPrefetched(t *testing.T) {
 	m, d := setup()
-	met := &Metrics{}
+	var snap EngineSnapshot
+	var st StreamStats
 	var pressured, prefetched Result
 	var want uint64
 	m.Eng.Spawn("app", func(p *sim.Proc) {
@@ -211,7 +241,7 @@ func TestFallbackChecksumMatchesPrefetched(t *testing.T) {
 		// Reference: as many buffers as chunks. Priming assigns every
 		// chunk to a fill before the consume loop starts, so the
 		// fallback branch is unreachable — all chunks arrive prefetched.
-		prefetched, err = Run(p, d, workloads.Add, base, length, cfg)
+		prefetched, err = run(p, d, workloads.Add, base, length, cfg)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -220,15 +250,20 @@ func TestFallbackChecksumMatchesPrefetched(t *testing.T) {
 		// fill is complete when the loop first looks — the runtime must
 		// take the slow path instead of stalling.
 		cfg.NumBufs = 2
-		cfg.Metrics = met
 		// Same reducer as the reference kernel: the chunk sums commute,
 		// so the two runs must agree even if the fallback consumes
 		// chunks in a different order than the prefetch pipeline.
 		sprinter := workloads.Kernel{Name: "sprinter", ComputePerByteNS: 0.01, Reduce: workloads.Add.Reduce}
-		pressured, err = Run(p, d, sprinter, base, length, cfg)
+		e, s, err := openWholeRing(p, d, sprinter, base, length, cfg)
 		if err != nil {
 			t.Fatal(err)
 		}
+		defer e.Close(p)
+		pressured, err = s.Run(p)
+		if err != nil {
+			t.Fatal(err)
+		}
+		snap, st = e.Snapshot(), s.Stats()
 	})
 	m.Eng.Run()
 	if prefetched.SlowChunks != 0 || prefetched.FastChunks != 8 {
@@ -238,9 +273,17 @@ func TestFallbackChecksumMatchesPrefetched(t *testing.T) {
 	if pressured.SlowChunks == 0 {
 		t.Fatal("pressured run never took the fallback path")
 	}
-	if s := met.Snapshot(); s.SlowChunks != pressured.SlowChunks {
+	if snap.SlowChunks != pressured.SlowChunks {
 		t.Errorf("SlowChunks counter = %d, result says %d fallback chunks",
-			s.SlowChunks, pressured.SlowChunks)
+			snap.SlowChunks, pressured.SlowChunks)
+	}
+	// Every fill is timed and sized once, and only fills are.
+	if st.FillLatency.Count != pressured.FastChunks || st.FillLatency.Mean() <= 0 {
+		t.Errorf("fill latency histogram holds %d samples (mean %.0f ns) for %d prefetched chunks",
+			st.FillLatency.Count, st.FillLatency.Mean(), pressured.FastChunks)
+	}
+	if want := pressured.FastChunks * DefaultConfig().BufBytes; st.BytesPrefetched != want || snap.BytesPrefetched != want {
+		t.Errorf("bytes prefetched: stream %d, engine %d, want %d", st.BytesPrefetched, snap.BytesPrefetched, want)
 	}
 	if pressured.Checksum != want || prefetched.Checksum != want {
 		t.Errorf("checksums: prefetched=%#x fallback=%#x want %#x",
@@ -263,48 +306,10 @@ func TestFillFailureSurfaces(t *testing.T) {
 		// Unmap the input mid-flight is hard to time; instead hand Run
 		// an input range that extends past the mapping — the first fill
 		// of the out-of-range chunk fails.
-		_, err := Run(p, d, workloads.Add, base+cfg.BufBytes, length, cfg)
+		_, err := run(p, d, workloads.Add, base+cfg.BufBytes, length, cfg)
 		if err == nil {
 			t.Fatal("fill of an unmapped chunk reported success")
 		}
 	})
 	m.Eng.Run()
-}
-
-func TestMetricsAccumulate(t *testing.T) {
-	m, d := setup()
-	met := &Metrics{}
-	var res Result
-	m.Eng.Spawn("app", func(p *sim.Proc) {
-		defer d.Close()
-		cfg := DefaultConfig()
-		cfg.Metrics = met
-		length := int64(16) * cfg.BufBytes
-		base, err := d.AS.Mmap(p, length, hw.NodeSlow, "input")
-		if err != nil {
-			t.Fatal(err)
-		}
-		workloads.FillInput(p, d.AS, base, length, 3)
-		res, err = Run(p, d, workloads.Add, base, length, cfg)
-		if err != nil {
-			t.Fatal(err)
-		}
-	})
-	m.Eng.Run()
-	s := met.Snapshot()
-	if s.FastChunks != res.FastChunks || s.SlowChunks != res.SlowChunks {
-		t.Errorf("metrics chunks %d/%d, result %d/%d",
-			s.FastChunks, s.SlowChunks, res.FastChunks, res.SlowChunks)
-	}
-	if s.FillLatency.Count == 0 || s.FillLatency.Mean() <= 0 {
-		t.Errorf("fill latency histogram empty or degenerate: %v", s.FillLatency)
-	}
-	if s.BytesPrefetched == 0 {
-		t.Error("no prefetched bytes recorded")
-	}
-	// Nil metrics must be a safe no-op.
-	var nilm *Metrics
-	if got := nilm.Snapshot(); got.FastChunks != 0 {
-		t.Error("nil Metrics snapshot non-zero")
-	}
 }

@@ -597,13 +597,19 @@ func (d *Daemon) handleCompletion(p *sim.Proc, got *uapi.MovReq) {
 			}
 		}
 		d.m.bytesMoved.Add(got.MovedBytes)
-		d.m.latency.Observe(int64(got.Completed - got.Submitted))
+		lat := int64(got.Latency())
+		d.m.latency.Observe(lat)
 		d.m.sizes.Observe(got.Length)
-		ts := lifecycle.Stamps(int64(got.Submitted), int64(got.Flushed),
-			int64(got.Dispatched), int64(got.CopyStart), int64(got.Completed),
-			int64(got.Completed), int64(got.Retrieved))
+		ts := got.Stamps()
 		d.m.stages.ObserveStamps(&ts)
-		d.observeFlight(got, &ts, lag, inflight)
+		// The daemon's congestion picture is its in-flight migration
+		// count; the queue-depth slots of Ambient don't apply to the sim
+		// device. A promotion additionally trains the promotion-lag lane.
+		amb := flight.Ambient{SubmissionDepth: inflight}
+		d.fr.ObserveLane(flight.ReasonNone, int(got.Class), 0, lat, got.Length, &ts, amb)
+		if lag > 0 {
+			d.fr.ObserveLane(flight.ReasonPromotionLag, promotionLagLane, 0, lag, got.Length, &ts, amb)
+		}
 	} else {
 		// A racing write aborted the commit (txn-dirty) or another mover
 		// holds the claim (busy): the region is hot — bump its recency
@@ -630,49 +636,6 @@ func (d *Daemon) handleCompletion(p *sim.Proc, got *uapi.MovReq) {
 // region-hot-to-promotion-committed latency, one past the QoS classes
 // so migration latency and promotion lag train separate thresholds.
 const promotionLagLane = 3
-
-// observeFlight feeds one successful migration to the flight recorder:
-// the submission-to-completion latency trains the per-class lane and a
-// breach captures the full stage vector; a promotion additionally
-// trains the promotion-lag lane, whose breaches carry
-// ReasonPromotionLag. All timestamps virtual ns. No-op when disarmed.
-func (d *Daemon) observeFlight(got *uapi.MovReq, ts *[lifecycle.NumStages]int64, lag, inflight int64) {
-	if d.fr == nil {
-		return
-	}
-	// The daemon's congestion picture is its in-flight migration count;
-	// the queue-depth slots of Ambient don't apply to the sim device.
-	amb := flight.Ambient{SubmissionDepth: inflight}
-	lat := int64(got.Completed - got.Submitted)
-	if thr, breach := d.fr.Observe(int(got.Class), 0, lat, true); breach {
-		d.fr.Capture(&flight.Outlier{
-			Nano:        int64(got.Completed),
-			Slot:        -1,
-			Class:       int32(got.Class),
-			Bytes:       got.Length,
-			LatencyNs:   lat,
-			ThresholdNs: thr,
-			TS:          *ts,
-			Ambient:     amb,
-		})
-	}
-	if lag <= 0 {
-		return
-	}
-	if thr, breach := d.fr.Observe(promotionLagLane, 0, lag, true); breach {
-		d.fr.Capture(&flight.Outlier{
-			Reason:      flight.ReasonPromotionLag,
-			Nano:        int64(got.Completed),
-			Slot:        -1,
-			Class:       promotionLagLane,
-			Bytes:       got.Length,
-			LatencyNs:   lag,
-			ThresholdNs: thr,
-			TS:          *ts,
-			Ambient:     amb,
-		})
-	}
-}
 
 // drain retrieves finished migrations. With block set it waits until no
 // migration remains outstanding — the shutdown path, so Stop can never

@@ -13,6 +13,7 @@ import (
 	"fmt"
 
 	"memif/internal/hw"
+	"memif/internal/obs/lifecycle"
 	"memif/internal/rbq"
 	"memif/internal/sim"
 )
@@ -83,7 +84,11 @@ const (
 )
 
 func (e ErrCode) String() string {
-	return [...]string{"ok", "race", "aborted", "nomem", "badreq", "busy", "txn-dirty"}[e]
+	names := [...]string{"ok", "race", "aborted", "nomem", "badreq", "busy", "txn-dirty"}
+	if int(e) < len(names) {
+		return names[e]
+	}
+	return fmt.Sprintf("err(%d)", uint8(e))
 }
 
 // Class is the QoS class a request's DMA transfers ride in. Lower value
@@ -99,7 +104,11 @@ const (
 )
 
 func (c Class) String() string {
-	return [...]string{"foreground", "background", "scavenger"}[c]
+	names := [...]string{"foreground", "background", "scavenger"}
+	if int(c) < len(names) {
+		return names[c]
+	}
+	return fmt.Sprintf("class(%d)", uint8(c))
 }
 
 // ReqFlags modify how a request is executed.
@@ -163,6 +172,15 @@ func (r *MovReq) Index() uint32 { return r.idx }
 
 // Latency returns completion minus submission time.
 func (r *MovReq) Latency() sim.Time { return r.Completed - r.Submitted }
+
+// Stamps returns the request's seven-stage stamp vector (the simulated
+// driver has no separate copy-end stamp: the copy ends at Completed).
+// Take it before FreeRequest, which yields and may hand the slot to
+// another proc.
+func (r *MovReq) Stamps() [lifecycle.NumStages]int64 {
+	return lifecycle.Stamps(int64(r.Submitted), int64(r.Flushed), int64(r.Dispatched),
+		int64(r.CopyStart), int64(r.Completed), int64(r.Completed), int64(r.Retrieved))
+}
 
 func (r *MovReq) String() string {
 	return fmt.Sprintf("mov_req#%d{%v src=%#x dst=%#x len=%d node=%d %v/%v}",

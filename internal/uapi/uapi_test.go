@@ -109,6 +109,10 @@ func TestStringersDontPanic(t *testing.T) {
 	}
 	r := MovReq{}
 	_ = r.String()
+	// Class and Err sit in the user-shared array: any byte must print.
+	if c, e := Class(9).String(), ErrCode(200).String(); c != "class(9)" || e != "err(200)" {
+		t.Errorf("out-of-range stringers = %q, %q", c, e)
+	}
 }
 
 func TestBadAreaSizePanics(t *testing.T) {

@@ -92,11 +92,6 @@ type AddressSpace struct {
 	shadows    map[uint64]shadowCopy
 	fault      FaultHandler
 
-	// MonitorTax models the runtime overhead of transparent access
-	// monitoring (Section 2.1 cites >10%): every access is slowed by
-	// this fraction while a reactive advisor instruments the process.
-	MonitorTax float64
-
 	// RaceTouches counts accesses that cleared a young bit (useful for
 	// asserting race-detection behaviour in tests).
 	RaceTouches int64
@@ -391,11 +386,7 @@ func (as *AddressSpace) access(p *sim.Proc, addr int64, buf []byte, write bool, 
 			}
 		}
 		if p != nil {
-			t := as.accessTime(f.Node, n)
-			if as.MonitorTax > 0 {
-				t += int64(float64(t) * as.MonitorTax)
-			}
-			p.Busy(t, meters...)
+			p.Busy(as.accessTime(f.Node, n), meters...)
 		}
 		off += n
 	}

@@ -29,9 +29,8 @@
 //   - The streaming runtime — OpenStreamEngine and the Stream* types
 //     multiplex long-lived, credit-backed ingest streams over one
 //     device through a pinned, recycled prefetch ring (the Section
-//     6.6 double-buffered kernels, grown into an orchestrator). The
-//     one-shot Stream/StreamDirect entry points survive as deprecated
-//     wrappers.
+//     6.6 double-buffered kernels, grown into an orchestrator).
+//     StreamDirect is the in-place baseline it is measured against.
 //   - Observability — NewObsHandler and the Obs* helpers expose every
 //     subsystem's metrics and traces over HTTP, and the Flight* types
 //     configure the always-on flight recorder behind /debug/outliers:
@@ -231,10 +230,8 @@ func NewSwapDaemon(app *Device, opts SwapOptions) *SwapDaemon {
 // per-controller rings with work stealing, cancellation and deadlines,
 // QoS priority classes with admission control and adaptive
 // poll-vs-notify completion, per-core completion rings drained with a
-// local-first bias, an opt-in busy-poll worker mode
-// (RealtimeOptions.BusyPoll) for latency-critical deployments, and a
-// built-in metrics layer (Device.Stats). See package
-// memif/internal/realtime for the full story.
+// local-first bias, and a built-in metrics layer (Device.Stats). See
+// package memif/internal/realtime for the full story.
 type RealtimeDevice = realtime.Device
 
 // RealtimeRequest is a realtime mov_req: an async copy between two
@@ -244,12 +241,9 @@ type RealtimeRequest = realtime.Request
 
 // RealtimeOptions sizes a realtime device: request slots, transfer
 // controllers, staging shards, dispatch-ring depth, the chunking
-// threshold, tracing, the QoS knobs, and the busy-poll worker mode
-// (BusyPoll spins the dispatch worker instead of parking it,
-// eliminating the kick on the submit fast path; BusyPollIdle bounds
-// the spin before it falls back to park/wake; CompletionRings
-// overrides the per-core completion-ring count). Construct it with
-// DefaultRealtimeOptions and override fields.
+// threshold, tracing, the QoS knobs, and the per-core completion-ring
+// count (CompletionRings). Construct it with DefaultRealtimeOptions and
+// override fields.
 type RealtimeOptions = realtime.Options
 
 // DefaultRealtimeOptions mirrors the EDMA3-ish defaults, including
@@ -261,11 +255,6 @@ func DefaultRealtimeOptions() RealtimeOptions { return realtime.DefaultOptions()
 
 // OpenRealtime starts a realtime device.
 func OpenRealtime(opts RealtimeOptions) *RealtimeDevice { return realtime.Open(opts) }
-
-// RealtimeDefaultBusyPollIdle is the spin budget a busy-polling worker
-// burns on an empty pipeline before falling back to park/wake, used
-// when RealtimeOptions.BusyPollIdle is zero.
-const RealtimeDefaultBusyPollIdle = realtime.DefaultBusyPollIdle
 
 // RealtimeClass is a realtime request's priority class: admission,
 // dispatch order and shedding key off it. The zero value is
@@ -390,8 +379,8 @@ var (
 type StreamEngine = streamrt.Engine
 
 // StreamEngineOptions configures OpenStreamEngine: ring geometry
-// (BufBytes × RingBufs), placement nodes, the stream cap, optional
-// legacy Metrics accumulation, and the flight recorder.
+// (BufBytes × RingBufs), the node hosting the ring, the stream cap, and
+// the flight recorder.
 type StreamEngineOptions = streamrt.EngineOptions
 
 // DefaultStreamEngineOptions returns the Table 4 ring (eight 512 KB
@@ -413,8 +402,7 @@ type StreamSpec = streamrt.StreamSpec
 
 // StreamHandle is one open stream: Consume/Run drive the kernel over
 // prefetched chunks zero-copy, Stats snapshots its counters, Close
-// releases its credits. (Named StreamHandle because memif.Stream is
-// the deprecated one-shot entry point.)
+// releases its credits.
 type StreamHandle = streamrt.Stream
 
 // StreamStats is one stream's counter snapshot: credit ledger, fast
@@ -438,9 +426,8 @@ var (
 	ErrBadStream = streamrt.ErrBadStream
 )
 
-// StreamConfig sizes the one-shot runtime's prefetch buffers.
-//
-// Deprecated: use StreamEngineOptions with OpenStreamEngine.
+// StreamConfig is the prefetch-buffer geometry of one Table 4 cell;
+// StreamDirect consumes in its BufBytes steps.
 type StreamConfig = streamrt.Config
 
 // StreamResult reports one streaming run.
@@ -448,8 +435,6 @@ type StreamResult = streamrt.Result
 
 // DefaultStreamConfig returns the Table 4 configuration (eight 512 KB
 // buffers on the fast node).
-//
-// Deprecated: use DefaultStreamEngineOptions.
 func DefaultStreamConfig() StreamConfig { return streamrt.DefaultConfig() }
 
 // StreamKernel is a streaming compute kernel.
@@ -462,21 +447,9 @@ var (
 	KernelPGain = workloads.PGain
 )
 
-// Stream runs kernel k over [base, base+length) through memif prefetch
-// buffers.
-//
-// Deprecated: one-shot wrapper that opens and tears down a private
-// engine per call. Use OpenStreamEngine + StreamEngine.OpenStream; the
-// engine keeps its buffer ring pinned across runs and multiplexes
-// concurrent streams.
-func Stream(p *Proc, d *Device, k StreamKernel, base, length int64, cfg StreamConfig) (StreamResult, error) {
-	return streamrt.Run(p, d, k, base, length, cfg)
-}
-
-// StreamDirect runs the kernel in place (no memif) for comparison.
-//
-// Deprecated: kept as the baseline side of the deprecated Stream
-// entry point; new code should compare against StreamHandle.Run.
+// StreamDirect runs the kernel in place (no memif): the "Linux" rows of
+// Table 4, and the reference a StreamHandle.Run result and checksum are
+// compared against.
 func StreamDirect(p *Proc, as *AddressSpace, k StreamKernel, base, length int64, cfg StreamConfig) (StreamResult, error) {
 	return streamrt.RunDirect(p, as, k, base, length, cfg)
 }
@@ -495,8 +468,8 @@ func StreamDirect(p *Proc, as *AddressSpace, k StreamKernel, base, length int64,
 type LifecycleSnapshot = lifecycle.Snapshot
 
 // LifecycleSpans holds the per-stage latency histograms of one
-// pipeline; SwapMetricsSnapshot.Stages and StreamMetricsSnapshot.Stages
-// carry the same shape on virtual time.
+// pipeline; SwapMetricsSnapshot.Stages and StreamStats.Stages carry the
+// same shape on virtual time.
 type LifecycleSpans = lifecycle.SpanSnapshot
 
 // CapturedLifecycle is one completed, captured request lifecycle: slot,
@@ -513,13 +486,6 @@ func ChromeTraceJSON(process string, lcs []CapturedLifecycle) ([]byte, error) {
 // (SwapDaemon.Metrics): eviction counters, latency/size histograms and
 // per-stage latency attribution.
 type SwapMetricsSnapshot = swapd.MetricsSnapshot
-
-// StreamMetrics accumulates streaming-runtime observability across runs
-// (set StreamConfig.Metrics); StreamMetricsSnapshot is its snapshot.
-type StreamMetrics = streamrt.Metrics
-
-// StreamMetricsSnapshot is a point-in-time copy of StreamMetrics.
-type StreamMetricsSnapshot = streamrt.MetricsSnapshot
 
 // ObsHandler serves the observability endpoints — /metrics (Prometheus
 // text format), /trace (Chrome trace_event JSON), /debug/pprof/* — for
@@ -543,12 +509,6 @@ func RealtimeObsMetrics(device string, s RealtimeStats) []ObsMetric {
 // SwapObsMetrics maps a swap-daemon snapshot onto memif_swapd_*.
 func SwapObsMetrics(device string, s SwapMetricsSnapshot) []ObsMetric {
 	return obshttp.SwapdMetrics(device, s)
-}
-
-// StreamObsMetrics maps a streaming-runtime snapshot onto
-// memif_stream_*.
-func StreamObsMetrics(device string, s StreamMetricsSnapshot) []ObsMetric {
-	return obshttp.StreamMetrics(device, s)
 }
 
 // StreamEngineObsMetrics maps a stream-engine snapshot onto the
