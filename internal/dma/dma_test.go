@@ -37,8 +37,8 @@ func (r *rig) segs(t *testing.T, n int, bytes int64) []Segment {
 		if err != nil {
 			t.Fatal(err)
 		}
-		for j := range src.Data {
-			src.Data[j] = byte(i + j)
+		for j := range src.Bytes() {
+			src.Bytes()[j] = byte(i + j)
 		}
 		out[i] = Segment{Src: src, Dst: dst, Bytes: bytes}
 	}
@@ -59,8 +59,8 @@ func TestTransferMovesBytes(t *testing.T) {
 			t.Fatalf("state = %v", tr.State())
 		}
 		for i, s := range segs {
-			for j := range s.Dst.Data {
-				if s.Dst.Data[j] != byte(i+j) {
+			for j := range s.Dst.Bytes() {
+				if s.Dst.Bytes()[j] != byte(i+j) {
 					t.Fatalf("segment %d byte %d not copied", i, j)
 				}
 			}
@@ -283,7 +283,7 @@ func TestAbortActiveSkipsCopy(t *testing.T) {
 		if tr.State() != StateAborted {
 			t.Errorf("state = %v, want aborted", tr.State())
 		}
-		for _, b := range segs[0].Dst.Data {
+		for _, b := range segs[0].Dst.Bytes() {
 			if b != 0 {
 				t.Fatal("aborted transfer copied bytes")
 			}
@@ -313,7 +313,7 @@ func TestAbortQueuedRemoves(t *testing.T) {
 		}
 		p.WaitEvent(trA.Done)
 		p.WaitEvent(trB.Done) // already fired
-		for _, b := range segsB[0].Dst.Data {
+		for _, b := range segsB[0].Dst.Bytes() {
 			if b != 0 {
 				t.Fatal("aborted queued transfer copied bytes")
 			}

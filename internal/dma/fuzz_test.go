@@ -45,8 +45,8 @@ func TestEngineRandomWorkout(t *testing.T) {
 							if err != nil {
 								t.Fatal(err)
 							}
-							for j := range src.Data {
-								src.Data[j] = seedB
+							for j := range src.Bytes() {
+								src.Bytes()[j] = seedB
 							}
 							segs[i] = Segment{Src: src, Dst: dst, Bytes: size}
 						}
@@ -88,7 +88,7 @@ func TestEngineRandomWorkout(t *testing.T) {
 					if s.Src.Pinned() || s.Dst.Pinned() {
 						t.Fatalf("frame still pinned after drain")
 					}
-					copied := s.Dst.Data[0] == rc.seed
+					copied := s.Dst.Bytes()[0] == rc.seed
 					if rc.tr.State() == StateDone && !copied {
 						t.Fatalf("completed transfer did not copy")
 					}

@@ -3,8 +3,14 @@
 // heterogeneous memory nodes (the pseudo-NUMA abstraction of Section 1).
 //
 // Frames carry actual data so that replication and migration can be
-// verified byte-for-byte; backing storage is materialized lazily, letting
-// a simulated 8 GB DDR3 node exist without 8 GB of host memory.
+// verified byte-for-byte. Two things are lazy, and only these two. Backing
+// bytes exist per allocated frame, not per node, so a simulated 8 GB DDR3
+// node costs the host what is allocated on it (and nothing at all in
+// dataless mode). And a recycled frame is cleared on its first use
+// (Frame.Bytes), not at Alloc, so the destination frame of a migration,
+// which the copy overwrites whole, is never cleared. Everything else is
+// eager: a first-time frame's bytes are made (zeroed) in Alloc, and a
+// frame that is partially written is cleared in full before the write.
 package phys
 
 import (
@@ -31,7 +37,9 @@ type Frame struct {
 	Node hw.NodeID
 	Addr int64 // physical address, used for DMA descriptors
 	Size int64 // bytes
-	Data []byte
+
+	data  []byte // backing bytes; nil in dataless mode
+	stale bool   // recycled and not yet cleared: data holds the previous owner's bytes
 
 	// Page-descriptor state.
 	RefCount    int  // mappings referencing the frame
@@ -40,6 +48,17 @@ type Frame struct {
 	freeOnUnpin bool // Release found the frame pinned: the last Unpin frees it
 	freed       bool
 	mem         *Memory
+}
+
+// Bytes returns the frame's backing bytes, nil in dataless mode. It is
+// where a recycled frame is cleared, on its first use (see the package
+// comment).
+func (f *Frame) Bytes() []byte {
+	if f.stale {
+		f.stale = false
+		clear(f.data)
+	}
+	return f.data
 }
 
 // Pin marks the frame as source or target of one more in-flight DMA
@@ -93,8 +112,7 @@ type Stats struct {
 // registry.
 type Memory struct {
 	nodes    map[hw.NodeID]*nodeState
-	frames   map[FrameID]*Frame
-	nextID   FrameID
+	frames   []*Frame // indexed by FrameID; IDs are dense and never reused
 	stats    map[hw.NodeID]*Stats
 	dataless bool
 }
@@ -112,7 +130,7 @@ func (m *Memory) DisableData() { m.dataless = true }
 func New(plat *hw.Platform) *Memory {
 	m := &Memory{
 		nodes:  make(map[hw.NodeID]*nodeState),
-		frames: make(map[FrameID]*Frame),
+		frames: []*Frame{NoFrame: nil},
 		stats:  make(map[hw.NodeID]*Stats),
 	}
 	base := int64(0x0C00_0000) // SRAM-like low base
@@ -145,8 +163,9 @@ func (m *Memory) NodeStats(id hw.NodeID) Stats {
 	return s
 }
 
-// Alloc allocates one frame of size bytes on the given node. The frame's
-// data is zeroed (as anonymous pages are).
+// Alloc allocates one frame of size bytes on the given node. The frame
+// reads as zero (as anonymous pages do); a recycled one is cleared on
+// first use, see Frame.Bytes.
 func (m *Memory) Alloc(node hw.NodeID, size int64) (*Frame, error) {
 	if size <= 0 {
 		return nil, fmt.Errorf("phys: invalid frame size %d", size)
@@ -162,9 +181,7 @@ func (m *Memory) Alloc(node hw.NodeID, size int64) (*Frame, error) {
 		f.freed = false
 		f.RefCount = 0
 		f.FileBacked = false
-		for i := range f.Data {
-			f.Data[i] = 0
-		}
+		f.stale = true
 		st.used += size
 		stats.Allocs++
 		return f, nil
@@ -174,20 +191,19 @@ func (m *Memory) Alloc(node hw.NodeID, size int64) (*Frame, error) {
 		return nil, fmt.Errorf("%w %d (%s): need %d, used %d of %d",
 			ErrNoMemory, node, st.desc.Name, size, st.used, st.desc.Capacity)
 	}
-	m.nextID++
 	f := &Frame{
-		ID:   m.nextID,
+		ID:   FrameID(len(m.frames)),
 		Node: node,
 		Addr: st.nextAddr,
 		Size: size,
 		mem:  m,
 	}
 	if !m.dataless {
-		f.Data = make([]byte, size)
+		f.data = make([]byte, size)
 	}
 	st.nextAddr += size
 	st.used += size
-	m.frames[f.ID] = f
+	m.frames = append(m.frames, f)
 	stats.Allocs++
 	return f, nil
 }
@@ -230,24 +246,30 @@ func (m *Memory) Release(f *Frame) {
 // Lookup resolves a FrameID, validating it the way the memif driver
 // validates request indices before use (Section 4.2).
 func (m *Memory) Lookup(id FrameID) (*Frame, bool) {
-	f, ok := m.frames[id]
-	if !ok || f.freed {
+	if id == NoFrame || int(id) >= len(m.frames) || m.frames[id].freed {
 		return nil, false
 	}
-	return f, true
+	return m.frames[id], true
 }
 
 // Copy moves n bytes of real data between frames (the simulator's stand-in
 // for what the CPU memcpy or the DMA engine does physically). Virtual-time
-// cost is charged by the caller. In dataless mode it is a no-op.
+// cost is charged by the caller. In dataless mode it is a no-op. A stale
+// destination is cleared first unless the copy overwrites it whole; the
+// source bytes are taken before that, so a stale frame copied onto itself
+// still reads as zero.
 func Copy(dst, src *Frame, n int64) {
 	if n > src.Size || n > dst.Size {
 		panic(fmt.Sprintf("phys: copy %d bytes exceeds frames %v -> %v", n, src, dst))
 	}
-	if dst.Data == nil || src.Data == nil {
+	if dst.data == nil || src.data == nil {
 		return
 	}
-	copy(dst.Data[:n], src.Data[:n])
+	from := src.Bytes()[:n]
+	if n == dst.Size {
+		dst.stale = false
+	}
+	copy(dst.Bytes()[:n], from)
 }
 
 // Used reports bytes currently allocated on node id.

@@ -1,6 +1,7 @@
 package phys
 
 import (
+	"bytes"
 	"errors"
 	"testing"
 	"testing/quick"
@@ -16,7 +17,7 @@ func TestAllocBasics(t *testing.T) {
 	if err != nil {
 		t.Fatalf("Alloc: %v", err)
 	}
-	if f.Node != hw.NodeFast || f.Size != 4096 || len(f.Data) != 4096 {
+	if f.Node != hw.NodeFast || f.Size != 4096 || len(f.Bytes()) != 4096 {
 		t.Errorf("frame = %+v", f)
 	}
 	if m.Used(hw.NodeFast) != 4096 {
@@ -31,14 +32,68 @@ func TestAllocBasics(t *testing.T) {
 func TestAllocZeroesRecycledFrame(t *testing.T) {
 	m := newMem()
 	f, _ := m.Alloc(hw.NodeFast, 4096)
-	f.Data[100] = 0xAB
+	f.Bytes()[100] = 0xAB
 	m.Free(f)
 	g, _ := m.Alloc(hw.NodeFast, 4096)
 	if g != f {
 		t.Fatalf("expected frame recycling, got new frame %v", g)
 	}
-	if g.Data[100] != 0 {
+	if g.Bytes()[100] != 0 {
 		t.Error("recycled frame not zeroed")
+	}
+
+	// The clear is deferred to first use (Frame.Bytes) and skipped only by
+	// a Copy that overwrites the whole frame. Every way of reaching a
+	// recycled frame's bytes must still see zeros where nothing was
+	// written since Alloc.
+	recycled := func() *Frame {
+		t.Helper()
+		f, _ := m.Alloc(hw.NodeFast, 4096)
+		for i := range f.Bytes() {
+			f.Bytes()[i] = 0xAB
+		}
+		m.Free(f)
+		g, _ := m.Alloc(hw.NodeFast, 4096)
+		if g != f {
+			t.Fatalf("expected frame recycling, got new frame %v", g)
+		}
+		return g
+	}
+	src, _ := m.Alloc(hw.NodeSlow, 4096)
+	for i := range src.Bytes() {
+		src.Bytes()[i] = byte(i*7 + 1)
+	}
+
+	whole := recycled()
+	Copy(whole, src, 4096)
+	if !bytes.Equal(whole.Bytes(), src.Bytes()) {
+		t.Error("recycled frame after whole-frame Copy differs from the source")
+	}
+	m.Free(whole)
+
+	part := recycled()
+	Copy(part, src, 1000)
+	if !bytes.Equal(part.Bytes()[:1000], src.Bytes()[:1000]) {
+		t.Error("recycled frame after partial Copy differs from the source below n")
+	}
+	if !bytes.Equal(part.Bytes()[1000:], make([]byte, 4096-1000)) {
+		t.Error("recycled frame after partial Copy does not read zero past n")
+	}
+	m.Free(part)
+
+	from := recycled()
+	dst, _ := m.Alloc(hw.NodeSlow, 4096)
+	dst.Bytes()[7] = 0xCD
+	Copy(dst, from, 4096)
+	if !bytes.Equal(dst.Bytes(), make([]byte, 4096)) {
+		t.Error("Copy from a recycled frame did not write zeros")
+	}
+	m.Free(from)
+
+	self := recycled()
+	Copy(self, self, 4096)
+	if !bytes.Equal(self.Bytes(), make([]byte, 4096)) {
+		t.Error("self-copy of a recycled frame does not read zero")
 	}
 }
 
@@ -181,6 +236,9 @@ func TestLookupValidation(t *testing.T) {
 	if _, ok := m.Lookup(FrameID(9999)); ok {
 		t.Error("Lookup of bogus ID succeeded")
 	}
+	if _, ok := m.Lookup(f.ID + 1); ok {
+		t.Error("Lookup of the first ID past the end of the registry succeeded")
+	}
 	if _, ok := m.Lookup(NoFrame); ok {
 		t.Error("Lookup of NoFrame succeeded")
 	}
@@ -190,13 +248,13 @@ func TestCopyMovesBytes(t *testing.T) {
 	m := newMem()
 	src, _ := m.Alloc(hw.NodeSlow, 4096)
 	dst, _ := m.Alloc(hw.NodeFast, 4096)
-	for i := range src.Data {
-		src.Data[i] = byte(i * 7)
+	for i := range src.Bytes() {
+		src.Bytes()[i] = byte(i * 7)
 	}
 	Copy(dst, src, 4096)
-	for i := range dst.Data {
-		if dst.Data[i] != byte(i*7) {
-			t.Fatalf("byte %d = %d, want %d", i, dst.Data[i], byte(i*7))
+	for i := range dst.Bytes() {
+		if dst.Bytes()[i] != byte(i*7) {
+			t.Fatalf("byte %d = %d, want %d", i, dst.Bytes()[i], byte(i*7))
 		}
 	}
 }

@@ -1,11 +1,16 @@
 // Package sim implements a discrete-event simulation engine whose
-// processes are ordinary goroutines.
+// processes are coroutines.
 //
 // The engine maintains a virtual clock and an event calendar. Exactly one
 // process runs at any instant; a process gives up control by sleeping,
-// waiting on an Event or Cond, or exiting. Because control is handed over
-// through channels, all data shared between processes is synchronized by
-// happens-before edges and the package is safe under the race detector.
+// waiting on an Event or Cond, or exiting. Each process body is bound with
+// iter.Pull: the engine resumes it with next, the body parks by yielding,
+// and both are a direct switch between two goroutines of which only one is
+// ever runnable, with no channel and no pass through the Go scheduler. The
+// switch is a happens-before edge, so data shared between processes needs
+// no other synchronization and the package is safe under the race
+// detector. A panic (or a t.Fatal) in a process surfaces from Run on the
+// caller's goroutine.
 //
 // The engine is the substrate for the simulated KeyStone II machine: CPUs,
 // the DMA engine, interrupt handlers and kernel threads are all processes,
@@ -14,7 +19,6 @@
 package sim
 
 import (
-	"container/heap"
 	"fmt"
 	"time"
 )
@@ -37,32 +41,75 @@ func (t Time) Duration() time.Duration { return time.Duration(t) }
 
 func (t Time) String() string { return time.Duration(t).String() }
 
-// event is a calendar entry: at time `at`, run `fn` in engine context.
-// Events with equal timestamps fire in insertion order (seq).
+// event is a calendar entry: at time `at`, do what kind says. Events with
+// equal timestamps fire in insertion order (seq). The calendar holds event
+// values, not pointers, and the per-yield kinds carry (p, tok) where a
+// closure would have captured them, so a sleep allocates nothing.
 type event struct {
-	at  Time
-	seq uint64
-	fn  func()
+	at   Time
+	seq  uint64
+	kind eventKind
+	fn   func() // evCall
+	p    *Proc  // the other kinds
+	tok  uint64 // evWake, evTimeout: the wait token being claimed
 }
 
-type eventHeap []*event
+type eventKind uint8
 
-func (h eventHeap) Len() int { return len(h) }
-func (h eventHeap) Less(i, j int) bool {
-	if h[i].at != h[j].at {
-		return h[i].at < h[j].at
+const (
+	evCall     eventKind = iota // run fn in engine context
+	evDispatch                  // hand control to p
+	evWake                      // claim p's wait tok; if still current, enqueue p's dispatch
+	evTimeout                   // evWake that also marks the wait timed out
+)
+
+func (a *event) before(b *event) bool {
+	return a.at < b.at || a.at == b.at && a.seq < b.seq
+}
+
+// schedule stamps ev with the next seq (and clamps a past `at` to now) and
+// pushes it on the calendar, a binary min-heap ordered by (at, seq).
+func (e *Engine) schedule(ev event) {
+	if ev.at < e.now {
+		ev.at = e.now
 	}
-	return h[i].seq < h[j].seq
+	e.seq++
+	ev.seq = e.seq
+	h := append(e.calendar, ev)
+	for i := len(h) - 1; i > 0; {
+		parent := (i - 1) / 2
+		if !h[i].before(&h[parent]) {
+			break
+		}
+		h[i], h[parent] = h[parent], h[i]
+		i = parent
+	}
+	e.calendar = h
 }
-func (h eventHeap) Swap(i, j int)       { h[i], h[j] = h[j], h[i] }
-func (h *eventHeap) Push(x interface{}) { *h = append(*h, x.(*event)) }
-func (h *eventHeap) Pop() interface{} {
-	old := *h
-	n := len(old)
-	ev := old[n-1]
-	old[n-1] = nil
-	*h = old[:n-1]
-	return ev
+
+// pop removes and returns the earliest event.
+func (e *Engine) pop() event {
+	h := e.calendar
+	n := len(h) - 1
+	top := h[0]
+	h[0], h[n] = h[n], event{} // the vacated slot must not pin fn or p
+	h = h[:n]
+	for i := 0; ; {
+		c := 2*i + 1
+		if c >= n {
+			break
+		}
+		if c+1 < n && h[c+1].before(&h[c]) {
+			c++
+		}
+		if !h[c].before(&h[i]) {
+			break
+		}
+		h[i], h[c] = h[c], h[i]
+		i = c
+	}
+	e.calendar = h
+	return top
 }
 
 // Engine is a discrete-event simulator. The zero value is not usable; call
@@ -70,21 +117,16 @@ func (h *eventHeap) Pop() interface{} {
 type Engine struct {
 	now      Time
 	seq      uint64
-	calendar eventHeap
+	calendar []event
 	live     map[*Proc]bool // spawned and not yet exited
 	stopped  bool
-	shutdown chan struct{} // closed when the engine tears down
-	running  bool          // inside Run
 	ranOnce  bool
 	trace    func(string)
 }
 
 // NewEngine returns an engine with the clock at zero and an empty calendar.
 func NewEngine() *Engine {
-	return &Engine{
-		live:     make(map[*Proc]bool),
-		shutdown: make(chan struct{}),
-	}
+	return &Engine{live: make(map[*Proc]bool)}
 }
 
 // Now returns the current virtual time. It may be called from engine
@@ -96,49 +138,26 @@ func (e *Engine) Now() Time { return e.now }
 func (e *Engine) SetTrace(fn func(string)) { e.trace = fn }
 
 func (e *Engine) tracef(format string, args ...interface{}) {
-	if e.trace != nil {
-		e.trace(fmt.Sprintf("[%12d ns] ", int64(e.now)) + fmt.Sprintf(format, args...))
-	}
+	e.trace(fmt.Sprintf("[%12d ns] ", int64(e.now)) + fmt.Sprintf(format, args...))
 }
-
-// schedule registers fn to run at absolute virtual time at. The returned
-// event can be cancelled by clearing its fn (see cancel).
-func (e *Engine) schedule(at Time, fn func()) *event {
-	if at < e.now {
-		at = e.now
-	}
-	e.seq++
-	ev := &event{at: at, seq: e.seq, fn: fn}
-	heap.Push(&e.calendar, ev)
-	return ev
-}
-
-func cancel(ev *event) { ev.fn = nil }
 
 // After registers fn to run in engine context after d of virtual time.
 // fn runs with the clock advanced; it must not block.
-func (e *Engine) After(d time.Duration, fn func()) {
-	e.schedule(e.now+Time(d), fn)
-}
+func (e *Engine) After(d time.Duration, fn func()) { e.AfterNS(int64(d), fn) }
 
 // AfterNS is After with a nanosecond count.
 func (e *Engine) AfterNS(ns int64, fn func()) {
-	e.schedule(e.now+Time(ns), fn)
+	e.schedule(event{at: e.now + Time(ns), kind: evCall, fn: fn})
 }
 
 // Spawn creates a process running fn and schedules it to start at the
 // current virtual time. It may be called before Run or from inside a
 // running process or engine callback.
 func (e *Engine) Spawn(name string, fn ProcFunc) *Proc {
-	p := &Proc{
-		eng:    e,
-		name:   name,
-		resume: make(chan struct{}),
-		parked: make(chan struct{}),
-	}
+	p := &Proc{eng: e, name: name}
+	p.bind(fn)
 	e.live[p] = true
-	go p.top(fn)
-	e.schedule(e.now, func() { e.dispatch(p) })
+	e.schedule(event{at: e.now, kind: evDispatch, p: p})
 	return p
 }
 
@@ -148,9 +167,10 @@ func (e *Engine) dispatch(p *Proc) {
 	if p.done {
 		return
 	}
-	e.tracef("run %s", p.name)
-	p.resume <- struct{}{}
-	<-p.parked
+	if e.trace != nil { // guarded here: boxing the argument allocates
+		e.tracef("run %s", p.name)
+	}
+	p.next()
 	if p.done {
 		delete(e.live, p)
 	}
@@ -165,7 +185,7 @@ func (e *Engine) wake(p *Proc, seq uint64) bool {
 		return false
 	}
 	p.waiting = false
-	e.schedule(e.now, func() { e.dispatch(p) })
+	e.schedule(event{at: e.now, kind: evDispatch, p: p})
 	return true
 }
 
@@ -173,25 +193,30 @@ func (e *Engine) wake(p *Proc, seq uint64) bool {
 // returns the final virtual time. Processes still blocked on events when
 // the calendar drains are parked daemons or deadlocks; Run tears them down
 // (their stacks unwind via a sentinel panic) so that no goroutine outlives
-// it. An Engine can Run only once.
+// it, also when it leaves by a process's panic. An Engine can Run only
+// once.
 func (e *Engine) Run() Time {
-	if e.running {
-		panic("sim: Engine.Run reentered")
-	}
 	if e.ranOnce {
-		panic("sim: Engine.Run called twice; create a new Engine")
+		panic("sim: Engine.Run called twice or reentered; create a new Engine")
 	}
-	e.running, e.ranOnce = true, true
+	e.ranOnce = true
+	defer e.teardown()
 	for !e.stopped && len(e.calendar) > 0 {
-		ev := heap.Pop(&e.calendar).(*event)
-		if ev.fn == nil { // cancelled
-			continue
-		}
+		ev := e.pop()
 		e.now = ev.at
-		ev.fn()
+		switch ev.kind {
+		case evCall:
+			ev.fn()
+		case evDispatch:
+			e.dispatch(ev.p)
+		case evWake:
+			e.wake(ev.p, ev.tok)
+		case evTimeout:
+			if e.wake(ev.p, ev.tok) {
+				ev.p.timedOut = true
+			}
+		}
 	}
-	e.teardown()
-	e.running = false
 	return e.now
 }
 
@@ -204,14 +229,12 @@ func (e *Engine) Stop() { e.stopped = true }
 // deadlocks.
 func (e *Engine) Parked() int { return len(e.live) }
 
-// teardown unwinds all processes that are still parked.
+// teardown unwinds every process that is still parked, one at a time:
+// stop resumes the coroutine with its yield reporting false, park turns
+// that into errShutdown, and stop returns once the body has unwound.
 func (e *Engine) teardown() {
-	close(e.shutdown)
 	for p := range e.live {
-		// Each live process is parked in a resume/shutdown select; the
-		// closed channel unwinds it and it sends one final parked
-		// notification from its top-level defer.
-		<-p.parked
 		delete(e.live, p)
+		p.stop()
 	}
 }

@@ -18,31 +18,32 @@ type ProcFunc func(p *Proc)
 // Proc is a simulated process. All its methods must be called from the
 // process's own goroutine (inside its ProcFunc).
 type Proc struct {
-	eng    *Engine
-	name   string
-	resume chan struct{}
-	parked chan struct{}
+	eng  *Engine
+	name string
 
-	done    bool
-	waiting bool
-	waitSeq uint64
+	// The coroutine bound by Spawn (see bind): next runs the body until
+	// its next park, yield is what park calls, stop unwinds it.
+	next  func() (struct{}, bool)
+	yield func(struct{}) bool
+	stop  func()
+
+	done     bool
+	waiting  bool
+	waitSeq  uint64
+	timedOut bool // the timeout, not the waited-for thing, ended the last timed wait
 }
 
-// top is the goroutine entry point: it waits for the first dispatch, runs
-// fn, and reports exit.
+// top is the coroutine body: it runs fn and records the exit. An
+// errShutdown unwind ends here; any other panic (or a runtime.Goexit from
+// t.Fatal) carries on into the coroutine, which re-raises it from next on
+// the goroutine that called Run.
 func (p *Proc) top(fn ProcFunc) {
 	defer func() {
+		p.done = true
 		if r := recover(); r != nil && r != errShutdown { //nolint:errorlint // sentinel identity
 			panic(r)
 		}
-		p.done = true
-		p.parked <- struct{}{}
 	}()
-	select {
-	case <-p.resume:
-	case <-p.eng.shutdown:
-		panic(errShutdown)
-	}
 	fn(p)
 }
 
@@ -64,14 +65,23 @@ func (p *Proc) newWait() uint64 {
 }
 
 // park yields control to the engine and blocks until a waker resumes the
-// process (or the engine shuts down).
+// process. Once the engine is tearing down yield reports false, at once
+// and on every later call, so a deferred cleanup that parks again while
+// the stack unwinds keeps unwinding.
 func (p *Proc) park() {
-	p.parked <- struct{}{}
-	select {
-	case <-p.resume:
-	case <-p.eng.shutdown:
+	if !p.yield(struct{}{}) {
 		panic(errShutdown)
 	}
+}
+
+// parkTimeout parks under wait token seq with a timeout ns from now armed
+// against it, and reports whether someone other than the timeout claimed
+// the wait.
+func (p *Proc) parkTimeout(seq uint64, ns int64) bool {
+	p.timedOut = false
+	p.eng.schedule(event{at: p.eng.now + Time(ns), kind: evTimeout, p: p, tok: seq})
+	p.park()
+	return !p.timedOut
 }
 
 // Yield gives other processes scheduled at the same instant a chance to
@@ -83,8 +93,7 @@ func (p *Proc) SleepNS(ns int64) {
 	if ns < 0 {
 		ns = 0
 	}
-	seq := p.newWait()
-	p.eng.AfterNS(ns, func() { p.eng.wake(p, seq) })
+	p.eng.schedule(event{at: p.eng.now + Time(ns), kind: evWake, p: p, tok: p.newWait()})
 	p.park()
 }
 
@@ -132,14 +141,7 @@ func (p *Proc) WaitEventTimeout(ev *Event, ns int64) bool {
 	}
 	seq := p.newWait()
 	ev.waiters = append(ev.waiters, waiter{p, seq})
-	timedOut := false
-	p.eng.AfterNS(ns, func() {
-		if p.eng.wake(p, seq) {
-			timedOut = true
-		}
-	})
-	p.park()
-	return !timedOut
+	return p.parkTimeout(seq, ns)
 }
 
 // WaitCond blocks until the condition is signalled or broadcast.
@@ -154,12 +156,5 @@ func (p *Proc) WaitCond(c *Cond) {
 func (p *Proc) WaitCondTimeout(c *Cond, ns int64) bool {
 	seq := p.newWait()
 	c.waiters = append(c.waiters, waiter{p, seq})
-	timedOut := false
-	p.eng.AfterNS(ns, func() {
-		if p.eng.wake(p, seq) {
-			timedOut = true
-		}
-	})
-	p.park()
-	return !timedOut
+	return p.parkTimeout(seq, ns)
 }

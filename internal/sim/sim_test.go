@@ -407,3 +407,24 @@ func TestSleepUntil(t *testing.T) {
 	})
 	e.Run()
 }
+
+// A sleep is a typed calendar entry held by value, its wake and dispatch
+// carry no closure, and the hand-off is a coroutine switch: the steady
+// state of a simulation allocates nothing per yield.
+func TestSleepDoesNotAllocate(t *testing.T) {
+	e := NewEngine()
+	allocs := -1.0
+	e.Spawn("neighbour", func(p *Proc) { // keeps the calendar more than one deep
+		for {
+			p.SleepNS(3)
+		}
+	})
+	e.Spawn("p", func(p *Proc) {
+		allocs = testing.AllocsPerRun(1000, func() { p.SleepNS(1) })
+		e.Stop()
+	})
+	e.Run()
+	if allocs != 0 {
+		t.Errorf("SleepNS allocates %v times per call, want 0", allocs)
+	}
+}

@@ -378,11 +378,11 @@ func (as *AddressSpace) access(p *sim.Proc, addr int64, buf []byte, write bool, 
 		if walk := as.tlbTouch(addr + off); walk > 0 && p != nil {
 			p.Busy(walk, meters...)
 		}
-		if f.Data != nil { // dataless mode carries timing only
+		if data := f.Bytes(); data != nil { // dataless mode carries timing only
 			if write {
-				copy(f.Data[pageOff:pageOff+n], buf[off:off+n])
+				copy(data[pageOff:pageOff+n], buf[off:off+n])
 			} else {
-				copy(buf[off:off+n], f.Data[pageOff:pageOff+n])
+				copy(buf[off:off+n], data[pageOff:pageOff+n])
 			}
 		}
 		if p != nil {
