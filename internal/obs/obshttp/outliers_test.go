@@ -1,8 +1,10 @@
 package obshttp
 
 import (
+	"bytes"
 	"encoding/json"
 	"net/http/httptest"
+	"os"
 	"runtime"
 	"strings"
 	"sync"
@@ -206,4 +208,29 @@ func mustJSON(t *testing.T, render func() ([]byte, error)) []byte {
 		t.Fatalf("render failed: %v", err)
 	}
 	return body
+}
+
+// TestOutliersParentFixtureRoundTrips pins the /debug/outliers wire
+// format across the captured-record refactor: testdata/outliers_parent.json
+// was rendered through Handler.OutliersJSON by the code at 50dcc92 from
+// a hand-built snapshot — all three kinds, watchdog and domain reasons,
+// a tenant lane, windowed and cumulative SLO burn, a disarmed source —
+// and today's types must decode it and re-encode it byte for byte: no
+// field renamed, retyped, reordered or dropped.
+func TestOutliersParentFixtureRoundTrips(t *testing.T) {
+	want, err := os.ReadFile("testdata/outliers_parent.json")
+	if err != nil {
+		t.Fatal(err)
+	}
+	var reports []OutlierReport
+	if err := json.Unmarshal(want, &reports); err != nil {
+		t.Fatalf("fixture does not decode: %v", err)
+	}
+	got, err := json.MarshalIndent(reports, "", "  ")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got = append(got, '\n'); !bytes.Equal(got, want) {
+		t.Fatalf("re-encoded document differs from the parent's rendering:\n%s", got)
+	}
 }
