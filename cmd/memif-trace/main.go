@@ -9,18 +9,16 @@
 //
 //	memif-trace [-reqs N] [-pages N] [-op migrate|replicate] [-race detect|recover|prevent] [-v]
 //	memif-trace -rt [-reqs N] [-rt-bytes N] [-rt-controllers N] [-rt-chunk N]
-//	memif-trace -serve :9090 [-serve-for 30s] [-reqs N] [-rt-bytes N]
+//	memif-trace -serve :9090 [-reqs N] [-rt-bytes N]
 //	memif-trace -outliers http://host:9090/debug/outliers [-top K]
-//	memif-trace -check-metrics metrics.txt
-//	memif-trace -check-trace trace.json
-//	memif-trace -check-outliers outliers.json
 //
 // With -serve the tool exercises all three instrumented subsystems (a
 // realtime burst with full lifecycle capture, a swap-out scenario, a
 // streaming run) and serves their combined observability over HTTP:
 // /metrics (Prometheus text format), /trace (Chrome trace_event JSON
-// for chrome://tracing or Perfetto), /debug/pprof/*. The -check-*
-// modes validate files scraped from those endpoints, for CI.
+// for chrome://tracing or Perfetto), /debug/outliers, /debug/pprof/*.
+// go test ./cmd/memif-trace scrapes the same handler and validates
+// every endpoint.
 //
 // With -v the engine's process-dispatch trace is streamed too, showing
 // every app/worker/interrupt context switch in virtual time.
@@ -58,45 +56,22 @@ func main() {
 	rtControllers := flag.Int("rt-controllers", 0, "realtime: transfer controllers (0 = default)")
 	rtChunk := flag.Int("rt-chunk", 0, "realtime: chunk bytes (0 = default, <0 disables chunking)")
 	serveAddr := flag.String("serve", "", "serve /metrics, /trace and /debug/pprof on this address")
-	serveFor := flag.Duration("serve-for", 0, "with -serve: shut down after this long (0 = forever)")
-	checkMetricsPath := flag.String("check-metrics", "", "validate a scraped /metrics file and exit")
-	checkTracePath := flag.String("check-trace", "", "validate a downloaded /trace file and exit")
 	outliersFrom := flag.String("outliers", "", "render a /debug/outliers URL or saved file as a top-K table and exit")
 	topK := flag.Int("top", 10, "with -outliers: how many outliers to show")
-	checkOutliersPath := flag.String("check-outliers", "", "validate a downloaded /debug/outliers file and exit")
 	flag.Parse()
 
 	if *outliersFrom != "" {
-		if err := showOutliers(*outliersFrom, *topK); err != nil {
+		if err := showOutliers(os.Stdout, *outliersFrom, *topK); err != nil {
 			fmt.Fprintf(os.Stderr, "memif-trace: outliers %s: %v\n", *outliersFrom, err)
 			os.Exit(1)
 		}
 		return
 	}
-	if *checkOutliersPath != "" {
-		if err := checkOutliers(*checkOutliersPath); err != nil {
-			fmt.Fprintf(os.Stderr, "memif-trace: check-outliers %s: %v\n", *checkOutliersPath, err)
+	if *serveAddr != "" {
+		if err := runServe(*serveAddr, *reqs, *rtBytes); err != nil {
+			fmt.Fprintf(os.Stderr, "memif-trace: serve: %v\n", err)
 			os.Exit(1)
 		}
-		return
-	}
-	if *checkMetricsPath != "" || *checkTracePath != "" {
-		if *checkMetricsPath != "" {
-			if err := checkMetrics(*checkMetricsPath); err != nil {
-				fmt.Fprintf(os.Stderr, "memif-trace: check-metrics %s: %v\n", *checkMetricsPath, err)
-				os.Exit(1)
-			}
-		}
-		if *checkTracePath != "" {
-			if err := checkTrace(*checkTracePath); err != nil {
-				fmt.Fprintf(os.Stderr, "memif-trace: check-trace %s: %v\n", *checkTracePath, err)
-				os.Exit(1)
-			}
-		}
-		return
-	}
-	if *serveAddr != "" {
-		runServe(*serveAddr, *serveFor, *reqs, *rtBytes)
 		return
 	}
 
@@ -230,33 +205,15 @@ func runRealtime(reqs, bytesPer, controllers, chunkBytes int) {
 	for i := range src {
 		src[i] = byte(i)
 	}
-	dsts := make([][]byte, reqs)
 	start := time.Now()
-	for i := 0; i < reqs; i++ {
-		dsts[i] = make([]byte, bytesPer)
-		r := d.AllocRequest()
-		if r == nil {
-			fmt.Fprintln(os.Stderr, "memif-trace: out of request slots")
-			os.Exit(1)
-		}
-		r.Src, r.Dst = src, dsts[i]
-		r.Cookie = uint64(i)
-		if err := d.Submit(r); err != nil {
-			fmt.Fprintf(os.Stderr, "memif-trace: submit %d: %v\n", i, err)
-			os.Exit(1)
-		}
-	}
-	for done := 0; done < reqs; {
-		r := d.RetrieveCompleted()
-		if r == nil {
-			d.Poll(time.Second)
-			continue
-		}
+	err := copyBurst(d, reqs, src, func(r *realtime.Request) {
 		lat, _ := r.Latency()
 		fmt.Printf("req %3d  %8d KB  latency %10v  err=%v\n",
 			r.Cookie, len(r.Src)>>10, lat, r.Err)
-		d.FreeRequest(r)
-		done++
+	})
+	if err != nil {
+		fmt.Fprintf(os.Stderr, "memif-trace: %v\n", err)
+		os.Exit(1)
 	}
 	elapsed := time.Since(start)
 	if !d.CloseDrain(5 * time.Second) {
@@ -284,11 +241,41 @@ func runRealtime(reqs, bytesPer, controllers, chunkBytes int) {
 	showLifecycles(st.Lifecycle.Captured)
 }
 
+// copyBurst submits n copies of src to d at once, each into a buffer
+// of its own and with its index as cookie, then retrieves them all,
+// handing each completion to done (if non-nil) before freeing it.
+func copyBurst(d *realtime.Device, n int, src []byte, done func(*realtime.Request)) error {
+	for i := 0; i < n; i++ {
+		r := d.AllocRequest()
+		if r == nil {
+			return fmt.Errorf("out of request slots at request %d", i)
+		}
+		r.Src, r.Dst = src, make([]byte, len(src))
+		r.Cookie = uint64(i)
+		if err := d.Submit(r); err != nil {
+			return fmt.Errorf("submit %d: %w", i, err)
+		}
+	}
+	for retrieved := 0; retrieved < n; {
+		r := d.RetrieveCompleted()
+		if r == nil {
+			d.Poll(time.Second)
+			continue
+		}
+		if done != nil {
+			done(r)
+		}
+		d.FreeRequest(r)
+		retrieved++
+	}
+	return nil
+}
+
 // lifecycleRows bounds the lifecycle table of the -rt mode.
 const lifecycleRows = 32
 
-// showLifecycles prints the most recent captured lifecycles, oldest
-// first, with the same edge columns as the outlier table.
+// showLifecycles prints the most recent sampled lifecycles, oldest
+// first, in the same table as the outliers.
 func showLifecycles(lcs []lifecycle.Lifecycle) {
 	if len(lcs) > lifecycleRows {
 		lcs = lcs[len(lcs)-lifecycleRows:]
@@ -296,20 +283,10 @@ func showLifecycles(lcs []lifecycle.Lifecycle) {
 	if len(lcs) == 0 {
 		return
 	}
-	fmt.Printf("\nlast %d request lifecycles:\n%5s %5s %10s %9s %6s", len(lcs), "seq", "slot", "bytes", "outcome", "flags")
-	for _, e := range outlierEdges {
-		fmt.Printf(" %16s", e.name)
+	rows := make([]sourcedRecord, len(lcs))
+	for i, lc := range lcs {
+		rows[i] = sourcedRecord{"sampled", lc}
 	}
-	fmt.Printf(" %12s\n", "total")
-	for _, lc := range lcs {
-		fmt.Printf("%5d %5d %10d %9v %#6x", lc.Seq, lc.Slot, lc.Bytes, lc.Outcome, lc.Flags)
-		for _, d := range edgeDurations(lc.TS) {
-			if d < 0 {
-				fmt.Printf(" %16s", "-")
-			} else {
-				fmt.Printf(" %16v", time.Duration(d))
-			}
-		}
-		fmt.Printf(" %12v\n", time.Duration(lc.TS[lifecycle.StageRetrieved]-lc.TS[lifecycle.StageSubmit]))
-	}
+	fmt.Printf("\nlast %d request lifecycles:\n", len(lcs))
+	printRecords(os.Stdout, rows)
 }

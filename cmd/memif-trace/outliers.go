@@ -10,7 +10,6 @@ import (
 	"strings"
 	"time"
 
-	"memif/internal/obs/flight"
 	"memif/internal/obs/lifecycle"
 	"memif/internal/obs/obshttp"
 )
@@ -85,56 +84,26 @@ func fetchOutliers(from string) ([]obshttp.OutlierReport, error) {
 	return reports, nil
 }
 
-// sourcedOutlier pairs a record with the recorder it came from.
-type sourcedOutlier struct {
+// sourcedRecord pairs a captured record with the ring it came from.
+type sourcedRecord struct {
 	source string
-	o      flight.Outlier
+	lc     lifecycle.Lifecycle
 }
 
-// showOutliers renders the top-K latency outliers across every source.
-func showOutliers(from string, topK int) error {
-	reports, err := fetchOutliers(from)
-	if err != nil {
-		return err
-	}
-	var rows []sourcedOutlier
-	for _, rep := range reports {
-		fs := rep.Flight
-		armed := "armed"
-		if !fs.Enabled {
-			armed = "disarmed"
-		}
-		fmt.Printf("source %-10s %s  ring %d  breaches %d  stalls %d  events %d  captured %d\n",
-			rep.Source, armed, fs.RingDepth, fs.Breaches, fs.Stalls, fs.Events, fs.Captured)
-		for _, o := range fs.Outliers {
-			switch o.Kind {
-			case flight.KindLatency:
-				rows = append(rows, sourcedOutlier{rep.Source, o})
-			case flight.KindStall, flight.KindEvent:
-				fmt.Printf("  %-8s %-18s at %12dns  depth %d  inflight %v\n",
-					o.Kind, o.Reason, o.Nano, o.Ambient.SubmissionDepth, o.Ambient.ClassInFlight)
-			}
-		}
-	}
-	if len(rows) == 0 {
-		fmt.Println("\nno latency outliers captured")
-		return nil
-	}
-	sort.Slice(rows, func(i, j int) bool { return rows[i].o.LatencyNs > rows[j].o.LatencyNs })
-	total := len(rows)
-	if len(rows) > topK {
-		rows = rows[:topK]
-	}
-
-	fmt.Printf("\ntop %d latency outliers (of %d retained), worst first:\n\n", len(rows), total)
-	fmt.Printf("%-10s %5s %6s %7s %10s %12s %12s  %-22s", "source", "seq", "class", "tenant", "bytes", "latency", "threshold", "dominant stage")
+// printRecords is the one table of captured requests, whichever ring
+// they came from: identity, latency against the threshold in force,
+// the edge that ate most of it, then every edge — the edge columns sum
+// to the latency.
+func printRecords(w io.Writer, rows []sourcedRecord) {
+	fmt.Fprintf(w, "%-10s %5s %5s %6s %7s %10s %9s %6s %12s %12s  %-22s",
+		"source", "seq", "slot", "class", "tenant", "bytes", "outcome", "flags", "latency", "threshold", "dominant stage")
 	for _, e := range outlierEdges {
-		fmt.Printf(" %13s", e.name)
+		fmt.Fprintf(w, " %16s", e.name)
 	}
-	fmt.Println()
+	fmt.Fprintln(w)
 	for _, r := range rows {
-		o := r.o
-		durs := edgeDurations(o.TS)
+		lc := r.lc
+		durs := edgeDurations(lc.TS)
 		domIdx, domDur := -1, int64(-1)
 		for i, d := range durs {
 			if d > domDur {
@@ -142,84 +111,58 @@ func showOutliers(from string, topK int) error {
 			}
 		}
 		dom := "-"
-		if domIdx >= 0 && domDur >= 0 && o.LatencyNs > 0 {
+		if domIdx >= 0 && domDur >= 0 && lc.LatencyNs > 0 {
 			dom = fmt.Sprintf("%s (%2.0f%%)", outlierEdges[domIdx].name,
-				100*float64(domDur)/float64(o.LatencyNs))
+				100*float64(domDur)/float64(lc.LatencyNs))
 		}
-		fmt.Printf("%-10s %5d %6d %7d %10d %12v %12v  %-22s",
-			r.source, o.Seq, o.Class, o.Tenant, o.Bytes,
-			time.Duration(o.LatencyNs), time.Duration(o.ThresholdNs), dom)
+		fmt.Fprintf(w, "%-10s %5d %5d %6d %7d %10d %9v %#6x %12v %12v  %-22s",
+			r.source, lc.Seq, lc.Slot, lc.Class, lc.Tenant, lc.Bytes, lc.Outcome, lc.Flags,
+			time.Duration(lc.LatencyNs), time.Duration(lc.ThresholdNs), dom)
 		for _, d := range durs {
 			if d < 0 {
-				fmt.Printf(" %13s", "-")
+				fmt.Fprintf(w, " %16s", "-")
 			} else {
-				fmt.Printf(" %13v", time.Duration(d))
+				fmt.Fprintf(w, " %16v", time.Duration(d))
 			}
 		}
-		fmt.Println()
+		fmt.Fprintln(w)
 	}
-	return nil
 }
 
-// checkOutliers validates a saved /debug/outliers document for CI: at
-// least one armed source, every retained latency record internally
-// consistent (breach above its threshold, complete monotone stamp
-// vector), and any source that counted breaches must retain evidence.
-func checkOutliers(path string) error {
-	reports, err := fetchOutliers(path)
+// showOutliers renders the top-K latency outliers across every source.
+func showOutliers(w io.Writer, from string, topK int) error {
+	reports, err := fetchOutliers(from)
 	if err != nil {
 		return err
 	}
-	if len(reports) == 0 {
-		return fmt.Errorf("document lists no flight sources")
-	}
-	armed, latRecords := 0, 0
+	var rows []sourcedRecord
 	for _, rep := range reports {
 		fs := rep.Flight
+		armed := "armed"
 		if !fs.Enabled {
-			continue
+			armed = "disarmed"
 		}
-		armed++
-		if fs.Captured != fs.Breaches+fs.Stalls+fs.Events {
-			return fmt.Errorf("source %s: captured %d != breaches %d + stalls %d + events %d",
-				rep.Source, fs.Captured, fs.Breaches, fs.Stalls, fs.Events)
-		}
-		retained := int64(0)
+		fmt.Fprintf(w, "source %-10s %s  ring %d  breaches %d  stalls %d  events %d  captured %d\n",
+			rep.Source, armed, fs.RingDepth, fs.Breaches, fs.Stalls, fs.Events, fs.Captured)
 		for _, o := range fs.Outliers {
-			if o.Kind != flight.KindLatency {
+			if o.Kind == lifecycle.KindLatency {
+				rows = append(rows, sourcedRecord{rep.Source, o})
 				continue
 			}
-			latRecords++
-			retained++
-			if o.LatencyNs <= o.ThresholdNs {
-				return fmt.Errorf("source %s seq %d: latency %d within threshold %d — not a breach",
-					rep.Source, o.Seq, o.LatencyNs, o.ThresholdNs)
-			}
-			prev := int64(0)
-			for st, ts := range o.TS {
-				if ts == 0 {
-					return fmt.Errorf("source %s seq %d: missing stage %s stamp",
-						rep.Source, o.Seq, lifecycle.Stage(st))
-				}
-				if ts < prev {
-					return fmt.Errorf("source %s seq %d: stage %s stamp %d before %d",
-						rep.Source, o.Seq, lifecycle.Stage(st), ts, prev)
-				}
-				prev = ts
-			}
-		}
-		if fs.Breaches > 0 && retained == 0 {
-			return fmt.Errorf("source %s: %d breaches counted but no latency records retained",
-				rep.Source, fs.Breaches)
+			fmt.Fprintf(w, "  %-8s %-18s at %12dns  depth %d  inflight %v\n",
+				o.Kind, o.Reason, o.Nano, o.Ambient.SubmissionDepth, o.Ambient.ClassInFlight)
 		}
 	}
-	if armed == 0 {
-		return fmt.Errorf("no armed flight source in document")
+	if len(rows) == 0 {
+		fmt.Fprintln(w, "\nno latency outliers captured")
+		return nil
 	}
-	if latRecords == 0 {
-		return fmt.Errorf("no latency outliers retained by any source")
+	sort.Slice(rows, func(i, j int) bool { return rows[i].lc.LatencyNs > rows[j].lc.LatencyNs })
+	total := len(rows)
+	if len(rows) > topK {
+		rows = rows[:topK]
 	}
-	fmt.Printf("memif-trace: %s holds %d consistent latency outliers across %d armed sources\n",
-		path, latRecords, armed)
+	fmt.Fprintf(w, "\ntop %d latency outliers (of %d retained), worst first:\n\n", len(rows), total)
+	printRecords(w, rows)
 	return nil
 }

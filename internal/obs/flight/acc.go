@@ -1,13 +1,16 @@
 package flight
 
-// Acc batches the recorder's lane and SLO accounting across one
-// completion-retrieve batch. Recorder.Observe costs ~10 atomic RMWs per
-// request (EWMA fold, lane count, four SLO counters); on the armed
-// always-on path that alone would blow the recorder's overhead budget.
-// Acc defers all of it to local arithmetic, folded into the shared
-// counters once per batch by Flush — while the breach decision (and the
-// breach counter) stays exact per request, so retroactive capture keeps
-// its no-sampling-holes contract.
+import "memif/internal/obs/lifecycle"
+
+// Acc is the recorder's one implementation of lane and SLO accounting,
+// batched across one completion-retrieve batch. Folding every request
+// into the shared state on its own costs ~10 atomic RMWs (EWMA fold,
+// lane count, four SLO counters); on the armed always-on path that
+// alone would blow the recorder's overhead budget. Acc defers all of it
+// to local arithmetic, folded into the shared counters once per batch
+// by Flush — while the breach decision (and the breach counter) stays
+// exact per request, so retroactive capture keeps its no-sampling-holes
+// contract. Recorder.Observe is a batch of one.
 //
 // The threshold and warmup state a batch compares against are frozen at
 // the lane's first touch in the batch: a breach decision within a batch
@@ -26,9 +29,9 @@ type Acc struct {
 }
 
 // accBatchLanes bounds the distinct (class, tenant) lanes one batch can
-// accumulate locally; a batch touching more spills to the unbatched
-// Observe path — correct, just unamortized. Retrieve batches are almost
-// always single-tenant and one or two classes deep.
+// accumulate locally; a batch touching more flushes what it has and
+// carries on — correct, just less amortized. Retrieve batches are
+// almost always single-tenant and one or two classes deep.
 const accBatchLanes = 4
 
 type accLane struct {
@@ -51,11 +54,12 @@ func (a *Acc) Init(r *Recorder) {
 	a.n = 0
 }
 
-// Observe is Recorder.Observe with the lane EWMA, lane count, and SLO
-// counter updates deferred to Flush. It returns the threshold in force
-// and whether latNs breached it; a breach bumps the recorder's breach
-// counter immediately so the Captured == Breaches + Stalls + Events
-// invariant holds at every instant.
+// Observe judges one completed request against its lane's threshold,
+// with the lane EWMA, lane count, and SLO counter updates deferred to
+// Flush. It returns the threshold in force and whether latNs breached
+// it; a breach bumps the recorder's breach counter immediately so the
+// Captured == Breaches + Stalls + Events invariant holds at every
+// instant. Out-of-range classes and tenants clamp to lane 0.
 func (a *Acc) Observe(class, tenant int, latNs int64, ok bool) (thresholdNs int64, breach bool) {
 	r := a.rec
 	if r == nil {
@@ -64,7 +68,7 @@ func (a *Acc) Observe(class, tenant int, latNs int64, ok bool) (thresholdNs int6
 	if latNs < 0 {
 		latNs = 0
 	}
-	if class < 0 || class >= r.opts.Classes {
+	if class < 0 || class >= lifecycle.MaxClasses {
 		class = 0
 	}
 	var e *accLane
@@ -76,7 +80,7 @@ func (a *Acc) Observe(class, tenant int, latNs int64, ok bool) (thresholdNs int6
 	}
 	if e == nil {
 		if a.n == len(a.lanes) {
-			return r.Observe(class, tenant, latNs, ok) // spill
+			a.Flush() // spill: fold what the batch has, start over
 		}
 		tab := *r.lanes.Load()
 		ti := tenant
@@ -87,14 +91,9 @@ func (a *Acc) Observe(class, tenant int, latNs int64, ok bool) (thresholdNs int6
 		a.n++
 		*e = accLane{tl: tab[ti], class: class, tenant: tenant}
 		ln := &e.tl.lane[class]
-		e.thr = ln.ewma.Load() * r.mult
-		if e.thr < r.floor {
-			e.thr = r.floor
-		}
+		e.thr = r.threshold(ln.ewma.Load())
 		e.warmed = ln.count.Load() >= r.warm
-		if r.sloEnabled {
-			e.obj = r.objectives[class]
-		}
+		e.obj = r.objectives[class]
 	}
 	thresholdNs = e.thr
 	if ok {
@@ -137,7 +136,7 @@ func (a *Acc) Flush() {
 				k--
 			}
 			for ; k > 0; k-- {
-				ewma += (mean - ewma) >> r.shift
+				ewma += (mean - ewma) >> ewmaShift
 			}
 			ln.ewma.Store(ewma)
 			ln.count.Store(n0 + e.cnt)

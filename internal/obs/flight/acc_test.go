@@ -1,36 +1,53 @@
 package flight
 
-import "testing"
+import (
+	"testing"
 
-// Feeding homogeneous batches through an Acc must land on exactly the
-// same lane state, breach decisions, and SLO counters as per-request
-// Observe calls: the batch-mean fold is the same fixed point when every
-// latency in the batch is equal.
+	"memif/internal/obs/lifecycle"
+)
+
+// A batch that spills — it touches more lanes than the accumulator
+// holds, so Observe flushes mid-batch and carries on — must land on
+// exactly the same lane state, breach count, and SLO counters as one
+// Flush per request (which is what Recorder.Observe is): the batch-mean
+// fold is the same fixed point when every latency a lane sees in the
+// batch is equal, however many flushes the batch is cut into.
 func TestAccMatchesObserve(t *testing.T) {
-	opts := Options{
-		ThresholdFloorNs: 1, ThresholdMult: 4, EWMAShift: 3, Warmup: 4,
-		SLO: SLOOptions{ClassObjectiveNs: [MaxClasses]int64{0: 10_000}},
+	const classes, tenants = 2, 3 // 6 lanes against accBatchLanes = 4
+	newRec := func() *Recorder {
+		r := New(Options{ThresholdFloorNs: 1, ThresholdMult: 4, Warmup: 4}, true)
+		r.objectives = [lifecycle.MaxClasses]int64{10_000, 10_000}
+		r.EnsureTenants(tenants)
+		return r
 	}
-	direct := New(opts)
-	batched := New(opts)
+	direct, batched := newRec(), newRec()
 
-	// Batches of equal latencies, climbing so later ones breach.
-	batches := [][]int64{
-		{1_000, 1_000, 1_000, 1_000},
-		{2_000, 2_000},
-		{100_000}, // breach: far past 4x the trained EWMA
-		{3_000, 3_000, 3_000},
+	// Each batch gives every lane the same latency count times, lanes
+	// interleaved so the fifth lane's arrival spills the first four.
+	// Latencies climb so the 100 µs round breaches.
+	batches := []struct {
+		lat   int64
+		count int
+	}{
+		{1_000, 4},
+		{2_000, 2},
+		{100_000, 1}, // breach: far past 4x the trained EWMA
+		{3_000, 3},
 	}
 	// Per-observation thresholds legitimately differ inside a batch (the
-	// accumulator freezes the lane's threshold at first touch; direct
-	// Observe re-derives it every call), so the equivalence claim is on
+	// accumulator freezes the lane's threshold at first touch; a batch
+	// of one re-derives it every call), so the equivalence claim is on
 	// the folded end state, not on intermediate readings.
-	for _, lats := range batches {
+	for _, b := range batches {
 		var acc Acc
 		acc.Init(batched)
-		for _, lat := range lats {
-			direct.Observe(0, 0, lat, true)
-			acc.Observe(0, 0, lat, true)
+		for i := 0; i < b.count; i++ {
+			for c := 0; c < classes; c++ {
+				for tn := 0; tn < tenants; tn++ {
+					direct.Observe(c, tn, b.lat, true)
+					acc.Observe(c, tn, b.lat, true)
+				}
+			}
 		}
 		acc.Flush()
 	}
@@ -39,25 +56,28 @@ func TestAccMatchesObserve(t *testing.T) {
 	if ds.Breaches != bs.Breaches || ds.Breaches == 0 {
 		t.Fatalf("breaches: direct %d vs batched %d", ds.Breaches, bs.Breaches)
 	}
-	if len(ds.Thresholds) != 1 || len(bs.Thresholds) != 1 {
+	if len(ds.Thresholds) != classes*tenants || len(bs.Thresholds) != classes*tenants {
 		t.Fatalf("lane counts: direct %d vs batched %d", len(ds.Thresholds), len(bs.Thresholds))
 	}
-	if ds.Thresholds[0] != bs.Thresholds[0] {
-		t.Fatalf("lane state diverged:\n direct  %+v\n batched %+v",
-			ds.Thresholds[0], bs.Thresholds[0])
+	for i := range ds.Thresholds {
+		if ds.Thresholds[i] != bs.Thresholds[i] {
+			t.Fatalf("lane state diverged:\n direct  %+v\n batched %+v",
+				ds.Thresholds[i], bs.Thresholds[i])
+		}
 	}
-	dc, bc := ds.SLO.Classes[0], bs.SLO.Classes[0]
-	if dc.Good != bc.Good || dc.Total != bc.Total || dc.Good == 0 {
-		t.Fatalf("SLO diverged: direct %d/%d vs batched %d/%d",
-			dc.Good, dc.Total, bc.Good, bc.Total)
+	for i := range ds.SLO.Classes {
+		dc, bc := ds.SLO.Classes[i], bs.SLO.Classes[i]
+		if dc.Good != bc.Good || dc.Total != bc.Total || dc.Good == 0 {
+			t.Fatalf("SLO diverged: direct %d/%d vs batched %d/%d",
+				dc.Good, dc.Total, bc.Good, bc.Total)
+		}
 	}
 }
 
 // A batch touching more distinct lanes than the accumulator holds must
-// spill to the unbatched path without losing any accounting.
+// spill — flush and carry on — without losing any accounting.
 func TestAccSpillPastLaneCapacity(t *testing.T) {
-	opts := Options{ThresholdFloorNs: 1, Warmup: 1, Classes: 2}
-	r := New(opts)
+	r := New(Options{ThresholdFloorNs: 1, Warmup: 1}, true)
 	r.EnsureTenants(4)
 
 	var acc Acc
@@ -86,7 +106,7 @@ func TestAccSpillPastLaneCapacity(t *testing.T) {
 // capture that follows a breach decision bumps Captured immediately, and
 // Captured == Breaches + Stalls + Events has to hold at every instant.
 func TestAccBreachCountsBeforeFlush(t *testing.T) {
-	r := New(Options{ThresholdFloorNs: 1, Warmup: 1})
+	r := New(Options{ThresholdFloorNs: 1, Warmup: 1}, true)
 	r.Observe(0, 0, 1_000, true) // warm + train
 
 	var acc Acc
@@ -113,7 +133,7 @@ func TestAccNilAndReuse(t *testing.T) {
 	}
 	acc.Flush()
 
-	r := New(Options{ThresholdFloorNs: 1, Warmup: 1})
+	r := New(Options{ThresholdFloorNs: 1, Warmup: 1}, true)
 	acc.Init(r)
 	for i := 0; i < 3; i++ {
 		acc.Observe(0, 0, 2_000, true)

@@ -5,10 +5,12 @@ import (
 	"sync"
 	"testing"
 	"time"
+
+	"memif/internal/obs/lifecycle"
 )
 
 func TestDisabledRecorderIsNil(t *testing.T) {
-	if New(Options{Disable: true}) != nil {
+	if New(Options{Disable: true}, true) != nil {
 		t.Fatal("Disable should yield a nil recorder")
 	}
 	var r *Recorder
@@ -17,9 +19,9 @@ func TestDisabledRecorderIsNil(t *testing.T) {
 	if thr, breach := r.Observe(0, 0, 1e9, true); thr != 0 || breach {
 		t.Fatalf("nil Observe = (%d, %v), want (0, false)", thr, breach)
 	}
-	r.Capture(&Outlier{})
-	r.CaptureStall(ReasonWorkerStall, 1, Ambient{})
-	r.CaptureEvent(&Outlier{})
+	r.Capture(&lifecycle.Lifecycle{})
+	r.CaptureStall(lifecycle.ReasonWorkerStall, 1, lifecycle.Ambient{})
+	r.CaptureEvent(&lifecycle.Lifecycle{})
 	r.Tick(1)
 	if s := r.Snapshot(); s.Enabled {
 		t.Fatal("nil Snapshot should report disabled")
@@ -28,13 +30,10 @@ func TestDisabledRecorderIsNil(t *testing.T) {
 	if got := w.Tick(ProbeState{}); got != nil {
 		t.Fatalf("nil watchdog Tick = %v, want nil", got)
 	}
-	if NewWatchdog(WatchdogOptions{Disable: true}) != nil {
-		t.Fatal("Disable should yield a nil watchdog")
-	}
 }
 
 func TestThresholdAdaptation(t *testing.T) {
-	r := New(Options{ThresholdFloorNs: 1, ThresholdMult: 4, EWMAShift: 3, Warmup: 4})
+	r := New(Options{ThresholdFloorNs: 1, ThresholdMult: 4, Warmup: 4}, true)
 	// Warmup: no breach regardless of latency.
 	for i := 0; i < 4; i++ {
 		if _, breach := r.Observe(0, 0, 1_000, true); breach {
@@ -64,7 +63,7 @@ func TestThresholdAdaptation(t *testing.T) {
 }
 
 func TestThresholdFloor(t *testing.T) {
-	r := New(Options{ThresholdFloorNs: 50_000, Warmup: 1})
+	r := New(Options{ThresholdFloorNs: 50_000, Warmup: 1}, true)
 	r.Observe(0, 0, 100, true) // warm
 	thr, breach := r.Observe(0, 0, 40_000, true)
 	if thr != 50_000 {
@@ -76,7 +75,7 @@ func TestThresholdFloor(t *testing.T) {
 }
 
 func TestNonOKOutcomesDoNotTrain(t *testing.T) {
-	r := New(Options{ThresholdFloorNs: 1, Warmup: 1})
+	r := New(Options{ThresholdFloorNs: 1, Warmup: 1}, true)
 	for i := 0; i < 100; i++ {
 		r.Observe(0, 0, 1_000_000, false) // canceled storm must not inflate the lane
 	}
@@ -92,9 +91,9 @@ func TestNonOKOutcomesDoNotTrain(t *testing.T) {
 }
 
 func TestRingWrapKeepsNewest(t *testing.T) {
-	r := New(Options{RingDepth: 4})
+	r := New(Options{RingDepth: 4}, true)
 	for i := 1; i <= 10; i++ {
-		r.Capture(&Outlier{Kind: KindLatency, LatencyNs: int64(i)})
+		r.Capture(&lifecycle.Lifecycle{Kind: lifecycle.KindLatency, LatencyNs: int64(i)})
 	}
 	s := r.Snapshot()
 	if s.Captured != 10 {
@@ -112,13 +111,13 @@ func TestRingWrapKeepsNewest(t *testing.T) {
 }
 
 func TestCaptureRoundTrip(t *testing.T) {
-	r := New(Options{})
-	in := Outlier{
-		Kind: KindLatency, Reason: ReasonNone, Nano: 123, Slot: 7, Class: 1,
+	r := New(Options{}, true)
+	in := lifecycle.Lifecycle{
+		Kind: lifecycle.KindLatency, Reason: lifecycle.ReasonNone, Nano: 123, Slot: 7, Class: 1,
 		Tenant: 3, Bytes: 4096, Outcome: 2, Flags: 0x3,
 		LatencyNs: 999_999, ThresholdNs: 200_000,
 		TS:      [7]int64{1, 2, 3, 4, 5, 6, 7},
-		Ambient: Ambient{StagingDepth: 1, SubmissionDepth: 2, CompletionDepth: 3, RingDepth: 4, ClassInFlight: [MaxClasses]int64{9, 8, 7, 6}},
+		Ambient: lifecycle.Ambient{StagingDepth: 1, SubmissionDepth: 2, CompletionDepth: 3, RingDepth: 4, ClassInFlight: [lifecycle.MaxClasses]int64{9, 8, 7, 6}},
 	}
 	r.Capture(&in)
 	s := r.Snapshot()
@@ -133,23 +132,23 @@ func TestCaptureRoundTrip(t *testing.T) {
 }
 
 func TestStallAndEventCounters(t *testing.T) {
-	r := New(Options{})
-	r.CaptureStall(ReasonWorkerStall, 5, Ambient{CompletionDepth: 9})
-	r.CaptureEvent(&Outlier{Reason: ReasonTxnAbort, Bytes: 4096})
+	r := New(Options{}, true)
+	r.CaptureStall(lifecycle.ReasonWorkerStall, 5, lifecycle.Ambient{CompletionDepth: 9})
+	r.CaptureEvent(&lifecycle.Lifecycle{Reason: lifecycle.ReasonTxnAbort, Bytes: 4096})
 	s := r.Snapshot()
 	if s.Stalls != 1 || s.Events != 1 || s.Captured != 2 || s.Breaches != 0 {
 		t.Fatalf("counters = %+v", s)
 	}
-	if s.Outliers[0].Kind != KindStall || s.Outliers[0].Reason != ReasonWorkerStall {
+	if s.Outliers[0].Kind != lifecycle.KindStall || s.Outliers[0].Reason != lifecycle.ReasonWorkerStall {
 		t.Fatalf("stall record = %+v", s.Outliers[0])
 	}
-	if s.Outliers[1].Kind != KindEvent || s.Outliers[1].Reason != ReasonTxnAbort {
+	if s.Outliers[1].Kind != lifecycle.KindEvent || s.Outliers[1].Reason != lifecycle.ReasonTxnAbort {
 		t.Fatalf("event record = %+v", s.Outliers[1])
 	}
 }
 
 func TestEnsureTenantsAndClamp(t *testing.T) {
-	r := New(Options{ThresholdFloorNs: 1, Warmup: 1})
+	r := New(Options{ThresholdFloorNs: 1, Warmup: 1}, true)
 	r.EnsureTenants(3)
 	r.Observe(0, 2, 500, true)
 	// Out-of-range tenant and class clamp to lane 0.
@@ -177,14 +176,9 @@ func TestEnsureTenantsAndClamp(t *testing.T) {
 }
 
 func TestSLOBurn(t *testing.T) {
-	r := New(Options{
-		Warmup: 1,
-		SLO: SLOOptions{
-			ClassObjectiveNs: [MaxClasses]int64{1_000, 0, 0, 0},
-			BudgetFraction:   0.001,
-			Windows:          []time.Duration{time.Microsecond * windowEntries},
-		},
-	})
+	r := New(Options{Warmup: 1}, true)
+	r.objectives = [lifecycle.MaxClasses]int64{1_000, 0, 0, 0}
+	r.windows = []*wring{newWring(int64(time.Microsecond * windowEntries))}
 	nano := int64(0)
 	r.Tick(nano)
 	// 50 good, 50 bad on class 0.
@@ -216,13 +210,9 @@ func TestSLOWindowExpiry(t *testing.T) {
 	// After the window passes with only good completions, windowed
 	// burn must drop to 0 while cumulative totals keep the history.
 	win := time.Microsecond * windowEntries // 64µs window, 1µs interval
-	r := New(Options{
-		Warmup: 1,
-		SLO: SLOOptions{
-			ClassObjectiveNs: [MaxClasses]int64{1_000, 0, 0, 0},
-			Windows:          []time.Duration{win},
-		},
-	})
+	r := New(Options{Warmup: 1}, true)
+	r.objectives = [lifecycle.MaxClasses]int64{1_000, 0, 0, 0}
+	r.windows = []*wring{newWring(int64(win))}
 	nano := int64(0)
 	r.Tick(nano)
 	for i := 0; i < 10; i++ {
@@ -244,7 +234,7 @@ func TestSLOWindowExpiry(t *testing.T) {
 }
 
 func TestWatchdogEpisodes(t *testing.T) {
-	w := NewWatchdog(WatchdogOptions{StallTicks: 3, HighWaterFraction: 0.75})
+	w := NewWatchdog()
 	stalled := ProbeState{QueuedWork: true, DispatchProgress: 42}
 	// Baseline tick: the watchdog learns the progress counters.
 	w.Tick(ProbeState{DispatchProgress: 42})
@@ -255,7 +245,7 @@ func TestWatchdogEpisodes(t *testing.T) {
 		}
 	}
 	// Tick 3: fires once.
-	if got := w.Tick(stalled); len(got) != 1 || got[0] != ReasonWorkerStall {
+	if got := w.Tick(stalled); len(got) != 1 || got[0] != lifecycle.ReasonWorkerStall {
 		t.Fatalf("tick 3 = %v, want [worker_stall]", got)
 	}
 	// Still stalled: latched, no refire.
@@ -266,7 +256,7 @@ func TestWatchdogEpisodes(t *testing.T) {
 	if got := w.Tick(ProbeState{QueuedWork: true, DispatchProgress: 43}); len(got) != 0 {
 		t.Fatalf("progress tick fired %v", got)
 	}
-	// ...and a new stall episode fires again after StallTicks.
+	// ...and a new stall episode fires again after stallTicks.
 	for i := 0; i < 2; i++ {
 		w.Tick(ProbeState{QueuedWork: true, DispatchProgress: 43})
 	}
@@ -276,7 +266,8 @@ func TestWatchdogEpisodes(t *testing.T) {
 }
 
 func TestWatchdogBacklogAndStarvation(t *testing.T) {
-	w := NewWatchdog(WatchdogOptions{StallTicks: 2})
+	w := NewWatchdog()
+	w.needTicks = 2
 	// Completion ring at high water AND nothing retrieving. Tick 1 is
 	// the starvation baseline (it learns RetrieveProgress) but already
 	// counts for the backlog, which fires on tick 2; starvation arms
@@ -284,11 +275,11 @@ func TestWatchdogBacklogAndStarvation(t *testing.T) {
 	p := ProbeState{CompletionDepth: 96, CompletionCap: 128, RetrieveProgress: 7, DispatchProgress: 1}
 	w.Tick(p)
 	p.DispatchProgress++ // keep the worker "alive"
-	if got := w.Tick(p); len(got) != 1 || got[0] != ReasonCompletionBacklog {
+	if got := w.Tick(p); len(got) != 1 || got[0] != lifecycle.ReasonCompletionBacklog {
 		t.Fatalf("tick 2 = %v, want [completion_backlog]", got)
 	}
 	p.DispatchProgress++
-	if got := w.Tick(p); len(got) != 1 || got[0] != ReasonPollerStarvation {
+	if got := w.Tick(p); len(got) != 1 || got[0] != lifecycle.ReasonPollerStarvation {
 		t.Fatalf("tick 3 = %v, want [poller_starvation]", got)
 	}
 	// Draining below high water clears the backlog latch; retrieval
@@ -308,7 +299,7 @@ func TestWatchdogBacklogAndStarvation(t *testing.T) {
 // form that holds whenever breaches alone fit the ring).
 func TestConcurrentCaptureAndSnapshot(t *testing.T) {
 	const workers, perWorker = 4, 2048
-	r := New(Options{RingDepth: 2 * workers * perWorker, ThresholdFloorNs: 1, ThresholdMult: 1, Warmup: 1})
+	r := New(Options{RingDepth: 2 * workers * perWorker, ThresholdFloorNs: 1, ThresholdMult: 1, Warmup: 1}, true)
 	r.EnsureTenants(workers)
 	var wg sync.WaitGroup
 	for g := 0; g < workers; g++ {
@@ -318,11 +309,11 @@ func TestConcurrentCaptureAndSnapshot(t *testing.T) {
 			for i := 0; i < perWorker; i++ {
 				lat := int64(1_000 + i%7)
 				if thr, breach := r.Observe(g%2, g, lat, true); breach {
-					o := Outlier{Kind: KindLatency, Class: int32(g % 2), Tenant: uint32(g), LatencyNs: lat, ThresholdNs: thr}
+					o := lifecycle.Lifecycle{Kind: lifecycle.KindLatency, Class: g % 2, Tenant: g, LatencyNs: lat, ThresholdNs: thr}
 					r.Capture(&o)
 				}
 				if i%64 == 0 {
-					r.CaptureStall(ReasonWorkerStall, int64(i), Ambient{})
+					r.CaptureStall(lifecycle.ReasonWorkerStall, int64(i), lifecycle.Ambient{})
 				}
 			}
 		}(g)
@@ -347,9 +338,9 @@ func TestConcurrentCaptureAndSnapshot(t *testing.T) {
 	var latency, stalls int64
 	for _, o := range s.Outliers {
 		switch o.Kind {
-		case KindLatency:
+		case lifecycle.KindLatency:
 			latency++
-		case KindStall:
+		case lifecycle.KindStall:
 			stalls++
 		}
 	}
@@ -362,20 +353,20 @@ func TestConcurrentCaptureAndSnapshot(t *testing.T) {
 }
 
 func TestKindReasonJSON(t *testing.T) {
-	o := Outlier{Kind: KindStall, Reason: ReasonCompletionBacklog}
+	o := lifecycle.Lifecycle{Kind: lifecycle.KindStall, Reason: lifecycle.ReasonCompletionBacklog}
 	b, err := json.Marshal(o)
 	if err != nil {
 		t.Fatal(err)
 	}
-	var back Outlier
+	var back lifecycle.Lifecycle
 	if err := json.Unmarshal(b, &back); err != nil {
 		t.Fatal(err)
 	}
-	if back.Kind != KindStall || back.Reason != ReasonCompletionBacklog {
+	if back.Kind != lifecycle.KindStall || back.Reason != lifecycle.ReasonCompletionBacklog {
 		t.Fatalf("round trip = %+v", back)
 	}
-	var k Kind
-	if err := json.Unmarshal([]byte(`"latency"`), &k); err != nil || k != KindLatency {
+	var k lifecycle.Kind
+	if err := json.Unmarshal([]byte(`"latency"`), &k); err != nil || k != lifecycle.KindLatency {
 		t.Fatalf("kind from name: %v %v", k, err)
 	}
 	if err := json.Unmarshal([]byte(`"bogus"`), &k); err == nil {
@@ -384,7 +375,7 @@ func TestKindReasonJSON(t *testing.T) {
 }
 
 func TestObserveAllocFree(t *testing.T) {
-	r := New(Options{Warmup: 1})
+	r := New(Options{Warmup: 1}, true)
 	r.Observe(0, 0, 100, true)
 	allocs := testing.AllocsPerRun(1000, func() {
 		r.Observe(0, 0, 1_000, true)
@@ -392,7 +383,7 @@ func TestObserveAllocFree(t *testing.T) {
 	if allocs != 0 {
 		t.Fatalf("Observe allocates %v/op", allocs)
 	}
-	o := Outlier{Kind: KindLatency}
+	o := lifecycle.Lifecycle{Kind: lifecycle.KindLatency}
 	allocs = testing.AllocsPerRun(1000, func() {
 		r.Capture(&o)
 	})
@@ -406,5 +397,40 @@ func TestObserveAllocFree(t *testing.T) {
 	})
 	if allocs != 0 {
 		t.Fatalf("Tick allocates %v/op", allocs)
+	}
+}
+
+// The outlier ring's side of lifecycle's test of the same name: one
+// writer captures records whose every field equals their ticket into a
+// two-slot ring, and no concurrent Snapshot may return a mixed one.
+func TestSnapshotNeverTears(t *testing.T) {
+	r := New(Options{RingDepth: 2}, false)
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		for v := int64(1); v <= 1_000_000; v++ {
+			o := lifecycle.Lifecycle{Nano: v, Bytes: v, LatencyNs: v, ThresholdNs: v}
+			for i := range o.TS {
+				o.TS[i] = v
+			}
+			r.Capture(&o)
+		}
+	}()
+	for running := true; running; {
+		select {
+		case <-done:
+			running = false
+		default:
+		}
+		for _, got := range r.Snapshot().Outliers {
+			v := int64(got.Seq)
+			want := lifecycle.Lifecycle{Seq: got.Seq, Nano: v, Bytes: v, LatencyNs: v, ThresholdNs: v}
+			for i := range want.TS {
+				want.TS[i] = v
+			}
+			if got != want {
+				t.Fatalf("torn record: %+v", got)
+			}
+		}
 	}
 }

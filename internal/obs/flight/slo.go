@@ -1,5 +1,7 @@
 package flight
 
+import "memif/internal/obs/lifecycle"
+
 // SLO burn-rate windows. Each window keeps a small ring of cumulative
 // good/total snapshots spaced window/windowEntries apart; once the
 // ring has wrapped, its oldest entry is one full window old, and the
@@ -24,9 +26,8 @@ const (
 )
 
 type sloEntry struct {
-	nano       int64
-	classGood  [MaxClasses]int64
-	classTotal [MaxClasses]int64
+	classGood  [lifecycle.MaxClasses]int64
+	classTotal [lifecycle.MaxClasses]int64
 	tenGood    [maxWindowTenants]int64
 	tenTotal   [maxWindowTenants]int64
 }
@@ -78,85 +79,64 @@ type ProbeState struct {
 	RetrieveProgress int64
 }
 
-// Watchdog turns a stream of ProbeStates into typed stall reports.
-// It is single-threaded by contract — only the owner's monitor loop
-// calls Tick — and latches each condition so a wedged device reports
-// once per episode, not once per tick.
-type Watchdog struct {
-	opts WatchdogOptions
-
-	lastDispatch int64
-	lastRetrieve int64
-	stallTicks   int
-	backlogTicks int
-	starveTicks  int
-	stallLatch   bool
-	backlogLatch bool
-	starveLatch  bool
-	fired        []Reason
+// episode is one latched watchdog condition: it fires once when the
+// condition has held for need consecutive ticks and re-arms when it
+// clears, so a wedged device reports once per episode, not once per tick.
+type episode struct {
+	ticks   int
+	latched bool
 }
 
-// NewWatchdog builds a Watchdog, or nil when disabled.
-func NewWatchdog(opts WatchdogOptions) *Watchdog {
-	if opts.Disable {
-		return nil
+func (e *episode) tick(bad bool, need int) (fire bool) {
+	if !bad {
+		*e = episode{}
+		return false
 	}
-	if opts.HighWaterFraction <= 0 || opts.HighWaterFraction > 1 {
-		opts.HighWaterFraction = 0.75
-	}
-	if opts.StallTicks <= 0 {
-		opts.StallTicks = 3
-	}
-	return &Watchdog{opts: opts, fired: make([]Reason, 0, 3)}
+	e.ticks++
+	fire = e.ticks >= need && !e.latched
+	e.latched = e.latched || fire
+	return fire
+}
+
+// Watchdog turns a stream of ProbeStates into typed stall reports.
+// It is single-threaded by contract — only the owner's monitor loop
+// calls Tick.
+type Watchdog struct {
+	needTicks int // consecutive bad ticks that make a report (stallTicks; tests shorten it)
+
+	lastDispatch, lastRetrieve int64
+	stall, backlog, starve     episode
+	fired                      []lifecycle.Reason
+}
+
+// NewWatchdog builds a Watchdog. Its owner is a wall-clock monitor loop
+// (the realtime device's); engines on the simulated clock have no tick
+// cadence to count and build none.
+func NewWatchdog() *Watchdog {
+	return &Watchdog{needTicks: stallTicks, fired: make([]lifecycle.Reason, 0, 3)}
 }
 
 // Tick evaluates one probe and returns the reasons that newly fired
 // this tick (the returned slice is reused across calls — consume it
 // before the next Tick). Nil-safe.
-func (w *Watchdog) Tick(p ProbeState) []Reason {
+func (w *Watchdog) Tick(p ProbeState) []lifecycle.Reason {
 	if w == nil {
 		return nil
 	}
 	w.fired = w.fired[:0]
-
 	// Worker stall: queued work, zero dispatch progress.
-	if p.QueuedWork && p.DispatchProgress == w.lastDispatch {
-		w.stallTicks++
-		if w.stallTicks >= w.opts.StallTicks && !w.stallLatch {
-			w.stallLatch = true
-			w.fired = append(w.fired, ReasonWorkerStall)
-		}
-	} else {
-		w.stallTicks = 0
-		w.stallLatch = false
+	if w.stall.tick(p.QueuedWork && p.DispatchProgress == w.lastDispatch, w.needTicks) {
+		w.fired = append(w.fired, lifecycle.ReasonWorkerStall)
 	}
-	w.lastDispatch = p.DispatchProgress
-
 	// Completion backlog: a ring above high water.
-	if p.CompletionCap > 0 &&
-		float64(p.CompletionDepth) >= w.opts.HighWaterFraction*float64(p.CompletionCap) {
-		w.backlogTicks++
-		if w.backlogTicks >= w.opts.StallTicks && !w.backlogLatch {
-			w.backlogLatch = true
-			w.fired = append(w.fired, ReasonCompletionBacklog)
-		}
-	} else {
-		w.backlogTicks = 0
-		w.backlogLatch = false
+	if w.backlog.tick(p.CompletionCap > 0 &&
+		float64(p.CompletionDepth) >= highWaterFraction*float64(p.CompletionCap), w.needTicks) {
+		w.fired = append(w.fired, lifecycle.ReasonCompletionBacklog)
 	}
-
 	// Poller starvation: completions waiting, nobody retrieving.
-	if p.CompletionDepth > 0 && p.RetrieveProgress == w.lastRetrieve {
-		w.starveTicks++
-		if w.starveTicks >= w.opts.StallTicks && !w.starveLatch {
-			w.starveLatch = true
-			w.fired = append(w.fired, ReasonPollerStarvation)
-		}
-	} else {
-		w.starveTicks = 0
-		w.starveLatch = false
+	if w.starve.tick(p.CompletionDepth > 0 && p.RetrieveProgress == w.lastRetrieve, w.needTicks) {
+		w.fired = append(w.fired, lifecycle.ReasonPollerStarvation)
 	}
-	w.lastRetrieve = p.RetrieveProgress
-
+	w.lastDispatch, w.lastRetrieve = p.DispatchProgress, p.RetrieveProgress
 	return w.fired
 }

@@ -2,8 +2,9 @@
 // vocabulary of stages a request passes through in an asynchronous move
 // pipeline (submit → flushed → dispatched → copy start/end → completed →
 // retrieved), and everything derived from a finished request's stamp
-// vector — per-stage latency histograms, a ring of recently completed
-// lifecycles, and a Chrome trace_event export. It is the latency-budget
+// vector — per-stage latency histograms, the one captured-request
+// record (Lifecycle) with the one lock-free ring that holds it (Ring,
+// record.go), and a Chrome trace_event export. It is the latency-budget
 // attribution the paper's Section 6 builds its whole argument on, turned
 // into an always-on instrument.
 //
@@ -14,7 +15,9 @@
 // application retrieves a completion, the pipeline assembles the seven
 // stamps into one vector and hands it here: a SpanSet derives the
 // stage-pair spans, and a Collector adds the 1-in-2^shift sampling
-// decision, per-class attribution and the capture ring on top. All of
+// decision, per-class attribution and a Ring of the sampled records on
+// top. The flight recorder (package flight) keeps the requests it finds
+// past their threshold in a second Ring of the same records. All of
 // that work runs on the retrieval path, never on a worker or controller
 // goroutine (the interrupt path).
 //
@@ -25,9 +28,6 @@ package lifecycle
 
 import (
 	"encoding/json"
-	"fmt"
-	"sort"
-	"sync/atomic"
 
 	"memif/internal/obs"
 )
@@ -64,12 +64,7 @@ var stageNames = [NumStages]string{
 	"submit", "flushed", "dispatched", "copy_start", "copy_end", "completed", "retrieved",
 }
 
-func (s Stage) String() string {
-	if int(s) < NumStages {
-		return stageNames[s]
-	}
-	return fmt.Sprintf("stage(%d)", uint8(s))
-}
+func (s Stage) String() string { return enumName(stageNames[:], "stage", uint8(s)) }
 
 // Span is one derived stage-latency: the time between two stages (or,
 // for the chunk-level spans, a directly observed queue wait).
@@ -107,16 +102,8 @@ var spanNames = [NumSpans]string{
 	"copy", "completion_dwell", "total",
 }
 
-func (s Span) String() string {
-	if int(s) < NumSpans {
-		return spanNames[s]
-	}
-	return fmt.Sprintf("span(%d)", uint8(s))
-}
-
-// SpanNames returns the metric-label names of every span, indexed by
-// Span.
-func SpanNames() [NumSpans]string { return spanNames }
+// String is the span's metric-label name.
+func (s Span) String() string { return enumName(spanNames[:], "span", uint8(s)) }
 
 // stageSpans lists the spans derived from stage pairs (the chunk-level
 // SpanRingWait / SpanStealDelay are observed separately).
@@ -232,46 +219,6 @@ func (s SpanSnapshot) Delta(prev SpanSnapshot) SpanSnapshot {
 	return out
 }
 
-// Request-path flags recorded on a lifecycle — how the request was
-// served, for outlier forensics ("slow because it was NOT inlined and
-// its chunks sat un-stolen").
-const (
-	// FlagInline: the worker copied the request inline instead of
-	// dispatching chunks to the controllers.
-	FlagInline uint32 = 1 << 0
-	// FlagStolen: at least one chunk was stolen by a non-owning
-	// controller.
-	FlagStolen uint32 = 1 << 1
-)
-
-// Lifecycle is one completed request lifecycle: the slot it ran in, the
-// payload size, the priority class (0 on pipelines without classes), the
-// outcome, the path flags, and the raw stage timestamps (0 = stage never
-// reached). Seq orders captured lifecycles; Collect assigns it.
-type Lifecycle struct {
-	Seq     uint64
-	Slot    int
-	Class   int
-	Bytes   int64
-	Outcome Outcome
-	Flags   uint32
-	TS      [NumStages]int64
-}
-
-// captureSlot is one lock-free capture-ring entry. The seq word is
-// stored last so a fully published slot is identifiable; a slot
-// mid-rewrite at snapshot time may carry mixed stamps — accepted for a
-// diagnostic ring, and never a data race (every field is atomic).
-type captureSlot struct {
-	seq     atomic.Uint64
-	slot    atomic.Int64
-	class   atomic.Uint32
-	bytes   atomic.Int64
-	outcome atomic.Uint32
-	flags   atomic.Uint32
-	ts      [NumStages]atomic.Int64
-}
-
 // DefaultCaptureDepth is the depth of a Collector's completed-lifecycle
 // ring.
 const DefaultCaptureDepth = 256
@@ -286,12 +233,10 @@ type Collector struct {
 	mask       uint64 // sample when (n-1)&mask == 0
 	shift      int
 	begun      obs.Counter
-	ended      obs.Counter
 	aborted    obs.Counter
 	spans      SpanSet
 	classSpans []SpanSet // per-class attribution; empty without classes
-	capture    [DefaultCaptureDepth]captureSlot
-	capCur     atomic.Uint64
+	capture    *Ring
 }
 
 // NewCollector returns a collector sampling one request in 2^sampleShift
@@ -306,13 +251,11 @@ func NewCollector(sampleShift, classes int) *Collector {
 	if sampleShift > 62 {
 		sampleShift = 62
 	}
-	if classes < 0 {
-		classes = 0
-	}
 	return &Collector{
 		mask:       uint64(1)<<uint(sampleShift) - 1,
 		shift:      sampleShift,
 		classSpans: make([]SpanSet, classes),
+		capture:    NewRing(DefaultCaptureDepth),
 	}
 }
 
@@ -375,18 +318,7 @@ func (c *Collector) Collect(lc *Lifecycle, extra *SpanSet) {
 	if lc.Class >= 0 && lc.Class < len(c.classSpans) {
 		c.classSpans[lc.Class].ObserveStamps(&lc.TS)
 	}
-	lc.Seq = c.capCur.Add(1)
-	s := &c.capture[(lc.Seq-1)%uint64(len(c.capture))]
-	s.slot.Store(int64(lc.Slot))
-	s.class.Store(uint32(lc.Class))
-	s.bytes.Store(lc.Bytes)
-	s.outcome.Store(uint32(lc.Outcome))
-	s.flags.Store(lc.Flags)
-	for i := range lc.TS {
-		s.ts[i].Store(lc.TS[i])
-	}
-	s.seq.Store(lc.Seq)
-	c.ended.Inc()
+	c.capture.Push(lc)
 }
 
 // Snapshot captures the collector state: sampling counters, the
@@ -400,7 +332,7 @@ func (c *Collector) Snapshot() Snapshot {
 		Enabled:     true,
 		SampleShift: c.shift,
 		Begun:       c.begun.Load(),
-		Ended:       c.ended.Load(),
+		Ended:       int64(c.capture.Pushed()),
 		Aborted:     c.aborted.Load(),
 		Spans:       c.spans.Snapshot(),
 	}
@@ -410,26 +342,7 @@ func (c *Collector) Snapshot() Snapshot {
 			s.ClassSpans[i] = c.classSpans[i].Snapshot()
 		}
 	}
-	for i := range c.capture {
-		cs := &c.capture[i]
-		seq := cs.seq.Load()
-		if seq == 0 {
-			continue
-		}
-		lc := Lifecycle{
-			Seq:     seq,
-			Slot:    int(cs.slot.Load()),
-			Class:   int(cs.class.Load()),
-			Bytes:   cs.bytes.Load(),
-			Outcome: Outcome(cs.outcome.Load()),
-			Flags:   cs.flags.Load(),
-		}
-		for j := range lc.TS {
-			lc.TS[j] = cs.ts[j].Load()
-		}
-		s.Captured = append(s.Captured, lc)
-	}
-	sort.Slice(s.Captured, func(i, j int) bool { return s.Captured[i].Seq < s.Captured[j].Seq })
+	s.Captured = c.capture.Snapshot()
 	return s
 }
 
@@ -488,17 +401,12 @@ type TraceGroup struct {
 	Lifecycles []Lifecycle
 }
 
-// ChromeTraceJSON renders captured lifecycles as Chrome trace_event
-// JSON: one complete ("X") event per derivable span, one thread row per
-// request slot, timestamps rebased to the earliest submit so the
+// ChromeTraceGroupsJSON renders captured lifecycles as Chrome
+// trace_event JSON: one Chrome "process" per group on a common time
+// base, one thread row per request slot, one complete ("X") event per
+// derivable span, timestamps rebased to the earliest submit so the
 // timeline starts near zero. The result loads directly into
 // chrome://tracing or ui.perfetto.dev.
-func ChromeTraceJSON(process string, lcs []Lifecycle) ([]byte, error) {
-	return ChromeTraceGroupsJSON([]TraceGroup{{Process: process, Lifecycles: lcs}})
-}
-
-// ChromeTraceGroupsJSON renders several subsystems into one timeline,
-// one Chrome "process" per group, sharing a common time base.
 func ChromeTraceGroupsJSON(groups []TraceGroup) ([]byte, error) {
 	var base int64
 	for _, g := range groups {

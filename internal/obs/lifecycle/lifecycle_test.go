@@ -259,3 +259,74 @@ func TestChromeTraceJSON(t *testing.T) {
 		t.Errorf("pids = %v, want 2 distinct", pids)
 	}
 }
+
+// uniform is a record with every field a reader can compare set to v.
+func uniform(v int64) Lifecycle {
+	lc := Lifecycle{
+		Nano: v, Slot: int(v), Class: int(v), Tenant: int(v), Bytes: v,
+		LatencyNs: v, ThresholdNs: v,
+		Ambient: Ambient{StagingDepth: v, SubmissionDepth: v, CompletionDepth: v, RingDepth: v},
+	}
+	for i := range lc.TS {
+		lc.TS[i] = v
+	}
+	for i := range lc.Ambient.ClassInFlight {
+		lc.Ambient.ClassInFlight[i] = v
+	}
+	return lc
+}
+
+// A snapshot taken while a writer laps a two-slot ring must never hand
+// back a record mixing two pushes: one writer stores records whose
+// every field equals their ticket, and every record a concurrent
+// Snapshot returns must still be uniform. No timing clause — a whole
+// record is the ring's contract, so any failure is a bug.
+func TestSnapshotNeverTears(t *testing.T) {
+	c := NewCollector(0, 0)
+	c.capture = NewRing(2)
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		for v := int64(1); v <= 1_000_000; v++ {
+			lc := uniform(v)
+			c.Collect(&lc, nil)
+		}
+	}()
+	for running := true; running; {
+		select {
+		case <-done:
+			running = false
+		default:
+		}
+		for _, got := range c.Snapshot().Captured {
+			want := uniform(int64(got.Seq))
+			want.Seq = got.Seq
+			if got != want {
+				t.Fatalf("torn record: %+v", got)
+			}
+		}
+	}
+}
+
+// Two writers whose tickets are a ring depth apart share a slot. The
+// one that finds it claimed, or already holding a later ticket, must
+// leave it alone rather than interleave its fields with the other's.
+func TestRingLappedWriterLeavesSlotAlone(t *testing.T) {
+	g := NewRing(2)
+	first := uniform(1)
+	g.Push(&first) // ticket 1, slot 0
+	g.slots[0].seq.Store(slotBusy)
+	g.head.Store(2)
+	lapping := uniform(3)
+	g.Push(&lapping) // ticket 3, slot 0: claimed by the "writer" of ticket 1
+	if got := g.Snapshot(); len(got) != 0 {
+		t.Fatalf("claimed slot readable: %+v", got)
+	}
+	g.slots[0].seq.Store(5) // a later writer finished first
+	stale := uniform(3)
+	stale.Seq = 3
+	g.slots[0].store(&stale)
+	if got := g.Snapshot(); len(got) != 1 || got[0].Seq != 5 || got[0].Bytes != 1 {
+		t.Fatalf("stale writer overwrote a later record: %+v", got)
+	}
+}

@@ -223,11 +223,6 @@ func swapdLane(c int) string {
 	return realtime.ClassName(c)
 }
 
-// SwapdCollector wraps a live daemon's Metrics method as a Collector.
-func SwapdCollector(device string, d *swapd.Daemon) Collector {
-	return func() []Metric { return SwapdMetrics(device, d.Metrics()) }
-}
-
 // StreamEngineMetrics maps a streamrt.EngineSnapshot onto the
 // memif_stream_engine_* (ring/engine totals) and per-stream
 // memif_stream_* {stream="..."} namespaces. Latencies are in virtual
@@ -279,12 +274,6 @@ func StreamEngineMetrics(device string, s streamrt.EngineSnapshot) []Metric {
 		ms = append(ms, flightMetrics("memif_stream", lb, s.Flight, realtime.ClassName, streamName)...)
 	}
 	return ms
-}
-
-// StreamEngineCollector wraps a live engine's Snapshot method as a
-// Collector.
-func StreamEngineCollector(device string, e *streamrt.Engine) Collector {
-	return func() []Metric { return StreamEngineMetrics(device, e.Snapshot()) }
 }
 
 func deviceLabel(device string) []Label {

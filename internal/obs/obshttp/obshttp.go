@@ -76,18 +76,11 @@ type Metric struct {
 // Collector produces a metric batch at scrape time.
 type Collector func() []Metric
 
-// TraceSource produces the captured lifecycles of one subsystem at
-// /trace render time; Process names its row in the Chrome timeline.
-type TraceSource struct {
-	Process  string
-	Snapshot func() []lifecycle.Lifecycle
-}
-
-// OutlierSource produces one subsystem's flight-recorder snapshot at
-// /debug/outliers render time.
-type OutlierSource struct {
-	Source   string
-	Snapshot func() flight.Snapshot
+// source is one named subsystem snapshotted at render time: its sampled
+// lifecycles for /trace, its flight recorder for /debug/outliers.
+type source[T any] struct {
+	name     string
+	snapshot func() T
 }
 
 // Handler serves /metrics, /trace, /debug/outliers and /debug/pprof/*
@@ -96,8 +89,8 @@ type OutlierSource struct {
 type Handler struct {
 	mu         sync.RWMutex
 	collectors []Collector
-	traces     []TraceSource
-	outliers   []OutlierSource
+	traces     []source[[]lifecycle.Lifecycle]
+	outliers   []source[flight.Snapshot]
 }
 
 // NewHandler returns an empty Handler.
@@ -114,16 +107,16 @@ func (h *Handler) Register(c Collector) {
 // source, rendered on every /trace request.
 func (h *Handler) RegisterTrace(process string, fn func() []lifecycle.Lifecycle) {
 	h.mu.Lock()
-	h.traces = append(h.traces, TraceSource{Process: process, Snapshot: fn})
+	h.traces = append(h.traces, source[[]lifecycle.Lifecycle]{process, fn})
 	h.mu.Unlock()
 }
 
 // RegisterOutliers adds a flight-recorder source, one entry in the
 // /debug/outliers document (and one Chrome process row in
 // /debug/outliers/trace) per source.
-func (h *Handler) RegisterOutliers(source string, fn func() flight.Snapshot) {
+func (h *Handler) RegisterOutliers(name string, fn func() flight.Snapshot) {
 	h.mu.Lock()
-	h.outliers = append(h.outliers, OutlierSource{Source: source, Snapshot: fn})
+	h.outliers = append(h.outliers, source[flight.Snapshot]{name, fn})
 	h.mu.Unlock()
 }
 
@@ -155,7 +148,7 @@ func (h *Handler) TraceJSON() ([]byte, error) {
 	h.mu.RUnlock()
 	groups := make([]lifecycle.TraceGroup, 0, len(srcs))
 	for _, s := range srcs {
-		groups = append(groups, lifecycle.TraceGroup{Process: s.Process, Lifecycles: s.Snapshot()})
+		groups = append(groups, lifecycle.TraceGroup{Process: s.name, Lifecycles: s.snapshot()})
 	}
 	return lifecycle.ChromeTraceGroupsJSON(groups)
 }
@@ -173,7 +166,7 @@ func (h *Handler) OutlierReports() []OutlierReport {
 	h.mu.RUnlock()
 	out := make([]OutlierReport, 0, len(srcs))
 	for _, s := range srcs {
-		out = append(out, OutlierReport{Source: s.Source, Flight: s.Snapshot()})
+		out = append(out, OutlierReport{Source: s.name, Flight: s.snapshot()})
 	}
 	return out
 }
@@ -184,44 +177,17 @@ func (h *Handler) OutliersJSON() ([]byte, error) {
 	return json.MarshalIndent(h.OutlierReports(), "", "  ")
 }
 
-// OutliersTraceJSON renders the captured latency outliers of every
-// flight source as Chrome trace_event JSON: each breaching request's
-// stamp vector becomes a span row, so the tail can be eyeballed on the
-// same timeline view as the sampled /trace export. Stall and event
-// records carry no stamp vector and are skipped.
+// OutliersTraceJSON renders the outlier ring of every flight source
+// through the same exporter as /trace: each breaching request's stamp
+// vector becomes a span row, so the tail can be eyeballed on the same
+// timeline view as the sampled export. Stall and event records carry
+// no stamp vector, so they contribute no spans.
 func (h *Handler) OutliersTraceJSON() ([]byte, error) {
-	h.mu.RLock()
-	srcs := h.outliers
-	h.mu.RUnlock()
-	groups := make([]lifecycle.TraceGroup, 0, len(srcs))
-	for _, s := range srcs {
-		groups = append(groups, lifecycle.TraceGroup{
-			Process:    s.Source + " outliers",
-			Lifecycles: outlierLifecycles(s.Snapshot()),
-		})
+	var groups []lifecycle.TraceGroup
+	for _, rep := range h.OutlierReports() {
+		groups = append(groups, lifecycle.TraceGroup{Process: rep.Source + " outliers", Lifecycles: rep.Flight.Outliers})
 	}
 	return lifecycle.ChromeTraceGroupsJSON(groups)
-}
-
-// outlierLifecycles converts captured latency outliers back into the
-// lifecycle shape the Chrome exporter renders.
-func outlierLifecycles(s flight.Snapshot) []lifecycle.Lifecycle {
-	var out []lifecycle.Lifecycle
-	for _, o := range s.Outliers {
-		if o.Kind != flight.KindLatency || o.TS[lifecycle.StageSubmit] == 0 {
-			continue
-		}
-		out = append(out, lifecycle.Lifecycle{
-			Seq:     o.Seq,
-			Slot:    int(o.Slot),
-			Class:   int(o.Class),
-			Bytes:   o.Bytes,
-			Outcome: lifecycle.Outcome(o.Outcome),
-			Flags:   o.Flags,
-			TS:      o.TS,
-		})
-	}
-	return out
 }
 
 // ServeHTTP routes /metrics, /trace, /debug/outliers and /debug/pprof/*.
@@ -231,29 +197,11 @@ func (h *Handler) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 		w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
 		w.Write(h.MetricsText())
 	case p == "/trace":
-		body, err := h.TraceJSON()
-		if err != nil {
-			http.Error(w, err.Error(), http.StatusInternalServerError)
-			return
-		}
-		w.Header().Set("Content-Type", "application/json")
-		w.Write(body)
+		serveJSON(w, h.TraceJSON)
 	case p == "/debug/outliers":
-		body, err := h.OutliersJSON()
-		if err != nil {
-			http.Error(w, err.Error(), http.StatusInternalServerError)
-			return
-		}
-		w.Header().Set("Content-Type", "application/json")
-		w.Write(body)
+		serveJSON(w, h.OutliersJSON)
 	case p == "/debug/outliers/trace":
-		body, err := h.OutliersTraceJSON()
-		if err != nil {
-			http.Error(w, err.Error(), http.StatusInternalServerError)
-			return
-		}
-		w.Header().Set("Content-Type", "application/json")
-		w.Write(body)
+		serveJSON(w, h.OutliersTraceJSON)
 	case strings.HasPrefix(p, "/debug/pprof"):
 		switch p {
 		case "/debug/pprof/cmdline":
@@ -273,6 +221,16 @@ func (h *Handler) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 	default:
 		http.NotFound(w, r)
 	}
+}
+
+func serveJSON(w http.ResponseWriter, render func() ([]byte, error)) {
+	body, err := render()
+	if err != nil {
+		http.Error(w, err.Error(), http.StatusInternalServerError)
+		return
+	}
+	w.Header().Set("Content-Type", "application/json")
+	w.Write(body)
 }
 
 // ---------------------------------------------------------------------
@@ -303,7 +261,7 @@ func WriteExposition(w io.Writer, ms []Metric) {
 			}
 		}
 		if help != "" {
-			fmt.Fprintf(w, "# HELP %s %s\n", name, escapeHelp(help))
+			fmt.Fprintf(w, "# HELP %s %s\n", name, helpEscaper.Replace(help))
 		}
 		fmt.Fprintf(w, "# TYPE %s %s\n", name, g[0].Type)
 		for _, m := range g {
@@ -356,22 +314,17 @@ func renderLabels(ls []Label) string {
 		}
 		b.WriteString(l.Name)
 		b.WriteString(`="`)
-		b.WriteString(escapeLabel(l.Value))
+		b.WriteString(labelEscaper.Replace(l.Value))
 		b.WriteByte('"')
 	}
 	b.WriteByte('}')
 	return b.String()
 }
 
-func escapeLabel(v string) string {
-	r := strings.NewReplacer(`\`, `\\`, "\n", `\n`, `"`, `\"`)
-	return r.Replace(v)
-}
-
-func escapeHelp(v string) string {
-	r := strings.NewReplacer(`\`, `\\`, "\n", `\n`)
-	return r.Replace(v)
-}
+var (
+	labelEscaper = strings.NewReplacer(`\`, `\\`, "\n", `\n`, `"`, `\"`)
+	helpEscaper  = strings.NewReplacer(`\`, `\\`, "\n", `\n`)
+)
 
 func formatValue(v float64) string {
 	if v == float64(int64(v)) {
@@ -452,11 +405,11 @@ func parseComment(line string, types map[string]string) error {
 	}
 	switch fields[1] {
 	case "HELP":
-		if len(fields) < 3 || !validMetricName(fields[2]) {
+		if len(fields) < 3 || !validName(fields[2], true) {
 			return fmt.Errorf("malformed HELP comment %q", line)
 		}
 	case "TYPE":
-		if len(fields) < 4 || !validMetricName(fields[2]) {
+		if len(fields) < 4 || !validName(fields[2], true) {
 			return fmt.Errorf("malformed TYPE comment %q", line)
 		}
 		typ := strings.TrimSpace(fields[3])
@@ -535,58 +488,38 @@ func checkHistogramSample(base, suffix string, labels []Label, value float64, hi
 	return nil
 }
 
-func validMetricName(s string) bool {
-	if s == "" {
-		return false
-	}
-	for i, c := range s {
-		ok := c == '_' || c == ':' ||
-			(c >= 'a' && c <= 'z') || (c >= 'A' && c <= 'Z') ||
-			(i > 0 && c >= '0' && c <= '9')
-		if !ok {
+// validName reports whether s is a metric name (colon allowed) or a
+// label name (not).
+func validName(s string, colon bool) bool {
+	for i := 0; i < len(s); i++ {
+		if !isNameChar(s[i], i > 0, colon) {
 			return false
 		}
 	}
-	return true
+	return s != ""
+}
+
+func isNameChar(c byte, notFirst, colon bool) bool {
+	return c == '_' || (colon && c == ':') ||
+		(c >= 'a' && c <= 'z') || (c >= 'A' && c <= 'Z') ||
+		(notFirst && c >= '0' && c <= '9')
 }
 
 func parseSample(line string) (name string, labels []Label, value float64, err error) {
 	i := 0
-	for i < len(line) && isNameChar(line[i], i > 0) {
+	for i < len(line) && isNameChar(line[i], i > 0, true) {
 		i++
 	}
 	name = line[:i]
-	if !validMetricName(name) {
+	if !validName(name, true) {
 		return "", nil, 0, fmt.Errorf("bad metric name in %q", line)
 	}
 	rest := line[i:]
 	if strings.HasPrefix(rest, "{") {
-		end := -1
-		inQuote, esc := false, false
-		for j := 1; j < len(rest); j++ {
-			c := rest[j]
-			switch {
-			case esc:
-				esc = false
-			case inQuote && c == '\\':
-				esc = true
-			case c == '"':
-				inQuote = !inQuote
-			case !inQuote && c == '}':
-				end = j
-			}
-			if end >= 0 {
-				break
-			}
-		}
-		if end < 0 {
-			return "", nil, 0, fmt.Errorf("unterminated label set in %q", line)
-		}
-		labels, err = parseLabels(rest[1:end])
+		labels, rest, err = parseLabels(rest[1:])
 		if err != nil {
 			return "", nil, 0, fmt.Errorf("%w in %q", err, line)
 		}
-		rest = rest[end+1:]
 	}
 	fields := strings.Fields(rest)
 	if len(fields) < 1 || len(fields) > 2 {
@@ -604,20 +537,27 @@ func parseSample(line string) (name string, labels []Label, value float64, err e
 	return name, labels, value, nil
 }
 
-func parseLabels(s string) ([]Label, error) {
-	var out []Label
-	for len(s) > 0 {
+// parseLabels parses the label pairs that follow an opening brace and
+// returns them with whatever follows the closing one.
+func parseLabels(s string) (out []Label, rest string, err error) {
+	for {
+		if s == "" {
+			return nil, "", fmt.Errorf("unterminated label set")
+		}
+		if s[0] == '}' {
+			return out, s[1:], nil
+		}
 		eq := strings.IndexByte(s, '=')
 		if eq <= 0 {
-			return nil, fmt.Errorf("malformed label pair %q", s)
+			return nil, "", fmt.Errorf("malformed label pair %q", s)
 		}
 		lname := s[:eq]
-		if !validLabelName(lname) {
-			return nil, fmt.Errorf("bad label name %q", lname)
+		if !validName(lname, false) {
+			return nil, "", fmt.Errorf("bad label name %q", lname)
 		}
 		s = s[eq+1:]
 		if len(s) == 0 || s[0] != '"' {
-			return nil, fmt.Errorf("label %s value not quoted", lname)
+			return nil, "", fmt.Errorf("label %s value not quoted", lname)
 		}
 		s = s[1:]
 		var val strings.Builder
@@ -626,7 +566,7 @@ func parseLabels(s string) ([]Label, error) {
 			c := s[i]
 			if c == '\\' {
 				if i+1 >= len(s) {
-					return nil, fmt.Errorf("dangling escape in label %s", lname)
+					return nil, "", fmt.Errorf("dangling escape in label %s", lname)
 				}
 				i++
 				switch s[i] {
@@ -637,7 +577,7 @@ func parseLabels(s string) ([]Label, error) {
 				case 'n':
 					val.WriteByte('\n')
 				default:
-					return nil, fmt.Errorf("bad escape \\%c in label %s", s[i], lname)
+					return nil, "", fmt.Errorf("bad escape \\%c in label %s", s[i], lname)
 				}
 				continue
 			}
@@ -649,33 +589,11 @@ func parseLabels(s string) ([]Label, error) {
 			val.WriteByte(c)
 		}
 		if !closed {
-			return nil, fmt.Errorf("unterminated value for label %s", lname)
+			return nil, "", fmt.Errorf("unterminated value for label %s", lname)
 		}
 		out = append(out, Label{lname, val.String()})
 		s = strings.TrimPrefix(s, ",")
 	}
-	return out, nil
-}
-
-func validLabelName(s string) bool {
-	if s == "" {
-		return false
-	}
-	for i, c := range s {
-		ok := c == '_' ||
-			(c >= 'a' && c <= 'z') || (c >= 'A' && c <= 'Z') ||
-			(i > 0 && c >= '0' && c <= '9')
-		if !ok {
-			return false
-		}
-	}
-	return true
-}
-
-func isNameChar(c byte, notFirst bool) bool {
-	return c == '_' || c == ':' ||
-		(c >= 'a' && c <= 'z') || (c >= 'A' && c <= 'Z') ||
-		(notFirst && c >= '0' && c <= '9')
 }
 
 // ---------------------------------------------------------------------
@@ -686,13 +604,12 @@ func isNameChar(c byte, notFirst bool) bool {
 // name{...labels, stage="staging_wait"|...} per span. Every span is
 // emitted, occupied or not, so dashboards see a stable series set.
 func SpanMetrics(name, help string, labels []Label, s lifecycle.SpanSnapshot) []Metric {
-	names := lifecycle.SpanNames()
-	out := make([]Metric, 0, len(names))
-	for i, sn := range names {
+	out := make([]Metric, 0, lifecycle.NumSpans)
+	for sp, h := range s.Spans {
 		out = append(out, Metric{
 			Name: name, Help: help, Type: TypeHistogram,
-			Labels: append(append([]Label(nil), labels...), Label{"stage", sn}),
-			Hist:   s.Spans[i],
+			Labels: append(append([]Label(nil), labels...), Label{"stage", lifecycle.Span(sp).String()}),
+			Hist:   h,
 		})
 	}
 	return out

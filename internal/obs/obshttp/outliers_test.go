@@ -25,7 +25,6 @@ func aggressiveFlight() flight.Options {
 		ThresholdFloorNs: 1,
 		ThresholdMult:    1,
 		Warmup:           1,
-		Watchdog:         flight.WatchdogOptions{Disable: true},
 	}
 }
 
@@ -61,14 +60,17 @@ func TestOutliersEndpoints(t *testing.T) {
 	if fs.Breaches == 0 {
 		t.Fatal("no breaches after 400-request burst at threshold floor 1ns")
 	}
-	if fs.Captured != fs.Breaches {
-		t.Fatalf("captured %d != breaches %d (watchdog disabled: every breach must capture)", fs.Captured, fs.Breaches)
+	if fs.Captured != fs.Breaches+fs.Stalls {
+		t.Fatalf("captured %d != breaches %d + stalls %d (every breach must capture; only the watchdog adds records)", fs.Captured, fs.Breaches, fs.Stalls)
 	}
 	if len(fs.Outliers) == 0 {
 		t.Fatal("no outlier records retained")
 	}
 	for _, o := range fs.Outliers {
-		if o.Kind != flight.KindLatency {
+		if o.Kind == lifecycle.KindStall {
+			continue // a watchdog report: the host stalled the burst for 30 ms
+		}
+		if o.Kind != lifecycle.KindLatency {
 			t.Fatalf("unexpected non-latency record: %+v", o)
 		}
 		for st, ts := range o.TS {
@@ -125,8 +127,7 @@ func TestOutliersEndpoints(t *testing.T) {
 // (run under -race) while captures land mid-scan.
 func TestScrapeWhileSubmittingOutliers(t *testing.T) {
 	opts := realtime.DefaultOptions()
-	opts.Flight = aggressiveFlight()
-	opts.Flight.Watchdog.Disable = false // watchdog on: stall records may interleave too
+	opts.Flight = aggressiveFlight() // the watchdog runs: stall records may interleave too
 	d := realtime.Open(opts)
 	defer d.Close()
 

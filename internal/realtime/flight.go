@@ -4,6 +4,7 @@ import (
 	"time"
 
 	"memif/internal/obs/flight"
+	"memif/internal/obs/lifecycle"
 )
 
 // Flight-recorder plumbing for the realtime device: the monitor
@@ -14,8 +15,8 @@ import (
 
 // flightTickInterval is the monitor cadence: fast enough that a 1s SLO
 // window keeps fine-grained burn history and a wedged worker is
-// reported within ~30ms (3 ticks at the default StallTicks), slow
-// enough that an idle device's monitor load is unmeasurable.
+// reported within ~30ms (the watchdog wants 3 consecutive bad ticks),
+// slow enough that an idle device's monitor load is unmeasurable.
 const flightTickInterval = 10 * time.Millisecond
 
 // monitor is the flight recorder's heartbeat goroutine: every tick it
@@ -24,6 +25,7 @@ const flightTickInterval = 10 * time.Millisecond
 // records. Exits when frStop closes (Close waits for it).
 func (d *Device) monitor() {
 	defer d.frWg.Done()
+	watch := flight.NewWatchdog()
 	ticker := time.NewTicker(flightTickInterval)
 	defer ticker.Stop()
 	for {
@@ -34,9 +36,6 @@ func (d *Device) monitor() {
 		}
 		nano := time.Now().UnixNano()
 		d.fr.Tick(nano)
-		if d.frWatch == nil {
-			continue
-		}
 		depth, cap := d.fullestCompletionRing()
 		p := flight.ProbeState{
 			QueuedWork:       d.queuedWork(),
@@ -45,7 +44,7 @@ func (d *Device) monitor() {
 			CompletionCap:    cap,
 			RetrieveProgress: d.m.retrieved.Load(),
 		}
-		for _, reason := range d.frWatch.Tick(p) {
+		for _, reason := range watch.Tick(p) {
 			d.fr.CaptureStall(reason, nano, d.ambient())
 		}
 	}
@@ -90,8 +89,8 @@ func (d *Device) fullestCompletionRing() (depth, cap int64) {
 // ambient assembles the congestion picture stored alongside an outlier:
 // live queue depths and per-class in-flight counts, all racy snapshots
 // of already-atomic state.
-func (d *Device) ambient() flight.Ambient {
-	amb := flight.Ambient{
+func (d *Device) ambient() lifecycle.Ambient {
+	amb := lifecycle.Ambient{
 		SubmissionDepth: d.submissionDepth(),
 		CompletionDepth: d.completionDepth(),
 	}

@@ -542,7 +542,20 @@ type Device struct {
 	freeList   *rbq.Queue
 	staging    []*rbq.Queue           // per-shard red-blue staging queues
 	submission [NumClasses]*rbq.Queue // per-class, popped in priority order
-	compRings  []*compRing            // per-core completion rings (ring = idx % N)
+	// compRings hold completed request indices. The device keeps
+	// min(GOMAXPROCS, Controllers) of them and routes each completion to
+	// ring idx % N, so finishers on different controllers publish to
+	// different rings and concurrent pollers never serialize on one
+	// Michael–Scott head the way the old single completion queue forced
+	// them to. Producers are the finishers (controllers + the worker's
+	// inline path); consumers are RetrieveCompleted/RetrieveCompletedBatch
+	// callers, any number of them. Each ring is sized for every slot
+	// index mapped to it (ceil(NumReqs/N) rounded up to a power of two):
+	// a slot has at most one outstanding completion — the next
+	// submission of that slot requires AllocRequest, which requires the
+	// previous completion to have been retrieved — so a correctly sized
+	// ring can never refuse a push.
+	compRings []*ring[uint32]
 
 	classLimit [NumClasses]int64 // admission occupancy thresholds (slots)
 	// classInFlight is written by submitters (accept) and finishers
@@ -572,7 +585,11 @@ type Device struct {
 	notify chan struct{} // completion edge for parked Polls
 	done   chan struct{} // closed at Close: unblocks sleeping Polls
 
-	rings []*chunkRing  // per-controller chunk rings
+	// rings hold each transfer controller's pending chunks. The worker
+	// is the only producer in practice, but consumption is genuinely
+	// multi-consumer: the owning controller pops from its ring and idle
+	// controllers steal from it, so the full MPMC protocol is kept.
+	rings []*ring[chunk]
 	work  chan struct{} // work-available edge for parked controllers
 
 	// ctr holds the per-controller counter blocks; ctr[Controllers] is
@@ -591,13 +608,12 @@ type Device struct {
 	lc      *lifecycle.Collector // nil when lifecycle sampling is disabled
 	chaos   *ChaosHooks
 
-	// Flight recorder (nil fields when Options.Flight.Disable). fr and
-	// frWatch are the recorder and its watchdog; the monitor goroutine
-	// (flight.go) drives both and exits when frStop closes.
-	fr      *flight.Recorder
-	frWatch *flight.Watchdog
-	frStop  chan struct{}
-	frWg    sync.WaitGroup
+	// Flight recorder (nil fields when Options.Flight.Disable). The
+	// monitor goroutine (flight.go) ticks it and the stall watchdog,
+	// and exits when frStop closes.
+	fr     *flight.Recorder
+	frStop chan struct{}
+	frWg   sync.WaitGroup
 	// frArmed mirrors fr != nil as a plain bool the stamping sites
 	// branch on: with the recorder armed they keep a pass-amortized
 	// clock, so every unsampled request carries stage stamps too.
@@ -661,7 +677,7 @@ func Open(opts Options) *Device {
 		slab:       slab,
 		freeList:   slab.NewQueue(rbq.Blue),
 		staging:    make([]*rbq.Queue, shards),
-		compRings:  make([]*compRing, nCompRings),
+		compRings:  make([]*ring[uint32], nCompRings),
 		ctr:        make([]ctrCounters, opts.Controllers+1),
 		pollSpin:   runtime.GOMAXPROCS(0) > 1,
 		kick:       make(chan struct{}, 1),
@@ -673,7 +689,7 @@ func Open(opts Options) *Device {
 	// find it full (a slot has at most one outstanding completion).
 	perRing := (opts.NumReqs + nCompRings - 1) / nCompRings
 	for i := range d.compRings {
-		d.compRings[i] = newCompRing(perRing)
+		d.compRings[i] = newRing[uint32](perRing)
 	}
 	d.compCap = int64(perRing) * int64(nCompRings)
 	for c := range d.submission {
@@ -704,9 +720,9 @@ func Open(opts Options) *Device {
 	d.pollTokens.New = func() any {
 		return &pollerToken{ring: d.pollSeq.Add(1) % uint32(nCompRings)}
 	}
-	d.rings = make([]*chunkRing, opts.Controllers)
+	d.rings = make([]*ring[chunk], opts.Controllers)
 	for i := range d.rings {
-		d.rings[i] = newChunkRing(opts.RingDepth)
+		d.rings[i] = newRing[chunk](opts.RingDepth)
 	}
 	d.work = make(chan struct{}, opts.Controllers)
 	lcShift := opts.TraceSampleShift
@@ -716,19 +732,11 @@ func Open(opts Options) *Device {
 		lcShift = DefaultTraceSampleShift
 	}
 	d.lc = lifecycle.NewCollector(lcShift, NumClasses)
-	if !opts.Flight.Disable {
-		fo := opts.Flight
-		if fo.Classes <= 0 || fo.Classes > flight.MaxClasses {
-			fo.Classes = NumClasses
-		}
-		d.fr = flight.New(fo)
-	}
-	if d.fr != nil {
+	if d.fr = flight.New(opts.Flight, true); d.fr != nil {
 		// Retroactive capture needs stage stamps for every request, not
 		// 1/128 — cheap ones: plain Request fields fed by amortized
 		// clocks. Only the sampled requests pay for fresh clock reads.
 		d.frArmed = true
-		d.frWatch = flight.NewWatchdog(opts.Flight.Watchdog)
 		d.frStop = make(chan struct{})
 		d.frWg.Add(1)
 		go d.monitor()
@@ -916,11 +924,11 @@ func (r *Request) stamps(retrieved int64) (ts [lifecycle.NumStages]int64, flags 
 // the caller's batch accumulator (which also trains the lane EWMA and
 // SLO counters, folded once per batch by acc.Flush) — for every
 // retrieved request, so capture has no sampling holes. Only a breach or
-// a sampled request builds the stamp vector: a breach copies it, plus
-// the ambient congestion picture, into the outlier ring; a sampled
-// request hands it to the collector, which derives the global,
-// per-class and per-tenant stage spans from it and keeps it in the
-// capture ring.
+// a sampled request builds the one captured record: a sampled request
+// hands it to the collector, which derives the global, per-class and
+// per-tenant stage spans from it and keeps it in the sampled ring; a
+// breach adds the ambient congestion picture and pushes the same record
+// into the outlier ring.
 //
 // nano is the caller's batch-amortized retrieve timestamp (0 = read the
 // clock here); a sampled request reads a fresh one regardless. The
@@ -950,30 +958,22 @@ func (d *Device) lcEnd(r *Request, nano int64, acc *flight.Acc) {
 		return
 	}
 	lc := lifecycle.Lifecycle{
-		Slot:    int(r.idx),
-		Class:   int(r.Class),
-		Bytes:   int64(len(r.Src)),
-		Outcome: lcOutcome(r.Err),
+		Nano:        nano,
+		Slot:        int(r.idx),
+		Class:       int(r.Class),
+		Tenant:      tenant,
+		Bytes:       int64(len(r.Src)),
+		Outcome:     lcOutcome(r.Err),
+		LatencyNs:   lat,
+		ThresholdNs: thr,
 	}
 	lc.TS, lc.Flags = r.stamps(nano)
 	if r.sampled {
 		d.lc.Collect(&lc, &d.tenantOf(r).spans)
 	}
 	if breach {
-		d.fr.Capture(&flight.Outlier{
-			Kind:        flight.KindLatency,
-			Nano:        nano,
-			Slot:        int32(lc.Slot),
-			Class:       int32(lc.Class),
-			Tenant:      uint32(tenant),
-			Bytes:       lc.Bytes,
-			Outcome:     int32(lc.Outcome),
-			Flags:       lc.Flags,
-			LatencyNs:   lat,
-			ThresholdNs: thr,
-			TS:          lc.TS,
-			Ambient:     d.ambient(),
-		})
+		lc.Ambient = d.ambient()
+		d.fr.Capture(&lc)
 	}
 }
 

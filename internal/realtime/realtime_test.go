@@ -59,21 +59,62 @@ func TestSizeMismatchRejected(t *testing.T) {
 	}
 }
 
+// TestBurstSingleKick is the paper's headline property, counted rather
+// than timed: a burst costs one kick-start per staging shard it finds
+// blue, not one per request. A primer request wakes the parked worker —
+// that submit found its shard blue and must have kicked, once — and the
+// worker is then held inside the primer's dispatch until every submit
+// of the burst has returned, so it cannot recolor a shard mid-burst:
+// each shard the burst found blue was flushed, turned red and kicked
+// for by exactly one submit, and every later submit to it saw red and
+// only enqueued.
 func TestBurstSingleKick(t *testing.T) {
-	d := Open(DefaultOptions())
+	entered, stall := make(chan struct{}, 1), make(chan struct{})
+	release := sync.OnceFunc(func() { close(stall) })
+	o := DefaultOptions()
+	o.Chaos = &ChaosHooks{BeforeDispatch: func(uint32) {
+		select {
+		case entered <- struct{}{}:
+		default:
+		}
+		<-stall
+	}}
+	d := Open(o)
 	defer d.Close()
+	defer release()
 	const n = 50
 	src := make([]byte, 4096)
-	for i := 0; i < n; i++ {
+	submit := func(cookie uint64) {
 		r := d.AllocRequest()
 		r.Src, r.Dst = src, make([]byte, 4096)
-		r.Cookie = uint64(i)
+		r.Cookie = cookie
 		if err := d.Submit(r); err != nil {
 			t.Fatal(err)
 		}
 	}
-	seen := make([]bool, n)
-	for done := 0; done < n; {
+	blueShards := func() (blue int64) {
+		for _, sh := range d.staging {
+			if sh.Color() == rbq.Blue {
+				blue++
+			}
+		}
+		return blue
+	}
+	submit(n) // the primer
+	<-entered
+	primerKicks, blueBefore := d.Kicks(), blueShards()
+	if primerKicks != 1 {
+		t.Errorf("kicks = %d: the first submit to a parked worker must kick it, once", primerKicks)
+	}
+	for i := 0; i < n; i++ {
+		submit(uint64(i))
+	}
+	if k, turned := d.Kicks()-primerKicks, blueBefore-blueShards(); k != turned {
+		t.Errorf("kicks = %d for a %d-request burst that found %d shards blue", k, n, turned)
+	}
+	release()
+	seen := make([]bool, n+1)
+	for done := 0; done <= n; {
 		if r := d.RetrieveCompleted(); r != nil {
 			if seen[r.Cookie] {
 				t.Fatalf("cookie %d completed twice", r.Cookie)
@@ -86,16 +127,6 @@ func TestBurstSingleKick(t *testing.T) {
 		if !d.Poll(time.Second) {
 			t.Fatal("Poll timed out")
 		}
-	}
-	// A tight burst needs only a few kicks — usually one, the paper's
-	// headline property. Allow scheduler slack but demand amortization.
-	if k := d.Kicks(); k > n/4 {
-		t.Errorf("kicks = %d for a %d-request burst", k, n)
-	}
-	// The worker was asleep behind blue shards: the burst's first submit
-	// had to kick it.
-	if k := d.Kicks(); k == 0 {
-		t.Error("kicks = 0: the first submit to a parked worker must kick it")
 	}
 }
 

@@ -7,21 +7,20 @@ import "sync/atomic"
 // shallow enough that work stealing — not queueing — levels imbalance.
 const DefaultRingDepth = 64
 
-// chunkRing is a bounded lock-free MPMC ring (Vyukov's bounded queue)
-// holding one transfer controller's pending chunks. The worker is the
-// only producer in practice, but consumption is genuinely multi-consumer:
-// the owning controller pops from it and idle controllers steal from it,
-// so the full MPMC sequence protocol is kept.
+// ring is a bounded lock-free MPMC ring (Vyukov's bounded queue). The
+// device instantiates it twice — per-controller chunk rings and
+// per-core completion rings; the Device fields say why each needs the
+// full multi-producer multi-consumer protocol.
 //
 // Each slot carries a sequence word. A slot is writable when
 // seq == enqueue position, readable when seq == dequeue position + 1;
 // the atomic sequence store after each access publishes the plainly
-// written chunk payload to the next party (release/acquire pairing),
-// which is what keeps the plain `c` field race-free.
-type chunkRing struct {
+// written payload to the next party (release/acquire pairing), which is
+// what keeps the plain `v` field race-free.
+type ring[T any] struct {
 	mask  uint64
-	slots []ringSlot
-	// enq and deq sit on separate cache lines so the producer's CAS
+	slots []ringSlot[T]
+	// enq and deq sit on separate cache lines so the producers' CAS
 	// traffic does not invalidate every consumer's line and vice versa.
 	_   [64]byte
 	enq atomic.Uint64
@@ -29,29 +28,29 @@ type chunkRing struct {
 	deq atomic.Uint64
 }
 
-type ringSlot struct {
+type ringSlot[T any] struct {
 	seq atomic.Uint64
-	c   chunk
+	v   T
 }
 
-// newChunkRing returns a ring with capacity rounded up to a power of
-// two, minimum 2.
-func newChunkRing(depth int) *chunkRing {
+// newRing returns a ring with capacity rounded up to a power of two,
+// minimum 2.
+func newRing[T any](depth int) *ring[T] {
 	cap := 2
 	for cap < depth {
 		cap <<= 1
 	}
-	r := &chunkRing{mask: uint64(cap - 1), slots: make([]ringSlot, cap)}
+	r := &ring[T]{mask: uint64(cap - 1), slots: make([]ringSlot[T], cap)}
 	for i := range r.slots {
 		r.slots[i].seq.Store(uint64(i))
 	}
 	return r
 }
 
-// tryPush appends c; false when the ring is full (the caller picks
+// tryPush appends v; false when the ring is full (the caller picks
 // another ring or backs off — it must not spin here, full is a state,
 // not a transient).
-func (r *chunkRing) tryPush(c chunk) bool {
+func (r *ring[T]) tryPush(v T) bool {
 	for {
 		pos := r.enq.Load()
 		s := &r.slots[pos&r.mask]
@@ -59,7 +58,7 @@ func (r *chunkRing) tryPush(c chunk) bool {
 		switch {
 		case seq == pos:
 			if r.enq.CompareAndSwap(pos, pos+1) {
-				s.c = c
+				s.v = v
 				s.seq.Store(pos + 1)
 				return true
 			}
@@ -70,8 +69,8 @@ func (r *chunkRing) tryPush(c chunk) bool {
 	}
 }
 
-// tryPop removes the oldest chunk; false when the ring is empty.
-func (r *chunkRing) tryPop() (chunk, bool) {
+// tryPop removes the oldest element; false when the ring is empty.
+func (r *ring[T]) tryPop() (v T, ok bool) {
 	for {
 		pos := r.deq.Load()
 		s := &r.slots[pos&r.mask]
@@ -79,107 +78,20 @@ func (r *chunkRing) tryPop() (chunk, bool) {
 		switch {
 		case seq == pos+1:
 			if r.deq.CompareAndSwap(pos, pos+1) {
-				c := s.c
+				v = s.v
 				s.seq.Store(pos + r.mask + 1)
-				return c, true
+				return v, true
 			}
 		case seq < pos+1:
-			return chunk{}, false // empty: the slot has not been produced yet
+			return v, false // empty: the slot has not been produced yet
 		}
 		// seq > pos+1: lost a race with another consumer; retry.
 	}
 }
 
-// compRing is a bounded lock-free MPMC ring (the same Vyukov sequence
-// protocol as chunkRing) holding completed request indices. The device
-// keeps min(GOMAXPROCS, Controllers) of them and routes each completion
-// to ring idx % N, so finishers on different controllers publish to
-// different rings and concurrent pollers never serialize on one
-// Michael–Scott head the way the old single completion queue forced
-// them to. Producers are the finishers (controllers + the worker's
-// inline path); consumers are RetrieveCompleted/RetrieveCompletedBatch
-// callers, any number of them.
-//
-// Each ring is sized for every slot index mapped to it (ceil(NumReqs/N)
-// rounded up to a power of two): a slot has at most one outstanding
-// completion — the next submission of that slot requires AllocRequest,
-// which requires the previous completion to have been retrieved — so a
-// correctly sized ring can never refuse a push.
-type compRing struct {
-	mask  uint64
-	slots []compSlot
-	// enq and deq sit on separate cache lines so finisher CAS traffic
-	// does not invalidate every poller's line and vice versa.
-	_   [64]byte
-	enq atomic.Uint64
-	_   [64]byte
-	deq atomic.Uint64
-}
-
-type compSlot struct {
-	seq atomic.Uint64
-	idx uint32
-}
-
-// newCompRing returns a completion ring with capacity rounded up to a
-// power of two, minimum 2.
-func newCompRing(depth int) *compRing {
-	cap := 2
-	for cap < depth {
-		cap <<= 1
-	}
-	r := &compRing{mask: uint64(cap - 1), slots: make([]compSlot, cap)}
-	for i := range r.slots {
-		r.slots[i].seq.Store(uint64(i))
-	}
-	return r
-}
-
-// tryPush appends idx; false when the ring is full (impossible on a
-// correctly sized device ring — see the type comment — but the caller
-// still backs off rather than trusting that).
-func (r *compRing) tryPush(idx uint32) bool {
-	for {
-		pos := r.enq.Load()
-		s := &r.slots[pos&r.mask]
-		seq := s.seq.Load()
-		switch {
-		case seq == pos:
-			if r.enq.CompareAndSwap(pos, pos+1) {
-				s.idx = idx
-				s.seq.Store(pos + 1)
-				return true
-			}
-		case seq < pos:
-			return false // full: the slot has not been consumed yet
-		}
-		// seq > pos: lost a race with another producer; reload and retry.
-	}
-}
-
-// tryPop removes the oldest completion; false when the ring is empty.
-func (r *compRing) tryPop() (uint32, bool) {
-	for {
-		pos := r.deq.Load()
-		s := &r.slots[pos&r.mask]
-		seq := s.seq.Load()
-		switch {
-		case seq == pos+1:
-			if r.deq.CompareAndSwap(pos, pos+1) {
-				idx := s.idx
-				s.seq.Store(pos + r.mask + 1)
-				return idx, true
-			}
-		case seq < pos+1:
-			return 0, false // empty: the slot has not been produced yet
-		}
-		// seq > pos+1: lost a race with another consumer; retry.
-	}
-}
-
-// size reports the current occupancy (racy snapshot, clamped to
-// [0, cap] so a torn read can never look absurd).
-func (r *compRing) size() int64 {
+// size reports the current occupancy (racy snapshot for the live-depth
+// stats; clamped to [0, cap] so a torn read can never look absurd).
+func (r *ring[T]) size() int64 {
 	e, d := r.enq.Load(), r.deq.Load()
 	if e <= d {
 		return 0
@@ -191,44 +103,23 @@ func (r *compRing) size() int64 {
 	return n
 }
 
-// empty reports whether the ring currently holds no completions (racy
+// empty reports whether the ring currently holds nothing (racy
 // snapshot — the atomically coupled answer is tryPop's).
-func (r *compRing) empty() bool {
+func (r *ring[T]) empty() bool {
 	pos := r.deq.Load()
 	return r.slots[pos&r.mask].seq.Load() < pos+1
 }
 
 // snapshot walks the occupied slots in FIFO order. Quiescent use only
 // (AuditSlots, tests) — under concurrent mutation the walk may
-// duplicate or miss indices.
-func (r *compRing) snapshot() []uint32 {
-	var out []uint32
+// duplicate or miss elements.
+func (r *ring[T]) snapshot() []T {
+	var out []T
 	for pos := r.deq.Load(); pos < r.enq.Load(); pos++ {
 		s := &r.slots[pos&r.mask]
 		if s.seq.Load() == pos+1 {
-			out = append(out, s.idx)
+			out = append(out, s.v)
 		}
 	}
 	return out
-}
-
-// size reports the current occupancy (racy snapshot for the live-depth
-// stats; clamped to [0, cap] so a torn read can never look absurd).
-func (r *chunkRing) size() int64 {
-	e, d := r.enq.Load(), r.deq.Load()
-	if e <= d {
-		return 0
-	}
-	n := int64(e - d)
-	if max := int64(len(r.slots)); n > max {
-		n = max
-	}
-	return n
-}
-
-// empty reports whether the ring currently holds no chunks (racy
-// snapshot, used only on the shutdown drain path and in tests).
-func (r *chunkRing) empty() bool {
-	pos := r.deq.Load()
-	return r.slots[pos&r.mask].seq.Load() < pos+1
 }

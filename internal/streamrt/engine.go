@@ -9,6 +9,7 @@ import (
 	"memif/internal/hw"
 	"memif/internal/obs"
 	"memif/internal/obs/flight"
+	"memif/internal/obs/lifecycle"
 	"memif/internal/sim"
 	"memif/internal/uapi"
 )
@@ -42,10 +43,9 @@ type EngineOptions struct {
 	// MaxStreams caps concurrently open streams. Default 64.
 	MaxStreams int
 	// Flight configures the always-on flight recorder. The engine
-	// lives on the simulated clock, so SLO burn windows and the
-	// watchdog are forced off (the swapd convention); outlier capture
-	// and adaptive thresholds run on virtual ns, with one tenant lane
-	// per stream.
+	// lives on the simulated clock, so it has no SLO burn windows and
+	// no watchdog (the swapd convention); outlier capture and adaptive
+	// thresholds run on virtual ns, with one tenant lane per stream.
 	Flight flight.Options
 }
 
@@ -125,14 +125,9 @@ func OpenEngine(p *sim.Proc, d *core.Device, opts EngineOptions) (*Engine, error
 		freeBufs: make([]int, 0, opts.RingBufs),
 		byID:     make(map[int]*Stream),
 	}
-	if !opts.Flight.Disable {
-		fo := opts.Flight
-		// Virtual clock: SLO burn windows and the watchdog's wall-tick
-		// cadence don't apply (the swapd convention).
-		fo.SLO.Disable = true
-		fo.Watchdog.Disable = true
-		e.fr = flight.New(fo)
-	}
+	// Virtual clock: no SLO burn windows, no watchdog (the swapd
+	// convention).
+	e.fr = flight.New(opts.Flight, false)
 	for i := range e.bufs {
 		b, err := d.AS.Mmap(p, opts.BufBytes, opts.FastNode, fmt.Sprintf("stream-ring-%d", i))
 		if err != nil {
@@ -287,8 +282,8 @@ func (e *Engine) drain(p *sim.Proc) {
 			// One (class, tenant) lane per stream: a breach lets
 			// /debug/outliers attribute the slow fill to staging wait,
 			// dispatch wait, copy time or completion dwell.
-			e.fr.ObserveLane(flight.ReasonNone, int(s.spec.Class), s.id, lat, length, &ts,
-				flight.Ambient{SubmissionDepth: int64(e.outstanding)})
+			e.fr.ObserveLane(lifecycle.ReasonNone, int(s.spec.Class), s.id, lat, length, &ts,
+				lifecycle.Ambient{SubmissionDepth: int64(e.outstanding)})
 		}
 
 		switch {

@@ -554,13 +554,13 @@ func TestFlightCapturesSlowFills(t *testing.T) {
 		t.Fatalf("no breaches captured: breaches=%d outliers=%d", fs.Breaches, len(fs.Outliers))
 	}
 	for _, o := range fs.Outliers {
-		if o.Kind != flight.KindLatency {
+		if o.Kind != lifecycle.KindLatency {
 			continue
 		}
 		if int(o.Tenant) != sid {
 			t.Errorf("outlier tenant = %d, want stream %d", o.Tenant, sid)
 		}
-		if o.Class != int32(uapi.ClassBackground) {
+		if o.Class != int(uapi.ClassBackground) {
 			t.Errorf("outlier class = %d", o.Class)
 		}
 		var last int64

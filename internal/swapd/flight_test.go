@@ -64,7 +64,7 @@ func TestFlightCapturesSlowMigrations(t *testing.T) {
 			fs.Captured, fs.Breaches)
 	}
 	for _, o := range fs.Outliers {
-		if o.Kind != flight.KindLatency {
+		if o.Kind != lifecycle.KindLatency {
 			t.Fatalf("unexpected non-latency record: %+v", o)
 		}
 		for st, ts := range o.TS {
@@ -119,11 +119,11 @@ func TestFlightRecordsTxnAbortEvents(t *testing.T) {
 	}
 	var events int64
 	for _, o := range fs.Outliers {
-		if o.Kind != flight.KindEvent {
+		if o.Kind != lifecycle.KindEvent {
 			continue
 		}
 		events++
-		if o.Reason != flight.ReasonTxnAbort {
+		if o.Reason != lifecycle.ReasonTxnAbort {
 			t.Errorf("event record reason = %s, want txn_abort", o.Reason)
 		}
 		if o.Bytes == 0 {

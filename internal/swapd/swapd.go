@@ -77,10 +77,10 @@ type Options struct {
 	// Flight configures the daemon's flight recorder. The zero value
 	// arms it: slow migrations and slow promotions breach adaptive
 	// per-class thresholds and capture full stage vectors, and txn
-	// aborts land as domain events, all in virtual time. The SLO
-	// tracker and the stall watchdog are forced off regardless — burn
-	// windows and wall-clock tick cadences are meaningless under the
-	// simulated clock. Set Flight.Disable to opt out entirely.
+	// aborts land as domain events, all in virtual time. There is no
+	// SLO tracker and no stall watchdog — burn windows and wall-clock
+	// tick cadences are meaningless under the simulated clock. Set
+	// Flight.Disable to opt out entirely.
 	Flight flight.Options
 }
 
@@ -208,19 +208,10 @@ func New(app *core.Device, opts Options) *Daemon {
 		opts:    opts,
 		regions: make(map[int64]*region),
 	}
-	if !opts.Flight.Disable {
-		fo := opts.Flight
-		// The daemon lives on the simulated clock: SLO burn windows
-		// and the watchdog's wall-tick cadence don't apply. Outlier
-		// capture and the adaptive thresholds work fine on virtual ns.
-		fo.SLO.Disable = true
-		fo.Watchdog.Disable = true
-		if fo.Classes <= 0 || fo.Classes > flight.MaxClasses {
-			// Lane 3 (one past the QoS classes) carries promotion lag.
-			fo.Classes = flight.MaxClasses
-		}
-		d.fr = flight.New(fo)
-	}
+	// The daemon lives on the simulated clock: no SLO burn windows, no
+	// watchdog (there is no wall-tick cadence to count). Outlier capture
+	// and the adaptive thresholds work fine on virtual ns.
+	d.fr = flight.New(opts.Flight, false)
 	app.M.Eng.Spawn("kswapd-fast", d.run)
 	return d
 }
@@ -605,23 +596,23 @@ func (d *Daemon) handleCompletion(p *sim.Proc, got *uapi.MovReq) {
 		// The daemon's congestion picture is its in-flight migration
 		// count; the queue-depth slots of Ambient don't apply to the sim
 		// device. A promotion additionally trains the promotion-lag lane.
-		amb := flight.Ambient{SubmissionDepth: inflight}
-		d.fr.ObserveLane(flight.ReasonNone, int(got.Class), 0, lat, got.Length, &ts, amb)
+		amb := lifecycle.Ambient{SubmissionDepth: inflight}
+		d.fr.ObserveLane(lifecycle.ReasonNone, int(got.Class), 0, lat, got.Length, &ts, amb)
 		if lag > 0 {
-			d.fr.ObserveLane(flight.ReasonPromotionLag, promotionLagLane, 0, lag, got.Length, &ts, amb)
+			d.fr.ObserveLane(lifecycle.ReasonPromotionLag, promotionLagLane, 0, lag, got.Length, &ts, amb)
 		}
 	} else {
 		// A racing write aborted the commit (txn-dirty) or another mover
 		// holds the claim (busy): the region is hot — bump its recency
 		// so cold candidates go first on retry.
 		d.m.aborts.Inc()
-		d.fr.CaptureEvent(&flight.Outlier{
-			Reason:  flight.ReasonTxnAbort,
+		d.fr.CaptureEvent(&lifecycle.Lifecycle{
+			Reason:  lifecycle.ReasonTxnAbort,
 			Nano:    int64(p.Now()),
 			Slot:    -1,
-			Class:   int32(got.Class),
+			Class:   int(got.Class),
 			Bytes:   got.Length,
-			Ambient: flight.Ambient{SubmissionDepth: inflight},
+			Ambient: lifecycle.Ambient{SubmissionDepth: inflight},
 		})
 		if r != nil {
 			d.mu.Lock()

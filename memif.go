@@ -472,14 +472,18 @@ type LifecycleSnapshot = lifecycle.Snapshot
 // same shape on virtual time.
 type LifecycleSpans = lifecycle.SpanSnapshot
 
-// CapturedLifecycle is one completed, captured request lifecycle: slot,
-// payload size, priority class, outcome, and the raw stage timestamps.
+// CapturedLifecycle is the one captured-request record, in both rings:
+// LifecycleSnapshot.Captured holds the sampled requests (slot, payload
+// size, class, tenant, outcome, path flags, the raw stage timestamps),
+// FlightSnapshot.Outliers the breaching ones with the threshold they
+// breached and the ambient device state — or a typed stall / domain
+// event, told apart by Kind.
 type CapturedLifecycle = lifecycle.Lifecycle
 
 // ChromeTraceJSON renders captured lifecycles as Chrome trace_event
 // JSON for chrome://tracing or ui.perfetto.dev.
 func ChromeTraceJSON(process string, lcs []CapturedLifecycle) ([]byte, error) {
-	return lifecycle.ChromeTraceJSON(process, lcs)
+	return lifecycle.ChromeTraceGroupsJSON([]lifecycle.TraceGroup{{Process: process, Lifecycles: lcs}})
 }
 
 // SwapMetricsSnapshot is the swap daemon's observability view
@@ -531,19 +535,9 @@ func ParseExposition(data []byte) error { return obshttp.ParseExposition(data) }
 // threshold retroactively: breaching requests land in the ring with
 // their full seven-stage stamp vector and the ambient queue depths,
 // so the forensics for a tail excursion are already captured when it
-// is noticed. The swap daemon runs the recorder on virtual time and
-// forces the SLO tracker and watchdog off.
+// is noticed. The swap daemon and the stream engine run the recorder on
+// virtual time, where the SLO tracker and the watchdog do not exist.
 type FlightOptions = flight.Options
-
-// FlightSLOOptions sets latency objectives (per class, with per-tenant
-// tracking) and the error-budget fraction behind the
-// memif_realtime_slo_* burn-rate series (FlightOptions.SLO).
-type FlightSLOOptions = flight.SLOOptions
-
-// FlightWatchdogOptions tunes the stall watchdog: worker
-// no-dispatch-progress detection, completion-ring high-water probing
-// and poller-starvation tracking (FlightOptions.Watchdog).
-type FlightWatchdogOptions = flight.WatchdogOptions
 
 // FlightSnapshot is a point-in-time copy of a flight recorder
 // (RealtimeDevice.FlightSnapshot, SwapDaemon.FlightSnapshot): breach /
@@ -552,16 +546,11 @@ type FlightWatchdogOptions = flight.WatchdogOptions
 // source (ObsHandler.RegisterOutliers).
 type FlightSnapshot = flight.Snapshot
 
-// FlightOutlier is one captured record: a breaching request's
-// identity, stamp vector, the threshold it breached and the ambient
-// device state — or a typed stall / domain event.
-type FlightOutlier = flight.Outlier
-
-// The kinds of captured flight records.
+// The kinds of captured flight records (CapturedLifecycle.Kind).
 const (
-	FlightKindLatency = flight.KindLatency
-	FlightKindStall   = flight.KindStall
-	FlightKindEvent   = flight.KindEvent
+	FlightKindLatency = lifecycle.KindLatency
+	FlightKindStall   = lifecycle.KindStall
+	FlightKindEvent   = lifecycle.KindEvent
 )
 
 // ObsOutlierReport pairs a registered flight source with its snapshot;

@@ -501,60 +501,95 @@ func TestRealtimeFacadeTenants(t *testing.T) {
 }
 
 // TestRealtimeFacadeFlight drives the flight-recorder surface through
-// the facade: an aggressively-thresholded device captures outliers from
-// an ordinary burst, the snapshot types line up, and the handler serves
-// them as /debug/outliers reports.
+// the facade: a trained lane's threshold is read back from the
+// snapshot, one request is held in its copy until it is past that
+// threshold, and exactly that request lands in the outlier ring; the
+// snapshot types line up, and the handler serves them as
+// /debug/outliers reports.
 func TestRealtimeFacadeFlight(t *testing.T) {
 	ropts := memif.DefaultRealtimeOptions()
 	var fo memif.FlightOptions
-	fo.ThresholdFloorNs = 1
-	fo.ThresholdMult = 1
 	fo.Warmup = 1
-	fo.Watchdog = memif.FlightWatchdogOptions{Disable: true}
-	fo.SLO = memif.FlightSLOOptions{}
 	ropts.Flight = fo
+	var hold atomic.Bool
+	release := make(chan struct{})
+	ropts.Chaos = &realtime.ChaosHooks{
+		BeforeChunkCopy: func(uint32, int, int) {
+			if hold.Load() {
+				<-release
+			}
+		},
+	}
 	d := memif.OpenRealtime(ropts)
 	defer d.Close()
 
 	payload := make([]byte, 4<<10)
-	for i := 0; i < 64; i++ {
+	// roundTrip submits one request, runs during (if any) while it is
+	// in flight, and retrieves it.
+	roundTrip := func(during func()) {
 		r := d.AllocRequest()
 		if r == nil {
 			t.Fatal("out of request slots")
 		}
 		r.Src, r.Dst = payload, make([]byte, len(payload))
 		if err := d.Submit(r); err != nil {
-			t.Fatalf("submit %d: %v", i, err)
+			t.Fatalf("submit: %v", err)
+		}
+		if during != nil {
+			during()
 		}
 		for {
 			if got := d.RetrieveCompleted(); got != nil {
 				d.FreeRequest(got)
-				break
+				return
 			}
 			d.Poll(time.Second)
 		}
+	}
+	for i := 0; i < 8; i++ {
+		roundTrip(nil) // train the foreground lane past its warmup
 	}
 
 	var fs memif.FlightSnapshot = d.FlightSnapshot()
 	if !fs.Enabled {
 		t.Fatal("flight snapshot not enabled")
 	}
-	if fs.Breaches == 0 || fs.Captured != fs.Breaches {
-		t.Fatalf("breaches %d captured %d, want a fully-captured nonzero count", fs.Breaches, fs.Captured)
+	var thr int64
+	for _, lt := range fs.Thresholds {
+		if lt.Class == 0 && lt.Tenant == 0 {
+			thr = lt.ThresholdNs
+		}
 	}
-	var worst memif.FlightOutlier
+	if thr <= 0 {
+		t.Fatalf("trained foreground lane reports no threshold: %+v", fs.Thresholds)
+	}
+	before := fs.Breaches
+
+	// The straggler: stalled in its copy until it is older than the
+	// threshold just read, whatever the EWMA came out as on this host.
+	hold.Store(true)
+	roundTrip(func() {
+		time.Sleep(time.Duration(thr) + time.Millisecond)
+		close(release)
+	})
+
+	fs = d.FlightSnapshot()
+	if fs.Breaches != before+1 || fs.Captured != fs.Breaches+fs.Stalls {
+		t.Fatalf("breaches %d -> %d, stalls %d, captured %d: want exactly the straggler, fully captured",
+			before, fs.Breaches, fs.Stalls, fs.Captured)
+	}
+	var newest memif.CapturedLifecycle
 	for _, o := range fs.Outliers {
 		switch o.Kind {
 		case memif.FlightKindLatency:
-			if o.LatencyNs > worst.LatencyNs {
-				worst = o
-			}
-		case memif.FlightKindStall, memif.FlightKindEvent:
-			t.Fatalf("watchdog-off burst captured a non-latency record: %+v", o)
+			newest = o
+		case memif.FlightKindEvent:
+			t.Fatalf("the realtime device captured a domain event: %+v", o)
+		case memif.FlightKindStall: // a watchdog report: the host stalled the run for 30 ms
 		}
 	}
-	if worst.LatencyNs <= worst.ThresholdNs {
-		t.Fatalf("worst outlier %+v not past its threshold", worst)
+	if newest.ThresholdNs != thr || newest.LatencyNs <= thr {
+		t.Fatalf("newest outlier %+v is not the straggler held past threshold %d", newest, thr)
 	}
 
 	h := memif.NewObsHandler()
