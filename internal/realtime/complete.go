@@ -1,0 +1,472 @@
+package realtime
+
+import (
+	"context"
+	"errors"
+	"time"
+
+	"memif/internal/obs/flight"
+	"memif/internal/obs/lifecycle"
+)
+
+// finish completes r exactly once: it resolves the terminal state,
+// stamps the completion time, posts the completion (Release) and wakes
+// a poller (Notify). forced supplies the outcome for requests failing
+// off-protocol (the slab-exhaustion path) — but a cancel or deadline
+// that already claimed the request wins over it, because Cancel's
+// contract ("will complete with ErrCanceled") must hold no matter which
+// path posts the completion.
+func (d *Device) finish(r *Request, forced error) {
+	old := r.state.Swap(stDone) & stateMask
+	if old == stDone {
+		// Completion already fired. This must never happen; count it
+		// (the chaos suite asserts zero) and bail out rather than
+		// posting the index to the completion queue twice.
+		d.m.doubleCompletes.Inc()
+		return
+	}
+	err := forced
+	switch old {
+	case stCanceled:
+		err = ErrCanceled
+	case stExpired:
+		err = ErrDeadline
+	}
+	r.Err = err
+	now := time.Now().UnixNano()
+	r.completed.Store(now)
+	ts := d.tenantOf(r)
+	if s := r.submitted.Load(); s > 0 {
+		lat := now - s
+		d.m.latency.Observe(lat)
+		d.m.classLatency[r.Class].Observe(lat)
+		ts.latency.Observe(lat)
+		d.observeLatEWMA(lat)
+	}
+	switch {
+	case err == nil:
+	case errors.Is(err, ErrCanceled):
+		d.m.canceled.Inc()
+		ts.canceled.Inc()
+	case errors.Is(err, ErrDeadline):
+		d.m.expired.Inc()
+	case errors.Is(err, ErrOverload):
+		d.m.overloaded.Inc()
+	default:
+		d.m.failed.Inc()
+	}
+	d.m.completed.Inc()
+	d.m.classCompleted[r.Class].Inc()
+	d.classInFlight[r.Class].n.Add(-1)
+	ts.completed.Inc()
+	ts.inFlight.Add(-1)
+	if d.chaos != nil && d.chaos.OnFinish != nil {
+		d.chaos.OnFinish(r.idx, err)
+	}
+	d.pushCompletion(r.idx)
+	d.m.completionHW.Observe(d.completionDepth())
+	d.wake()
+}
+
+// wake posts the (single-token) completion edge for parked Polls.
+func (d *Device) wake() {
+	select {
+	case d.notify <- struct{}{}:
+	default:
+	}
+}
+
+// pushCompletion posts one completed request index onto its completion
+// ring. The rings are sized so the push cannot fail (one outstanding
+// completion per slot, every slot's ring fits all of its slots); the
+// backoff loop is defense in depth, not a code path.
+func (d *Device) pushCompletion(idx uint32) {
+	cr := d.compRings[int(idx)%len(d.compRings)]
+	for attempt := 0; !cr.tryPush(idx); attempt++ {
+		backoff(attempt)
+	}
+}
+
+// popCompletion scans the completion rings round-robin from start and
+// pops the first pending completion it finds.
+func (d *Device) popCompletion(start int) (uint32, bool) {
+	n := len(d.compRings)
+	for i := 0; i < n; i++ {
+		if idx, ok := d.compRings[(start+i)%n].tryPop(); ok {
+			return idx, true
+		}
+	}
+	return 0, false
+}
+
+// pollerToken pins a polling goroutine to a preferred completion ring —
+// the local-first bias: each retrieval scans all rings round-robin but
+// starts at its own, so concurrent pollers drain different rings
+// instead of racing CAS-for-CAS on ring 0.
+type pollerToken struct{ ring uint32 }
+
+// pollerRing picks the calling goroutine's preferred starting ring for
+// the local-first drain bias. sync.Pool's per-P caches keep a repeat
+// poller on the same ring and spread concurrent pollers out, exactly
+// like the submitter shard tokens.
+func (d *Device) pollerRing() int {
+	if len(d.compRings) == 1 {
+		return 0
+	}
+	t := d.pollTokens.Get().(*pollerToken)
+	ring := int(t.ring)
+	d.pollTokens.Put(t)
+	return ring
+}
+
+// completionEmpty reports whether every completion ring is empty (racy
+// snapshot, same contract the old single queue's Empty had).
+func (d *Device) completionEmpty() bool {
+	for _, cr := range d.compRings {
+		if !cr.empty() {
+			return false
+		}
+	}
+	return true
+}
+
+// completionDepth sums the per-ring occupancies.
+func (d *Device) completionDepth() int64 {
+	var n int64
+	for _, cr := range d.compRings {
+		n += cr.size()
+	}
+	return n
+}
+
+// RetrieveCompleted pops one completion notification without blocking;
+// nil when none is pending. The scan starts at the caller's preferred
+// ring (local-first bias) and wraps round-robin across the rest.
+func (d *Device) RetrieveCompleted() *Request {
+	idx, ok := d.popCompletion(d.pollerRing())
+	if !ok {
+		return nil
+	}
+	r, valid := d.req(idx)
+	if !valid {
+		return nil
+	}
+	d.m.retrieved.Inc()
+	// Single-completion retrieve: the accumulator holds one request's
+	// worth of lane accounting, flushed immediately (same cost shape as
+	// the unbatched recorder path). lcEnd reads its own clock.
+	var acc flight.Acc
+	acc.Init(d.fr)
+	d.lcEnd(r, 0, &acc)
+	acc.Flush()
+	if !d.completionEmpty() {
+		d.wake() // keep concurrent pollers from sleeping past pending completions
+	}
+	return r
+}
+
+// RetrieveCompletedBatch fills buf with completed requests without
+// blocking and returns how many it retrieved (0 when none are pending).
+// One call replaces up to len(buf) Poll/RetrieveCompleted round trips
+// on the completion path. Draining starts at this poller's home
+// completion ring (local-first bias) and round-robins across the rest,
+// so concurrent batch pollers spread over the rings instead of
+// serializing on one head.
+func (d *Device) RetrieveCompletedBatch(buf []*Request) int {
+	n := 0
+	start := d.pollerRing()
+	// One clock read and one accumulator flush serve the whole batch's
+	// flight accounting: the retrieve timestamp is read at the first
+	// completion (an empty call costs nothing) and every request's lane
+	// and SLO arithmetic folds locally until Flush. Batch-level
+	// staleness only shifts breach latencies by microseconds; a sampled
+	// request reads a fresh clock inside lcEnd.
+	var acc flight.Acc
+	acc.Init(d.fr)
+	var nano int64
+	for n < len(buf) {
+		idx, ok := d.popCompletion(start)
+		if !ok {
+			break
+		}
+		if r, valid := d.req(idx); valid {
+			d.m.retrieved.Inc()
+			if nano == 0 && d.fr != nil {
+				nano = time.Now().UnixNano()
+			}
+			d.lcEnd(r, nano, &acc)
+			buf[n] = r
+			n++
+		}
+	}
+	acc.Flush()
+	if n > 0 && !d.completionEmpty() {
+		d.wake() // keep concurrent pollers from sleeping past the rest
+	}
+	return n
+}
+
+// lcOutcome classifies a retrieved request's error for the lifecycle
+// and the outlier record.
+func lcOutcome(err error) lifecycle.Outcome {
+	switch {
+	case err == nil:
+		return lifecycle.OutcomeOK
+	case errors.Is(err, ErrCanceled):
+		return lifecycle.OutcomeCanceled
+	case errors.Is(err, ErrDeadline):
+		return lifecycle.OutcomeExpired
+	default:
+		return lifecycle.OutcomeFailed
+	}
+}
+
+// stamps assembles r's seven-stage vector and path flags from its stamp
+// fields, on the retrieval path, ending at retrieved (no earlier than
+// its completed stamp). A field below the submitted stamp was last
+// written for the slot's previous occupant: this request never reached
+// that stage (it failed at the flush, or was canceled before any chunk
+// ran) and the stage stays 0. A stage that was reached is clamped up to
+// the stage before it, because an amortized clock can lag a fresher
+// upstream stamp by microseconds. An inline request's copy began at its
+// dispatch stamp — the worker copied right there and wrote no
+// copy-start of its own. CopyEnd has no field: the finisher's one clock
+// read is both the end of the last chunk and the completion.
+func (r *Request) stamps(retrieved int64) (ts [lifecycle.NumStages]int64, flags uint32) {
+	sub := r.submitted.Load()
+	last := sub
+	at := func(v int64) int64 {
+		if v < sub {
+			return 0
+		}
+		if v < last {
+			v = last
+		}
+		last = v
+		return v
+	}
+	fl := at(r.flushedNs)
+	disp := at(r.dispatchedNs)
+	cs := r.copyStartNs.Load()
+	if disp != 0 && r.inlined {
+		cs, flags = disp, lifecycle.FlagInline
+	}
+	cs = at(cs)
+	comp := at(r.completed.Load())
+	var ce int64
+	if cs != 0 {
+		ce = comp
+	}
+	if r.stolenNs.Load() >= sub {
+		flags |= lifecycle.FlagStolen
+	}
+	return lifecycle.Stamps(sub, fl, disp, cs, ce, comp, retrieved), flags
+}
+
+// lcEnd closes r's lifecycle on the retrieval path. With the flight
+// recorder armed, the completed latency runs the breach check through
+// the caller's batch accumulator (which also trains the lane EWMA and
+// SLO counters, folded once per batch by acc.Flush) — for every
+// retrieved request, so capture has no sampling holes. Only a breach or
+// a sampled request builds the one captured record: a sampled request
+// hands it to the collector, which derives the global, per-class and
+// per-tenant stage spans from it and keeps it in the sampled ring; a
+// breach adds the ambient congestion picture and pushes the same record
+// into the outlier ring.
+//
+// nano is the caller's batch-amortized retrieve timestamp (0 = read the
+// clock here); a sampled request reads a fresh one regardless. The
+// shared clock can predate a completion that landed while the batch was
+// being drained, hence the clamp.
+func (d *Device) lcEnd(r *Request, nano int64, acc *flight.Acc) {
+	sub := r.submitted.Load()
+	if sub == 0 {
+		// Shed before staging (admission or slot exhaustion): there is
+		// no pipeline latency to attribute, nano-sub would read as an
+		// epoch-sized breach, and r.sampled is a previous occupant's.
+		return
+	}
+	if !r.sampled && d.fr == nil {
+		return
+	}
+	if r.sampled || nano == 0 {
+		nano = time.Now().UnixNano()
+	}
+	if comp := r.completed.Load(); nano < comp {
+		nano = comp
+	}
+	lat := nano - sub
+	tenant := int(r.tenant.Load())
+	thr, breach := acc.Observe(int(r.Class), tenant, lat, r.Err == nil)
+	if !breach && !r.sampled {
+		return
+	}
+	lc := lifecycle.Lifecycle{
+		Nano:        nano,
+		Slot:        int(r.idx),
+		Class:       int(r.Class),
+		Tenant:      tenant,
+		Bytes:       int64(len(r.Src)),
+		Outcome:     lcOutcome(r.Err),
+		LatencyNs:   lat,
+		ThresholdNs: thr,
+	}
+	lc.TS, lc.Flags = r.stamps(nano)
+	if r.sampled {
+		d.lc.Collect(&lc, &d.tenantOf(r).spans)
+	}
+	if breach {
+		lc.Ambient = d.ambient()
+		d.fr.Capture(&lc)
+	}
+}
+
+// ready reports whether a completion is pending, re-arming the notify
+// token when it is so concurrent pollers can't be starved by the single
+// buffered edge.
+func (d *Device) ready() bool {
+	if d.completionEmpty() {
+		return false
+	}
+	d.wake()
+	return true
+}
+
+// pollSpinBudget bounds the spin-before-sleep micro-wait in
+// Poll/PollContext: enough yields that a completion landing within a
+// few microseconds is caught without a timer or channel round trip,
+// few enough (and all below backoff's sleep threshold) that a poller
+// headed for a real wait gets there quickly.
+const pollSpinBudget = 128
+
+// spinWait is the poll-side micro-wait: spin through the shared
+// backoff discipline watching for a completion, true when one arrived
+// within the budget.
+//
+// Spinning only pays when a completer can make progress while this
+// poller burns cycles: on GOMAXPROCS > 1 the worker/controllers run
+// on other Ps. On a single-P device the yields are pure overhead — each
+// backoff pass is a real context switch that delays the controllers
+// the poller is waiting on (measured: ~3× overload throughput loss at
+// GOMAXPROCS=1) — so there the poller goes straight to its timed
+// sleep, which is itself the yield that lets copies proceed.
+func (d *Device) spinWait() bool {
+	if !d.completionEmpty() {
+		return true
+	}
+	if !d.pollSpin {
+		return false
+	}
+	for attempt := 0; attempt < pollSpinBudget; attempt++ {
+		if d.closed.Load() {
+			return !d.completionEmpty()
+		}
+		backoff(attempt)
+		if !d.completionEmpty() {
+			d.m.pollerSpins.Inc()
+			return true
+		}
+	}
+	return false
+}
+
+// Poll blocks until a completion notification is pending or the timeout
+// expires (timeout <= 0 waits forever). It reports whether a
+// notification is available. Any number of goroutines may Poll the same
+// device: a retired wakeup is re-armed whenever completions remain, so
+// no poller sleeps past a retrievable completion. A bounded micro-wait
+// runs before any blocking, so a completion landing within ~1 µs costs
+// no timer or notify round trip.
+func (d *Device) Poll(timeout time.Duration) bool {
+	if d.spinWait() {
+		d.wake()
+		return true
+	}
+	if timeout <= 0 {
+		for d.completionEmpty() {
+			if d.closed.Load() {
+				return d.ready()
+			}
+			d.m.pollerParks.Inc()
+			select {
+			case <-d.notify:
+			case <-d.done:
+				return d.ready()
+			}
+		}
+		d.wake()
+		return true
+	}
+	// The deadline is computed lazily — a Poll that finds a completion
+	// pending (the common case on a loaded device) costs no clock read
+	// at all. One timer then serves every retry of the loop: each Reset
+	// below runs only after the timer was stopped and its channel
+	// drained, the precondition Timer.Reset documents. (The
+	// per-iteration NewTimer this replaces allocated on every spurious
+	// wakeup — measurable garbage on a device with thousands of Polls
+	// per second.)
+	var deadline time.Time
+	var timer *time.Timer
+	defer func() {
+		if timer != nil {
+			timer.Stop()
+		}
+	}()
+	for d.completionEmpty() {
+		if d.closed.Load() {
+			return d.ready()
+		}
+		if deadline.IsZero() {
+			deadline = time.Now().Add(timeout)
+		}
+		remain := time.Until(deadline)
+		if remain <= 0 {
+			return d.ready()
+		}
+		if timer == nil {
+			timer = time.NewTimer(remain)
+		} else {
+			timer.Reset(remain)
+		}
+		d.m.pollerParks.Inc()
+		select {
+		case <-d.notify:
+			if !timer.Stop() {
+				<-timer.C
+			}
+		case <-d.done:
+			return d.ready()
+		case <-timer.C:
+			return d.ready()
+		}
+	}
+	d.wake()
+	return true
+}
+
+// PollContext blocks until a completion notification is pending or ctx
+// is done, whichever comes first, and reports whether a notification is
+// available — poll(2) with a context instead of a hand-rolled timeout
+// loop. Like Poll, any number of goroutines may PollContext the same
+// device concurrently.
+func (d *Device) PollContext(ctx context.Context) bool {
+	if d.spinWait() {
+		d.wake()
+		return true
+	}
+	for d.completionEmpty() {
+		if d.closed.Load() || ctx.Err() != nil {
+			return d.ready()
+		}
+		d.m.pollerParks.Inc()
+		select {
+		case <-d.notify:
+		case <-d.done:
+			return d.ready()
+		case <-ctx.Done():
+			return d.ready()
+		}
+	}
+	d.wake()
+	return true
+}

@@ -1,0 +1,342 @@
+package realtime
+
+import (
+	"runtime"
+	"time"
+
+	"memif/internal/rbq"
+)
+
+// chunk is one unit of controller work: a byte range of one request.
+// nano carries the ring-push timestamp when the request is sampled (0
+// otherwise), so the consumer can attribute the dispatch-ring wait —
+// and steal delay — without any per-chunk allocation.
+type chunk struct {
+	idx      uint32
+	off, end int
+	nano     int64
+}
+
+// workerClockEvery bounds how many unsampled stage stamps reuse one
+// worker/controller clock read: staleness stays under ~16 op-times
+// (microseconds) while the per-request clock cost drops to ~1/16 of a
+// time.Now (which at ~60ns would alone consume the recorder's whole
+// overhead budget).
+const workerClockEvery = 16
+
+// worker is the kernel thread: drain the staging shards, chunk and
+// dispatch submissions to the controllers, then recolor the shards blue
+// and sleep.
+func (d *Device) worker() {
+	defer func() {
+		close(d.work) // controllers drain their rings and exit
+		d.wg.Done()
+	}()
+	// wNano is the worker's amortized clock for the flushed and
+	// dispatched stamps of unsampled requests, kept only with the flight
+	// recorder armed: refreshed at least every workerClockEvery stamps,
+	// never per request. The stamps it feeds only ever surface in breach
+	// records, where millisecond latencies dwarf the microseconds of
+	// staleness; the sampled 1/2^shift requests read fresh clocks.
+	var wNano int64
+	sinceClock := 0
+	for {
+		// Drain every shard round-robin: one element per shard per
+		// pass, so no shard starves behind a full neighbor. Flushed
+		// stamps share the worker's amortized clock — under load a
+		// pass often moves a single element before the next dispatch,
+		// so a per-pass read would degenerate to per-request.
+		for {
+			moved := false
+			var drainNano int64
+			for _, sh := range d.staging {
+				idx, _, ok := sh.Dequeue()
+				if !ok {
+					continue
+				}
+				moved = true
+				if d.frArmed {
+					if sinceClock >= workerClockEvery || wNano == 0 {
+						wNano, sinceClock = time.Now().UnixNano(), 0
+					}
+					sinceClock++
+					drainNano = wNano
+				}
+				if !d.enqueueSubmission(idx, drainNano) {
+					if r, valid := d.req(idx); valid {
+						d.finish(r, ErrNoSlots)
+					}
+				}
+			}
+			if !moved {
+				break
+			}
+		}
+		if idx, ok := d.popSubmission(); ok {
+			if d.frArmed {
+				if sinceClock >= workerClockEvery || wNano == 0 {
+					wNano, sinceClock = time.Now().UnixNano(), 0
+				}
+				sinceClock++
+			}
+			d.dispatch(idx, wNano)
+			continue
+		}
+		// Before sleeping, recolor each shard blue independently; a
+		// shard that refilled under us refuses the recolor and sends
+		// the worker around again. This is the Section 4.4 invariant
+		// per shard: after the worker sleeps, every shard is blue, so
+		// the first submitter to any shard kicks exactly once.
+		refilled := false
+		for _, sh := range d.staging {
+			if _, ok := sh.SetColor(rbq.Blue); !ok {
+				refilled = true
+			}
+		}
+		if refilled {
+			continue
+		}
+		if d.closed.Load() {
+			// Drain anything that slipped in before the close.
+			pending := false
+			for _, q := range d.submission {
+				if !q.Empty() {
+					pending = true
+				}
+			}
+			for _, sh := range d.staging {
+				if !sh.Empty() {
+					pending = true
+				}
+			}
+			if pending {
+				for _, sh := range d.staging {
+					sh.SetColor(rbq.Red)
+				}
+				continue
+			}
+			return
+		}
+		<-d.kick
+		d.m.wakes.Inc()
+	}
+}
+
+// dispatch splits one request into chunks and feeds the controllers —
+// or, when the request is small enough for the adaptive inline
+// threshold, copies it right here on the worker (the poll path: no ring
+// push, no controller wakeup, no notify hop for the copy itself).
+func (d *Device) dispatch(idx uint32, wNano int64) {
+	r, ok := d.req(idx)
+	if !ok {
+		return
+	}
+	d.maybeRetune()
+	d.m.dispatched.Inc()
+	if d.chaos != nil && d.chaos.BeforeDispatch != nil {
+		d.chaos.BeforeDispatch(idx)
+	}
+	// The dispatched stamp: a fresh clock for a sampled request (it also
+	// serves as every chunk's ring-push stamp below), the worker's
+	// amortized one otherwise. Plain fields, written before any handoff
+	// publishes idx onward; inlined is set on the inline path below.
+	stamp := wNano
+	if r.sampled {
+		stamp = time.Now().UnixNano()
+	}
+	if stamp != 0 {
+		r.dispatchedNs = max(stamp, r.submitted.Load())
+		r.inlined = false
+	}
+	// Observe cancellation and deadline before any byte moves.
+	if !r.Deadline.IsZero() && time.Now().After(r.Deadline) {
+		r.state.CompareAndSwap(r.word(stPending), r.word(stExpired))
+	}
+	if st := r.state.Load() & stateMask; st == stCanceled || st == stExpired {
+		d.finish(r, nil)
+		return
+	}
+	n := len(r.Src)
+	nChunks := 1
+	if d.chunkBytes > 0 && n > d.chunkBytes {
+		nChunks = (n + d.chunkBytes - 1) / d.chunkBytes
+	}
+	r.chunksLeft.Store(int32(nChunks))
+	// Adaptive completion, the paper's Section 5 poll/interrupt split:
+	// a single-chunk request at or below the inline threshold is copied
+	// by the worker itself. runChunk keeps every invariant (cancel
+	// check, chunk countdown, exactly-once finish); only the transport
+	// changes.
+	if nChunks == 1 {
+		if th := d.inline.Load(); th > 0 && int64(n) <= th {
+			d.m.inlineCompleted.Inc()
+			// The copy starts right here on the worker, so the dispatched
+			// stamp is also the exact copy-start: no second stamp, just
+			// the mark that makes a slow inline request legible as one.
+			r.inlined = true
+			d.runChunk(chunk{idx: idx, off: 0, end: n}, len(d.ctr)-1, false, 0)
+			return
+		}
+	}
+	// One ring-push stamp serves every chunk of a sampled request: the
+	// pushes below are a tight loop, and the per-chunk ring wait is
+	// measured against it on the consumer side (zero = unsampled —
+	// deliberately 1/2^shift even with the flight recorder armed, so
+	// controllers don't pay a clock read plus a histogram push per
+	// chunk for every request; breach forensics needs stage stamps, not
+	// ring-wait spans).
+	var pushNano int64
+	if r.sampled {
+		pushNano = stamp
+	}
+	for i := 0; i < nChunks; i++ {
+		c := chunk{idx: idx, off: 0, end: n, nano: pushNano}
+		if nChunks > 1 {
+			c.off = i * d.chunkBytes
+			c.end = c.off + d.chunkBytes
+			if c.end > n {
+				c.end = n
+			}
+		}
+		d.pushChunk(c)
+	}
+}
+
+// pushChunk places one chunk on a controller ring, round-robin from the
+// ring after the last one used, skipping full rings. Only when every
+// ring is full does the worker back off — backpressure when the whole
+// copy engine is saturated, never because one controller is slow (its
+// backlog is steal-able by the others).
+func (d *Device) pushChunk(c chunk) {
+	n := len(d.rings)
+	for attempt := 0; ; attempt++ {
+		for i := 0; i < n; i++ {
+			ri := (d.nextRing + i) % n
+			if d.rings[ri].tryPush(c) {
+				d.nextRing = (ri + 1) % n
+				select {
+				case d.work <- struct{}{}:
+				default: // enough wake tokens buffered to rouse everyone
+				}
+				return
+			}
+		}
+		d.m.dispatchRetries.Inc()
+		backoff(attempt)
+	}
+}
+
+// controller is transfer controller id: it pops chunks from its own
+// ring, steals from its neighbors' rings when its own runs dry, and
+// whichever controller retires a request's last chunk runs the
+// completion path (the interrupt handler's Release+Notify).
+func (d *Device) controller(id int) {
+	defer d.wg.Done()
+	own := d.rings[id]
+	n := len(d.rings)
+	spins := 0
+	// csNano is this controller's amortized clock for the copy-start
+	// stamps of unsampled requests, refreshed every workerClockEvery
+	// chunks (see wNano in the worker for the staleness argument).
+	var csNano int64
+	sinceClock := 0
+	for {
+		c, ok := own.tryPop()
+		stolen := false
+		if !ok {
+			for i := 1; i < n && !ok; i++ {
+				if c, ok = d.rings[(id+i)%n].tryPop(); ok {
+					d.ctr[id].steals.Add(1)
+					stolen = true
+				}
+			}
+		}
+		if ok {
+			spins = 0
+			if d.frArmed {
+				if sinceClock >= workerClockEvery || csNano == 0 {
+					csNano, sinceClock = time.Now().UnixNano(), 0
+				}
+				sinceClock++
+			}
+			d.runChunk(c, id, stolen, csNano)
+			continue
+		}
+		// Nothing anywhere: spin briefly (work often lands within a
+		// few scheduler quanta under load), then park on the work edge.
+		// The check-empty-then-park order plus the buffered channel
+		// makes the park lossless: a chunk pushed after our scan left
+		// its wake token in the buffer for us.
+		if spins < 8 {
+			spins++
+			runtime.Gosched()
+			continue
+		}
+		spins = 0
+		if _, open := <-d.work; !open {
+			// Shutdown: the worker dispatched its last chunk before
+			// closing the channel. Sweep every ring dry, then leave.
+			for {
+				c, ok := own.tryPop()
+				for i := 1; i < n && !ok; i++ {
+					c, ok = d.rings[(id+i)%n].tryPop()
+				}
+				if !ok {
+					return
+				}
+				d.runChunk(c, id, false, csNano)
+			}
+		}
+	}
+}
+
+// runChunk copies one chunk (unless its request is already terminal)
+// and fires the completion when it was the request's last chunk. slot
+// selects the caller's private counter block: the controller id, or the
+// worker's extra slot on the inline path. stolen marks a chunk popped
+// from another controller's ring. csNano is the caller's amortized
+// clock for the copy-start stamp (0 with the flight recorder disarmed,
+// and on the inline path, whose copy starts at its dispatched stamp).
+func (d *Device) runChunk(c chunk, slot int, stolen bool, csNano int64) {
+	r, ok := d.req(c.idx)
+	if !ok {
+		return
+	}
+	if c.nano != 0 {
+		// A sampled request's chunk, off a ring: one fresh clock read
+		// closes the chunk's ring wait (and steal delay) and is its
+		// copy-start stamp.
+		csNano = time.Now().UnixNano()
+		d.lc.ObserveQueueWait(int(r.Class), csNano-c.nano, stolen)
+		if stolen {
+			r.stolenNs.Store(csNano)
+		}
+	}
+	if d.chaos != nil && d.chaos.BeforeChunkCopy != nil {
+		d.chaos.BeforeChunkCopy(c.idx, c.off, c.end)
+	}
+	if csNano != 0 {
+		// The copy window opens at the first chunk to reach any
+		// controller and closes when the finisher retires the last one —
+		// a canceled request still gets the stamp, bounding the time its
+		// chunks occupied controllers. A value below the submitted stamp
+		// is a leftover from the slot's previous life and loses to this
+		// chunk's stamp; a failed CAS means a parallel chunk of the same
+		// request won the race.
+		sub := r.submitted.Load()
+		if cs := r.copyStartNs.Load(); cs < sub {
+			r.copyStartNs.CompareAndSwap(cs, max(csNano, sub))
+		}
+	}
+	// A cancel or deadline that won after dispatch stops the
+	// copying; the chunk countdown still runs so the completion
+	// fires exactly once.
+	if r.state.Load()&stateMask == stPending {
+		copy(r.Dst[c.off:c.end], r.Src[c.off:c.end])
+		d.ctr[slot].bytesMoved.Add(int64(c.end - c.off))
+	}
+	d.ctr[slot].chunks.Add(1)
+	if r.chunksLeft.Add(-1) == 0 {
+		d.finish(r, nil)
+	}
+}

@@ -1,0 +1,324 @@
+package realtime
+
+import (
+	"fmt"
+	"sync/atomic"
+
+	"memif/internal/obs"
+	"memif/internal/obs/flight"
+	"memif/internal/obs/lifecycle"
+	"memif/internal/rbq"
+)
+
+// metrics is the device's obs instrument set.
+//
+// False-sharing audit (PR 8): the hot counters are grouped by writer
+// population — submitters, the worker, the finishers (controllers plus
+// the worker's inline path), and pollers — with a cache-line pad
+// between groups, so one population's RMW traffic doesn't invalidate
+// another's line. Within a group the writers genuinely share the
+// counter (true sharing, the price of a global count); the per-chunk
+// counters that used to true-share here (chunks, bytesMoved, steals)
+// moved to per-controller ctrCounters blocks instead.
+type metrics struct {
+	// Submitter-side: bumped on Submit/SubmitBatch/admit.
+	submitted, kicks obs.Counter
+	batches, shed    obs.Counter
+	_                [64]byte
+	// Finisher-side: bumped in finish, from whichever controller (or
+	// the worker, inline) retires the request.
+	completed, canceled obs.Counter
+	expired, failed     obs.Counter
+	overloaded          obs.Counter
+	doubleCompletes     obs.Counter
+	_                   [64]byte
+	// Worker-side: bumped only on the dispatch goroutine.
+	wakes, inlineCompleted obs.Counter
+	agedPops, retunes      obs.Counter
+	dispatchRetries        obs.Counter
+	dispatched             obs.Counter
+	_                      [64]byte
+	// Poller-side: bumped in Poll/PollContext's micro-wait and on the
+	// retrieval paths (the watchdog's progress probe).
+	pollerSpins, pollerParks obs.Counter
+	retrieved                obs.Counter
+	_                        [64]byte
+	// Cold or mixed-writer instruments.
+	enqueueRetries obs.Counter
+	classSubmitted [NumClasses]obs.Counter
+	classCompleted [NumClasses]obs.Counter
+	classShed      [NumClasses]obs.Counter
+	classLatency   [NumClasses]obs.Histogram
+	submissionHW   obs.Gauge
+	sizes          obs.Histogram
+	_              [64]byte
+	completionHW   obs.Gauge
+	latency        obs.Histogram
+}
+
+// ctrCounters is one transfer controller's private counter block,
+// padded to a cache line. The old shared chunks/bytesMoved/steals
+// counters were the hottest true sharing in the engine — every
+// controller RMW'd the same three adjacent words once per chunk — so
+// each controller (plus one extra slot for the worker's inline-copy
+// path) now counts privately and Stats sums the blocks.
+type ctrCounters struct {
+	chunks, bytesMoved, steals atomic.Int64
+	_                          [40]byte
+}
+
+// paddedCount is an atomic counter on its own cache line, for arrays
+// of per-class/per-shard counters whose neighbors are written by
+// different goroutine populations.
+type paddedCount struct {
+	n atomic.Int64
+	_ [56]byte
+}
+
+// StatsSnapshot is a point-in-time view of the device counters,
+// histograms, queue watermarks and sampled lifecycles. Safe to take
+// from any goroutine at any time.
+type StatsSnapshot struct {
+	// Request outcomes. Completed counts every terminal request,
+	// including the Canceled / Expired / Failed subsets.
+	Submitted, Completed      int64
+	Canceled, Expired, Failed int64
+	// Kicks counts the kick-start syscall-equivalents; WorkerWakes the
+	// times the worker actually slept and was woken (amortization means
+	// Kicks can stay near 1 for a burst). Batches counts SubmitBatch
+	// calls — each costs at most one kick regardless of its length.
+	Kicks, WorkerWakes, Batches int64
+	// PollerSpins counts Poll/PollContext calls whose bounded
+	// spin-before-sleep micro-wait observed a completion without
+	// parking; PollerParks counts blocking waits on the notify edge.
+	PollerSpins, PollerParks int64
+	// Chunks counts controller work units; BytesMoved the payload
+	// actually copied (canceled chunks don't count).
+	Chunks, BytesMoved int64
+	// Steals counts chunks a controller popped from another
+	// controller's ring; DispatchRetries counts worker backoffs with
+	// every ring full.
+	Steals, DispatchRetries int64
+	// EnqueueRetries counts transient slab-exhaustion retries in the
+	// flush path.
+	EnqueueRetries int64
+	// DoubleCompletes counts completion paths that found the request
+	// already terminal. The protocol guarantees completion fires exactly
+	// once, so any nonzero value is a bug; the chaos suite asserts it
+	// stays zero.
+	DoubleCompletes int64
+	// Shed counts submissions the admission controller rejected with
+	// ErrOverload (single submits returned the error; batch members
+	// surfaced it through their completion). Overloaded is the subset
+	// that surfaced as completions. Both exclude ErrNoSlots, which
+	// remains a Failed outcome.
+	Shed, Overloaded int64
+	// InlineCompleted counts requests copied inline by the worker (the
+	// adaptive poll path); InlineThresholdBytes is the current
+	// self-tuned cutoff (0 = inline completion disabled); Retunes counts
+	// threshold recomputations.
+	InlineCompleted, InlineThresholdBytes, Retunes int64
+	// AgedPops counts dispatches that served a lower class out of
+	// strict-priority order via the aging credit.
+	AgedPops int64
+	// Classes breaks submissions down by priority class.
+	Classes [NumClasses]ClassStats
+	// Tenants breaks submissions down by tenant namespace, default
+	// tenant (id 0) first, then OpenTenant order.
+	Tenants []TenantStats
+	// Queue-depth high watermarks, from rbq's atomic Size.
+	SubmissionHighWater, CompletionHighWater int64
+	// Live queue depths sampled at Stats time (the watermark fields
+	// above carry the maxima): per-shard staging, submission,
+	// completion, and per-controller dispatch-ring occupancy.
+	// CompletionDepth sums the per-ring occupancies in
+	// CompletionDepths (one entry per completion ring).
+	StagingDepths                    []int64
+	SubmissionDepth, CompletionDepth int64
+	CompletionDepths                 []int64
+	RingDepths                       []int64
+	// Latency is the submission-to-completion histogram (ns); Sizes the
+	// request payload histogram (bytes).
+	Latency, Sizes obs.HistogramSnapshot
+	// Lifecycle is the sampled-lifecycle snapshot: per-stage latency
+	// histograms (staging wait, dispatch wait, ring wait, steal delay,
+	// copy, completion dwell) and the last captured complete lifecycles.
+	// Enabled is false when Options.TraceSampleShift < 0.
+	Lifecycle lifecycle.Snapshot
+	// Flight is the flight-recorder snapshot: captured outliers and
+	// stall reports, adaptive per-lane thresholds, and SLO burn rates.
+	// Flight.Enabled is false when Options.Flight.Disable is set.
+	Flight flight.Snapshot
+}
+
+// ClassStats is one priority class's slice of the device counters.
+type ClassStats struct {
+	// Submitted counts accepted submissions at this class; Completed
+	// the terminal ones; Shed the admission rejections (never accepted,
+	// except batch members, which also complete with ErrOverload).
+	Submitted, Completed, Shed int64
+	// InFlight is the live accepted-but-not-terminal count.
+	InFlight int64
+	// QueueDepth is the class's submission-queue depth at Stats time.
+	QueueDepth int64
+	// Latency is the submission-to-completion histogram (ns) of this
+	// class alone.
+	Latency obs.HistogramSnapshot
+}
+
+// Stats returns a snapshot of the device's counters, histograms, queue
+// watermarks and sampled lifecycles. Safe from any goroutine at any time.
+func (d *Device) Stats() StatsSnapshot {
+	staging := make([]int64, len(d.staging))
+	for i, sh := range d.staging {
+		staging[i] = int64(sh.Size())
+	}
+	ringDepths := make([]int64, len(d.rings))
+	for i, r := range d.rings {
+		ringDepths[i] = r.size()
+	}
+	var classes [NumClasses]ClassStats
+	for c := range classes {
+		classes[c] = ClassStats{
+			Submitted:  d.m.classSubmitted[c].Load(),
+			Completed:  d.m.classCompleted[c].Load(),
+			Shed:       d.m.classShed[c].Load(),
+			InFlight:   d.classInFlight[c].n.Load(),
+			QueueDepth: int64(d.submission[c].Size()),
+			Latency:    d.m.classLatency[c].Snapshot(),
+		}
+	}
+	tab := *d.tenants.Load()
+	tenants := make([]TenantStats, len(tab))
+	for i, ts := range tab {
+		tenants[i] = ts.snapshot()
+	}
+	var chunks, bytesMoved, steals int64
+	for i := range d.ctr {
+		chunks += d.ctr[i].chunks.Load()
+		bytesMoved += d.ctr[i].bytesMoved.Load()
+		steals += d.ctr[i].steals.Load()
+	}
+	compDepths := make([]int64, len(d.compRings))
+	var compDepth int64
+	for i, cr := range d.compRings {
+		compDepths[i] = cr.size()
+		compDepth += compDepths[i]
+	}
+	return StatsSnapshot{
+		StagingDepths:        staging,
+		SubmissionDepth:      d.submissionDepth(),
+		CompletionDepth:      compDepth,
+		CompletionDepths:     compDepths,
+		RingDepths:           ringDepths,
+		Lifecycle:            d.lc.Snapshot(),
+		Flight:               d.fr.Snapshot(),
+		Submitted:            d.m.submitted.Load(),
+		Completed:            d.m.completed.Load(),
+		Canceled:             d.m.canceled.Load(),
+		Expired:              d.m.expired.Load(),
+		Failed:               d.m.failed.Load(),
+		Kicks:                d.m.kicks.Load(),
+		WorkerWakes:          d.m.wakes.Load(),
+		PollerSpins:          d.m.pollerSpins.Load(),
+		PollerParks:          d.m.pollerParks.Load(),
+		Batches:              d.m.batches.Load(),
+		Chunks:               chunks,
+		BytesMoved:           bytesMoved,
+		Steals:               steals,
+		DispatchRetries:      d.m.dispatchRetries.Load(),
+		EnqueueRetries:       d.m.enqueueRetries.Load(),
+		DoubleCompletes:      d.m.doubleCompletes.Load(),
+		Shed:                 d.m.shed.Load(),
+		Overloaded:           d.m.overloaded.Load(),
+		InlineCompleted:      d.m.inlineCompleted.Load(),
+		InlineThresholdBytes: d.inline.Load(),
+		Retunes:              d.m.retunes.Load(),
+		AgedPops:             d.m.agedPops.Load(),
+		Classes:              classes,
+		Tenants:              tenants,
+		SubmissionHighWater:  d.m.submissionHW.Load(),
+		CompletionHighWater:  d.m.completionHW.Load(),
+		Latency:              d.m.latency.Snapshot(),
+		Sizes:                d.m.sizes.Snapshot(),
+	}
+}
+
+// AuditSlots verifies, on a quiescent device (no Submit/Retrieve in
+// flight, pipeline drained), that every request slot is in exactly one
+// of {free list, a staging shard, submission, completion, caller-held}.
+// held lists slot indices of requests the caller has allocated or
+// retrieved and not yet freed. This is the realtime side of the "no
+// index may ever vanish" invariant; the chaos suite runs it after every
+// storm.
+func (d *Device) AuditSlots(held []uint32) error {
+	owner := make([]string, len(d.reqs))
+	claim := func(idx uint32, who string) error {
+		if int(idx) >= len(d.reqs) {
+			return fmt.Errorf("realtime: audit: index %d out of range (seen in %s)", idx, who)
+		}
+		if owner[idx] != "" {
+			return fmt.Errorf("realtime: audit: index %d in two places: %s and %s", idx, owner[idx], who)
+		}
+		owner[idx] = who
+		return nil
+	}
+	queues := []struct {
+		name string
+		q    *rbq.Queue
+	}{
+		{"free", d.freeList},
+	}
+	for c, q := range d.submission {
+		queues = append(queues, struct {
+			name string
+			q    *rbq.Queue
+		}{fmt.Sprintf("submission[%s]", ClassName(c)), q})
+	}
+	for i, sh := range d.staging {
+		queues = append(queues, struct {
+			name string
+			q    *rbq.Queue
+		}{fmt.Sprintf("staging[%d]", i), sh})
+	}
+	for _, qi := range queues {
+		for _, idx := range qi.q.Snapshot() {
+			if err := claim(idx, qi.name); err != nil {
+				return err
+			}
+		}
+	}
+	for i, cr := range d.compRings {
+		for _, idx := range cr.snapshot() {
+			if err := claim(idx, fmt.Sprintf("completion[%d]", i)); err != nil {
+				return err
+			}
+		}
+	}
+	for _, idx := range held {
+		if err := claim(idx, "user-held"); err != nil {
+			return err
+		}
+	}
+	for i, who := range owner {
+		if who == "" {
+			return fmt.Errorf("realtime: audit: index %d vanished: in no queue and not user-held", i)
+		}
+	}
+	return nil
+}
+
+// Kicks reports how many kick-start syscall-equivalents were issued.
+func (d *Device) Kicks() int64 { return d.m.kicks.Load() }
+
+// Completed reports how many requests have completed.
+func (d *Device) Completed() int64 { return d.m.completed.Load() }
+
+// BytesMoved reports the total payload moved.
+func (d *Device) BytesMoved() int64 {
+	var n int64
+	for i := range d.ctr {
+		n += d.ctr[i].bytesMoved.Load()
+	}
+	return n
+}
