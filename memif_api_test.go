@@ -9,6 +9,10 @@ package memif_test
 import (
 	"context"
 	"errors"
+	"flag"
+	"os"
+	"reflect"
+	"sort"
 	"strings"
 	"sync/atomic"
 	"testing"
@@ -597,5 +601,65 @@ func TestRealtimeFacadeFlight(t *testing.T) {
 	var reports []memif.ObsOutlierReport = h.OutlierReports()
 	if len(reports) != 1 || reports[0].Source != "realtime" || !reports[0].Flight.Enabled {
 		t.Fatalf("outlier reports = %+v, want one armed realtime source", reports)
+	}
+}
+
+// The options snapshot: api/memif.txt prints "type RealtimeOptions =
+// realtime.Options" and nothing below it, so a knob added to (or
+// removed from) an aliased struct never shows up there. api/options.txt
+// lists every exported field of every options/config struct the facade
+// aliases, one per line; TestOptionsSnapshot fails until a change to any
+// of them is regenerated and reviewed:
+//
+//	go test -run TestOptionsSnapshot . -args -o api/options.txt
+
+var optionsOut = flag.String("o", "", "write the options snapshot to this file instead of comparing it")
+
+// optionFields appends one "path type" line per exported field of t,
+// expanding nested structs declared in this module.
+func optionFields(lines []string, path string, t reflect.Type) []string {
+	for i := 0; i < t.NumField(); i++ {
+		f := t.Field(i)
+		if !f.IsExported() {
+			continue
+		}
+		if f.Type.Kind() == reflect.Struct && strings.HasPrefix(f.Type.PkgPath(), "memif/") {
+			lines = optionFields(lines, path+"."+f.Name, f.Type)
+			continue
+		}
+		lines = append(lines, path+"."+f.Name+" "+f.Type.String())
+	}
+	return lines
+}
+
+func TestOptionsSnapshot(t *testing.T) {
+	var lines []string
+	for name, v := range map[string]any{
+		"Options":              memif.Options{},
+		"RealtimeOptions":      memif.RealtimeOptions{},
+		"RealtimeQoSOptions":   memif.RealtimeQoSOptions{},
+		"FlightOptions":        memif.FlightOptions{},
+		"RealtimeTenantConfig": memif.RealtimeTenantConfig{},
+		"SwapOptions":          memif.SwapOptions{},
+		"StreamEngineOptions":  memif.StreamEngineOptions{},
+		"StreamSpec":           memif.StreamSpec{},
+		"StreamConfig":         memif.StreamConfig{},
+	} {
+		lines = optionFields(lines, name, reflect.TypeOf(v))
+	}
+	sort.Strings(lines)
+	got := strings.Join(lines, "\n") + "\n"
+	if *optionsOut != "" {
+		if err := os.WriteFile(*optionsOut, []byte(got), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		return
+	}
+	want, err := os.ReadFile("api/options.txt")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got != string(want) {
+		t.Errorf("option fields differ from api/options.txt — regenerate with `go test -run TestOptionsSnapshot . -args -o api/options.txt` and review the diff\n--- api/options.txt\n%s--- live\n%s", want, got)
 	}
 }
