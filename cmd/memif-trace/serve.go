@@ -13,6 +13,7 @@ import (
 	"memif/internal/obs/flight"
 	"memif/internal/obs/lifecycle"
 	"memif/internal/obs/obshttp"
+	"memif/internal/qos"
 	"memif/internal/realtime"
 	"memif/internal/sim"
 	"memif/internal/streamrt"
@@ -189,7 +190,7 @@ func runSimScenario() (swapd.MetricsSnapshot, streamrt.EngineSnapshot, error) {
 			workloads.FillInput(p, as2, base, length, uint64(i)+42)
 			s, err := eng.OpenStream(p, streamrt.StreamSpec{
 				Kernel: k, Base: base, Length: length,
-				Class: uapi.ClassBackground, Credits: 2, Name: k.Name,
+				Class: qos.Background, Credits: 2, Name: k.Name,
 			})
 			if err != nil {
 				fail("open stream: %w", err)

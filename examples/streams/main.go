@@ -29,15 +29,15 @@ func main() {
 	type run struct {
 		name    string
 		kernel  memif.StreamKernel
-		class   memif.MovClass
+		class   memif.Class
 		base    int64
 		direct  uint64
 		streamd uint64
 		stats   memif.StreamStats
 	}
 	runs := []*run{
-		{name: "triad-ingest", kernel: memif.KernelTriad, class: memif.MovBackground},
-		{name: "pgain-ingest", kernel: memif.KernelPGain, class: memif.MovScavenger},
+		{name: "triad-ingest", kernel: memif.KernelTriad, class: memif.Background},
+		{name: "pgain-ingest", kernel: memif.KernelPGain, class: memif.Scavenger},
 	}
 
 	var fgOps int
@@ -64,7 +64,7 @@ func main() {
 			}
 			r.Op = memif.OpMigrate
 			r.SrcBase, r.Length, r.DstNode = base, memif.Page4K, dst
-			r.Class = memif.MovForeground
+			r.Class = memif.Foreground
 			if err := app.Submit(p, r); err != nil {
 				app.FreeRequest(p, r)
 				p.SleepNS(10_000)
@@ -170,23 +170,11 @@ func main() {
 			ok = "MISMATCH"
 		}
 		fmt.Printf("%-14s %-10s %8d %8d %6d/%-3d  %s (%#x)\n",
-			r.name, className(r.class), r.stats.FastChunks, r.stats.SlowChunks,
+			r.name, r.class, r.stats.FastChunks, r.stats.SlowChunks,
 			int(r.stats.CreditsGranted), int(r.stats.CreditsReturned), ok, r.streamd)
 		if r.direct != r.streamd {
 			log.Fatalf("%s: checksum mismatch: direct %#x, stream %#x", r.name, r.direct, r.streamd)
 		}
 	}
 	fmt.Printf("\nforeground: %d round trips during the storm, worst %v\n", fgOps, fgMax)
-}
-
-func className(c memif.MovClass) string {
-	switch c {
-	case memif.MovForeground:
-		return "foreground"
-	case memif.MovBackground:
-		return "background"
-	case memif.MovScavenger:
-		return "scavenger"
-	}
-	return "?"
 }

@@ -60,7 +60,7 @@ func main() {
 				if r == nil {
 					return // slab exhausted; drain first
 				}
-				r.Class = memif.RealtimeBackground
+				r.Class = memif.Background
 				r.Src, r.Dst = src, dst[ti]
 				r.Cookie = uint64(ti)
 				if err := t.Submit(r); err != nil {

@@ -4,9 +4,9 @@ import (
 	"memif/internal/core"
 	"memif/internal/hw"
 	"memif/internal/machine"
+	"memif/internal/qos"
 	"memif/internal/sim"
 	"memif/internal/streamrt"
-	"memif/internal/uapi"
 	"memif/internal/workloads"
 )
 
@@ -44,7 +44,7 @@ func streamWholeRing(p *sim.Proc, d *core.Device, k workloads.Kernel, base, leng
 		Kernel:  k,
 		Base:    base,
 		Length:  length,
-		Class:   uapi.ClassBackground,
+		Class:   qos.Background,
 		Credits: cfg.NumBufs,
 	})
 	if err != nil {

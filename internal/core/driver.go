@@ -205,7 +205,7 @@ func (d *Device) prepare(p *sim.Proc, m *sim.Meter, req *uapi.MovReq) (*inflight
 	}
 	// The class becomes the transfer's DMA queue priority; the request
 	// array is user-writable, so an unnamed level stops here.
-	if req.Class > uapi.ClassScavenger {
+	if !req.Class.Valid() {
 		return nil, uapi.ErrBadRequest
 	}
 	if as.CheckRegion(req.SrcBase, req.Length) != nil {
@@ -564,7 +564,7 @@ func (d *Device) startBatch(p *sim.Proc, m *sim.Meter, inf *inflight, irq bool) 
 		d.M.DMA.Abort(tr)
 		return false
 	}
-	tr.Class = uint8(inf.req.Class)
+	tr.Class = inf.req.Class
 	inf.transfer = tr
 	var bytes int64
 	for _, s := range batch {

@@ -18,6 +18,7 @@ import (
 
 	"memif/internal/hw"
 	"memif/internal/phys"
+	"memif/internal/qos"
 	"memif/internal/sim"
 )
 
@@ -74,7 +75,7 @@ type Transfer struct {
 	// Class orders the transfer at the engine's single channel: lower
 	// value is served first, FIFO within a class, never preempting the
 	// active transfer. Set before Start; zero is the highest priority.
-	Class uint8
+	Class qos.Class
 }
 
 // Bytes returns the total payload size.

@@ -5,6 +5,7 @@ import (
 
 	"memif/internal/hw"
 	"memif/internal/phys"
+	"memif/internal/qos"
 	"memif/internal/sim"
 )
 
@@ -414,9 +415,9 @@ func TestDescriptorChainLinks(t *testing.T) {
 // active transfer.
 func TestClassPriorityOrdering(t *testing.T) {
 	r := newRig()
-	var order []uint8
+	var order []qos.Class
 	r.eng.Spawn("drv", func(p *sim.Proc) {
-		mk := func(class uint8) *Transfer {
+		mk := func(class qos.Class) *Transfer {
 			tr, err := r.dma.Program(p, true, r.segs(t, 1, 4096))
 			if err != nil {
 				t.Fatal(err)
@@ -445,7 +446,7 @@ func TestClassPriorityOrdering(t *testing.T) {
 		}
 	})
 	r.eng.Run()
-	want := []uint8{2, 0, 1, 2, 2}
+	want := []qos.Class{2, 0, 1, 2, 2}
 	if len(order) != len(want) {
 		t.Fatalf("completions = %v", order)
 	}

@@ -6,6 +6,7 @@ import (
 
 	"memif/internal/obs"
 	"memif/internal/obs/flight"
+	"memif/internal/qos"
 	"memif/internal/realtime"
 	"memif/internal/streamrt"
 	"memif/internal/swapd"
@@ -50,21 +51,21 @@ func RealtimeMetrics(device string, s realtime.StatsSnapshot) []Metric {
 	for i, d := range s.StagingDepths {
 		ms = append(ms, gauge("memif_realtime_staging_depth",
 			"Live per-shard staging-queue depth at scrape time.",
-			append(append([]Label(nil), lb...), Label{"shard", strconv.Itoa(i)}), d))
+			with(lb, Label{"shard", strconv.Itoa(i)}), d))
 	}
 	for i, d := range s.RingDepths {
 		ms = append(ms, gauge("memif_realtime_ring_depth",
 			"Live per-controller dispatch-ring occupancy at scrape time.",
-			append(append([]Label(nil), lb...), Label{"controller", strconv.Itoa(i)}), d))
+			with(lb, Label{"controller", strconv.Itoa(i)}), d))
 	}
 	for i, d := range s.CompletionDepths {
 		ms = append(ms, gauge("memif_realtime_completion_ring_depth",
 			"Live per-ring completion occupancy at scrape time.",
-			append(append([]Label(nil), lb...), Label{"ring", strconv.Itoa(i)}), d))
+			with(lb, Label{"ring", strconv.Itoa(i)}), d))
 	}
 	for c := range s.Classes {
 		cs := s.Classes[c]
-		clb := append(append([]Label(nil), lb...), Label{"class", realtime.ClassName(c)})
+		clb := with(lb, Label{"class", classLabel(c)})
 		ms = append(ms,
 			counter("memif_realtime_class_submitted_total", "Accepted submissions by priority class.", clb, cs.Submitted),
 			counter("memif_realtime_class_completed_total", "Terminal requests by priority class.", clb, cs.Completed),
@@ -75,7 +76,7 @@ func RealtimeMetrics(device string, s realtime.StatsSnapshot) []Metric {
 		)
 	}
 	for _, ts := range s.Tenants {
-		tlb := append(append([]Label(nil), lb...), Label{"tenant", ts.Name})
+		tlb := with(lb, Label{"tenant", ts.Name})
 		ms = append(ms,
 			counter("memif_realtime_tenant_submitted_total", "Accepted submissions by tenant.", tlb, ts.Submitted),
 			counter("memif_realtime_tenant_completed_total", "Terminal requests by tenant.", tlb, ts.Completed),
@@ -102,7 +103,7 @@ func RealtimeMetrics(device string, s realtime.StatsSnapshot) []Metric {
 		ms = append(ms, SpanMetrics("memif_realtime_stage_latency_ns",
 			"Per-stage latency attribution of sampled requests (ns).", lb, s.Lifecycle.Spans)...)
 		for c, sp := range s.Lifecycle.ClassSpans {
-			clb := append(append([]Label(nil), lb...), Label{"class", realtime.ClassName(c)})
+			clb := with(lb, Label{"class", classLabel(c)})
 			ms = append(ms, SpanMetrics("memif_realtime_class_stage_latency_ns",
 				"Per-stage latency attribution of sampled requests by priority class (ns).", clb, sp)...)
 		}
@@ -114,7 +115,7 @@ func RealtimeMetrics(device string, s realtime.StatsSnapshot) []Metric {
 			}
 			return strconv.Itoa(t)
 		}
-		ms = append(ms, flightMetrics("memif_realtime", lb, s.Flight, realtime.ClassName, tenantName)...)
+		ms = append(ms, flightMetrics("memif_realtime", lb, s.Flight, classLabel, tenantName)...)
 	}
 	return ms
 }
@@ -137,7 +138,7 @@ func flightMetrics(prefix string, lb []Label, fs flight.Snapshot, className func
 		if lt.Tenant != 0 {
 			continue // per-tenant lanes stay in /debug/outliers; /metrics keeps a bounded series set
 		}
-		clb := append(append([]Label(nil), lb...), Label{"class", className(lt.Class)})
+		clb := with(lb, Label{"class", className(lt.Class)})
 		ms = append(ms,
 			gauge(prefix+"_flight_threshold_ns", "Adaptive outlier threshold in force: max(floor, mult × EWMA) on the tenant-0 lane.", clb, lt.ThresholdNs),
 			gauge(prefix+"_flight_latency_ewma_ns", "Lane latency EWMA behind the adaptive threshold (tenant-0 lane).", clb, lt.EWMANs),
@@ -148,26 +149,26 @@ func flightMetrics(prefix string, lb []Label, fs flight.Snapshot, className func
 		return ms
 	}
 	for _, cs := range slo.Classes {
-		clb := append(append([]Label(nil), lb...), Label{"class", className(cs.Class)})
+		clb := with(lb, Label{"class", className(cs.Class)})
 		ms = append(ms,
 			gauge(prefix+"_slo_objective_ns", "Per-class latency objective (ns).", clb, cs.ObjectiveNs),
 			counter(prefix+"_slo_good_total", "OK completions within the class objective.", clb, cs.Good),
 			counter(prefix+"_slo_requests_total", "OK completions measured against the class objective.", clb, cs.Total),
 		)
 		for _, b := range cs.Burn {
-			wlb := append(append([]Label(nil), clb...), Label{"window", windowName(b.WindowNs)})
+			wlb := with(clb, Label{"window", windowName(b.WindowNs)})
 			ms = append(ms, gaugeF(prefix+"_slo_burn_rate",
 				"Error-budget burn rate over the window (1.0 = bad-request fraction exactly consumes the budget).", wlb, b.Burn))
 		}
 	}
 	for _, ts := range slo.Tenants {
-		tlb := append(append([]Label(nil), lb...), Label{"tenant", tenantName(ts.Tenant)})
+		tlb := with(lb, Label{"tenant", tenantName(ts.Tenant)})
 		ms = append(ms,
 			counter(prefix+"_slo_tenant_good_total", "OK completions within the tenant's class objectives.", tlb, ts.Good),
 			counter(prefix+"_slo_tenant_requests_total", "OK completions measured for the tenant.", tlb, ts.Total),
 		)
 		for _, b := range ts.Burn {
-			wlb := append(append([]Label(nil), tlb...), Label{"window", windowName(b.WindowNs)})
+			wlb := with(tlb, Label{"window", windowName(b.WindowNs)})
 			ms = append(ms, gaugeF(prefix+"_slo_tenant_burn_rate",
 				"Per-tenant error-budget burn rate over the window (window=\"total\" = cumulative, beyond the windowed-tenant cap).", wlb, b.Burn))
 		}
@@ -213,6 +214,9 @@ func SwapdMetrics(device string, s swapd.MetricsSnapshot) []Metric {
 	return ms
 }
 
+// classLabel is the class label of class (or flight-lane) index c.
+func classLabel(c int) string { return qos.Class(c).String() }
+
 // swapdLane names the swap daemon's flight-recorder class lanes: the
 // QoS classes its migrations ride, plus the borrowed promotion-lag
 // lane one past them.
@@ -220,7 +224,7 @@ func swapdLane(c int) string {
 	if c == 3 {
 		return "promotion_lag"
 	}
-	return realtime.ClassName(c)
+	return classLabel(c)
 }
 
 // StreamEngineMetrics maps a streamrt.EngineSnapshot onto the
@@ -246,7 +250,7 @@ func StreamEngineMetrics(device string, s streamrt.EngineSnapshot) []Metric {
 	}
 	for i := range s.Streams {
 		st := &s.Streams[i]
-		slb := append(append([]Label(nil), lb...), Label{"stream", st.Name})
+		slb := with(lb, Label{"stream", st.Name})
 		ms = append(ms,
 			gauge("memif_stream_credits", "Configured credit allowance (backpressure bound on granted fills).", slb, int64(st.Credits)),
 			gauge("memif_stream_credits_in_flight", "Credits currently spent on granted fills (in flight or awaiting consume).", slb, int64(st.CreditsInFlight)),
@@ -271,7 +275,7 @@ func StreamEngineMetrics(device string, s streamrt.EngineSnapshot) []Metric {
 			}
 			return strconv.Itoa(t)
 		}
-		ms = append(ms, flightMetrics("memif_stream", lb, s.Flight, realtime.ClassName, streamName)...)
+		ms = append(ms, flightMetrics("memif_stream", lb, s.Flight, classLabel, streamName)...)
 	}
 	return ms
 }

@@ -61,6 +61,12 @@ func (t MetricType) String() string {
 // Label is one name="value" pair on a metric.
 type Label struct{ Name, Value string }
 
+// with returns lb extended by extra in a fresh slice, so series that
+// share a base label set never alias one backing array.
+func with(lb []Label, extra ...Label) []Label {
+	return append(append([]Label(nil), lb...), extra...)
+}
+
 // Metric is one exposition sample family member: a counter or gauge
 // carries Value; a histogram carries Hist (rendered as cumulative
 // power-of-two le buckets plus _sum and _count).
@@ -286,8 +292,7 @@ func writeHistogram(w io.Writer, m Metric) {
 	for i := 0; i <= hi; i++ {
 		cum += m.Hist.Buckets[i]
 		fmt.Fprintf(w, "%s_bucket%s %d\n", m.Name,
-			renderLabels(append(append([]Label(nil), m.Labels...),
-				Label{"le", strconv.FormatInt(obs.BucketUpper(i), 10)})), cum)
+			renderLabels(with(m.Labels, Label{"le", strconv.FormatInt(obs.BucketUpper(i), 10)})), cum)
 	}
 	// A snapshot taken under load is per-field atomic only: Count may
 	// trail the buckets by the samples in flight, and a +Inf below the
@@ -297,7 +302,7 @@ func writeHistogram(w io.Writer, m Metric) {
 		count = cum
 	}
 	fmt.Fprintf(w, "%s_bucket%s %d\n", m.Name,
-		renderLabels(append(append([]Label(nil), m.Labels...), Label{"le", "+Inf"})), count)
+		renderLabels(with(m.Labels, Label{"le", "+Inf"})), count)
 	fmt.Fprintf(w, "%s_sum%s %d\n", m.Name, renderLabels(m.Labels), m.Hist.Sum)
 	fmt.Fprintf(w, "%s_count%s %d\n", m.Name, renderLabels(m.Labels), count)
 }
@@ -608,7 +613,7 @@ func SpanMetrics(name, help string, labels []Label, s lifecycle.SpanSnapshot) []
 	for sp, h := range s.Spans {
 		out = append(out, Metric{
 			Name: name, Help: help, Type: TypeHistogram,
-			Labels: append(append([]Label(nil), labels...), Label{"stage", lifecycle.Span(sp).String()}),
+			Labels: with(labels, Label{"stage", lifecycle.Span(sp).String()}),
 			Hist:   h,
 		})
 	}

@@ -18,7 +18,6 @@ import (
 	"memif/internal/realtime"
 	"memif/internal/streamrt"
 	"memif/internal/swapd"
-	"memif/internal/uapi"
 )
 
 func sampleHistogram(vals ...int64) obs.HistogramSnapshot {
@@ -262,26 +261,6 @@ func TestAllSubsystemConverters(t *testing.T) {
 	} {
 		if !strings.Contains(string(text), want) {
 			t.Errorf("exposition missing %q", want)
-		}
-	}
-}
-
-// TestClassVocabulariesCoincide pins what the swapd and stream
-// converters assume when they label uapi.Class lanes with
-// realtime.ClassName: the two enums have the same values and names. It
-// is the stand-in for making them one type, which waits on a change to
-// benchmark/ (it imports both).
-func TestClassVocabulariesCoincide(t *testing.T) {
-	for _, c := range []struct {
-		sim uapi.Class
-		rt  realtime.Class
-	}{
-		{uapi.ClassForeground, realtime.ClassForeground},
-		{uapi.ClassBackground, realtime.ClassBackground},
-		{uapi.ClassScavenger, realtime.ClassScavenger},
-	} {
-		if label := realtime.ClassName(int(c.sim)); c.sim.String() != label || c.rt.String() != label {
-			t.Errorf("class %d: uapi %q, label %q, realtime %q", c.sim, c.sim, label, c.rt)
 		}
 	}
 }

@@ -9,6 +9,7 @@ import (
 	"testing"
 	"time"
 
+	"memif/internal/qos"
 	"memif/internal/realtime"
 )
 
@@ -36,13 +37,13 @@ func TestRealtimeSeriesNamesGolden(t *testing.T) {
 	}
 	src := bytes.Repeat([]byte{5}, 16<<10) // four chunks: the ring path runs too
 	n := 0
-	for c := 0; c < realtime.NumClasses; c++ {
+	for c := 0; c < qos.NumClasses; c++ {
 		for _, submit := range []func(*realtime.Request) error{d.Submit, tenants[0].Submit, tenants[1].Submit} {
 			r := d.AllocRequest()
 			if r == nil {
 				t.Fatal("out of request slots")
 			}
-			r.Src, r.Dst, r.Class = src, make([]byte, len(src)), realtime.Class(c)
+			r.Src, r.Dst, r.Class = src, make([]byte, len(src)), qos.Class(c)
 			if err := submit(r); err != nil {
 				t.Fatal(err)
 			}

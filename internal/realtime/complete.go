@@ -57,9 +57,7 @@ func (d *Device) finish(r *Request, forced error) {
 	}
 	d.m.completed.Inc()
 	d.m.classCompleted[r.Class].Inc()
-	d.classInFlight[r.Class].n.Add(-1)
 	ts.completed.Inc()
-	ts.inFlight.Add(-1)
 	if d.chaos != nil && d.chaos.OnFinish != nil {
 		d.chaos.OnFinish(r.idx, err)
 	}
@@ -99,26 +97,6 @@ func (d *Device) popCompletion(start int) (uint32, bool) {
 	return 0, false
 }
 
-// pollerToken pins a polling goroutine to a preferred completion ring —
-// the local-first bias: each retrieval scans all rings round-robin but
-// starts at its own, so concurrent pollers drain different rings
-// instead of racing CAS-for-CAS on ring 0.
-type pollerToken struct{ ring uint32 }
-
-// pollerRing picks the calling goroutine's preferred starting ring for
-// the local-first drain bias. sync.Pool's per-P caches keep a repeat
-// poller on the same ring and spread concurrent pollers out, exactly
-// like the submitter shard tokens.
-func (d *Device) pollerRing() int {
-	if len(d.compRings) == 1 {
-		return 0
-	}
-	t := d.pollTokens.Get().(*pollerToken)
-	ring := int(t.ring)
-	d.pollTokens.Put(t)
-	return ring
-}
-
 // completionEmpty reports whether every completion ring is empty (racy
 // snapshot, same contract the old single queue's Empty had).
 func (d *Device) completionEmpty() bool {
@@ -140,29 +118,13 @@ func (d *Device) completionDepth() int64 {
 }
 
 // RetrieveCompleted pops one completion notification without blocking;
-// nil when none is pending. The scan starts at the caller's preferred
-// ring (local-first bias) and wraps round-robin across the rest.
+// nil when none is pending: RetrieveCompletedBatch of one.
 func (d *Device) RetrieveCompleted() *Request {
-	idx, ok := d.popCompletion(d.pollerRing())
-	if !ok {
+	var one [1]*Request
+	if d.RetrieveCompletedBatch(one[:]) == 0 {
 		return nil
 	}
-	r, valid := d.req(idx)
-	if !valid {
-		return nil
-	}
-	d.m.retrieved.Inc()
-	// Single-completion retrieve: the accumulator holds one request's
-	// worth of lane accounting, flushed immediately (same cost shape as
-	// the unbatched recorder path). lcEnd reads its own clock.
-	var acc flight.Acc
-	acc.Init(d.fr)
-	d.lcEnd(r, 0, &acc)
-	acc.Flush()
-	if !d.completionEmpty() {
-		d.wake() // keep concurrent pollers from sleeping past pending completions
-	}
-	return r
+	return one[0]
 }
 
 // RetrieveCompletedBatch fills buf with completed requests without
@@ -174,7 +136,7 @@ func (d *Device) RetrieveCompleted() *Request {
 // serializing on one head.
 func (d *Device) RetrieveCompletedBatch(buf []*Request) int {
 	n := 0
-	start := d.pollerRing()
+	start := d.ringOf.lane()
 	// One clock read and one accumulator flush serve the whole batch's
 	// flight accounting: the retrieve timestamp is read at the first
 	// completion (an empty call costs nothing) and every request's lane
@@ -377,36 +339,37 @@ func (d *Device) spinWait() bool {
 // no poller sleeps past a retrievable completion. A bounded micro-wait
 // runs before any blocking, so a completion landing within ~1 µs costs
 // no timer or notify round trip.
-func (d *Device) Poll(timeout time.Duration) bool {
+func (d *Device) Poll(timeout time.Duration) bool { return d.wait(timeout, nil) }
+
+// PollContext blocks until a completion notification is pending or ctx
+// is done, whichever comes first, and reports whether a notification is
+// available — poll(2) with a context instead of a hand-rolled timeout
+// loop: the same wait as Poll, bounded by ctx.Done() instead of a timer.
+// Like Poll, any number of goroutines may PollContext the same device
+// concurrently.
+func (d *Device) PollContext(ctx context.Context) bool { return d.wait(0, ctx.Done()) }
+
+// wait is the one blocking wait behind Poll and PollContext: the
+// micro-wait, then park on the notify edge until a completion is
+// pending, the device closes, timeout (when positive) expires or cancel
+// (when non-nil) fires; a nil expired or cancel is a case that never
+// fires.
+//
+// The deadline is computed lazily — a wait that finds a completion
+// pending (the common case on a loaded device) costs no clock read at
+// all. One timer then serves every retry of the loop: each Reset below
+// runs only after the timer was stopped and its channel drained, the
+// precondition Timer.Reset documents. (A per-iteration NewTimer
+// allocated on every spurious wakeup — measurable garbage on a device
+// with thousands of Polls per second.)
+func (d *Device) wait(timeout time.Duration, cancel <-chan struct{}) bool {
 	if d.spinWait() {
 		d.wake()
 		return true
 	}
-	if timeout <= 0 {
-		for d.completionEmpty() {
-			if d.closed.Load() {
-				return d.ready()
-			}
-			d.m.pollerParks.Inc()
-			select {
-			case <-d.notify:
-			case <-d.done:
-				return d.ready()
-			}
-		}
-		d.wake()
-		return true
-	}
-	// The deadline is computed lazily — a Poll that finds a completion
-	// pending (the common case on a loaded device) costs no clock read
-	// at all. One timer then serves every retry of the loop: each Reset
-	// below runs only after the timer was stopped and its channel
-	// drained, the precondition Timer.Reset documents. (The
-	// per-iteration NewTimer this replaces allocated on every spurious
-	// wakeup — measurable garbage on a device with thousands of Polls
-	// per second.)
 	var deadline time.Time
 	var timer *time.Timer
+	var expired <-chan time.Time
 	defer func() {
 		if timer != nil {
 			timer.Stop()
@@ -416,54 +379,37 @@ func (d *Device) Poll(timeout time.Duration) bool {
 		if d.closed.Load() {
 			return d.ready()
 		}
-		if deadline.IsZero() {
-			deadline = time.Now().Add(timeout)
-		}
-		remain := time.Until(deadline)
-		if remain <= 0 {
+		select {
+		case <-cancel: // already done: report without counting a park
 			return d.ready()
+		default:
 		}
-		if timer == nil {
-			timer = time.NewTimer(remain)
-		} else {
-			timer.Reset(remain)
+		if timeout > 0 {
+			if deadline.IsZero() {
+				deadline = time.Now().Add(timeout)
+			}
+			remain := time.Until(deadline)
+			if remain <= 0 {
+				return d.ready()
+			}
+			if timer == nil {
+				timer = time.NewTimer(remain)
+				expired = timer.C
+			} else {
+				timer.Reset(remain)
+			}
 		}
 		d.m.pollerParks.Inc()
 		select {
 		case <-d.notify:
-			if !timer.Stop() {
+			if timer != nil && !timer.Stop() {
 				<-timer.C
 			}
 		case <-d.done:
 			return d.ready()
-		case <-timer.C:
+		case <-cancel:
 			return d.ready()
-		}
-	}
-	d.wake()
-	return true
-}
-
-// PollContext blocks until a completion notification is pending or ctx
-// is done, whichever comes first, and reports whether a notification is
-// available — poll(2) with a context instead of a hand-rolled timeout
-// loop. Like Poll, any number of goroutines may PollContext the same
-// device concurrently.
-func (d *Device) PollContext(ctx context.Context) bool {
-	if d.spinWait() {
-		d.wake()
-		return true
-	}
-	for d.completionEmpty() {
-		if d.closed.Load() || ctx.Err() != nil {
-			return d.ready()
-		}
-		d.m.pollerParks.Inc()
-		select {
-		case <-d.notify:
-		case <-d.done:
-			return d.ready()
-		case <-ctx.Done():
+		case <-expired:
 			return d.ready()
 		}
 	}

@@ -24,6 +24,31 @@ type chunk struct {
 // overhead budget).
 const workerClockEvery = 16
 
+// coarseClock is a goroutine-local amortized clock for the stage stamps
+// of unsampled requests — the worker's flushed and dispatched stamps,
+// each controller's copy-start stamps. It is armed only with the flight
+// recorder (disarmed it reads 0 and costs nothing: no stamp is stored)
+// and refreshed at least every workerClockEvery reads, never per
+// request. The stamps it feeds only ever surface in breach records,
+// where millisecond latencies dwarf the microseconds of staleness; the
+// sampled 1/2^shift requests read fresh clocks.
+type coarseClock struct {
+	armed bool
+	nano  int64
+	reads int
+}
+
+func (c *coarseClock) now() int64 {
+	if !c.armed {
+		return 0
+	}
+	if c.reads >= workerClockEvery || c.nano == 0 {
+		c.nano, c.reads = time.Now().UnixNano(), 0
+	}
+	c.reads++
+	return c.nano
+}
+
 // worker is the kernel thread: drain the staging shards, chunk and
 // dispatch submissions to the controllers, then recolor the shards blue
 // and sleep.
@@ -32,54 +57,29 @@ func (d *Device) worker() {
 		close(d.work) // controllers drain their rings and exit
 		d.wg.Done()
 	}()
-	// wNano is the worker's amortized clock for the flushed and
-	// dispatched stamps of unsampled requests, kept only with the flight
-	// recorder armed: refreshed at least every workerClockEvery stamps,
-	// never per request. The stamps it feeds only ever surface in breach
-	// records, where millisecond latencies dwarf the microseconds of
-	// staleness; the sampled 1/2^shift requests read fresh clocks.
-	var wNano int64
-	sinceClock := 0
+	clk := coarseClock{armed: d.fr != nil}
 	for {
 		// Drain every shard round-robin: one element per shard per
 		// pass, so no shard starves behind a full neighbor. Flushed
-		// stamps share the worker's amortized clock — under load a
-		// pass often moves a single element before the next dispatch,
-		// so a per-pass read would degenerate to per-request.
+		// stamps share the worker's coarse clock — under load a pass
+		// often moves a single element before the next dispatch, so a
+		// per-pass read would degenerate to per-request.
 		for {
 			moved := false
-			var drainNano int64
 			for _, sh := range d.staging {
 				idx, _, ok := sh.Dequeue()
 				if !ok {
 					continue
 				}
 				moved = true
-				if d.frArmed {
-					if sinceClock >= workerClockEvery || wNano == 0 {
-						wNano, sinceClock = time.Now().UnixNano(), 0
-					}
-					sinceClock++
-					drainNano = wNano
-				}
-				if !d.enqueueSubmission(idx, drainNano) {
-					if r, valid := d.req(idx); valid {
-						d.finish(r, ErrNoSlots)
-					}
-				}
+				d.toSubmission(idx, clk.now())
 			}
 			if !moved {
 				break
 			}
 		}
 		if idx, ok := d.popSubmission(); ok {
-			if d.frArmed {
-				if sinceClock >= workerClockEvery || wNano == 0 {
-					wNano, sinceClock = time.Now().UnixNano(), 0
-				}
-				sinceClock++
-			}
-			d.dispatch(idx, wNano)
+			d.dispatch(idx, clk.now())
 			continue
 		}
 		// Before sleeping, recolor each shard blue independently; a
@@ -97,25 +97,14 @@ func (d *Device) worker() {
 			continue
 		}
 		if d.closed.Load() {
-			// Drain anything that slipped in before the close.
-			pending := false
-			for _, q := range d.submission {
-				if !q.Empty() {
-					pending = true
-				}
+			if !d.queuedWork() {
+				return
 			}
+			// Drain what slipped in before the close.
 			for _, sh := range d.staging {
-				if !sh.Empty() {
-					pending = true
-				}
+				sh.SetColor(rbq.Red)
 			}
-			if pending {
-				for _, sh := range d.staging {
-					sh.SetColor(rbq.Red)
-				}
-				continue
-			}
-			return
+			continue
 		}
 		<-d.kick
 		d.m.wakes.Inc()
@@ -226,40 +215,33 @@ func (d *Device) pushChunk(c chunk) {
 	}
 }
 
+// popChunk takes controller id's next chunk: off its own ring, or —
+// that one dry — stolen from the first neighbor that has one.
+func (d *Device) popChunk(id int) (c chunk, stolen, ok bool) {
+	if c, ok = d.rings[id].tryPop(); ok {
+		return c, false, true
+	}
+	for i, n := 1, len(d.rings); i < n; i++ {
+		if c, ok = d.rings[(id+i)%n].tryPop(); ok {
+			d.ctr[id].steals.Add(1)
+			return c, true, true
+		}
+	}
+	return c, false, false
+}
+
 // controller is transfer controller id: it pops chunks from its own
 // ring, steals from its neighbors' rings when its own runs dry, and
 // whichever controller retires a request's last chunk runs the
 // completion path (the interrupt handler's Release+Notify).
 func (d *Device) controller(id int) {
 	defer d.wg.Done()
-	own := d.rings[id]
-	n := len(d.rings)
 	spins := 0
-	// csNano is this controller's amortized clock for the copy-start
-	// stamps of unsampled requests, refreshed every workerClockEvery
-	// chunks (see wNano in the worker for the staleness argument).
-	var csNano int64
-	sinceClock := 0
+	clk := coarseClock{armed: d.fr != nil} // copy-start stamps of unsampled requests
 	for {
-		c, ok := own.tryPop()
-		stolen := false
-		if !ok {
-			for i := 1; i < n && !ok; i++ {
-				if c, ok = d.rings[(id+i)%n].tryPop(); ok {
-					d.ctr[id].steals.Add(1)
-					stolen = true
-				}
-			}
-		}
-		if ok {
+		if c, stolen, ok := d.popChunk(id); ok {
 			spins = 0
-			if d.frArmed {
-				if sinceClock >= workerClockEvery || csNano == 0 {
-					csNano, sinceClock = time.Now().UnixNano(), 0
-				}
-				sinceClock++
-			}
-			d.runChunk(c, id, stolen, csNano)
+			d.runChunk(c, id, stolen, clk.now())
 			continue
 		}
 		// Nothing anywhere: spin briefly (work often lands within a
@@ -276,16 +258,10 @@ func (d *Device) controller(id int) {
 		if _, open := <-d.work; !open {
 			// Shutdown: the worker dispatched its last chunk before
 			// closing the channel. Sweep every ring dry, then leave.
-			for {
-				c, ok := own.tryPop()
-				for i := 1; i < n && !ok; i++ {
-					c, ok = d.rings[(id+i)%n].tryPop()
-				}
-				if !ok {
-					return
-				}
-				d.runChunk(c, id, false, csNano)
+			for c, stolen, ok := d.popChunk(id); ok; c, stolen, ok = d.popChunk(id) {
+				d.runChunk(c, id, stolen, clk.now())
 			}
+			return
 		}
 	}
 }

@@ -83,7 +83,8 @@ func (d *Device) fullestCompletionRing() (depth, cap int64) {
 			depth = s
 		}
 	}
-	return depth, d.compCap / int64(len(d.compRings))
+	n := len(d.compRings)
+	return depth, int64((len(d.reqs) + n - 1) / n)
 }
 
 // ambient assembles the congestion picture stored alongside an outlier:
@@ -94,16 +95,14 @@ func (d *Device) ambient() lifecycle.Ambient {
 		SubmissionDepth: d.submissionDepth(),
 		CompletionDepth: d.completionDepth(),
 	}
-	var staging int64
 	for _, sh := range d.staging {
-		staging += int64(sh.Size())
+		amb.StagingDepth += int64(sh.Size())
 	}
-	amb.StagingDepth = staging
 	for _, cr := range d.rings {
 		amb.RingDepth += cr.size()
 	}
-	for c := 0; c < NumClasses; c++ {
-		amb.ClassInFlight[c] = d.classInFlight[c].n.Load()
+	for c := range d.m.classSubmitted {
+		amb.ClassInFlight[c] = d.m.classOccupancy(c)
 	}
 	return amb
 }

@@ -8,7 +8,8 @@ package realtime
 // but leave "what happens under overload" open. This file closes that
 // gap for the realtime device:
 //
-//   - every request carries a Class (Foreground, Background, Scavenger);
+//   - every request carries a qos.Class (Foreground, Background,
+//     Scavenger);
 //   - an admission controller sheds low-priority work with ErrOverload
 //     (plus a retry-after hint) before it can occupy enough of the slab
 //     to starve higher classes — occupancy thresholds play the role of
@@ -30,47 +31,20 @@ import (
 	"time"
 
 	"memif/internal/obs/lifecycle"
+	"memif/internal/qos"
 )
 
-// Class is a request's priority class. Admission, dispatch order and
-// shedding all key off it; the zero value is ClassForeground, so
-// existing callers are foreground by default.
-type Class uint8
+// Class is a request's priority class, the shared qos vocabulary. The
+// alias and the three constants exist for benchmark/, which spells
+// realtime.Class* and is frozen outside its own PRs; everything else
+// names package qos directly.
+type Class = qos.Class
 
-// The priority classes, highest first.
 const (
-	// ClassForeground is latency-sensitive application work: never shed
-	// by admission (it can always use every slot), dispatched first.
-	ClassForeground Class = iota
-	// ClassBackground is throughput work (e.g. planned migrations):
-	// admitted while total occupancy is moderate, aged into the dispatch
-	// order under foreground pressure.
-	ClassBackground
-	// ClassScavenger is best-effort work (e.g. speculative prefetch,
-	// cold-page eviction): first to be shed when the pipeline fills.
-	ClassScavenger
+	ClassForeground = qos.Foreground
+	ClassBackground = qos.Background
+	ClassScavenger  = qos.Scavenger
 )
-
-// NumClasses is the number of priority classes.
-const NumClasses = 3
-
-var classNames = [NumClasses]string{"foreground", "background", "scavenger"}
-
-func (c Class) String() string {
-	if int(c) < NumClasses {
-		return classNames[c]
-	}
-	return fmt.Sprintf("class(%d)", uint8(c))
-}
-
-// ClassName returns the metric-label name of class i ("foreground",
-// "background", "scavenger").
-func ClassName(i int) string {
-	if i >= 0 && i < NumClasses {
-		return classNames[i]
-	}
-	return fmt.Sprintf("class(%d)", i)
-}
 
 // QoS errors.
 var (
@@ -91,7 +65,7 @@ var (
 // completion latency — roughly one pipeline drain).
 // errors.Is(err, ErrOverload) matches it.
 type OverloadError struct {
-	Class      Class
+	Class      qos.Class
 	Tenant     string
 	RetryAfter time.Duration
 }
@@ -116,11 +90,7 @@ type QoSOptions struct {
 	// shed with ErrOverload. A share >= 1 means the class is never shed
 	// (it may still see ErrNoSlots when the slab itself runs out).
 	// Zero fields take DefaultClassShares; values are clamped to (0, 1].
-	ClassShares [NumClasses]float64
-	// AgingCredit is the number of times a lower class may be passed
-	// over by strict-priority dispatch before it is served one request
-	// out of order (starvation avoidance). 0 means DefaultAgingCredit.
-	AgingCredit int
+	ClassShares [qos.NumClasses]float64
 	// InlineThreshold is the initial adaptive-completion threshold in
 	// bytes: a single-chunk request at or below it is copied inline by
 	// the worker instead of being dispatched to the controller rings.
@@ -128,29 +98,24 @@ type QoSOptions struct {
 	// completion (every request takes the ring/notify path — the
 	// "always-notify" ablation).
 	InlineThreshold int
-	// DisableRetune freezes InlineThreshold at its initial value
-	// instead of self-tuning it from the lifecycle span histograms.
-	DisableRetune bool
-	// RetuneEvery is the number of dispatches between threshold
-	// retunes. 0 means DefaultRetuneEvery.
-	RetuneEvery int
 }
 
 // QoS defaults.
 const (
-	// DefaultAgingCredit: a saturated higher class yields one pop to an
-	// aged lower class every 16 pops — enough to bound starvation while
-	// keeping priority inversion under ~6%.
-	DefaultAgingCredit = 16
+	// agingCredit is the number of times a lower class may be passed over
+	// by strict-priority dispatch before it is served one request out of
+	// order: a saturated higher class yields one pop in 16 — enough to
+	// bound starvation while keeping priority inversion under ~6%.
+	agingCredit = 16
 	// DefaultInlineThreshold is the initial poll-inline cutoff. 32 KB
 	// copies in a few microseconds on anything modern — the same order
 	// as a ring push plus a controller wakeup — and the retuner moves it
 	// from there.
 	DefaultInlineThreshold = 32 << 10
-	// DefaultRetuneEvery: retune the inline threshold every 512
-	// dispatches; each retune reads two histogram snapshots, so the
-	// amortized cost is noise.
-	DefaultRetuneEvery = 512
+	// retuneEvery: retune the inline threshold every 512 dispatches;
+	// each retune reads two histogram snapshots, so the amortized cost
+	// is noise.
+	retuneEvery = 512
 	// minRetryAfter floors the overload retry-after hint.
 	minRetryAfter = 50 * time.Microsecond
 	// minInlineThreshold / maxInlineThreshold bound the retuner so a
@@ -162,36 +127,41 @@ const (
 // DefaultClassShares returns the default occupancy thresholds:
 // foreground may fill the slab, background is shed past 85% occupancy,
 // scavenger past 50%.
-func DefaultClassShares() [NumClasses]float64 {
-	return [NumClasses]float64{1.0, 0.85, 0.5}
+func DefaultClassShares() [qos.NumClasses]float64 {
+	return [qos.NumClasses]float64{1.0, 0.85, 0.5}
 }
 
 // resolveQoS fills q's zero fields with defaults and clamps the rest.
 func resolveQoS(q QoSOptions) QoSOptions {
 	def := DefaultClassShares()
 	for c := range q.ClassShares {
-		if q.ClassShares[c] == 0 {
-			q.ClassShares[c] = def[c]
-		}
-		if q.ClassShares[c] < 0 {
+		if q.ClassShares[c] <= 0 {
 			q.ClassShares[c] = def[c]
 		}
 		if q.ClassShares[c] > 1 {
 			q.ClassShares[c] = 1
 		}
 	}
-	if q.AgingCredit <= 0 {
-		q.AgingCredit = DefaultAgingCredit
-	}
 	if q.InlineThreshold == 0 {
 		q.InlineThreshold = DefaultInlineThreshold
 	} else if q.InlineThreshold < 0 {
 		q.InlineThreshold = 0 // disabled
 	}
-	if q.RetuneEvery <= 0 {
-		q.RetuneEvery = DefaultRetuneEvery
-	}
 	return q
+}
+
+// classLimits turns per-class occupancy shares into admission thresholds
+// over n slots — the device's NumReqs, or a tenant's quota: a full share
+// may use all n, and no class is ever limited below one slot.
+func classLimits(shares [qos.NumClasses]float64, n int64) (limits [qos.NumClasses]int64) {
+	for c, share := range shares {
+		limit := int64(share * float64(n))
+		if share >= 1 || limit > n {
+			limit = n
+		}
+		limits[c] = max(limit, 1)
+	}
+	return limits
 }
 
 // admit is the admission controller: it accepts or sheds r based on an
@@ -204,36 +174,35 @@ func resolveQoS(q QoSOptions) QoSOptions {
 // staged, so a shed request never consumes a queue node.
 func (d *Device) admit(r *Request) error {
 	c := r.Class
-	if int(c) >= NumClasses {
+	if !c.Valid() {
 		return fmt.Errorf("%w: %d", ErrBadClass, uint8(c))
 	}
 	ts := d.tenantOf(r)
+	tenant := ts.name
 	if ts.quota > 0 {
-		if ts.inFlight.Load() < ts.classLimit[c] {
+		if ts.occupancy() < ts.classLimit[c] {
 			return nil
 		}
-		d.m.shed.Inc()
-		d.m.classShed[c].Inc()
-		ts.shed.Inc()
-		return d.overloadError(c, ts.name)
-	}
-	limit := d.classLimit[c]
-	if limit >= int64(len(d.reqs)) {
-		return nil // full-share class: admission can't bind tighter than the slab
-	}
-	if d.m.submitted.Load()-d.m.completed.Load() < limit {
-		return nil
+	} else {
+		tenant = "" // shed by the global controller, not by a quota
+		limit := d.classLimit[c]
+		if limit >= int64(len(d.reqs)) {
+			return nil // full-share class: admission can't bind tighter than the slab
+		}
+		if d.m.submitted.Load()-d.m.completed.Load() < limit {
+			return nil
+		}
 	}
 	d.m.shed.Inc()
 	d.m.classShed[c].Inc()
 	ts.shed.Inc()
-	return d.overloadError(c, "")
+	return d.overloadError(c, tenant)
 }
 
 // overloadError builds the rejection with a retry-after hint: the
 // latency EWMA approximates how long the pipeline takes to drain one
 // request, i.e. when a token is likely to free up.
-func (d *Device) overloadError(c Class, tenant string) *OverloadError {
+func (d *Device) overloadError(c qos.Class, tenant string) *OverloadError {
 	ra := time.Duration(d.latEWMA.Load())
 	if ra < minRetryAfter {
 		ra = minRetryAfter
@@ -266,13 +235,13 @@ func (d *Device) popSubmission() (uint32, bool) {
 }
 
 // maybeRetune re-derives the inline threshold from the lifecycle span
-// histograms every RetuneEvery dispatches. Worker-only.
+// histograms every retuneEvery dispatches. Worker-only.
 func (d *Device) maybeRetune() {
-	if d.qos.DisableRetune || d.lc == nil || d.inline.Load() == 0 {
+	if d.lc == nil || d.inline.Load() == 0 {
 		return
 	}
 	d.dispatchSeq++
-	if d.dispatchSeq%uint64(d.qos.RetuneEvery) != 0 {
+	if d.dispatchSeq%retuneEvery != 0 {
 		return
 	}
 	d.retune()

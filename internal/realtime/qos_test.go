@@ -13,6 +13,7 @@ import (
 	"testing"
 	"time"
 
+	"memif/internal/qos"
 	"memif/internal/rbq"
 )
 
@@ -21,18 +22,12 @@ func TestResolveQoSDefaults(t *testing.T) {
 	if q.ClassShares != DefaultClassShares() {
 		t.Errorf("zero shares resolved to %v, want defaults %v", q.ClassShares, DefaultClassShares())
 	}
-	if q.AgingCredit != DefaultAgingCredit {
-		t.Errorf("AgingCredit = %d, want %d", q.AgingCredit, DefaultAgingCredit)
-	}
 	if q.InlineThreshold != DefaultInlineThreshold {
 		t.Errorf("InlineThreshold = %d, want %d", q.InlineThreshold, DefaultInlineThreshold)
 	}
-	if q.RetuneEvery != DefaultRetuneEvery {
-		t.Errorf("RetuneEvery = %d, want %d", q.RetuneEvery, DefaultRetuneEvery)
-	}
 
 	q = resolveQoS(QoSOptions{
-		ClassShares:     [NumClasses]float64{2.5, -1, 0.25},
+		ClassShares:     [qos.NumClasses]float64{2.5, -1, 0.25},
 		InlineThreshold: -1,
 	})
 	if q.ClassShares[ClassForeground] != 1 {
@@ -49,14 +44,44 @@ func TestResolveQoSDefaults(t *testing.T) {
 	}
 }
 
-func TestClassNames(t *testing.T) {
-	for i := 0; i < NumClasses; i++ {
-		if ClassName(i) != Class(i).String() {
-			t.Errorf("ClassName(%d)=%q != Class.String %q", i, ClassName(i), Class(i).String())
-		}
+// TestSubmitBatchBadClass: Class is a caller-set uint8, so the batch's
+// all-or-nothing validation pass must reject an undefined one exactly as
+// Submit does — ErrBadClass, nothing staged, nothing counted — through
+// the device and the tenant entry points alike. (Before PR 22 the pass
+// checked sizes only, and a bad class indexed past the per-class
+// counters in accept: a panic reachable from any facade caller.)
+func TestSubmitBatchBadClass(t *testing.T) {
+	d := Open(Options{NumReqs: 8, Controllers: 1})
+	defer d.Close()
+	ten, err := d.OpenTenant(TenantConfig{Name: "t", SlotQuota: 4})
+	if err != nil {
+		t.Fatal(err)
 	}
-	if Class(9).String() == ClassName(0) {
-		t.Error("out-of-range class collided with a real name")
+	for name, door := range map[string]struct {
+		one   func(*Request) error
+		batch func([]*Request) error
+	}{
+		"device": {d.Submit, d.SubmitBatch},
+		"tenant": {ten.Submit, ten.SubmitBatch},
+	} {
+		good, bad := d.AllocRequest(), d.AllocRequest()
+		good.Src, good.Dst = []byte{1, 2, 3, 4}, make([]byte, 4)
+		bad.Src, bad.Dst, bad.Class = good.Src, make([]byte, 4), 7
+		if err := door.one(bad); !errors.Is(err, ErrBadClass) {
+			t.Errorf("%s Submit(class 7) = %v, want ErrBadClass", name, err)
+		}
+		if err := door.batch([]*Request{good, bad}); !errors.Is(err, ErrBadClass) {
+			t.Errorf("%s SubmitBatch(class 7) = %v, want ErrBadClass", name, err)
+		}
+		st := d.Stats()
+		if st.Submitted != 0 || st.Completed != 0 || st.Batches != 0 || st.Shed != 0 || st.StagingDepths[0] != 0 {
+			t.Errorf("%s: a rejected batch was counted or staged: %+v", name, st)
+		}
+		if err := d.AuditSlots([]uint32{good.idx, bad.idx}); err != nil {
+			t.Errorf("%s: %v", name, err)
+		}
+		d.FreeRequest(good)
+		d.FreeRequest(bad)
 	}
 }
 
@@ -150,9 +175,10 @@ func TestRetryAfterTracksLatencyEWMA(t *testing.T) {
 
 // popDevice builds the minimal Device popSubmission needs: the
 // per-class queues, the aging credits, and the resolved QoS options.
-func popDevice(credit int) *Device {
-	d := &Device{qos: resolveQoS(QoSOptions{AgingCredit: credit})}
-	slab := rbq.NewSlabForQueues(32, NumClasses, NumClasses+4)
+// credit stands in for the agingCredit constant Open hands the scheduler.
+func popDevice(credit int64) *Device {
+	d := &Device{qos: resolveQoS(QoSOptions{})}
+	slab := rbq.NewSlabForQueues(32, qos.NumClasses, qos.NumClasses+4)
 	for c := range d.submission {
 		d.submission[c] = slab.NewQueue(rbq.Blue)
 	}
@@ -164,7 +190,7 @@ func popDevice(credit int) *Device {
 	d.tenants.Store(&tab)
 	d.sched = newTenantSched(d.submission[:],
 		func(idx uint32) uint32 { return d.reqs[idx].tenant.Load() },
-		d.tenantWeight, int64(d.qos.AgingCredit))
+		d.tenantWeight, credit)
 	return d
 }
 
@@ -192,7 +218,7 @@ func TestPopSubmissionStrictPriority(t *testing.T) {
 	}
 }
 
-// TestPopSubmissionAging: a lower class passed over AgingCredit times
+// TestPopSubmissionAging: a lower class passed over its aging credit
 // while non-empty is served one pop out of order, so a saturating
 // foreground stream cannot starve it forever.
 func TestPopSubmissionAging(t *testing.T) {
@@ -222,27 +248,26 @@ func TestPopSubmissionAging(t *testing.T) {
 	}
 }
 
-// TestInlineRetuneMovesThreshold: with lifecycle full capture on and a
-// tiny retune cadence, a stream of ring-path requests gives the retuner
-// the span signal it needs; the threshold must move off its floor and
-// stay inside [minInlineThreshold, chunkBytes].
+// TestInlineRetuneMovesThreshold: with lifecycle full capture on and
+// enough dispatches to cross the retune cadence a few times, a stream
+// of ring-path requests gives the retuner the span signal it needs; the
+// threshold must move off its floor and stay inside
+// [minInlineThreshold, chunkBytes].
 func TestInlineRetuneMovesThreshold(t *testing.T) {
 	opts := Options{
 		NumReqs:          16,
 		Controllers:      1,
 		ChunkBytes:       64 << 10,
 		TraceFullCapture: true,
-		QoS: QoSOptions{
-			InlineThreshold: minInlineThreshold, // start at the floor
-			RetuneEvery:     8,
-		},
+		QoS:              QoSOptions{InlineThreshold: minInlineThreshold}, // start at the floor
 	}
 	d := Open(opts)
 	defer d.Close()
 
 	src := make([]byte, 48<<10) // single chunk, well above the floor: ring path
 	dst := make([]byte, len(src))
-	for i := 0; i < 64; i++ {
+	const dispatches = 4 * retuneEvery
+	for i := 0; i < dispatches; i++ {
 		r := d.AllocRequest()
 		if r == nil {
 			t.Fatal("alloc failed")
@@ -259,7 +284,7 @@ func TestInlineRetuneMovesThreshold(t *testing.T) {
 
 	st := d.Stats()
 	if st.Retunes == 0 {
-		t.Fatal("no retunes after 64 dispatches at RetuneEvery=8")
+		t.Fatalf("no retunes after %d dispatches, one is due every %d", dispatches, retuneEvery)
 	}
 	th := st.InlineThresholdBytes
 	if th < minInlineThreshold || th > int64(opts.ChunkBytes) {
@@ -267,40 +292,6 @@ func TestInlineRetuneMovesThreshold(t *testing.T) {
 	}
 	if th == minInlineThreshold {
 		t.Errorf("threshold never moved off the %d floor despite ring-wait signal", minInlineThreshold)
-	}
-}
-
-// TestInlineRetuneDisabled: DisableRetune freezes the threshold exactly
-// where it started.
-func TestInlineRetuneDisabled(t *testing.T) {
-	const fixed = 2 << 10
-	d := Open(Options{
-		NumReqs:          16,
-		Controllers:      1,
-		TraceFullCapture: true,
-		QoS:              QoSOptions{InlineThreshold: fixed, DisableRetune: true, RetuneEvery: 4},
-	})
-	defer d.Close()
-
-	src := make([]byte, 16<<10)
-	dst := make([]byte, len(src))
-	for i := 0; i < 32; i++ {
-		r := d.AllocRequest()
-		r.Src, r.Dst = src, dst
-		if err := d.Submit(r); err != nil {
-			t.Fatalf("submit %d: %v", i, err)
-		}
-		for d.RetrieveCompleted() == nil {
-			d.Poll(10 * time.Millisecond)
-		}
-		d.FreeRequest(r)
-	}
-	st := d.Stats()
-	if st.Retunes != 0 {
-		t.Errorf("Retunes = %d with DisableRetune, want 0", st.Retunes)
-	}
-	if st.InlineThresholdBytes != fixed {
-		t.Errorf("threshold drifted to %d, want frozen at %d", st.InlineThresholdBytes, fixed)
 	}
 }
 
@@ -328,7 +319,7 @@ func TestInlineCompletionCountsAndCopies(t *testing.T) {
 	d := Open(Options{
 		NumReqs:     8,
 		Controllers: 1,
-		QoS:         QoSOptions{InlineThreshold: 4 << 10, DisableRetune: true},
+		QoS:         QoSOptions{InlineThreshold: 4 << 10}, // two dispatches: far short of a retune
 	})
 	defer d.Close()
 

@@ -44,11 +44,14 @@
 //
 // # Batched submission
 //
-// SubmitBatch stages a whole slice of requests and runs the flush
-// protocol and the kick once for the batch — Figure 7's batching
-// amortization without giving up per-request completions.
+// SubmitBatch validates a whole slice of requests against the checks
+// Submit makes (sizes, class — all or nothing), stages them, and runs
+// the flush protocol and the kick once for the batch — Figure 7's
+// batching amortization without giving up per-request completions.
 // RetrieveCompletedBatch symmetrically drains many completions in one
-// call so high-rate pollers don't pay one Poll wakeup per request.
+// call so high-rate pollers don't pay one Poll wakeup per request;
+// RetrieveCompleted is a batch of one, and Poll and PollContext are two
+// doors onto one wait.
 //
 // # Chunked parallel transfers, rings and stealing
 //
@@ -98,8 +101,12 @@
 // cancel/close storms deterministically; AuditSlots asserts the "no
 // index may ever vanish" invariant after each storm, and the
 // DoubleCompletes counter proves completion fired exactly once. The
+// same hooks make the scenario tests event-counted instead of timed: a
+// worker held in BeforeDispatch, a waiter counted into PollerParks
+// (TestWaitScenarios runs one table through Poll and PollContext). The
 // underlying queues are separately checked for linearizability by
-// internal/check.
+// internal/check. DESIGN.md §8.3 maps each file of the package to its
+// pipeline stage and its writers.
 package realtime
 
 import (
@@ -112,6 +119,7 @@ import (
 
 	"memif/internal/obs/flight"
 	"memif/internal/obs/lifecycle"
+	"memif/internal/qos"
 	"memif/internal/rbq"
 )
 
@@ -175,9 +183,6 @@ type Options struct {
 	// 1 reproduces the single-staging-queue behavior of the original
 	// protocol (and of the paper's single shared area).
 	StagingShards int
-	// RingDepth is the per-controller chunk ring capacity, rounded up
-	// to a power of two. 0 means DefaultRingDepth.
-	RingDepth int
 	// TraceSampleShift tunes lifecycle sampling: one request in 2^shift
 	// is stamped with fresh clock reads at every stage and attributed to
 	// the per-stage latency histograms and the capture ring behind
@@ -192,10 +197,6 @@ type Options struct {
 	// QoS tunes priority classes, admission control and adaptive
 	// completion; the zero value applies the defaults (see QoSOptions).
 	QoS QoSOptions
-	// CompletionRings is the number of MPMC completion rings
-	// completions are spread across (ring = slot index % N). 0 means
-	// min(GOMAXPROCS, Controllers), clamped to [1, NumReqs].
-	CompletionRings int
 	// Flight configures the always-on flight recorder: retroactive
 	// outlier capture (every request's stage stamps kept, breaching
 	// requests snapshotted into a bounded ring), the stall watchdog,
@@ -234,12 +235,6 @@ func defaultControllers() int {
 	return n
 }
 
-// defaultStagingShards matches the controller default: enough shards
-// that GOMAXPROCS submitters rarely share a tail, without inflating the
-// worst-case kicks-per-burst (one per shard) beyond the controller
-// count.
-func defaultStagingShards() int { return defaultControllers() }
-
 // Request lifecycle states, held in the low stateBits of Request.state.
 // The remaining bits carry the owning tenant id while the request is in
 // a non-terminal claimed state (pending/canceled/expired), so a cancel
@@ -274,7 +269,7 @@ type Request struct {
 	// and shedding key off it. The zero value is ClassForeground, so
 	// callers that never set it behave exactly as before classes
 	// existed. Set before Submit.
-	Class Class
+	Class qos.Class
 	// Deadline, when nonzero, expires the request: if the worker
 	// reaches it after the deadline it completes with ErrDeadline
 	// without copying.
@@ -358,15 +353,14 @@ func (r *Request) Latency() (time.Duration, bool) {
 
 // Device is one realtime memif instance.
 type Device struct {
-	opts       Options
 	chunkBytes int // resolved: 0 disables chunking
 	qos        QoSOptions
 	reqs       []*Request
 	slab       *rbq.Slab
 
 	freeList   *rbq.Queue
-	staging    []*rbq.Queue           // per-shard red-blue staging queues
-	submission [NumClasses]*rbq.Queue // per-class, popped in priority order
+	staging    []*rbq.Queue               // per-shard red-blue staging queues
+	submission [qos.NumClasses]*rbq.Queue // per-class, popped in priority order
 	// compRings hold completed request indices. The device keeps
 	// min(GOMAXPROCS, Controllers) of them and routes each completion to
 	// ring idx % N, so finishers on different controllers publish to
@@ -382,29 +376,21 @@ type Device struct {
 	// ring can never refuse a push.
 	compRings []*ring[uint32]
 
-	classLimit [NumClasses]int64 // admission occupancy thresholds (slots)
-	// classInFlight is written by submitters (accept) and finishers
-	// (finish) at once; each class sits on its own line so foreground
-	// accounting traffic doesn't drag the scavenger counter's line
-	// around (and vice versa).
-	classInFlight [NumClasses]paddedCount
-	inline        atomic.Int64 // adaptive inline-completion threshold (bytes; 0 = off)
-	_             [56]byte     // inline is read per dispatch; keep finisher writes below off its line
-	latEWMA       atomic.Int64 // completion-latency EWMA (ns), the retry-after hint
-	_             [56]byte
-	dispatchSeq   uint64 // worker-only, drives retune cadence
-	nextRing      int    // worker-only round-robin cursor over rings
-	_             [48]byte
+	classLimit  [qos.NumClasses]int64 // admission occupancy thresholds (slots)
+	inline      atomic.Int64          // adaptive inline-completion threshold (bytes; 0 = off)
+	_           [56]byte              // inline is read per dispatch; keep finisher writes below off its line
+	latEWMA     atomic.Int64          // completion-latency EWMA (ns), the retry-after hint
+	_           [56]byte
+	dispatchSeq uint64 // worker-only, drives retune cadence
+	nextRing    int    // worker-only round-robin cursor over rings
+	_           [48]byte
 
 	tenants  atomic.Pointer[[]*tenantState] // COW tenant table; [0] = default namespace
 	tenantMu sync.Mutex                     // serializes OpenTenant appends
 	sched    *tenantSched                   // worker-only tenant-aware scheduler (owns aging credits)
 
-	tokens   sync.Pool     // *submitterToken: shard affinity for submitters
-	tokenSeq atomic.Uint32 // round-robin shard assignment for new tokens
-
-	pollTokens sync.Pool     // *pollerToken: preferred completion ring per poller
-	pollSeq    atomic.Uint32 // round-robin ring assignment for new poller tokens
+	shardOf affinity // submitters → staging shards
+	ringOf  affinity // pollers → home completion rings
 
 	kick   chan struct{} // the MOV_ONE "syscall": wake the worker
 	notify chan struct{} // completion edge for parked Polls
@@ -439,11 +425,6 @@ type Device struct {
 	fr     *flight.Recorder
 	frStop chan struct{}
 	frWg   sync.WaitGroup
-	// frArmed mirrors fr != nil as a plain bool the stamping sites
-	// branch on: with the recorder armed they keep a pass-amortized
-	// clock, so every unsampled request carries stage stamps too.
-	frArmed bool
-	compCap int64 // summed completion-ring capacity (watchdog high water)
 }
 
 // Open creates a device and starts its worker and transfer controllers.
@@ -455,10 +436,10 @@ func Open(opts Options) *Device {
 		opts.Controllers = defaultControllers()
 	}
 	if opts.StagingShards <= 0 {
-		opts.StagingShards = defaultStagingShards()
-	}
-	if opts.RingDepth <= 0 {
-		opts.RingDepth = DefaultRingDepth
+		// The controller default: enough shards that GOMAXPROCS submitters
+		// rarely share a tail, without inflating the worst-case
+		// kicks-per-burst (one per shard) beyond the controller count.
+		opts.StagingShards = defaultControllers()
 	}
 	chunkBytes := opts.ChunkBytes
 	if chunkBytes == 0 {
@@ -466,32 +447,21 @@ func Open(opts Options) *Device {
 	} else if chunkBytes < 0 {
 		chunkBytes = 0 // disabled
 	}
-	nCompRings := opts.CompletionRings
-	if nCompRings <= 0 {
-		nCompRings = runtime.GOMAXPROCS(0)
-		if nCompRings > opts.Controllers {
-			nCompRings = opts.Controllers
-		}
-	}
-	if nCompRings < 1 {
-		nCompRings = 1
-	}
-	if nCompRings > opts.NumReqs {
-		nCompRings = opts.NumReqs
-	}
-	opts.CompletionRings = nCompRings
-	qos := resolveQoS(opts.QoS)
+	// One completion ring per P that can run a finisher, and never more
+	// rings than slots to spread over them.
+	nCompRings := max(1, min(runtime.GOMAXPROCS(0), opts.Controllers, opts.NumReqs))
+	q := resolveQoS(opts.QoS)
 	// free + one submission queue per class + one dummy per staging
 	// shard (completions live on the MPMC rings, not the slab); slack
 	// scales with the queue count since every queue can sit in a
 	// transient dummy-recycling window at once.
 	shards := opts.StagingShards
-	numQueues := 1 + NumClasses + shards
+	numQueues := 1 + qos.NumClasses + shards
 	slab := rbq.NewSlabForQueues(opts.NumReqs, numQueues, 5+numQueues)
 	d := &Device{
-		opts:       opts,
 		chunkBytes: chunkBytes,
-		qos:        qos,
+		qos:        q,
+		classLimit: classLimits(q.ClassShares, int64(opts.NumReqs)),
 		reqs:       make([]*Request, opts.NumReqs),
 		slab:       slab,
 		freeList:   slab.NewQueue(rbq.Blue),
@@ -510,38 +480,23 @@ func Open(opts Options) *Device {
 	for i := range d.compRings {
 		d.compRings[i] = newRing[uint32](perRing)
 	}
-	d.compCap = int64(perRing) * int64(nCompRings)
 	for c := range d.submission {
 		d.submission[c] = slab.NewQueue(rbq.Blue)
 	}
-	for c, share := range qos.ClassShares {
-		limit := int64(share * float64(opts.NumReqs))
-		if share >= 1 || limit > int64(opts.NumReqs) {
-			limit = int64(opts.NumReqs)
-		}
-		if limit < 1 {
-			limit = 1
-		}
-		d.classLimit[c] = limit
-	}
-	d.inline.Store(int64(qos.InlineThreshold))
+	d.inline.Store(int64(q.InlineThreshold))
 	tab := []*tenantState{newDefaultTenant()}
 	d.tenants.Store(&tab)
 	d.sched = newTenantSched(d.submission[:],
 		func(idx uint32) uint32 { return d.reqs[idx].tenant.Load() },
-		d.tenantWeight, int64(qos.AgingCredit))
+		d.tenantWeight, agingCredit)
 	for i := range d.staging {
 		d.staging[i] = slab.NewQueue(rbq.Blue)
 	}
-	d.tokens.New = func() any {
-		return &submitterToken{shard: d.tokenSeq.Add(1) % uint32(shards)}
-	}
-	d.pollTokens.New = func() any {
-		return &pollerToken{ring: d.pollSeq.Add(1) % uint32(nCompRings)}
-	}
+	d.shardOf.init(shards)
+	d.ringOf.init(nCompRings)
 	d.rings = make([]*ring[chunk], opts.Controllers)
 	for i := range d.rings {
-		d.rings[i] = newRing[chunk](opts.RingDepth)
+		d.rings[i] = newRing[chunk](DefaultRingDepth)
 	}
 	d.work = make(chan struct{}, opts.Controllers)
 	lcShift := opts.TraceSampleShift
@@ -550,12 +505,12 @@ func Open(opts Options) *Device {
 	} else if lcShift == 0 {
 		lcShift = DefaultTraceSampleShift
 	}
-	d.lc = lifecycle.NewCollector(lcShift, NumClasses)
+	d.lc = lifecycle.NewCollector(lcShift, qos.NumClasses)
 	if d.fr = flight.New(opts.Flight, true); d.fr != nil {
 		// Retroactive capture needs stage stamps for every request, not
 		// 1/128 — cheap ones: plain Request fields fed by amortized
-		// clocks. Only the sampled requests pay for fresh clock reads.
-		d.frArmed = true
+		// clocks (the stamping sites branch on d.fr != nil). Only the
+		// sampled requests pay for fresh clock reads.
 		d.frStop = make(chan struct{})
 		d.frWg.Add(1)
 		go d.monitor()
@@ -572,6 +527,38 @@ func Open(opts Options) *Device {
 		go d.controller(c)
 	}
 	return d
+}
+
+// affinity pins a calling goroutine to one of n lanes: a submitter to
+// its staging shard, a poller to the completion ring its drain starts
+// at (every retrieval still scans all rings; concurrent pollers just
+// don't race CAS-for-CAS on ring 0). Tokens live in a sync.Pool, whose
+// per-P caches make the pin cheap and aligned with the scheduler: a
+// goroutine that keeps calling from the same P keeps its lane, and
+// goroutines on different Ps land on different lanes.
+type affinity struct {
+	n    uint32
+	seq  atomic.Uint32 // round-robin lane assignment for new tokens
+	pool sync.Pool     // *uint32: a lane
+}
+
+func (a *affinity) init(n int) {
+	a.n = uint32(n)
+	a.pool.New = func() any {
+		lane := a.seq.Add(1) % a.n
+		return &lane
+	}
+}
+
+// lane returns the caller's lane; a single lane costs no pool round trip.
+func (a *affinity) lane() int {
+	if a.n == 1 {
+		return 0
+	}
+	t := a.pool.Get().(*uint32)
+	lane := int(*t)
+	a.pool.Put(t)
+	return lane
 }
 
 // backoff is the bounded spin-then-sleep discipline shared by every
@@ -648,18 +635,4 @@ func (d *Device) CloseDrainContext(ctx context.Context) bool {
 	}
 	d.Close()
 	return drained
-}
-
-// mustEnqueue retries until the enqueue succeeds. Used on the
-// completion and free paths, where losing the index would leak the slot
-// forever; progress is guaranteed because the consumer of those queues
-// frees a node per dequeue.
-func (d *Device) mustEnqueue(q *rbq.Queue, idx uint32) {
-	for attempt := 0; ; attempt++ {
-		if _, ok := q.Enqueue(idx); ok {
-			return
-		}
-		d.m.enqueueRetries.Inc()
-		backoff(attempt)
-	}
 }

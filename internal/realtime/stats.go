@@ -7,6 +7,7 @@ import (
 	"memif/internal/obs"
 	"memif/internal/obs/flight"
 	"memif/internal/obs/lifecycle"
+	"memif/internal/qos"
 	"memif/internal/rbq"
 )
 
@@ -45,10 +46,10 @@ type metrics struct {
 	_                        [64]byte
 	// Cold or mixed-writer instruments.
 	enqueueRetries obs.Counter
-	classSubmitted [NumClasses]obs.Counter
-	classCompleted [NumClasses]obs.Counter
-	classShed      [NumClasses]obs.Counter
-	classLatency   [NumClasses]obs.Histogram
+	classSubmitted [qos.NumClasses]obs.Counter
+	classCompleted [qos.NumClasses]obs.Counter
+	classShed      [qos.NumClasses]obs.Counter
+	classLatency   [qos.NumClasses]obs.Histogram
 	submissionHW   obs.Gauge
 	sizes          obs.Histogram
 	_              [64]byte
@@ -67,12 +68,14 @@ type ctrCounters struct {
 	_                          [40]byte
 }
 
-// paddedCount is an atomic counter on its own cache line, for arrays
-// of per-class/per-shard counters whose neighbors are written by
-// different goroutine populations.
-type paddedCount struct {
-	n atomic.Int64
-	_ [56]byte
+// classOccupancy is class c's accepted-but-not-terminal count. Every
+// accepted request bumps classSubmitted once (accept) and
+// classCompleted once (finish), so the occupancy is their difference
+// and costs the hot path no counter of its own. completed is loaded
+// first: a request finishing between the loads can only overstate it.
+func (m *metrics) classOccupancy(c int) int64 {
+	done := m.classCompleted[c].Load()
+	return m.classSubmitted[c].Load() - done
 }
 
 // StatsSnapshot is a point-in-time view of the device counters,
@@ -122,7 +125,7 @@ type StatsSnapshot struct {
 	// strict-priority order via the aging credit.
 	AgedPops int64
 	// Classes breaks submissions down by priority class.
-	Classes [NumClasses]ClassStats
+	Classes [qos.NumClasses]ClassStats
 	// Tenants breaks submissions down by tenant namespace, default
 	// tenant (id 0) first, then OpenTenant order.
 	Tenants []TenantStats
@@ -177,13 +180,13 @@ func (d *Device) Stats() StatsSnapshot {
 	for i, r := range d.rings {
 		ringDepths[i] = r.size()
 	}
-	var classes [NumClasses]ClassStats
+	var classes [qos.NumClasses]ClassStats
 	for c := range classes {
 		classes[c] = ClassStats{
 			Submitted:  d.m.classSubmitted[c].Load(),
 			Completed:  d.m.classCompleted[c].Load(),
 			Shed:       d.m.classShed[c].Load(),
-			InFlight:   d.classInFlight[c].n.Load(),
+			InFlight:   d.m.classOccupancy(c),
 			QueueDepth: int64(d.submission[c].Size()),
 			Latency:    d.m.classLatency[c].Snapshot(),
 		}
@@ -273,7 +276,7 @@ func (d *Device) AuditSlots(held []uint32) error {
 		queues = append(queues, struct {
 			name string
 			q    *rbq.Queue
-		}{fmt.Sprintf("submission[%s]", ClassName(c)), q})
+		}{fmt.Sprintf("submission[%s]", qos.Class(c)), q})
 	}
 	for i, sh := range d.staging {
 		queues = append(queues, struct {

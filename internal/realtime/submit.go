@@ -5,6 +5,7 @@ import (
 	"runtime"
 	"time"
 
+	"memif/internal/qos"
 	"memif/internal/rbq"
 )
 
@@ -25,7 +26,7 @@ func (d *Device) AllocRequest() *Request {
 	}
 	r := d.reqs[idx]
 	r.Src, r.Dst, r.Cookie, r.Err = nil, nil, 0, nil
-	r.Class = ClassForeground
+	r.Class = qos.Foreground
 	r.Deadline = time.Time{}
 	r.tenant.Store(0)
 	r.state.Store(stIdle)
@@ -34,28 +35,21 @@ func (d *Device) AllocRequest() *Request {
 	return r
 }
 
-// FreeRequest returns a slot to the free list.
+// FreeRequest returns a slot to the free list, retrying until the
+// enqueue succeeds: losing the index would leak the slot forever, and
+// progress is guaranteed because AllocRequest frees a node per dequeue.
 func (d *Device) FreeRequest(r *Request) {
-	d.mustEnqueue(d.freeList, r.idx)
+	for attempt := 0; ; attempt++ {
+		if _, ok := d.freeList.Enqueue(r.idx); ok {
+			return
+		}
+		d.m.enqueueRetries.Inc()
+		backoff(attempt)
+	}
 }
-
-// submitterToken pins a submitting goroutine to one staging shard.
-// Tokens live in a sync.Pool, whose per-P caches make the pin cheap and
-// naturally aligned with the scheduler: a goroutine that keeps
-// submitting from the same P keeps hitting the same shard, and
-// goroutines on different Ps land on different shards.
-type submitterToken struct{ shard uint32 }
 
 // shard picks the submitting goroutine's staging queue.
-func (d *Device) shard() *rbq.Queue {
-	if len(d.staging) == 1 {
-		return d.staging[0]
-	}
-	t := d.tokens.Get().(*submitterToken)
-	sh := d.staging[t.shard]
-	d.tokens.Put(t)
-	return sh
-}
+func (d *Device) shard() *rbq.Queue { return d.staging[d.shardOf.lane()] }
 
 // stage marks r pending and enqueues it on sh, returning the color
 // observed atomically with the enqueue. ok is false on slab exhaustion
@@ -85,16 +79,15 @@ func (d *Device) stage(sh *rbq.Queue, r *Request) (rbq.Color, bool) {
 }
 
 // accept does the accepted-submission accounting: the global, per-class
-// and per-tenant submitted counters plus the class and tenant in-flight
-// tokens, which finish releases. Every path that will eventually reach
+// and per-tenant submitted counters, each paired with the completed
+// counter finish bumps — the in-flight occupancies admission and Stats
+// read are the differences. Every path that will eventually reach
 // finish must come through here exactly once, with the class and tenant
 // read while the caller still owns the request.
-func (d *Device) accept(class Class, ts *tenantState) {
+func (d *Device) accept(class qos.Class, ts *tenantState) {
 	d.m.submitted.Inc()
 	d.m.classSubmitted[class].Inc()
-	d.classInFlight[class].n.Add(1)
 	ts.submitted.Inc()
-	ts.inFlight.Add(1)
 }
 
 // unstage resolves a failed staging enqueue: return r to idle, unless a
@@ -123,6 +116,19 @@ func (d *Device) unstage(r *Request) bool {
 // slab is being starved externally.
 const flushRetries = 64
 
+// toSubmission is the one staging drain step, shared by the submitter's
+// flush and the worker's round-robin sweep: move a staged index onto its
+// submission queue, or — the retry budget spent — complete it with
+// ErrNoSlots. The slot must not vanish, so the owner gets it back
+// through the normal completion path.
+func (d *Device) toSubmission(idx uint32, nano int64) {
+	if !d.enqueueSubmission(idx, nano) {
+		if r, valid := d.req(idx); valid {
+			d.finish(r, ErrNoSlots)
+		}
+	}
+}
+
 // enqueueSubmission moves one request index onto its class's submission
 // queue, retrying briefly across transient slab exhaustion. false means
 // the retry budget ran out and the caller must fail the request rather
@@ -131,7 +137,7 @@ const flushRetries = 64
 // clock once per pass instead of once per request, and only a sampled
 // request reads its own.
 func (d *Device) enqueueSubmission(idx uint32, nano int64) bool {
-	class := ClassForeground
+	class := qos.Foreground
 	var ts *tenantState
 	r, valid := d.req(idx)
 	if valid {
@@ -185,7 +191,7 @@ func (d *Device) flushShard(sh *rbq.Queue) {
 	// One clock read covers the flushed stamp of every unsampled request
 	// in this drain.
 	var flushNano int64
-	if d.frArmed {
+	if d.fr != nil {
 		flushNano = time.Now().UnixNano()
 	}
 flush:
@@ -194,13 +200,7 @@ flush:
 		if !ok {
 			break
 		}
-		if !d.enqueueSubmission(idx, flushNano) {
-			// The slot must not vanish: complete it with an error so
-			// the owner gets it back through the normal path.
-			if fr, valid := d.req(idx); valid {
-				d.finish(fr, ErrNoSlots)
-			}
-		}
+		d.toSubmission(idx, flushNano)
 	}
 	old, ok := sh.SetColor(rbq.Red)
 	if !ok {
@@ -264,12 +264,13 @@ func (d *Device) submit(r *Request) error {
 // observation and at most one syscall-equivalent, the Figure 7
 // amortization — while each request still gets its own completion.
 //
-// The whole batch is validated before anything is staged: a size
-// mismatch rejects the batch with ErrBadSizes and no request is
-// submitted. After validation every request is accepted: one that
-// cannot be staged (slab exhaustion) surfaces through the completion
-// queue with ErrNoSlots rather than as a return value, and one the
-// admission controller sheds surfaces the same way with an
+// The whole batch is validated before anything is staged, against the
+// same checks Submit makes: a size mismatch rejects the batch with
+// ErrBadSizes, an undefined Class with ErrBadClass, and no request is
+// submitted or counted. After validation every request is accepted:
+// one that cannot be staged (slab exhaustion) surfaces through the
+// completion queue with ErrNoSlots rather than as a return value, and
+// one the admission controller sheds surfaces the same way with an
 // *OverloadError (errors.Is ErrOverload) — so a batch caller always
 // collects exactly len(reqs) completions — none stranded, none to
 // special-case. A concurrent Cancel that claims a request in the window
@@ -297,6 +298,9 @@ func (d *Device) submitBatch(reqs []*Request) error {
 	for i, r := range reqs {
 		if len(r.Src) != len(r.Dst) {
 			return fmt.Errorf("%w: request %d: %d vs %d", ErrBadSizes, i, len(r.Src), len(r.Dst))
+		}
+		if !r.Class.Valid() {
+			return fmt.Errorf("%w: request %d: %d", ErrBadClass, i, uint8(r.Class))
 		}
 	}
 	sh := d.shard()

@@ -34,6 +34,7 @@ import (
 
 	"memif/internal/obs"
 	"memif/internal/obs/lifecycle"
+	"memif/internal/qos"
 )
 
 // Tenant-config validation errors.
@@ -107,17 +108,14 @@ type tenantState struct {
 	name       string
 	weight     int64
 	quota      int64 // 0 on the default tenant: global admission applies
-	classLimit [NumClasses]int64
+	classLimit [qos.NumClasses]int64
 
-	// inFlight is RMW'd by submitters (accept) and finishers (finish);
-	// queued by submitters (flush) and the worker (dispatch). Padding
-	// keeps each on its own cache line so the worker's queued decrements
-	// don't invalidate the submitters' inFlight line and vice versa.
-	_        [64]byte
-	inFlight atomic.Int64 // accepted, not yet terminal
-	_        [56]byte
-	queued   atomic.Int64 // flushed to submission, not yet dispatched
-	_        [56]byte
+	// queued is RMW'd by submitters (flush) and the worker (dispatch);
+	// padding keeps it on its own cache line, off the counters the
+	// submitters and finishers write.
+	_      [64]byte
+	queued atomic.Int64 // flushed to submission, not yet dispatched
+	_      [56]byte
 
 	submitted, completed obs.Counter
 	shed, canceled       obs.Counter
@@ -150,17 +148,8 @@ func (d *Device) OpenTenant(cfg TenantConfig) (*Tenant, error) {
 	if quota > int64(len(d.reqs)) {
 		quota = int64(len(d.reqs))
 	}
-	ts := &tenantState{name: cfg.Name, weight: weight, quota: quota}
-	for c := range ts.classLimit {
-		limit := int64(d.qos.ClassShares[c] * float64(quota))
-		if d.qos.ClassShares[c] >= 1 || limit > quota {
-			limit = quota
-		}
-		if limit < 1 {
-			limit = 1
-		}
-		ts.classLimit[c] = limit
-	}
+	ts := &tenantState{name: cfg.Name, weight: weight, quota: quota,
+		classLimit: classLimits(d.qos.ClassShares, quota)}
 	d.tenantMu.Lock()
 	defer d.tenantMu.Unlock()
 	old := *d.tenants.Load()
@@ -204,6 +193,14 @@ func (d *Device) tenant(id uint32) *tenantState {
 		return tab[id]
 	}
 	return tab[0]
+}
+
+// occupancy is the tenant's accepted-but-not-terminal count, the number
+// tenant admission binds: submitted − completed, read the way
+// metrics.classOccupancy reads its pair.
+func (ts *tenantState) occupancy() int64 {
+	done := ts.completed.Load()
+	return ts.submitted.Load() - done
 }
 
 // tenantOf resolves the tenant owning r.
@@ -300,7 +297,7 @@ func (ts *tenantState) snapshot() TenantStats {
 		Completed:  ts.completed.Load(),
 		Shed:       ts.shed.Load(),
 		Canceled:   ts.canceled.Load(),
-		InFlight:   ts.inFlight.Load(),
+		InFlight:   ts.occupancy(),
 		QueueDepth: ts.queued.Load(),
 		Latency:    ts.latency.Snapshot(),
 		Spans:      ts.spans.Snapshot(),

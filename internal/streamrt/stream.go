@@ -5,9 +5,9 @@ import (
 
 	"memif/internal/obs"
 	"memif/internal/obs/lifecycle"
+	"memif/internal/qos"
 	"memif/internal/sim"
 	"memif/internal/stats"
-	"memif/internal/uapi"
 	"memif/internal/workloads"
 )
 
@@ -23,8 +23,8 @@ type StreamSpec struct {
 	// must be a positive multiple of the engine's BufBytes.
 	Base, Length int64
 	// Class is the QoS class stamped on the stream's fill requests
-	// (uapi.ClassForeground/Background/Scavenger).
-	Class uapi.Class
+	// (qos.Foreground/Background/Scavenger).
+	Class qos.Class
 	// Credits is the stream's backpressure allowance: the maximum
 	// number of ring buffers it may hold (fills in flight plus filled
 	// buffers awaiting consumption). Zero defaults to 2.
@@ -68,7 +68,7 @@ func (sp StreamSpec) Validate(bufBytes int64) error {
 	if sp.Base > (1<<62)-sp.Length {
 		return fmt.Errorf("%w: range [%d, %d+%d) overflows", ErrBadStream, sp.Base, sp.Base, sp.Length)
 	}
-	if sp.Class > uapi.ClassScavenger {
+	if !sp.Class.Valid() {
 		return fmt.Errorf("%w: unknown class %d", ErrBadStream, sp.Class)
 	}
 	if sp.Credits < 0 || sp.Credits > MaxCredits {

@@ -34,6 +34,7 @@ import (
 	"memif/internal/obs"
 	"memif/internal/obs/flight"
 	"memif/internal/obs/lifecycle"
+	"memif/internal/qos"
 	"memif/internal/sim"
 	"memif/internal/uapi"
 )
@@ -72,7 +73,7 @@ type Options struct {
 	ChainPages int
 	// PromoteClass and DemoteClass are the QoS classes tiering transfers
 	// ride (promotions default to background, demotions to scavenger).
-	PromoteClass, DemoteClass uapi.Class
+	PromoteClass, DemoteClass qos.Class
 
 	// Flight configures the daemon's flight recorder. The zero value
 	// arms it: slow migrations and slow promotions breach adaptive
@@ -98,8 +99,8 @@ func DefaultOptions() Options {
 		SamplePages:      16,
 		MaxInflight:      4,
 		ChainPages:       8,
-		PromoteClass:     uapi.ClassBackground,
-		DemoteClass:      uapi.ClassScavenger,
+		PromoteClass:     qos.Background,
+		DemoteClass:      qos.Scavenger,
 	}
 }
 

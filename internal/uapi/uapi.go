@@ -14,6 +14,7 @@ import (
 
 	"memif/internal/hw"
 	"memif/internal/obs/lifecycle"
+	"memif/internal/qos"
 	"memif/internal/rbq"
 	"memif/internal/sim"
 )
@@ -91,25 +92,19 @@ func (e ErrCode) String() string {
 	return fmt.Sprintf("err(%d)", uint8(e))
 }
 
-// Class is the QoS class a request's DMA transfers ride in. Lower value
-// means higher priority at the engine's single channel; FIFO within a
-// class, no preemption of an active transfer.
-type Class uint8
+// Class is the QoS class a request's DMA transfers ride in, the shared
+// qos vocabulary: lower value is served first at the engine's single
+// channel, FIFO within a class, no preemption of an active transfer.
+// The alias and the three constants exist for benchmark/, which spells
+// uapi.Class* and is frozen outside its own PRs; everything else names
+// package qos directly.
+type Class = qos.Class
 
-// The three request classes, mirroring the realtime engine's QoS tiers.
 const (
-	ClassForeground Class = iota
-	ClassBackground
-	ClassScavenger
+	ClassForeground = qos.Foreground
+	ClassBackground = qos.Background
+	ClassScavenger  = qos.Scavenger
 )
-
-func (c Class) String() string {
-	names := [...]string{"foreground", "background", "scavenger"}
-	if int(c) < len(names) {
-		return names[c]
-	}
-	return fmt.Sprintf("class(%d)", uint8(c))
-}
 
 // ReqFlags modify how a request is executed.
 type ReqFlags uint8
@@ -139,7 +134,7 @@ type MovReq struct {
 	Length  int64     // bytes; a multiple of the page size
 	DstNode hw.NodeID // destination memory node (migration)
 	Cookie  uint64    // opaque user tag, returned in the notification
-	Class   Class     // QoS class of the request's DMA transfers
+	Class   qos.Class // QoS class of the request's DMA transfers
 	Flags   ReqFlags  // execution modifiers (ReqTxn, ReqKeepSrc)
 
 	// Result fields (kernel-populated).

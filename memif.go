@@ -37,13 +37,20 @@
 //     retroactive tail-latency capture, a stall watchdog, and SLO burn
 //     rates.
 //
+// All three engines name priority with one vocabulary — Class and its
+// Foreground, Background and Scavenger — whether it orders a realtime
+// request's admission and dispatch or a simulated request's DMA
+// transfers.
+//
 // A fifth, clearly marked low-level block at the bottom exports the
 // building blocks (the red-blue queue, the raw mov_req layout) for
 // direct experimentation; applications should not need it.
 //
-// The exported surface is snapshotted in api/memif.txt and guarded by
-// CI: changing it requires regenerating the snapshot with
-// cmd/memif-api, making facade drift a reviewed decision.
+// The exported surface is snapshotted in api/memif.txt, and the fields
+// of every options struct it aliases in api/options.txt; both are
+// guarded by CI: changing either requires regenerating the snapshot
+// (cmd/memif-api, TestOptionsSnapshot), making facade drift a reviewed
+// decision.
 //
 // # Quick start
 //
@@ -85,8 +92,6 @@
 package memif
 
 import (
-	"context"
-
 	"memif/internal/core"
 	"memif/internal/hw"
 	"memif/internal/linuxmig"
@@ -94,6 +99,7 @@ import (
 	"memif/internal/obs/flight"
 	"memif/internal/obs/lifecycle"
 	"memif/internal/obs/obshttp"
+	"memif/internal/qos"
 	"memif/internal/rbq"
 	"memif/internal/realtime"
 	"memif/internal/sim"
@@ -230,8 +236,10 @@ func NewSwapDaemon(app *Device, opts SwapOptions) *SwapDaemon {
 // per-controller rings with work stealing, cancellation and deadlines,
 // QoS priority classes with admission control and adaptive
 // poll-vs-notify completion, per-core completion rings drained with a
-// local-first bias, and a built-in metrics layer (Device.Stats). See
-// package memif/internal/realtime for the full story.
+// local-first bias, and a built-in metrics layer (Device.Stats).
+// Blocking is d.Poll(timeout) or d.PollContext(ctx): two doors onto one
+// wait, bounded by a timer or by the context. See package
+// memif/internal/realtime for the full story.
 type RealtimeDevice = realtime.Device
 
 // RealtimeRequest is a realtime mov_req: an async copy between two
@@ -240,10 +248,9 @@ type RealtimeDevice = realtime.Device
 type RealtimeRequest = realtime.Request
 
 // RealtimeOptions sizes a realtime device: request slots, transfer
-// controllers, staging shards, dispatch-ring depth, the chunking
-// threshold, tracing, the QoS knobs, and the per-core completion-ring
-// count (CompletionRings). Construct it with DefaultRealtimeOptions and
-// override fields.
+// controllers, staging shards, the chunking threshold, tracing, the QoS
+// knobs and the flight recorder. Construct it with
+// DefaultRealtimeOptions and override fields.
 type RealtimeOptions = realtime.Options
 
 // DefaultRealtimeOptions mirrors the EDMA3-ish defaults, including
@@ -256,35 +263,35 @@ func DefaultRealtimeOptions() RealtimeOptions { return realtime.DefaultOptions()
 // OpenRealtime starts a realtime device.
 func OpenRealtime(opts RealtimeOptions) *RealtimeDevice { return realtime.Open(opts) }
 
-// RealtimeClass is a realtime request's priority class: admission,
-// dispatch order and shedding key off it. The zero value is
-// RealtimeForeground.
-type RealtimeClass = realtime.Class
+// Class is a request's priority class, the one vocabulary all three
+// engines share: a RealtimeRequest's admission, dispatch order and
+// shedding key off it, and a MovReq's (or StreamSpec's, or the swap
+// daemon's) DMA transfers are served lower class first at the engine,
+// FIFO within a class, never preempting an active transfer. The zero
+// value is Foreground; String() is the class's /metrics label.
+type Class = qos.Class
 
 // The priority classes, highest first. Foreground is never shed by
-// admission; scavenger is the first to be shed under pressure.
+// admission; Scavenger is the first to be shed under pressure.
 const (
-	RealtimeForeground = realtime.ClassForeground
-	RealtimeBackground = realtime.ClassBackground
-	RealtimeScavenger  = realtime.ClassScavenger
+	Foreground = qos.Foreground
+	Background = qos.Background
+	Scavenger  = qos.Scavenger
 )
 
-// RealtimeNumClasses is the number of priority classes.
-const RealtimeNumClasses = realtime.NumClasses
-
-// RealtimeClassName returns the metric-label name of class i
-// ("foreground", "background", "scavenger").
-func RealtimeClassName(i int) string { return realtime.ClassName(i) }
+// NumClasses is the number of priority classes.
+const NumClasses = qos.NumClasses
 
 // RealtimeQoSOptions tunes admission control (per-class occupancy
-// shares), dispatch priority aging, and the adaptive inline-completion
-// threshold of a realtime device (RealtimeOptions.QoS).
+// shares) and the initial adaptive inline-completion threshold of a
+// realtime device (RealtimeOptions.QoS). The dispatch aging credit (16)
+// and the retune cadence (512 dispatches) are constants.
 type RealtimeQoSOptions = realtime.QoSOptions
 
 // DefaultRealtimeClassShares returns the default per-class occupancy
 // thresholds: foreground 1.0 (never shed), background 0.85, scavenger
 // 0.5.
-func DefaultRealtimeClassShares() [RealtimeNumClasses]float64 {
+func DefaultRealtimeClassShares() [NumClasses]float64 {
 	return realtime.DefaultClassShares()
 }
 
@@ -322,14 +329,6 @@ var (
 	// ErrBadSizes rejects a request whose Src and Dst lengths differ.
 	ErrBadSizes = realtime.ErrBadSizes
 )
-
-// RealtimePollContext blocks until a completion notification is pending
-// on d or ctx is done — poll(2) with a context. Method form:
-// d.PollContext(ctx); the time.Duration variant d.Poll(timeout) is a
-// thin wrapper over the same wait.
-func RealtimePollContext(ctx context.Context, d *RealtimeDevice) bool {
-	return d.PollContext(ctx)
-}
 
 // RealtimeTenant is a tenant namespace on a realtime device, opened with
 // RealtimeDevice.OpenTenant: submissions through the handle are admitted
@@ -603,18 +602,6 @@ const (
 	ErrBadRequest = uapi.ErrBadRequest
 	ErrBusy       = uapi.ErrBusy
 	ErrTxnDirty   = uapi.ErrTxnDirty
-)
-
-// MovClass is the QoS class a simulated request's DMA transfers ride:
-// lower classes are served first at the engine, FIFO within a class,
-// never preempting an active transfer.
-type MovClass = uapi.Class
-
-// Simulated-request QoS classes.
-const (
-	MovForeground = uapi.ClassForeground
-	MovBackground = uapi.ClassBackground
-	MovScavenger  = uapi.ClassScavenger
 )
 
 // MovFlags modify a simulated request.

@@ -86,8 +86,8 @@ func TestFacadeSymbolCoverage(t *testing.T) {
 				t.Fatal("uapi failure code equals ErrNone")
 			}
 		}
-		var cls memif.MovClass = memif.MovForeground
-		if cls != 0 || memif.MovBackground == memif.MovScavenger {
+		var cls memif.Class = done.Class // a MovReq's class is the shared vocabulary
+		if cls != memif.Foreground || memif.Foreground != 0 || memif.Background == memif.Scavenger {
 			t.Fatal("QoS class constants are not distinct/ordered")
 		}
 		var fl memif.MovFlags = memif.MovFlagTxn | memif.MovFlagKeepSrc
@@ -149,17 +149,17 @@ func TestFacadeSymbolCoverage(t *testing.T) {
 
 	// Realtime group compile-time coverage; behavior is in the QoS tests
 	// below.
-	var _ memif.RealtimeClass = memif.RealtimeForeground
-	var classes = [memif.RealtimeNumClasses]memif.RealtimeClass{
-		memif.RealtimeForeground, memif.RealtimeBackground, memif.RealtimeScavenger,
+	var _ memif.Class = memif.Foreground
+	var classes = [memif.NumClasses]memif.Class{
+		memif.Foreground, memif.Background, memif.Scavenger,
 	}
 	for i, c := range classes {
-		if memif.RealtimeClassName(i) != c.String() {
-			t.Errorf("class %d: name %q != String %q", i, memif.RealtimeClassName(i), c.String())
+		if want := [...]string{"foreground", "background", "scavenger"}[i]; c.String() != want {
+			t.Errorf("class %d: String %q, want the metric label %q", i, c.String(), want)
 		}
 	}
 	shares := memif.DefaultRealtimeClassShares()
-	if shares[memif.RealtimeForeground] != 1.0 || shares[memif.RealtimeScavenger] >= shares[memif.RealtimeBackground] {
+	if shares[memif.Foreground] != 1.0 || shares[memif.Scavenger] >= shares[memif.Background] {
 		t.Errorf("default class shares out of order: %v", shares)
 	}
 	var qos memif.RealtimeQoSOptions
@@ -217,7 +217,7 @@ func TestStreamEngineFacade(t *testing.T) {
 		}
 		sb, err = eng.OpenStream(p, memif.StreamSpec{
 			Kernel: memif.KernelTriad, Base: base + length, Length: length,
-			Class: memif.MovScavenger, Credits: 3, Name: "ingest-b",
+			Class: memif.Scavenger, Credits: 3, Name: "ingest-b",
 		})
 		if err != nil {
 			t.Fatalf("OpenStream b: %v", err)
@@ -306,7 +306,7 @@ func TestRealtimeFacadeQoS(t *testing.T) {
 	var d *memif.RealtimeDevice = memif.OpenRealtime(ropts)
 
 	payload := make([]byte, 1<<10)
-	submit := func(class memif.RealtimeClass, src, dst []byte) (*memif.RealtimeRequest, error) {
+	submit := func(class memif.Class, src, dst []byte) (*memif.RealtimeRequest, error) {
 		r := d.AllocRequest()
 		if r == nil {
 			t.Fatal("AllocRequest: slab exhausted")
@@ -323,12 +323,12 @@ func TestRealtimeFacadeQoS(t *testing.T) {
 
 	// Foreground flows regardless of load; completions arrive via the
 	// context poll.
-	fg, err := submit(memif.RealtimeForeground, payload, make([]byte, len(payload)))
+	fg, err := submit(memif.Foreground, payload, make([]byte, len(payload)))
 	if err != nil {
 		t.Fatalf("foreground submit: %v", err)
 	}
 	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
-	if !memif.RealtimePollContext(ctx, d) {
+	if !d.PollContext(ctx) {
 		t.Fatal("PollContext returned without a completion")
 	}
 	cancel()
@@ -352,7 +352,7 @@ func TestRealtimeFacadeQoS(t *testing.T) {
 	var overErr error
 	var held []*memif.RealtimeRequest
 	for i := 0; i < ropts.NumReqs*4 && overErr == nil; i++ {
-		r, err := submit(memif.RealtimeScavenger, bigSrc, make([]byte, big))
+		r, err := submit(memif.Scavenger, bigSrc, make([]byte, big))
 		switch {
 		case err == nil:
 			held = append(held, r)
@@ -374,7 +374,7 @@ func TestRealtimeFacadeQoS(t *testing.T) {
 	if !errors.As(overErr, &oe) {
 		t.Fatalf("overload error is %T, want *RealtimeOverloadError", overErr)
 	}
-	if oe.Class != memif.RealtimeScavenger || oe.RetryAfter <= 0 {
+	if oe.Class != memif.Scavenger || oe.RetryAfter <= 0 {
 		t.Errorf("overload error = %+v, want scavenger class and positive retry-after", oe)
 	}
 
@@ -382,18 +382,18 @@ func TestRealtimeFacadeQoS(t *testing.T) {
 	// Prometheus exports.
 	for range held {
 		ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
-		memif.RealtimePollContext(ctx, d)
+		d.PollContext(ctx)
 		cancel()
 		if r := d.RetrieveCompleted(); r != nil {
 			d.FreeRequest(r)
 		}
 	}
 	var st memif.RealtimeStats = d.Stats()
-	var cs memif.RealtimeClassStats = st.Classes[memif.RealtimeScavenger]
+	var cs memif.RealtimeClassStats = st.Classes[memif.Scavenger]
 	if cs.Shed == 0 {
 		t.Error("scavenger class stats recorded no sheds")
 	}
-	if st.Classes[memif.RealtimeForeground].Submitted == 0 {
+	if st.Classes[memif.Foreground].Submitted == 0 {
 		t.Error("foreground class stats recorded no submissions")
 	}
 	if st.Shed == 0 {
@@ -431,7 +431,7 @@ func TestRealtimeFacadeQoS(t *testing.T) {
 		t.Error("CloseDrainContext did not drain an idle device")
 	}
 	cancel2()
-	if _, err := submit(memif.RealtimeForeground, payload, make([]byte, len(payload))); !errors.Is(err, memif.ErrClosed) {
+	if _, err := submit(memif.Foreground, payload, make([]byte, len(payload))); !errors.Is(err, memif.ErrClosed) {
 		t.Errorf("submit after close: %v, want ErrClosed", err)
 	}
 }
@@ -471,13 +471,13 @@ func TestRealtimeFacadeTenants(t *testing.T) {
 	// tenant's counters, not the default tenant's.
 	payload := make([]byte, 1<<10)
 	r := d.AllocRequest()
-	r.Class = memif.RealtimeForeground
+	r.Class = memif.Foreground
 	r.Src, r.Dst = payload, make([]byte, len(payload))
 	if err := ta.Submit(r); err != nil {
 		t.Fatalf("tenant submit: %v", err)
 	}
 	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
-	if !memif.RealtimePollContext(ctx, d) {
+	if !d.PollContext(ctx) {
 		t.Fatal("PollContext returned without a completion")
 	}
 	cancel()
@@ -659,7 +659,23 @@ func TestOptionsSnapshot(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got != string(want) {
-		t.Errorf("option fields differ from api/options.txt — regenerate with `go test -run TestOptionsSnapshot . -args -o api/options.txt` and review the diff\n--- api/options.txt\n%s--- live\n%s", want, got)
+	if got == string(want) {
+		return
 	}
+	live := map[string]bool{}
+	for _, l := range lines {
+		live[l] = true
+	}
+	var diff []string
+	for _, l := range strings.Split(strings.TrimRight(string(want), "\n"), "\n") {
+		if !live[l] {
+			diff = append(diff, "- "+l)
+		}
+		delete(live, l)
+	}
+	for l := range live {
+		diff = append(diff, "+ "+l)
+	}
+	sort.Strings(diff)
+	t.Errorf("option fields differ from api/options.txt — regenerate with `go test -run TestOptionsSnapshot . -args -o api/options.txt` and review the diff:\n%s", strings.Join(diff, "\n"))
 }
