@@ -55,6 +55,10 @@ type Device struct {
 	// migration (RaceRecover mode).
 	recoverMap map[*slotKey]*inflight
 
+	// subStarted, when a test sets it, observes every sub-transfer the
+	// moment startTrain has put it on the channel.
+	subStarted func(inf *inflight)
+
 	closed bool
 	stats  Stats
 }

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"errors"
 	"fmt"
 	"memif/internal/dma"
 	"memif/internal/hw"
@@ -52,12 +53,11 @@ type pageMove struct {
 // completion state.
 type inflight struct {
 	req      *uapi.MovReq
-	pages    []pageMove    // migrations only
-	segs     []dma.Segment // everything the request copies, one per page
-	nextSeg  int           // first segment no transfer has been started for
-	pinned   bool          // the request holds a pin on every frame of segs
-	transfer *dma.Transfer // the batch of segs in flight
-	aborted  bool          // recover-mode fault handler took over
+	pages    []pageMove      // migrations only
+	segs     []dma.Segment   // everything the request copies, one per page
+	subs     []*dma.Transfer // the train: sub-transfers started so far, in order
+	pinned   bool            // the request holds a pin on every frame of segs
+	aborted  bool            // recover-mode fault handler took over
 	released bool
 	txn      bool // transactional migration (ReqTxn)
 	keepSrc  bool // retain committed source frames as shadow copies
@@ -67,15 +67,16 @@ type inflight struct {
 	claimN   int
 }
 
-// moreBatches reports whether segments remain that no transfer was
-// started for (requests above MaxChainPages move in consecutive batches).
-func (inf *inflight) moreBatches() bool { return inf.nextSeg < len(inf.segs) }
+// last returns the newest sub-transfer started for the request. Once
+// startTrain has returned true that is the train's final one, whose
+// completion — one class is FIFO on the single channel — is the request's.
+func (inf *inflight) last() *dma.Transfer { return inf.subs[len(inf.subs)-1] }
 
 // pin takes the request's own hold on every frame it copies, from Prep
-// to Release (the driver's get_user_pages). The engine pins a batch only
-// while it is programmed or in flight; without this hold an overlapping
-// request — a migration of a region this one replicates from — could
-// free the frames of a batch that has yet to start.
+// to Release (the driver's get_user_pages). The engine pins a
+// sub-transfer only while it is programmed or in flight; without this
+// hold an overlapping request — a migration of a region this one
+// replicates from — could free the frames of one that has yet to start.
 func (inf *inflight) pin() {
 	for _, s := range inf.segs {
 		s.Src.Pin()
@@ -183,7 +184,7 @@ func (d *Device) serveReq(p *sim.Proc, m *sim.Meter, ctx execCtx, req *uapi.MovR
 	// small transfers with the interrupt off; everything else, and
 	// everything started from the syscall path, completes by interrupt.
 	poll := ctx == ctxKthread && req.Length < d.opts.PollThresholdBytes
-	if !d.startBatch(p, m, inf, !poll) {
+	if !d.startTrain(p, m, inf, !poll) {
 		return false
 	}
 	if poll {
@@ -534,50 +535,93 @@ func (d *Device) rollbackRemap(p *sim.Proc, m *sim.Meter, inf *inflight) {
 	inf.pages = nil
 }
 
-// startBatch performs operation 3 (DMA configuration) for the next batch
-// — at most MaxChainPages segments, the PaRAM array bounds chain length —
-// and triggers it. With irq true the completion is delivered to the
-// interrupt path. It reports whether the transfer was started; on false
-// the request has already been completed as failed — here, or by the
-// recover fault handler, which can take the request over at any yield of
-// the serving context, such as the descriptor writes.
-func (d *Device) startBatch(p *sim.Proc, m *sim.Meter, inf *inflight, irq bool) bool {
-	batch := inf.segs[inf.nextSeg:]
-	if len(batch) > d.opts.MaxChainPages {
-		batch = batch[:d.opts.MaxChainPages]
+// subPages is how many pages one sub-transfer of a request of class c
+// carries. A class that can be bypassed at the channel holds it for at
+// most one channelQuantum at a time (never less than a page); Foreground
+// has nobody to yield to and is bounded only by the PaRAM array, through
+// MaxChainPages.
+func (d *Device) subPages(c uapi.Class) int {
+	n := d.opts.MaxChainPages
+	if c != uapi.ClassForeground {
+		if q := int(channelQuantum / d.AS.PageBytes); q < n {
+			n = max(q, 1)
+		}
 	}
-	inf.nextSeg += len(batch)
-	t0 := p.Now()
-	tr, err := d.M.DMA.Program(p, d.opts.DescReuse, batch, m)
-	d.Breakdown.Add(stats.PhaseDMACfg, int64(p.Now()-t0))
-	if err != nil {
-		// Descriptor exhaustion — should not happen with MaxChainPages
-		// capped at the PaRAM size; fail the request.
-		inf.released = true
-		inf.unpin()
-		inf.dropClaim(d.AS)
-		d.complete(p, m, inf.req, uapi.ErrBadRequest)
-		return false
+	return n
+}
+
+// startTrain performs operation 3 (DMA configuration) for the whole
+// request and triggers it as a train of sub-transfers of subPages pages.
+// The serving context — worker or syscall path, never the interrupt
+// handler — configures sub-transfer k+1 while k copies and starts each as
+// soon as it is programmed, keeping at most pipeDepth of the request on
+// the channel; a request of one sub-transfer (every Foreground request up
+// to MaxChainPages) is programmed and started exactly as a single
+// transfer. Only the last sub-transfer delivers the completion: with irq
+// true to the interrupt path, otherwise through its Done event. It
+// reports whether the whole train was started; on false the request has
+// already been completed as failed — here, or by the recover fault
+// handler, which can take the request over at any yield of the serving
+// context (the descriptor writes, the waits) and drops every sub-transfer
+// started so far.
+func (d *Device) startTrain(p *sim.Proc, m *sim.Meter, inf *inflight, irq bool) bool {
+	per := d.subPages(inf.req.Class)
+	inf.subs = make([]*dma.Transfer, 0, (len(inf.segs)+per-1)/per)
+	for rest := inf.segs; len(rest) > 0; {
+		batch := rest[:min(per, len(rest))]
+		rest = rest[len(batch):]
+		if k := len(inf.subs); k >= pipeDepth {
+			p.WaitEvent(inf.subs[k-pipeDepth].Done)
+		}
+		tr := d.program(p, m, inf, batch)
+		if tr == nil {
+			return false
+		}
+		tr.Class = inf.req.Class
+		inf.subs = append(inf.subs, tr)
+		d.Breakdown.Add(stats.PhaseCopy,
+			d.M.Plat.DMATransferNS(tr.Bytes(), batch[0].Src.Node, batch[0].Dst.Node))
+		if irq && len(rest) == 0 {
+			d.M.DMA.Start(tr, true, func() { d.irqComplete(inf) })
+		} else {
+			d.M.DMA.Start(tr, false, nil)
+		}
+		if d.subStarted != nil {
+			d.subStarted(inf)
+		}
 	}
-	if inf.aborted {
-		// The handler found no transfer to drop; drop this one unstarted.
-		d.M.DMA.Abort(tr)
-		return false
-	}
-	tr.Class = inf.req.Class
-	inf.transfer = tr
-	var bytes int64
-	for _, s := range batch {
-		bytes += s.Bytes
-	}
-	d.Breakdown.Add(stats.PhaseCopy,
-		d.M.Plat.DMATransferNS(bytes, batch[0].Src.Node, batch[0].Dst.Node))
-	var onIRQ func()
-	if irq {
-		onIRQ = func() { d.irqComplete(inf) }
-	}
-	d.M.DMA.Start(tr, irq, onIRQ)
 	return true
+}
+
+// program configures one sub-transfer of inf, sleeping out descriptor
+// backpressure (dma.ErrSlotsBusy: the slots are held by transfers in
+// flight, this request's own among them). It returns nil when the request
+// is over: the recover handler took it while this context slept or wrote
+// descriptors, or the engine refused the batch.
+func (d *Device) program(p *sim.Proc, m *sim.Meter, inf *inflight, batch []dma.Segment) *dma.Transfer {
+	for !inf.aborted {
+		t0 := p.Now()
+		tr, err := d.M.DMA.Program(p, d.opts.DescReuse, batch, m)
+		d.Breakdown.Add(stats.PhaseDMACfg, int64(p.Now()-t0))
+		switch {
+		case errors.Is(err, dma.ErrSlotsBusy):
+			d.M.DMA.WaitSlots(p)
+		case err != nil:
+			// Cannot happen with MaxChainPages capped at the PaRAM size
+			// and one page size per request; fail the request.
+			inf.released = true
+			inf.unpin()
+			inf.dropClaim(d.AS)
+			d.complete(p, m, inf.req, uapi.ErrBadRequest)
+			return nil
+		case inf.aborted:
+			// The handler could not know of this one; drop it unstarted.
+			d.M.DMA.Abort(tr)
+		default:
+			return tr
+		}
+	}
+	return nil
 }
 
 // finish performs operations 4 (Release) and 5 (Notify) after all of a
@@ -813,8 +857,8 @@ func (d *Device) handleRecoverFault(p *sim.Proc, addr int64, slot *pagetable.Slo
 	inf.aborted = true
 	cost := &d.M.Plat.Cost
 	d.busy(p, d.UserMeter, stats.PhaseInterface, cost.IRQEntry) // trap cost
-	if inf.transfer != nil {
-		d.M.DMA.Abort(inf.transfer)
+	for _, t := range inf.subs {
+		d.M.DMA.Abort(t)
 	}
 	inf.unpin()
 	var ns int64

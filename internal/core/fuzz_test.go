@@ -112,6 +112,13 @@ func runWorkout(t *testing.T, w workout) Stats {
 		opts.MaxChainPages = w.maxChain
 	}
 	d := Open(m, as, opts)
+	// However the classes and the chain cap cut a request (odd sweep seeds:
+	// four sub-transfers each), at most pipeDepth of them share the channel.
+	d.subStarted = func(inf *inflight) {
+		if n := onChannel(inf); n > pipeDepth {
+			t.Errorf("seed %d: %d sub-transfers of %v on the channel", w.seed, n, inf.req)
+		}
+	}
 
 	const ops = 300
 	m.Eng.Spawn("app", func(p *sim.Proc) {

@@ -48,9 +48,10 @@ type Options struct {
 	GangLookup bool
 	// DescReuse enables descriptor-chain reuse (Section 5.3 knob).
 	DescReuse bool
-	// MaxChainPages caps the pages per DMA transfer; larger requests
-	// are moved in consecutive sub-transfers (the 512-entry PaRAM array
-	// bounds chain length).
+	// MaxChainPages caps the descriptors of one DMA transfer: the
+	// 512-entry PaRAM array bounds chain length. Larger requests move as
+	// consecutive sub-transfers. It is not a latency knob — how long a
+	// bulk transfer may hold the channel is channelQuantum's business.
 	MaxChainPages int
 	// WorkerIdleGraceNS is how long the kernel worker lingers in
 	// polling mode after draining all queues before recoloring the

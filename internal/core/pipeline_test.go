@@ -65,15 +65,11 @@ func (b *burst) submit(r *uapi.MovReq) *uapi.MovReq {
 }
 
 func (b *burst) migrate(base, n int64, node hw.NodeID) *uapi.MovReq {
-	r := b.d.AllocRequest(b.p)
-	r.Op, r.SrcBase, r.Length, r.DstNode = uapi.OpMigrate, base, n, node
-	return b.submit(r)
+	return b.submit(newMigrate(b.d, b.p, uapi.ClassForeground, base, n, node))
 }
 
 func (b *burst) replicate(src, dst, n int64) *uapi.MovReq {
-	r := b.d.AllocRequest(b.p)
-	r.Op, r.SrcBase, r.DstBase, r.Length = uapi.OpReplicate, src, dst, n
-	return b.submit(r)
+	return b.submit(newReplicate(b.d, b.p, uapi.ClassForeground, src, dst, n))
 }
 
 // wait retrieves every submitted request, leaving the records intact for
@@ -254,10 +250,10 @@ func TestRecoverAbortsQueuedTransfer(t *testing.T) {
 		head := b.replicate(src, dst, big)
 		victim := b.migrate(region, small, hw.NodeFast)
 		b.waitFor("victim queued behind the head", func() bool {
-			return len(d.pipe) == 2 && d.pipe[1].transfer.State() == dma.StateQueued
+			return len(d.pipe) == 2 && d.pipe[1].last().State() == dma.StateQueued
 		})
-		if d.pipe[0].transfer.State() != dma.StateActive {
-			t.Fatalf("head transfer is %v", d.pipe[0].transfer.State())
+		if d.pipe[0].last().State() != dma.StateActive {
+			t.Fatalf("head transfer is %v", d.pipe[0].last().State())
 		}
 		if err := d.AS.Write(p, region, []byte{1}); err != nil {
 			t.Fatal(err)
@@ -295,7 +291,7 @@ func TestRecoverAbortsHeadDuringPrepareOfNext(t *testing.T) {
 		next := b.migrate(regB, n, hw.NodeFast)
 		b.waitFor("head active, next in prepare", func() bool {
 			return len(d.pipe) == 1 && d.pipe[0].req == head &&
-				d.pipe[0].transfer.State() == dma.StateActive &&
+				d.pipe[0].last().State() == dma.StateActive &&
 				next.Status == uapi.StatusInFlight
 		})
 		if err := d.AS.Write(p, regA+4096, []byte{1}); err != nil {
@@ -344,27 +340,29 @@ func TestCloseWithPipelineOccupied(t *testing.T) {
 	}
 }
 
-// Pipelined requests complete out of order when the younger one needs
-// fewer batches; the worker reaps whichever entry has finished, it does
-// not hold the younger notification back behind the older request.
+// Pipelined requests complete out of order when the channel is contended:
+// while a sibling's transfer holds it (hogChannel), the older request's
+// Background train queues and the younger Foreground request, started
+// later, bypasses it. The worker reaps whichever entry has finished; it
+// does not hold the younger notification back behind the older request.
 func TestReapsOutOfOrder(t *testing.T) {
-	opts := DefaultOptions()
-	opts.MaxChainPages = 8
-	m, d := newRig(t, opts)
+	m, d := newRig(t, DefaultOptions())
+	hog := hogChannel(t, m)
 	m.Eng.Spawn("app", func(p *sim.Proc) {
 		defer d.Close()
-		const big, small = 16 * 4096, 4 * 4096
+		const big, small = 32 * 4096, 4 * 4096
 		b := newBurst(t, d, p)
 		s1, d1 := b.mmap(big, hw.NodeSlow), b.mmap(big, hw.NodeFast)
 		s2, d2 := b.mmap(small, hw.NodeSlow), b.mmap(small, hw.NodeFast)
 		fill(t, d, p, s1, big, 3)
 		fill(t, d, p, s2, small, 5)
 		b.kick()
-		older := d.AllocRequest(p) // two batches, rides behind foreground traffic
-		older.Op, older.SrcBase, older.DstBase, older.Length = uapi.OpReplicate, s1, d1, big
-		older.Class = uapi.ClassBackground
-		b.submit(older)
-		younger := b.replicate(s2, d2, small) // one batch
+		b.wait() // the worker lingers, awake, for the next 200 µs
+		hog.start = true
+		b.waitFor("sibling holds the channel", func() bool { return hog.holding })
+		// A train of two, then one Foreground transfer.
+		older := b.submit(newReplicate(d, p, uapi.ClassBackground, s1, d1, big))
+		younger := b.replicate(s2, d2, small)
 		b.wait()
 		if older.Err != uapi.ErrNone || younger.Err != uapi.ErrNone {
 			t.Fatalf("older %v, younger %v", older.Err, younger.Err)
@@ -375,23 +373,27 @@ func TestReapsOutOfOrder(t *testing.T) {
 		}
 		check(t, d, p, d1, big, 3)
 		check(t, d, p, d2, small, 5)
+		b.waitFor("sibling unmapped", func() bool { return hog.released })
 		b.audit()
 	})
 	m.Eng.Run()
 	if d.Stats().Overlapped == 0 {
 		t.Error("requests were not pipelined")
 	}
+	if m.DMA.Stats().PriorityBypasses == 0 {
+		t.Error("the younger transfer never bypassed the older train")
+	}
 }
 
-// Multi-batch requests on the polled path (PollThresholdBytes raised
-// above a 2-batch request): batches of neighbouring requests interleave
-// on the engine and every byte still lands.
+// Requests above MaxChainPages on the polled path (PollThresholdBytes
+// raised above them): each moves as a train of three sub-transfers, the
+// next request is prepared under the last one, and every byte lands.
 func TestMultiBatchPolledPipeline(t *testing.T) {
 	opts := DefaultOptions()
 	opts.MaxChainPages = 32
 	opts.PollThresholdBytes = 4 << 20
 	m, d := newRig(t, opts)
-	const n = 80 * 4096 // 3 batches: 32+32+16
+	const n = 80 * 4096 // 3 sub-transfers: 32+32+16
 	m.Eng.Spawn("app", func(p *sim.Proc) {
 		defer d.Close()
 		b := newBurst(t, d, p)

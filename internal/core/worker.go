@@ -7,12 +7,26 @@ import (
 	"memif/internal/uapi"
 )
 
-// pipeDepth is how many polled requests the worker keeps started at once:
-// one transfer active on the engine's single channel plus one queued
-// behind it, which the engine begins the instant the first ends with no
-// CPU involved. That is exactly what keeps a single channel fed; a third
-// would only sit in the queue.
+// pipeDepth is how many transfers one producer keeps on the engine's
+// single channel at once — the worker's polled requests, and the
+// sub-transfers of one request's train (startTrain): one active plus one
+// queued behind it, which the engine begins the instant the first ends
+// with no CPU involved. That is exactly what keeps a single channel fed; a
+// third would only sit in the queue (and hold a third descriptor chain).
 const pipeDepth = 2
+
+// channelQuantum is the most bytes a Background or Scavenger sub-transfer
+// carries: the longest such a request holds the non-preemptible channel
+// against a Foreground transfer that arrives behind it. 64 KiB is 12.8 µs
+// of channel on KeyStone II (900 ns start-up + 65,536 B ÷ 5.5 GB/s), under
+// the 18.6 µs its sixteen reused 4 KiB descriptors take to write, so the
+// next sub-transfer is never configured before the current one is done
+// and the split costs a fill only the start-ups (7 % of each quantum).
+// Measured on sim_streams (EXPERIMENTS.md "PR 24"): 32 KiB halves the
+// wait again but doubles the start-ups and lifts the prober's median by a
+// fifth; at 128 KiB the p99 is a third higher. It is a property of the
+// channel, not of a client, hence a constant and not an Options field.
+const channelQuantum = 64 << 10
 
 // worker is the memif kernel thread (Section 5.4). Once woken — by the
 // completion interrupt of a kick-started request — it flushes the staging
@@ -28,12 +42,12 @@ const pipeDepth = 2
 // worker polls between requests while there is work and never sleeps on
 // one transfer while another request is queued. Each pass of the loop
 //
-//  1. reaps: every started transfer whose completion has fired gets its
-//     poll check and then its next batch or Release+Notify;
+//  1. reaps: every started request whose train has completed gets its
+//     poll check and then Release+Notify;
 //  2. prepares ahead: at most one more request is dequeued, prepared and
 //     started (Prep/Remap/DMAcfg run under the transfer in flight);
-//  3. waits on the oldest transfer only when the pipeline is full or
-//     nothing else is queued.
+//  3. waits for a started request to complete (waitPipe) only when the
+//     pipeline is full or nothing else is queued.
 //
 // Reaping first keeps a finished request's notification from waiting
 // behind the prepare of the next. With one request outstanding step 2
@@ -44,7 +58,7 @@ func (d *Device) worker(p *sim.Proc) {
 		d.reap(p)
 		d.drainStaging(p)
 		if len(d.pipe) > 0 && (len(d.pipe) == pipeDepth || d.Area.Submission.Empty()) {
-			p.WaitEvent(d.pipe[0].transfer.Done)
+			d.waitPipe(p)
 			continue
 		}
 		if found, _ := d.serveNext(p, d.KernMeter, ctxKthread); found {
@@ -74,30 +88,32 @@ func (d *Device) worker(p *sim.Proc) {
 	}
 }
 
+// waitPipe sleeps until a started polled request has completed — any of
+// them, not the oldest: a Foreground transfer bypasses the queued
+// sub-transfers of an older bulk request at the channel, and its
+// notification must not wait out the older train.
+func (d *Device) waitPipe(p *sim.Proc) {
+	var done [pipeDepth]*sim.Event
+	for i, inf := range d.pipe {
+		done[i] = inf.last().Done
+	}
+	p.WaitAnyEvent(done[:len(d.pipe)]...)
+}
+
 // reap is the polling half of the pipeline: every started polled request
-// whose current transfer has completed pays its poll check and moves on —
-// the next batch of a multi-batch request, or Release and Notify. Any
-// finished entry is reaped, not only the oldest: transfers of different
-// classes complete out of order.
+// whose train has completed pays its poll check and gets Release and
+// Notify (finish does nothing for one the recover handler already
+// completed). Any finished entry is reaped, not only the oldest: transfers
+// of different classes complete out of order.
 func (d *Device) reap(p *sim.Proc) {
 	for i := 0; i < len(d.pipe); {
 		inf := d.pipe[i]
-		if !inf.transfer.Done.Fired() {
+		if !inf.last().Done.Fired() {
 			i++
 			continue
 		}
 		d.busy(p, d.KernMeter, stats.PhaseInterface, d.M.Plat.Cost.PollCheck)
-		switch {
-		case inf.aborted:
-			// The recover handler already completed the request.
-		case inf.moreBatches():
-			if d.startBatch(p, d.KernMeter, inf, false) {
-				i++
-				continue
-			}
-		default:
-			d.finish(p, d.KernMeter, inf)
-		}
+		d.finish(p, d.KernMeter, inf)
 		d.pipe = append(d.pipe[:i], d.pipe[i+1:]...)
 	}
 }
@@ -156,33 +172,19 @@ func (d *Device) drainStaging(p *sim.Proc) {
 	}
 }
 
-// irqComplete is the interrupt path: it runs when a DMA completion
-// interrupt fires for a batch of inf. Multi-batch requests continue with
-// the next batch from interrupt context; on the final batch the handler
-// performs Release and Notify immediately — possible only because
-// lightweight race detection needs no sleeping locks (Section 5.2) — and
-// wakes the kernel thread to serve whatever else queued up meanwhile.
+// irqComplete is the interrupt path: it runs when the completion
+// interrupt of a request's last sub-transfer fires. The handler performs
+// Release and Notify immediately — possible only because lightweight race
+// detection needs no sleeping locks (Section 5.2); it never programs the
+// engine, so descriptor backpressure cannot make it sleep — and wakes the
+// kernel thread to serve whatever else queued up meanwhile.
 func (d *Device) irqComplete(inf *inflight) {
 	d.M.Eng.Spawn("memif-irq", func(p *sim.Proc) {
 		cost := &d.M.Plat.Cost
 		d.busy(p, d.KernMeter, stats.PhaseInterface, cost.IRQEntry)
-		if inf.aborted {
-			// The recover handler took the request over mid-flight; no
-			// further interrupt will come, so hand the queue to the
-			// worker before leaving.
-			d.busy(p, d.KernMeter, stats.PhaseInterface, cost.KthreadWake)
-			d.workSignal.Signal()
-			return
-		}
-		if inf.moreBatches() {
-			if d.startBatch(p, d.KernMeter, inf, true) {
-				return
-			}
-			// Mid-flight failure: no further interrupt will come, so
-			// fall through and wake the worker for the queued rest.
-		} else {
-			d.finish(p, d.KernMeter, inf)
-		}
+		// Nothing to release if the recover handler took the request
+		// over mid-flight (finish checks).
+		d.finish(p, d.KernMeter, inf)
 		// Wake the kernel thread: it takes charge of all queued
 		// requests from here with no userspace involvement.
 		d.busy(p, d.KernMeter, stats.PhaseInterface, cost.KthreadWake)

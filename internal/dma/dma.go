@@ -14,6 +14,7 @@
 package dma
 
 import (
+	"errors"
 	"fmt"
 
 	"memif/internal/hw"
@@ -62,7 +63,8 @@ type Transfer struct {
 	segs    []Segment
 	first   int // first descriptor slot of the chain
 	nDesc   int
-	ownsRun bool // non-reused run: slots are freed at completion
+	ownsRun bool   // non-reused run: slots are freed at completion
+	chain   *chain // remembered chain the transfer holds until it completes
 	bytes   int64
 	src     hw.NodeID
 	dst     hw.NodeID
@@ -70,6 +72,7 @@ type Transfer struct {
 	irq     bool
 	onIRQ   func()     // completion-interrupt handler (runs after IRQ latency)
 	Done    *sim.Event // fires when the copy physically completes (or aborts)
+	done    sim.Event  // Done's storage
 	aborted bool
 
 	// Class orders the transfer at the engine's single channel: lower
@@ -87,12 +90,22 @@ func (t *Transfer) State() State { return t.state }
 // FirstSlot returns the first PaRAM slot of the transfer's chain.
 func (t *Transfer) FirstSlot() int { return t.first }
 
-// chain records driver knowledge about a configured descriptor run.
+// chain records driver knowledge about a configured descriptor run. A
+// chain belongs to one transfer from Program until that transfer completes
+// or is aborted: the engine reads the descriptors while it copies, so
+// rewriting them for the next transfer any earlier would redirect the one
+// in flight.
 type chain struct {
 	start, length int
 	bytes         int64
 	lastUse       int64
+	busy          bool
 }
+
+// ErrSlotsBusy is Program's backpressure: no descriptor run is free and
+// forgetting idle chains cannot make one, because transfers in flight hold
+// the slots. Wait for one to finish (WaitSlots) and program again.
+var ErrSlotsBusy = errors.New("dma: descriptor slots held by transfers in flight")
 
 // Stats counts engine activity for the evaluation's cost breakdowns.
 type Stats struct {
@@ -105,6 +118,9 @@ type Stats struct {
 	// PriorityBypasses counts queued transfers that a later, higher-class
 	// submission jumped ahead of.
 	PriorityBypasses int64
+	// SlotWaits counts waits for descriptor slots held by transfers in
+	// flight (WaitSlots): zero unless the PaRAM array ran full.
+	SlotWaits int64
 }
 
 // Engine is the DMA engine plus its (enhanced) kernel driver state.
@@ -116,6 +132,9 @@ type Engine struct {
 	inUse  []bool // slot is part of a remembered chain or in-flight run
 	chains []*chain
 	useSeq int64
+	// slotsFreed is broadcast whenever a transfer lets go of its
+	// descriptors; contexts that met ErrSlotsBusy park on it.
+	slotsFreed *sim.Cond
 
 	queue  []*Transfer // transfers waiting for the channel
 	active *Transfer
@@ -134,18 +153,20 @@ func New(eng *sim.Engine, plat *hw.Platform) *Engine {
 		params: make([]Desc, n),
 		inUse:  make([]bool, n),
 		Meter:  sim.NewMeter("dma"),
+
+		slotsFreed: sim.NewCond(eng),
 	}
 }
 
 // Stats returns a snapshot of the engine counters.
 func (e *Engine) Stats() Stats { return e.stats }
 
-// findChain locates a remembered chain of at least n descriptors of the
-// given per-descriptor size, preferring the tightest fit.
+// findChain locates an idle remembered chain of at least n descriptors of
+// the given per-descriptor size, preferring the tightest fit.
 func (e *Engine) findChain(n int, bytes int64) *chain {
 	var best *chain
 	for _, c := range e.chains {
-		if c.bytes == bytes && c.length >= n {
+		if !c.busy && c.bytes == bytes && c.length >= n {
 			if best == nil || c.length < best.length {
 				best = c
 			}
@@ -154,16 +175,17 @@ func (e *Engine) findChain(n int, bytes int64) *chain {
 	return best
 }
 
-// evictChain forgets the least recently used chain, releasing its slots.
+// evictChain forgets the least recently used idle chain, releasing its
+// slots.
 func (e *Engine) evictChain() bool {
-	if len(e.chains) == 0 {
-		return false
-	}
-	oldest := 0
+	oldest := -1
 	for i, c := range e.chains {
-		if c.lastUse < e.chains[oldest].lastUse {
+		if !c.busy && (oldest < 0 || c.lastUse < e.chains[oldest].lastUse) {
 			oldest = i
 		}
+	}
+	if oldest < 0 {
+		return false
 	}
 	c := e.chains[oldest]
 	e.chains = append(e.chains[:oldest], e.chains[oldest+1:]...)
@@ -178,7 +200,9 @@ func (e *Engine) markRun(start, n int, used bool) {
 }
 
 // allocRun finds a contiguous run of n free slots (first fit), evicting
-// remembered chains as needed.
+// idle remembered chains as needed. With every idle chain forgotten the
+// only slots left claimed are those of transfers in flight, so running out
+// then is ErrSlotsBusy, never a permanent failure.
 func (e *Engine) allocRun(n int) (int, error) {
 	if n > len(e.params) {
 		return -1, fmt.Errorf("dma: transfer needs %d descriptors, engine has %d", n, len(e.params))
@@ -198,18 +222,19 @@ func (e *Engine) allocRun(n int) (int, error) {
 			}
 		}
 		if !e.evictChain() {
-			return -1, fmt.Errorf("dma: no contiguous run of %d descriptor slots available", n)
+			return -1, fmt.Errorf("%w: no contiguous run of %d", ErrSlotsBusy, n)
 		}
 	}
 }
 
 // Program assembles a scatter-gather transfer for segs. When reuse is
-// true the enhanced driver reuses a remembered descriptor chain of the
-// right shape if one exists (rewriting only src/dst) and remembers newly
-// written chains for later; with reuse false (the baseline driver) full
-// descriptors are computed and written every time and the slots are
+// true the enhanced driver reuses an idle remembered descriptor chain of
+// the right shape if one exists (rewriting only src/dst) and remembers
+// newly written chains for later; with reuse false (the baseline driver)
+// full descriptors are computed and written every time and the slots are
 // recycled at completion. The CPU cost of configuration is charged to p
-// against meters.
+// against meters. When transfers in flight hold too many slots it returns
+// ErrSlotsBusy having charged and claimed nothing.
 //
 // All segments of one transfer must share a size: the driver dedicates
 // one descriptor per page and a request's pages have one size.
@@ -232,29 +257,29 @@ func (e *Engine) Program(p *sim.Proc, reuse bool, segs []Segment, meters ...*sim
 	cpu := cost.SGListInit
 
 	n := len(segs)
-	start := -1
+	var held *chain
 	reusedChain := false
-	ownsRun := false
 	if reuse {
-		if c := e.findChain(n, bytes); c != nil {
-			e.useSeq++
-			c.lastUse = e.useSeq
-			start = c.start
-			reusedChain = true
-		}
+		held = e.findChain(n, bytes)
+		reusedChain = held != nil
 	}
-	if start < 0 {
+	var start int
+	if held != nil {
+		start = held.start
+	} else {
 		var err error
-		start, err = e.allocRun(n)
-		if err != nil {
+		if start, err = e.allocRun(n); err != nil {
 			return nil, err
 		}
 		if reuse {
-			e.useSeq++
-			e.chains = append(e.chains, &chain{start: start, length: n, bytes: bytes, lastUse: e.useSeq})
-		} else {
-			ownsRun = true
+			held = &chain{start: start, length: n, bytes: bytes}
+			e.chains = append(e.chains, held)
 		}
+	}
+	if held != nil {
+		e.useSeq++
+		held.lastUse = e.useSeq
+		held.busy = true
 	}
 
 	for i, s := range segs {
@@ -292,12 +317,14 @@ func (e *Engine) Program(p *sim.Proc, reuse bool, segs []Segment, meters ...*sim
 		segs:    segs,
 		first:   start,
 		nDesc:   n,
-		ownsRun: ownsRun,
+		ownsRun: held == nil,
+		chain:   held,
 		bytes:   total,
 		src:     segs[0].Src.Node,
 		dst:     segs[0].Dst.Node,
-		Done:    sim.NewEvent(e.eng),
 	}
+	t.done.Init(e.eng)
+	t.Done = &t.done
 	return t, nil
 }
 
@@ -368,8 +395,9 @@ func (e *Engine) complete(t *Transfer) {
 	}
 }
 
-// releaseResources unpins the frames and recycles an owned descriptor
-// run; complete and Abort between them call it exactly once per transfer.
+// releaseResources unpins the frames, recycles an owned descriptor run
+// and hands a remembered chain back for reuse; complete and Abort between
+// them call it exactly once per transfer.
 func (t *Transfer) releaseResources(e *Engine) {
 	for _, s := range t.segs {
 		s.Src.Unpin()
@@ -379,6 +407,20 @@ func (t *Transfer) releaseResources(e *Engine) {
 		e.markRun(t.first, t.nDesc, false)
 		t.ownsRun = false
 	}
+	if t.chain != nil {
+		t.chain.busy = false
+		t.chain = nil
+	}
+	e.slotsFreed.Broadcast()
+}
+
+// WaitSlots parks p until some transfer lets go of its descriptors: the
+// wait after ErrSlotsBusy. Every programmed transfer is started or
+// aborted by its driver and the channel drains on its own, so the wait
+// ends without the caller's help.
+func (e *Engine) WaitSlots(p *sim.Proc) {
+	e.stats.SlotWaits++
+	p.WaitCond(e.slotsFreed)
 }
 
 // Abort drops a transfer: a queued transfer is removed, an active one

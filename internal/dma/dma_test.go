@@ -1,6 +1,7 @@
 package dma
 
 import (
+	"errors"
 	"testing"
 
 	"memif/internal/hw"
@@ -123,6 +124,129 @@ func TestChainReuseCutsConfigCost(t *testing.T) {
 	st := r.dma.Stats()
 	if st.DescWritesFull != 16 || st.DescWritesReused != 16 {
 		t.Errorf("desc writes = %+v", st)
+	}
+}
+
+// heldSlots splits the claimed PaRAM slots into those of idle remembered
+// chains and those a transfer still holds: busy chains plus the owned runs
+// of trs. Together with FreeSlots they must cover the array at all times.
+func (r *rig) heldSlots(trs ...*Transfer) (idle, busy int) {
+	for _, c := range r.dma.chains {
+		if c.busy {
+			busy += c.length
+		} else {
+			idle += c.length
+		}
+	}
+	for _, tr := range trs {
+		if tr.ownsRun {
+			busy += tr.nDesc
+		}
+	}
+	return idle, busy
+}
+
+func (r *rig) checkSlotLedger(t *testing.T, when string, trs ...*Transfer) {
+	t.Helper()
+	idle, busy := r.heldSlots(trs...)
+	if free := r.dma.FreeSlots(); free+idle+busy != r.plat.DMA.ParamSlots {
+		t.Fatalf("%s: %d free + %d remembered + %d busy != %d slots",
+			when, free, idle, busy, r.plat.DMA.ParamSlots)
+	}
+}
+
+// The engine reads a chain's descriptors while it copies, so a chain
+// belongs to one transfer from Program until it completes: a second
+// transfer of the same shape programmed meanwhile gets a run of its own,
+// and either chain is reusable (at the reduced write cost) afterwards.
+func TestChainNotReusedWhileInFlight(t *testing.T) {
+	r := newRig()
+	r.eng.Spawn("drv", func(p *sim.Proc) {
+		cost := &r.plat.Cost
+		// Two 2 MiB pages copy for far longer than two descriptors take
+		// to write.
+		trA, _ := r.dma.Program(p, true, r.segs(t, 2, hw.Page2M))
+		r.dma.Start(trA, false, nil)
+		trB, err := r.dma.Program(p, true, r.segs(t, 2, hw.Page2M))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if trA.State() != StateActive {
+			t.Fatalf("first transfer is %v while the second is programmed", trA.State())
+		}
+		if trB.FirstSlot() == trA.FirstSlot() {
+			t.Errorf("second transfer rewrote slot %d under the transfer running on it", trA.FirstSlot())
+		}
+		r.checkSlotLedger(t, "both in flight")
+		if _, busy := r.heldSlots(); busy != 4 {
+			t.Errorf("busy slots = %d, want both chains (4)", busy)
+		}
+		r.dma.Start(trB, false, nil)
+		p.WaitEvent(trA.Done)
+		p.WaitEvent(trB.Done)
+		if idle, busy := r.heldSlots(); idle != 4 || busy != 0 {
+			t.Errorf("after completion: %d remembered, %d busy; want 4, 0", idle, busy)
+		}
+
+		t0 := p.Now()
+		trC, _ := r.dma.Program(p, true, r.segs(t, 2, hw.Page2M))
+		if got, want := int64(p.Now()-t0), cost.SGListInit+2*cost.DescWriteReused; got != want {
+			t.Errorf("third config cost = %d, want the reuse cost %d", got, want)
+		}
+		if s := trC.FirstSlot(); s != trA.FirstSlot() && s != trB.FirstSlot() {
+			t.Errorf("third transfer on slot %d, want one of the two chains", s)
+		}
+		r.dma.Abort(trC) // never started: Abort is what hands the chain back
+		if _, busy := r.heldSlots(); busy != 0 {
+			t.Errorf("%d slots busy after aborting the unstarted transfer", busy)
+		}
+	})
+	r.eng.Run()
+	if r.dma.Chains() != 2 {
+		t.Errorf("chains = %d, want 2", r.dma.Chains())
+	}
+}
+
+// Slots held by transfers in flight are backpressure, not failure: Program
+// reports ErrSlotsBusy having claimed nothing, and succeeds once WaitSlots
+// has seen a transfer let go. Idle chains in the way are still evicted.
+func TestSlotsBusyIsBackpressure(t *testing.T) {
+	for _, reuse := range []bool{true, false} {
+		r := newRig()
+		r.eng.Spawn("drv", func(p *sim.Proc) {
+			idle, _ := r.dma.Program(p, reuse, r.segs(t, 256, 2048))
+			r.dma.Start(idle, false, nil)
+			p.WaitEvent(idle.Done) // remembered (reuse) or recycled: not in the way
+			a, _ := r.dma.Program(p, reuse, r.segs(t, 256, 4096))
+			b, err := r.dma.Program(p, reuse, r.segs(t, 256, 4096))
+			if err != nil {
+				t.Fatalf("reuse=%v: second run: %v", reuse, err)
+			}
+			r.dma.Start(a, false, nil)
+			r.dma.Start(b, false, nil)
+			r.checkSlotLedger(t, "array full", a, b)
+			segs := r.segs(t, 8, 4096)
+			t0 := p.Now()
+			if _, err := r.dma.Program(p, reuse, segs); !errors.Is(err, ErrSlotsBusy) {
+				t.Fatalf("reuse=%v: Program on a full array = %v, want ErrSlotsBusy", reuse, err)
+			}
+			if p.Now() != t0 || segs[0].Src.Pinned() {
+				t.Errorf("reuse=%v: refused Program charged time or pinned frames", reuse)
+			}
+			r.dma.WaitSlots(p)
+			if a.State() != StateDone {
+				t.Errorf("reuse=%v: woke with the oldest transfer %v", reuse, a.State())
+			}
+			c, err := r.dma.Program(p, reuse, segs)
+			if err != nil {
+				t.Fatalf("reuse=%v: Program after the wait: %v", reuse, err)
+			}
+			r.dma.Start(c, false, nil)
+			p.WaitEvent(b.Done)
+			p.WaitEvent(c.Done)
+			r.checkSlotLedger(t, "drained")
+		})
+		r.eng.Run()
 	}
 }
 

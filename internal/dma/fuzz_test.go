@@ -9,9 +9,10 @@ import (
 )
 
 // Randomized engine workout: interleave programming (reuse on/off, mixed
-// sizes), starts (IRQ and polled), and aborts. Invariants afterwards: no
-// descriptor slots leak, no frame stays pinned, every non-aborted
-// transfer copied its bytes, and byte/transfer counters balance.
+// sizes), starts (IRQ and polled), and aborts. After every operation free,
+// remembered and busy descriptor slots cover the array; afterwards no slot
+// stays busy, no frame stays pinned, every non-aborted transfer copied its
+// bytes, and byte/transfer counters balance.
 func TestEngineRandomWorkout(t *testing.T) {
 	for _, seed := range []int64{2, 11, 404} {
 		seed := seed
@@ -27,9 +28,11 @@ func TestEngineRandomWorkout(t *testing.T) {
 				aborted bool
 			}
 			var all []*rec
+			var trs []*Transfer
 			r.eng.Spawn("drv", func(p *sim.Proc) {
 				live := []*rec{}
 				for op := 0; op < 120; op++ {
+					r.checkSlotLedger(t, "mid-workout", trs...)
 					switch rng.Intn(4) {
 					case 0, 1: // program + start a transfer
 						n := 1 + rng.Intn(8)
@@ -58,6 +61,7 @@ func TestEngineRandomWorkout(t *testing.T) {
 						r.dma.Start(tr, rng.Intn(2) == 0, nil)
 						live = append(live, rc)
 						all = append(all, rc)
+						trs = append(trs, tr)
 					case 2: // abort something in flight
 						if len(live) > 0 {
 							i := rng.Intn(len(live))
@@ -105,14 +109,9 @@ func TestEngineRandomWorkout(t *testing.T) {
 			if st.Transfers != wantTransfers || st.BytesMoved != wantBytes {
 				t.Errorf("stats = %+v, want %d transfers / %d bytes", st, wantTransfers, wantBytes)
 			}
-			// Remembered chains plus free slots must cover the array.
-			used := 0
-			for _, c := range r.dma.chains {
-				used += c.length
-			}
-			if r.dma.FreeSlots()+used != r.plat.DMA.ParamSlots {
-				t.Errorf("slot accounting off: %d free + %d chained != %d",
-					r.dma.FreeSlots(), used, r.plat.DMA.ParamSlots)
+			r.checkSlotLedger(t, "drained", trs...)
+			if _, busy := r.heldSlots(trs...); busy != 0 {
+				t.Errorf("%d descriptor slots still held after the drain", busy)
 			}
 		})
 	}

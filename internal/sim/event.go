@@ -23,6 +23,10 @@ type Event struct {
 // NewEvent returns an unfired event on e.
 func NewEvent(e *Engine) *Event { return &Event{eng: e} }
 
+// Init binds ev, the zero Event embedded in a larger record, to e: the
+// event shares the record's allocation instead of costing its own.
+func (ev *Event) Init(e *Engine) { ev.eng = e }
+
 // Fired reports whether the event has fired.
 func (ev *Event) Fired() bool { return ev.fired }
 

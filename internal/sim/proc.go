@@ -133,6 +133,23 @@ func (p *Proc) WaitEvent(ev *Event) {
 	p.park()
 }
 
+// WaitAnyEvent blocks until one of evs has fired. Returns immediately if
+// one already has.
+func (p *Proc) WaitAnyEvent(evs ...*Event) {
+	for _, ev := range evs {
+		if ev.fired {
+			return
+		}
+	}
+	// One token on every list: the first event to fire claims the wait,
+	// the others find the token stale.
+	seq := p.newWait()
+	for _, ev := range evs {
+		ev.waiters = append(ev.waiters, waiter{p, seq})
+	}
+	p.park()
+}
+
 // WaitEventTimeout blocks until ev fires or ns nanoseconds pass. It
 // reports whether the event fired (true) or the wait timed out (false).
 func (p *Proc) WaitEventTimeout(ev *Event, ns int64) bool {

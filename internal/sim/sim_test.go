@@ -87,6 +87,33 @@ func TestEventAlreadyFired(t *testing.T) {
 	e.Run()
 }
 
+func TestWaitAnyEvent(t *testing.T) {
+	e := NewEngine()
+	first, second := NewEvent(e), NewEvent(e)
+	var woke, again Time
+	e.Spawn("waiter", func(p *Proc) {
+		p.WaitAnyEvent(first, second)
+		woke = p.Now()
+		// The stale token left on first must not cut this sleep short.
+		p.SleepNS(5000)
+		again = p.Now()
+		p.WaitAnyEvent(first, second) // one already fired: no block
+		if p.Now() != again {
+			t.Error("WaitAnyEvent with a fired event advanced time")
+		}
+	})
+	e.Spawn("firer", func(p *Proc) {
+		p.SleepNS(1000)
+		second.Fire()
+		p.SleepNS(1000)
+		first.Fire()
+	})
+	e.Run()
+	if woke != 1000 || again != 6000 {
+		t.Errorf("woke at %v, slept until %v; want 1µs, 6µs", woke, again)
+	}
+}
+
 func TestEventTimeoutExpires(t *testing.T) {
 	e := NewEngine()
 	ev := NewEvent(e)

@@ -40,7 +40,6 @@ func TestStormAllPathsFireAndForegroundHolds(t *testing.T) {
 	opts.PeriodNS = 500_000
 	opts.ScanPeriodNS = 1_000_000
 	opts.MaxInflight = 8
-	opts.ChainPages = 4 // small DMA batches bound foreground HOL blocking
 	opts.ScanBudget = 400
 	sd := New(app, opts)
 

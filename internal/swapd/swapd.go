@@ -67,10 +67,6 @@ type Options struct {
 	ScanBudget int
 	// MaxInflight caps concurrently outstanding tiering migrations.
 	MaxInflight int
-	// ChainPages is the daemon device's DMA batch size; small batches
-	// bound the head-of-line blocking a tiering transfer can impose on
-	// the application's foreground traffic.
-	ChainPages int
 	// PromoteClass and DemoteClass are the QoS classes tiering transfers
 	// ride (promotions default to background, demotions to scavenger).
 	PromoteClass, DemoteClass qos.Class
@@ -98,7 +94,6 @@ func DefaultOptions() Options {
 		HeatDecay:        0.5,
 		SamplePages:      16,
 		MaxInflight:      4,
-		ChainPages:       8,
 		PromoteClass:     qos.Background,
 		DemoteClass:      qos.Scavenger,
 	}
@@ -200,12 +195,8 @@ func New(app *core.Device, opts Options) *Daemon {
 	if opts.MaxInflight <= 0 {
 		opts.MaxInflight = 4
 	}
-	devOpts := core.DefaultOptions()
-	if opts.ChainPages > 0 {
-		devOpts.MaxChainPages = opts.ChainPages
-	}
 	d := &Daemon{
-		dev:     core.Open(app.M, app.AS, devOpts),
+		dev:     core.Open(app.M, app.AS, core.DefaultOptions()),
 		opts:    opts,
 		regions: make(map[int64]*region),
 	}
