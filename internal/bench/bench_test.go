@@ -62,7 +62,7 @@ func TestFig6LargePageShape(t *testing.T) {
 }
 
 func TestFig7Shape(t *testing.T) {
-	series := Fig7()
+	series := fig7Run()
 	byName := map[string]Fig7Series{}
 	for _, s := range series {
 		byName[s.Name] = s
@@ -99,15 +99,26 @@ func TestFig7Shape(t *testing.T) {
 	}
 }
 
+// fig8Cell finds one bar of the shared Figure 8 sweep.
+func fig8Cell(t *testing.T, system string, pageBytes int64, pages int) Fig8Result {
+	for _, r := range fig8Run() {
+		if r.System == system && r.PageBytes == pageBytes && r.Pages == pages {
+			return r
+		}
+	}
+	t.Fatalf("no Figure 8 bar for %s %d x%d", system, pageBytes, pages)
+	return Fig8Result{}
+}
+
 func TestFig8Shape(t *testing.T) {
 	if testing.Short() {
 		t.Skip("full sweep in long mode only")
 	}
 	// 4KB pages, 16-page requests: memif wins by >=40% (paper: "at
 	// least 40% for small pages" outside the 1-page extreme).
-	linux := Fig8(SysLinux, hw.Page4K, 16)
-	mig := Fig8(SysMemifMigrate, hw.Page4K, 16)
-	rep := Fig8(SysMemifReplicte, hw.Page4K, 16)
+	linux := fig8Cell(t, SysLinux, hw.Page4K, 16)
+	mig := fig8Cell(t, SysMemifMigrate, hw.Page4K, 16)
+	rep := fig8Cell(t, SysMemifReplicte, hw.Page4K, 16)
 	if mig.GBs < linux.GBs*1.4 {
 		t.Errorf("4KB x16: memif %.2f GB/s < 1.4x Linux %.2f GB/s", mig.GBs, linux.GBs)
 	}
@@ -116,8 +127,8 @@ func TestFig8Shape(t *testing.T) {
 	}
 
 	// 2MB pages: up to ~3x.
-	linux2 := Fig8(SysLinux, hw.Page2M, 4)
-	mig2 := Fig8(SysMemifMigrate, hw.Page2M, 4)
+	linux2 := fig8Cell(t, SysLinux, hw.Page2M, 4)
+	mig2 := fig8Cell(t, SysMemifMigrate, hw.Page2M, 4)
 	factor := mig2.GBs / linux2.GBs
 	t.Logf("2MB x4: Linux %.2f, memif %.2f (%.1fx)", linux2.GBs, mig2.GBs, factor)
 	if factor < 2 || factor > 4.5 {
@@ -131,8 +142,8 @@ func TestFig8Shape(t *testing.T) {
 	// transfer pays, so the collapse is relative: the 1-page advantage
 	// stays below the 16-page one. The single-request extreme, where
 	// nothing can overlap, is TestFig6SinglePageExtreme and the golden.
-	linux1 := Fig8(SysLinux, hw.Page4K, 1)
-	mig1 := Fig8(SysMemifMigrate, hw.Page4K, 1)
+	linux1 := fig8Cell(t, SysLinux, hw.Page4K, 1)
+	mig1 := fig8Cell(t, SysMemifMigrate, hw.Page4K, 1)
 	ratio1, ratio16 := mig1.GBs/linux1.GBs, mig.GBs/linux.GBs
 	t.Logf("4KB x1: Linux %.2f, memif %.2f (%.2fx); x16: %.2fx", linux1.GBs, mig1.GBs, ratio1, ratio16)
 	if ratio1 >= ratio16 {
@@ -141,7 +152,7 @@ func TestFig8Shape(t *testing.T) {
 }
 
 func TestTable4Shape(t *testing.T) {
-	rows := Table4()
+	rows := table4Run()
 	for _, r := range rows {
 		t.Logf("%s: Linux %.0f MB/s, memif %.0f MB/s (%+.1f%%)", r.Workload, r.LinuxMBs, r.MemifMBs, r.GainPct)
 		if r.GainPct < 10 {
@@ -172,7 +183,7 @@ func TestSec22Shape(t *testing.T) {
 }
 
 func TestAblationsAllMatter(t *testing.T) {
-	for _, a := range Ablations() {
+	for _, a := range ablateRun() {
 		t.Logf("%s: %s on=%.2f off=%.2f (%.2fx)", a.Name, a.Metric, a.On, a.Off, a.Factor())
 		if !a.Helps() {
 			t.Errorf("%s: disabling the optimization did not hurt (%.2fx)", a.Name, a.Factor())

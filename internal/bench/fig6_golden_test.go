@@ -1,13 +1,55 @@
 package bench
 
 import (
+	"flag"
 	"fmt"
 	"os"
 	"strings"
+	"sync"
 	"testing"
 
 	"memif/internal/stats"
 )
+
+var update = flag.Bool("update", false, "rewrite the testdata goldens from this run instead of comparing")
+
+// Runs shared by the shape tests and TestBenchGoldens: each experiment
+// runs once per test binary.
+var (
+	fig7Run   = sync.OnceValue(Fig7)
+	fig8Run   = sync.OnceValue(Fig8Sweep)
+	table4Run = sync.OnceValue(Table4)
+	ablateRun = sync.OnceValue(Ablations)
+)
+
+// checkGolden compares got with testdata/<name>.golden line by line
+// (-update rewrites the file instead).
+func checkGolden(t *testing.T, name, got string) {
+	t.Helper()
+	path := "testdata/" + name + ".golden"
+	if *update {
+		if err := os.WriteFile(path, []byte(got), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		return
+	}
+	want, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got == string(want) {
+		return
+	}
+	gl, wl := strings.Split(got, "\n"), strings.Split(string(want), "\n")
+	if len(gl) != len(wl) {
+		t.Fatalf("%s has %d lines, golden %d", name, len(gl), len(wl))
+	}
+	for i := range gl {
+		if gl[i] != wl[i] {
+			t.Errorf("%s line moved:\n got  %s\n want %s", name, gl[i], wl[i])
+		}
+	}
+}
 
 // TestFig6Golden pins all 63 Figure 6 cells (3 systems x 3 page sizes x
 // 7 request sizes) to the nanosecond: latency, CPU time and every Table 1
@@ -28,21 +70,54 @@ func TestFig6Golden(t *testing.T) {
 		}
 		b.WriteByte('\n')
 	}
-	got := b.String()
-	want, err := os.ReadFile("testdata/fig6.golden")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got == string(want) {
-		return
-	}
-	gl, wl := strings.Split(got, "\n"), strings.Split(string(want), "\n")
-	if len(gl) != len(wl) {
-		t.Fatalf("fig6 has %d lines, golden %d", len(gl), len(wl))
-	}
-	for i := range gl {
-		if gl[i] != wl[i] {
-			t.Errorf("cell moved:\n got  %s\n want %s", gl[i], wl[i])
-		}
+	checkGolden(t, "fig6", b.String())
+}
+
+// TestBenchGoldens pins the rest of the paper's evaluation outputs —
+// Figure 7, Figure 8, Table 4 and the ablations, every number at full
+// precision — to testdata/<name>.golden, rendered at PR 24's commit.
+// These are virtual-time results, so any change to the simulated driver
+// that is meant to be behaviour-neutral must leave them byte-identical.
+func TestBenchGoldens(t *testing.T) {
+	for _, g := range []struct {
+		name   string
+		long   bool // skipped under -short
+		render func(b *strings.Builder)
+	}{
+		{"fig7", false, func(b *strings.Builder) {
+			for _, s := range fig7Run() {
+				fmt.Fprintf(b, "%s syscalls=%d latency_ns", s.Name, s.Syscalls)
+				for _, l := range s.Latency {
+					fmt.Fprintf(b, " %d", int64(l))
+				}
+				b.WriteByte('\n')
+			}
+		}},
+		{"fig8", true, func(b *strings.Builder) {
+			for _, r := range fig8Run() {
+				fmt.Fprintf(b, "%s page=%d pages=%d requests=%d gb_s=%v\n",
+					r.System, r.PageBytes, r.Pages, r.Requests, r.GBs)
+			}
+		}},
+		{"table4", false, func(b *strings.Builder) {
+			for _, r := range table4Run() {
+				fmt.Fprintf(b, "%s linux_mb_s=%v memif_mb_s=%v gain_pct=%v fast=%d slow=%d\n",
+					r.Workload, r.LinuxMBs, r.MemifMBs, r.GainPct, r.FastChunks, r.SlowChunks)
+			}
+		}},
+		{"ablate", false, func(b *strings.Builder) {
+			for _, a := range append(ablateRun(), IrqVsPollThroughput()) {
+				fmt.Fprintf(b, "%s metric=%q on=%v off=%v\n", a.Name, a.Metric, a.On, a.Off)
+			}
+		}},
+	} {
+		t.Run(g.name, func(t *testing.T) {
+			if g.long && testing.Short() {
+				t.Skip("full sweep in long mode only")
+			}
+			var b strings.Builder
+			g.render(&b)
+			checkGolden(t, g.name, b.String())
+		})
 	}
 }

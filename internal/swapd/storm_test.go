@@ -1,15 +1,21 @@
 package swapd
 
 import (
+	"flag"
 	"fmt"
 	"math/bits"
 	"math/rand"
+	"os"
+	"strings"
 	"testing"
 
 	"memif/internal/hw"
 	"memif/internal/obs"
+	"memif/internal/obs/lifecycle"
 	"memif/internal/sim"
 )
+
+var update = flag.Bool("update", false, "rewrite testdata/storm.golden from this run instead of comparing")
 
 // The whole daemon in one virtual-time run: a 400 MB slow-tier dataset
 // (102,400 pages in 64 KB regions) under Zipf-skewed reads whose hot set
@@ -146,5 +152,63 @@ func TestStormAllPathsFireAndForegroundHolds(t *testing.T) {
 	}
 	if err := sd.Audit(); err != nil {
 		t.Errorf("slot conservation after the storm: %v", err)
+	}
+	checkStormGolden(t, renderMetrics(sd.Metrics()))
+}
+
+// renderMetrics prints everything a run determines in a daemon
+// snapshot: the counters, the non-empty buckets of the latency, size,
+// promotion-lag and stage-span histograms, the flight counters and lane
+// thresholds, and the number of records in the flight ring.
+func renderMetrics(ms MetricsSnapshot) string {
+	var b strings.Builder
+	fmt.Fprintf(&b, "promotions %d\ndemotions %d\nzero_copy_demotions %d\naborts %d\n",
+		ms.Promotions, ms.Demotions, ms.ZeroCopyDemotions, ms.Aborts)
+	fmt.Fprintf(&b, "bytes_promoted %d\nbytes_demoted %d\nbytes_moved %d\n",
+		ms.BytesPromoted, ms.BytesDemoted, ms.BytesMoved)
+	hist := func(name string, h obs.HistogramSnapshot) {
+		fmt.Fprintf(&b, "%s count=%d sum=%d", name, h.Count, h.Sum)
+		for i, n := range h.Buckets {
+			if n != 0 {
+				fmt.Fprintf(&b, " %d:%d", i, n)
+			}
+		}
+		b.WriteByte('\n')
+	}
+	hist("latency", ms.Latency)
+	hist("sizes", ms.Sizes)
+	hist("promotion_lag", ms.PromotionLag)
+	for s, h := range ms.Stages.Spans {
+		hist("span_"+lifecycle.Span(s).String(), h)
+	}
+	f := ms.Flight
+	fmt.Fprintf(&b, "flight enabled=%v ring_depth=%d breaches=%d stalls=%d events=%d captured=%d outliers=%d\n",
+		f.Enabled, f.RingDepth, f.Breaches, f.Stalls, f.Events, f.Captured, len(f.Outliers))
+	for _, th := range f.Thresholds {
+		fmt.Fprintf(&b, "threshold class=%d tenant=%d ewma=%d threshold=%d count=%d\n",
+			th.Class, th.Tenant, th.EWMANs, th.ThresholdNs, th.Count)
+	}
+	return b.String()
+}
+
+// checkStormGolden compares the storm's rendered snapshot with
+// testdata/storm.golden, rendered at PR 24's commit: no workload of the
+// benchmark runs the daemon, so this is the evidence that a refactor of
+// it changed nothing (-update rewrites the file instead).
+func checkStormGolden(t *testing.T, got string) {
+	t.Helper()
+	const path = "testdata/storm.golden"
+	if *update {
+		if err := os.WriteFile(path, []byte(got), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		return
+	}
+	want, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got != string(want) {
+		t.Errorf("storm snapshot moved from %s:\n--- got\n%s--- want\n%s", path, got, want)
 	}
 }
