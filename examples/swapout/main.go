@@ -84,7 +84,7 @@ func main() {
 	})
 	m.Eng.Run()
 
-	st := sd.Stats()
+	st := sd.Metrics()
 	fmt.Printf("daemon: %d evictions (%d MB), %d aborted by racing use\n",
 		st.Demotions, st.BytesDemoted>>20, st.Aborts)
 	if st.Demotions == 0 {

@@ -72,7 +72,6 @@ func Projection() []ProjectionRow {
 		future := streamrt.Config{
 			BufBytes: 4 << 20, // larger buffers: fast node is 1 GB now
 			NumBufs:  16,
-			FastNode: hw.NodeFast,
 		}
 		dF, fF := projectionRun(FuturePlatform(), hw.Page64K, future, k)
 

@@ -31,11 +31,7 @@ const table4InputBytes = 64 << 20
 // shaped after it: an engine of cfg's geometry, one background stream
 // holding every ring buffer, run to completion and torn down.
 func streamWholeRing(p *sim.Proc, d *core.Device, k workloads.Kernel, base, length int64, cfg streamrt.Config) streamrt.Result {
-	e, err := streamrt.OpenEngine(p, d, streamrt.EngineOptions{
-		BufBytes: cfg.BufBytes,
-		RingBufs: cfg.NumBufs,
-		FastNode: cfg.FastNode,
-	})
+	e, err := streamrt.OpenEngine(p, d, streamrt.EngineOptions{Config: cfg})
 	if err != nil {
 		panic(err)
 	}

@@ -105,26 +105,17 @@ func (d *Device) Close() { d.closed = true; d.workSignal.Broadcast() }
 // Stats returns a snapshot of the device counters.
 func (d *Device) Stats() Stats { return d.stats }
 
-// Options returns the device configuration.
-func (d *Device) Options() Options { return d.opts }
-
-// chargeUser spends app-context CPU on interface machinery.
-func (d *Device) chargeUser(p *sim.Proc, ns int64) {
-	d.Breakdown.Add(stats.PhaseInterface, ns)
-	p.Busy(ns, d.UserMeter)
-}
-
 // AllocRequest takes a mov_req slot off the shared free list
 // (AllocRequest of the user API). Returns nil when all slots are in use.
 func (d *Device) AllocRequest(p *sim.Proc) *uapi.MovReq {
-	d.chargeUser(p, d.M.Plat.Cost.QueueOp)
+	d.busy(p, d.UserMeter, stats.PhaseInterface, d.M.Plat.Cost.QueueOp)
 	return d.Area.AllocReq()
 }
 
 // FreeRequest returns a completed (or never-submitted) slot to the free
 // list.
 func (d *Device) FreeRequest(p *sim.Proc, r *uapi.MovReq) {
-	d.chargeUser(p, d.M.Plat.Cost.QueueOp)
+	d.busy(p, d.UserMeter, stats.PhaseInterface, d.M.Plat.Cost.QueueOp)
 	d.Area.FreeReq(r)
 }
 
@@ -146,7 +137,7 @@ func (d *Device) stage(p *sim.Proc, r *uapi.MovReq) (rbq.Color, error) {
 	d.stats.Submitted++
 	d.stats.BytesRequested += r.Length
 
-	d.chargeUser(p, d.M.Plat.Cost.QueueOp)
+	d.busy(p, d.UserMeter, stats.PhaseInterface, d.M.Plat.Cost.QueueOp)
 	color, ok := d.Area.Staging.Enqueue(r.Index())
 	if !ok {
 		return rbq.Red, ErrQueueFull
@@ -158,41 +149,25 @@ func (d *Device) stage(p *sim.Proc, r *uapi.MovReq) (rbq.Color, error) {
 // queue, recolors it red, and — if this thread won the recoloring —
 // issues the MOV_ONE kick-start syscall (operations 2–3 of the Section
 // 4.4 submit protocol).
-func (d *Device) flushStagingAndKick(p *sim.Proc) error {
-flush:
+func (d *Device) flushStagingAndKick(p *sim.Proc) {
 	for {
-		idx, _, ok := d.Area.Staging.Dequeue()
-		if !ok {
-			break
+		d.flushStaging(p, d.UserMeter)
+		if old, ok := d.Area.Staging.SetColor(rbq.Red); ok {
+			// Whoever turned it red first owns the kick.
+			if old == rbq.Blue {
+				d.ioctlMovOne(p)
+			}
+			return
 		}
-		d.chargeUser(p, 2*d.M.Plat.Cost.QueueOp)
-		req, valid := d.Area.Req(idx)
-		if !valid {
-			continue // corrupted index: drop, never trust userspace
-		}
-		req.Status = uapi.StatusSubmitted
-		req.Flushed = p.Now()
-		if _, ok := d.Area.Submission.Enqueue(idx); !ok {
-			return ErrQueueFull
-		}
+		// Another thread slipped new requests in: flush again.
 	}
-	old, ok := d.Area.Staging.SetColor(rbq.Red)
-	if !ok {
-		goto flush // another thread slipped new requests in
-	}
-	if old == rbq.Red {
-		// Someone else already took responsibility for the kick.
-		return nil
-	}
-	d.ioctlMovOne(p)
-	return nil
 }
 
 // Submit implements SubmitRequest (Section 4.4): deposit the request in
 // the staging queue; if the enqueue observed blue, flush the staging
 // queue into the submission queue, recolor it red, and — if this thread
 // won the recoloring — issue the MOV_ONE kick-start syscall. Non-blocking
-// aside from the bounded syscall work.
+// aside from the bounded syscall work. It is SubmitBatch of one request.
 //
 // Ordering: requests are dequeued in submission order, but one is
 // prepared while earlier ones are still in flight, whatever their size —
@@ -205,15 +180,8 @@ flush:
 // and may copy the bytes of either side of the move. Wait for a request's
 // notification before submitting one that depends on it.
 func (d *Device) Submit(p *sim.Proc, r *uapi.MovReq) error {
-	color, err := d.stage(p, r)
-	if err != nil {
-		return err
-	}
-	if color == rbq.Red {
-		// An active kernel worker will pick it up; done.
-		return nil
-	}
-	return d.flushStagingAndKick(p)
+	one := [1]*uapi.MovReq{r}
+	return d.SubmitBatch(p, one[:])
 }
 
 // SubmitBatch submits a scatter/gather batch: every request is staged
@@ -226,7 +194,6 @@ func (d *Device) Submit(p *sim.Proc, r *uapi.MovReq) error {
 // untouched and remain submittable.
 func (d *Device) SubmitBatch(p *sim.Proc, reqs []*uapi.MovReq) error {
 	sawBlue := false
-	var staged int
 	var stageErr error
 	for _, r := range reqs {
 		color, err := d.stage(p, r)
@@ -234,15 +201,12 @@ func (d *Device) SubmitBatch(p *sim.Proc, reqs []*uapi.MovReq) error {
 			stageErr = err
 			break
 		}
-		staged++
-		if color == rbq.Blue {
-			sawBlue = true
-		}
+		sawBlue = sawBlue || color == rbq.Blue
 	}
-	if sawBlue && staged > 0 {
-		if err := d.flushStagingAndKick(p); err != nil {
-			return err
-		}
+	if sawBlue {
+		// An enqueue that observed red needs nothing more: an active
+		// kernel worker will pick the request up.
+		d.flushStagingAndKick(p)
 	}
 	return stageErr
 }
@@ -257,19 +221,19 @@ func (d *Device) SubmitBatch(p *sim.Proc, reqs []*uapi.MovReq) error {
 func (d *Device) ioctlMovOne(p *sim.Proc) {
 	cost := &d.M.Plat.Cost
 	d.stats.Syscalls++
-	d.chargeUser(p, cost.SyscallEnter)
+	d.busy(p, d.UserMeter, stats.PhaseInterface, cost.SyscallEnter)
 	_, started := d.serveNext(p, d.UserMeter, ctxSyscall)
 	if !started {
-		d.chargeUser(p, cost.KthreadWake)
+		d.busy(p, d.UserMeter, stats.PhaseInterface, cost.KthreadWake)
 		d.workSignal.Signal()
 	}
-	d.chargeUser(p, cost.SyscallExit)
+	d.busy(p, d.UserMeter, stats.PhaseInterface, cost.SyscallExit)
 }
 
 // RetrieveCompleted pops one completion notification, successful moves
 // first, then failures. Returns nil when none is pending (never blocks).
 func (d *Device) RetrieveCompleted(p *sim.Proc) *uapi.MovReq {
-	d.chargeUser(p, d.M.Plat.Cost.QueueOp)
+	d.busy(p, d.UserMeter, stats.PhaseInterface, d.M.Plat.Cost.QueueOp)
 	idx, _, ok := d.Area.CompOK.Dequeue()
 	if !ok {
 		idx, _, ok = d.Area.CompFail.Dequeue()
@@ -307,10 +271,4 @@ func (d *Device) Poll(p *sim.Proc, timeoutNS int64) bool {
 		}
 	}
 	return true
-}
-
-// Pending reports requests submitted but not yet retrieved as
-// notifications (approximate, for tests and examples).
-func (d *Device) Pending() int64 {
-	return d.stats.Submitted - d.stats.Completed - d.stats.Failed
 }

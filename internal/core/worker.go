@@ -56,7 +56,7 @@ const channelQuantum = 64 << 10
 func (d *Device) worker(p *sim.Proc) {
 	for {
 		d.reap(p)
-		d.drainStaging(p)
+		d.flushStaging(p, d.KernMeter)
 		if len(d.pipe) > 0 && (len(d.pipe) == pipeDepth || d.Area.Submission.Empty()) {
 			d.waitPipe(p)
 			continue
@@ -153,15 +153,18 @@ func (d *Device) linger(p *sim.Proc) bool {
 	return false
 }
 
-// drainStaging moves everything from the staging queue to the submission
-// queue (the kernel-side flush).
-func (d *Device) drainStaging(p *sim.Proc) {
+// flushStaging moves everything from the staging queue to the
+// submission queue, charging m: the application's flush on the submit
+// path (UserMeter) and the worker's on every pass (KernMeter) are this
+// one step. An index that fails validation is dropped, never trusted; a
+// refused submission enqueue is ignored (DESIGN.md §5.4 says why).
+func (d *Device) flushStaging(p *sim.Proc, m *sim.Meter) {
 	for {
 		idx, _, ok := d.Area.Staging.Dequeue()
 		if !ok {
 			return
 		}
-		d.busy(p, d.KernMeter, stats.PhaseInterface, 2*d.M.Plat.Cost.QueueOp)
+		d.busy(p, m, stats.PhaseInterface, 2*d.M.Plat.Cost.QueueOp)
 		req, valid := d.Area.Req(idx)
 		if !valid {
 			continue

@@ -199,6 +199,7 @@ func SwapdMetrics(device string, s swapd.MetricsSnapshot) []Metric {
 		counter("memif_swapd_demotions_total", "Completed demotions out of fast memory.", lb, s.Demotions),
 		counter("memif_swapd_zero_copy_demotions_total", "Demotions committed as pure PTE flips (valid slow-tier shadow, zero bytes moved).", lb, s.ZeroCopyDemotions),
 		counter("memif_swapd_txn_aborts_total", "Transactional migrations aborted by racing application writes.", lb, s.Aborts),
+		counter("memif_swapd_failed_total", "Migrations failed for any reason but a racing write: the claim held by another mover (busy) or no destination frames (nomem).", lb, s.Failed),
 		counter("memif_swapd_bytes_promoted_total", "Requested bytes of completed promotions.", lb, s.BytesPromoted),
 		counter("memif_swapd_bytes_demoted_total", "Requested bytes of completed demotions.", lb, s.BytesDemoted),
 		counter("memif_swapd_bytes_moved_total", "Bytes actually copied by DMA (excludes zero-copy PTE flips).", lb, s.BytesMoved),

@@ -214,7 +214,7 @@ func TestAllSubsystemConverters(t *testing.T) {
 		spans.Observe(lifecycle.SpanTotal, i*200)
 	}
 	sw := swapd.MetricsSnapshot{
-		Promotions: 7, Demotions: 16, ZeroCopyDemotions: 5, Aborts: 3,
+		Promotions: 7, Demotions: 16, ZeroCopyDemotions: 5, Aborts: 3, Failed: 2,
 		BytesPromoted: 7 << 20, BytesDemoted: 16 << 20, BytesMoved: 11 << 20,
 		Latency:      sampleHistogram(100, 200, 400),
 		Sizes:        sampleHistogram(1 << 20),
@@ -247,6 +247,7 @@ func TestAllSubsystemConverters(t *testing.T) {
 		`memif_swapd_demotions_total{device="swapd0"} 16`,
 		`memif_swapd_zero_copy_demotions_total{device="swapd0"} 5`,
 		`memif_swapd_txn_aborts_total{device="swapd0"} 3`,
+		`memif_swapd_failed_total{device="swapd0"} 2`,
 		`memif_swapd_bytes_moved_total{device="swapd0"} 11534336`,
 		`memif_swapd_promotion_lag_ns_count{device="swapd0"} 1`,
 		`memif_swapd_bytes_demoted_total{device="swapd0"} 16777216`,

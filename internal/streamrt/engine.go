@@ -6,7 +6,6 @@ import (
 	"sync"
 
 	"memif/internal/core"
-	"memif/internal/hw"
 	"memif/internal/obs"
 	"memif/internal/obs/flight"
 	"memif/internal/obs/lifecycle"
@@ -29,19 +28,16 @@ var (
 // sibling stream's proc drained and handed over while we slept.
 const tailPollQuantumNS = 10_000
 
+// maxStreams caps concurrently open streams: 64 streams over one ring
+// is already far past the point where each can hold a buffer.
+const maxStreams = 64
+
 // EngineOptions configures OpenEngine.
 type EngineOptions struct {
-	// BufBytes is the size of one ring buffer (a multiple of the page
-	// size); every stream chunk is one buffer.
-	BufBytes int64
-	// RingBufs is how many pinned buffers the engine carves out of the
-	// fast node at open — the only mmaps it ever performs.
-	RingBufs int
-	// FastNode hosts the ring. (Inputs are read wherever the stream's
-	// Base is actually mapped.)
-	FastNode hw.NodeID
-	// MaxStreams caps concurrently open streams. Default 64.
-	MaxStreams int
+	// Config is the ring geometry: NumBufs pinned buffers of BufBytes
+	// each, carved out of the fast node at open — the only mmaps the
+	// engine ever performs.
+	Config
 	// Flight configures the always-on flight recorder. The engine
 	// lives on the simulated clock, so it has no SLO burn windows and
 	// no watchdog (the swapd convention); outlier capture and adaptive
@@ -52,12 +48,7 @@ type EngineOptions struct {
 // DefaultEngineOptions mirrors the Table 4 geometry: eight 512 KB
 // buffers, 4 MB of the 6 MB fast node.
 func DefaultEngineOptions() EngineOptions {
-	return EngineOptions{
-		BufBytes:   512 << 10,
-		RingBufs:   8,
-		FastNode:   hw.NodeFast,
-		MaxStreams: 64,
-	}
+	return EngineOptions{Config: DefaultConfig()}
 }
 
 // Engine is the long-lived stream orchestrator: one ring of pinned
@@ -71,7 +62,7 @@ type Engine struct {
 	d    *core.Device
 	opts EngineOptions
 
-	bufs     []int64 // ring buffer base addresses (len == RingBufs)
+	bufs     []int64 // ring buffer base addresses (len == NumBufs)
 	bufChunk []int64 // chunk index a granted buffer is being filled with
 	freeBufs []int   // free ring slots (LIFO)
 
@@ -111,25 +102,22 @@ func OpenEngine(p *sim.Proc, d *core.Device, opts EngineOptions) (*Engine, error
 	if opts.BufBytes <= 0 || opts.BufBytes%d.AS.PageBytes != 0 {
 		return nil, fmt.Errorf("%w: BufBytes %d not a positive multiple of the page size", ErrBadStream, opts.BufBytes)
 	}
-	if opts.RingBufs < 1 {
-		return nil, fmt.Errorf("%w: RingBufs %d", ErrBadStream, opts.RingBufs)
-	}
-	if opts.MaxStreams <= 0 {
-		opts.MaxStreams = 64
+	if opts.NumBufs < 1 {
+		return nil, fmt.Errorf("%w: NumBufs %d", ErrBadStream, opts.NumBufs)
 	}
 	e := &Engine{
 		d:        d,
 		opts:     opts,
-		bufs:     make([]int64, opts.RingBufs),
-		bufChunk: make([]int64, opts.RingBufs),
-		freeBufs: make([]int, 0, opts.RingBufs),
+		bufs:     make([]int64, opts.NumBufs),
+		bufChunk: make([]int64, opts.NumBufs),
+		freeBufs: make([]int, 0, opts.NumBufs),
 		byID:     make(map[int]*Stream),
 	}
 	// Virtual clock: no SLO burn windows, no watchdog (the swapd
 	// convention).
 	e.fr = flight.New(opts.Flight, false)
 	for i := range e.bufs {
-		b, err := d.AS.Mmap(p, opts.BufBytes, opts.FastNode, fmt.Sprintf("stream-ring-%d", i))
+		b, err := d.AS.Mmap(p, opts.BufBytes, fastNode, fmt.Sprintf("stream-ring-%d", i))
 		if err != nil {
 			for _, prev := range e.bufs[:i] {
 				_ = d.AS.Munmap(p, prev)
@@ -143,16 +131,6 @@ func OpenEngine(p *sim.Proc, d *core.Device, opts EngineOptions) (*Engine, error
 	e.freeBufsG.Set(int64(len(e.freeBufs)))
 	return e, nil
 }
-
-// Device returns the engine's underlying device.
-func (e *Engine) Device() *core.Device { return e.d }
-
-// Options returns the engine configuration.
-func (e *Engine) Options() EngineOptions { return e.opts }
-
-// FlightSnapshot returns the engine's flight-recorder state alone.
-// Nil-safe: zero snapshot when the recorder is disabled.
-func (e *Engine) FlightSnapshot() flight.Snapshot { return e.fr.Snapshot() }
 
 // OpenStream admits a stream and immediately offers it ring capacity
 // (its first fills are granted and submitted as one batch before this
@@ -171,8 +149,8 @@ func (e *Engine) OpenStream(p *sim.Proc, spec StreamSpec) (*Stream, error) {
 	if spec.Credits == 0 {
 		spec.Credits = 2
 	}
-	if e.openCount >= e.opts.MaxStreams {
-		return nil, fmt.Errorf("%w: engine at MaxStreams (%d)", ErrBadStream, e.opts.MaxStreams)
+	if e.openCount >= maxStreams {
+		return nil, fmt.Errorf("%w: engine at its stream cap (%d)", ErrBadStream, maxStreams)
 	}
 	id := e.nextID
 	e.nextID++
@@ -190,9 +168,7 @@ func (e *Engine) OpenStream(p *sim.Proc, spec StreamSpec) (*Stream, error) {
 		scratch:  make([]byte, e.opts.BufBytes),
 		openedAt: p.Now(),
 	}
-	if e.fr != nil {
-		e.fr.EnsureTenants(id + 1)
-	}
+	e.fr.EnsureTenants(id + 1) // nil-safe
 	e.mu.Lock()
 	e.byID[id] = s
 	e.order = append(e.order, s)
@@ -411,7 +387,7 @@ func (e *Engine) Close(p *sim.Proc) {
 // per-stream stats and the flight view. Safe from any goroutine.
 func (e *Engine) Snapshot() EngineSnapshot {
 	es := EngineSnapshot{
-		RingBufs:        e.opts.RingBufs,
+		RingBufs:        e.opts.NumBufs,
 		BufBytes:        e.opts.BufBytes,
 		FreeBufs:        int(e.freeBufsG.Current()),
 		BufMmaps:        e.bufMmaps.Load(),
@@ -431,8 +407,6 @@ func (e *Engine) Snapshot() EngineSnapshot {
 	}
 	es.StreamNames = append([]string(nil), e.streamNames...)
 	e.mu.Unlock()
-	if e.fr != nil {
-		es.Flight = e.fr.Snapshot()
-	}
+	es.Flight = e.fr.Snapshot() // nil-safe: zero when disabled
 	return es
 }

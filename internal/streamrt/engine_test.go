@@ -78,7 +78,7 @@ func TestEngineMultiStreamChecksums(t *testing.T) {
 	m.Eng.Spawn("main", func(p *sim.Proc) {
 		defer d.Close()
 		opts := DefaultEngineOptions()
-		opts.RingBufs = 6
+		opts.NumBufs = 6
 		length := int64(24) * opts.BufBytes
 		bases := make([]int64, 3)
 		for i := range bases {
@@ -195,7 +195,7 @@ func TestCreditInvariantsProperty(t *testing.T) {
 			rng := rand.New(rand.NewSource(seed))
 			opts := DefaultEngineOptions()
 			opts.BufBytes = 16 << 10
-			opts.RingBufs = 5
+			opts.NumBufs = 5
 			e, err := OpenEngine(p, d, opts)
 			if err != nil {
 				t.Fatal(err)
@@ -267,7 +267,7 @@ func TestCreditFairnessOneToTwo(t *testing.T) {
 	m.Eng.Spawn("main", func(p *sim.Proc) {
 		defer d.Close()
 		opts := DefaultEngineOptions()
-		opts.RingBufs = 6 // exactly the credit sum: always contended
+		opts.NumBufs = 6 // exactly the credit sum: always contended
 		e, err := OpenEngine(p, d, opts)
 		if err != nil {
 			t.Fatal(err)
@@ -334,7 +334,7 @@ func TestChaosCloseMidFlight(t *testing.T) {
 	m.Eng.Spawn("main", func(p *sim.Proc) {
 		defer d.Close()
 		opts := DefaultEngineOptions()
-		opts.RingBufs = 6
+		opts.NumBufs = 6
 		var err error
 		e, err = OpenEngine(p, d, opts)
 		if err != nil {
@@ -463,14 +463,13 @@ func TestFillFailureErrNotClobberedBySlotReuse(t *testing.T) {
 }
 
 // TestOpenStreamValidationAndLifecycle covers the error taxonomy:
-// rejected specs, MaxStreams, and operations on closed handles/engines.
+// rejected specs, the stream cap, and operations on closed handles/engines.
 func TestOpenStreamValidationAndLifecycle(t *testing.T) {
 	m, d := setup()
 	m.Eng.Spawn("app", func(p *sim.Proc) {
 		defer d.Close()
 		opts := DefaultEngineOptions()
-		opts.MaxStreams = 1
-		if _, err := OpenEngine(p, d, EngineOptions{BufBytes: 100, RingBufs: 1}); !errors.Is(err, ErrBadStream) {
+		if _, err := OpenEngine(p, d, EngineOptions{Config: Config{BufBytes: 100, NumBufs: 1}}); !errors.Is(err, ErrBadStream) {
 			t.Errorf("unaligned BufBytes: %v", err)
 		}
 		e, err := OpenEngine(p, d, opts)
@@ -491,12 +490,14 @@ func TestOpenStreamValidationAndLifecycle(t *testing.T) {
 				t.Errorf("bad spec %d accepted (err=%v)", i, err)
 			}
 		}
-		s, err := e.OpenStream(p, StreamSpec{Kernel: workloads.Add, Base: base, Length: opts.BufBytes})
-		if err != nil {
-			t.Fatal(err)
+		var s *Stream
+		for i := 0; i < maxStreams; i++ {
+			if s, err = e.OpenStream(p, StreamSpec{Kernel: workloads.Add, Base: base, Length: opts.BufBytes}); err != nil {
+				t.Fatalf("stream %d of %d: %v", i+1, maxStreams, err)
+			}
 		}
 		if _, err := e.OpenStream(p, StreamSpec{Kernel: workloads.Add, Base: base, Length: opts.BufBytes}); !errors.Is(err, ErrBadStream) {
-			t.Errorf("MaxStreams not enforced: %v", err)
+			t.Errorf("stream cap not enforced: %v", err)
 		}
 		s.Close(p)
 		if _, err := s.Consume(p); !errors.Is(err, ErrStreamClosed) {
@@ -549,7 +550,7 @@ func TestFlightCapturesSlowFills(t *testing.T) {
 		e.Close(p)
 	})
 	m.Eng.Run()
-	fs := e.FlightSnapshot()
+	fs := e.Snapshot().Flight
 	if !fs.Enabled || fs.Breaches == 0 || len(fs.Outliers) == 0 {
 		t.Fatalf("no breaches captured: breaches=%d outliers=%d", fs.Breaches, len(fs.Outliers))
 	}

@@ -31,27 +31,26 @@ import (
 	"memif/internal/workloads"
 )
 
-// Config is the prefetch-buffer geometry of one Table 4 cell: RunDirect
-// consumes in BufBytes steps, and the experiments in internal/bench size
-// a single-stream engine from the rest.
+// Config is the prefetch-buffer geometry, the one ring geometry of the
+// package: an Engine's ring (EngineOptions embeds it) and one Table 4
+// cell, where RunDirect consumes in BufBytes steps.
 type Config struct {
 	// BufBytes is the size of one prefetch buffer (a multiple of the
-	// page size).
+	// page size); every stream chunk is one buffer.
 	BufBytes int64
 	// NumBufs is how many buffers are carved out of the fast node.
 	NumBufs int
-	// FastNode is where buffers live.
-	FastNode hw.NodeID
 }
+
+// fastNode hosts the prefetch buffers: a prefetch ring anywhere but the
+// fast node buys nothing. (Inputs are read wherever the stream's Base is
+// actually mapped.)
+const fastNode = hw.NodeFast
 
 // DefaultConfig returns the configuration used for Table 4: eight 512 KB
 // buffers, 4 MB of the 6 MB fast node.
 func DefaultConfig() Config {
-	return Config{
-		BufBytes: 512 << 10,
-		NumBufs:  8,
-		FastNode: hw.NodeFast,
-	}
+	return Config{BufBytes: 512 << 10, NumBufs: 8}
 }
 
 // Result reports one streaming run.

@@ -23,7 +23,7 @@ func setup() (*machine.Machine, *core.Device) {
 // stream holding every ring buffer — the Table 4 "Memif" shape. The
 // caller closes the engine.
 func openWholeRing(p *sim.Proc, d *core.Device, k workloads.Kernel, base, length int64, cfg Config) (*Engine, *Stream, error) {
-	e, err := OpenEngine(p, d, EngineOptions{BufBytes: cfg.BufBytes, RingBufs: cfg.NumBufs, FastNode: cfg.FastNode})
+	e, err := OpenEngine(p, d, EngineOptions{Config: cfg})
 	if err != nil {
 		return nil, nil, err
 	}
@@ -139,8 +139,8 @@ func TestRunFreesBuffersAndSlots(t *testing.T) {
 		for d.AllocRequest(p) != nil {
 			n++
 		}
-		if n != d.Options().NumReqs {
-			t.Errorf("free slots = %d, want %d", n, d.Options().NumReqs)
+		if n != d.Area.NumReqs() {
+			t.Errorf("free slots = %d, want %d", n, d.Area.NumReqs())
 		}
 	})
 	m.Eng.Run()

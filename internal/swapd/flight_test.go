@@ -46,10 +46,10 @@ func TestFlightCapturesSlowMigrations(t *testing.T) {
 	})
 	m.Eng.Run()
 
-	if sd.Stats().Demotions < 2 {
-		t.Fatalf("demotions = %d, want both regions shed", sd.Stats().Demotions)
+	if sd.Metrics().Demotions < 2 {
+		t.Fatalf("demotions = %d, want both regions shed", sd.Metrics().Demotions)
 	}
-	fs := sd.FlightSnapshot()
+	fs := sd.Metrics().Flight
 	if !fs.Enabled {
 		t.Fatal("flight snapshot not enabled")
 	}
@@ -75,10 +75,6 @@ func TestFlightCapturesSlowMigrations(t *testing.T) {
 		if o.LatencyNs <= o.ThresholdNs {
 			t.Errorf("outlier seq %d latency %d within threshold %d", o.Seq, o.LatencyNs, o.ThresholdNs)
 		}
-	}
-	if ms := sd.Metrics(); ms.Flight.Breaches != fs.Breaches {
-		t.Errorf("Metrics().Flight diverges from FlightSnapshot: %d vs %d",
-			ms.Flight.Breaches, fs.Breaches)
 	}
 }
 
@@ -108,11 +104,11 @@ func TestFlightRecordsTxnAbortEvents(t *testing.T) {
 	})
 	m.Eng.Run()
 
-	st := sd.Stats()
+	st := sd.Metrics()
 	if st.Aborts == 0 {
 		t.Fatal("no demotion was aborted by the racing writes")
 	}
-	fs := sd.FlightSnapshot()
+	fs := st.Flight
 	if fs.Events != st.Aborts {
 		t.Fatalf("flight events = %d, aborts = %d: every abort must land as a domain event",
 			fs.Events, st.Aborts)
@@ -151,7 +147,7 @@ func TestFlightDisable(t *testing.T) {
 		p.SleepNS(5_000_000)
 	})
 	m.Eng.Run()
-	if fs := sd.FlightSnapshot(); fs.Enabled {
+	if fs := sd.Metrics().Flight; fs.Enabled {
 		t.Error("disabled daemon still reports an armed flight snapshot")
 	}
 }

@@ -24,9 +24,10 @@ var update = flag.Bool("update", false, "rewrite testdata/storm.golden from this
 // the application device every 50 µs — 20 ms alone, then under the storm.
 // Every migration path must fire, and the prober's p99 under the storm
 // must stay within one log2 histogram bucket of its uncontended p99.
-// Virtual time and fixed seeds make the run repeat exactly: 98
-// promotions, 31 demotions (1 zero-copy), 26 aborts, p99 32767 ns in
-// both windows.
+// Virtual time and fixed seeds make the run repeat exactly: 103
+// promotions, 34 demotions (2 zero-copy), 32 aborts (all txn-dirty, none
+// failed), fg p99 32767 ns alone and 65535 ns under the storm; the whole
+// snapshot is pinned in testdata/storm.golden.
 func TestStormAllPathsFireAndForegroundHolds(t *testing.T) {
 	const (
 		pageBytes   = 4096
@@ -132,7 +133,7 @@ func TestStormAllPathsFireAndForegroundHolds(t *testing.T) {
 	})
 	m.Eng.Run()
 
-	st := sd.Stats()
+	st := sd.Metrics()
 	if st.Promotions == 0 || st.Demotions == 0 || st.ZeroCopyDemotions == 0 || st.Aborts == 0 {
 		t.Errorf("a migration path never fired: promotions %d, demotions %d (zero-copy %d), aborts %d",
 			st.Promotions, st.Demotions, st.ZeroCopyDemotions, st.Aborts)
@@ -162,8 +163,8 @@ func TestStormAllPathsFireAndForegroundHolds(t *testing.T) {
 // thresholds, and the number of records in the flight ring.
 func renderMetrics(ms MetricsSnapshot) string {
 	var b strings.Builder
-	fmt.Fprintf(&b, "promotions %d\ndemotions %d\nzero_copy_demotions %d\naborts %d\n",
-		ms.Promotions, ms.Demotions, ms.ZeroCopyDemotions, ms.Aborts)
+	fmt.Fprintf(&b, "promotions %d\ndemotions %d\nzero_copy_demotions %d\naborts %d\nfailed %d\n",
+		ms.Promotions, ms.Demotions, ms.ZeroCopyDemotions, ms.Aborts, ms.Failed)
 	fmt.Fprintf(&b, "bytes_promoted %d\nbytes_demoted %d\nbytes_moved %d\n",
 		ms.BytesPromoted, ms.BytesDemoted, ms.BytesMoved)
 	hist := func(name string, h obs.HistogramSnapshot) {

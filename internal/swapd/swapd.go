@@ -49,27 +49,11 @@ type Options struct {
 	PeriodNS int64
 	// ScanPeriodNS is the access-bit scan cadence (defaults to PeriodNS).
 	ScanPeriodNS int64
-	// FastNode is the managed tier; demotions move regions to SlowNode.
-	FastNode, SlowNode hw.NodeID
-
-	// PromoteThreshold is the heat (EWMA of the referenced fraction of
-	// sampled pages, 0..1) at which a slow-tier region becomes a
-	// promotion candidate.
-	PromoteThreshold float64
-	// HeatDecay is the EWMA retention factor: heat = decay*heat +
-	// (1-decay)*sample.
-	HeatDecay float64
-	// SamplePages bounds how many pages of a region one scan pass
-	// samples (a rotating window; 0 = the whole region).
-	SamplePages int
 	// ScanBudget bounds how many regions one pass scans (round-robin
 	// across passes; 0 = all registered regions).
 	ScanBudget int
 	// MaxInflight caps concurrently outstanding tiering migrations.
 	MaxInflight int
-	// PromoteClass and DemoteClass are the QoS classes tiering transfers
-	// ride (promotions default to background, demotions to scavenger).
-	PromoteClass, DemoteClass qos.Class
 
 	// Flight configures the daemon's flight recorder. The zero value
 	// arms it: slow migrations and slow promotions breach adaptive
@@ -84,60 +68,81 @@ type Options struct {
 // DefaultOptions returns watermarks suited to the 6 MB MSMC node.
 func DefaultOptions() Options {
 	return Options{
-		HighWatermark:    0.90,
-		LowWatermark:     0.70,
-		PeriodNS:         1_000_000, // 1 ms
-		ScanPeriodNS:     2_000_000,
-		FastNode:         hw.NodeFast,
-		SlowNode:         hw.NodeSlow,
-		PromoteThreshold: 0.5,
-		HeatDecay:        0.5,
-		SamplePages:      16,
-		MaxInflight:      4,
-		PromoteClass:     qos.Background,
-		DemoteClass:      qos.Scavenger,
+		HighWatermark: 0.90,
+		LowWatermark:  0.70,
+		PeriodNS:      1_000_000, // 1 ms
+		ScanPeriodNS:  2_000_000,
+		MaxInflight:   4,
 	}
 }
+
+// The tiering policy: properties of the two-node machine and of the
+// heat model, not deployment choices.
+const (
+	// fastNode is the managed tier and slowNode where demotions send
+	// regions: the platform has exactly these two nodes.
+	fastNode, slowNode = hw.NodeFast, hw.NodeSlow
+	// promoteThreshold is the heat (EWMA of the referenced fraction of
+	// sampled pages, 0..1) at which a slow-tier region becomes a
+	// promotion candidate: with heatDecay 0.5, one fully referenced scan
+	// (or one Touch) of a cold region reaches it, and a region at full
+	// heat falls back below after two unreferenced scans.
+	promoteThreshold = 0.5
+	// heatDecay is the EWMA retention factor: heat = heatDecay*heat +
+	// (1-heatDecay)*sample, the latest sample weighing as much as all
+	// history, so the daemon follows a hot set that shifts every few
+	// scan periods.
+	heatDecay = 0.5
+	// samplePages bounds how many pages of a region one scan pass
+	// samples (a rotating window): every page costs an access-bit read,
+	// and 16 pages cover a 64 KB region of 4 KB pages in one pass.
+	samplePages = 16
+	// promoteClass and demoteClass are the QoS classes tiering transfers
+	// ride. Both sit below Foreground, so tiering yields the DMA channel
+	// to the application's own moves; a promotion (a region someone is
+	// using) goes ahead of a demotion (nobody waits for it).
+	promoteClass, demoteClass = qos.Background, qos.Scavenger
+)
 
 // region is one registered tiering candidate.
 type region struct {
 	base, length int64
 	lastTouch    sim.Time
 	heat         float64  // EWMA of the referenced fraction per scan
-	hotSince     sim.Time // when heat last crossed PromoteThreshold
+	hotSince     sim.Time // when heat last crossed promoteThreshold
 	scanOff      int      // rotating sample-window offset (pages)
 	primePasses  int      // scan passes done; the first full rotation only arms
 	migrating    bool     // a tiering request for this region is in flight
 }
 
-// Stats counts daemon activity.
-type Stats struct {
+// metrics is the daemon's obs instrument set: the MetricsSnapshot
+// counters, a migration latency histogram (virtual ns, submission to
+// completion), a per-migration byte histogram, the promotion-lag
+// histogram (region turning hot → promotion committed), and the
+// per-stage lifecycle span histograms derived from each request's stage
+// stamps.
+type metrics struct {
+	promotions, demotions, zeroCopy, aborts, failed obs.Counter
+	bytesPromoted, bytesDemoted, bytesMoved         obs.Counter
+	latency, sizes, promoLag                        obs.Histogram
+	stages                                          lifecycle.SpanSet
+}
+
+// MetricsSnapshot is the daemon's one snapshot: counters plus the
+// migration latency, size, and promotion-lag distributions, the stage
+// spans and the flight recorder.
+type MetricsSnapshot struct {
 	Promotions        int64 // completed promotions into fast memory
 	Demotions         int64 // completed demotions out of fast memory
 	ZeroCopyDemotions int64 // demotions that moved zero bytes (valid shadow)
 	Aborts            int64 // migrations aborted by racing writes (txn-dirty)
-	BytesPromoted     int64 // requested bytes of completed promotions
-	BytesDemoted      int64 // requested bytes of completed demotions
-	BytesMoved        int64 // bytes actually copied by DMA (excludes PTE flips)
-}
-
-// metrics is the daemon's obs instrument set: the Stats counters, a
-// migration latency histogram (virtual ns, submission to completion), a
-// per-migration byte histogram, the promotion-lag histogram (region
-// turning hot → promotion committed), and the per-stage lifecycle span
-// histograms derived from each request's stage stamps.
-type metrics struct {
-	promotions, demotions, zeroCopy, aborts obs.Counter
-	bytesPromoted, bytesDemoted, bytesMoved obs.Counter
-	latency, sizes, promoLag                obs.Histogram
-	stages                                  lifecycle.SpanSet
-}
-
-// MetricsSnapshot is the daemon's observability view: counters plus the
-// migration latency, size, and promotion-lag distributions.
-type MetricsSnapshot struct {
-	Promotions, Demotions, ZeroCopyDemotions, Aborts int64
-	BytesPromoted, BytesDemoted, BytesMoved          int64
+	// Failed counts migrations that failed for any other reason: another
+	// mover held the region's claim (busy) or the destination node had
+	// no frames (nomem). Nothing raced them, so they are no abort.
+	Failed        int64
+	BytesPromoted int64 // requested bytes of completed promotions
+	BytesDemoted  int64 // requested bytes of completed demotions
+	BytesMoved    int64 // bytes actually copied by DMA (excludes PTE flips)
 
 	// Latency is the submission-to-completion histogram of successful
 	// migrations (virtual ns); Sizes the per-migration byte histogram;
@@ -148,7 +153,8 @@ type MetricsSnapshot struct {
 	Stages lifecycle.SpanSnapshot
 	// Flight is the daemon's flight-recorder state: captured slow
 	// migrations (full stage vectors), promotion-lag breaches on the
-	// borrowed lane 3, and txn-abort events. All timestamps virtual.
+	// borrowed lane 3, and txn-abort events. All timestamps virtual;
+	// Flight.Enabled is false when Options.Flight.Disable was set.
 	Flight flight.Snapshot
 }
 
@@ -185,12 +191,6 @@ func New(app *core.Device, opts Options) *Daemon {
 	}
 	if opts.ScanPeriodNS <= 0 {
 		opts.ScanPeriodNS = opts.PeriodNS
-	}
-	if opts.HeatDecay <= 0 || opts.HeatDecay >= 1 {
-		opts.HeatDecay = 0.5
-	}
-	if opts.PromoteThreshold <= 0 {
-		opts.PromoteThreshold = 0.5
 	}
 	if opts.MaxInflight <= 0 {
 		opts.MaxInflight = 4
@@ -234,9 +234,16 @@ func (d *Daemon) Touch(base int64, now sim.Time) {
 		return
 	}
 	r.lastTouch = now
+	r.observeHeat(1, now)
+}
+
+// observeHeat folds one scan sample — the referenced fraction of the
+// sampled pages, 0..1 — into the region's heat EWMA at now, stamping
+// hotSince when the region turns hot. The caller holds the daemon's mu.
+func (r *region) observeHeat(sample float64, now sim.Time) {
 	was := r.heat
-	r.heat = d.opts.HeatDecay*r.heat + (1 - d.opts.HeatDecay)
-	if was < d.opts.PromoteThreshold && r.heat >= d.opts.PromoteThreshold {
+	r.heat = heatDecay*r.heat + (1-heatDecay)*sample
+	if was < promoteThreshold && r.heat >= promoteThreshold {
 		r.hotSince = now
 	}
 }
@@ -251,27 +258,15 @@ func (d *Daemon) Stop() {
 	d.stop = true
 }
 
-// Stats returns a snapshot of the daemon counters.
-func (d *Daemon) Stats() Stats {
-	return Stats{
-		Promotions:        d.m.promotions.Load(),
-		Demotions:         d.m.demotions.Load(),
-		ZeroCopyDemotions: d.m.zeroCopy.Load(),
-		Aborts:            d.m.aborts.Load(),
-		BytesPromoted:     d.m.bytesPromoted.Load(),
-		BytesDemoted:      d.m.bytesDemoted.Load(),
-		BytesMoved:        d.m.bytesMoved.Load(),
-	}
-}
-
-// Metrics returns the full observability snapshot, including the
-// migration latency, size, and promotion-lag histograms.
+// Metrics returns the daemon's snapshot: counters, histograms, stage
+// spans and the flight recorder.
 func (d *Daemon) Metrics() MetricsSnapshot {
 	return MetricsSnapshot{
 		Promotions:        d.m.promotions.Load(),
 		Demotions:         d.m.demotions.Load(),
 		ZeroCopyDemotions: d.m.zeroCopy.Load(),
 		Aborts:            d.m.aborts.Load(),
+		Failed:            d.m.failed.Load(),
 		BytesPromoted:     d.m.bytesPromoted.Load(),
 		BytesDemoted:      d.m.bytesDemoted.Load(),
 		BytesMoved:        d.m.bytesMoved.Load(),
@@ -282,10 +277,6 @@ func (d *Daemon) Metrics() MetricsSnapshot {
 		Flight:            d.fr.Snapshot(),
 	}
 }
-
-// FlightSnapshot returns the daemon's flight-recorder state alone.
-// Snapshot.Enabled is false when Options.Flight.Disable was set.
-func (d *Daemon) FlightSnapshot() flight.Snapshot { return d.fr.Snapshot() }
 
 // Outstanding reports how many tiering migrations are in flight.
 func (d *Daemon) Outstanding() int {
@@ -318,8 +309,8 @@ func (d *Daemon) stopping() bool {
 
 // usage returns the fast node's used fraction.
 func (d *Daemon) usage() float64 {
-	node := d.dev.M.Mem.Node(d.opts.FastNode)
-	return float64(d.dev.M.Mem.Used(d.opts.FastNode)) / float64(node.Capacity)
+	node := d.dev.M.Mem.Node(fastNode)
+	return float64(d.dev.M.Mem.Used(fastNode)) / float64(node.Capacity)
 }
 
 // tier reports which node the region currently resides on (the node of
@@ -368,8 +359,8 @@ func (d *Daemon) scan(p *sim.Proc) {
 		if pages == 0 {
 			continue
 		}
-		n := d.opts.SamplePages
-		if n <= 0 || n > pages {
+		n := samplePages
+		if n > pages {
 			n = pages
 		}
 		d.mu.Lock()
@@ -391,19 +382,12 @@ func (d *Daemon) scan(p *sim.Proc) {
 		d.mu.Lock()
 		if r.primePasses < rotations {
 			r.primePasses++
-			d.mu.Unlock()
-			continue
-		}
-		d.mu.Unlock()
-		sample := float64(ref) / float64(sampled)
-		d.mu.Lock()
-		was := r.heat
-		r.heat = d.opts.HeatDecay*r.heat + (1-d.opts.HeatDecay)*sample
-		if sample > 0 {
-			r.lastTouch = p.Now()
-		}
-		if was < d.opts.PromoteThreshold && r.heat >= d.opts.PromoteThreshold {
-			r.hotSince = p.Now()
+		} else {
+			sample := float64(ref) / float64(sampled)
+			r.observeHeat(sample, p.Now())
+			if sample > 0 {
+				r.lastTouch = p.Now()
+			}
 		}
 		d.mu.Unlock()
 	}
@@ -422,10 +406,10 @@ func (d *Daemon) plan() (demote, promote []*region) {
 			continue
 		}
 		switch d.tier(r) {
-		case d.opts.FastNode:
+		case fastNode:
 			demote = append(demote, r)
-		case d.opts.SlowNode:
-			if r.heat >= d.opts.PromoteThreshold {
+		case slowNode:
+			if r.heat >= promoteThreshold {
 				promote = append(promote, r)
 			}
 		}
@@ -464,13 +448,13 @@ func (d *Daemon) submit(p *sim.Proc, r *region, promote bool) bool {
 	req.Cookie = cookie(r.base, promote)
 	req.Flags = uapi.ReqTxn
 	if promote {
-		req.DstNode = d.opts.FastNode
-		req.Class = d.opts.PromoteClass
+		req.DstNode = fastNode
+		req.Class = promoteClass
 		// Non-exclusive tiering: keep the slow copy for free demotion.
 		req.Flags |= uapi.ReqKeepSrc
 	} else {
-		req.DstNode = d.opts.SlowNode
-		req.Class = d.opts.DemoteClass
+		req.DstNode = slowNode
+		req.Class = demoteClass
 	}
 	if err := d.dev.Submit(p, req); err != nil {
 		d.dev.FreeRequest(p, req)
@@ -493,7 +477,7 @@ func (d *Daemon) submit(p *sim.Proc, r *region, promote bool) bool {
 // low watermark when usage crossed the high one, make-room demotion for
 // hotter promotion candidates, then promotions while headroom lasts.
 func (d *Daemon) pump(p *sim.Proc) {
-	capacity := float64(d.dev.M.Mem.Node(d.opts.FastNode).Capacity)
+	capacity := float64(d.dev.M.Mem.Node(fastNode).Capacity)
 	demote, promote := d.plan()
 
 	projected := func() float64 {
@@ -547,18 +531,16 @@ func (d *Daemon) handleCompletion(p *sim.Proc, got *uapi.MovReq) {
 	base := int64(got.Cookie &^ 1)
 	d.mu.Lock()
 	r := d.regions[base]
+	var hotSince sim.Time
 	if r != nil {
 		r.migrating = false
+		hotSince = r.hotSince
 	}
 	d.outstanding--
 	if promoted {
 		d.pendingDelta -= got.Length
 	} else {
 		d.pendingDelta += got.Length
-	}
-	var hotSince sim.Time
-	if r != nil {
-		hotSince = r.hotSince
 	}
 	inflight := int64(d.outstanding)
 	d.mu.Unlock()
@@ -594,18 +576,24 @@ func (d *Daemon) handleCompletion(p *sim.Proc, got *uapi.MovReq) {
 			d.fr.ObserveLane(lifecycle.ReasonPromotionLag, promotionLagLane, 0, lag, got.Length, &ts, amb)
 		}
 	} else {
-		// A racing write aborted the commit (txn-dirty) or another mover
-		// holds the claim (busy): the region is hot — bump its recency
-		// so cold candidates go first on retry.
-		d.m.aborts.Inc()
-		d.fr.CaptureEvent(&lifecycle.Lifecycle{
-			Reason:  lifecycle.ReasonTxnAbort,
-			Nano:    int64(p.Now()),
-			Slot:    -1,
-			Class:   int(got.Class),
-			Bytes:   got.Length,
-			Ambient: lifecycle.Ambient{SubmissionDepth: inflight},
-		})
+		// Only a racing write that dirtied a page (txn-dirty) aborts a
+		// commit; a claim held by another mover (busy) or an empty
+		// destination node (nomem) is a plain failure. Either way the
+		// region stays put and is bumped in recency, so cold candidates
+		// go first on retry.
+		if got.Err == uapi.ErrTxnDirty {
+			d.m.aborts.Inc()
+			d.fr.CaptureEvent(&lifecycle.Lifecycle{
+				Reason:  lifecycle.ReasonTxnAbort,
+				Nano:    int64(p.Now()),
+				Slot:    -1,
+				Class:   int(got.Class),
+				Bytes:   got.Length,
+				Ambient: lifecycle.Ambient{SubmissionDepth: inflight},
+			})
+		} else {
+			d.m.failed.Inc()
+		}
 		if r != nil {
 			d.mu.Lock()
 			r.lastTouch = p.Now()

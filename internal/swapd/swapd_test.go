@@ -91,13 +91,9 @@ func TestDemotesColdestWhenOverWatermark(t *testing.T) {
 		}
 	})
 	m.Eng.Run()
-	st := sd.Stats()
-	if st.Demotions == 0 {
-		t.Error("daemon recorded no demotions")
-	}
 	ms := sd.Metrics()
-	if ms.Demotions != st.Demotions || ms.BytesDemoted != st.BytesDemoted || ms.Aborts != st.Aborts {
-		t.Errorf("Metrics/Stats diverge: %+v vs %+v", ms, st)
+	if ms.Demotions == 0 {
+		t.Error("daemon recorded no demotions")
 	}
 	if ms.Latency.Count != ms.Demotions+ms.Promotions {
 		t.Errorf("latency histogram has %d samples for %d migrations",
@@ -131,8 +127,8 @@ func TestIdleBelowWatermark(t *testing.T) {
 		}
 	})
 	m.Eng.Run()
-	if sd.Stats().Demotions != 0 {
-		t.Errorf("demotions = %d below watermark", sd.Stats().Demotions)
+	if sd.Metrics().Demotions != 0 {
+		t.Errorf("demotions = %d below watermark", sd.Metrics().Demotions)
 	}
 }
 
@@ -172,10 +168,62 @@ func TestRacingWriteAbortsDemotionAndIsPreserved(t *testing.T) {
 		}
 	})
 	m.Eng.Run()
-	st := sd.Stats()
+	st := sd.Metrics()
 	t.Logf("demotions=%d aborts=%d", st.Demotions, st.Aborts)
 	if st.Aborts == 0 {
 		t.Error("no demotion was aborted by the racing writes")
+	}
+	if err := sd.Audit(); err != nil {
+		t.Errorf("request accounting: %v", err)
+	}
+}
+
+// A promotion that meets the application's own migration of the same
+// region fails with ErrBusy: core.prepare finds the address-space-wide
+// migration claim taken. Nothing raced the copy, so it is booked as
+// Failed — not as an abort, and with no txn_abort event in the flight
+// ring.
+func TestPromotionMeetingAppMigrationIsFailedNotAborted(t *testing.T) {
+	m, d := setup()
+	sd := New(d, DefaultOptions())
+	var appDone sim.Time
+	m.Eng.Spawn("app", func(p *sim.Proc) {
+		defer d.Close()
+		const regionBytes = 384 << 10
+		b, _ := d.AS.Mmap(p, regionBytes, hw.NodeSlow, "hot")
+		sd.Register(b, regionBytes)
+		sd.Touch(b, p.Now()) // hot at once: the daemon's first pump promotes it
+		// Move the region within the slow tier: its 96-page Remap holds
+		// the claim across the daemon's first pump at 1 ms.
+		r := d.AllocRequest(p)
+		r.Op, r.SrcBase, r.Length, r.DstNode = uapi.OpMigrate, b, regionBytes, hw.NodeSlow
+		if err := d.Submit(p, r); err != nil {
+			t.Fatal(err)
+		}
+		for d.Poll(p, 0) {
+			if got := d.RetrieveCompleted(p); got != nil {
+				if got.Status != uapi.StatusDone {
+					t.Errorf("application migration failed: %v", got)
+				}
+				appDone = got.Completed
+				d.FreeRequest(p, got)
+				break
+			}
+		}
+		// Stop before the second pump, which would promote the region now
+		// that the claim is free: one promotion attempt, one failure.
+		sd.Stop()
+	})
+	m.Eng.Run()
+	if appDone <= 1_000_000 || appDone >= 2_000_000 {
+		t.Fatalf("application migration completed at %v, want between the daemon's first two pumps", appDone)
+	}
+	ms := sd.Metrics()
+	if ms.Aborts != 0 || ms.Failed != 1 || ms.Promotions != 0 {
+		t.Errorf("aborts %d, failed %d, promotions %d; want 0, 1, 0", ms.Aborts, ms.Failed, ms.Promotions)
+	}
+	if ms.Flight.Events != 0 {
+		t.Errorf("flight events = %d: a busy claim is no txn abort", ms.Flight.Events)
 	}
 	if err := sd.Audit(); err != nil {
 		t.Errorf("request accounting: %v", err)
@@ -211,7 +259,7 @@ func TestScanDrivenPromotion(t *testing.T) {
 		}
 	})
 	m.Eng.Run()
-	st := sd.Stats()
+	st := sd.Metrics()
 	if st.Promotions == 0 {
 		t.Fatal("daemon recorded no promotions")
 	}
@@ -264,7 +312,7 @@ func TestCleanDemotionMovesZeroBytes(t *testing.T) {
 		}
 	})
 	m.Eng.Run()
-	st := sd.Stats()
+	st := sd.Metrics()
 	if st.ZeroCopyDemotions == 0 {
 		t.Error("zero-copy demotion not counted")
 	}
@@ -298,8 +346,8 @@ func TestStopUnderLoadDrainsInflight(t *testing.T) {
 	if err := sd.Audit(); err != nil {
 		t.Errorf("leaked requests after stop under load: %v", err)
 	}
-	st := sd.Stats()
-	if st.Demotions+st.Aborts == 0 {
+	st := sd.Metrics()
+	if st.Demotions+st.Aborts+st.Failed == 0 {
 		t.Error("no migration was in flight when Stop hit; scenario lost its teeth")
 	}
 }

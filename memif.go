@@ -211,8 +211,8 @@ func NewLinuxMigrator(m *Machine, as *AddressSpace) *LinuxMigrator {
 // copy, so demoting a still-clean region is a zero-byte PTE flip.
 type SwapDaemon = swapd.Daemon
 
-// SwapOptions tunes the daemon's watermarks, scan cadence, heat
-// thresholds and migration QoS classes.
+// SwapOptions tunes the daemon's watermarks, period, scan cadence and
+// budget, and in-flight cap.
 type SwapOptions = swapd.Options
 
 // DefaultSwapOptions suits the 6 MB MSMC node.
@@ -377,8 +377,8 @@ var (
 // red-blue submission (one flush/kick per grant pass).
 type StreamEngine = streamrt.Engine
 
-// StreamEngineOptions configures OpenStreamEngine: ring geometry
-// (BufBytes × RingBufs), the node hosting the ring, the stream cap, and
+// StreamEngineOptions configures OpenStreamEngine: the ring geometry
+// (the embedded StreamConfig, BufBytes × NumBufs on the fast node) and
 // the flight recorder.
 type StreamEngineOptions = streamrt.EngineOptions
 
@@ -425,7 +425,8 @@ var (
 	ErrBadStream = streamrt.ErrBadStream
 )
 
-// StreamConfig is the prefetch-buffer geometry of one Table 4 cell;
+// StreamConfig is the prefetch-buffer geometry: a stream engine's ring
+// (StreamEngineOptions embeds it) and one Table 4 cell, where
 // StreamDirect consumes in its BufBytes steps.
 type StreamConfig = streamrt.Config
 
@@ -485,9 +486,9 @@ func ChromeTraceJSON(process string, lcs []CapturedLifecycle) ([]byte, error) {
 	return lifecycle.ChromeTraceGroupsJSON([]lifecycle.TraceGroup{{Process: process, Lifecycles: lcs}})
 }
 
-// SwapMetricsSnapshot is the swap daemon's observability view
-// (SwapDaemon.Metrics): eviction counters, latency/size histograms and
-// per-stage latency attribution.
+// SwapMetricsSnapshot is the swap daemon's one snapshot
+// (SwapDaemon.Metrics): migration counters, latency/size/promotion-lag
+// histograms, per-stage latency attribution and the flight recorder.
 type SwapMetricsSnapshot = swapd.MetricsSnapshot
 
 // ObsHandler serves the observability endpoints — /metrics (Prometheus
@@ -539,7 +540,7 @@ func ParseExposition(data []byte) error { return obshttp.ParseExposition(data) }
 type FlightOptions = flight.Options
 
 // FlightSnapshot is a point-in-time copy of a flight recorder
-// (RealtimeDevice.FlightSnapshot, SwapDaemon.FlightSnapshot): breach /
+// (RealtimeDevice.FlightSnapshot, SwapMetricsSnapshot.Flight): breach /
 // stall / event counters, the retained outlier records, active lane
 // thresholds and SLO state. It is what /debug/outliers serves per
 // source (ObsHandler.RegisterOutliers).

@@ -190,7 +190,7 @@ func TestStreamEngineFacade(t *testing.T) {
 
 		var opts memif.StreamEngineOptions = memif.DefaultStreamEngineOptions()
 		opts.BufBytes = memif.Page4K * 4
-		opts.RingBufs = 4
+		opts.NumBufs = 4
 		var eng *memif.StreamEngine
 		eng, err := memif.OpenStreamEngine(p, dev, opts)
 		if err != nil {
@@ -250,7 +250,7 @@ func TestStreamEngineFacade(t *testing.T) {
 		// Snapshot before closing sb: closed-and-drained streams retire
 		// from the registry (their flight lanes and engine totals remain).
 		var snap memif.StreamEngineSnapshot = eng.Snapshot()
-		if snap.RingBufs != opts.RingBufs || snap.BufMmaps != int64(opts.RingBufs) {
+		if snap.RingBufs != opts.NumBufs || snap.BufMmaps != int64(opts.NumBufs) {
 			t.Errorf("snapshot ring = %d mmaps = %d, want the pinned ring mapped once", snap.RingBufs, snap.BufMmaps)
 		}
 		if snap.StreamsOpened != 2 || snap.Stalls != 0 {
