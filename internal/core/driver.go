@@ -343,6 +343,7 @@ func (d *Device) remap(p *sim.Proc, m *sim.Meter, inf *inflight, slots []*pageta
 	perMapping := cost.PTEReplace + cost.TLBFlushPage + cost.RmapBook
 	var remapNS int64
 
+	inf.pages = make([]pageMove, 0, len(slots))
 	for i, slot := range slots {
 		old := slot.Load()
 		oldFrame, ok := as.Mem.Lookup(old.Frame())
@@ -418,6 +419,7 @@ func (d *Device) prepareTxn(p *sim.Proc, m *sim.Meter, inf *inflight, slots []*p
 	var ns int64
 	var segs []dma.Segment
 
+	inf.pages = make([]pageMove, 0, len(slots))
 	for i, slot := range slots {
 		old := slot.Load()
 		oldFrame, ok := as.Mem.Lookup(old.Frame())

@@ -408,3 +408,21 @@ func BenchmarkBackgroundFill(b *testing.B) {
 	})
 	m.Eng.Run()
 }
+
+// BenchmarkForegroundMigrate is the simulator's host cost of a 16-page
+// Foreground migration, four in flight, each flipping its region between
+// the nodes: the sim_move benchmark's 4k16 phase. With the bytes shared
+// rather than copied (package phys), what is left is the driver's own
+// per-page work.
+func BenchmarkForegroundMigrate(b *testing.B) {
+	m, l := newMoveLoop(uapi.OpMigrate, 4, 16, hw.Page4K)
+	m.Eng.Spawn("app", func(p *sim.Proc) {
+		defer l.d.Close()
+		l.mmap(b, p)
+		l.run(b, p, 8)
+		b.ReportAllocs()
+		b.ResetTimer()
+		l.run(b, p, b.N)
+	})
+	m.Eng.Run()
+}

@@ -39,8 +39,9 @@ func (r *rig) segs(t *testing.T, n int, bytes int64) []Segment {
 		if err != nil {
 			t.Fatal(err)
 		}
-		for j := range src.Bytes() {
-			src.Bytes()[j] = byte(i + j)
+		data := src.MutableBytes()
+		for j := range data {
+			data[j] = byte(i + j)
 		}
 		out[i] = Segment{Src: src, Dst: dst, Bytes: bytes}
 	}

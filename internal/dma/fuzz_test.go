@@ -48,8 +48,9 @@ func TestEngineRandomWorkout(t *testing.T) {
 							if err != nil {
 								t.Fatal(err)
 							}
-							for j := range src.Bytes() {
-								src.Bytes()[j] = seedB
+							data := src.MutableBytes()
+							for j := range data {
+								data[j] = seedB
 							}
 							segs[i] = Segment{Src: src, Dst: dst, Bytes: size}
 						}

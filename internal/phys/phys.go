@@ -3,14 +3,31 @@
 // heterogeneous memory nodes (the pseudo-NUMA abstraction of Section 1).
 //
 // Frames carry actual data so that replication and migration can be
-// verified byte-for-byte. Two things are lazy, and only these two. Backing
-// bytes exist per allocated frame, not per node, so a simulated 8 GB DDR3
-// node costs the host what is allocated on it (and nothing at all in
-// dataless mode). And a recycled frame is cleared on its first use
-// (Frame.Bytes), not at Alloc, so the destination frame of a migration,
-// which the copy overwrites whole, is never cleared. Everything else is
-// eager: a first-time frame's bytes are made (zeroed) in Alloc, and a
-// frame that is partially written is cleared in full before the write.
+// verified byte-for-byte. The host moves as few of those bytes as it can,
+// because moving them is what the simulated DMA engine is for:
+//
+//   - Frames share bytes until written. A frame's bytes live in a buffer
+//     that several frames can hold. A Copy of one whole frame onto another
+//     makes the destination hold the source's buffer instead of copying
+//     it. Copy runs at one instant, so that is the same snapshot an eager
+//     copy takes. The first write to a shared frame goes through
+//     Frame.MutableBytes, which gives the writer a private copy; the other
+//     holders keep the bytes they had. Frame.Bytes is the read accessor
+//     and never unshares.
+//   - A frame without a buffer reads as zero. Frames are created without
+//     one, and Free drops the frame's buffer, so a recycled frame never
+//     holds its previous owner's bytes, nor anyone else's. A frame gets
+//     its buffer, cleared, on first use; one that a whole-frame Copy
+//     overwrites is never cleared. The kernel zeroes an anonymous page
+//     when it hands it out; we zero it when someone can first see it.
+//   - Buffers are pooled. A buffer that no frame holds goes to a per-size
+//     free list of its Memory, and a frame that needs a buffer takes one
+//     from there before the host allocates one. Buffers, live or pooled,
+//     therefore never outnumber the frames ever allocated: the host
+//     footprint is at most what an eager copy's would be.
+//
+// In dataless mode (DisableData) there are no buffers at all. None of this
+// carries a virtual cost: bytes are invisible to virtual time.
 package phys
 
 import (
@@ -38,8 +55,7 @@ type Frame struct {
 	Addr int64 // physical address, used for DMA descriptors
 	Size int64 // bytes
 
-	data  []byte // backing bytes; nil in dataless mode
-	stale bool   // recycled and not yet cleared: data holds the previous owner's bytes
+	buf *buffer // backing bytes, possibly shared; nil: reads as zero
 
 	// Page-descriptor state.
 	RefCount    int  // mappings referencing the frame
@@ -50,15 +66,54 @@ type Frame struct {
 	mem         *Memory
 }
 
-// Bytes returns the frame's backing bytes, nil in dataless mode. It is
-// where a recycled frame is cleared, on its first use (see the package
-// comment).
+// buffer is the backing bytes of one or more frames.
+type buffer struct {
+	b      []byte
+	shares int // frames holding the buffer; 0 while it is pooled
+}
+
+// Bytes returns the frame's bytes for reading, nil in dataless mode. Other
+// frames may share them: write through MutableBytes, never through this
+// slice. A frame without bytes yet gets a cleared buffer here.
 func (f *Frame) Bytes() []byte {
-	if f.stale {
-		f.stale = false
-		clear(f.data)
+	if f.mem.dataless {
+		return nil
 	}
-	return f.data
+	if f.buf == nil {
+		f.buf = f.mem.zeroed(f.Size)
+	}
+	return f.buf.b
+}
+
+// MutableBytes returns the frame's bytes for writing, nil in dataless
+// mode. A shared frame is unshared first: it gets a private copy, and the
+// frames it shared with keep the bytes they had.
+func (f *Frame) MutableBytes() []byte {
+	switch {
+	case f.mem.dataless:
+		return nil
+	case f.buf == nil:
+		f.buf = f.mem.zeroed(f.Size)
+	case f.buf.shares > 1:
+		shared := f.buf
+		shared.shares--
+		f.buf, _ = f.mem.take(f.Size)
+		copy(f.buf.b, shared.b)
+	}
+	return f.buf.b
+}
+
+// drop lets go of the frame's buffer; the last holder pools it.
+func (f *Frame) drop() {
+	b := f.buf
+	if b == nil {
+		return
+	}
+	f.buf = nil
+	b.shares--
+	if b.shares == 0 {
+		f.mem.pool[f.Size] = append(f.mem.pool[f.Size], b)
+	}
 }
 
 // Pin marks the frame as source or target of one more in-flight DMA
@@ -100,6 +155,7 @@ type nodeState struct {
 	nextAddr int64
 	used     int64
 	free     map[int64][]*Frame
+	stats    Stats
 }
 
 // Stats are allocation counters for one node.
@@ -111,9 +167,9 @@ type Stats struct {
 // Memory is the machine's physical memory: all nodes plus the frame
 // registry.
 type Memory struct {
-	nodes    map[hw.NodeID]*nodeState
-	frames   []*Frame // indexed by FrameID; IDs are dense and never reused
-	stats    map[hw.NodeID]*Stats
+	nodes    []*nodeState // indexed by hw.NodeID; nil where the platform has none
+	frames   []*Frame     // indexed by FrameID; IDs are dense and never reused
+	pool     map[int64][]*buffer
 	dataless bool
 }
 
@@ -129,15 +185,18 @@ func (m *Memory) DisableData() { m.dataless = true }
 // boot-allocator hazard discussed in Section 6.1).
 func New(plat *hw.Platform) *Memory {
 	m := &Memory{
-		nodes:  make(map[hw.NodeID]*nodeState),
 		frames: []*Frame{NoFrame: nil},
-		stats:  make(map[hw.NodeID]*Stats),
+		pool:   make(map[int64][]*buffer),
 	}
 	base := int64(0x0C00_0000) // SRAM-like low base
 	for _, n := range plat.Nodes {
-		st := &nodeState{desc: n, nextAddr: base, free: make(map[int64][]*Frame)}
-		m.nodes[n.ID] = st
-		m.stats[n.ID] = &Stats{Capacity: n.Capacity}
+		for int(n.ID) >= len(m.nodes) {
+			m.nodes = append(m.nodes, nil)
+		}
+		m.nodes[n.ID] = &nodeState{
+			desc: n, nextAddr: base, free: make(map[int64][]*Frame),
+			stats: Stats{Capacity: n.Capacity},
+		}
 		base += n.Capacity
 		if rem := base % (1 << 30); rem != 0 { // align next node's base
 			base += (1 << 30) - rem
@@ -147,10 +206,18 @@ func New(plat *hw.Platform) *Memory {
 	return m
 }
 
+// node returns node id's state, nil if the platform has no such node.
+func (m *Memory) node(id hw.NodeID) *nodeState {
+	if id < 0 || int(id) >= len(m.nodes) {
+		return nil
+	}
+	return m.nodes[id]
+}
+
 // Node returns the descriptor of node id.
 func (m *Memory) Node(id hw.NodeID) hw.MemNode {
-	st, ok := m.nodes[id]
-	if !ok {
+	st := m.node(id)
+	if st == nil {
 		panic(fmt.Sprintf("phys: unknown node %d", id))
 	}
 	return st.desc
@@ -158,36 +225,35 @@ func (m *Memory) Node(id hw.NodeID) hw.MemNode {
 
 // NodeStats returns a snapshot of node id's allocation counters.
 func (m *Memory) NodeStats(id hw.NodeID) Stats {
-	s := *m.stats[id]
-	s.Used = m.nodes[id].used
+	st := m.nodes[id]
+	s := st.stats
+	s.Used = st.used
 	return s
 }
 
 // Alloc allocates one frame of size bytes on the given node. The frame
-// reads as zero (as anonymous pages do); a recycled one is cleared on
-// first use, see Frame.Bytes.
+// has no bytes yet and reads as zero (as anonymous pages do); it gets a
+// cleared buffer on first use, see Frame.Bytes.
 func (m *Memory) Alloc(node hw.NodeID, size int64) (*Frame, error) {
 	if size <= 0 {
 		return nil, fmt.Errorf("phys: invalid frame size %d", size)
 	}
-	st, ok := m.nodes[node]
-	if !ok {
+	st := m.node(node)
+	if st == nil {
 		return nil, fmt.Errorf("phys: unknown node %d", node)
 	}
-	stats := m.stats[node]
 	if fl := st.free[size]; len(fl) > 0 {
 		f := fl[len(fl)-1]
 		st.free[size] = fl[:len(fl)-1]
 		f.freed = false
 		f.RefCount = 0
 		f.FileBacked = false
-		f.stale = true
 		st.used += size
-		stats.Allocs++
+		st.stats.Allocs++
 		return f, nil
 	}
 	if st.used+size > st.desc.Capacity {
-		stats.Failures++
+		st.stats.Failures++
 		return nil, fmt.Errorf("%w %d (%s): need %d, used %d of %d",
 			ErrNoMemory, node, st.desc.Name, size, st.used, st.desc.Capacity)
 	}
@@ -198,19 +264,39 @@ func (m *Memory) Alloc(node hw.NodeID, size int64) (*Frame, error) {
 		Size: size,
 		mem:  m,
 	}
-	if !m.dataless {
-		f.data = make([]byte, size)
-	}
 	st.nextAddr += size
 	st.used += size
 	m.frames = append(m.frames, f)
-	stats.Allocs++
+	st.stats.Allocs++
 	return f, nil
 }
 
-// Free returns a frame to its node. Freeing a mapped, pinned, or already
-// freed frame is a bug in the caller and panics, the way the kernel would
-// BUG_ON it.
+// take hands out a buffer of size bytes with one share: a pooled one,
+// holding whatever its last owner left in it, or, with the pool empty, a
+// new one, which is zeroed (fresh).
+func (m *Memory) take(size int64) (b *buffer, fresh bool) {
+	if l := m.pool[size]; len(l) > 0 {
+		b = l[len(l)-1]
+		m.pool[size] = l[:len(l)-1]
+		b.shares = 1
+		return b, false
+	}
+	return &buffer{b: make([]byte, size), shares: 1}, true
+}
+
+// zeroed hands out a cleared buffer of size bytes with one share.
+func (m *Memory) zeroed(size int64) *buffer {
+	b, fresh := m.take(size)
+	if !fresh {
+		clear(b.b)
+	}
+	return b
+}
+
+// Free returns a frame to its node and drops its bytes: a buffer it
+// shared stays with the other holders, a private one is pooled. Freeing a
+// mapped, pinned, or already freed frame is a bug in the caller and
+// panics, the way the kernel would BUG_ON it.
 func (m *Memory) Free(f *Frame) {
 	if f.freed {
 		panic(fmt.Sprintf("phys: double free of %v", f))
@@ -226,9 +312,10 @@ func (m *Memory) Free(f *Frame) {
 	}
 	st := m.nodes[f.Node]
 	f.freed = true
+	f.drop()
 	st.used -= f.Size
 	st.free[f.Size] = append(st.free[f.Size], f)
-	m.stats[f.Node].Frees++
+	st.stats.Frees++
 }
 
 // Release gives up the owner's claim on an unmapped frame: it is freed
@@ -254,22 +341,33 @@ func (m *Memory) Lookup(id FrameID) (*Frame, bool) {
 
 // Copy moves n bytes of real data between frames (the simulator's stand-in
 // for what the CPU memcpy or the DMA engine does physically). Virtual-time
-// cost is charged by the caller. In dataless mode it is a no-op. A stale
-// destination is cleared first unless the copy overwrites it whole; the
-// source bytes are taken before that, so a stale frame copied onto itself
-// still reads as zero.
+// cost is charged by the caller. In dataless mode it is a no-op.
+//
+// A copy of one whole frame onto another of its size shares the bytes
+// instead: the destination drops its own and holds the source's buffer,
+// and the first write to either unshares that one (see the package
+// comment). A partial copy moves the bytes, taking them from the source
+// before the destination is made writable, so a frame without bytes
+// copied onto itself still reads as zero.
 func Copy(dst, src *Frame, n int64) {
 	if n > src.Size || n > dst.Size {
 		panic(fmt.Sprintf("phys: copy %d bytes exceeds frames %v -> %v", n, src, dst))
 	}
-	if dst.data == nil || src.data == nil {
+	if src.mem.dataless {
+		return
+	}
+	if n == src.Size && n == dst.Size {
+		if dst.buf != src.buf {
+			dst.drop()
+			dst.buf = src.buf
+			if dst.buf != nil {
+				dst.buf.shares++
+			}
+		}
 		return
 	}
 	from := src.Bytes()[:n]
-	if n == dst.Size {
-		dst.stale = false
-	}
-	copy(dst.Bytes()[:n], from)
+	copy(dst.MutableBytes()[:n], from)
 }
 
 // Used reports bytes currently allocated on node id.

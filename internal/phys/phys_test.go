@@ -32,7 +32,7 @@ func TestAllocBasics(t *testing.T) {
 func TestAllocZeroesRecycledFrame(t *testing.T) {
 	m := newMem()
 	f, _ := m.Alloc(hw.NodeFast, 4096)
-	f.Bytes()[100] = 0xAB
+	f.MutableBytes()[100] = 0xAB
 	m.Free(f)
 	g, _ := m.Alloc(hw.NodeFast, 4096)
 	if g != f {
@@ -42,15 +42,15 @@ func TestAllocZeroesRecycledFrame(t *testing.T) {
 		t.Error("recycled frame not zeroed")
 	}
 
-	// The clear is deferred to first use (Frame.Bytes) and skipped only by
-	// a Copy that overwrites the whole frame. Every way of reaching a
-	// recycled frame's bytes must still see zeros where nothing was
-	// written since Alloc.
+	// The clear is deferred to first use (Frame.Bytes, MutableBytes) and
+	// skipped only by a Copy that overwrites the whole frame. Every way of
+	// reaching a recycled frame's bytes must still see zeros where nothing
+	// was written since Alloc.
 	recycled := func() *Frame {
 		t.Helper()
 		f, _ := m.Alloc(hw.NodeFast, 4096)
-		for i := range f.Bytes() {
-			f.Bytes()[i] = 0xAB
+		for i := range f.MutableBytes() {
+			f.MutableBytes()[i] = 0xAB
 		}
 		m.Free(f)
 		g, _ := m.Alloc(hw.NodeFast, 4096)
@@ -60,8 +60,8 @@ func TestAllocZeroesRecycledFrame(t *testing.T) {
 		return g
 	}
 	src, _ := m.Alloc(hw.NodeSlow, 4096)
-	for i := range src.Bytes() {
-		src.Bytes()[i] = byte(i*7 + 1)
+	for i := range src.MutableBytes() {
+		src.MutableBytes()[i] = byte(i*7 + 1)
 	}
 
 	whole := recycled()
@@ -83,7 +83,7 @@ func TestAllocZeroesRecycledFrame(t *testing.T) {
 
 	from := recycled()
 	dst, _ := m.Alloc(hw.NodeSlow, 4096)
-	dst.Bytes()[7] = 0xCD
+	dst.MutableBytes()[7] = 0xCD
 	Copy(dst, from, 4096)
 	if !bytes.Equal(dst.Bytes(), make([]byte, 4096)) {
 		t.Error("Copy from a recycled frame did not write zeros")
@@ -248,8 +248,8 @@ func TestCopyMovesBytes(t *testing.T) {
 	m := newMem()
 	src, _ := m.Alloc(hw.NodeSlow, 4096)
 	dst, _ := m.Alloc(hw.NodeFast, 4096)
-	for i := range src.Bytes() {
-		src.Bytes()[i] = byte(i * 7)
+	for i := range src.MutableBytes() {
+		src.MutableBytes()[i] = byte(i * 7)
 	}
 	Copy(dst, src, 4096)
 	for i := range dst.Bytes() {

@@ -84,11 +84,15 @@ func (r *Rmap) Lookup(f phys.FrameID) []Mapping {
 
 // Move rebinds every reference to old — PTE mappings and, for
 // file-backed pages, the page-cache entry — to the new frame (after a
-// migration replaced the backing frame).
+// migration replaced the backing frame). A new frame with no mappings of
+// its own, the usual case, takes the old frame's slice over.
 func (r *Rmap) Move(old, new *phys.Frame) {
 	if ms, ok := r.byFrame[old.ID]; ok {
 		delete(r.byFrame, old.ID)
-		r.byFrame[new.ID] = append(r.byFrame[new.ID], ms...)
+		if have, ok := r.byFrame[new.ID]; ok {
+			ms = append(have, ms...)
+		}
+		r.byFrame[new.ID] = ms
 	}
 	if cr, ok := r.cacheRefs[old.ID]; ok {
 		delete(r.cacheRefs, old.ID)

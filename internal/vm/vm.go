@@ -342,10 +342,10 @@ func (as *AddressSpace) Touch(p *sim.Proc, addr int64, write bool) error {
 	return nil
 }
 
-// accessTime prices moving n bytes to/from node at streaming bandwidth.
-func (as *AddressSpace) accessTime(node hw.NodeID, n int64) int64 {
-	bw := as.Mem.Node(node).Bandwidth
-	return as.Mem.Node(node).LatencyNS + int64(float64(n)/bw*1e9)
+// accessTime prices moving n bytes to/from node id at streaming bandwidth.
+func (as *AddressSpace) accessTime(id hw.NodeID, n int64) int64 {
+	node := as.Mem.Node(id)
+	return node.LatencyNS + int64(float64(n)/node.Bandwidth*1e9)
 }
 
 // Read copies len(buf) bytes from virtual memory into buf, charging
@@ -378,12 +378,13 @@ func (as *AddressSpace) access(p *sim.Proc, addr int64, buf []byte, write bool, 
 		if walk := as.tlbTouch(addr + off); walk > 0 && p != nil {
 			p.Busy(walk, meters...)
 		}
-		if data := f.Bytes(); data != nil { // dataless mode carries timing only
-			if write {
+		// Dataless mode carries timing only: both accessors return nil.
+		if write {
+			if data := f.MutableBytes(); data != nil {
 				copy(data[pageOff:pageOff+n], buf[off:off+n])
-			} else {
-				copy(buf[off:off+n], data[pageOff:pageOff+n])
 			}
+		} else if data := f.Bytes(); data != nil {
+			copy(buf[off:off+n], data[pageOff:pageOff+n])
 		}
 		if p != nil {
 			p.Busy(as.accessTime(f.Node, n), meters...)
