@@ -74,8 +74,9 @@ func TestFig6Golden(t *testing.T) {
 }
 
 // TestBenchGoldens pins the rest of the paper's evaluation outputs —
-// Figure 7, Figure 8, Table 4 and the ablations, every number at full
-// precision — to testdata/<name>.golden, rendered at PR 24's commit.
+// Figure 7, Figure 8, Table 4, the ablations and the beyond-the-paper
+// extras, every number at full precision — to testdata/<name>.golden,
+// each rendered at the commit before the change it first guarded.
 // These are virtual-time results, so any change to the simulated driver
 // that is meant to be behaviour-neutral must leave them byte-identical.
 func TestBenchGoldens(t *testing.T) {
@@ -109,6 +110,24 @@ func TestBenchGoldens(t *testing.T) {
 			for _, a := range append(ablateRun(), IrqVsPollThroughput()) {
 				fmt.Fprintf(b, "%s metric=%q on=%v off=%v\n", a.Name, a.Metric, a.On, a.Off)
 			}
+		}},
+		// memif-bench extra: the same calls and shapes as its report.
+		{"extra", false, func(b *strings.Builder) {
+			for _, r := range []MultiAppResult{MultiApp(2, 4<<10, 16), MultiApp(2, 2<<20, 4)} {
+				fmt.Fprintf(b, "multiapp apps=%d per_app_gb_s=%v total_gb_s=%v solo_gb_s=%v\n",
+					r.Apps, r.PerAppGBs, r.TotalGBs, r.SoloGBs)
+			}
+			for _, r := range Limitations() {
+				fmt.Fprintf(b, "limitation %s linux_mb_s=%v memif_mb_s=%v gain_pct=%v\n",
+					r.Workload, r.LinuxMBs, r.MemifMBs, r.GainPct)
+			}
+			for _, r := range Projection() {
+				fmt.Fprintf(b, "projection %s today_gain=%v future_gain=%v today_mb_s=%v future_mb_s=%v\n",
+					r.Workload, r.TodayGain, r.FutureGain, r.TodayMBs, r.FutureMBs)
+			}
+			r := TLBIndirect()
+			fmt.Fprintf(b, "tlb misses_idle=%v misses_migrating=%v scan_idle_ns=%v scan_migrating_ns=%v overhead_pct=%v\n",
+				r.MissesIdle, r.MissesMigrating, r.ScanIdleNS, r.ScanMigratingNS, r.OverheadPct)
 		}},
 	} {
 		t.Run(g.name, func(t *testing.T) {
