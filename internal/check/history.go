@@ -80,15 +80,6 @@ func (h *History) Ops() []Op {
 	return ops
 }
 
-// Len returns the total number of recorded operations.
-func (h *History) Len() int {
-	n := 0
-	for _, c := range h.clients {
-		n += len(c)
-	}
-	return n
-}
-
 func (o Op) String() string {
 	return fmt.Sprintf("client %d: %v -> %v [%d,%d]", o.Client, o.Input, o.Output, o.Call, o.Return)
 }

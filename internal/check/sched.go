@@ -32,6 +32,7 @@ type Sched struct {
 	stop    chan struct{}
 	steps   int
 	trace   []int
+	dfs     *choices // set by ExploreBounded: the search picks, not the rng
 }
 
 // SchedConfig tunes the exploration policy.
@@ -67,9 +68,12 @@ type Thread struct {
 func (t *Thread) ID() int { return t.id }
 
 // Yield hands control back to the scheduler; the thread resumes when it
-// is next picked.
-func (t *Thread) Yield() {
-	t.s.events <- schedEvent{id: t.id, kind: evYield}
+// is next picked. A wait loop's Yield is no preemption: PCT demotes the
+// yielder, and ExploreBounded switches away for free.
+func (t *Thread) Yield() { t.yield(evYield) }
+
+func (t *Thread) yield(kind int) {
+	t.s.events <- schedEvent{id: t.id, kind: kind}
 	select {
 	case <-t.resume:
 	case <-t.s.stop:
@@ -85,6 +89,7 @@ type schedAbort struct{}
 
 const (
 	evYield = iota
+	evPoint // a YieldHook preemption point
 	evDone
 	evPanic
 )
@@ -115,9 +120,6 @@ func NewSchedConfig(seed int64, cfg SchedConfig) *Sched {
 		stop:   make(chan struct{}),
 	}
 }
-
-// Seed returns the scheduler's seed, for failure reports.
-func (s *Sched) Seed() int64 { return s.seed }
 
 // Go spawns a virtual thread. All threads must be spawned before Run.
 func (s *Sched) Go(fn func(t *Thread)) {
@@ -152,7 +154,7 @@ func (s *Sched) YieldHook() func() {
 			return
 		}
 		if t := s.cur.Load(); t != nil {
-			t.Yield()
+			t.yield(evPoint)
 		}
 	}
 }
@@ -178,7 +180,10 @@ func (s *Sched) Run() error {
 		}
 		return r
 	}
-	pick := func(r []*Thread) *Thread {
+	pick := func(r []*Thread, cur *Thread, kind int) *Thread {
+		if s.dfs != nil {
+			return s.dfs.pick(r, cur, kind)
+		}
 		if s.cfg.MaxPreemptions < 0 {
 			return r[s.rng.Intn(len(r))]
 		}
@@ -198,7 +203,7 @@ func (s *Sched) Run() error {
 	}
 
 	live := len(s.threads)
-	cur := pick(runnable())
+	cur := pick(runnable(), nil, evDone)
 	for {
 		s.cur.Store(cur)
 		s.trace = append(s.trace, cur.id)
@@ -213,16 +218,16 @@ func (s *Sched) Run() error {
 			if live == 0 {
 				return nil
 			}
-			cur = pick(runnable())
-		case evYield:
+			cur = pick(runnable(), nil, evDone)
+		case evYield, evPoint:
 			s.steps++
 			if s.steps > s.cfg.MaxSteps {
 				return fail("step budget %d exhausted: possible livelock", s.cfg.MaxSteps)
 			}
 			r := runnable()
-			if s.cfg.MaxPreemptions >= 0 && preempts < s.cfg.MaxPreemptions && s.rng.Intn(4) == 0 {
-				// PCT-style priority change point: demote the running
-				// thread below everyone.
+			if s.cfg.MaxPreemptions >= 0 && (ev.kind == evYield || preempts < s.cfg.MaxPreemptions && s.rng.Intn(4) == 0) {
+				// PCT-style priority change point, or a Yield: demote
+				// the running thread below everyone.
 				lowest := cur.prio
 				for _, t := range s.threads {
 					if t.prio < lowest {
@@ -230,15 +235,14 @@ func (s *Sched) Run() error {
 					}
 				}
 				cur.prio = lowest - 1
-				preempts++
+				if ev.kind == evPoint {
+					preempts++
+				}
 			}
-			cur = pick(r)
+			cur = pick(r, cur, ev.kind)
 		}
 	}
 }
-
-// Steps returns the number of yields the last Run consumed.
-func (s *Sched) Steps() int { return s.steps }
 
 // Trace returns the schedule: the thread id chosen at each resume.
 // Useful for asserting determinism and for debugging a failing seed.
@@ -255,4 +259,68 @@ func Explore(n int, base int64, body func(seed int64) error) error {
 		}
 	}
 	return nil
+}
+
+// ExploreBounded runs body, which spawns threads on the Sched it is
+// handed and Runs it, once per schedule with at most bound preemptions,
+// depth-first; a Yield or a finished thread switches for free. It returns
+// the schedules run and the first failure, naming the thread of each step.
+func ExploreBounded(bound int, body func(s *Sched) error) (int, error) {
+	c := &choices{bound: bound}
+	for n := 1; ; n++ {
+		s := NewSched(0)
+		s.dfs, c.at, c.preempts = c, 0, 0
+		if err := body(s); err != nil {
+			return n, fmt.Errorf("failing schedule %v: %w", s.trace, err)
+		}
+		if !c.next() {
+			return n, nil
+		}
+	}
+}
+
+// choices steers ExploreBounded: the logged decisions, then first ones.
+type choices struct {
+	log                 []choice
+	at, bound, preempts int
+}
+
+// choice logs one decision: alternatives, the one taken, and the
+// preemptions a later alternative would bring the run to.
+type choice struct{ n, taken, after int }
+
+// pick orders the alternatives — at a preemption point the running
+// thread first, any other costing a preemption; at a Yield everyone else,
+// or the yielder alone — and takes the logged one.
+func (c *choices) pick(r []*Thread, cur *Thread, kind int) *Thread {
+	var alts []*Thread
+	for _, t := range r {
+		if t != cur {
+			alts = append(alts, t)
+		}
+	}
+	cost := 0
+	if kind == evPoint || len(alts) == 0 {
+		alts, cost = append([]*Thread{cur}, alts...), 1
+	}
+	if c.at == len(c.log) {
+		c.log = append(c.log, choice{len(alts), 0, c.preempts + cost})
+	}
+	k := c.log[c.at].taken
+	if c.at++; k > 0 {
+		c.preempts += cost
+	}
+	return alts[k]
+}
+
+// next backtracks to the deepest untried alternative the bound allows.
+func (c *choices) next() bool {
+	for i := len(c.log) - 1; i >= 0; i-- {
+		if d := &c.log[i]; d.taken+1 < d.n && d.after <= c.bound {
+			d.taken++
+			c.log = c.log[:i+1]
+			return true
+		}
+	}
+	return false
 }

@@ -1,6 +1,7 @@
 package check
 
 import (
+	"fmt"
 	"strings"
 	"testing"
 )
@@ -104,6 +105,51 @@ func TestSchedThreadPanicReportsSeed(t *testing.T) {
 	}
 	if !strings.Contains(err.Error(), "seed=11") || !strings.Contains(err.Error(), "invariant violated") {
 		t.Fatalf("error missing seed or panic value: %v", err)
+	}
+}
+
+// TestExploreBoundedEnumeratesEachScheduleOnce runs two threads of four
+// segments (three preemption points each) under every preemption bound
+// and checks the search against a brute-force count of the interleavings
+// within the bound, each visited exactly once.
+func TestExploreBoundedEnumeratesEachScheduleOnce(t *testing.T) {
+	const segs = 4
+	for bound := 0; bound <= 3; bound++ {
+		want := 0
+		for m := 0; m < 1<<(2*segs); m++ { // bit i: thread of segment i
+			run, preempts, ones := [2]int{}, 0, 0
+			for i := 0; i < 2*segs; i++ {
+				th := m >> i & 1
+				ones += th
+				if i > 0 && th != m>>(i-1)&1 && run[1-th] < segs {
+					preempts++
+				}
+				run[th]++
+			}
+			if ones == segs && preempts <= bound {
+				want++
+			}
+		}
+		seen := map[string]bool{}
+		n, err := ExploreBounded(bound, func(s *Sched) error {
+			hook := s.YieldHook()
+			for i := 0; i < 2; i++ {
+				s.Go(func(*Thread) {
+					for j := 1; j < segs; j++ {
+						hook()
+					}
+				})
+			}
+			err := s.Run()
+			seen[fmt.Sprint(s.Trace())] = true
+			return err
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if n != want || len(seen) != want {
+			t.Errorf("bound %d: %d runs, %d distinct schedules, want %d", bound, n, len(seen), want)
+		}
 	}
 }
 

@@ -145,24 +145,6 @@ func (d *Device) stage(p *sim.Proc, r *uapi.MovReq) (rbq.Color, error) {
 	return color, nil
 }
 
-// flushStagingAndKick drains the staging queue into the submission
-// queue, recolors it red, and — if this thread won the recoloring —
-// issues the MOV_ONE kick-start syscall (operations 2–3 of the Section
-// 4.4 submit protocol).
-func (d *Device) flushStagingAndKick(p *sim.Proc) {
-	for {
-		d.flushStaging(p, d.UserMeter)
-		if old, ok := d.Area.Staging.SetColor(rbq.Red); ok {
-			// Whoever turned it red first owns the kick.
-			if old == rbq.Blue {
-				d.ioctlMovOne(p)
-			}
-			return
-		}
-		// Another thread slipped new requests in: flush again.
-	}
-}
-
 // Submit implements SubmitRequest (Section 4.4): deposit the request in
 // the staging queue; if the enqueue observed blue, flush the staging
 // queue into the submission queue, recolor it red, and — if this thread
@@ -203,10 +185,12 @@ func (d *Device) SubmitBatch(p *sim.Proc, reqs []*uapi.MovReq) error {
 		}
 		sawBlue = sawBlue || color == rbq.Blue
 	}
-	if sawBlue {
-		// An enqueue that observed red needs nothing more: an active
-		// kernel worker will pick the request up.
-		d.flushStagingAndKick(p)
+	// An enqueue that observed red needs nothing more: an active kernel
+	// worker will pick the request up. Otherwise flush (operations 2–3 of
+	// the Section 4.4 protocol), and whoever turned the queue red issues
+	// the MOV_ONE kick-start syscall.
+	if sawBlue && d.Area.Staging.Flush(func(idx uint32) { d.toSubmission(p, d.UserMeter, idx) }) {
+		d.ioctlMovOne(p)
 	}
 	return stageErr
 }

@@ -1,7 +1,6 @@
 package core
 
 import (
-	"memif/internal/rbq"
 	"memif/internal/sim"
 	"memif/internal/stats"
 	"memif/internal/uapi"
@@ -56,7 +55,7 @@ const channelQuantum = 64 << 10
 func (d *Device) worker(p *sim.Proc) {
 	for {
 		d.reap(p)
-		d.flushStaging(p, d.KernMeter)
+		d.Area.Staging.Drain(func(idx uint32) { d.toSubmission(p, d.KernMeter, idx) })
 		if len(d.pipe) > 0 && (len(d.pipe) == pipeDepth || d.Area.Submission.Empty()) {
 			d.waitPipe(p)
 			continue
@@ -74,7 +73,7 @@ func (d *Device) worker(p *sim.Proc) {
 		// Still idle. Try to hand flushing back to the application;
 		// failure means the staging queue refilled under us, so keep
 		// draining.
-		if _, ok := d.Area.Staging.SetColor(rbq.Blue); !ok {
+		if !d.Area.Staging.Park() {
 			continue
 		}
 		if d.closed {
@@ -153,26 +152,21 @@ func (d *Device) linger(p *sim.Proc) bool {
 	return false
 }
 
-// flushStaging moves everything from the staging queue to the
-// submission queue, charging m: the application's flush on the submit
-// path (UserMeter) and the worker's on every pass (KernMeter) are this
-// one step. An index that fails validation is dropped, never trusted; a
-// refused submission enqueue is ignored (DESIGN.md §5.4 says why).
-func (d *Device) flushStaging(p *sim.Proc, m *sim.Meter) {
-	for {
-		idx, _, ok := d.Area.Staging.Dequeue()
-		if !ok {
-			return
-		}
-		d.busy(p, m, stats.PhaseInterface, 2*d.M.Plat.Cost.QueueOp)
-		req, valid := d.Area.Req(idx)
-		if !valid {
-			continue
-		}
-		req.Status = uapi.StatusSubmitted
-		req.Flushed = p.Now()
-		d.Area.Submission.Enqueue(idx)
+// toSubmission is the one staging drain step, charging m: the
+// application's rbq.Queue.Flush on the submit path (UserMeter) and the
+// worker's Drain on every pass (KernMeter) both move each staged index to
+// the submission queue through it. An index that fails validation is
+// dropped, never trusted; a refused submission enqueue is ignored
+// (DESIGN.md §5.4 says why).
+func (d *Device) toSubmission(p *sim.Proc, m *sim.Meter, idx uint32) {
+	d.busy(p, m, stats.PhaseInterface, 2*d.M.Plat.Cost.QueueOp)
+	req, valid := d.Area.Req(idx)
+	if !valid {
+		return
 	}
+	req.Status = uapi.StatusSubmitted
+	req.Flushed = p.Now()
+	d.Area.Submission.Enqueue(idx)
 }
 
 // irqComplete is the interrupt path: it runs when the completion

@@ -23,7 +23,7 @@ import (
 // the device's configuration, the keys do not.
 func TestRealtimeSeriesNamesGolden(t *testing.T) {
 	d := realtime.Open(realtime.Options{
-		NumReqs: 32, Controllers: 2, StagingShards: 2, ChunkBytes: 4 << 10,
+		NumReqs: 32, Controllers: 2, ChunkBytes: 4 << 10,
 		TraceFullCapture: true,
 	})
 	defer d.Close()

@@ -23,6 +23,17 @@ func (q *Queue) ForceTagsForTest(tag uint32) {
 	q.tail.Store(pack(unpackIdx(t), 0, tag))
 }
 
+// ColorForTest reads the queue color the way Color does but without
+// helping a lagging tail forward, so the protocol model's monitor can
+// sample it at every scheduling point without changing the run.
+func (q *Queue) ColorForTest() Color {
+	w := q.slab.nodes[unpackIdx(q.tail.Load())].next.Load()
+	for unpackIdx(w) != 0 {
+		w = q.slab.nodes[unpackIdx(w)].next.Load()
+	}
+	return unpackColor(w)
+}
+
 // TagOfFreeHeadForTest returns the free-stack head's current tag, so the
 // wraparound test can assert the tags actually crossed zero.
 func (s *Slab) TagOfFreeHeadForTest() uint32 { return unpackTag(s.freeHead.Load()) }

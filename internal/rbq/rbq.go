@@ -356,6 +356,29 @@ func (q *Queue) SetColor(newColor Color) (old Color, ok bool) {
 	}
 }
 
+// Flush is the submitter's half of the Section 4.4 protocol, run by a
+// caller whose enqueue observed blue: drain the queue into drain, then
+// recolor it red. A refused recolor means a neighbor staged meanwhile,
+// so it drains again. kick is true only for the caller whose recolor
+// turned the queue from blue to red: that caller owes the worker the one
+// kick, and a flusher that found the queue red already owes nothing.
+func (q *Queue) Flush(drain func(v uint32)) (kick bool) {
+	for {
+		q.Drain(drain)
+		if old, ok := q.SetColor(Red); ok {
+			return old == Blue
+		}
+	}
+}
+
+// Park is the worker's half: recolor the queue blue, handing flush duty
+// back to the submitters, before it sleeps. It fails, leaving the queue
+// unchanged, when the queue is not empty; the worker then drains again.
+func (q *Queue) Park() bool {
+	_, ok := q.SetColor(Blue)
+	return ok
+}
+
 // Color returns the queue's current color: the color on the tail's nil
 // link (equivalently, on an empty queue, the dummy's nil link). The
 // value is a racy snapshot; the atomically-coupled reads are the ones

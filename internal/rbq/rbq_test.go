@@ -292,12 +292,13 @@ func TestConcurrentPerProducerOrder(t *testing.T) {
 	}
 }
 
-// The SubmitRequest protocol (Section 4.4): concurrent submitters enqueue
-// into a blue staging queue; whoever's enqueue observed blue flushes and
-// recolors red; exactly the threads that turn the color from blue to red
-// "issue the ioctl". The invariant: every submitted value ends up flushed
-// to the submission queue, and while the queue is red nobody double-
-// flushes concurrently with the would-be kernel.
+// The SubmitRequest protocol (Section 4.4) under real preemption:
+// concurrent submitters enqueue into a blue staging queue; whoever's
+// enqueue observed blue runs Flush; exactly the threads that turn the
+// color from blue to red "issue the ioctl" and then play the kernel
+// (Drain, Park). The invariant: every submitted value ends up flushed to
+// the submission queue exactly once. protocol_test.go checks the same
+// steps schedule by schedule.
 func TestSubmitProtocol(t *testing.T) {
 	const threads, perThread = 8, 1000
 	s := NewSlab(2*threads*perThread + 16)
@@ -316,33 +317,19 @@ func TestSubmitProtocol(t *testing.T) {
 		if c != Blue {
 			return // red: the "kernel" (some other flusher) owns it
 		}
-	flush:
-		for {
-			v, _, ok := staging.Dequeue()
-			if !ok {
-				break
-			}
+		flush := func(v uint32) {
 			submission.Enqueue(v)
 			flushed.Add(1)
 		}
-		old, ok := staging.SetColor(Red)
-		if !ok {
-			goto flush // queue refilled under us
-		}
-		if old == Red {
+		if !staging.Flush(flush) {
 			return // someone else already took responsibility
 		}
 		ioctls.Add(1)
 		// Simulate the kernel: drain whatever accumulated while red,
-		// then recolor blue. (In memif the kernel thread does this.)
+		// then park. (In memif the kernel thread does this.)
 		for {
-			v, _, ok := staging.Dequeue()
-			if ok {
-				submission.Enqueue(v)
-				flushed.Add(1)
-				continue
-			}
-			if _, ok := staging.SetColor(Blue); ok {
+			staging.Drain(flush)
+			if staging.Park() {
 				return
 			}
 		}

@@ -83,18 +83,19 @@ func BenchmarkPipelined64KB(b *testing.B) {
 	}
 }
 
-// benchConcurrentSubmit drives the device with `submitters` goroutines
-// issuing size-byte requests in batches of `batch`. Each submitter is a
-// closed loop: it keeps a bounded window of requests in flight and reaps
+// benchConcurrentSubmit drives a device with `shards` staging shards
+// from `submitters` goroutines issuing size-byte requests in batches of
+// `batch`. Each submitter is a closed loop: it keeps a bounded window of
+// requests in flight and reaps
 // completions through the batch retrieval path to pace itself, so the
 // scheduler is never oversubscribed with spinning pollers. Destination
 // buffers are owned per slot (a slot is exclusive from Alloc to Free),
 // so any number of requests can be in flight without write races, and
 // it does not matter which submitter reaps which completion. Reports
 // kicks-per-op so the amortization claims are visible in the output.
-func benchConcurrentSubmit(b *testing.B, submitters, size, batch int, opts Options) {
+func benchConcurrentSubmit(b *testing.B, submitters, size, batch, shards int, opts Options) {
 	b.Helper()
-	d := Open(opts)
+	d := open(opts, shards)
 	src := make([]byte, size)
 	dsts := make([][]byte, opts.NumReqs)
 	for i := range dsts {
@@ -185,8 +186,8 @@ func BenchmarkStagingShards(b *testing.B) {
 	for _, shards := range []int{1, 4} {
 		for _, subs := range []int{1, 4, 16} {
 			b.Run(fmt.Sprintf("shards=%d/submitters=%d", shards, subs), func(b *testing.B) {
-				benchConcurrentSubmit(b, subs, 4<<10, 1,
-					Options{NumReqs: 512, Controllers: 4, StagingShards: shards})
+				benchConcurrentSubmit(b, subs, 4<<10, 1, shards,
+					Options{NumReqs: 512, Controllers: 4})
 			})
 		}
 	}
@@ -201,16 +202,16 @@ func BenchmarkStagingShards(b *testing.B) {
 func BenchmarkSmallRequest8Submitters(b *testing.B) {
 	const size = 4 << 10
 	b.Run("single-shard", func(b *testing.B) {
-		benchConcurrentSubmit(b, 8, size, 1,
-			Options{NumReqs: 512, Controllers: 4, StagingShards: 1})
+		benchConcurrentSubmit(b, 8, size, 1, 1,
+			Options{NumReqs: 512, Controllers: 4})
 	})
 	b.Run("sharded", func(b *testing.B) {
-		benchConcurrentSubmit(b, 8, size, 1,
-			Options{NumReqs: 512, Controllers: 4, StagingShards: 4})
+		benchConcurrentSubmit(b, 8, size, 1, 4,
+			Options{NumReqs: 512, Controllers: 4})
 	})
 	b.Run("sharded-batched16", func(b *testing.B) {
-		benchConcurrentSubmit(b, 8, size, 16,
-			Options{NumReqs: 512, Controllers: 4, StagingShards: 4})
+		benchConcurrentSubmit(b, 8, size, 16, 4,
+			Options{NumReqs: 512, Controllers: 4})
 	})
 }
 
@@ -222,7 +223,7 @@ func BenchmarkSmallRequest8Submitters(b *testing.B) {
 // test). Must report 0 allocs/op; every steady-state allocation on
 // this path is a regression.
 func BenchmarkSmallRequestAllocs(b *testing.B) {
-	d := Open(Options{NumReqs: 16, StagingShards: 1})
+	d := open(Options{NumReqs: 16}, 1)
 	defer d.Close()
 	src := make([]byte, 4<<10)
 	dst := make([]byte, 4<<10)

@@ -3,8 +3,6 @@ package realtime
 import (
 	"runtime"
 	"time"
-
-	"memif/internal/rbq"
 )
 
 // chunk is one unit of controller work: a byte range of one request.
@@ -89,20 +87,19 @@ func (d *Device) worker() {
 		// the first submitter to any shard kicks exactly once.
 		refilled := false
 		for _, sh := range d.staging {
-			if _, ok := sh.SetColor(rbq.Blue); !ok {
+			if !sh.Park() {
 				refilled = true
 			}
 		}
 		if refilled {
 			continue
 		}
+		// Close has waited out every submitter before setting closed, so
+		// nothing can be staged from here on: go around until the queues
+		// are dry.
 		if d.closed.Load() {
 			if !d.queuedWork() {
 				return
-			}
-			// Drain what slipped in before the close.
-			for _, sh := range d.staging {
-				sh.SetColor(rbq.Red)
 			}
 			continue
 		}

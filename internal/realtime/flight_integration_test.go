@@ -18,8 +18,8 @@ import (
 // watchdog did not contribute is a breach, and every breach is retained.
 func TestFlightRetroactiveCaptureNoSamplingHoles(t *testing.T) {
 	var delayCopies atomic.Bool
-	d := Open(Options{
-		NumReqs: 32, Controllers: 2, StagingShards: 2,
+	d := open(Options{
+		NumReqs: 32, Controllers: 2,
 		ChunkBytes:       16 << 10,
 		TraceSampleShift: -1, // tracer off: every breach takes the synthesized path
 		Flight:           flight.Options{Warmup: 4},
@@ -30,7 +30,7 @@ func TestFlightRetroactiveCaptureNoSamplingHoles(t *testing.T) {
 				}
 			},
 		},
-	})
+	}, 2)
 	defer d.Close()
 
 	src := make([]byte, 64<<10)
@@ -124,11 +124,11 @@ func TestFlightRetroactiveCaptureNoSamplingHoles(t *testing.T) {
 // pipeline latency; the armed breach check must skip it rather than
 // capture an epoch-sized "breach" with an empty stamp vector.
 func TestFlightSkipsUnstagedRequests(t *testing.T) {
-	d := Open(Options{
-		NumReqs: 8, Controllers: 1, StagingShards: 1,
+	d := open(Options{
+		NumReqs: 8, Controllers: 1,
 		TraceSampleShift: -1,
 		Flight:           flight.Options{Warmup: 1},
-	})
+	}, 1)
 	defer d.Close()
 
 	src := make([]byte, 4<<10)

@@ -44,10 +44,10 @@ func checkMonotone(t *testing.T, lc lifecycle.Lifecycle) {
 // chunked run every captured lifecycle carries all seven stamps in
 // order and the span histograms cover every attribution bucket.
 func TestLifecycleCleanPipelineFullStamps(t *testing.T) {
-	d := Open(Options{
-		NumReqs: 32, Controllers: 2, StagingShards: 2, ChunkBytes: 8 << 10,
+	d := open(Options{
+		NumReqs: 32, Controllers: 2, ChunkBytes: 8 << 10,
 		TraceFullCapture: true,
-	})
+	}, 2)
 	defer d.Close()
 
 	const n = 64
@@ -177,13 +177,13 @@ func TestLifecycleMonotoneUnderCancelChaos(t *testing.T) {
 // dispatched, and their lifecycles must reflect that — failed outcome,
 // no dispatch/copy stamps, still monotone.
 func TestLifecycleErrNoSlotsPath(t *testing.T) {
-	d := Open(Options{
-		NumReqs: 8, Controllers: 1, StagingShards: 1,
+	d := open(Options{
+		NumReqs: 8, Controllers: 1,
 		TraceFullCapture: true,
 		Chaos: &ChaosHooks{
 			FlushEnqueue: func(idx uint32) bool { return true },
 		},
-	})
+	}, 1)
 	defer d.Close()
 
 	const n = 4
@@ -290,8 +290,8 @@ func TestLifecycleTracingOverheadGuard(t *testing.T) {
 	}
 	measure := func(shift int) float64 {
 		r := testing.Benchmark(func(b *testing.B) {
-			benchConcurrentSubmit(b, 8, 4<<10, 16, Options{
-				NumReqs: 512, Controllers: 4, StagingShards: 4,
+			benchConcurrentSubmit(b, 8, 4<<10, 16, 4, Options{
+				NumReqs: 512, Controllers: 4,
 				TraceSampleShift: shift,
 				// Disarm the flight recorder on both sides so this guard
 				// isolates the lifecycle-sampling cost; the recorder has
@@ -332,8 +332,8 @@ func TestFlightOverheadGuard(t *testing.T) {
 	}
 	measure := func(disable bool) float64 {
 		r := testing.Benchmark(func(b *testing.B) {
-			benchConcurrentSubmit(b, 8, 4<<10, 16, Options{
-				NumReqs: 512, Controllers: 4, StagingShards: 4,
+			benchConcurrentSubmit(b, 8, 4<<10, 16, 4, Options{
+				NumReqs: 512, Controllers: 4,
 				Flight: flight.Options{Disable: disable},
 			})
 		})

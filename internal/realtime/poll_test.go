@@ -20,15 +20,14 @@ func TestPollMicroWaitSpins(t *testing.T) {
 	if runtime.GOMAXPROCS(0) < 2 {
 		t.Skip("the micro-wait is off on a single P: nothing can complete while the poller spins")
 	}
-	d := Open(Options{
-		NumReqs:       16,
-		StagingShards: 1,
-		Controllers:   1,
-		QoS:           QoSOptions{InlineThreshold: -1}, // force the controller path
+	d := open(Options{
+		NumReqs:     16,
+		Controllers: 1,
+		QoS:         QoSOptions{InlineThreshold: -1}, // force the controller path
 		Chaos: &ChaosHooks{
 			BeforeChunkCopy: func(idx uint32, off, end int) { time.Sleep(5 * time.Microsecond) },
 		},
-	})
+	}, 1)
 	defer d.Close()
 
 	src := bytes.Repeat([]byte{9}, 1<<10)

@@ -30,17 +30,18 @@
 // # Sharded staging
 //
 // One staging queue makes every submitter CAS the same Michael–Scott
-// tail. The device therefore keeps Options.StagingShards independent
-// red-blue staging queues on the shared slab, each carrying its own
-// color, and pins each submitting goroutine to a shard with a cheap
-// pooled token (sync.Pool is per-P, so repeat submitters from the same
-// context reuse the same shard and concurrent submitters spread out).
-// The Section 4.4 protocol runs per shard unchanged: a submitter that
-// observes blue flushes *its* shard and kicks once; the worker drains
-// shards round-robin and recolors each blue independently before
-// sleeping — so the single-kick amortization argument holds shard-wise,
-// and a burst over S shards costs at most S kicks rather than one per
-// request.
+// tail. The device therefore keeps min(4, GOMAXPROCS) independent
+// red-blue staging queues on the shared slab — a fixed count, not an
+// option — each carrying its own color, and pins each submitting
+// goroutine to a shard with a cheap pooled token (sync.Pool is per-P, so
+// repeat submitters from the same context reuse the same shard and
+// concurrent submitters spread out). The Section 4.4 protocol runs per
+// shard unchanged, through the queue's own two steps: a submitter that
+// observes blue flushes *its* shard (rbq.Queue.Flush) and kicks once;
+// the worker drains shards round-robin and parks each one
+// (rbq.Queue.Park) independently before sleeping — so the single-kick
+// amortization argument holds shard-wise, and a burst over S shards
+// costs at most S kicks rather than one per request.
 //
 // # Batched submission
 //
@@ -178,11 +179,6 @@ type Options struct {
 	// DefaultChunkBytes; negative disables chunking (one chunk per
 	// request, the pre-chunking behavior).
 	ChunkBytes int
-	// StagingShards is the number of independent red-blue staging
-	// queues submitters are spread across. 0 means min(4, GOMAXPROCS);
-	// 1 reproduces the single-staging-queue behavior of the original
-	// protocol (and of the paper's single shared area).
-	StagingShards int
 	// TraceSampleShift tunes lifecycle sampling: one request in 2^shift
 	// is stamped with fresh clock reads at every stage and attributed to
 	// the per-stage latency histograms and the capture ring behind
@@ -428,18 +424,19 @@ type Device struct {
 }
 
 // Open creates a device and starts its worker and transfer controllers.
-func Open(opts Options) *Device {
+// It keeps min(4, GOMAXPROCS) staging shards, the controller default:
+// enough that GOMAXPROCS submitters rarely share a tail, without
+// inflating the worst-case kicks per burst (one per shard) beyond the
+// controller count.
+func Open(opts Options) *Device { return open(opts, defaultControllers()) }
+
+// open is Open with an explicit staging shard count.
+func open(opts Options, shards int) *Device {
 	if opts.NumReqs <= 0 {
 		opts.NumReqs = 256
 	}
 	if opts.Controllers <= 0 {
 		opts.Controllers = defaultControllers()
-	}
-	if opts.StagingShards <= 0 {
-		// The controller default: enough shards that GOMAXPROCS submitters
-		// rarely share a tail, without inflating the worst-case
-		// kicks-per-burst (one per shard) beyond the controller count.
-		opts.StagingShards = defaultControllers()
 	}
 	chunkBytes := opts.ChunkBytes
 	if chunkBytes == 0 {
@@ -455,7 +452,6 @@ func Open(opts Options) *Device {
 	// shard (completions live on the MPMC rings, not the slab); slack
 	// scales with the queue count since every queue can sit in a
 	// transient dummy-recycling window at once.
-	shards := opts.StagingShards
 	numQueues := 1 + qos.NumClasses + shards
 	slab := rbq.NewSlabForQueues(opts.NumReqs, numQueues, 5+numQueues)
 	d := &Device{

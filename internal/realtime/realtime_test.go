@@ -507,15 +507,17 @@ func TestMultiPollerNoLostWakeup(t *testing.T) {
 // remain allocatable afterwards. The pre-fix device lost indices when
 // submission.Enqueue failed, leaking slots forever.
 func TestSlabExhaustionNoLeak(t *testing.T) {
-	d := Open(Options{NumReqs: 8, Controllers: 2, StagingShards: 1})
+	d := open(Options{NumReqs: 8, Controllers: 2}, 1)
 	defer d.Close()
 
-	// With one staging shard the slab holds NumReqs+13 nodes; 4 device
-	// dummies + 1 parasite dummy + 8 live indices leave 8 spare. Pin 6,
-	// leaving 2 — enough that the device works, tight enough that
-	// transient exhaustion is constant under concurrency.
+	// With one staging shard the slab is NewSlabForQueues(8, 5, 10): 8
+	// live indices, 5 dummies (free list, 3 class queues, 1 staging) and
+	// 10 slack nodes. A parasite queue takes one more as its dummy and
+	// pins all but 2 of the rest — enough that the device works, tight
+	// enough that transient exhaustion is constant under concurrency.
+	const spare = 2
 	parasite := d.slab.NewQueue(rbq.Blue)
-	for i := 0; i < 6; i++ {
+	for i, pin := 0, d.slab.FreeNodes()-spare; i < pin; i++ {
 		if _, ok := parasite.Enqueue(0); !ok {
 			t.Fatalf("parasite enqueue %d failed at setup", i)
 		}
@@ -751,7 +753,7 @@ func TestStagingShardsConcurrent(t *testing.T) {
 	for _, shards := range []int{1, 2, 4} {
 		for _, batch := range []int{1, 8} {
 			t.Run(fmt.Sprintf("shards=%d/batch=%d", shards, batch), func(t *testing.T) {
-				d := Open(Options{NumReqs: 256, Controllers: 2, StagingShards: shards})
+				d := open(Options{NumReqs: 256, Controllers: 2}, shards)
 				defer d.Close()
 				const (
 					submitters = 4

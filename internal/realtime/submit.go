@@ -184,9 +184,9 @@ func (d *Device) submissionDepth() int64 {
 	return n
 }
 
-// flushShard runs the blue-side of the Section 4.4 protocol on one
-// shard: drain it into the submission queue, recolor it red, and kick
-// the worker if nobody else already has.
+// flushShard runs the blue side of the Section 4.4 protocol on one
+// shard (rbq.Queue.Flush) and kicks the worker if this flush turned the
+// shard red.
 func (d *Device) flushShard(sh *rbq.Queue) {
 	// One clock read covers the flushed stamp of every unsampled request
 	// in this drain.
@@ -194,19 +194,7 @@ func (d *Device) flushShard(sh *rbq.Queue) {
 	if d.fr != nil {
 		flushNano = time.Now().UnixNano()
 	}
-flush:
-	for {
-		idx, _, ok := sh.Dequeue()
-		if !ok {
-			break
-		}
-		d.toSubmission(idx, flushNano)
-	}
-	old, ok := sh.SetColor(rbq.Red)
-	if !ok {
-		goto flush
-	}
-	if old == rbq.Red {
+	if !sh.Flush(func(idx uint32) { d.toSubmission(idx, flushNano) }) {
 		return
 	}
 	// The kick-start "syscall".

@@ -489,12 +489,11 @@ func TestTenantBatchSubmit(t *testing.T) {
 func openStalled(o Options) (d *Device, release func(), order func() []uint32) {
 	stall := make(chan struct{})
 	var popped []uint32
-	o.StagingShards = 1 // arrival order is submit order
 	o.Chaos = &ChaosHooks{BeforeDispatch: func(idx uint32) {
 		popped = append(popped, d.reqs[idx].tenant.Load())
 		<-stall
 	}}
-	d = Open(o)
+	d = open(o, 1) // one staging shard: arrival order is submit order
 	var once sync.Once
 	return d, func() { once.Do(func() { close(stall) }) }, func() []uint32 { return popped }
 }

@@ -235,60 +235,6 @@ func TestCondSignalSkipsStaleWaiters(t *testing.T) {
 	}
 }
 
-func TestMailboxFIFO(t *testing.T) {
-	e := NewEngine()
-	mb := NewMailbox[int](e)
-	var got []int
-	e.Spawn("recv", func(p *Proc) {
-		for i := 0; i < 3; i++ {
-			got = append(got, mb.Recv(p))
-		}
-	})
-	e.Spawn("send", func(p *Proc) {
-		for i := 1; i <= 3; i++ {
-			p.SleepNS(int64(i))
-			mb.Send(i * 10)
-		}
-	})
-	e.Run()
-	want := []int{10, 20, 30}
-	for i := range want {
-		if got[i] != want[i] {
-			t.Fatalf("got %v, want %v", got, want)
-		}
-	}
-}
-
-func TestMailboxRecvTimeout(t *testing.T) {
-	e := NewEngine()
-	mb := NewMailbox[string](e)
-	e.Spawn("recv", func(p *Proc) {
-		if _, ok := mb.RecvTimeout(p, 100); ok {
-			t.Error("RecvTimeout succeeded on empty mailbox")
-		}
-		if p.Now() != Time(100) {
-			t.Errorf("timed out at %v, want 100ns", p.Now())
-		}
-	})
-	e.Run()
-}
-
-func TestMailboxTryRecv(t *testing.T) {
-	e := NewEngine()
-	mb := NewMailbox[int](e)
-	e.Spawn("p", func(p *Proc) {
-		if _, ok := mb.TryRecv(); ok {
-			t.Error("TryRecv on empty mailbox returned ok")
-		}
-		mb.Send(7)
-		v, ok := mb.TryRecv()
-		if !ok || v != 7 {
-			t.Errorf("TryRecv = %v, %v; want 7, true", v, ok)
-		}
-	})
-	e.Run()
-}
-
 // A daemon parked forever must be torn down by Run without leaking its
 // goroutine or hanging.
 func TestTeardownOfParkedDaemon(t *testing.T) {
