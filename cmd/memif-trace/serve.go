@@ -10,7 +10,6 @@ import (
 	"memif/internal/core"
 	"memif/internal/hw"
 	"memif/internal/machine"
-	"memif/internal/obs/flight"
 	"memif/internal/obs/lifecycle"
 	"memif/internal/obs/obshttp"
 	"memif/internal/qos"
@@ -93,8 +92,8 @@ func populate(reqs, bytesPer int) (h *obshttp.Handler, stop func(), err error) {
 		return d.Stats().Lifecycle.Captured
 	})
 	h.RegisterOutliers("realtime", d.FlightSnapshot)
-	h.RegisterOutliers("swapd", func() flight.Snapshot { return swSnap.Flight })
-	h.RegisterOutliers("streams", func() flight.Snapshot { return engSnap.Flight })
+	h.RegisterOutliers("swapd", func() lifecycle.FlightSnapshot { return swSnap.Flight })
+	h.RegisterOutliers("streams", func() lifecycle.FlightSnapshot { return engSnap.Flight })
 	return h, d.Close, nil
 }
 
@@ -168,7 +167,7 @@ func runSimScenario() (swapd.MetricsSnapshot, streamrt.EngineSnapshot, error) {
 	as2 := m2.NewAddressSpace(hw.Page4K)
 	dev2 := core.Open(m2, as2, core.DefaultOptions())
 	eopts := streamrt.DefaultEngineOptions()
-	eopts.Flight = flight.Options{ThresholdFloorNs: 1, ThresholdMult: 1, Warmup: 4, RingDepth: 64}
+	eopts.Flight = lifecycle.FlightOptions{ThresholdFloorNs: 1, ThresholdMult: 1, Warmup: 4}
 	var engSnap streamrt.EngineSnapshot
 	m2.Eng.Spawn("app", func(p *sim.Proc) {
 		defer dev2.Close()

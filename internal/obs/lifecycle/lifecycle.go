@@ -1,29 +1,31 @@
-// Package lifecycle is the reader side of per-request stage tracing: the
-// vocabulary of stages a request passes through in an asynchronous move
-// pipeline (submit → flushed → dispatched → copy start/end → completed →
-// retrieved), and everything derived from a finished request's stamp
-// vector — per-stage latency histograms, the one captured-request
-// record (Lifecycle) with the one lock-free ring that holds it (Ring,
-// record.go), and a Chrome trace_event export. It is the latency-budget
-// attribution the paper's Section 6 builds its whole argument on, turned
+// Package lifecycle is the observability of every engine's request
+// pipeline: the stages a request passes through in an asynchronous move
+// (submit → flushed → dispatched → copy start/end → completed →
+// retrieved), the one captured-request record (Lifecycle) and the one
+// lock-free ring that holds it (record.go), a Chrome trace_event export,
+// and the one Recorder each engine — the realtime device, swapd, the
+// stream engine — hands every finished request to, once, through
+// Finish. It is the paper's Section 6 latency-budget attribution turned
 // into an always-on instrument.
 //
-// The package never stamps. Every pipeline keeps its stage timestamps on
-// its own request record (the realtime device's Request, the simulated
-// core device's MovReq under swapd and streamrt), written by the
-// goroutines that already own the record at each handoff. When the
-// application retrieves a completion, the pipeline assembles the seven
-// stamps into one vector and hands it here: a SpanSet derives the
-// stage-pair spans, and a Collector adds the 1-in-2^shift sampling
-// decision, per-class attribution and a Ring of the sampled records on
-// top. The flight recorder (package flight) keeps the requests it finds
-// past their threshold in a second Ring of the same records. All of
-// that work runs on the retrieval path, never on a worker or controller
-// goroutine (the interrupt path).
+// The package never stamps: each pipeline keeps its stage timestamps on
+// its own request record, written by the goroutines that own it at each
+// handoff. The Recorder has two halves. Sampling: one request in
+// 2^shift (1 in 128 on the realtime device, every request on the
+// simulated engines) has its stage-pair spans derived into histograms —
+// global, per class, per tenant or stream — and joins the sampled ring.
+// Flight recording: sampling almost never holds the p99.9 request, so
+// every request's latency is judged at retrieval against an adaptive
+// per-(class,tenant) threshold (Acc is the one implementation of that
+// arithmetic), and a breach joins the outlier ring with the owner's
+// ambient congestion picture. A wall-clock owner also gets per-class and
+// per-tenant SLO burn rates and a stall watchdog whose findings land in
+// the outlier ring as typed records.
 //
-// The package follows the obs ground rules: everything is lock-free,
-// safe from any goroutine, and nil-safe, so call sites need no
-// enabled-checks.
+// All of it runs on the retrieval path and the owner's monitor tick,
+// never on a worker or controller goroutine, and the request path is
+// lock-free. What is settable is FlightOptions; every former knob that
+// only ever had one value is a constant, with its reason.
 package lifecycle
 
 import (
@@ -149,25 +151,19 @@ type SpanSet struct {
 }
 
 // Observe records one duration (ns, wall or virtual) for a span.
-// Nil-safe; negative durations are clamped to zero rather than dropped,
-// so a torn clock can never hide a sample.
+// Negative durations are clamped to zero rather than dropped, so a torn
+// clock can never hide a sample.
 func (s *SpanSet) Observe(sp Span, d int64) {
-	if s == nil {
-		return
-	}
 	if d < 0 {
 		d = 0
 	}
 	s.spans[sp].Observe(d)
 }
 
-// ObserveStamps derives and records every stage-pair span whose
+// observeStamps derives and records every stage-pair span whose
 // endpoints are both stamped (nonzero). The chunk-level spans are not
 // derivable from stamps and are untouched.
-func (s *SpanSet) ObserveStamps(ts *[NumStages]int64) {
-	if s == nil {
-		return
-	}
+func (s *SpanSet) observeStamps(ts *[NumStages]int64) {
 	for _, d := range stageSpans {
 		from, to := ts[d.from], ts[d.to]
 		if from == 0 || to == 0 {
@@ -178,8 +174,8 @@ func (s *SpanSet) ObserveStamps(ts *[NumStages]int64) {
 }
 
 // Stamps assembles a stage-stamp array from the seven stage times of a
-// request record (0 = stage never reached). Feed the result to
-// ObserveStamps.
+// request record (0 = stage never reached), the Lifecycle.TS a Recorder
+// derives spans from.
 func Stamps(submit, flushed, dispatched, copyStart, copyEnd, completed, retrieved int64) [NumStages]int64 {
 	var ts [NumStages]int64
 	ts[StageSubmit] = submit
@@ -192,12 +188,9 @@ func Stamps(submit, flushed, dispatched, copyStart, copyEnd, completed, retrieve
 	return ts
 }
 
-// Snapshot captures every span histogram. Nil-safe (zero snapshot).
+// Snapshot captures every span histogram.
 func (s *SpanSet) Snapshot() SpanSnapshot {
 	var out SpanSnapshot
-	if s == nil {
-		return out
-	}
 	for i := range s.spans {
 		out.Spans[i] = s.spans[i].Snapshot()
 	}
@@ -217,162 +210,6 @@ func (s SpanSnapshot) Delta(prev SpanSnapshot) SpanSnapshot {
 		out.Spans[i] = s.Spans[i].Delta(prev.Spans[i])
 	}
 	return out
-}
-
-// DefaultCaptureDepth is the depth of a Collector's completed-lifecycle
-// ring.
-const DefaultCaptureDepth = 256
-
-// Collector turns the finished stamp vectors of one device's sampled
-// requests into histograms and a capture ring. The device makes the
-// sampling decision through Sample when a request is submitted, stamps
-// its own request record on the way through, and hands the completed
-// Lifecycle to Collect at retrieval. A nil *Collector is valid: it
-// samples nothing and records nothing.
-type Collector struct {
-	mask       uint64 // sample when (n-1)&mask == 0
-	shift      int
-	begun      obs.Counter
-	aborted    obs.Counter
-	spans      SpanSet
-	classSpans []SpanSet // per-class attribution; empty without classes
-	capture    *Ring
-}
-
-// NewCollector returns a collector sampling one request in 2^sampleShift
-// (shift 0 = every request, the full-capture mode). classes > 0
-// additionally attributes every span to the lifecycle's priority class,
-// giving per-class stage latencies alongside the global ones. A negative
-// sampleShift returns nil — tracing disabled; every method is nil-safe.
-func NewCollector(sampleShift, classes int) *Collector {
-	if sampleShift < 0 {
-		return nil
-	}
-	if sampleShift > 62 {
-		sampleShift = 62
-	}
-	return &Collector{
-		mask:       uint64(1)<<uint(sampleShift) - 1,
-		shift:      sampleShift,
-		classSpans: make([]SpanSet, classes),
-		capture:    NewRing(DefaultCaptureDepth),
-	}
-}
-
-// Sample makes the sampling decision for the n'th request (counting
-// from 1) of whatever stream the caller counts — the realtime device
-// counts per request slot, so each slot samples its own 1st,
-// 2^shift+1'th, ... request and the unsampled path never touches state
-// shared across submitters. It reports whether the request is sampled;
-// the caller records that on the request and stamps it with fresh
-// clocks.
-func (c *Collector) Sample(n uint64) bool {
-	if c == nil || (n-1)&c.mask != 0 {
-		return false
-	}
-	c.begun.Inc()
-	return true
-}
-
-// Drop accounts for a sampled request that never entered the pipeline
-// (its submission failed back to the caller), so Begun stays equal to
-// Ended + Aborted + in flight.
-func (c *Collector) Drop() {
-	if c != nil {
-		c.aborted.Inc()
-	}
-}
-
-// ObserveQueueWait records a chunk-level dispatch-ring wait for a
-// request of the given class; stolen chunks are additionally attributed
-// to SpanStealDelay.
-func (c *Collector) ObserveQueueWait(class int, d int64, stolen bool) {
-	if c == nil {
-		return
-	}
-	c.spans.Observe(SpanRingWait, d)
-	if stolen {
-		c.spans.Observe(SpanStealDelay, d)
-	}
-	if class >= 0 && class < len(c.classSpans) {
-		c.classSpans[class].Observe(SpanRingWait, d)
-		if stolen {
-			c.classSpans[class].Observe(SpanStealDelay, d)
-		}
-	}
-}
-
-// Collect takes one sampled request's completed lifecycle: it derives
-// every stage-pair span of lc.TS into the global and per-class
-// histograms — and into extra when non-nil, so a caller can attribute
-// the same vector to a second dimension (the realtime device's
-// per-tenant stage latencies) without deriving twice — stamps lc.Seq
-// and pushes the lifecycle onto the capture ring. Runs on the
-// application's retrieval goroutine, never the device's.
-func (c *Collector) Collect(lc *Lifecycle, extra *SpanSet) {
-	if c == nil {
-		return
-	}
-	c.spans.ObserveStamps(&lc.TS)
-	extra.ObserveStamps(&lc.TS)
-	if lc.Class >= 0 && lc.Class < len(c.classSpans) {
-		c.classSpans[lc.Class].ObserveStamps(&lc.TS)
-	}
-	c.capture.Push(lc)
-}
-
-// Snapshot captures the collector state: sampling counters, the
-// per-span histograms and the retained completed lifecycles in Seq
-// order. Nil-safe (zero snapshot, Enabled false).
-func (c *Collector) Snapshot() Snapshot {
-	if c == nil {
-		return Snapshot{SampleShift: -1}
-	}
-	s := Snapshot{
-		Enabled:     true,
-		SampleShift: c.shift,
-		Begun:       c.begun.Load(),
-		Ended:       int64(c.capture.Pushed()),
-		Aborted:     c.aborted.Load(),
-		Spans:       c.spans.Snapshot(),
-	}
-	if len(c.classSpans) > 0 {
-		s.ClassSpans = make([]SpanSnapshot, len(c.classSpans))
-		for i := range c.classSpans {
-			s.ClassSpans[i] = c.classSpans[i].Snapshot()
-		}
-	}
-	s.Captured = c.capture.Snapshot()
-	return s
-}
-
-// Spans captures only the global per-span histograms — the cheap
-// accessor for periodic consumers (e.g. an adaptive-threshold retuner)
-// that must not pay Snapshot's capture-ring scan. Nil-safe.
-func (c *Collector) Spans() SpanSnapshot {
-	if c == nil {
-		return SpanSnapshot{}
-	}
-	return c.spans.Snapshot()
-}
-
-// Snapshot is a point-in-time view of a Collector.
-type Snapshot struct {
-	// Enabled is false on a disabled (nil) collector; SampleShift is the
-	// configured 1-in-2^k shift (-1 when disabled).
-	Enabled     bool
-	SampleShift int
-	// Begun / Ended / Aborted count sampled lifecycles opened (Sample),
-	// completed through retrieval (Collect), and abandoned by failed
-	// submissions (Drop).
-	Begun, Ended, Aborted int64
-	// Spans holds the per-stage latency histograms.
-	Spans SpanSnapshot
-	// ClassSpans holds the same histograms split by priority class,
-	// indexed by class; empty when the collector was built without classes.
-	ClassSpans []SpanSnapshot
-	// Captured holds the retained completed lifecycles, oldest first.
-	Captured []Lifecycle
 }
 
 // chromeEvent is one trace_event entry in the JSON Object Format that
@@ -404,9 +241,14 @@ type TraceGroup struct {
 // ChromeTraceGroupsJSON renders captured lifecycles as Chrome
 // trace_event JSON: one Chrome "process" per group on a common time
 // base, one thread row per request slot, one complete ("X") event per
-// derivable span, timestamps rebased to the earliest submit so the
-// timeline starts near zero. The result loads directly into
+// derivable stage-pair span, timestamps rebased to the earliest submit
+// so the timeline starts near zero. The result loads directly into
 // chrome://tracing or ui.perfetto.dev.
+//
+// The rows do not tile the request: no span covers dispatched →
+// copy_start (the sim driver's prepare phase, the realtime first
+// chunk's ring wait) or copy_end → completed, so those intervals show
+// as gaps on the row.
 func ChromeTraceGroupsJSON(groups []TraceGroup) ([]byte, error) {
 	var base int64
 	for _, g := range groups {
@@ -427,7 +269,7 @@ func ChromeTraceGroupsJSON(groups []TraceGroup) ([]byte, error) {
 		for _, lc := range g.Lifecycles {
 			for _, d := range stageSpans {
 				if d.span == SpanTotal {
-					continue // the per-stage rows already tile the total
+					continue // the whole request, not a stage
 				}
 				from, to := lc.TS[d.from], lc.TS[d.to]
 				if from == 0 || to == 0 {

@@ -5,7 +5,7 @@ import (
 	"time"
 
 	"memif/internal/obs"
-	"memif/internal/obs/flight"
+	"memif/internal/obs/lifecycle"
 	"memif/internal/qos"
 	"memif/internal/realtime"
 	"memif/internal/streamrt"
@@ -124,7 +124,7 @@ func RealtimeMetrics(device string, s realtime.StatsSnapshot) []Metric {
 // {prefix}_flight_* and {prefix}_slo_* series. className and tenantName
 // map the recorder's numeric lanes onto the subsystem's label
 // vocabulary.
-func flightMetrics(prefix string, lb []Label, fs flight.Snapshot, className func(int) string, tenantName func(int) string) []Metric {
+func flightMetrics(prefix string, lb []Label, fs lifecycle.FlightSnapshot, className func(int) string, tenantName func(int) string) []Metric {
 	if !fs.Enabled {
 		return nil
 	}

@@ -33,7 +33,6 @@ import (
 	"sync"
 
 	"memif/internal/obs"
-	"memif/internal/obs/flight"
 	"memif/internal/obs/lifecycle"
 )
 
@@ -96,7 +95,7 @@ type Handler struct {
 	mu         sync.RWMutex
 	collectors []Collector
 	traces     []source[[]lifecycle.Lifecycle]
-	outliers   []source[flight.Snapshot]
+	outliers   []source[lifecycle.FlightSnapshot]
 }
 
 // NewHandler returns an empty Handler.
@@ -120,9 +119,9 @@ func (h *Handler) RegisterTrace(process string, fn func() []lifecycle.Lifecycle)
 // RegisterOutliers adds a flight-recorder source, one entry in the
 // /debug/outliers document (and one Chrome process row in
 // /debug/outliers/trace) per source.
-func (h *Handler) RegisterOutliers(name string, fn func() flight.Snapshot) {
+func (h *Handler) RegisterOutliers(name string, fn func() lifecycle.FlightSnapshot) {
 	h.mu.Lock()
-	h.outliers = append(h.outliers, source[flight.Snapshot]{name, fn})
+	h.outliers = append(h.outliers, source[lifecycle.FlightSnapshot]{name, fn})
 	h.mu.Unlock()
 }
 
@@ -161,8 +160,8 @@ func (h *Handler) TraceJSON() ([]byte, error) {
 
 // OutlierReport is one source's entry in the /debug/outliers document.
 type OutlierReport struct {
-	Source string          `json:"source"`
-	Flight flight.Snapshot `json:"flight"`
+	Source string                   `json:"source"`
+	Flight lifecycle.FlightSnapshot `json:"flight"`
 }
 
 // OutlierReports snapshots every registered flight recorder.

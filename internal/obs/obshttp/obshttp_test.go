@@ -13,7 +13,6 @@ import (
 	"time"
 
 	"memif/internal/obs"
-	"memif/internal/obs/flight"
 	"memif/internal/obs/lifecycle"
 	"memif/internal/realtime"
 	"memif/internal/streamrt"
@@ -220,9 +219,9 @@ func TestAllSubsystemConverters(t *testing.T) {
 		Sizes:        sampleHistogram(1 << 20),
 		PromotionLag: sampleHistogram(2_000_000),
 		Stages:       spans.Snapshot(),
-		Flight: flight.Snapshot{
+		Flight: lifecycle.FlightSnapshot{
 			Enabled: true, RingDepth: 512, Breaches: 2, Events: 3, Captured: 5,
-			Thresholds: []flight.LaneThreshold{
+			Thresholds: []lifecycle.LaneThreshold{
 				{Class: 2, EWMANs: 1_500_000, ThresholdNs: 6_000_000, Count: 16},
 				{Class: 3, EWMANs: 2_000_000, ThresholdNs: 8_000_000, Count: 7},
 			},
@@ -293,9 +292,9 @@ func TestStreamEngineConverter(t *testing.T) {
 			{ID: 1, Name: "ingest-b", Kernel: "add", Credits: 4, Fills: 19, FastChunks: 18, SlowChunks: 2},
 		},
 		StreamNames: []string{"ingest-a", "ingest-b"},
-		Flight: flight.Snapshot{
+		Flight: lifecycle.FlightSnapshot{
 			Enabled: true, RingDepth: 256, Breaches: 3, Captured: 3,
-			Thresholds: []flight.LaneThreshold{
+			Thresholds: []lifecycle.LaneThreshold{
 				{Class: 1, EWMANs: 900_000, ThresholdNs: 2_700_000, Count: 21},
 			},
 		},

@@ -11,7 +11,6 @@ import (
 	"testing"
 	"time"
 
-	"memif/internal/obs/flight"
 	"memif/internal/obs/lifecycle"
 	"memif/internal/realtime"
 )
@@ -20,8 +19,8 @@ import (
 // reliably produces breaches: threshold = max(1ns, 1×EWMA) after a
 // one-request warmup means roughly every above-average completion
 // captures.
-func aggressiveFlight() flight.Options {
-	return flight.Options{
+func aggressiveFlight() lifecycle.FlightOptions {
+	return lifecycle.FlightOptions{
 		ThresholdFloorNs: 1,
 		ThresholdMult:    1,
 		Warmup:           1,

@@ -5,7 +5,6 @@ import (
 	"errors"
 	"time"
 
-	"memif/internal/obs/flight"
 	"memif/internal/obs/lifecycle"
 )
 
@@ -143,8 +142,8 @@ func (d *Device) RetrieveCompletedBatch(buf []*Request) int {
 	// and SLO arithmetic folds locally until Flush. Batch-level
 	// staleness only shifts breach latencies by microseconds; a sampled
 	// request reads a fresh clock inside lcEnd.
-	var acc flight.Acc
-	acc.Init(d.fr)
+	var acc lifecycle.Acc
+	acc.Init(d.rec)
 	var nano int64
 	for n < len(buf) {
 		idx, ok := d.popCompletion(start)
@@ -153,7 +152,7 @@ func (d *Device) RetrieveCompletedBatch(buf []*Request) int {
 		}
 		if r, valid := d.req(idx); valid {
 			d.m.retrieved.Inc()
-			if nano == 0 && d.fr != nil {
+			if nano == 0 && d.stampAll {
 				nano = time.Now().UnixNano()
 			}
 			d.lcEnd(r, nano, &acc)
@@ -225,22 +224,18 @@ func (r *Request) stamps(retrieved int64) (ts [lifecycle.NumStages]int64, flags 
 	return lifecycle.Stamps(sub, fl, disp, cs, ce, comp, retrieved), flags
 }
 
-// lcEnd closes r's lifecycle on the retrieval path. With the flight
-// recorder armed, the completed latency runs the breach check through
-// the caller's batch accumulator (which also trains the lane EWMA and
-// SLO counters, folded once per batch by acc.Flush) — for every
-// retrieved request, so capture has no sampling holes. Only a breach or
-// a sampled request builds the one captured record: a sampled request
-// hands it to the collector, which derives the global, per-class and
-// per-tenant stage spans from it and keeps it in the sampled ring; a
-// breach adds the ambient congestion picture and pushes the same record
-// into the outlier ring.
+// lcEnd closes r's lifecycle on the retrieval path: it hands the
+// request's identity and latency to the recorder through the caller's
+// batch accumulator. With the outlier half armed that happens for every
+// retrieved request, so capture has no sampling holes; without it, only
+// for sampled ones. The recorder asks for the stamp vector (stamps,
+// through the probe Open gives it) only for a record it keeps.
 //
 // nano is the caller's batch-amortized retrieve timestamp (0 = read the
 // clock here); a sampled request reads a fresh one regardless. The
 // shared clock can predate a completion that landed while the batch was
 // being drained, hence the clamp.
-func (d *Device) lcEnd(r *Request, nano int64, acc *flight.Acc) {
+func (d *Device) lcEnd(r *Request, nano int64, acc *lifecycle.Acc) {
 	sub := r.submitted.Load()
 	if sub == 0 {
 		// Shed before staging (admission or slot exhaustion): there is
@@ -248,7 +243,7 @@ func (d *Device) lcEnd(r *Request, nano int64, acc *flight.Acc) {
 		// epoch-sized breach, and r.sampled is a previous occupant's.
 		return
 	}
-	if !r.sampled && d.fr == nil {
+	if !r.sampled && !d.stampAll {
 		return
 	}
 	if r.sampled || nano == 0 {
@@ -257,30 +252,16 @@ func (d *Device) lcEnd(r *Request, nano int64, acc *flight.Acc) {
 	if comp := r.completed.Load(); nano < comp {
 		nano = comp
 	}
-	lat := nano - sub
-	tenant := int(r.tenant.Load())
-	thr, breach := acc.Observe(int(r.Class), tenant, lat, r.Err == nil)
-	if !breach && !r.sampled {
-		return
+	// Field by field: a composite literal is built in a temporary and
+	// copied, which costs more than everything else here.
+	var lc lifecycle.Lifecycle
+	lc.Nano, lc.LatencyNs = nano, nano-sub
+	lc.Slot, lc.Class, lc.Tenant = int(r.idx), int(r.Class), int(r.tenant.Load())
+	lc.Bytes = int64(len(r.Src))
+	if r.Err != nil {
+		lc.Outcome = lcOutcome(r.Err)
 	}
-	lc := lifecycle.Lifecycle{
-		Nano:        nano,
-		Slot:        int(r.idx),
-		Class:       int(r.Class),
-		Tenant:      tenant,
-		Bytes:       int64(len(r.Src)),
-		Outcome:     lcOutcome(r.Err),
-		LatencyNs:   lat,
-		ThresholdNs: thr,
-	}
-	lc.TS, lc.Flags = r.stamps(nano)
-	if r.sampled {
-		d.lc.Collect(&lc, &d.tenantOf(r).spans)
-	}
-	if breach {
-		lc.Ambient = d.ambient()
-		d.fr.Capture(&lc)
-	}
+	d.rec.Finish(acc, &lc, r.sampled)
 }
 
 // ready reports whether a completion is pending, re-arming the notify

@@ -55,7 +55,7 @@ func (d *Device) worker() {
 		close(d.work) // controllers drain their rings and exit
 		d.wg.Done()
 	}()
-	clk := coarseClock{armed: d.fr != nil}
+	clk := coarseClock{armed: d.stampAll}
 	for {
 		// Drain every shard round-robin: one element per shard per
 		// pass, so no shard starves behind a full neighbor. Flushed
@@ -234,7 +234,7 @@ func (d *Device) popChunk(id int) (c chunk, stolen, ok bool) {
 func (d *Device) controller(id int) {
 	defer d.wg.Done()
 	spins := 0
-	clk := coarseClock{armed: d.fr != nil} // copy-start stamps of unsampled requests
+	clk := coarseClock{armed: d.stampAll} // copy-start stamps of unsampled requests
 	for {
 		if c, stolen, ok := d.popChunk(id); ok {
 			spins = 0
@@ -280,7 +280,7 @@ func (d *Device) runChunk(c chunk, slot int, stolen bool, csNano int64) {
 		// closes the chunk's ring wait (and steal delay) and is its
 		// copy-start stamp.
 		csNano = time.Now().UnixNano()
-		d.lc.ObserveQueueWait(int(r.Class), csNano-c.nano, stolen)
+		d.rec.ObserveQueueWait(int(r.Class), csNano-c.nano, stolen)
 		if stolen {
 			r.stolenNs.Store(csNano)
 		}

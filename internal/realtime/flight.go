@@ -3,14 +3,13 @@ package realtime
 import (
 	"time"
 
-	"memif/internal/obs/flight"
 	"memif/internal/obs/lifecycle"
 )
 
 // Flight-recorder plumbing for the realtime device: the monitor
 // goroutine that drives SLO window ticks and the stall watchdog, and
-// the ambient-state assembler the outlier capture paths share. The
-// recorder itself lives in internal/obs/flight; everything here is the
+// the ambient-state probe the recorder stamps on every outlier. The
+// recorder itself is lifecycle.Recorder; everything here is the
 // device-specific probe.
 
 // flightTickInterval is the monitor cadence: fast enough that a 1s SLO
@@ -20,12 +19,11 @@ import (
 const flightTickInterval = 10 * time.Millisecond
 
 // monitor is the flight recorder's heartbeat goroutine: every tick it
-// advances the SLO burn-rate windows and feeds the watchdog a progress
-// probe; findings are captured into the outlier ring as typed stall
-// records. Exits when frStop closes (Close waits for it).
+// hands the recorder a progress probe, which advances the SLO burn-rate
+// windows and the watchdog; findings land in the outlier ring as typed
+// stall records. Exits when frStop closes (Close waits for it).
 func (d *Device) monitor() {
 	defer d.frWg.Done()
-	watch := flight.NewWatchdog()
 	ticker := time.NewTicker(flightTickInterval)
 	defer ticker.Stop()
 	for {
@@ -34,19 +32,14 @@ func (d *Device) monitor() {
 			return
 		case <-ticker.C:
 		}
-		nano := time.Now().UnixNano()
-		d.fr.Tick(nano)
 		depth, cap := d.fullestCompletionRing()
-		p := flight.ProbeState{
+		d.rec.Tick(time.Now().UnixNano(), lifecycle.ProbeState{
 			QueuedWork:       d.queuedWork(),
 			DispatchProgress: d.m.dispatched.Load(),
 			CompletionDepth:  depth,
 			CompletionCap:    cap,
 			RetrieveProgress: d.m.retrieved.Load(),
-		}
-		for _, reason := range watch.Tick(p) {
-			d.fr.CaptureStall(reason, nano, d.ambient())
-		}
+		})
 	}
 }
 
@@ -54,7 +47,7 @@ func (d *Device) monitor() {
 // outliers, stall reports, lane thresholds and SLO burn rates — without
 // the full Stats assembly. Snapshot.Enabled is false when the recorder
 // is disarmed.
-func (d *Device) FlightSnapshot() flight.Snapshot { return d.fr.Snapshot() }
+func (d *Device) FlightSnapshot() lifecycle.FlightSnapshot { return d.rec.FlightSnapshot() }
 
 // queuedWork reports whether any staging shard or submission queue held
 // work at probe time (racy snapshot — the watchdog needs consecutive
@@ -87,7 +80,8 @@ func (d *Device) fullestCompletionRing() (depth, cap int64) {
 	return depth, int64((len(d.reqs) + n - 1) / n)
 }
 
-// ambient assembles the congestion picture stored alongside an outlier:
+// ambient is the recorder's probe, the congestion picture stored
+// alongside an outlier:
 // live queue depths and per-class in-flight counts, all racy snapshots
 // of already-atomic state.
 func (d *Device) ambient() lifecycle.Ambient {

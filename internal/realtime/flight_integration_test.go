@@ -6,7 +6,6 @@ import (
 	"testing"
 	"time"
 
-	"memif/internal/obs/flight"
 	"memif/internal/obs/lifecycle"
 )
 
@@ -22,7 +21,7 @@ func TestFlightRetroactiveCaptureNoSamplingHoles(t *testing.T) {
 		NumReqs: 32, Controllers: 2,
 		ChunkBytes:       16 << 10,
 		TraceSampleShift: -1, // tracer off: every breach takes the synthesized path
-		Flight:           flight.Options{Warmup: 4},
+		Flight:           lifecycle.FlightOptions{Warmup: 4},
 		Chaos: &ChaosHooks{
 			BeforeChunkCopy: func(idx uint32, off, end int) {
 				if delayCopies.Load() {
@@ -127,7 +126,7 @@ func TestFlightSkipsUnstagedRequests(t *testing.T) {
 	d := open(Options{
 		NumReqs: 8, Controllers: 1,
 		TraceSampleShift: -1,
-		Flight:           flight.Options{Warmup: 1},
+		Flight:           lifecycle.FlightOptions{Warmup: 1},
 	}, 1)
 	defer d.Close()
 

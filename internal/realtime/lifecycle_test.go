@@ -9,7 +9,6 @@ import (
 	"testing"
 	"time"
 
-	"memif/internal/obs/flight"
 	"memif/internal/obs/lifecycle"
 )
 
@@ -296,7 +295,7 @@ func TestLifecycleTracingOverheadGuard(t *testing.T) {
 				// Disarm the flight recorder on both sides so this guard
 				// isolates the lifecycle-sampling cost; the recorder has
 				// its own guard (TestFlightOverheadGuard).
-				Flight: flight.Options{Disable: true},
+				Flight: lifecycle.FlightOptions{Disable: true},
 			})
 		})
 		return float64(r.NsPerOp())
@@ -334,7 +333,7 @@ func TestFlightOverheadGuard(t *testing.T) {
 		r := testing.Benchmark(func(b *testing.B) {
 			benchConcurrentSubmit(b, 8, 4<<10, 16, 4, Options{
 				NumReqs: 512, Controllers: 4,
-				Flight: flight.Options{Disable: disable},
+				Flight: lifecycle.FlightOptions{Disable: disable},
 			})
 		})
 		return float64(r.NsPerOp())

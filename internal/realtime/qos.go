@@ -237,7 +237,7 @@ func (d *Device) popSubmission() (uint32, bool) {
 // maybeRetune re-derives the inline threshold from the lifecycle span
 // histograms every retuneEvery dispatches. Worker-only.
 func (d *Device) maybeRetune() {
-	if d.lc == nil || d.inline.Load() == 0 {
+	if d.inline.Load() == 0 {
 		return
 	}
 	d.dispatchSeq++
@@ -256,7 +256,7 @@ func (d *Device) maybeRetune() {
 // current one so a noisy window cannot slam it around, and clamped to
 // [minInlineThreshold, maxInline].
 func (d *Device) retune() {
-	spans := d.lc.Spans()
+	spans := d.rec.Spans()
 	ring := spans.Spans[lifecycle.SpanRingWait]
 	cp := spans.Spans[lifecycle.SpanCopy]
 	if ring.Count == 0 || cp.Count == 0 {

@@ -118,7 +118,6 @@ import (
 	"sync/atomic"
 	"time"
 
-	"memif/internal/obs/flight"
 	"memif/internal/obs/lifecycle"
 	"memif/internal/qos"
 	"memif/internal/rbq"
@@ -202,7 +201,7 @@ type Options struct {
 	// independent of the sampling: every request carries stage stamps
 	// while it is armed, so capture has no sampling holes even with
 	// TraceSampleShift negative.
-	Flight flight.Options
+	Flight lifecycle.FlightOptions
 	// Chaos installs test-only fault-injection hooks. Leave nil outside
 	// the verification suite.
 	Chaos *ChaosHooks
@@ -412,15 +411,17 @@ type Device struct {
 	_       [56]byte
 	wg      sync.WaitGroup
 	m       metrics
-	lc      *lifecycle.Collector // nil when lifecycle sampling is disabled
 	chaos   *ChaosHooks
 
-	// Flight recorder (nil fields when Options.Flight.Disable). The
-	// monitor goroutine (flight.go) ticks it and the stall watchdog,
-	// and exits when frStop closes.
-	fr     *flight.Recorder
-	frStop chan struct{}
-	frWg   sync.WaitGroup
+	// rec is the device's recorder: sampled spans and lifecycles, and
+	// (unless Options.Flight.Disable) outliers, SLOs and the watchdog.
+	// With its outlier half armed, stampAll is set — every request is
+	// stamped, not just the sampled ones — and the monitor goroutine
+	// ticks it until frStop closes.
+	rec      *lifecycle.Recorder
+	stampAll bool
+	frStop   chan struct{}
+	frWg     sync.WaitGroup
 }
 
 // Open creates a device and starts its worker and transfer controllers.
@@ -501,11 +502,18 @@ func open(opts Options, shards int) *Device {
 	} else if lcShift == 0 {
 		lcShift = DefaultTraceSampleShift
 	}
-	d.lc = lifecycle.NewCollector(lcShift, qos.NumClasses)
-	if d.fr = flight.New(opts.Flight, true); d.fr != nil {
+	d.rec = lifecycle.NewRecorder(lifecycle.Config{
+		SampleShift: lcShift,
+		Classes:     qos.NumClasses,
+		Flight:      opts.Flight,
+		WallClock:   true,
+		Ambient:     d.ambient,
+		Stamps:      func(slot int, nano int64) ([lifecycle.NumStages]int64, uint32) { return d.reqs[slot].stamps(nano) },
+	})
+	if d.stampAll = !opts.Flight.Disable; d.stampAll {
 		// Retroactive capture needs stage stamps for every request, not
 		// 1/128 — cheap ones: plain Request fields fed by amortized
-		// clocks (the stamping sites branch on d.fr != nil). Only the
+		// clocks (the stamping sites branch on stampAll). Only the
 		// sampled requests pay for fresh clock reads.
 		d.frStop = make(chan struct{})
 		d.frWg.Add(1)

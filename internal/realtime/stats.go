@@ -5,7 +5,6 @@ import (
 	"sync/atomic"
 
 	"memif/internal/obs"
-	"memif/internal/obs/flight"
 	"memif/internal/obs/lifecycle"
 	"memif/internal/qos"
 	"memif/internal/rbq"
@@ -151,7 +150,7 @@ type StatsSnapshot struct {
 	// Flight is the flight-recorder snapshot: captured outliers and
 	// stall reports, adaptive per-lane thresholds, and SLO burn rates.
 	// Flight.Enabled is false when Options.Flight.Disable is set.
-	Flight flight.Snapshot
+	Flight lifecycle.FlightSnapshot
 }
 
 // ClassStats is one priority class's slice of the device counters.
@@ -194,7 +193,7 @@ func (d *Device) Stats() StatsSnapshot {
 	tab := *d.tenants.Load()
 	tenants := make([]TenantStats, len(tab))
 	for i, ts := range tab {
-		tenants[i] = ts.snapshot()
+		tenants[i] = d.tenantStats(ts)
 	}
 	var chunks, bytesMoved, steals int64
 	for i := range d.ctr {
@@ -214,8 +213,8 @@ func (d *Device) Stats() StatsSnapshot {
 		CompletionDepth:      compDepth,
 		CompletionDepths:     compDepths,
 		RingDepths:           ringDepths,
-		Lifecycle:            d.lc.Snapshot(),
-		Flight:               d.fr.Snapshot(),
+		Lifecycle:            d.rec.Snapshot(),
+		Flight:               d.rec.FlightSnapshot(),
 		Submitted:            d.m.submitted.Load(),
 		Completed:            d.m.completed.Load(),
 		Canceled:             d.m.canceled.Load(),

@@ -60,7 +60,7 @@ func (d *Device) shard() *rbq.Queue { return d.staging[d.shardOf.lane()] }
 func (d *Device) stage(sh *rbq.Queue, r *Request) (rbq.Color, bool) {
 	r.submitted.Store(time.Now().UnixNano())
 	r.stageSeq++
-	r.sampled = d.lc.Sample(r.stageSeq)
+	r.sampled = d.rec.Sample(r.stageSeq)
 	r.state.Store(r.word(stPending))
 	if d.chaos != nil && d.chaos.StagingEnqueue != nil && d.chaos.StagingEnqueue(r.idx) {
 		return 0, false // forced slab exhaustion
@@ -104,7 +104,7 @@ func (d *Device) unstage(r *Request) bool {
 	// The request never entered the pipeline: the caller gets the error
 	// back and keeps the slot, so a sampled lifecycle ends here.
 	if r.sampled {
-		d.lc.Drop()
+		d.rec.Drop()
 	}
 	return false
 }
@@ -191,7 +191,7 @@ func (d *Device) flushShard(sh *rbq.Queue) {
 	// One clock read covers the flushed stamp of every unsampled request
 	// in this drain.
 	var flushNano int64
-	if d.fr != nil {
+	if d.stampAll {
 		flushNano = time.Now().UnixNano()
 	}
 	if !sh.Flush(func(idx uint32) { d.toSubmission(idx, flushNano) }) {

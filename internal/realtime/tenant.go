@@ -120,7 +120,6 @@ type tenantState struct {
 	submitted, completed obs.Counter
 	shed, canceled       obs.Counter
 	latency              obs.Histogram
-	spans                lifecycle.SpanSet
 }
 
 // Tenant is a handle on one tenant namespace of a Device. Handles are
@@ -169,10 +168,10 @@ func (d *Device) OpenTenant(cfg TenantConfig) (*Tenant, error) {
 	copy(tab, old)
 	tab[len(old)] = ts
 	d.tenants.Store(&tab)
-	// Grow the flight recorder's lane table in lockstep so the new
-	// tenant's completions train their own EWMA/SLO lanes from request
-	// one instead of folding into tenant 0.
-	d.fr.EnsureTenants(len(tab))
+	// Grow the recorder's tenant table in lockstep so the new tenant's
+	// completions train their own EWMA/SLO lanes and stage spans from
+	// request one instead of folding into tenant 0.
+	d.rec.EnsureTenants(len(tab))
 	return &Tenant{d: d, id: ts.id}, nil
 }
 
@@ -259,7 +258,7 @@ func (t *Tenant) CancelAll() int {
 }
 
 // Stats returns this tenant's slice of the device counters.
-func (t *Tenant) Stats() TenantStats { return t.d.tenant(t.id).snapshot() }
+func (t *Tenant) Stats() TenantStats { return t.d.tenantStats(t.d.tenant(t.id)) }
 
 // TenantStats is one tenant's slice of the device counters, exported
 // through StatsSnapshot.Tenants and the memif_realtime_tenant_* series.
@@ -287,7 +286,7 @@ type TenantStats struct {
 	Spans lifecycle.SpanSnapshot
 }
 
-func (ts *tenantState) snapshot() TenantStats {
+func (d *Device) tenantStats(ts *tenantState) TenantStats {
 	return TenantStats{
 		ID:         int(ts.id),
 		Name:       ts.name,
@@ -300,6 +299,6 @@ func (ts *tenantState) snapshot() TenantStats {
 		InFlight:   ts.occupancy(),
 		QueueDepth: ts.queued.Load(),
 		Latency:    ts.latency.Snapshot(),
-		Spans:      ts.spans.Snapshot(),
+		Spans:      d.rec.TenantSpans(int(ts.id)),
 	}
 }

@@ -7,7 +7,6 @@ import (
 
 	"memif/internal/core"
 	"memif/internal/obs"
-	"memif/internal/obs/flight"
 	"memif/internal/obs/lifecycle"
 	"memif/internal/sim"
 	"memif/internal/uapi"
@@ -42,7 +41,7 @@ type EngineOptions struct {
 	// lives on the simulated clock, so it has no SLO burn windows and
 	// no watchdog (the swapd convention); outlier capture and adaptive
 	// thresholds run on virtual ns, with one tenant lane per stream.
-	Flight flight.Options
+	Flight lifecycle.FlightOptions
 }
 
 // DefaultEngineOptions mirrors the Table 4 geometry: eight 512 KB
@@ -82,7 +81,9 @@ type Engine struct {
 	closed bool
 	err    error // sticky engine-fatal error (submit failure)
 
-	fr *flight.Recorder // nil when opts.Flight.Disable
+	// rec records every fill, one tenant row per stream: the stream's
+	// stage spans and its outlier lane.
+	rec *lifecycle.Recorder
 
 	// Lock-free mirrors for Snapshot.
 	bufMmaps                     obs.Counter
@@ -115,7 +116,7 @@ func OpenEngine(p *sim.Proc, d *core.Device, opts EngineOptions) (*Engine, error
 	}
 	// Virtual clock: no SLO burn windows, no watchdog (the swapd
 	// convention).
-	e.fr = flight.New(opts.Flight, false)
+	e.rec = lifecycle.NewRecorder(lifecycle.Config{Flight: opts.Flight})
 	for i := range e.bufs {
 		b, err := d.AS.Mmap(p, opts.BufBytes, fastNode, fmt.Sprintf("stream-ring-%d", i))
 		if err != nil {
@@ -168,7 +169,7 @@ func (e *Engine) OpenStream(p *sim.Proc, spec StreamSpec) (*Stream, error) {
 		scratch:  make([]byte, e.opts.BufBytes),
 		openedAt: p.Now(),
 	}
-	e.fr.EnsureTenants(id + 1) // nil-safe
+	e.rec.EnsureTenants(id + 1)
 	e.mu.Lock()
 	e.byID[id] = s
 	e.order = append(e.order, s)
@@ -240,9 +241,8 @@ func (e *Engine) drain(p *sim.Proc) {
 		ck := r.Cookie
 		ok := r.Status == uapi.StatusDone
 		errCode := r.Err
-		length := r.Length
-		lat := int64(r.Latency())
-		ts := r.Stamps()
+		lc := lifecycle.Lifecycle{Slot: -1, LatencyNs: int64(r.Latency()), Bytes: r.Length, TS: r.Stamps()}
+		lc.Nano = lc.TS[lifecycle.StageCompleted]
 		e.d.FreeRequest(p, r) // yields; r is dead past this point
 
 		sid, buf := int(ck>>32), int(uint32(ck))
@@ -251,15 +251,15 @@ func (e *Engine) drain(p *sim.Proc) {
 		s := e.byID[sid]
 
 		if ok && s != nil {
-			s.fillLatency.Observe(lat)
-			s.stages.ObserveStamps(&ts)
-			s.bytesPrefetched.Add(length)
-			e.bytesPrefetched.Add(length)
+			s.fillLatency.Observe(lc.LatencyNs)
+			s.bytesPrefetched.Add(lc.Bytes)
+			e.bytesPrefetched.Add(lc.Bytes)
 			// One (class, tenant) lane per stream: a breach lets
 			// /debug/outliers attribute the slow fill to staging wait,
 			// dispatch wait, copy time or completion dwell.
-			e.fr.ObserveLane(lifecycle.ReasonNone, int(s.spec.Class), s.id, lat, length, &ts,
-				lifecycle.Ambient{SubmissionDepth: int64(e.outstanding)})
+			lc.Class, lc.Tenant = int(s.spec.Class), s.id
+			lc.Ambient.SubmissionDepth = int64(e.outstanding)
+			e.rec.Finish(nil, &lc, true)
 		}
 
 		switch {
@@ -407,6 +407,6 @@ func (e *Engine) Snapshot() EngineSnapshot {
 	}
 	es.StreamNames = append([]string(nil), e.streamNames...)
 	e.mu.Unlock()
-	es.Flight = e.fr.Snapshot() // nil-safe: zero when disabled
+	es.Flight = e.rec.FlightSnapshot() // zero when disabled
 	return es
 }

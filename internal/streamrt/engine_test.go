@@ -11,7 +11,6 @@ import (
 	"memif/internal/core"
 	"memif/internal/hw"
 	"memif/internal/obs"
-	"memif/internal/obs/flight"
 	"memif/internal/obs/lifecycle"
 	"memif/internal/sim"
 	"memif/internal/uapi"
@@ -522,11 +521,10 @@ func TestFlightCapturesSlowFills(t *testing.T) {
 	m.Eng.Spawn("app", func(p *sim.Proc) {
 		defer d.Close()
 		opts := DefaultEngineOptions()
-		opts.Flight = flight.Options{
+		opts.Flight = lifecycle.FlightOptions{
 			ThresholdFloorNs: 1,
 			ThresholdMult:    1,
 			Warmup:           1,
-			RingDepth:        64,
 		}
 		var err error
 		e, err = OpenEngine(p, d, opts)

@@ -2,7 +2,6 @@ package streamrt
 
 import (
 	"memif/internal/obs"
-	"memif/internal/obs/flight"
 	"memif/internal/obs/lifecycle"
 )
 
@@ -81,5 +80,5 @@ type EngineSnapshot struct {
 	StreamNames []string
 	// Flight is the engine's flight-recorder snapshot (zero when the
 	// recorder is disabled).
-	Flight flight.Snapshot
+	Flight lifecycle.FlightSnapshot
 }

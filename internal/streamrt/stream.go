@@ -4,7 +4,6 @@ import (
 	"fmt"
 
 	"memif/internal/obs"
-	"memif/internal/obs/lifecycle"
 	"memif/internal/qos"
 	"memif/internal/sim"
 	"memif/internal/stats"
@@ -120,7 +119,6 @@ type Stream struct {
 	fills, fillFailures    obs.Counter
 	tailWaits, stalls      obs.Counter
 	fillLatency            obs.Histogram
-	stages                 lifecycle.SpanSet
 	closedG, doneG         obs.Gauge
 }
 
@@ -164,7 +162,7 @@ func (s *Stream) Stats() StreamStats {
 		Closed:          s.closedG.Current() != 0,
 		Done:            s.doneG.Current() != 0,
 		FillLatency:     s.fillLatency.Snapshot(),
-		Stages:          s.stages.Snapshot(),
+		Stages:          s.eng.rec.TenantSpans(s.id),
 	}
 }
 

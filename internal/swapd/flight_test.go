@@ -4,7 +4,6 @@ import (
 	"testing"
 
 	"memif/internal/hw"
-	"memif/internal/obs/flight"
 	"memif/internal/obs/lifecycle"
 	"memif/internal/sim"
 )
@@ -12,8 +11,8 @@ import (
 // aggressiveFlight arms the daemon's recorder so ordinary test
 // migrations breach: threshold = max(1, 1×EWMA) after a one-migration
 // warmup means any strictly-slower-than-average move captures.
-func aggressiveFlight() flight.Options {
-	return flight.Options{ThresholdFloorNs: 1, ThresholdMult: 1, Warmup: 1}
+func aggressiveFlight() lifecycle.FlightOptions {
+	return lifecycle.FlightOptions{ThresholdFloorNs: 1, ThresholdMult: 1, Warmup: 1}
 }
 
 // A small demotion trains the lane EWMA; the strictly larger demotion

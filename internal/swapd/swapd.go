@@ -32,7 +32,6 @@ import (
 	"memif/internal/core"
 	"memif/internal/hw"
 	"memif/internal/obs"
-	"memif/internal/obs/flight"
 	"memif/internal/obs/lifecycle"
 	"memif/internal/qos"
 	"memif/internal/sim"
@@ -62,7 +61,7 @@ type Options struct {
 	// SLO tracker and no stall watchdog — burn windows and wall-clock
 	// tick cadences are meaningless under the simulated clock. Set
 	// Flight.Disable to opt out entirely.
-	Flight flight.Options
+	Flight lifecycle.FlightOptions
 }
 
 // DefaultOptions returns watermarks suited to the 6 MB MSMC node.
@@ -118,14 +117,12 @@ type region struct {
 // metrics is the daemon's obs instrument set: the MetricsSnapshot
 // counters, a migration latency histogram (virtual ns, submission to
 // completion), a per-migration byte histogram, the promotion-lag
-// histogram (region turning hot → promotion committed), and the
-// per-stage lifecycle span histograms derived from each request's stage
-// stamps.
+// histogram (region turning hot → promotion committed). The per-stage
+// spans live in the daemon's recorder.
 type metrics struct {
 	promotions, demotions, zeroCopy, aborts, failed obs.Counter
 	bytesPromoted, bytesDemoted, bytesMoved         obs.Counter
 	latency, sizes, promoLag                        obs.Histogram
-	stages                                          lifecycle.SpanSet
 }
 
 // MetricsSnapshot is the daemon's one snapshot: counters plus the
@@ -155,7 +152,7 @@ type MetricsSnapshot struct {
 	// migrations (full stage vectors), promotion-lag breaches on the
 	// borrowed lane 3, and txn-abort events. All timestamps virtual;
 	// Flight.Enabled is false when Options.Flight.Disable was set.
-	Flight flight.Snapshot
+	Flight lifecycle.FlightSnapshot
 }
 
 // Daemon is the tiering engine.
@@ -177,8 +174,8 @@ type Daemon struct {
 	demotionLog  []int64 // bases in demotion-submit order (replay assertions)
 	scanCursor   int
 
-	m  metrics
-	fr *flight.Recorder // nil when Options.Flight.Disable
+	m   metrics
+	rec *lifecycle.Recorder
 }
 
 // New starts a daemon for the address space behind dev's machine. It
@@ -202,8 +199,9 @@ func New(app *core.Device, opts Options) *Daemon {
 	}
 	// The daemon lives on the simulated clock: no SLO burn windows, no
 	// watchdog (there is no wall-tick cadence to count). Outlier capture
-	// and the adaptive thresholds work fine on virtual ns.
-	d.fr = flight.New(opts.Flight, false)
+	// and the adaptive thresholds work fine on virtual ns. Every
+	// migration is sampled: its stage spans are the Stages histograms.
+	d.rec = lifecycle.NewRecorder(lifecycle.Config{Flight: opts.Flight})
 	app.M.Eng.Spawn("kswapd-fast", d.run)
 	return d
 }
@@ -273,12 +271,13 @@ func (d *Daemon) Metrics() MetricsSnapshot {
 		Latency:           d.m.latency.Snapshot(),
 		Sizes:             d.m.sizes.Snapshot(),
 		PromotionLag:      d.m.promoLag.Snapshot(),
-		Stages:            d.m.stages.Snapshot(),
-		Flight:            d.fr.Snapshot(),
+		Stages:            d.rec.Spans(),
+		Flight:            d.rec.FlightSnapshot(),
 	}
 }
 
-// Outstanding reports how many tiering migrations are in flight.
+// Outstanding reports how many tiering migrations are submitted and
+// not yet retrieved.
 func (d *Daemon) Outstanding() int {
 	d.mu.Lock()
 	defer d.mu.Unlock()
@@ -565,15 +564,24 @@ func (d *Daemon) handleCompletion(p *sim.Proc, got *uapi.MovReq) {
 		lat := int64(got.Latency())
 		d.m.latency.Observe(lat)
 		d.m.sizes.Observe(got.Length)
-		ts := got.Stamps()
-		d.m.stages.ObserveStamps(&ts)
 		// The daemon's congestion picture is its in-flight migration
 		// count; the queue-depth slots of Ambient don't apply to the sim
-		// device. A promotion additionally trains the promotion-lag lane.
-		amb := lifecycle.Ambient{SubmissionDepth: inflight}
-		d.fr.ObserveLane(lifecycle.ReasonNone, int(got.Class), 0, lat, got.Length, &ts, amb)
+		// device.
+		lc := lifecycle.Lifecycle{
+			Nano:      int64(got.Completed),
+			Slot:      -1,
+			Class:     int(got.Class),
+			Bytes:     got.Length,
+			LatencyNs: lat,
+			TS:        got.Stamps(),
+			Ambient:   lifecycle.Ambient{SubmissionDepth: inflight},
+		}
+		d.rec.Finish(nil, &lc, true)
 		if lag > 0 {
-			d.fr.ObserveLane(lifecycle.ReasonPromotionLag, promotionLagLane, 0, lag, got.Length, &ts, amb)
+			// A promotion's lag is a second latency on the same stamp
+			// vector: judged on its own lane, no spans of its own.
+			lc.Reason, lc.Class, lc.LatencyNs = lifecycle.ReasonPromotionLag, promotionLagLane, lag
+			d.rec.Finish(nil, &lc, false)
 		}
 	} else {
 		// Only a racing write that dirtied a page (txn-dirty) aborts a
@@ -583,7 +591,7 @@ func (d *Daemon) handleCompletion(p *sim.Proc, got *uapi.MovReq) {
 		// go first on retry.
 		if got.Err == uapi.ErrTxnDirty {
 			d.m.aborts.Inc()
-			d.fr.CaptureEvent(&lifecycle.Lifecycle{
+			d.rec.CaptureEvent(&lifecycle.Lifecycle{
 				Reason:  lifecycle.ReasonTxnAbort,
 				Nano:    int64(p.Now()),
 				Slot:    -1,

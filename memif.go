@@ -96,7 +96,6 @@ import (
 	"memif/internal/hw"
 	"memif/internal/linuxmig"
 	"memif/internal/machine"
-	"memif/internal/obs/flight"
 	"memif/internal/obs/lifecycle"
 	"memif/internal/obs/obshttp"
 	"memif/internal/qos"
@@ -522,29 +521,26 @@ func StreamEngineObsMetrics(device string, s StreamEngineSnapshot) []ObsMetric {
 	return obshttp.StreamEngineMetrics(device, s)
 }
 
-// ParseExposition validates Prometheus text-format exposition — the
-// check CI runs against a scraped /metrics body.
-func ParseExposition(data []byte) error { return obshttp.ParseExposition(data) }
-
 // FlightOptions arms a subsystem's always-on flight recorder
 // (RealtimeOptions.Flight, SwapOptions.Flight). The zero value arms
 // with defaults — adaptive per-(class,tenant) outlier thresholds
 // (EWMA×multiplier with a floor), a bounded lock-free outlier ring, a
 // stall watchdog, and per-class/per-tenant SLO burn tracking; set
-// Disable to opt out. Every completion is compared against its lane's
+// Disable to opt out of those (the stage-latency spans keep recording).
+// Every completion is compared against its lane's
 // threshold retroactively: breaching requests land in the ring with
 // their full seven-stage stamp vector and the ambient queue depths,
 // so the forensics for a tail excursion are already captured when it
 // is noticed. The swap daemon and the stream engine run the recorder on
 // virtual time, where the SLO tracker and the watchdog do not exist.
-type FlightOptions = flight.Options
+type FlightOptions = lifecycle.FlightOptions
 
 // FlightSnapshot is a point-in-time copy of a flight recorder
 // (RealtimeDevice.FlightSnapshot, SwapMetricsSnapshot.Flight): breach /
 // stall / event counters, the retained outlier records, active lane
 // thresholds and SLO state. It is what /debug/outliers serves per
 // source (ObsHandler.RegisterOutliers).
-type FlightSnapshot = flight.Snapshot
+type FlightSnapshot = lifecycle.FlightSnapshot
 
 // The kinds of captured flight records (CapturedLifecycle.Kind).
 const (
