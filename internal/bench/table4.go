@@ -64,7 +64,6 @@ func Table4Run(k workloads.Kernel) Table4Row {
 	d := core.Open(m, as, core.DefaultOptions())
 
 	row := Table4Row{Workload: k.Name}
-	k.Reduce = nil // dataless machine: skip checksumming
 	runApp(m, func(p *sim.Proc) {
 		defer d.Close()
 		cfg := streamrt.DefaultConfig()

@@ -166,7 +166,6 @@ func (e *Engine) OpenStream(p *sim.Proc, spec StreamSpec) (*Stream, error) {
 		spec:     spec,
 		chunks:   spec.Length / e.opts.BufBytes,
 		credits:  newCreditLedger(spec.Credits),
-		scratch:  make([]byte, e.opts.BufBytes),
 		openedAt: p.Now(),
 	}
 	e.rec.EnsureTenants(id + 1)
@@ -304,8 +303,8 @@ func (e *Engine) refill(p *sim.Proc) {
 		return
 	}
 	// The batch is per-invocation: AllocRequest yields, so another proc
-	// may enter refill concurrently, and a shared scratch slice would
-	// let the two passes clobber each other's grants.
+	// may enter refill concurrently, and a batch slice shared across
+	// calls would let the two passes clobber each other's grants.
 	batch := make([]*uapi.MovReq, 0, len(e.freeBufs))
 	for progress := true; progress && len(e.freeBufs) > 0; {
 		progress = false

@@ -103,7 +103,6 @@ type Stream struct {
 
 	credits creditLedger
 	ready   []readyFill // completed fills, consumption order
-	scratch []byte
 	acc     uint64
 
 	failed error // sticky fill/kernel failure
@@ -194,7 +193,7 @@ func (s *Stream) Consume(p *sim.Proc) (done bool, err error) {
 		if len(s.ready) > 0 {
 			rf := s.ready[0]
 			s.ready = s.ready[1:]
-			acc, kerr := s.spec.Kernel.Consume(p, e.d.AS, e.bufs[rf.buf], e.opts.BufBytes, s.scratch, s.acc)
+			acc, kerr := s.spec.Kernel.Consume(p, e.d.AS, e.bufs[rf.buf], e.opts.BufBytes, s.acc)
 			e.releaseBuf(rf.buf)
 			s.credits.put()
 			if kerr != nil {
@@ -214,7 +213,7 @@ func (s *Stream) Consume(p *sim.Proc) (done bool, err error) {
 		if s.nextFill < s.chunks {
 			addr := s.spec.Base + s.nextFill*e.opts.BufBytes
 			s.nextFill++
-			acc, kerr := s.spec.Kernel.Consume(p, e.d.AS, addr, e.opts.BufBytes, s.scratch, s.acc)
+			acc, kerr := s.spec.Kernel.Consume(p, e.d.AS, addr, e.opts.BufBytes, s.acc)
 			if kerr != nil {
 				s.fail(kerr)
 				return false, kerr

@@ -72,12 +72,11 @@ func RunDirect(p *sim.Proc, as *vm.AddressSpace, k workloads.Kernel, base, lengt
 	if length <= 0 || cfg.BufBytes <= 0 || length%cfg.BufBytes != 0 {
 		return Result{}, fmt.Errorf("%w: length %d not a multiple of buffer size %d", ErrBadStream, length, cfg.BufBytes)
 	}
-	scratch := make([]byte, cfg.BufBytes)
 	var acc uint64
 	start := p.Now()
 	for off := int64(0); off < length; off += cfg.BufBytes {
 		var err error
-		acc, err = k.Consume(p, as, base+off, cfg.BufBytes, scratch, acc)
+		acc, err = k.Consume(p, as, base+off, cfg.BufBytes, acc)
 		if err != nil {
 			return Result{}, err
 		}

@@ -352,25 +352,32 @@ func (as *AddressSpace) accessTime(id hw.NodeID, n int64) int64 {
 // virtual time at the backing node's bandwidth. Meters receive the busy
 // time.
 func (as *AddressSpace) Read(p *sim.Proc, addr int64, buf []byte, meters ...*sim.Meter) error {
-	return as.access(p, addr, buf, false, meters...)
+	return as.access(p, addr, int64(len(buf)), false, func(off int64, page []byte) { copy(buf[off:], page) }, meters...)
 }
 
 // Write copies data into virtual memory.
 func (as *AddressSpace) Write(p *sim.Proc, addr int64, data []byte, meters ...*sim.Meter) error {
-	return as.access(p, addr, data, true, meters...)
+	return as.access(p, addr, int64(len(data)), true, func(off int64, page []byte) { copy(page, data[off:]) }, meters...)
 }
 
-func (as *AddressSpace) access(p *sim.Proc, addr int64, buf []byte, write bool, meters ...*sim.Meter) error {
+// View reads n bytes in place: it charges what Read would, and hands fn
+// each page's piece of the frame's bytes, in order, where Read would copy
+// it. The piece may be shared: fn must neither write nor keep it. In
+// dataless mode fn is never called.
+func (as *AddressSpace) View(p *sim.Proc, addr, n int64, fn func(page []byte), meters ...*sim.Meter) error {
+	return as.access(p, addr, n, false, func(_ int64, page []byte) { fn(page) }, meters...)
+}
+
+// access is the one page walk behind Read, Write and View. Per page it
+// applies reference semantics and charges the TLB walk, hands visit the
+// page's piece of the frame (mutable if write), then charges the access.
+func (as *AddressSpace) access(p *sim.Proc, addr, n int64, write bool, visit func(off int64, page []byte), meters ...*sim.Meter) error {
 	if v := as.FindVMA(addr); v != nil {
-		v.TouchedBytes += int64(len(buf))
+		v.TouchedBytes += n
 	}
-	off := int64(0)
-	for off < int64(len(buf)) {
+	for off := int64(0); off < n; {
 		pageOff := (addr + off) % as.PageBytes
-		n := as.PageBytes - pageOff
-		if rem := int64(len(buf)) - off; n > rem {
-			n = rem
-		}
+		step := min(as.PageBytes-pageOff, n-off)
 		f, err := as.touchSlot(p, addr+off, write)
 		if err != nil {
 			return err
@@ -381,15 +388,15 @@ func (as *AddressSpace) access(p *sim.Proc, addr int64, buf []byte, write bool, 
 		// Dataless mode carries timing only: both accessors return nil.
 		if write {
 			if data := f.MutableBytes(); data != nil {
-				copy(data[pageOff:pageOff+n], buf[off:off+n])
+				visit(off, data[pageOff:pageOff+step])
 			}
 		} else if data := f.Bytes(); data != nil {
-			copy(buf[off:off+n], data[pageOff:pageOff+n])
+			visit(off, data[pageOff:pageOff+step])
 		}
 		if p != nil {
-			p.Busy(as.accessTime(f.Node, n), meters...)
+			p.Busy(as.accessTime(f.Node, step), meters...)
 		}
-		off += n
+		off += step
 	}
 	return nil
 }

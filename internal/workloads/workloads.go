@@ -26,12 +26,27 @@ type Kernel struct {
 	ComputePerByteNS float64
 	// Reduce folds a consumed chunk into a running checksum, letting
 	// examples and tests verify that the bytes streamed through the
-	// fast buffers are the right ones. May be nil.
+	// fast buffers are the right ones. May be nil. Consume feeds it the
+	// chunk in pieces, every piece but the last a multiple of 8 bytes
+	// long, so Reduce(Reduce(a, x), y) == Reduce(a, x‖y) must hold
+	// whenever len(x)%8 == 0. A piece may be a frame's own bytes: Reduce
+	// must neither write it nor keep it.
 	Reduce func(acc uint64, chunk []byte) uint64
 }
 
-// sum64 folds 8-byte words of the chunk into the accumulator.
+// sum64 folds 8-byte words of the chunk into the accumulator, then the
+// tail bytes one at a time. Four independent sums keep the adds off one
+// dependency chain; addition mod 2^64 commutes, so the result is exact.
 func sum64(acc uint64, chunk []byte) uint64 {
+	var a1, a2, a3 uint64
+	for len(chunk) >= 32 {
+		acc += binary.LittleEndian.Uint64(chunk)
+		a1 += binary.LittleEndian.Uint64(chunk[8:])
+		a2 += binary.LittleEndian.Uint64(chunk[16:])
+		a3 += binary.LittleEndian.Uint64(chunk[24:])
+		chunk = chunk[32:]
+	}
+	acc += a1 + a2 + a3
 	for len(chunk) >= 8 {
 		acc += binary.LittleEndian.Uint64(chunk)
 		chunk = chunk[8:]
@@ -65,17 +80,36 @@ var All = []Kernel{PGain, Triad, Add}
 // STREAMSuite lists the full STREAM kernel set.
 var STREAMSuite = []Kernel{Copy, Scale, Add, Triad}
 
-// Consume processes n bytes at addr: it reads them through the address
-// space (charging the backing node's bandwidth) and spends the kernel's
-// compute time. The scratch buffer must be at least n bytes; it returns
-// the updated checksum accumulator.
-func (k Kernel) Consume(p *sim.Proc, as *vm.AddressSpace, addr, n int64, scratch []byte, acc uint64, meters ...*sim.Meter) (uint64, error) {
-	if err := as.Read(p, addr, scratch[:n], meters...); err != nil {
+// Consume processes n bytes at addr in place: it views them through the
+// address space (charging the backing node's bandwidth, as a copy would),
+// folds each page into the checksum at the instant it is touched, and
+// spends the kernel's compute time. It returns the updated accumulator.
+func (k Kernel) Consume(p *sim.Proc, as *vm.AddressSpace, addr, n int64, acc uint64, meters ...*sim.Meter) (uint64, error) {
+	// carry gathers a word split by a page boundary; a chunk of whole
+	// words never needs it, so it allocates nothing.
+	var carry []byte
+	fold := func(page []byte) {
+		if k.Reduce == nil {
+			return
+		}
+		if len(carry) > 0 {
+			m := min(8-len(carry), len(page))
+			carry, page = append(carry, page[:m]...), page[m:]
+			if len(carry) < 8 {
+				return // the chunk ended inside the word
+			}
+			acc, carry = k.Reduce(acc, carry), carry[:0]
+		}
+		whole := len(page) &^ 7
+		acc = k.Reduce(acc, page[:whole])
+		carry = append(carry, page[whole:]...)
+	}
+	if err := as.View(p, addr, n, fold, meters...); err != nil {
 		return acc, err
 	}
 	p.Busy(int64(float64(n)*k.ComputePerByteNS), meters...)
-	if k.Reduce != nil {
-		acc = k.Reduce(acc, scratch[:n])
+	if len(carry) > 0 {
+		acc = k.Reduce(acc, carry)
 	}
 	return acc, nil
 }
