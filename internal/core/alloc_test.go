@@ -161,3 +161,33 @@ func TestDataPathAllocGate(t *testing.T) {
 		})
 	}
 }
+
+// TestMigrateAllocGate holds the migrate path to what it allocates per
+// request in steady state, counted in allocations: the sim_move
+// benchmark's 4k16 phase, a 16-page 4 KiB migration ping-pong with four in
+// flight. Per page the driver moves a reverse mapping, builds the page's
+// mapping list, checks the migration claim and charges phases, and none of
+// that allocates; what is left is per request (the inflight record, its
+// page, segment and sub-transfer lists, the page-table slot list, the
+// transfer). One allocation per page brought back costs 16 and fails here.
+func TestMigrateAllocGate(t *testing.T) {
+	const budget = 8 // allocations per request
+	m, l := newMoveLoop(uapi.OpMigrate, 4, 16, hw.Page4K)
+	const warm, reqs = 64, 1024
+	var perReq uint64
+	m.Eng.Spawn("app", func(p *sim.Proc) {
+		defer l.d.Close()
+		l.mmap(t, p)
+		l.run(t, p, warm)
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		l.run(t, p, reqs)
+		runtime.ReadMemStats(&after)
+		perReq = (after.Mallocs - before.Mallocs) / reqs
+	})
+	m.Eng.Run()
+	t.Logf("%d allocations per request", perReq)
+	if perReq > budget {
+		t.Errorf("%d allocations per request, budget %d", perReq, budget)
+	}
+}

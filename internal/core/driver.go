@@ -40,7 +40,8 @@ type mappedPTE struct {
 // pageMove tracks one page of an in-flight migration.
 type pageMove struct {
 	addr     int64
-	maps     []mappedPTE
+	maps     []mappedPTE  // every PTE mapping the page: one[:1] unless it is shared
+	one      [1]mappedPTE // storage for the usual single mapping
 	oldFrame *phys.Frame
 	newFrame *phys.Frame
 
@@ -318,20 +319,19 @@ func (d *Device) lookupRegion(p *sim.Proc, m *sim.Meter, base int64, n int) ([]*
 	return slots, true
 }
 
-// mappingsOf collects every PTE referencing the frame through the
-// machine's reverse map; without one, the requester's own slot is the
+// mappingsOf appends to out every PTE referencing the frame, found through
+// the machine's reverse map; without one, the requester's own slot is the
 // only mapping.
-func (d *Device) mappingsOf(f *phys.Frame, slot *pagetable.Slot, addr int64) []mappedPTE {
+func (d *Device) mappingsOf(out []mappedPTE, f *phys.Frame, slot *pagetable.Slot, addr int64) []mappedPTE {
 	if d.AS.Rmap != nil {
 		if ms := d.AS.Rmap.Lookup(f.ID); len(ms) > 0 {
-			out := make([]mappedPTE, len(ms))
-			for i, mm := range ms {
-				out[i] = mappedPTE{as: mm.AS, slot: mm.Slot, vpn: mm.AS.VPN(mm.Addr), old: mm.Slot.Load()}
+			for _, mm := range ms {
+				out = append(out, mappedPTE{as: mm.AS, slot: mm.Slot, vpn: mm.AS.VPN(mm.Addr), old: mm.Slot.Load()})
 			}
 			return out
 		}
 	}
-	return []mappedPTE{{as: d.AS, slot: slot, vpn: d.AS.VPN(addr), old: slot.Load()}}
+	return append(out, mappedPTE{as: d.AS, slot: slot, vpn: d.AS.VPN(addr), old: slot.Load()})
 }
 
 // remap performs operation 2 for a migration: allocate destination pages
@@ -357,12 +357,11 @@ func (d *Device) remap(p *sim.Proc, m *sim.Meter, inf *inflight, slots []*pageta
 			return uapi.ErrNoMemory
 		}
 		addr := req.SrcBase + int64(i)*pb
-		pg := pageMove{
-			addr:     addr,
-			maps:     d.mappingsOf(oldFrame, slot, addr),
-			oldFrame: oldFrame,
-			newFrame: newFrame,
-		}
+		// Built in place: maps points into the page's own storage.
+		inf.pages = inf.pages[:i+1]
+		pg := &inf.pages[i]
+		*pg = pageMove{addr: addr, oldFrame: oldFrame, newFrame: newFrame}
+		pg.maps = d.mappingsOf(pg.one[:0], oldFrame, slot, addr)
 		var installed pagetable.PTE
 		switch d.opts.RaceMode {
 		case RaceDetect:
@@ -397,7 +396,6 @@ func (d *Device) remap(p *sim.Proc, m *sim.Meter, inf *inflight, slots []*pageta
 			}
 		}
 		remapNS += cost.PageAlloc + int64(len(pg.maps))*perMapping
-		inf.pages = append(inf.pages, pg)
 	}
 	d.busy(p, m, stats.PhaseRemap, remapNS)
 	return uapi.ErrNone
@@ -437,14 +435,15 @@ func (d *Device) prepareTxn(p *sim.Proc, m *sim.Meter, inf *inflight, slots []*p
 		}
 		addr := req.SrcBase + int64(i)*pb
 		vpn := as.VPN(addr)
-		pg := pageMove{
-			addr:     addr,
-			maps:     []mappedPTE{{as: as, slot: slot, vpn: vpn, old: old}},
-			oldFrame: oldFrame,
-		}
+		// Built in place, like remap's pages. Should the allocation below
+		// fail, the page has no new frame and the rollback passes it by.
+		inf.pages = inf.pages[:i+1]
+		pg := &inf.pages[i]
+		*pg = pageMove{addr: addr, oldFrame: oldFrame}
+		pg.one[0] = mappedPTE{as: as, slot: slot, vpn: vpn, old: old}
+		pg.maps = pg.one[:1]
 		if oldFrame.Node == req.DstNode {
 			pg.noop = true
-			inf.pages = append(inf.pages, pg)
 			continue
 		}
 		// Shadow validity is judged against the pre-baseline PTE: a
@@ -481,7 +480,6 @@ func (d *Device) prepareTxn(p *sim.Proc, m *sim.Meter, inf *inflight, slots []*p
 			ns += cost.PageAlloc
 			segs = append(segs, dma.Segment{Src: oldFrame, Dst: newFrame, Bytes: pb})
 		}
-		inf.pages = append(inf.pages, pg)
 	}
 	d.busy(p, m, stats.PhaseRemap, ns)
 	inf.segs = segs
@@ -645,7 +643,8 @@ func (d *Device) finish(p *sim.Proc, m *sim.Meter, inf *inflight) {
 	errc := uapi.ErrNone
 	if req.Op == uapi.OpMigrate {
 		var releaseNS int64
-		for i, pg := range inf.pages {
+		for i := range inf.pages {
+			pg := &inf.pages[i]
 			for _, mp := range pg.maps {
 				switch d.opts.RaceMode {
 				case RaceDetect:

@@ -5,7 +5,6 @@ package stats
 
 import (
 	"fmt"
-	"sort"
 	"strings"
 
 	"memif/internal/sim"
@@ -29,82 +28,91 @@ var AllPhases = []string{
 	PhaseInterface, PhasePrep, PhaseRemap, PhaseDMACfg, PhaseCopy, PhaseRelease, PhaseNotify,
 }
 
-// Breakdown accumulates time per phase.
+// Breakdown accumulates time per phase: one counter per phase, indexed
+// like AllPhases, so the charge the driver makes with every CPU cost it
+// spends is an array add.
 type Breakdown struct {
-	buckets map[string]int64
+	ns [7]int64
+}
+
+// phaseIndex returns phase's position in AllPhases, -1 for a name that
+// is not a phase.
+func phaseIndex(phase string) int {
+	switch phase {
+	case PhaseInterface:
+		return 0
+	case PhasePrep:
+		return 1
+	case PhaseRemap:
+		return 2
+	case PhaseDMACfg:
+		return 3
+	case PhaseCopy:
+		return 4
+	case PhaseRelease:
+		return 5
+	case PhaseNotify:
+		return 6
+	}
+	return -1
 }
 
 // NewBreakdown returns an empty breakdown.
-func NewBreakdown() *Breakdown {
-	return &Breakdown{buckets: make(map[string]int64)}
-}
+func NewBreakdown() *Breakdown { return &Breakdown{} }
 
-// Add charges ns to the named phase.
+// Add charges ns to the named phase. A name that is not a phase is a bug
+// in the caller and panics.
 func (b *Breakdown) Add(phase string, ns int64) {
-	b.buckets[phase] += ns
+	i := phaseIndex(phase)
+	if i < 0 {
+		panic("stats: unknown phase " + phase)
+	}
+	b.ns[i] += ns
 }
 
-// Get returns the accumulated time of a phase.
-func (b *Breakdown) Get(phase string) sim.Time { return sim.Time(b.buckets[phase]) }
+// Get returns the accumulated time of a phase (0 for a name that is not
+// a phase).
+func (b *Breakdown) Get(phase string) sim.Time {
+	if i := phaseIndex(phase); i >= 0 {
+		return sim.Time(b.ns[i])
+	}
+	return 0
+}
 
 // Total sums all phases.
 func (b *Breakdown) Total() sim.Time {
 	var t int64
-	for _, v := range b.buckets {
+	for _, v := range b.ns {
 		t += v
 	}
 	return sim.Time(t)
 }
 
 // Reset clears the breakdown.
-func (b *Breakdown) Reset() {
-	for k := range b.buckets {
-		delete(b.buckets, k)
-	}
-}
+func (b *Breakdown) Reset() { *b = Breakdown{} }
 
-// Scale divides every bucket by n (e.g. to report per-request averages).
+// Scale divides every phase by n (e.g. to report per-request averages).
 func (b *Breakdown) Scale(n int64) {
 	if n <= 0 {
 		return
 	}
-	for k := range b.buckets {
-		b.buckets[k] /= n
+	for i := range b.ns {
+		b.ns[i] /= n
 	}
 }
 
 // Clone returns a copy.
 func (b *Breakdown) Clone() *Breakdown {
-	c := NewBreakdown()
-	for k, v := range b.buckets {
-		c.buckets[k] = v
-	}
-	return c
+	c := *b
+	return &c
 }
 
 func (b *Breakdown) String() string {
 	var parts []string
-	for _, p := range AllPhases {
-		if v, ok := b.buckets[p]; ok && v != 0 {
-			parts = append(parts, fmt.Sprintf("%s=%.1fµs", p, float64(v)/1e3))
+	for i, v := range b.ns {
+		if v != 0 {
+			parts = append(parts, fmt.Sprintf("%s=%.1fµs", AllPhases[i], float64(v)/1e3))
 		}
-	}
-	var extra []string
-	for k := range b.buckets {
-		known := false
-		for _, p := range AllPhases {
-			if k == p {
-				known = true
-				break
-			}
-		}
-		if !known {
-			extra = append(extra, k)
-		}
-	}
-	sort.Strings(extra)
-	for _, k := range extra {
-		parts = append(parts, fmt.Sprintf("%s=%.1fµs", k, float64(b.buckets[k])/1e3))
 	}
 	return strings.Join(parts, " ")
 }

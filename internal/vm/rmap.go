@@ -23,10 +23,21 @@ type Mapping struct {
 // driver can migrate shared pages by updating all mappings, the way
 // try_to_migrate walks the rmap in Linux.
 //
+// Nearly every frame is mapped exactly once, by a private page. That one
+// mapping is kept inline in a slice indexed by FrameID (IDs are dense,
+// and a recycled frame keeps its own), so finding, adding and moving it
+// touch no map and allocate nothing. Frames mapped more than once, and
+// only those, keep their mappings in a side map.
+//
 // Address spaces created without an Rmap (nil) skip the bookkeeping and
 // behave as single-mapping processes.
 type Rmap struct {
-	byFrame map[phys.FrameID][]Mapping
+	// one[f] is frame f's mapping while f has exactly one; a nil Slot
+	// marks a frame with none or several.
+	one []Mapping
+	// many holds the mappings of every frame that has more than one, in
+	// the order they were added.
+	many map[phys.FrameID][]Mapping
 	// cacheRefs tracks which file page-cache entry (if any) owns a
 	// frame, so migration can rebind the cache alongside the PTEs.
 	cacheRefs map[phys.FrameID]cacheRef
@@ -40,7 +51,7 @@ type cacheRef struct {
 // NewRmap returns an empty reverse map.
 func NewRmap() *Rmap {
 	return &Rmap{
-		byFrame:   make(map[phys.FrameID][]Mapping),
+		many:      make(map[phys.FrameID][]Mapping),
 		cacheRefs: make(map[phys.FrameID]cacheRef),
 	}
 }
@@ -55,14 +66,46 @@ func (r *Rmap) DropCacheRef(f phys.FrameID) {
 	delete(r.cacheRefs, f)
 }
 
-// Add records a mapping.
+// single returns frame f's inline mapping, nil unless f has exactly one.
+func (r *Rmap) single(f phys.FrameID) *Mapping {
+	if int(f) < len(r.one) && r.one[f].Slot != nil {
+		return &r.one[f]
+	}
+	return nil
+}
+
+// setSingle makes m frame f's one mapping.
+func (r *Rmap) setSingle(f phys.FrameID, m Mapping) {
+	if int(f) >= len(r.one) {
+		r.one = append(r.one, make([]Mapping, int(f)+1-len(r.one))...)
+	}
+	r.one[f] = m
+}
+
+// Add records a mapping; its Slot must not be nil.
 func (r *Rmap) Add(f phys.FrameID, m Mapping) {
-	r.byFrame[f] = append(r.byFrame[f], m)
+	if e := r.single(f); e != nil {
+		r.many[f] = []Mapping{*e, m}
+		*e = Mapping{}
+	} else if ms, ok := r.many[f]; ok {
+		r.many[f] = append(ms, m)
+	} else {
+		r.setSingle(f, m)
+	}
 }
 
 // Remove drops the mapping with the given slot.
 func (r *Rmap) Remove(f phys.FrameID, slot *pagetable.Slot) {
-	ms := r.byFrame[f]
+	if e := r.single(f); e != nil {
+		if e.Slot == slot {
+			*e = Mapping{}
+		}
+		return
+	}
+	ms, ok := r.many[f]
+	if !ok {
+		return
+	}
 	for i, m := range ms {
 		if m.Slot == slot {
 			ms[i] = ms[len(ms)-1]
@@ -70,29 +113,43 @@ func (r *Rmap) Remove(f phys.FrameID, slot *pagetable.Slot) {
 			break
 		}
 	}
-	if len(ms) == 0 {
-		delete(r.byFrame, f)
+	if len(ms) == 1 {
+		delete(r.many, f)
+		r.setSingle(f, ms[0])
 	} else {
-		r.byFrame[f] = ms
+		r.many[f] = ms
 	}
 }
 
 // Lookup returns all mappings of a frame (shared result; do not mutate).
 func (r *Rmap) Lookup(f phys.FrameID) []Mapping {
-	return r.byFrame[f]
+	if r.single(f) != nil {
+		return r.one[f : f+1 : f+1]
+	}
+	return r.many[f]
 }
 
 // Move rebinds every reference to old — PTE mappings and, for
 // file-backed pages, the page-cache entry — to the new frame (after a
-// migration replaced the backing frame). A new frame with no mappings of
-// its own, the usual case, takes the old frame's slice over.
+// migration replaced the backing frame), behind any mappings the new
+// frame has of its own. A private page's move is two slice stores.
 func (r *Rmap) Move(old, new *phys.Frame) {
-	if ms, ok := r.byFrame[old.ID]; ok {
-		delete(r.byFrame, old.ID)
-		if have, ok := r.byFrame[new.ID]; ok {
+	if e := r.single(old.ID); e != nil {
+		m := *e
+		*e = Mapping{}
+		r.Add(new.ID, m)
+	} else if ms, ok := r.many[old.ID]; ok {
+		delete(r.many, old.ID)
+		if e := r.single(new.ID); e != nil {
+			ms = append([]Mapping{*e}, ms...)
+			*e = Mapping{}
+		} else if have, ok := r.many[new.ID]; ok {
 			ms = append(have, ms...)
 		}
-		r.byFrame[new.ID] = ms
+		r.many[new.ID] = ms
+	}
+	if len(r.cacheRefs) == 0 {
+		return
 	}
 	if cr, ok := r.cacheRefs[old.ID]; ok {
 		delete(r.cacheRefs, old.ID)

@@ -88,7 +88,7 @@ type AddressSpace struct {
 	TLBFlushes int64
 
 	migWaiters map[*pagetable.Slot]*sim.Event
-	migClaims  map[uint64]bool
+	migClaims  []pageRange // one per in-flight migration (MigClaim)
 	shadows    map[uint64]shadowCopy
 	fault      FaultHandler
 
@@ -110,7 +110,6 @@ func New(eng *sim.Engine, plat *hw.Platform, mem *phys.Memory, pageBytes int64) 
 		Table:      pagetable.New(),
 		nextAddr:   1 << 32,
 		migWaiters: make(map[*pagetable.Slot]*sim.Event),
-		migClaims:  make(map[uint64]bool),
 		shadows:    make(map[uint64]shadowCopy),
 	}
 }
@@ -424,28 +423,49 @@ func (as *AddressSpace) tlbTouch(addr int64) int64 {
 	return as.Plat.Cost.TLBMissWalk
 }
 
+// pageRange is the pages [start, end).
+type pageRange struct{ start, end uint64 }
+
 // MigClaim marks n pages starting at vpn as having an in-flight
 // migration, the role the page lock plays for migrate_pages in Linux. It
 // fails (claiming nothing) if any page is already claimed, so two movers
 // — say, an application promotion and a swap daemon eviction — can never
-// migrate the same page concurrently.
+// migrate the same page concurrently. The claim is one range, however
+// many pages it covers.
 func (as *AddressSpace) MigClaim(vpn uint64, n int) bool {
-	for i := 0; i < n; i++ {
-		if as.migClaims[vpn+uint64(i)] {
+	c := pageRange{vpn, vpn + uint64(n)}
+	for _, h := range as.migClaims {
+		if c.start < h.end && h.start < c.end {
 			return false
 		}
 	}
-	for i := 0; i < n; i++ {
-		as.migClaims[vpn+uint64(i)] = true
-	}
+	as.migClaims = append(as.migClaims, c)
 	return true
 }
 
-// MigRelease drops the claim on n pages starting at vpn.
+// MigRelease drops the claim MigClaim(vpn, n) took. A range that was not
+// claimed as one is a bug in the caller and panics.
 func (as *AddressSpace) MigRelease(vpn uint64, n int) {
-	for i := 0; i < n; i++ {
-		delete(as.migClaims, vpn+uint64(i))
+	c := pageRange{vpn, vpn + uint64(n)}
+	for i, h := range as.migClaims {
+		if h == c {
+			last := len(as.migClaims) - 1
+			as.migClaims[i] = as.migClaims[last]
+			as.migClaims = as.migClaims[:last]
+			return
+		}
 	}
+	panic(fmt.Sprintf("vm: releasing unclaimed pages %#x+%d", vpn, n))
+}
+
+// claimed reports whether an in-flight migration holds page vpn.
+func (as *AddressSpace) claimed(vpn uint64) bool {
+	for _, c := range as.migClaims {
+		if c.start <= vpn && vpn < c.end {
+			return true
+		}
+	}
+	return false
 }
 
 // FlushTLBPage accounts one per-page TLB flush and charges its cost.
@@ -522,7 +542,7 @@ func (as *AddressSpace) ScanAccessBits(p *sim.Proc, vpn uint64, n int, meters ..
 	var casCost int64
 	for i := 0; i < n; i++ {
 		v := vpn + uint64(i)
-		if as.migClaims[v] {
+		if as.claimed(v) {
 			continue
 		}
 		slot, _ := as.Table.Lookup(v)
