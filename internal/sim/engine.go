@@ -2,15 +2,19 @@
 // processes are coroutines.
 //
 // The engine maintains a virtual clock and an event calendar. Exactly one
-// process runs at any instant; a process gives up control by sleeping,
-// waiting on an Event or Cond, or exiting. Each process body is bound with
-// iter.Pull: the engine resumes it with next, the body parks by yielding,
-// and both are a direct switch between two goroutines of which only one is
-// ever runnable, with no channel and no pass through the Go scheduler. The
-// switch is a happens-before edge, so data shared between processes needs
-// no other synchronization and the package is safe under the race
-// detector. A panic (or a t.Fatal) in a process surfaces from Run on the
-// caller's goroutine.
+// process runs at any instant; a process gives up control by waiting on an
+// Event or Cond, by exiting, or by sleeping past the next calendar entry.
+// A sleep that ends before anything else is due is the next event anyway,
+// so the process advances the clock and carries on without parking; so
+// does a woken process when its wake is the last thing due at that
+// instant, which the engine dispatches at once. Each process body is bound
+// with iter.Pull: the engine resumes it with next, the body parks by
+// yielding, and both are a direct switch between two goroutines of which
+// only one is ever runnable, with no channel and no pass through the Go
+// scheduler. The switch is a happens-before edge, so data shared between
+// processes needs no other synchronization and the package is safe under
+// the race detector. A panic (or a t.Fatal) in a process surfaces from Run
+// on the caller's goroutine.
 //
 // The engine is the substrate for the simulated KeyStone II machine: CPUs,
 // the DMA engine, interrupt handlers and kernel threads are all processes,
@@ -119,7 +123,6 @@ type Engine struct {
 	seq      uint64
 	calendar []event
 	live     map[*Proc]bool // spawned and not yet exited
-	stopped  bool
 	ranOnce  bool
 	trace    func(string)
 }
@@ -139,6 +142,13 @@ func (e *Engine) SetTrace(fn func(string)) { e.trace = fn }
 
 func (e *Engine) tracef(format string, args ...interface{}) {
 	e.trace(fmt.Sprintf("[%12d ns] ", int64(e.now)) + fmt.Sprintf(format, args...))
+}
+
+// idle reports whether nothing on the calendar is due at or before t. A
+// resumption at such a t is the next event the calendar would pop, so it
+// can run in place (DESIGN.md §7).
+func (e *Engine) idle(t Time) bool {
+	return len(e.calendar) == 0 || t < e.calendar[0].at
 }
 
 // After registers fn to run in engine context after d of virtual time.
@@ -178,30 +188,27 @@ func (e *Engine) dispatch(p *Proc) {
 
 // wake claims p's current wait (identified by seq) and schedules p to
 // resume at the present virtual time. It reports whether the claim
-// succeeded; a false return means p is running, done, or was already
-// claimed by a competing waker (e.g. a timeout racing an event).
+// succeeded.
 func (e *Engine) wake(p *Proc, seq uint64) bool {
-	if p.done || !p.waiting || p.waitSeq != seq {
+	if !p.claim(seq) {
 		return false
 	}
-	p.waiting = false
 	e.schedule(event{at: e.now, kind: evDispatch, p: p})
 	return true
 }
 
-// Run executes events until the calendar is empty or Stop is called, and
-// returns the final virtual time. Processes still blocked on events when
-// the calendar drains are parked daemons or deadlocks; Run tears them down
-// (their stacks unwind via a sentinel panic) so that no goroutine outlives
-// it, also when it leaves by a process's panic. An Engine can Run only
-// once.
+// Run executes events until the calendar is empty and returns the final
+// virtual time. Processes still blocked on events when the calendar drains
+// are parked daemons or deadlocks; Run tears them down (their stacks
+// unwind via a sentinel panic) so that no goroutine outlives it, also when
+// it leaves by a process's panic. An Engine can Run only once.
 func (e *Engine) Run() Time {
 	if e.ranOnce {
 		panic("sim: Engine.Run called twice or reentered; create a new Engine")
 	}
 	e.ranOnce = true
 	defer e.teardown()
-	for !e.stopped && len(e.calendar) > 0 {
+	for len(e.calendar) > 0 {
 		ev := e.pop()
 		e.now = ev.at
 		switch ev.kind {
@@ -209,20 +216,20 @@ func (e *Engine) Run() Time {
 			ev.fn()
 		case evDispatch:
 			e.dispatch(ev.p)
-		case evWake:
-			e.wake(ev.p, ev.tok)
-		case evTimeout:
-			if e.wake(ev.p, ev.tok) {
-				ev.p.timedOut = true
+		case evWake, evTimeout:
+			if !ev.p.claim(ev.tok) {
+				break
+			}
+			ev.p.timedOut = ev.kind == evTimeout
+			if e.idle(e.now) { // the dispatch would be the next event
+				e.dispatch(ev.p)
+			} else {
+				e.schedule(event{at: e.now, kind: evDispatch, p: ev.p})
 			}
 		}
 	}
 	return e.now
 }
-
-// Stop makes Run return after the current event completes. Pending events
-// are discarded.
-func (e *Engine) Stop() { e.stopped = true }
 
 // Parked reports how many processes were still blocked when Run returned:
 // idle daemons (such as a kernel worker waiting for requests) or genuine
@@ -231,8 +238,11 @@ func (e *Engine) Parked() int { return len(e.live) }
 
 // teardown unwinds every process that is still parked, one at a time:
 // stop resumes the coroutine with its yield reporting false, park turns
-// that into errShutdown, and stop returns once the body has unwound.
+// that into errShutdown, and stop returns once the body has unwound. The
+// entry it leaves due now keeps a sleep in a deferred cleanup from running
+// ahead, so that sleep parks and the unwinding goes on.
 func (e *Engine) teardown() {
+	e.schedule(event{at: e.now, kind: evCall})
 	for p := range e.live {
 		delete(e.live, p)
 		p.stop()

@@ -64,6 +64,17 @@ func (p *Proc) newWait() uint64 {
 	return p.waitSeq
 }
 
+// claim ends p's wait if seq is still its current token. A false return
+// means p is running, done, or was already claimed by a competing waker
+// (e.g. a timeout racing an event).
+func (p *Proc) claim(seq uint64) bool {
+	if p.done || !p.waiting || p.waitSeq != seq {
+		return false
+	}
+	p.waiting = false
+	return true
+}
+
 // park yields control to the engine and blocks until a waker resumes the
 // process. Once the engine is tearing down yield reports false, at once
 // and on every later call, so a deferred cleanup that parks again while
@@ -88,12 +99,24 @@ func (p *Proc) parkTimeout(seq uint64, ns int64) bool {
 // run, then resumes.
 func (p *Proc) Yield() { p.SleepNS(0) }
 
-// SleepNS advances virtual time by ns nanoseconds.
+// SleepNS advances virtual time by ns nanoseconds. When nothing else is
+// due by the time the sleep ends, its wake and dispatch would be the next
+// two events, so the process moves the clock and carries on without
+// parking; otherwise it parks until the calendar reaches its wake.
 func (p *Proc) SleepNS(ns int64) {
 	if ns < 0 {
 		ns = 0
 	}
-	p.eng.schedule(event{at: p.eng.now + Time(ns), kind: evWake, p: p, tok: p.newWait()})
+	e, t, tok := p.eng, p.eng.now+Time(ns), p.newWait()
+	if e.idle(t) {
+		p.waiting = false
+		e.now = t
+		if e.trace != nil { // the line dispatch would have sent
+			e.tracef("run %s", p.name)
+		}
+		return
+	}
+	e.schedule(event{at: t, kind: evWake, p: p, tok: tok})
 	p.park()
 }
 
@@ -110,7 +133,8 @@ func (p *Proc) SleepUntil(t Time) {
 
 // Busy advances virtual time by ns nanoseconds and charges the interval to
 // the given meters. It models a CPU context actively executing (as opposed
-// to Sleep, which models blocking).
+// to Sleep, which models blocking). Like SleepNS, it parks only when
+// something else is due by the end of the interval.
 func (p *Proc) Busy(ns int64, meters ...*Meter) {
 	if ns < 0 {
 		ns = 0

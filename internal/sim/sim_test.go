@@ -252,26 +252,6 @@ func TestTeardownOfParkedDaemon(t *testing.T) {
 	}
 }
 
-func TestStopDiscardsFuture(t *testing.T) {
-	e := NewEngine()
-	ran := false
-	e.Spawn("a", func(p *Proc) {
-		p.SleepNS(10)
-		e.Stop()
-	})
-	e.Spawn("b", func(p *Proc) {
-		p.SleepNS(1000)
-		ran = true
-	})
-	end := e.Run()
-	if ran {
-		t.Error("event after Stop still ran")
-	}
-	if end != Time(10) {
-		t.Errorf("Run() = %v, want 10ns", end)
-	}
-}
-
 func TestSpawnFromProc(t *testing.T) {
 	e := NewEngine()
 	var childAt Time
@@ -383,21 +363,78 @@ func TestSleepUntil(t *testing.T) {
 
 // A sleep is a typed calendar entry held by value, its wake and dispatch
 // carry no closure, and the hand-off is a coroutine switch: the steady
-// state of a simulation allocates nothing per yield.
+// state of a simulation allocates nothing per yield. That holds for a
+// sleep that runs ahead (nothing else due, so nothing is scheduled) and
+// for one that goes through the calendar (a neighbour's wake is due
+// first, so the sleep pushes a wake and its dispatch and parks).
 func TestSleepDoesNotAllocate(t *testing.T) {
+	for _, tc := range []struct {
+		name      string
+		neighbour bool
+	}{{"ahead", false}, {"calendar", true}} {
+		t.Run(tc.name, func(t *testing.T) {
+			e := NewEngine()
+			done := false
+			if tc.neighbour {
+				e.Spawn("neighbour", func(p *Proc) {
+					for !done {
+						p.SleepNS(1)
+					}
+				})
+			}
+			allocs, scheduled := -1.0, uint64(0)
+			e.Spawn("p", func(p *Proc) {
+				p.SleepNS(1) // let the neighbour start
+				seq := e.seq
+				allocs = testing.AllocsPerRun(1000, func() { p.SleepNS(2) })
+				scheduled = e.seq - seq
+				done = true
+			})
+			e.Run()
+			if allocs != 0 {
+				t.Errorf("SleepNS allocates %v times per call, want 0", allocs)
+			}
+			// AllocsPerRun makes one warm-up call besides the 1000. Run
+			// ahead, a sleep pushes nothing; through the calendar, at
+			// least its wake and its dispatch.
+			if tc.neighbour && scheduled < 2*1001 || !tc.neighbour && scheduled != 0 {
+				t.Errorf("%d calendar entries pushed over 1001 sleeps: not the %s path", scheduled, tc.name)
+			}
+		})
+	}
+}
+
+var benchEnd Time
+
+// BenchmarkSleepAlone is one process with nothing else due: every sleep
+// runs ahead, with no calendar entry and no coroutine switch.
+func BenchmarkSleepAlone(b *testing.B) {
 	e := NewEngine()
-	allocs := -1.0
-	e.Spawn("neighbour", func(p *Proc) { // keeps the calendar more than one deep
-		for {
-			p.SleepNS(3)
+	e.Spawn("p", func(p *Proc) {
+		for i := 0; i < b.N; i++ {
+			p.SleepNS(1)
 		}
 	})
-	e.Spawn("p", func(p *Proc) {
-		allocs = testing.AllocsPerRun(1000, func() { p.SleepNS(1) })
-		e.Stop()
-	})
-	e.Run()
-	if allocs != 0 {
-		t.Errorf("SleepNS allocates %v times per call, want 0", allocs)
+	b.ReportAllocs()
+	b.ResetTimer()
+	benchEnd = e.Run()
+}
+
+// BenchmarkSleepInterleaved is two processes whose wakes alternate, one
+// sleep per op: each sleep parks behind the other process's wake, and its
+// own wake, being the last thing due at its instant, is dispatched at
+// once.
+func BenchmarkSleepInterleaved(b *testing.B) {
+	e := NewEngine()
+	for first := 0; first < 2; first++ {
+		e.Spawn("p", func(p *Proc) {
+			p.SleepNS(int64(first))
+			for i := first; i < b.N; i += 2 {
+				p.SleepNS(2)
+			}
+		})
 	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	benchEnd = e.Run()
 }
