@@ -22,14 +22,6 @@ type AblationResult struct {
 	HigherIsBetter bool
 }
 
-// Helps reports whether the optimization improved its metric.
-func (a AblationResult) Helps() bool {
-	if a.HigherIsBetter {
-		return a.On > a.Off
-	}
-	return a.On < a.Off
-}
-
 // Factor returns Off/On — how much worse the system gets without the
 // optimization.
 func (a AblationResult) Factor() float64 {

@@ -28,10 +28,6 @@ const (
 	RacePrevent
 )
 
-func (m RaceMode) String() string {
-	return [...]string{"detect", "recover", "prevent"}[m]
-}
-
 // Options configures a memif Device. The zero value is not useful; start
 // from DefaultOptions.
 type Options struct {

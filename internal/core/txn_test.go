@@ -171,7 +171,7 @@ func TestTxnAbortOnDirtyDuringCopy(t *testing.T) {
 			if err := d.AS.Write(p, base, []byte{0xAA}); err != nil {
 				t.Fatalf("write during txn copy: %v", err)
 			}
-			p.Sleep(20_000)
+			p.SleepNS(20_000)
 			got = d.RetrieveCompleted(p)
 		}
 		if got.Status != uapi.StatusFailed || got.Err != uapi.ErrTxnDirty {

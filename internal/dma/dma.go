@@ -87,9 +87,6 @@ func (t *Transfer) Bytes() int64 { return t.bytes }
 // State returns the transfer's current state.
 func (t *Transfer) State() State { return t.state }
 
-// FirstSlot returns the first PaRAM slot of the transfer's chain.
-func (t *Transfer) FirstSlot() int { return t.first }
-
 // chain records driver knowledge about a configured descriptor run. A
 // chain belongs to one transfer from Program until that transfer completes
 // or is aborted: the engine reads the descriptors while it copies, so
@@ -461,6 +458,3 @@ func (e *Engine) FreeSlots() int {
 // Chains reports how many descriptor chains the enhanced driver currently
 // remembers.
 func (e *Engine) Chains() int { return len(e.chains) }
-
-// Slot returns a copy of PaRAM entry i (test and diagnostic use).
-func (e *Engine) Slot(i int) Desc { return e.params[i] }

@@ -42,9 +42,6 @@ func Make(f phys.FrameID, flags PTE) PTE {
 // Frame extracts the frame ID.
 func (p PTE) Frame() phys.FrameID { return phys.FrameID(p >> frameShift) }
 
-// Flags extracts the flag bits.
-func (p PTE) Flags() PTE { return p & flagMask }
-
 // Has reports whether all given flag bits are set.
 func (p PTE) Has(f PTE) bool { return p&f == f }
 
@@ -132,10 +129,6 @@ type Table struct {
 
 // New returns an empty table.
 func New() *Table { return &Table{root: &inner{}} }
-
-// Leaves reports the number of leaf tables allocated (memory footprint
-// diagnostics).
-func (t *Table) Leaves() int { return t.leaves }
 
 func index(vpn uint64, level int) int {
 	shift := uint(levelBits * (numLevels - 1 - level))

@@ -1,6 +1,10 @@
 package phys
 
-import "fmt"
+import (
+	"fmt"
+
+	"memif/internal/hw"
+)
 
 // audit checks the buffer ledger of m. Each buffer's share count equals
 // the number of frames holding it; a freed frame holds none; a pooled
@@ -51,3 +55,11 @@ func (m *Memory) audit() error {
 
 // pooled is how many buffers of size bytes sit in m's pool.
 func (m *Memory) pooled(size int64) int { return len(m.pool[size]) }
+
+// NodeStats returns a snapshot of node id's allocation counters.
+func (m *Memory) NodeStats(id hw.NodeID) Stats {
+	st := m.nodes[id]
+	s := st.stats
+	s.Used = st.used
+	return s
+}

@@ -223,14 +223,6 @@ func (m *Memory) Node(id hw.NodeID) hw.MemNode {
 	return st.desc
 }
 
-// NodeStats returns a snapshot of node id's allocation counters.
-func (m *Memory) NodeStats(id hw.NodeID) Stats {
-	st := m.nodes[id]
-	s := st.stats
-	s.Used = st.used
-	return s
-}
-
 // Alloc allocates one frame of size bytes on the given node. The frame
 // has no bytes yet and reads as zero (as anonymous pages do); it gets a
 // cleared buffer on first use, see Frame.Bytes.
@@ -372,9 +364,3 @@ func Copy(dst, src *Frame, n int64) {
 
 // Used reports bytes currently allocated on node id.
 func (m *Memory) Used(id hw.NodeID) int64 { return m.nodes[id].used }
-
-// Avail reports bytes currently free on node id.
-func (m *Memory) Avail(id hw.NodeID) int64 {
-	st := m.nodes[id]
-	return st.desc.Capacity - st.used
-}

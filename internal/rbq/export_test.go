@@ -37,3 +37,13 @@ func (q *Queue) ColorForTest() Color {
 // TagOfFreeHeadForTest returns the free-stack head's current tag, so the
 // wraparound test can assert the tags actually crossed zero.
 func (s *Slab) TagOfFreeHeadForTest() uint32 { return unpackTag(s.freeHead.Load()) }
+
+// AllocNode exposes the slab's internal Treiber free stack to
+// TestFreeStackLinearizable, which records alloc/release histories and
+// checks them against internal/check's sequential LIFO spec. Production
+// callers go through Queue, which allocates internally.
+func (s *Slab) AllocNode() (uint32, bool) { return s.allocNode() }
+
+// ReleaseNode is AllocNode's inverse, for the same test.
+// Releasing a node that is linked into a queue corrupts the slab.
+func (s *Slab) ReleaseNode(idx uint32) { s.freeNode(idx) }

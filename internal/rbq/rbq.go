@@ -184,16 +184,6 @@ func (s *Slab) allocNode() (uint32, bool) {
 	}
 }
 
-// AllocNode exposes the slab's internal Treiber free stack to the
-// verification harness (internal/check records alloc/release histories
-// and checks them against a sequential LIFO spec). Production callers
-// go through Queue, which allocates internally.
-func (s *Slab) AllocNode() (uint32, bool) { return s.allocNode() }
-
-// ReleaseNode is AllocNode's inverse, for the verification harness.
-// Releasing a node that is linked into a queue corrupts the slab.
-func (s *Slab) ReleaseNode(idx uint32) { s.freeNode(idx) }
-
 // freeNode pushes a node back on the free stack.
 func (s *Slab) freeNode(idx uint32) {
 	n := &s.nodes[idx]

@@ -118,7 +118,7 @@ const (
 	retuneEvery = 512
 	// minRetryAfter floors the overload retry-after hint.
 	minRetryAfter = 50 * time.Microsecond
-	// minInlineThreshold / maxInlineThreshold bound the retuner so a
+	// minInlineThreshold and (*Device).maxInline bound the retuner so a
 	// degenerate histogram can never turn inline completion off (or
 	// swallow chunk-sized copies into the worker).
 	minInlineThreshold = 1 << 10

@@ -214,8 +214,8 @@ func TestConcurrentSubmitters(t *testing.T) {
 	if failures.Load() != 0 {
 		t.Errorf("%d corrupted copies", failures.Load())
 	}
-	if d.BytesMoved() != int64(submitters*perSub*512) {
-		t.Errorf("BytesMoved = %d", d.BytesMoved())
+	if got := d.Stats().BytesMoved; got != int64(submitters*perSub*512) {
+		t.Errorf("BytesMoved = %d", got)
 	}
 }
 

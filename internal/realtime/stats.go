@@ -315,12 +315,3 @@ func (d *Device) Kicks() int64 { return d.m.kicks.Load() }
 
 // Completed reports how many requests have completed.
 func (d *Device) Completed() int64 { return d.m.completed.Load() }
-
-// BytesMoved reports the total payload moved.
-func (d *Device) BytesMoved() int64 {
-	var n int64
-	for i := range d.ctr {
-		n += d.ctr[i].bytesMoved.Load()
-	}
-	return n
-}

@@ -128,16 +128,6 @@ func (s *tenantSched) pop() (idx, tenant uint32, aged, ok bool) {
 	return 0, 0, false, false
 }
 
-// queuedTotal reports how many requests sit in the worker-local buckets
-// (zero whenever pop has returned !ok and nothing was enqueued since).
-func (s *tenantSched) queuedTotal() int {
-	n := 0
-	for c := range s.classes {
-		n += s.classes[c].queued
-	}
-	return n
-}
-
 // push buffers idx on tenant's FIFO, activating the tenant at the tail
 // of the round when its bucket was empty.
 func (c *drrClass) push(tenant, idx uint32) {

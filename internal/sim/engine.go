@@ -40,9 +40,6 @@ func (t Time) Seconds() float64 { return float64(t) / 1e9 }
 // Micros converts t to microseconds.
 func (t Time) Micros() float64 { return float64(t) / 1e3 }
 
-// Duration converts t to a time.Duration.
-func (t Time) Duration() time.Duration { return time.Duration(t) }
-
 func (t Time) String() string { return time.Duration(t).String() }
 
 // event is a calendar entry: at time `at`, do what kind says. Events with
@@ -151,11 +148,8 @@ func (e *Engine) idle(t Time) bool {
 	return len(e.calendar) == 0 || t < e.calendar[0].at
 }
 
-// After registers fn to run in engine context after d of virtual time.
-// fn runs with the clock advanced; it must not block.
-func (e *Engine) After(d time.Duration, fn func()) { e.AfterNS(int64(d), fn) }
-
-// AfterNS is After with a nanosecond count.
+// AfterNS registers fn to run in engine context after ns nanoseconds of
+// virtual time. fn runs with the clock advanced; it must not block.
 func (e *Engine) AfterNS(ns int64, fn func()) {
 	e.schedule(event{at: e.now + Time(ns), kind: evCall, fn: fn})
 }

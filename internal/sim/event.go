@@ -75,7 +75,3 @@ func (c *Cond) Broadcast() {
 		c.eng.wake(w.p, w.seq)
 	}
 }
-
-// Waiters reports how many processes are currently parked on the
-// condition (including ones with stale tokens not yet cleaned up).
-func (c *Cond) Waiters() int { return len(c.waiters) }

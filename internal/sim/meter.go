@@ -12,9 +12,6 @@ type Meter struct {
 // NewMeter returns a named meter.
 func NewMeter(name string) *Meter { return &Meter{name: name} }
 
-// Name returns the meter's name.
-func (m *Meter) Name() string { return m.name }
-
 // Add charges ns nanoseconds of busy time.
 func (m *Meter) Add(ns int64) { m.busy += ns }
 
@@ -23,15 +20,6 @@ func (m *Meter) Busy() Time { return Time(m.busy) }
 
 // Reset clears the accumulated time.
 func (m *Meter) Reset() { m.busy = 0 }
-
-// Usage returns busy time as a fraction of the elapsed interval (0..n;
-// can exceed 1 when the meter aggregates several parallel contexts).
-func (m *Meter) Usage(elapsed Time) float64 {
-	if elapsed <= 0 {
-		return 0
-	}
-	return float64(m.busy) / float64(elapsed)
-}
 
 // MeterGroup sums several meters, e.g. "all kernel-side contexts".
 type MeterGroup []*Meter

@@ -1,9 +1,6 @@
 package sim
 
-import (
-	"errors"
-	"time"
-)
+import "errors"
 
 // errShutdown is panicked through a parked process when the engine tears
 // down, unwinding its stack so its goroutine exits. It never escapes the
@@ -46,9 +43,6 @@ func (p *Proc) top(fn ProcFunc) {
 	}()
 	fn(p)
 }
-
-// Engine returns the engine this process belongs to.
-func (p *Proc) Engine() *Engine { return p.eng }
 
 // Name returns the process name given at Spawn.
 func (p *Proc) Name() string { return p.name }
@@ -119,9 +113,6 @@ func (p *Proc) SleepNS(ns int64) {
 	e.schedule(event{at: t, kind: evWake, p: p, tok: tok})
 	p.park()
 }
-
-// Sleep advances virtual time by d.
-func (p *Proc) Sleep(d time.Duration) { p.SleepNS(int64(d)) }
 
 // SleepUntil advances virtual time to t (no-op if t is in the past).
 func (p *Proc) SleepUntil(t Time) {

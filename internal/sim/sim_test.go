@@ -9,7 +9,7 @@ func TestClockAdvancesOnSleep(t *testing.T) {
 	e := NewEngine()
 	var at Time
 	e.Spawn("sleeper", func(p *Proc) {
-		p.Sleep(5 * time.Microsecond)
+		p.SleepNS(int64(5 * time.Microsecond))
 		at = p.Now()
 	})
 	end := e.Run()
@@ -59,7 +59,7 @@ func TestEventBroadcast(t *testing.T) {
 		})
 	}
 	e.Spawn("firer", func(p *Proc) {
-		p.Sleep(time.Millisecond)
+		p.SleepNS(int64(time.Millisecond))
 		ev.Fire()
 	})
 	e.Run()
@@ -280,7 +280,7 @@ func TestBusyMeters(t *testing.T) {
 	if m2.Busy() != Time(50) {
 		t.Errorf("m2 = %v, want 50ns", m2.Busy())
 	}
-	if u := m1.Usage(end); u < 0.149 || u > 0.151 {
+	if u := (MeterGroup{m1}).Usage(end); u < 0.149 || u > 0.151 {
 		t.Errorf("usage = %v, want 0.15", u)
 	}
 	g := MeterGroup{m1, m2}
@@ -293,7 +293,7 @@ func TestAfterCallback(t *testing.T) {
 	e := NewEngine()
 	var at Time
 	e.Spawn("p", func(p *Proc) {
-		e.After(time.Microsecond, func() { at = e.Now() })
+		e.AfterNS(int64(time.Microsecond), func() { at = e.Now() })
 		p.SleepNS(5000)
 	})
 	e.Run()

@@ -117,38 +117,6 @@ func (b *Breakdown) String() string {
 	return strings.Join(parts, " ")
 }
 
-// LatencySeries records per-request completion latencies (Figure 7).
-type LatencySeries struct {
-	Name    string
-	Samples []sim.Time
-}
-
-// Add appends a sample.
-func (l *LatencySeries) Add(t sim.Time) { l.Samples = append(l.Samples, t) }
-
-// Max returns the largest sample (0 when empty).
-func (l *LatencySeries) Max() sim.Time {
-	var m sim.Time
-	for _, s := range l.Samples {
-		if s > m {
-			m = s
-		}
-	}
-	return m
-}
-
-// Mean returns the average sample.
-func (l *LatencySeries) Mean() sim.Time {
-	if len(l.Samples) == 0 {
-		return 0
-	}
-	var sum sim.Time
-	for _, s := range l.Samples {
-		sum += s
-	}
-	return sum / sim.Time(len(l.Samples))
-}
-
 // ThroughputGBs converts bytes moved over a virtual interval into GB/s.
 func ThroughputGBs(bytes int64, elapsed sim.Time) float64 {
 	if elapsed <= 0 {

@@ -133,23 +133,6 @@ func TestBreakdownPinsAllPhases(t *testing.T) {
 	}
 }
 
-func TestLatencySeries(t *testing.T) {
-	var l LatencySeries
-	for _, v := range []sim.Time{300, 100, 200} {
-		l.Add(v)
-	}
-	if l.Max() != 300 {
-		t.Errorf("Max = %v", l.Max())
-	}
-	if l.Mean() != 200 {
-		t.Errorf("Mean = %v", l.Mean())
-	}
-	var empty LatencySeries
-	if empty.Max() != 0 || empty.Mean() != 0 {
-		t.Error("empty series should report zeros")
-	}
-}
-
 func TestThroughputConversions(t *testing.T) {
 	// 1 GB in 1 second.
 	if got := ThroughputGBs(1e9, sim.Time(1e9)); got < 0.999 || got > 1.001 {

@@ -541,7 +541,7 @@ func TestFlightCapturesSlowFills(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		sid = s.ID()
+		sid = s.Stats().ID
 		if _, err := s.Run(p); err != nil {
 			t.Fatal(err)
 		}

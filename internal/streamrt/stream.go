@@ -121,9 +121,6 @@ type Stream struct {
 	closedG, doneG         obs.Gauge
 }
 
-// ID returns the engine-assigned stream id.
-func (s *Stream) ID() int { return s.id }
-
 // Name returns the stream's metric label.
 func (s *Stream) Name() string { return s.name }
 

@@ -26,7 +26,6 @@ type entry struct {
 type Stats struct {
 	Hits, Misses  int64
 	Invalidations int64
-	FullFlushes   int64
 }
 
 // TLB is a set-associative translation cache. Not safe for concurrent
@@ -93,24 +92,5 @@ func (t *TLB) Invalidate(vpn uint64) {
 	}
 }
 
-// InvalidateAll empties the TLB (a full flush).
-func (t *TLB) InvalidateAll() {
-	t.stats.FullFlushes++
-	for _, set := range t.sets {
-		for i := range set {
-			set[i].valid = false
-		}
-	}
-}
-
 // Stats returns a snapshot of the counters.
 func (t *TLB) Stats() Stats { return t.stats }
-
-// HitRate returns hits / (hits + misses), or 0 with no lookups.
-func (t *TLB) HitRate() float64 {
-	total := t.stats.Hits + t.stats.Misses
-	if total == 0 {
-		return 0
-	}
-	return float64(t.stats.Hits) / float64(total)
-}

@@ -17,9 +17,6 @@ func TestMissThenHit(t *testing.T) {
 	if st.Hits != 1 || st.Misses != 1 {
 		t.Errorf("stats = %+v", st)
 	}
-	if tl.HitRate() != 0.5 {
-		t.Errorf("hit rate = %v", tl.HitRate())
-	}
 }
 
 func TestInvalidateSingle(t *testing.T) {
@@ -32,19 +29,6 @@ func TestInvalidateSingle(t *testing.T) {
 	}
 	if !tl.Lookup(8) {
 		t.Error("unrelated entry lost")
-	}
-}
-
-func TestInvalidateAll(t *testing.T) {
-	tl := New(16, 4)
-	for v := uint64(0); v < 16; v++ {
-		tl.Lookup(v)
-	}
-	tl.InvalidateAll()
-	for v := uint64(0); v < 16; v++ {
-		if tl.Lookup(v) {
-			t.Fatalf("vpn %d survived full flush", v)
-		}
 	}
 }
 

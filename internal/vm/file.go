@@ -17,7 +17,7 @@ import (
 // other.
 //
 // Pages are materialized in the cache on first mapping and stay cached
-// (like the kernel's page cache) until Drop. There is no backing store
+// for the file's life; nothing evicts them. There is no backing store
 // to write back to — the cache *is* the file's contents.
 type File struct {
 	mem       *phys.Memory
@@ -43,12 +43,6 @@ func NewFile(mem *phys.Memory, rmap *Rmap, name string, size, pageBytes int64) *
 		cache:     make(map[int64]phys.FrameID),
 	}
 }
-
-// Name returns the file's name.
-func (f *File) Name() string { return f.name }
-
-// Size returns the file's length in bytes.
-func (f *File) Size() int64 { return f.size }
 
 // CachedPages reports how many pages are currently in the cache.
 func (f *File) CachedPages() int { return len(f.cache) }
@@ -82,26 +76,6 @@ func (f *File) FrameAt(off int64) *phys.Frame {
 	}
 	fr, _ := f.mem.Lookup(id)
 	return fr
-}
-
-// Drop evicts the page cache: every unmapped, unpinned page is freed.
-// Mapped pages stay (like the kernel refusing to reclaim mapped cache).
-func (f *File) Drop() {
-	for idx, id := range f.cache {
-		fr, ok := f.mem.Lookup(id)
-		if !ok {
-			delete(f.cache, idx)
-			continue
-		}
-		if fr.RefCount == 0 && !fr.Pinned() {
-			if f.rmap != nil {
-				f.rmap.DropCacheRef(fr.ID)
-			}
-			fr.FileBacked = false
-			f.mem.Free(fr)
-			delete(f.cache, idx)
-		}
-	}
 }
 
 // rebind moves the cache entry for page idx to a new frame (called by

@@ -4,7 +4,6 @@ import (
 	"bytes"
 	"testing"
 
-	"memif/internal/hw"
 	"memif/internal/sim"
 )
 
@@ -64,29 +63,6 @@ func TestFileCacheSurvivesUnmap(t *testing.T) {
 			t.Error("cached data lost across unmap/remap")
 		}
 		a.Munmap(p, mb)
-		f.Drop()
-		if f.CachedPages() != 0 {
-			t.Errorf("Drop left %d pages", f.CachedPages())
-		}
-		if a.Mem.Used(hw.NodeSlow) != 0 {
-			t.Errorf("leaked %d bytes", a.Mem.Used(hw.NodeSlow))
-		}
-	})
-	eng.Run()
-}
-
-func TestFileDropKeepsMappedPages(t *testing.T) {
-	eng, a, _ := setupShared()
-	f := NewFile(a.Mem, a.Rmap, "d", 4096, 4096)
-	eng.Spawn("p", func(p *sim.Proc) {
-		ma, _ := a.MmapFile(p, f, 0, 4096)
-		f.Drop() // page is mapped: must survive
-		if f.CachedPages() != 1 {
-			t.Error("Drop evicted a mapped page")
-		}
-		if err := a.Touch(p, ma, false); err != nil {
-			t.Errorf("mapped page broken after Drop: %v", err)
-		}
 	})
 	eng.Run()
 }

@@ -61,11 +61,6 @@ func (r *Rmap) AddCacheRef(f phys.FrameID, file *File, idx int64) {
 	r.cacheRefs[f] = cacheRef{file: file, idx: idx}
 }
 
-// DropCacheRef forgets a cache reference (page evicted from the cache).
-func (r *Rmap) DropCacheRef(f phys.FrameID) {
-	delete(r.cacheRefs, f)
-}
-
 // single returns frame f's inline mapping, nil unless f has exactly one.
 func (r *Rmap) single(f phys.FrameID) *Mapping {
 	if int(f) < len(r.one) && r.one[f].Slot != nil {

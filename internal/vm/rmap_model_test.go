@@ -88,10 +88,8 @@ func TestRmapMatchesModel(t *testing.T) {
 						cache[idx] = to.ID
 					}
 				}
-			default: // cache f as a file page, or drop its cache reference
+			default: // cache f as a file page
 				if _, ok := cacheRefs[f.ID]; ok {
-					r.DropCacheRef(f.ID)
-					delete(cacheRefs, f.ID)
 					continue
 				}
 				idx := int64(rng.Intn(nFrames))

@@ -49,10 +49,6 @@ type VMA struct {
 // End returns the first address past the VMA.
 func (v *VMA) End() int64 { return v.Start + v.Length }
 
-func (v *VMA) String() string {
-	return fmt.Sprintf("vma[%#x-%#x %s @node%d]", v.Start, v.End(), v.Name, v.Node)
-}
-
 // FaultHandler handles a trap taken on an access. It returns true if the
 // fault was resolved and the access should be retried. The memif driver
 // registers one to implement proceed-and-recover.
@@ -466,12 +462,6 @@ func (as *AddressSpace) claimed(vpn uint64) bool {
 		}
 	}
 	return false
-}
-
-// FlushTLBPage accounts one per-page TLB flush and charges its cost.
-func (as *AddressSpace) FlushTLBPage(p *sim.Proc, meters ...*sim.Meter) {
-	as.TLBFlushes++
-	charge(p, as.Plat.Cost.TLBFlushPage, meters...)
 }
 
 // shadowCopy records a retained frame holding a still-valid copy of a

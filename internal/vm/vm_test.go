@@ -327,23 +327,6 @@ func TestBadPageSizePanics(t *testing.T) {
 	setup(3000)
 }
 
-func TestFlushTLBAccounting(t *testing.T) {
-	eng, as := setup(4096)
-	eng.Spawn("p", func(p *sim.Proc) {
-		start := p.Now()
-		as.FlushTLBPage(p)
-		as.FlushTLBPage(p)
-		if as.TLBFlushes != 2 {
-			t.Errorf("TLBFlushes = %d, want 2", as.TLBFlushes)
-		}
-		want := sim.Time(2 * as.Plat.Cost.TLBFlushPage)
-		if got := p.Now() - start; got != want {
-			t.Errorf("cost = %v, want %v", got, want)
-		}
-	})
-	eng.Run()
-}
-
 func TestMunmapUnknownBase(t *testing.T) {
 	_, as := setup(4096)
 	if err := as.Munmap(nil, 0x1234000); !errors.Is(err, ErrNoVMA) {

@@ -247,8 +247,8 @@ type RealtimeDevice = realtime.Device
 type RealtimeRequest = realtime.Request
 
 // RealtimeOptions sizes a realtime device: request slots, transfer
-// controllers, staging shards, the chunking threshold, tracing, the QoS
-// knobs and the flight recorder. Construct it with
+// controllers, the chunking threshold, tracing, the QoS knobs and the
+// flight recorder. Construct it with
 // DefaultRealtimeOptions and override fields.
 type RealtimeOptions = realtime.Options
 
