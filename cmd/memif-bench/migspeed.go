@@ -42,6 +42,10 @@ func migspeed(args []string) {
 	}
 	plat := hw.KeyStoneII()
 	if *xeon {
+		if *useMemif {
+			fmt.Fprintln(os.Stderr, "migspeed: -memif needs a DMA engine, and the Xeon E5 platform has none")
+			os.Exit(2)
+		}
 		plat = hw.XeonE5()
 	}
 	// Remove the capacity wall so sweeps with large regions make sense

@@ -1,6 +1,8 @@
 package core
 
 import (
+	"fmt"
+	"strings"
 	"testing"
 
 	"memif/internal/hw"
@@ -16,6 +18,23 @@ func newRig(t *testing.T, opts Options) (*machine.Machine, *Device) {
 	as := m.NewAddressSpace(4096)
 	d := Open(m, as, opts)
 	return m, d
+}
+
+// TestOpenRefusesPlatformWithoutDMA: the Xeon E5 platform exposes no
+// DMA descriptor slots, so a memif device on it could never chain a
+// page. Open must refuse it by name instead of clamping the chain length
+// to zero and dividing by it on the first migration.
+func TestOpenRefusesPlatformWithoutDMA(t *testing.T) {
+	plat := hw.XeonE5()
+	m := machine.New(plat)
+	as := m.NewAddressSpace(4096)
+	defer func() {
+		msg := fmt.Sprint(recover())
+		if !strings.Contains(msg, plat.Name) || !strings.Contains(msg, "DMA") {
+			t.Errorf("Open on %s panicked with %q, want a message naming the platform and its missing DMA engine", plat.Name, msg)
+		}
+	}()
+	Open(m, as, DefaultOptions())
 }
 
 // fill writes a recognizable pattern into [base, base+n).

@@ -73,6 +73,9 @@ func Open(m *machine.Machine, as *vm.AddressSpace, opts Options) *Device {
 	if opts.NumReqs <= 0 {
 		panic("core: Options.NumReqs must be positive (start from DefaultOptions)")
 	}
+	if m.Plat.DMA.ParamSlots < 1 {
+		panic(fmt.Sprintf("core: platform %q has no DMA descriptor slots: memif needs a DMA engine", m.Plat.Name))
+	}
 	if opts.MaxChainPages <= 0 {
 		opts.MaxChainPages = 256
 	}

@@ -75,7 +75,7 @@ type Span uint8
 // The attribution buckets of the Section 6 latency budget, pipeline
 // edition.
 const (
-	// SpanStagingWait: submit → flushed; time spent on a staging shard
+	// SpanStagingWait: submit → flushed; time spent in the staging queue
 	// waiting for a flush.
 	SpanStagingWait Span = iota
 	// SpanDispatchWait: flushed → dispatched; time on the submission

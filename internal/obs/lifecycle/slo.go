@@ -80,8 +80,8 @@ type ProbeState struct {
 	// DispatchProgress is a cumulative dispatch counter; the watchdog
 	// compares ticks, so any monotone counter works.
 	DispatchProgress int64
-	// CompletionDepth and CompletionCap describe the fullest
-	// completion ring.
+	// CompletionDepth and CompletionCap describe the completion
+	// queue's backlog and capacity.
 	CompletionDepth, CompletionCap int64
 	// RetrieveProgress is a cumulative retrieval counter.
 	RetrieveProgress int64

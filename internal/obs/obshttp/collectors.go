@@ -41,6 +41,7 @@ func RealtimeMetrics(device string, s realtime.StatsSnapshot) []Metric {
 		counter("memif_realtime_inline_retunes_total", "Adaptive inline-threshold recomputations.", lb, s.Retunes),
 		counter("memif_realtime_aged_pops_total", "Dispatches serving a lower class out of strict-priority order.", lb, s.AgedPops),
 		gauge("memif_realtime_inline_threshold_bytes", "Current adaptive inline-completion cutoff (0 = disabled).", lb, s.InlineThresholdBytes),
+		gauge("memif_realtime_staging_depth", "Live staging-queue depth at scrape time.", lb, s.StagingDepth),
 		gauge("memif_realtime_submission_depth", "Live submission-queue depth at scrape time.", lb, s.SubmissionDepth),
 		gauge("memif_realtime_completion_depth", "Live completion-queue depth at scrape time.", lb, s.CompletionDepth),
 		gauge("memif_realtime_submission_depth_high_water", "Deepest the submission queue has ever been.", lb, s.SubmissionHighWater),
@@ -48,20 +49,10 @@ func RealtimeMetrics(device string, s realtime.StatsSnapshot) []Metric {
 		hist("memif_realtime_request_latency_ns", "Submission-to-completion latency (ns).", lb, s.Latency),
 		hist("memif_realtime_request_bytes", "Request payload size (bytes).", lb, s.Sizes),
 	}
-	for i, d := range s.StagingDepths {
-		ms = append(ms, gauge("memif_realtime_staging_depth",
-			"Live per-shard staging-queue depth at scrape time.",
-			with(lb, Label{"shard", strconv.Itoa(i)}), d))
-	}
 	for i, d := range s.RingDepths {
 		ms = append(ms, gauge("memif_realtime_ring_depth",
 			"Live per-controller dispatch-ring occupancy at scrape time.",
 			with(lb, Label{"controller", strconv.Itoa(i)}), d))
-	}
-	for i, d := range s.CompletionDepths {
-		ms = append(ms, gauge("memif_realtime_completion_ring_depth",
-			"Live per-ring completion occupancy at scrape time.",
-			with(lb, Label{"ring", strconv.Itoa(i)}), d))
 	}
 	for c := range s.Classes {
 		cs := s.Classes[c]

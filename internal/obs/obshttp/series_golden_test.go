@@ -19,7 +19,7 @@ import (
 // match testdata/series.golden line for line. Dashboards and the
 // benchmark re-derive numbers from these names, so a refactor of the
 // stamping or stats internals must not rename, retype or drop one.
-// Label values (tenant names, shard numbers) are left out: they follow
+// Label values (tenant names, controller numbers) are left out: they follow
 // the device's configuration, the keys do not.
 func TestRealtimeSeriesNamesGolden(t *testing.T) {
 	d := realtime.Open(realtime.Options{

@@ -1,10 +1,10 @@
 package rbq
 
-// Contention benchmarks for the red-blue queue, motivating the realtime
-// device's sharded staging: a single Michael–Scott queue serializes all
-// producers on one tail CAS, so splitting submitters across independent
-// queues on a shared slab should scale enqueue throughput with the
-// shard count (until the slab's free stack becomes the shared point).
+// Contention benchmarks for the red-blue queue: a single Michael–Scott
+// queue serializes all producers on one tail CAS, so splitting producers
+// across independent queues on a shared slab should scale enqueue
+// throughput with the queue count (until the slab's free stack becomes
+// the shared point).
 
 import (
 	"fmt"
@@ -14,8 +14,7 @@ import (
 
 // BenchmarkMultiQueueContention measures enqueue+dequeue pairs with all
 // producer goroutines hammering one queue versus spreading across 4 or
-// 16 queues built on one shared slab — the shape of the realtime
-// device's staging shards.
+// 16 queues built on one shared slab.
 func BenchmarkMultiQueueContention(b *testing.B) {
 	for _, queues := range []int{1, 4, 16} {
 		queues := queues
@@ -39,8 +38,8 @@ func BenchmarkMultiQueueContention(b *testing.B) {
 }
 
 // BenchmarkSharedSlabAllocRelease isolates the slab free stack — the
-// one structure the shards still share — so shard-scaling regressions
-// can be attributed to the right CAS loop.
+// one structure queues on one slab still share — so queue-scaling
+// regressions can be attributed to the right CAS loop.
 func BenchmarkSharedSlabAllocRelease(b *testing.B) {
 	s := NewSlab(1 << 14)
 	b.RunParallel(func(pb *testing.PB) {

@@ -153,9 +153,9 @@ func (s *Slab) Capacity() int { return len(s.nodes) - 1 }
 // permanently consumes one node as its dummy, and slack spare nodes
 // absorb the transient over-allocation windows where a dequeuing
 // consumer has not yet recycled the old dummy while a producer is
-// already allocating. Sharded devices (many staging queues on one slab)
-// should scale slack with the queue count, since every queue can be in
-// such a window at once.
+// already allocating. Devices with many queues on one slab should scale
+// slack with the queue count, since every queue can be in such a window
+// at once.
 func NewSlabForQueues(live, numQueues, slack int) *Slab {
 	if numQueues < 1 {
 		numQueues = 1

@@ -83,9 +83,8 @@ func BenchmarkPipelined64KB(b *testing.B) {
 	}
 }
 
-// benchConcurrentSubmit drives a device with `shards` staging shards
-// from `submitters` goroutines issuing size-byte requests in batches of
-// `batch`. Each submitter is a closed loop: it keeps a bounded window of
+// benchConcurrentSubmit drives a device from `submitters` goroutines
+// issuing size-byte requests in batches of `batch`. Each submitter is a closed loop: it keeps a bounded window of
 // requests in flight and reaps
 // completions through the batch retrieval path to pace itself, so the
 // scheduler is never oversubscribed with spinning pollers. Destination
@@ -93,9 +92,9 @@ func BenchmarkPipelined64KB(b *testing.B) {
 // so any number of requests can be in flight without write races, and
 // it does not matter which submitter reaps which completion. Reports
 // kicks-per-op so the amortization claims are visible in the output.
-func benchConcurrentSubmit(b *testing.B, submitters, size, batch, shards int, opts Options) {
+func benchConcurrentSubmit(b *testing.B, submitters, size, batch int, opts Options) {
 	b.Helper()
-	d := open(opts, shards)
+	d := Open(opts)
 	src := make([]byte, size)
 	dsts := make([][]byte, opts.NumReqs)
 	for i := range dsts {
@@ -179,38 +178,29 @@ func benchConcurrentSubmit(b *testing.B, submitters, size, batch, shards int, op
 	d.Close()
 }
 
-// BenchmarkStagingShards is the tentpole ablation: submitter goroutines
-// × staging shards, 4 KB unbatched requests, so the contended CAS on
+// BenchmarkConcurrentSubmitters contends the one staging queue: 1, 4
+// and 16 submitter goroutines of 4 KB unbatched requests, so the CAS on
 // the staging tail is the variable under test.
-func BenchmarkStagingShards(b *testing.B) {
-	for _, shards := range []int{1, 4} {
-		for _, subs := range []int{1, 4, 16} {
-			b.Run(fmt.Sprintf("shards=%d/submitters=%d", shards, subs), func(b *testing.B) {
-				benchConcurrentSubmit(b, subs, 4<<10, 1, shards,
-					Options{NumReqs: 512, Controllers: 4})
-			})
-		}
+func BenchmarkConcurrentSubmitters(b *testing.B) {
+	for _, subs := range []int{1, 4, 16} {
+		b.Run(fmt.Sprintf("submitters=%d", subs), func(b *testing.B) {
+			benchConcurrentSubmit(b, subs, 4<<10, 1,
+				Options{NumReqs: 512, Controllers: 4})
+		})
 	}
 }
 
 // BenchmarkSmallRequest8Submitters is the acceptance benchmark for the
-// sharded pipeline: 8 submitters of 4 KB requests against one staging
-// queue and against the sharded pipeline, unbatched and batched. (The
-// PR 3 pre-shard baseline also routed chunks through a shared unbuffered
-// channel; that path is gone, its numbers are in EXPERIMENTS.md.) The
-// sharded+batched variant is the one held to kicks/op ≤ 1/batch.
+// submission pipeline: 8 submitters of 4 KB requests, unbatched and
+// batched. The batched variant is the one held to kicks/op ≤ 1/batch.
 func BenchmarkSmallRequest8Submitters(b *testing.B) {
 	const size = 4 << 10
-	b.Run("single-shard", func(b *testing.B) {
-		benchConcurrentSubmit(b, 8, size, 1, 1,
+	b.Run("unbatched", func(b *testing.B) {
+		benchConcurrentSubmit(b, 8, size, 1,
 			Options{NumReqs: 512, Controllers: 4})
 	})
-	b.Run("sharded", func(b *testing.B) {
-		benchConcurrentSubmit(b, 8, size, 1, 4,
-			Options{NumReqs: 512, Controllers: 4})
-	})
-	b.Run("sharded-batched16", func(b *testing.B) {
-		benchConcurrentSubmit(b, 8, size, 16, 4,
+	b.Run("batched16", func(b *testing.B) {
+		benchConcurrentSubmit(b, 8, size, 16,
 			Options{NumReqs: 512, Controllers: 4})
 	})
 }
@@ -223,13 +213,13 @@ func BenchmarkSmallRequest8Submitters(b *testing.B) {
 // test). Must report 0 allocs/op; every steady-state allocation on
 // this path is a regression.
 func BenchmarkSmallRequestAllocs(b *testing.B) {
-	d := open(Options{NumReqs: 16}, 1)
+	d := Open(Options{NumReqs: 16})
 	defer d.Close()
 	src := make([]byte, 4<<10)
 	dst := make([]byte, 4<<10)
 
-	// Warm-up outside the measured window: first-use pool fills (poller
-	// tokens, shard tokens).
+	// Warm-up outside the measured window: first-use costs stay out of
+	// the allocation count.
 	for i := 0; i < 64; i++ {
 		r := d.AllocRequest()
 		r.Src, r.Dst = src, dst

@@ -545,7 +545,7 @@ func TestChaosBatchCancelStormStalledControllers(t *testing.T) {
 // of the submitter-gate regression test: a SubmitBatch that has passed
 // the closing check while Close runs must either be rejected whole or
 // produce a completion for every request it accepted — mid-batch, no
-// request may be stranded in a staging shard past the worker's final
+// request may be stranded in the staging queue past the worker's final
 // drain.
 func TestChaosBatchSubmitCloseRaceNoLostRequests(t *testing.T) {
 	for iter := 0; iter < 20; iter++ {

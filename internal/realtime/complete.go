@@ -61,7 +61,7 @@ func (d *Device) finish(r *Request, forced error) {
 		d.chaos.OnFinish(r.idx, err)
 	}
 	d.pushCompletion(r.idx)
-	d.m.completionHW.Observe(d.completionDepth())
+	d.m.completionHW.Observe(d.completions.size())
 	d.wake()
 }
 
@@ -73,47 +73,14 @@ func (d *Device) wake() {
 	}
 }
 
-// pushCompletion posts one completed request index onto its completion
-// ring. The rings are sized so the push cannot fail (one outstanding
-// completion per slot, every slot's ring fits all of its slots); the
-// backoff loop is defense in depth, not a code path.
+// pushCompletion posts one completed request index onto the completion
+// ring. The ring is sized so the push cannot fail (one outstanding
+// completion per slot, NumReqs slots); the backoff loop is defense in
+// depth, not a code path.
 func (d *Device) pushCompletion(idx uint32) {
-	cr := d.compRings[int(idx)%len(d.compRings)]
-	for attempt := 0; !cr.tryPush(idx); attempt++ {
+	for attempt := 0; !d.completions.tryPush(idx); attempt++ {
 		backoff(attempt)
 	}
-}
-
-// popCompletion scans the completion rings round-robin from start and
-// pops the first pending completion it finds.
-func (d *Device) popCompletion(start int) (uint32, bool) {
-	n := len(d.compRings)
-	for i := 0; i < n; i++ {
-		if idx, ok := d.compRings[(start+i)%n].tryPop(); ok {
-			return idx, true
-		}
-	}
-	return 0, false
-}
-
-// completionEmpty reports whether every completion ring is empty (racy
-// snapshot, same contract the old single queue's Empty had).
-func (d *Device) completionEmpty() bool {
-	for _, cr := range d.compRings {
-		if !cr.empty() {
-			return false
-		}
-	}
-	return true
-}
-
-// completionDepth sums the per-ring occupancies.
-func (d *Device) completionDepth() int64 {
-	var n int64
-	for _, cr := range d.compRings {
-		n += cr.size()
-	}
-	return n
 }
 
 // RetrieveCompleted pops one completion notification without blocking;
@@ -129,13 +96,9 @@ func (d *Device) RetrieveCompleted() *Request {
 // RetrieveCompletedBatch fills buf with completed requests without
 // blocking and returns how many it retrieved (0 when none are pending).
 // One call replaces up to len(buf) Poll/RetrieveCompleted round trips
-// on the completion path. Draining starts at this poller's home
-// completion ring (local-first bias) and round-robins across the rest,
-// so concurrent batch pollers spread over the rings instead of
-// serializing on one head.
+// on the completion path.
 func (d *Device) RetrieveCompletedBatch(buf []*Request) int {
 	n := 0
-	start := d.ringOf.lane()
 	// One clock read and one accumulator flush serve the whole batch's
 	// flight accounting: the retrieve timestamp is read at the first
 	// completion (an empty call costs nothing) and every request's lane
@@ -146,7 +109,7 @@ func (d *Device) RetrieveCompletedBatch(buf []*Request) int {
 	acc.Init(d.rec)
 	var nano int64
 	for n < len(buf) {
-		idx, ok := d.popCompletion(start)
+		idx, ok := d.completions.tryPop()
 		if !ok {
 			break
 		}
@@ -161,7 +124,7 @@ func (d *Device) RetrieveCompletedBatch(buf []*Request) int {
 		}
 	}
 	acc.Flush()
-	if n > 0 && !d.completionEmpty() {
+	if n > 0 && !d.completions.empty() {
 		d.wake() // keep concurrent pollers from sleeping past the rest
 	}
 	return n
@@ -268,7 +231,7 @@ func (d *Device) lcEnd(r *Request, nano int64, acc *lifecycle.Acc) {
 // token when it is so concurrent pollers can't be starved by the single
 // buffered edge.
 func (d *Device) ready() bool {
-	if d.completionEmpty() {
+	if d.completions.empty() {
 		return false
 	}
 	d.wake()
@@ -294,7 +257,7 @@ const pollSpinBudget = 128
 // GOMAXPROCS=1) — so there the poller goes straight to its timed
 // sleep, which is itself the yield that lets copies proceed.
 func (d *Device) spinWait() bool {
-	if !d.completionEmpty() {
+	if !d.completions.empty() {
 		return true
 	}
 	if !d.pollSpin {
@@ -302,10 +265,10 @@ func (d *Device) spinWait() bool {
 	}
 	for attempt := 0; attempt < pollSpinBudget; attempt++ {
 		if d.closed.Load() {
-			return !d.completionEmpty()
+			return !d.completions.empty()
 		}
 		backoff(attempt)
-		if !d.completionEmpty() {
+		if !d.completions.empty() {
 			d.m.pollerSpins.Inc()
 			return true
 		}
@@ -356,7 +319,7 @@ func (d *Device) wait(timeout time.Duration, cancel <-chan struct{}) bool {
 			timer.Stop()
 		}
 	}()
-	for d.completionEmpty() {
+	for d.completions.empty() {
 		if d.closed.Load() {
 			return d.ready()
 		}

@@ -47,9 +47,9 @@ func (c *coarseClock) now() int64 {
 	return c.nano
 }
 
-// worker is the kernel thread: drain the staging shards, chunk and
-// dispatch submissions to the controllers, then recolor the shards blue
-// and sleep.
+// worker is the kernel thread: drain the staging queue, chunk and
+// dispatch submissions to the controllers, then recolor the staging
+// queue blue and sleep.
 func (d *Device) worker() {
 	defer func() {
 		close(d.work) // controllers drain their rings and exit
@@ -57,41 +57,20 @@ func (d *Device) worker() {
 	}()
 	clk := coarseClock{armed: d.stampAll}
 	for {
-		// Drain every shard round-robin: one element per shard per
-		// pass, so no shard starves behind a full neighbor. Flushed
-		// stamps share the worker's coarse clock — under load a pass
-		// often moves a single element before the next dispatch, so a
-		// per-pass read would degenerate to per-request.
-		for {
-			moved := false
-			for _, sh := range d.staging {
-				idx, _, ok := sh.Dequeue()
-				if !ok {
-					continue
-				}
-				moved = true
-				d.toSubmission(idx, clk.now())
-			}
-			if !moved {
-				break
-			}
-		}
+		// Flushed stamps share the worker's coarse clock — under load a
+		// pass often moves a single element before the next dispatch, so
+		// a per-pass read would degenerate to per-request.
+		d.staging.Drain(func(idx uint32) { d.toSubmission(idx, clk.now()) })
 		if idx, ok := d.popSubmission(); ok {
 			d.dispatch(idx, clk.now())
 			continue
 		}
-		// Before sleeping, recolor each shard blue independently; a
-		// shard that refilled under us refuses the recolor and sends
-		// the worker around again. This is the Section 4.4 invariant
-		// per shard: after the worker sleeps, every shard is blue, so
-		// the first submitter to any shard kicks exactly once.
-		refilled := false
-		for _, sh := range d.staging {
-			if !sh.Park() {
-				refilled = true
-			}
-		}
-		if refilled {
+		// Before sleeping, recolor the staging queue blue; a queue that
+		// refilled under us refuses the recolor and sends the worker
+		// around again. This is the Section 4.4 invariant: after the
+		// worker sleeps the queue is blue, so the first submitter kicks
+		// exactly once.
+		if !d.staging.Park() {
 			continue
 		}
 		// Close has waited out every submitter before setting closed, so

@@ -32,12 +32,11 @@ func (d *Device) monitor() {
 			return
 		case <-ticker.C:
 		}
-		depth, cap := d.fullestCompletionRing()
 		d.rec.Tick(time.Now().UnixNano(), lifecycle.ProbeState{
 			QueuedWork:       d.queuedWork(),
 			DispatchProgress: d.m.dispatched.Load(),
-			CompletionDepth:  depth,
-			CompletionCap:    cap,
+			CompletionDepth:  d.completions.size(),
+			CompletionCap:    int64(len(d.reqs)),
 			RetrieveProgress: d.m.retrieved.Load(),
 		})
 	}
@@ -49,14 +48,12 @@ func (d *Device) monitor() {
 // is disarmed.
 func (d *Device) FlightSnapshot() lifecycle.FlightSnapshot { return d.rec.FlightSnapshot() }
 
-// queuedWork reports whether any staging shard or submission queue held
-// work at probe time (racy snapshot — the watchdog needs consecutive
-// bad ticks anyway).
+// queuedWork reports whether the staging queue or any submission queue
+// held work at probe time (racy snapshot — the watchdog needs
+// consecutive bad ticks anyway).
 func (d *Device) queuedWork() bool {
-	for _, sh := range d.staging {
-		if !sh.Empty() {
-			return true
-		}
+	if !d.staging.Empty() {
+		return true
 	}
 	for _, q := range d.submission {
 		if !q.Empty() {
@@ -66,31 +63,15 @@ func (d *Device) queuedWork() bool {
 	return false
 }
 
-// fullestCompletionRing returns the deepest completion ring's occupancy
-// and the per-ring capacity — the backlog probe watches the worst ring,
-// since slot→ring mapping is static and one starved poller wedges one
-// ring, not the average.
-func (d *Device) fullestCompletionRing() (depth, cap int64) {
-	for _, cr := range d.compRings {
-		if s := cr.size(); s > depth {
-			depth = s
-		}
-	}
-	n := len(d.compRings)
-	return depth, int64((len(d.reqs) + n - 1) / n)
-}
-
 // ambient is the recorder's probe, the congestion picture stored
 // alongside an outlier:
 // live queue depths and per-class in-flight counts, all racy snapshots
 // of already-atomic state.
 func (d *Device) ambient() lifecycle.Ambient {
 	amb := lifecycle.Ambient{
+		StagingDepth:    int64(d.staging.Size()),
 		SubmissionDepth: d.submissionDepth(),
-		CompletionDepth: d.completionDepth(),
-	}
-	for _, sh := range d.staging {
-		amb.StagingDepth += int64(sh.Size())
+		CompletionDepth: d.completions.size(),
 	}
 	for _, cr := range d.rings {
 		amb.RingDepth += cr.size()

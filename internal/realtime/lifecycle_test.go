@@ -43,10 +43,10 @@ func checkMonotone(t *testing.T, lc lifecycle.Lifecycle) {
 // chunked run every captured lifecycle carries all seven stamps in
 // order and the span histograms cover every attribution bucket.
 func TestLifecycleCleanPipelineFullStamps(t *testing.T) {
-	d := open(Options{
+	d := Open(Options{
 		NumReqs: 32, Controllers: 2, ChunkBytes: 8 << 10,
 		TraceFullCapture: true,
-	}, 2)
+	})
 	defer d.Close()
 
 	const n = 64
@@ -176,13 +176,13 @@ func TestLifecycleMonotoneUnderCancelChaos(t *testing.T) {
 // dispatched, and their lifecycles must reflect that — failed outcome,
 // no dispatch/copy stamps, still monotone.
 func TestLifecycleErrNoSlotsPath(t *testing.T) {
-	d := open(Options{
+	d := Open(Options{
 		NumReqs: 8, Controllers: 1,
 		TraceFullCapture: true,
 		Chaos: &ChaosHooks{
 			FlushEnqueue: func(idx uint32) bool { return true },
 		},
-	}, 1)
+	})
 	defer d.Close()
 
 	const n = 4
@@ -280,7 +280,7 @@ func TestLifecycleDisabled(t *testing.T) {
 // TestLifecycleTracingOverheadGuard is the CI benchmark guard for the
 // always-on tracing cost: at the default sample shift, the acceptance
 // benchmark configuration (8 submitters, 4 KB batched x16 — the
-// sharded-batched16 case of BenchmarkSmallRequest8Submitters) must run
+// batched16 case of BenchmarkSmallRequest8Submitters) must run
 // within 3% of the tracing-disabled build. Gated behind
 // MEMIF_BENCH_GUARD because it spends several benchmark windows.
 func TestLifecycleTracingOverheadGuard(t *testing.T) {
@@ -289,7 +289,7 @@ func TestLifecycleTracingOverheadGuard(t *testing.T) {
 	}
 	measure := func(shift int) float64 {
 		r := testing.Benchmark(func(b *testing.B) {
-			benchConcurrentSubmit(b, 8, 4<<10, 16, 4, Options{
+			benchConcurrentSubmit(b, 8, 4<<10, 16, Options{
 				NumReqs: 512, Controllers: 4,
 				TraceSampleShift: shift,
 				// Disarm the flight recorder on both sides so this guard
@@ -331,7 +331,7 @@ func TestFlightOverheadGuard(t *testing.T) {
 	}
 	measure := func(disable bool) float64 {
 		r := testing.Benchmark(func(b *testing.B) {
-			benchConcurrentSubmit(b, 8, 4<<10, 16, 4, Options{
+			benchConcurrentSubmit(b, 8, 4<<10, 16, Options{
 				NumReqs: 512, Controllers: 4,
 				Flight: lifecycle.FlightOptions{Disable: disable},
 			})

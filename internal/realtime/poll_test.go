@@ -1,9 +1,8 @@
 package realtime
 
-// Poll-side and per-core completion-ring coverage: the Poll/PollContext
-// spin-before-sleep micro-wait, its sleeping slow path (one table of
-// wait scenarios run through both entry points), and round-robin
-// completion routing across rings.
+// Poll-side coverage: the Poll/PollContext spin-before-sleep
+// micro-wait and its sleeping slow path (one table of wait scenarios
+// run through both entry points).
 
 import (
 	"bytes"
@@ -20,14 +19,14 @@ func TestPollMicroWaitSpins(t *testing.T) {
 	if runtime.GOMAXPROCS(0) < 2 {
 		t.Skip("the micro-wait is off on a single P: nothing can complete while the poller spins")
 	}
-	d := open(Options{
+	d := Open(Options{
 		NumReqs:     16,
 		Controllers: 1,
 		QoS:         QoSOptions{InlineThreshold: -1}, // force the controller path
 		Chaos: &ChaosHooks{
 			BeforeChunkCopy: func(idx uint32, off, end int) { time.Sleep(5 * time.Microsecond) },
 		},
-	}, 1)
+	})
 	defer d.Close()
 
 	src := bytes.Repeat([]byte{9}, 1<<10)
@@ -78,76 +77,6 @@ func TestPollTimeoutParks(t *testing.T) {
 	}
 	if dp := d.Stats().PollerParks - before; dp == 0 {
 		t.Error("PollerParks delta = 0 for a timed-out Poll, want >= 1")
-	}
-}
-
-// TestCompletionRingsRoundRobin checks the idx%N completion routing:
-// with 4 rings and every one of 32 slots completed-but-unretrieved,
-// each ring must hold exactly its 8 residue-class slots, the summed
-// depth must match, and a batched drain must recover every index with
-// a clean audit.
-func TestCompletionRingsRoundRobin(t *testing.T) {
-	const nReqs = 32
-	// The device keeps min(GOMAXPROCS, Controllers) completion rings,
-	// latched at Open: four Ps for the duration of the call pins four.
-	prev := runtime.GOMAXPROCS(4)
-	d := Open(Options{NumReqs: nReqs, Controllers: 4})
-	runtime.GOMAXPROCS(prev)
-	defer d.Close()
-
-	src := bytes.Repeat([]byte{11}, 1<<10)
-	for i := 0; i < nReqs; i++ {
-		r := d.AllocRequest()
-		if r == nil {
-			t.Fatalf("alloc %d failed", i)
-		}
-		r.Src, r.Dst = src, make([]byte, len(src))
-		if err := d.Submit(r); err != nil {
-			t.Fatal(err)
-		}
-	}
-	deadline := time.Now().Add(5 * time.Second)
-	for d.Stats().Completed < nReqs {
-		if time.Now().After(deadline) {
-			t.Fatalf("only %d/%d completed before timeout", d.Stats().Completed, nReqs)
-		}
-		time.Sleep(time.Millisecond)
-	}
-
-	st := d.Stats()
-	if len(st.CompletionDepths) != 4 {
-		t.Fatalf("len(CompletionDepths) = %d, want 4", len(st.CompletionDepths))
-	}
-	var sum int64
-	for i, depth := range st.CompletionDepths {
-		sum += depth
-		if depth != nReqs/4 {
-			t.Errorf("ring %d depth = %d, want %d (idx%%4 routing)", i, depth, nReqs/4)
-		}
-	}
-	if sum != st.CompletionDepth || sum != nReqs {
-		t.Errorf("depth sum = %d, CompletionDepth = %d, want both %d", sum, st.CompletionDepth, nReqs)
-	}
-
-	buf := make([]*Request, nReqs)
-	n := d.RetrieveCompletedBatch(buf)
-	if n != nReqs {
-		t.Fatalf("RetrieveCompletedBatch = %d, want %d", n, nReqs)
-	}
-	held := make([]uint32, 0, n)
-	seen := map[uint32]bool{}
-	for _, r := range buf[:n] {
-		if seen[r.idx] {
-			t.Errorf("slot %d retrieved twice", r.idx)
-		}
-		seen[r.idx] = true
-		held = append(held, r.idx)
-	}
-	if err := d.AuditSlots(held); err != nil {
-		t.Error(err)
-	}
-	if st := d.Stats(); st.DoubleCompletes != 0 {
-		t.Errorf("DoubleCompletes = %d, want 0", st.DoubleCompletes)
 	}
 }
 
@@ -247,7 +176,7 @@ func TestWaitScenarios(t *testing.T) {
 			d := Open(Options{NumReqs: 4, Controllers: 1})
 			defer d.Close()
 			submit(t, d)
-			awaitCond(t, "completion pending", func() bool { return !d.completionEmpty() })
+			awaitCond(t, "completion pending", func() bool { return !d.completions.empty() })
 			before := d.m.pollerParks.Load()
 			wait, expire := door.open(d, false)
 			defer expire()
@@ -279,7 +208,7 @@ func TestWaitScenarios(t *testing.T) {
 			if result(t, res) {
 				t.Error("wait = true after expiry with nothing pending")
 			}
-			if !d.completionEmpty() {
+			if !d.completions.empty() {
 				t.Error("a completion appeared on an idle device")
 			}
 		}},

@@ -74,7 +74,7 @@ func TestSubmitBatchBadClass(t *testing.T) {
 			t.Errorf("%s SubmitBatch(class 7) = %v, want ErrBadClass", name, err)
 		}
 		st := d.Stats()
-		if st.Submitted != 0 || st.Completed != 0 || st.Batches != 0 || st.Shed != 0 || st.StagingDepths[0] != 0 {
+		if st.Submitted != 0 || st.Completed != 0 || st.Batches != 0 || st.Shed != 0 || st.StagingDepth != 0 {
 			t.Errorf("%s: a rejected batch was counted or staged: %+v", name, st)
 		}
 		if err := d.AuditSlots([]uint32{good.idx, bad.idx}); err != nil {

@@ -14,34 +14,26 @@
 //   - a worker goroutine plays the kernel thread: woken by the "syscall"
 //     (a channel send), it drains the queues, splits large requests into
 //     chunks, and dispatches them to a pool of transfer goroutines (the
-//     DMA engine's transfer controllers), recoloring the staging queues
+//     DMA engine's transfer controllers), recoloring the staging queue
 //     blue before sleeping;
 //   - completions are posted from the transfer goroutines — the
 //     interrupt path — without the application holding any lock, onto
-//     min(GOMAXPROCS, Controllers) bounded MPMC completion rings (ring
-//     idx % N), so concurrent finishers and concurrent pollers never
-//     serialize on one queue head; a single buffered notify edge backs
-//     the (rare) parked pollers, and Poll blocks exactly like poll(2)
-//     on the device file — after a bounded spin-before-sleep micro-wait
-//     (when a completer can run concurrently; see spinWait) so a
-//     completion landing within ~1 µs costs no timer or channel round
-//     trip.
+//     one bounded MPMC completion ring sized to NumReqs; a single
+//     buffered notify edge backs the (rare) parked pollers, and Poll
+//     blocks exactly like poll(2) on the device file — after a bounded
+//     spin-before-sleep micro-wait (when a completer can run
+//     concurrently; see spinWait) so a completion landing within ~1 µs
+//     costs no timer or channel round trip.
 //
-// # Sharded staging
+// # One staging queue
 //
-// One staging queue makes every submitter CAS the same Michael–Scott
-// tail. The device therefore keeps min(4, GOMAXPROCS) independent
-// red-blue staging queues on the shared slab — a fixed count, not an
-// option — each carrying its own color, and pins each submitting
-// goroutine to a shard with a cheap pooled token (sync.Pool is per-P, so
-// repeat submitters from the same context reuse the same shard and
-// concurrent submitters spread out). The Section 4.4 protocol runs per
-// shard unchanged, through the queue's own two steps: a submitter that
-// observes blue flushes *its* shard (rbq.Queue.Flush) and kicks once;
-// the worker drains shards round-robin and parks each one
-// (rbq.Queue.Park) independently before sleeping — so the single-kick
-// amortization argument holds shard-wise, and a burst over S shards
-// costs at most S kicks rather than one per request.
+// The device keeps one red-blue staging queue, as the paper's interface
+// does, and the Section 4.4 protocol runs on it through the queue's own
+// two steps: a submitter that observes blue flushes it
+// (rbq.Queue.Flush) and kicks once; the worker drains it and parks it
+// (rbq.Queue.Park) before sleeping. After the worker sleeps the queue is
+// blue, so a burst — from one goroutine or many — costs exactly one
+// kick.
 //
 // # Batched submission
 //
@@ -354,22 +346,16 @@ type Device struct {
 	slab       *rbq.Slab
 
 	freeList   *rbq.Queue
-	staging    []*rbq.Queue               // per-shard red-blue staging queues
+	staging    *rbq.Queue                 // the red-blue staging queue
 	submission [qos.NumClasses]*rbq.Queue // per-class, popped in priority order
-	// compRings hold completed request indices. The device keeps
-	// min(GOMAXPROCS, Controllers) of them and routes each completion to
-	// ring idx % N, so finishers on different controllers publish to
-	// different rings and concurrent pollers never serialize on one
-	// Michael–Scott head the way the old single completion queue forced
-	// them to. Producers are the finishers (controllers + the worker's
-	// inline path); consumers are RetrieveCompleted/RetrieveCompletedBatch
-	// callers, any number of them. Each ring is sized for every slot
-	// index mapped to it (ceil(NumReqs/N) rounded up to a power of two):
-	// a slot has at most one outstanding completion — the next
-	// submission of that slot requires AllocRequest, which requires the
-	// previous completion to have been retrieved — so a correctly sized
-	// ring can never refuse a push.
-	compRings []*ring[uint32]
+	// completions holds completed request indices. Producers are the
+	// finishers (controllers + the worker's inline path); consumers are
+	// RetrieveCompleted/RetrieveCompletedBatch callers, any number of
+	// them. It is sized to NumReqs: a slot has at most one outstanding
+	// completion — the next submission of that slot requires
+	// AllocRequest, which requires the previous completion to have been
+	// retrieved — so a push can never find it full.
+	completions *ring[uint32]
 
 	classLimit  [qos.NumClasses]int64 // admission occupancy thresholds (slots)
 	inline      atomic.Int64          // adaptive inline-completion threshold (bytes; 0 = off)
@@ -383,9 +369,6 @@ type Device struct {
 	tenants  atomic.Pointer[[]*tenantState] // COW tenant table; [0] = default namespace
 	tenantMu sync.Mutex                     // serializes OpenTenant appends
 	sched    *tenantSched                   // worker-only tenant-aware scheduler (owns aging credits)
-
-	shardOf affinity // submitters → staging shards
-	ringOf  affinity // pollers → home completion rings
 
 	kick   chan struct{} // the MOV_ONE "syscall": wake the worker
 	notify chan struct{} // completion edge for parked Polls
@@ -425,14 +408,7 @@ type Device struct {
 }
 
 // Open creates a device and starts its worker and transfer controllers.
-// It keeps min(4, GOMAXPROCS) staging shards, the controller default:
-// enough that GOMAXPROCS submitters rarely share a tail, without
-// inflating the worst-case kicks per burst (one per shard) beyond the
-// controller count.
-func Open(opts Options) *Device { return open(opts, defaultControllers()) }
-
-// open is Open with an explicit staging shard count.
-func open(opts Options, shards int) *Device {
+func Open(opts Options) *Device {
 	if opts.NumReqs <= 0 {
 		opts.NumReqs = 256
 	}
@@ -445,37 +421,28 @@ func open(opts Options, shards int) *Device {
 	} else if chunkBytes < 0 {
 		chunkBytes = 0 // disabled
 	}
-	// One completion ring per P that can run a finisher, and never more
-	// rings than slots to spread over them.
-	nCompRings := max(1, min(runtime.GOMAXPROCS(0), opts.Controllers, opts.NumReqs))
 	q := resolveQoS(opts.QoS)
-	// free + one submission queue per class + one dummy per staging
-	// shard (completions live on the MPMC rings, not the slab); slack
-	// scales with the queue count since every queue can sit in a
-	// transient dummy-recycling window at once.
-	numQueues := 1 + qos.NumClasses + shards
+	// free + one submission queue per class + staging (completions live
+	// on the MPMC ring, not the slab); slack scales with the queue count
+	// since every queue can sit in a transient dummy-recycling window at
+	// once.
+	const numQueues = 1 + qos.NumClasses + 1
 	slab := rbq.NewSlabForQueues(opts.NumReqs, numQueues, 5+numQueues)
 	d := &Device{
-		chunkBytes: chunkBytes,
-		qos:        q,
-		classLimit: classLimits(q.ClassShares, int64(opts.NumReqs)),
-		reqs:       make([]*Request, opts.NumReqs),
-		slab:       slab,
-		freeList:   slab.NewQueue(rbq.Blue),
-		staging:    make([]*rbq.Queue, shards),
-		compRings:  make([]*ring[uint32], nCompRings),
-		ctr:        make([]ctrCounters, opts.Controllers+1),
-		pollSpin:   runtime.GOMAXPROCS(0) > 1,
-		kick:       make(chan struct{}, 1),
-		notify:     make(chan struct{}, 1),
-		done:       make(chan struct{}),
-		chaos:      opts.Chaos,
-	}
-	// Size each ring for every slot mapped to it, so a push can never
-	// find it full (a slot has at most one outstanding completion).
-	perRing := (opts.NumReqs + nCompRings - 1) / nCompRings
-	for i := range d.compRings {
-		d.compRings[i] = newRing[uint32](perRing)
+		chunkBytes:  chunkBytes,
+		qos:         q,
+		classLimit:  classLimits(q.ClassShares, int64(opts.NumReqs)),
+		reqs:        make([]*Request, opts.NumReqs),
+		slab:        slab,
+		freeList:    slab.NewQueue(rbq.Blue),
+		staging:     slab.NewQueue(rbq.Blue),
+		completions: newRing[uint32](opts.NumReqs),
+		ctr:         make([]ctrCounters, opts.Controllers+1),
+		pollSpin:    runtime.GOMAXPROCS(0) > 1,
+		kick:        make(chan struct{}, 1),
+		notify:      make(chan struct{}, 1),
+		done:        make(chan struct{}),
+		chaos:       opts.Chaos,
 	}
 	for c := range d.submission {
 		d.submission[c] = slab.NewQueue(rbq.Blue)
@@ -486,11 +453,6 @@ func open(opts Options, shards int) *Device {
 	d.sched = newTenantSched(d.submission[:],
 		func(idx uint32) uint32 { return d.reqs[idx].tenant.Load() },
 		d.tenantWeight, agingCredit)
-	for i := range d.staging {
-		d.staging[i] = slab.NewQueue(rbq.Blue)
-	}
-	d.shardOf.init(shards)
-	d.ringOf.init(nCompRings)
 	d.rings = make([]*ring[chunk], opts.Controllers)
 	for i := range d.rings {
 		d.rings[i] = newRing[chunk](DefaultRingDepth)
@@ -531,38 +493,6 @@ func open(opts Options, shards int) *Device {
 		go d.controller(c)
 	}
 	return d
-}
-
-// affinity pins a calling goroutine to one of n lanes: a submitter to
-// its staging shard, a poller to the completion ring its drain starts
-// at (every retrieval still scans all rings; concurrent pollers just
-// don't race CAS-for-CAS on ring 0). Tokens live in a sync.Pool, whose
-// per-P caches make the pin cheap and aligned with the scheduler: a
-// goroutine that keeps calling from the same P keeps its lane, and
-// goroutines on different Ps land on different lanes.
-type affinity struct {
-	n    uint32
-	seq  atomic.Uint32 // round-robin lane assignment for new tokens
-	pool sync.Pool     // *uint32: a lane
-}
-
-func (a *affinity) init(n int) {
-	a.n = uint32(n)
-	a.pool.New = func() any {
-		lane := a.seq.Add(1) % a.n
-		return &lane
-	}
-}
-
-// lane returns the caller's lane; a single lane costs no pool round trip.
-func (a *affinity) lane() int {
-	if a.n == 1 {
-		return 0
-	}
-	t := a.pool.Get().(*uint32)
-	lane := int(*t)
-	a.pool.Put(t)
-	return lane
 }
 
 // backoff is the bounded spin-then-sleep discipline shared by every

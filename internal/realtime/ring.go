@@ -8,9 +8,9 @@ import "sync/atomic"
 const DefaultRingDepth = 64
 
 // ring is a bounded lock-free MPMC ring (Vyukov's bounded queue). The
-// device instantiates it twice — per-controller chunk rings and
-// per-core completion rings; the Device fields say why each needs the
-// full multi-producer multi-consumer protocol.
+// device instantiates it twice — per-controller chunk rings and the
+// completion ring; the Device fields say why each needs the full
+// multi-producer multi-consumer protocol.
 //
 // Each slot carries a sequence word. A slot is writable when
 // seq == enqueue position, readable when seq == dequeue position + 1;

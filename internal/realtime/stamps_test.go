@@ -189,10 +189,10 @@ func TestStampVectorClosesOnEveryPath(t *testing.T) {
 	})
 
 	t.Run("errnoslots", func(t *testing.T) {
-		d := open(Options{
+		d := Open(Options{
 			NumReqs: n, Controllers: 1, TraceFullCapture: true,
 			Chaos: &ChaosHooks{FlushEnqueue: func(uint32) bool { return true }},
-		}, 1)
+		})
 		defer d.Close()
 		submitAll(t, d, 1<<10)
 		for _, r := range drainAll(t, d, n) {
@@ -314,7 +314,7 @@ func TestStampsDoNotLeakAcrossSlotReuse(t *testing.T) {
 		const n = 8
 		var hold atomic.Bool
 		release := make(chan struct{})
-		d := open(Options{
+		d := Open(Options{
 			NumReqs: n, Controllers: 1, TraceFullCapture: true,
 			Chaos: &ChaosHooks{
 				BeforeChunkCopy: func(idx uint32, off, end int) {
@@ -323,7 +323,7 @@ func TestStampsDoNotLeakAcrossSlotReuse(t *testing.T) {
 					}
 				},
 			},
-		}, 1)
+		})
 		defer d.Close()
 		src := make([]byte, 1<<10)
 		submit := func(class Class) {

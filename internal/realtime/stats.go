@@ -131,14 +131,10 @@ type StatsSnapshot struct {
 	// Queue-depth high watermarks, from rbq's atomic Size.
 	SubmissionHighWater, CompletionHighWater int64
 	// Live queue depths sampled at Stats time (the watermark fields
-	// above carry the maxima): per-shard staging, submission,
-	// completion, and per-controller dispatch-ring occupancy.
-	// CompletionDepth sums the per-ring occupancies in
-	// CompletionDepths (one entry per completion ring).
-	StagingDepths                    []int64
-	SubmissionDepth, CompletionDepth int64
-	CompletionDepths                 []int64
-	RingDepths                       []int64
+	// above carry the maxima): staging, submission, completion, and
+	// per-controller dispatch-ring occupancy.
+	StagingDepth, SubmissionDepth, CompletionDepth int64
+	RingDepths                                     []int64
 	// Latency is the submission-to-completion histogram (ns); Sizes the
 	// request payload histogram (bytes).
 	Latency, Sizes obs.HistogramSnapshot
@@ -171,10 +167,6 @@ type ClassStats struct {
 // Stats returns a snapshot of the device's counters, histograms, queue
 // watermarks and sampled lifecycles. Safe from any goroutine at any time.
 func (d *Device) Stats() StatsSnapshot {
-	staging := make([]int64, len(d.staging))
-	for i, sh := range d.staging {
-		staging[i] = int64(sh.Size())
-	}
 	ringDepths := make([]int64, len(d.rings))
 	for i, r := range d.rings {
 		ringDepths[i] = r.size()
@@ -201,17 +193,10 @@ func (d *Device) Stats() StatsSnapshot {
 		bytesMoved += d.ctr[i].bytesMoved.Load()
 		steals += d.ctr[i].steals.Load()
 	}
-	compDepths := make([]int64, len(d.compRings))
-	var compDepth int64
-	for i, cr := range d.compRings {
-		compDepths[i] = cr.size()
-		compDepth += compDepths[i]
-	}
 	return StatsSnapshot{
-		StagingDepths:        staging,
+		StagingDepth:         int64(d.staging.Size()),
 		SubmissionDepth:      d.submissionDepth(),
-		CompletionDepth:      compDepth,
-		CompletionDepths:     compDepths,
+		CompletionDepth:      d.completions.size(),
 		RingDepths:           ringDepths,
 		Lifecycle:            d.rec.Snapshot(),
 		Flight:               d.rec.FlightSnapshot(),
@@ -248,7 +233,7 @@ func (d *Device) Stats() StatsSnapshot {
 
 // AuditSlots verifies, on a quiescent device (no Submit/Retrieve in
 // flight, pipeline drained), that every request slot is in exactly one
-// of {free list, a staging shard, submission, completion, caller-held}.
+// of {free list, staging, submission, completion, caller-held}.
 // held lists slot indices of requests the caller has allocated or
 // retrieved and not yet freed. This is the realtime side of the "no
 // index may ever vanish" invariant; the chaos suite runs it after every
@@ -270,18 +255,13 @@ func (d *Device) AuditSlots(held []uint32) error {
 		q    *rbq.Queue
 	}{
 		{"free", d.freeList},
+		{"staging", d.staging},
 	}
 	for c, q := range d.submission {
 		queues = append(queues, struct {
 			name string
 			q    *rbq.Queue
 		}{fmt.Sprintf("submission[%s]", qos.Class(c)), q})
-	}
-	for i, sh := range d.staging {
-		queues = append(queues, struct {
-			name string
-			q    *rbq.Queue
-		}{fmt.Sprintf("staging[%d]", i), sh})
 	}
 	for _, qi := range queues {
 		for _, idx := range qi.q.Snapshot() {
@@ -290,11 +270,9 @@ func (d *Device) AuditSlots(held []uint32) error {
 			}
 		}
 	}
-	for i, cr := range d.compRings {
-		for _, idx := range cr.snapshot() {
-			if err := claim(idx, fmt.Sprintf("completion[%d]", i)); err != nil {
-				return err
-			}
+	for _, idx := range d.completions.snapshot() {
+		if err := claim(idx, "completion"); err != nil {
+			return err
 		}
 	}
 	for _, idx := range held {

@@ -48,16 +48,13 @@ func (d *Device) FreeRequest(r *Request) {
 	}
 }
 
-// shard picks the submitting goroutine's staging queue.
-func (d *Device) shard() *rbq.Queue { return d.staging[d.shardOf.lane()] }
-
-// stage marks r pending and enqueues it on sh, returning the color
+// stage marks r pending and enqueues it on the staging queue, returning the color
 // observed atomically with the enqueue. ok is false on slab exhaustion
 // (or a forced chaos failure), with r left stPending for the caller to
 // resolve. It also takes the submitted stamp and makes the request's
 // sampling decision, slot-locally: both are published to every later
 // stamping site by the staging enqueue.
-func (d *Device) stage(sh *rbq.Queue, r *Request) (rbq.Color, bool) {
+func (d *Device) stage(r *Request) (rbq.Color, bool) {
 	r.submitted.Store(time.Now().UnixNano())
 	r.stageSeq++
 	r.sampled = d.rec.Sample(r.stageSeq)
@@ -69,7 +66,7 @@ func (d *Device) stage(sh *rbq.Queue, r *Request) (rbq.Color, bool) {
 	// and be resubmitted by another tenant before this call returns, so
 	// whatever is accounted after the enqueue is read before it.
 	class, ts, size := r.Class, d.tenantOf(r), int64(len(r.Src))
-	color, ok := sh.Enqueue(r.idx)
+	color, ok := d.staging.Enqueue(r.idx)
 	if !ok {
 		return 0, false
 	}
@@ -117,7 +114,7 @@ func (d *Device) unstage(r *Request) bool {
 const flushRetries = 64
 
 // toSubmission is the one staging drain step, shared by the submitter's
-// flush and the worker's round-robin sweep: move a staged index onto its
+// flush and the worker's drain: move a staged index onto its
 // submission queue, or — the retry budget spent — complete it with
 // ErrNoSlots. The slot must not vanish, so the owner gets it back
 // through the normal completion path.
@@ -184,17 +181,17 @@ func (d *Device) submissionDepth() int64 {
 	return n
 }
 
-// flushShard runs the blue side of the Section 4.4 protocol on one
-// shard (rbq.Queue.Flush) and kicks the worker if this flush turned the
-// shard red.
-func (d *Device) flushShard(sh *rbq.Queue) {
+// flushStaging runs the blue side of the Section 4.4 protocol
+// (rbq.Queue.Flush) and kicks the worker if this flush turned the
+// staging queue red.
+func (d *Device) flushStaging() {
 	// One clock read covers the flushed stamp of every unsampled request
 	// in this drain.
 	var flushNano int64
 	if d.stampAll {
 		flushNano = time.Now().UnixNano()
 	}
-	if !sh.Flush(func(idx uint32) { d.toSubmission(idx, flushNano) }) {
+	if !d.staging.Flush(func(idx uint32) { d.toSubmission(idx, flushNano) }) {
 		return
 	}
 	// The kick-start "syscall".
@@ -206,7 +203,7 @@ func (d *Device) flushShard(sh *rbq.Queue) {
 }
 
 // Submit queues an asynchronous copy of r.Src into r.Dst, implementing
-// the Section 4.4 protocol on the submitter's staging shard. It never
+// the Section 4.4 protocol on the staging queue. It never
 // blocks beyond the bounded flush. The request is submitted under the
 // device's default tenant namespace; use Tenant.Submit for tenant
 // quotas, weights and attribution.
@@ -232,8 +229,7 @@ func (d *Device) submit(r *Request) error {
 	if err := d.admit(r); err != nil {
 		return err
 	}
-	sh := d.shard()
-	color, ok := d.stage(sh, r)
+	color, ok := d.stage(r)
 	if !ok {
 		if d.unstage(r) {
 			return nil
@@ -241,13 +237,13 @@ func (d *Device) submit(r *Request) error {
 		return ErrNoSlots
 	}
 	if color == rbq.Blue {
-		d.flushShard(sh)
+		d.flushStaging()
 	}
 	return nil
 }
 
 // SubmitBatch queues every request in reqs as one protocol round: all
-// of them are staged on the submitter's shard, and the flush / recolor
+// of them are staged, and the flush / recolor
 // / kick sequence runs at most once for the whole batch — one color
 // observation and at most one syscall-equivalent, the Figure 7
 // amortization — while each request still gets its own completion.
@@ -291,7 +287,6 @@ func (d *Device) submitBatch(reqs []*Request) error {
 			return fmt.Errorf("%w: request %d: %d", ErrBadClass, i, uint8(r.Class))
 		}
 	}
-	sh := d.shard()
 	mustFlush := false
 	for _, r := range reqs {
 		if err := d.admit(r); err != nil {
@@ -304,7 +299,7 @@ func (d *Device) submitBatch(reqs []*Request) error {
 			d.finish(r, err)
 			continue
 		}
-		color, ok := d.stage(sh, r)
+		color, ok := d.stage(r)
 		if !ok {
 			// Staging failed mid-batch. The request was accepted, so it
 			// must surface as a completion: ErrNoSlots, or ErrCanceled
@@ -323,7 +318,7 @@ func (d *Device) submitBatch(reqs []*Request) error {
 		// Running it once at the end drains everything staged above (and
 		// anything a neighbor staged meanwhile) with a single recolor
 		// and at most a single kick.
-		d.flushShard(sh)
+		d.flushStaging()
 	}
 	return nil
 }

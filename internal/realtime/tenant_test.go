@@ -493,7 +493,7 @@ func openStalled(o Options) (d *Device, release func(), order func() []uint32) {
 		popped = append(popped, d.reqs[idx].tenant.Load())
 		<-stall
 	}}
-	d = open(o, 1) // one staging shard: arrival order is submit order
+	d = Open(o) // one staging queue: arrival order is submit order
 	var once sync.Once
 	return d, func() { once.Do(func() { close(stall) }) }, func() []uint32 { return popped }
 }

@@ -229,13 +229,13 @@ func NewSwapDaemon(app *Device, opts SwapOptions) *SwapDaemon {
 // RealtimeDevice runs the memif interface protocol — the same red-blue
 // queues, submit/flush/kick discipline, worker and completion paths —
 // under real goroutine concurrency as a host-side asynchronous copy
-// service: sharded staging queues, batched submission (SubmitBatch /
-// RetrieveCompletedBatch amortize the flush, recolor and kick over a
-// whole batch), chunked multi-controller transfers fed through
-// per-controller rings with work stealing, cancellation and deadlines,
-// QoS priority classes with admission control and adaptive
-// poll-vs-notify completion, per-core completion rings drained with a
-// local-first bias, and a built-in metrics layer (Device.Stats).
+// service: one staging queue whose color costs a burst one kick,
+// batched submission (SubmitBatch / RetrieveCompletedBatch amortize the
+// flush, recolor and kick over a whole batch), chunked multi-controller
+// transfers fed through per-controller rings with work stealing,
+// cancellation and deadlines, QoS priority classes with admission
+// control and adaptive poll-vs-notify completion, a lock-free
+// completion ring, and a built-in metrics layer (Device.Stats).
 // Blocking is d.Poll(timeout) or d.PollContext(ctx): two doors onto one
 // wait, bounded by a timer or by the context. See package
 // memif/internal/realtime for the full story.
