@@ -59,6 +59,10 @@ func main() {
 	outliersFrom := flag.String("outliers", "", "render a /debug/outliers URL or saved file as a top-K table and exit")
 	topK := flag.Int("top", 10, "with -outliers: how many outliers to show")
 	flag.Parse()
+	if err := checkFlags(*reqs, *pages, *topK); err != nil {
+		fmt.Fprintf(os.Stderr, "memif-trace: %v\n", err)
+		os.Exit(2)
+	}
 
 	if *outliersFrom != "" {
 		if err := showOutliers(os.Stdout, *outliersFrom, *topK); err != nil {
@@ -121,24 +125,22 @@ func main() {
 	}
 	rows := make([]row, *reqs)
 
+	var appErr error
 	m.Eng.Spawn("app", func(p *sim.Proc) {
 		defer d.Close()
-		src, err := as.Mmap(p, int64(*reqs)*reqBytes, hw.NodeSlow, "src")
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "memif-trace: %v\n", err)
+		var src, dst int64
+		if src, appErr = as.Mmap(p, int64(*reqs)*reqBytes, hw.NodeSlow, "src"); appErr != nil {
 			return
 		}
-		var dst int64
 		if reqOp == uapi.OpReplicate {
-			if dst, err = as.Mmap(p, int64(*reqs)*reqBytes, hw.NodeFast, "dst"); err != nil {
-				fmt.Fprintf(os.Stderr, "memif-trace: %v\n", err)
+			if dst, appErr = as.Mmap(p, int64(*reqs)*reqBytes, hw.NodeFast, "dst"); appErr != nil {
 				return
 			}
 		}
 		for i := 0; i < *reqs; i++ {
 			r := d.AllocRequest(p)
 			if r == nil {
-				fmt.Fprintln(os.Stderr, "memif-trace: out of request slots")
+				appErr = fmt.Errorf("out of request slots at request %d", i)
 				return
 			}
 			r.Op = reqOp
@@ -148,7 +150,7 @@ func main() {
 			r.DstNode = hw.NodeFast
 			r.Cookie = uint64(i)
 			if err := d.Submit(p, r); err != nil {
-				fmt.Fprintf(os.Stderr, "memif-trace: submit %d: %v\n", i, err)
+				appErr = fmt.Errorf("submit %d: %w", i, err)
 				return
 			}
 			rows[i] = row{idx: r.Cookie, submitted: r.Submitted}
@@ -169,6 +171,10 @@ func main() {
 		}
 	})
 	end := m.Eng.Run()
+	if appErr != nil {
+		fmt.Fprintf(os.Stderr, "memif-trace: %v\n", appErr)
+		os.Exit(1)
+	}
 
 	fmt.Printf("scenario: %d x %s of %d pages (%d KB each), race policy %s\n\n",
 		*reqs, *op, *pages, reqBytes>>10, *race)
@@ -186,6 +192,22 @@ func main() {
 		d.UserMeter.Busy(), d.KernMeter.Busy(), end,
 		sim.MeterGroup{d.UserMeter, d.KernMeter}.Usage(end)*100)
 	fmt.Printf("driver time by phase: %v\n", d.Breakdown)
+}
+
+// checkFlags rejects, before anything runs, the flag values no mode
+// can run with: -reqs must fit the request slots of both the simulated
+// and the realtime device, and -pages and -top must be positive.
+func checkFlags(reqs, pages, top int) error {
+	slots := min(core.DefaultOptions().NumReqs, realtime.DefaultOptions().NumReqs)
+	switch {
+	case reqs < 1 || reqs > slots:
+		return fmt.Errorf("-reqs %d out of range [1, %d]", reqs, slots)
+	case pages < 1:
+		return fmt.Errorf("-pages %d must be at least 1", pages)
+	case top < 1:
+		return fmt.Errorf("-top %d must be at least 1", top)
+	}
+	return nil
 }
 
 // runRealtime drives the realtime device through a burst of copies and
@@ -232,8 +254,7 @@ func runRealtime(reqs, bytesPer, controllers, chunkBytes int) {
 		st.Submitted, st.Completed, st.Canceled, st.Expired, st.Failed)
 	fmt.Printf("kicks %d  worker wakes %d  chunks %d  bytes %d MB  flush retries %d\n",
 		st.Kicks, st.WorkerWakes, st.Chunks, st.BytesMoved>>20, st.EnqueueRetries)
-	fmt.Printf("batches %d  steals %d  dispatch retries %d\n",
-		st.Batches, st.Steals, st.DispatchRetries)
+	fmt.Printf("batches %d  dispatch retries %d\n", st.Batches, st.DispatchRetries)
 	fmt.Printf("queue high watermarks: submission %d, completion %d\n",
 		st.SubmissionHighWater, st.CompletionHighWater)
 	fmt.Printf("latency (ns): %v\n", st.Latency)

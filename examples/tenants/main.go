@@ -48,7 +48,7 @@ func main() {
 	dst := [2][]byte{make([]byte, payloadBytes), make([]byte, payloadBytes)}
 
 	// Keep both tenants at their slot quota for a while. The payloads
-	// are large enough to be chunked through the controller rings, so a
+	// are large enough to be chunked through the chunk ring, so a
 	// standing backlog forms and the per-tenant weights decide who is
 	// served. The request cookie carries the tenant index so retrieved
 	// completions can be freed without caring whose they were.

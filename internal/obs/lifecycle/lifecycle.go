@@ -84,9 +84,6 @@ const (
 	// SpanRingWait: push → pop of a chunk on a dispatch ring (chunk
 	// level; observed once per sampled chunk).
 	SpanRingWait
-	// SpanStealDelay: ring wait of chunks that were stolen by a
-	// non-owning controller — how long work sat before stealing saved it.
-	SpanStealDelay
 	// SpanCopy: copy start → copy end; the actual byte-moving window,
 	// across every controller touching the request.
 	SpanCopy
@@ -100,15 +97,15 @@ const (
 )
 
 var spanNames = [NumSpans]string{
-	"staging_wait", "dispatch_wait", "ring_wait", "steal_delay",
-	"copy", "completion_dwell", "total",
+	"staging_wait", "dispatch_wait", "ring_wait", "copy",
+	"completion_dwell", "total",
 }
 
 // String is the span's metric-label name.
 func (s Span) String() string { return enumName(spanNames[:], "span", uint8(s)) }
 
 // stageSpans lists the spans derived from stage pairs (the chunk-level
-// SpanRingWait / SpanStealDelay are observed separately).
+// SpanRingWait is observed separately).
 var stageSpans = [...]struct {
 	span     Span
 	from, to Stage

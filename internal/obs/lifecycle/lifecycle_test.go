@@ -53,9 +53,9 @@ func TestSamplingRate(t *testing.T) {
 func TestFullCaptureAndSpans(t *testing.T) {
 	c := sampler(0, 0)
 	wantTS := Stamps(100, 110, 130, 160, 200, 210, 260)
-	c.ObserveQueueWait(0, 25, false)
-	c.ObserveQueueWait(0, 40, true)
-	lc := Lifecycle{Slot: 1, Bytes: 4096, Flags: FlagStolen, TS: wantTS}
+	c.ObserveQueueWait(0, 25)
+	c.ObserveQueueWait(0, 40)
+	lc := Lifecycle{Slot: 1, Bytes: 4096, Flags: FlagInline, TS: wantTS}
 	c.Finish(nil, &lc, true)
 
 	s := c.Snapshot()
@@ -80,9 +80,6 @@ func TestFullCaptureAndSpans(t *testing.T) {
 	}
 	if h := s.Spans.Spans[SpanRingWait]; h.Count != 2 || h.Sum != 65 {
 		t.Errorf("ring wait: count=%d sum=%d, want 2/65", h.Count, h.Sum)
-	}
-	if h := s.Spans.Spans[SpanStealDelay]; h.Count != 1 || h.Sum != 40 {
-		t.Errorf("steal delay: count=%d sum=%d, want 1/40", h.Count, h.Sum)
 	}
 	if sp := c.Spans(); sp != s.Spans {
 		t.Errorf("Spans() = %+v, want the snapshot's %+v", sp, s.Spans)
@@ -134,7 +131,7 @@ func TestCaptureRingWrap(t *testing.T) {
 func TestPerClassSpans(t *testing.T) {
 	c := sampler(0, 3)
 	run := func(slot, class int, base int64) {
-		c.ObserveQueueWait(class, 7, false)
+		c.ObserveQueueWait(class, 7)
 		collect(c, slot, class, OutcomeOK, Stamps(base, base+10, 0, 0, 0, 0, base+100))
 	}
 	run(0, 0, 1000)

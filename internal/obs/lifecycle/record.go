@@ -127,17 +127,11 @@ type Ambient struct {
 	ClassInFlight   [MaxClasses]int64 `json:"class_in_flight"`
 }
 
-// Request-path flags recorded on a lifecycle — how the request was
-// served, for outlier forensics ("slow because it was NOT inlined and
-// its chunks sat un-stolen").
-const (
-	// FlagInline: the worker copied the request inline instead of
-	// dispatching chunks to the controllers.
-	FlagInline uint32 = 1 << 0
-	// FlagStolen: at least one chunk was stolen by a non-owning
-	// controller.
-	FlagStolen uint32 = 1 << 1
-)
+// FlagInline is the one request-path flag recorded on a lifecycle:
+// the worker copied the request inline instead of dispatching chunks to
+// the controllers. Outlier forensics reads it as "slow because it was
+// NOT inlined" when it is clear.
+const FlagInline uint32 = 1 << 0
 
 // Lifecycle is one captured record: a finished request's identity (the
 // slot it ran in, priority class — 0 on pipelines without classes —

@@ -199,18 +199,11 @@ func (r *Recorder) Sample(n uint64) bool {
 func (r *Recorder) Drop() { r.aborted.Inc() }
 
 // ObserveQueueWait records a sampled chunk's dispatch-ring wait for a
-// request of the given class; stolen chunks are additionally attributed
-// to SpanStealDelay.
-func (r *Recorder) ObserveQueueWait(class int, d int64, stolen bool) {
+// request of the given class.
+func (r *Recorder) ObserveQueueWait(class int, d int64) {
 	r.spans.Observe(SpanRingWait, d)
-	if stolen {
-		r.spans.Observe(SpanStealDelay, d)
-	}
 	if class >= 0 && class < len(r.classSpans) {
 		r.classSpans[class].Observe(SpanRingWait, d)
-		if stolen {
-			r.classSpans[class].Observe(SpanStealDelay, d)
-		}
 	}
 }
 

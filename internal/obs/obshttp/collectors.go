@@ -31,8 +31,7 @@ func RealtimeMetrics(device string, s realtime.StatsSnapshot) []Metric {
 		counter("memif_realtime_batches_total", "SubmitBatch calls.", lb, s.Batches),
 		counter("memif_realtime_chunks_total", "Controller work units executed.", lb, s.Chunks),
 		counter("memif_realtime_bytes_moved_total", "Payload bytes actually copied.", lb, s.BytesMoved),
-		counter("memif_realtime_steals_total", "Chunks popped from another controller's ring.", lb, s.Steals),
-		counter("memif_realtime_dispatch_retries_total", "Worker backoffs with every dispatch ring full.", lb, s.DispatchRetries),
+		counter("memif_realtime_dispatch_retries_total", "Worker backoffs with the chunk ring full.", lb, s.DispatchRetries),
 		counter("memif_realtime_enqueue_retries_total", "Transient slab-exhaustion retries in the flush path.", lb, s.EnqueueRetries),
 		counter("memif_realtime_double_completes_total", "Completion paths finding the request already terminal (must stay 0).", lb, s.DoubleCompletes),
 		counter("memif_realtime_shed_total", "Submissions rejected by the admission controller with ErrOverload.", lb, s.Shed),
@@ -44,15 +43,11 @@ func RealtimeMetrics(device string, s realtime.StatsSnapshot) []Metric {
 		gauge("memif_realtime_staging_depth", "Live staging-queue depth at scrape time.", lb, s.StagingDepth),
 		gauge("memif_realtime_submission_depth", "Live submission-queue depth at scrape time.", lb, s.SubmissionDepth),
 		gauge("memif_realtime_completion_depth", "Live completion-queue depth at scrape time.", lb, s.CompletionDepth),
+		gauge("memif_realtime_ring_depth", "Live chunk-ring occupancy at scrape time.", lb, s.RingDepth),
 		gauge("memif_realtime_submission_depth_high_water", "Deepest the submission queue has ever been.", lb, s.SubmissionHighWater),
 		gauge("memif_realtime_completion_depth_high_water", "Deepest the completion queue has ever been.", lb, s.CompletionHighWater),
 		hist("memif_realtime_request_latency_ns", "Submission-to-completion latency (ns).", lb, s.Latency),
 		hist("memif_realtime_request_bytes", "Request payload size (bytes).", lb, s.Sizes),
-	}
-	for i, d := range s.RingDepths {
-		ms = append(ms, gauge("memif_realtime_ring_depth",
-			"Live per-controller dispatch-ring occupancy at scrape time.",
-			with(lb, Label{"controller", strconv.Itoa(i)}), d))
 	}
 	for c := range s.Classes {
 		cs := s.Classes[c]

@@ -257,10 +257,8 @@ func BenchmarkSmallRequestAllocs(b *testing.B) {
 	}
 }
 
-// BenchmarkWorkStealing drives the dispatch path — per-controller
-// rings with stealing — with chunked 4 MB transfers. (The shared
-// unbuffered channel it was ablated against in PR 3 is gone; the table
-// is in EXPERIMENTS.md.)
-func BenchmarkWorkStealing(b *testing.B) {
+// BenchmarkChunkedDispatch drives the dispatch path — one chunk ring
+// shared by four controllers — with chunked 4 MB transfers.
+func BenchmarkChunkedDispatch(b *testing.B) {
 	benchCopy(b, 4<<20, 4, Options{NumReqs: 64, Controllers: 4, ChunkBytes: 256 << 10})
 }

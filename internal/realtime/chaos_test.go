@@ -130,6 +130,59 @@ func TestChaosCancelVsCompleteStalledControllers(t *testing.T) {
 	}
 }
 
+// TestChaosChunkRingFullBackpressure fills the chunk ring behind a held
+// controller until the worker backs off: one controller sits on its
+// first chunk while the worker pushes the rest, and the ring's
+// DefaultRingDepth slots run out before 100 chunks do. Once the worker
+// has counted a retry the controller is released; every request must
+// then complete exactly once and byte-exact, and no slot may vanish.
+func TestChaosChunkRingFullBackpressure(t *testing.T) {
+	release := make(chan struct{})
+	var once sync.Once
+	d := Open(Options{
+		NumReqs:     128,
+		Controllers: 1,
+		ChunkBytes:  -1,
+		QoS:         QoSOptions{InlineThreshold: -1},
+		Chaos: &ChaosHooks{
+			BeforeChunkCopy: func(idx uint32, off, end int) { <-release },
+		},
+	})
+	defer d.Close()
+	defer once.Do(func() { close(release) })
+
+	const n = 100
+	for i := 0; i < n; i++ {
+		r := d.AllocRequest()
+		r.Src, r.Dst = bytes.Repeat([]byte{byte(i + 1)}, 4<<10), make([]byte, 4<<10)
+		if err := d.Submit(r); err != nil {
+			t.Fatalf("submit %d: %v", i, err)
+		}
+	}
+	deadline := time.Now().Add(5 * time.Second)
+	for d.Stats().DispatchRetries == 0 {
+		if time.Now().After(deadline) {
+			t.Fatalf("no dispatch retry with the controller held and %d chunks in the ring", d.Stats().RingDepth)
+		}
+		time.Sleep(time.Millisecond)
+	}
+	once.Do(func() { close(release) })
+
+	got := drainAll(t, d, n)
+	for _, r := range got {
+		if r.Err != nil || !bytes.Equal(r.Src, r.Dst) {
+			t.Errorf("slot %d: err=%v corrupt=%v", r.idx, r.Err, !bytes.Equal(r.Src, r.Dst))
+		}
+		d.FreeRequest(r)
+	}
+	if st := d.Stats(); st.Chunks != n || st.DoubleCompletes != 0 {
+		t.Errorf("Chunks/DoubleCompletes = %d/%d, want %d/0", st.Chunks, st.DoubleCompletes, n)
+	}
+	if err := d.AuditSlots(nil); err != nil {
+		t.Error(err)
+	}
+}
+
 // TestChaosForcedExhaustionErrNoSlots makes every staging→submission
 // flush attempt fail, driving requests down the ErrNoSlots completion
 // path; the slots must come back through the completion queue, and the

@@ -181,9 +181,6 @@ func (r *Request) stamps(retrieved int64) (ts [lifecycle.NumStages]int64, flags 
 	if cs != 0 {
 		ce = comp
 	}
-	if r.stolenNs.Load() >= sub {
-		flags |= lifecycle.FlagStolen
-	}
 	return lifecycle.Stamps(sub, fl, disp, cs, ce, comp, retrieved), flags
 }
 

@@ -7,8 +7,8 @@ import (
 
 // chunk is one unit of controller work: a byte range of one request.
 // nano carries the ring-push timestamp when the request is sampled (0
-// otherwise), so the consumer can attribute the dispatch-ring wait —
-// and steal delay — without any per-chunk allocation.
+// otherwise), so the consumer can attribute the dispatch-ring wait
+// without any per-chunk allocation.
 type chunk struct {
 	idx      uint32
 	off, end int
@@ -52,7 +52,7 @@ func (c *coarseClock) now() int64 {
 // queue blue and sleep.
 func (d *Device) worker() {
 	defer func() {
-		close(d.work) // controllers drain their rings and exit
+		close(d.work) // controllers drain the chunk ring and exit
 		d.wg.Done()
 	}()
 	clk := coarseClock{armed: d.stampAll}
@@ -139,7 +139,7 @@ func (d *Device) dispatch(idx uint32, wNano int64) {
 			// stamp is also the exact copy-start: no second stamp, just
 			// the mark that makes a slow inline request legible as one.
 			r.inlined = true
-			d.runChunk(chunk{idx: idx, off: 0, end: n}, len(d.ctr)-1, false, 0)
+			d.runChunk(chunk{idx: idx, off: 0, end: n}, len(d.ctr)-1, 0)
 			return
 		}
 	}
@@ -167,60 +167,35 @@ func (d *Device) dispatch(idx uint32, wNano int64) {
 	}
 }
 
-// pushChunk places one chunk on a controller ring, round-robin from the
-// ring after the last one used, skipping full rings. Only when every
-// ring is full does the worker back off — backpressure when the whole
-// copy engine is saturated, never because one controller is slow (its
-// backlog is steal-able by the others).
+// pushChunk places one chunk on the chunk ring. Only when the ring is
+// full does the worker back off — backpressure when the whole copy
+// engine is saturated, never because one controller is slow (the others
+// pop past it).
 func (d *Device) pushChunk(c chunk) {
-	n := len(d.rings)
-	for attempt := 0; ; attempt++ {
-		for i := 0; i < n; i++ {
-			ri := (d.nextRing + i) % n
-			if d.rings[ri].tryPush(c) {
-				d.nextRing = (ri + 1) % n
-				select {
-				case d.work <- struct{}{}:
-				default: // enough wake tokens buffered to rouse everyone
-				}
-				return
-			}
-		}
+	for attempt := 0; !d.chunks.tryPush(c); attempt++ {
 		d.m.dispatchRetries.Inc()
 		backoff(attempt)
 	}
+	select {
+	case d.work <- struct{}{}:
+	default: // enough wake tokens buffered to rouse everyone
+	}
 }
 
-// popChunk takes controller id's next chunk: off its own ring, or —
-// that one dry — stolen from the first neighbor that has one.
-func (d *Device) popChunk(id int) (c chunk, stolen, ok bool) {
-	if c, ok = d.rings[id].tryPop(); ok {
-		return c, false, true
-	}
-	for i, n := 1, len(d.rings); i < n; i++ {
-		if c, ok = d.rings[(id+i)%n].tryPop(); ok {
-			d.ctr[id].steals.Add(1)
-			return c, true, true
-		}
-	}
-	return c, false, false
-}
-
-// controller is transfer controller id: it pops chunks from its own
-// ring, steals from its neighbors' rings when its own runs dry, and
-// whichever controller retires a request's last chunk runs the
-// completion path (the interrupt handler's Release+Notify).
+// controller is transfer controller id: it pops chunks off the shared
+// ring, and whichever controller retires a request's last chunk runs
+// the completion path (the interrupt handler's Release+Notify).
 func (d *Device) controller(id int) {
 	defer d.wg.Done()
 	spins := 0
 	clk := coarseClock{armed: d.stampAll} // copy-start stamps of unsampled requests
 	for {
-		if c, stolen, ok := d.popChunk(id); ok {
+		if c, ok := d.chunks.tryPop(); ok {
 			spins = 0
-			d.runChunk(c, id, stolen, clk.now())
+			d.runChunk(c, id, clk.now())
 			continue
 		}
-		// Nothing anywhere: spin briefly (work often lands within a
+		// Nothing on the ring: spin briefly (work often lands within a
 		// few scheduler quanta under load), then park on the work edge.
 		// The check-empty-then-park order plus the buffered channel
 		// makes the park lossless: a chunk pushed after our scan left
@@ -233,9 +208,9 @@ func (d *Device) controller(id int) {
 		spins = 0
 		if _, open := <-d.work; !open {
 			// Shutdown: the worker dispatched its last chunk before
-			// closing the channel. Sweep every ring dry, then leave.
-			for c, stolen, ok := d.popChunk(id); ok; c, stolen, ok = d.popChunk(id) {
-				d.runChunk(c, id, stolen, clk.now())
+			// closing the channel. Sweep the ring dry, then leave.
+			for c, ok := d.chunks.tryPop(); ok; c, ok = d.chunks.tryPop() {
+				d.runChunk(c, id, clk.now())
 			}
 			return
 		}
@@ -245,24 +220,20 @@ func (d *Device) controller(id int) {
 // runChunk copies one chunk (unless its request is already terminal)
 // and fires the completion when it was the request's last chunk. slot
 // selects the caller's private counter block: the controller id, or the
-// worker's extra slot on the inline path. stolen marks a chunk popped
-// from another controller's ring. csNano is the caller's amortized
-// clock for the copy-start stamp (0 with the flight recorder disarmed,
-// and on the inline path, whose copy starts at its dispatched stamp).
-func (d *Device) runChunk(c chunk, slot int, stolen bool, csNano int64) {
+// worker's extra slot on the inline path. csNano is the caller's
+// amortized clock for the copy-start stamp (0 with the flight recorder
+// disarmed, and on the inline path, whose copy starts at its dispatched
+// stamp).
+func (d *Device) runChunk(c chunk, slot int, csNano int64) {
 	r, ok := d.req(c.idx)
 	if !ok {
 		return
 	}
 	if c.nano != 0 {
-		// A sampled request's chunk, off a ring: one fresh clock read
-		// closes the chunk's ring wait (and steal delay) and is its
-		// copy-start stamp.
+		// A sampled request's chunk, off the ring: one fresh clock read
+		// closes the chunk's ring wait and is its copy-start stamp.
 		csNano = time.Now().UnixNano()
-		d.rec.ObserveQueueWait(int(r.Class), csNano-c.nano, stolen)
-		if stolen {
-			r.stolenNs.Store(csNano)
-		}
+		d.rec.ObserveQueueWait(int(r.Class), csNano-c.nano)
 	}
 	if d.chaos != nil && d.chaos.BeforeChunkCopy != nil {
 		d.chaos.BeforeChunkCopy(c.idx, c.off, c.end)

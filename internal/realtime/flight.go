@@ -72,9 +72,7 @@ func (d *Device) ambient() lifecycle.Ambient {
 		StagingDepth:    int64(d.staging.Size()),
 		SubmissionDepth: d.submissionDepth(),
 		CompletionDepth: d.completions.size(),
-	}
-	for _, cr := range d.rings {
-		amb.RingDepth += cr.size()
+		RingDepth:       d.chunks.size(),
 	}
 	for c := range d.m.classSubmitted {
 		amb.ClassInFlight[c] = d.m.classOccupancy(c)

@@ -14,7 +14,7 @@ import (
 
 // checkMonotone asserts the stamped subset of a lifecycle's stages is
 // non-decreasing in stage order — the core tracer invariant: whatever
-// path a request takes (clean, canceled, failed, stolen chunks), time
+// path a request takes (clean, canceled, failed, chunked, inline), time
 // can only move forward through its stamps.
 func checkMonotone(t *testing.T, lc lifecycle.Lifecycle) {
 	t.Helper()

@@ -93,7 +93,7 @@ type QoSOptions struct {
 	ClassShares [qos.NumClasses]float64
 	// InlineThreshold is the initial adaptive-completion threshold in
 	// bytes: a single-chunk request at or below it is copied inline by
-	// the worker instead of being dispatched to the controller rings.
+	// the worker instead of being dispatched to the chunk ring.
 	// 0 means DefaultInlineThreshold; negative disables inline
 	// completion (every request takes the ring/notify path — the
 	// "always-notify" ablation).

@@ -46,18 +46,18 @@
 // RetrieveCompleted is a batch of one, and Poll and PollContext are two
 // doors onto one wait.
 //
-// # Chunked parallel transfers, rings and stealing
+// # Chunked parallel transfers on one ring
 //
-// A request larger than Options.ChunkBytes is split into per-controller
-// chunks, mirroring how the EDMA3 engine spreads one scatter-gather
-// program across its transfer controllers. Chunks are distributed
-// round-robin over per-controller bounded lock-free rings; an idle
-// controller steals from its neighbors' rings, so a large request's
-// chunks flow to whichever controllers have cycles instead of queuing
-// behind a busy one, and the worker only waits when every ring is full
-// (whole-engine backpressure, not head-of-line blocking). A per-request
-// atomic remaining-chunk counter makes the completion path (Release +
-// Notify) fire exactly once, from whichever controller finishes last.
+// A request larger than Options.ChunkBytes is split into chunks,
+// mirroring how the EDMA3 engine spreads one scatter-gather program
+// across its transfer controllers. The worker pushes every chunk onto
+// one bounded lock-free ring shared by all the controllers, and each
+// controller pops the oldest chunk there, so a large request's chunks
+// flow to whichever controllers have cycles instead of queuing behind a
+// busy one. The worker only waits when the ring is full (whole-engine
+// backpressure, not head-of-line blocking). A per-request atomic
+// remaining-chunk counter makes the completion path (Release + Notify)
+// fire exactly once, from whichever controller finishes last.
 //
 // # Cancellation, deadlines, shutdown
 //
@@ -294,9 +294,7 @@ type Request struct {
 	//   - dispatchedNs, inlined: the worker, in dispatch, before any
 	//     chunk push or the inline copy.
 	//   - copyStartNs: parallel chunk controllers race for it (the first
-	//     stamp of this life wins the CAS), so it is atomic. stolenNs
-	//     likewise: any controller that stole a chunk of a sampled
-	//     request stores its pop time.
+	//     stamp of this life wins the CAS), so it is atomic.
 	//
 	// None are cleared on slot reuse. Every writer clamps its stamp up
 	// to submitted (an amortized clock may predate the submission), so a
@@ -312,7 +310,6 @@ type Request struct {
 	flushedNs    int64
 	dispatchedNs int64
 	copyStartNs  atomic.Int64
-	stolenNs     atomic.Int64
 }
 
 // word packs st with the request's tenant claim.
@@ -363,8 +360,7 @@ type Device struct {
 	latEWMA     atomic.Int64          // completion-latency EWMA (ns), the retry-after hint
 	_           [56]byte
 	dispatchSeq uint64 // worker-only, drives retune cadence
-	nextRing    int    // worker-only round-robin cursor over rings
-	_           [48]byte
+	_           [56]byte
 
 	tenants  atomic.Pointer[[]*tenantState] // COW tenant table; [0] = default namespace
 	tenantMu sync.Mutex                     // serializes OpenTenant appends
@@ -374,12 +370,13 @@ type Device struct {
 	notify chan struct{} // completion edge for parked Polls
 	done   chan struct{} // closed at Close: unblocks sleeping Polls
 
-	// rings hold each transfer controller's pending chunks. The worker
-	// is the only producer in practice, but consumption is genuinely
-	// multi-consumer: the owning controller pops from its ring and idle
-	// controllers steal from it, so the full MPMC protocol is kept.
-	rings []*ring[chunk]
-	work  chan struct{} // work-available edge for parked controllers
+	// chunks holds the dispatched chunks. The worker is its only
+	// producer; every transfer controller pops from it, so consumption
+	// needs the multi-consumer protocol. It holds DefaultRingDepth
+	// chunks per controller, and a full ring is where the worker backs
+	// off.
+	chunks *ring[chunk]
+	work   chan struct{} // work-available edge for parked controllers
 
 	// ctr holds the per-controller counter blocks; ctr[Controllers] is
 	// the worker's slot for the inline-completion path. See ctrCounters.
@@ -453,10 +450,7 @@ func Open(opts Options) *Device {
 	d.sched = newTenantSched(d.submission[:],
 		func(idx uint32) uint32 { return d.reqs[idx].tenant.Load() },
 		d.tenantWeight, agingCredit)
-	d.rings = make([]*ring[chunk], opts.Controllers)
-	for i := range d.rings {
-		d.rings[i] = newRing[chunk](DefaultRingDepth)
-	}
+	d.chunks = newRing[chunk](DefaultRingDepth * opts.Controllers)
 	d.work = make(chan struct{}, opts.Controllers)
 	lcShift := opts.TraceSampleShift
 	if opts.TraceFullCapture {

@@ -2,15 +2,16 @@ package realtime
 
 import "sync/atomic"
 
-// DefaultRingDepth is the default per-controller chunk ring capacity:
-// deep enough that a burst of small requests never stalls the worker,
-// shallow enough that work stealing — not queueing — levels imbalance.
+// DefaultRingDepth is the chunk ring's capacity per transfer
+// controller: deep enough that a burst of small requests never stalls
+// the worker, shallow enough that a saturated engine pushes back on the
+// worker instead of queueing without bound.
 const DefaultRingDepth = 64
 
 // ring is a bounded lock-free MPMC ring (Vyukov's bounded queue). The
-// device instantiates it twice — per-controller chunk rings and the
-// completion ring; the Device fields say why each needs the full
-// multi-producer multi-consumer protocol.
+// device instantiates it twice — the chunk ring every controller pops
+// from and the completion ring; the Device fields say which side of
+// each is contended.
 //
 // Each slot carries a sequence word. A slot is writable when
 // seq == enqueue position, readable when seq == dequeue position + 1;
@@ -47,9 +48,8 @@ func newRing[T any](depth int) *ring[T] {
 	return r
 }
 
-// tryPush appends v; false when the ring is full (the caller picks
-// another ring or backs off — it must not spin here, full is a state,
-// not a transient).
+// tryPush appends v; false when the ring is full (the caller backs off
+// — it must not spin here, full is a state, not a transient).
 func (r *ring[T]) tryPush(v T) bool {
 	for {
 		pos := r.enq.Load()

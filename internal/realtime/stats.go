@@ -18,8 +18,8 @@ import (
 // between groups, so one population's RMW traffic doesn't invalidate
 // another's line. Within a group the writers genuinely share the
 // counter (true sharing, the price of a global count); the per-chunk
-// counters that used to true-share here (chunks, bytesMoved, steals)
-// moved to per-controller ctrCounters blocks instead.
+// counters that used to true-share here (chunks, bytesMoved) moved to
+// per-controller ctrCounters blocks instead.
 type metrics struct {
 	// Submitter-side: bumped on Submit/SubmitBatch/admit.
 	submitted, kicks obs.Counter
@@ -57,14 +57,14 @@ type metrics struct {
 }
 
 // ctrCounters is one transfer controller's private counter block,
-// padded to a cache line. The old shared chunks/bytesMoved/steals
-// counters were the hottest true sharing in the engine — every
-// controller RMW'd the same three adjacent words once per chunk — so
-// each controller (plus one extra slot for the worker's inline-copy
-// path) now counts privately and Stats sums the blocks.
+// padded to a cache line. Shared chunks/bytesMoved counters were the
+// hottest true sharing in the engine — every controller RMW'd the same
+// adjacent words once per chunk — so each controller (plus one extra
+// slot for the worker's inline-copy path) counts privately and Stats
+// sums the blocks.
 type ctrCounters struct {
-	chunks, bytesMoved, steals atomic.Int64
-	_                          [40]byte
+	chunks, bytesMoved atomic.Int64
+	_                  [48]byte
 }
 
 // classOccupancy is class c's accepted-but-not-terminal count. Every
@@ -97,9 +97,10 @@ type StatsSnapshot struct {
 	// Chunks counts controller work units; BytesMoved the payload
 	// actually copied (canceled chunks don't count).
 	Chunks, BytesMoved int64
-	// Steals counts chunks a controller popped from another
-	// controller's ring; DispatchRetries counts worker backoffs with
-	// every ring full.
+	// DispatchRetries counts worker backoffs with the chunk ring full.
+	// Steals is always 0: the controllers share one chunk ring, so no
+	// chunk is taken from another controller's. The field stays because
+	// the benchmark module reads it (realtime.steals_per_op).
 	Steals, DispatchRetries int64
 	// EnqueueRetries counts transient slab-exhaustion retries in the
 	// flush path.
@@ -132,15 +133,14 @@ type StatsSnapshot struct {
 	SubmissionHighWater, CompletionHighWater int64
 	// Live queue depths sampled at Stats time (the watermark fields
 	// above carry the maxima): staging, submission, completion, and
-	// per-controller dispatch-ring occupancy.
-	StagingDepth, SubmissionDepth, CompletionDepth int64
-	RingDepths                                     []int64
+	// chunk-ring occupancy.
+	StagingDepth, SubmissionDepth, CompletionDepth, RingDepth int64
 	// Latency is the submission-to-completion histogram (ns); Sizes the
 	// request payload histogram (bytes).
 	Latency, Sizes obs.HistogramSnapshot
 	// Lifecycle is the sampled-lifecycle snapshot: per-stage latency
-	// histograms (staging wait, dispatch wait, ring wait, steal delay,
-	// copy, completion dwell) and the last captured complete lifecycles.
+	// histograms (staging wait, dispatch wait, ring wait, copy,
+	// completion dwell) and the last captured complete lifecycles.
 	// Enabled is false when Options.TraceSampleShift < 0.
 	Lifecycle lifecycle.Snapshot
 	// Flight is the flight-recorder snapshot: captured outliers and
@@ -167,10 +167,6 @@ type ClassStats struct {
 // Stats returns a snapshot of the device's counters, histograms, queue
 // watermarks and sampled lifecycles. Safe from any goroutine at any time.
 func (d *Device) Stats() StatsSnapshot {
-	ringDepths := make([]int64, len(d.rings))
-	for i, r := range d.rings {
-		ringDepths[i] = r.size()
-	}
 	var classes [qos.NumClasses]ClassStats
 	for c := range classes {
 		classes[c] = ClassStats{
@@ -187,17 +183,16 @@ func (d *Device) Stats() StatsSnapshot {
 	for i, ts := range tab {
 		tenants[i] = d.tenantStats(ts)
 	}
-	var chunks, bytesMoved, steals int64
+	var chunks, bytesMoved int64
 	for i := range d.ctr {
 		chunks += d.ctr[i].chunks.Load()
 		bytesMoved += d.ctr[i].bytesMoved.Load()
-		steals += d.ctr[i].steals.Load()
 	}
 	return StatsSnapshot{
 		StagingDepth:         int64(d.staging.Size()),
 		SubmissionDepth:      d.submissionDepth(),
 		CompletionDepth:      d.completions.size(),
-		RingDepths:           ringDepths,
+		RingDepth:            d.chunks.size(),
 		Lifecycle:            d.rec.Snapshot(),
 		Flight:               d.rec.FlightSnapshot(),
 		Submitted:            d.m.submitted.Load(),
@@ -212,7 +207,6 @@ func (d *Device) Stats() StatsSnapshot {
 		Batches:              d.m.batches.Load(),
 		Chunks:               chunks,
 		BytesMoved:           bytesMoved,
-		Steals:               steals,
 		DispatchRetries:      d.m.dispatchRetries.Load(),
 		EnqueueRetries:       d.m.enqueueRetries.Load(),
 		DoubleCompletes:      d.m.doubleCompletes.Load(),

@@ -232,7 +232,7 @@ func NewSwapDaemon(app *Device, opts SwapOptions) *SwapDaemon {
 // service: one staging queue whose color costs a burst one kick,
 // batched submission (SubmitBatch / RetrieveCompletedBatch amortize the
 // flush, recolor and kick over a whole batch), chunked multi-controller
-// transfers fed through per-controller rings with work stealing,
+// transfers fed through one chunk ring every controller pops from,
 // cancellation and deadlines, QoS priority classes with admission
 // control and adaptive poll-vs-notify completion, a lock-free
 // completion ring, and a built-in metrics layer (Device.Stats).
@@ -459,8 +459,7 @@ func StreamDirect(p *Proc, as *AddressSpace, k StreamKernel, base, length int64,
 
 // LifecycleSnapshot is the view of the sampled request lifecycles,
 // available as RealtimeStats.Lifecycle: per-stage latency histograms
-// (staging wait, dispatch wait, ring wait, steal delay, copy,
-// completion dwell), the same broken down per priority class
+// (staging wait, dispatch wait, ring wait, copy, completion dwell), the same broken down per priority class
 // (ClassSpans), and the captured complete lifecycles. Sampling is
 // controlled by RealtimeOptions.TraceSampleShift (1 request in 2^k;
 // negative disables) or TraceFullCapture.
