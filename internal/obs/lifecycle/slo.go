@@ -74,8 +74,10 @@ const (
 // ProbeState is what the owner's monitor loop feeds the watchdog each
 // tick: cheap cumulative counters and live depths, no locks taken.
 type ProbeState struct {
-	// QueuedWork reports whether any staging or submission queue held
-	// work at probe time.
+	// QueuedWork reports whether work was waiting for dispatch at probe
+	// time. The realtime device reports a non-empty staging queue or a
+	// non-zero backlog: requests flushed but not yet dispatched, on its
+	// submission queue or in its scheduler's buckets.
 	QueuedWork bool
 	// DispatchProgress is a cumulative dispatch counter; the watchdog
 	// compares ticks, so any monotone counter works.

@@ -41,10 +41,10 @@ func RealtimeMetrics(device string, s realtime.StatsSnapshot) []Metric {
 		counter("memif_realtime_aged_pops_total", "Dispatches serving a lower class out of strict-priority order.", lb, s.AgedPops),
 		gauge("memif_realtime_inline_threshold_bytes", "Current adaptive inline-completion cutoff (0 = disabled).", lb, s.InlineThresholdBytes),
 		gauge("memif_realtime_staging_depth", "Live staging-queue depth at scrape time.", lb, s.StagingDepth),
-		gauge("memif_realtime_submission_depth", "Live submission-queue depth at scrape time.", lb, s.SubmissionDepth),
+		gauge("memif_realtime_submission_depth", "Requests flushed but not yet dispatched at scrape time, on the submission queue or in the scheduler's buckets.", lb, s.SubmissionDepth),
 		gauge("memif_realtime_completion_depth", "Live completion-queue depth at scrape time.", lb, s.CompletionDepth),
 		gauge("memif_realtime_ring_depth", "Live chunk-ring occupancy at scrape time.", lb, s.RingDepth),
-		gauge("memif_realtime_submission_depth_high_water", "Deepest the submission queue has ever been.", lb, s.SubmissionHighWater),
+		gauge("memif_realtime_submission_depth_high_water", "Deepest the submission queue itself has ever been (one flush's burst, not the backlog).", lb, s.SubmissionHighWater),
 		gauge("memif_realtime_completion_depth_high_water", "Deepest the completion queue has ever been.", lb, s.CompletionHighWater),
 		hist("memif_realtime_request_latency_ns", "Submission-to-completion latency (ns).", lb, s.Latency),
 		hist("memif_realtime_request_bytes", "Request payload size (bytes).", lb, s.Sizes),
@@ -57,7 +57,6 @@ func RealtimeMetrics(device string, s realtime.StatsSnapshot) []Metric {
 			counter("memif_realtime_class_completed_total", "Terminal requests by priority class.", clb, cs.Completed),
 			counter("memif_realtime_class_shed_total", "Admission rejections by priority class.", clb, cs.Shed),
 			gauge("memif_realtime_class_in_flight", "Live accepted-but-not-terminal requests by priority class.", clb, cs.InFlight),
-			gauge("memif_realtime_class_queue_depth", "Live per-class submission-queue depth at scrape time.", clb, cs.QueueDepth),
 			hist("memif_realtime_class_request_latency_ns", "Submission-to-completion latency by priority class (ns).", clb, cs.Latency),
 		)
 	}

@@ -21,6 +21,8 @@ import (
 	"sync/atomic"
 	"testing"
 	"time"
+
+	"memif/internal/obs/lifecycle"
 )
 
 // drainAll retrieves every pending completion, polling until count
@@ -140,10 +142,10 @@ func TestChaosChunkRingFullBackpressure(t *testing.T) {
 	release := make(chan struct{})
 	var once sync.Once
 	d := Open(Options{
-		NumReqs:     128,
-		Controllers: 1,
-		ChunkBytes:  -1,
-		QoS:         QoSOptions{InlineThreshold: -1},
+		NumReqs:         128,
+		Controllers:     1,
+		ChunkBytes:      -1,
+		InlineThreshold: -1,
 		Chaos: &ChaosHooks{
 			BeforeChunkCopy: func(idx uint32, off, end int) { <-release },
 		},
@@ -703,6 +705,79 @@ func TestChaosDispatchStallCancelStorm(t *testing.T) {
 	}
 }
 
+// TestChaosStalledWorkerBacklogVisible wedges the worker on its first
+// dispatch with the rest of a 50-request batch already drained into the
+// scheduler's buckets. The 49 waiting requests are on no queue, yet they
+// are the backlog: SubmissionDepth and the tenant's QueueDepth must both
+// count them, and the watchdog must report the wedged worker, because
+// its queued-work probe reads the same backlog. Released, every request
+// completes byte-exact and every slot comes home.
+func TestChaosStalledWorkerBacklogVisible(t *testing.T) {
+	const n, size = 50, 4 << 10
+	entered, stall := make(chan struct{}), make(chan struct{})
+	var first atomic.Bool
+	d := Open(Options{Chaos: &ChaosHooks{BeforeDispatch: func(uint32) {
+		if first.CompareAndSwap(false, true) {
+			close(entered)
+			<-stall
+		}
+	}}})
+	defer d.Close()
+	release := sync.OnceFunc(func() { close(stall) })
+	defer release()
+
+	reqs := make([]*Request, n)
+	for i := range reqs {
+		r := d.AllocRequest()
+		r.Src, r.Dst = bytes.Repeat([]byte{byte(i + 1)}, size), make([]byte, size)
+		r.Cookie = uint64(i)
+		reqs[i] = r
+	}
+	if err := d.SubmitBatch(reqs); err != nil {
+		t.Fatal(err)
+	}
+	<-entered
+	// The batch's own flush emptied staging before SubmitBatch returned,
+	// and the worker holds one request in dispatch: the other 49 wait
+	// behind it, on the submission queue or in the scheduler's buckets.
+	st := d.Stats()
+	if st.SubmissionDepth != n-1 || st.Tenants[0].QueueDepth != n-1 || st.StagingDepth != 0 {
+		t.Errorf("worker wedged with %d waiting: SubmissionDepth %d, Tenants[0].QueueDepth %d, StagingDepth %d; want %d, %d, 0",
+			n-1, st.SubmissionDepth, st.Tenants[0].QueueDepth, st.StagingDepth, n-1, n-1)
+	}
+	stalled := func() bool {
+		for _, o := range d.FlightSnapshot().Outliers {
+			if o.Kind == lifecycle.KindStall && o.Reason == lifecycle.ReasonWorkerStall {
+				return true
+			}
+		}
+		return false
+	}
+	for deadline := time.Now().Add(5 * time.Second); !stalled(); time.Sleep(5 * time.Millisecond) {
+		if time.Now().After(deadline) {
+			fs := d.FlightSnapshot()
+			t.Fatalf("no worker-stall report after 5s of a wedged worker with %d queued: stalls %d, queuedWork %v",
+				n-1, fs.Stalls, d.queuedWork())
+		}
+	}
+
+	release()
+	for _, r := range drainAll(t, d, n) {
+		if r.Err != nil {
+			t.Errorf("request %d: %v", r.Cookie, r.Err)
+		} else if !bytes.Equal(r.Dst, r.Src) {
+			t.Errorf("request %d: destination differs from source", r.Cookie)
+		}
+		d.FreeRequest(r)
+	}
+	if st := d.Stats(); st.SubmissionDepth != 0 || st.DoubleCompletes != 0 {
+		t.Errorf("after drain: SubmissionDepth %d, DoubleCompletes %d; want 0, 0", st.SubmissionDepth, st.DoubleCompletes)
+	}
+	if err := d.AuditSlots(nil); err != nil {
+		t.Error(err)
+	}
+}
+
 // TestChaosCancelDuringShed lands a cancel storm inside the admission
 // shed window: the pipeline is saturated with stalled foreground work so
 // every scavenger in a batch is shed, while a concurrent canceler races
@@ -713,10 +788,10 @@ func TestChaosCancelDuringShed(t *testing.T) {
 	stall := make(chan struct{})
 	var once sync.Once
 	opts := Options{
-		NumReqs:     16,
-		Controllers: 1,
-		ChunkBytes:  1 << 10,
-		QoS:         QoSOptions{InlineThreshold: -1}, // keep copies off the worker
+		NumReqs:         16,
+		Controllers:     1,
+		ChunkBytes:      1 << 10,
+		InlineThreshold: -1, // keep copies off the worker
 		Chaos: &ChaosHooks{
 			BeforeChunkCopy: func(idx uint32, off, end int) { <-stall },
 		},

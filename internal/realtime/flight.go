@@ -48,29 +48,22 @@ func (d *Device) monitor() {
 // is disarmed.
 func (d *Device) FlightSnapshot() lifecycle.FlightSnapshot { return d.rec.FlightSnapshot() }
 
-// queuedWork reports whether the staging queue or any submission queue
-// held work at probe time (racy snapshot — the watchdog needs
-// consecutive bad ticks anyway).
+// queuedWork reports whether the staging queue held work or the
+// backlog was non-zero at probe time: requests on the submission queue
+// and in the scheduler's buckets alike (racy snapshot — the watchdog
+// needs consecutive bad ticks anyway).
 func (d *Device) queuedWork() bool {
-	if !d.staging.Empty() {
-		return true
-	}
-	for _, q := range d.submission {
-		if !q.Empty() {
-			return true
-		}
-	}
-	return false
+	return !d.staging.Empty() || d.backlog() > 0
 }
 
 // ambient is the recorder's probe, the congestion picture stored
 // alongside an outlier:
-// live queue depths and per-class in-flight counts, all racy snapshots
-// of already-atomic state.
+// live queue depths, the backlog and per-class in-flight counts, all
+// racy snapshots of already-atomic state.
 func (d *Device) ambient() lifecycle.Ambient {
 	amb := lifecycle.Ambient{
 		StagingDepth:    int64(d.staging.Size()),
-		SubmissionDepth: d.submissionDepth(),
+		SubmissionDepth: d.backlog(),
 		CompletionDepth: d.completions.size(),
 		RingDepth:       d.chunks.size(),
 	}

@@ -20,9 +20,9 @@ func TestPollMicroWaitSpins(t *testing.T) {
 		t.Skip("the micro-wait is off on a single P: nothing can complete while the poller spins")
 	}
 	d := Open(Options{
-		NumReqs:     16,
-		Controllers: 1,
-		QoS:         QoSOptions{InlineThreshold: -1}, // force the controller path
+		NumReqs:         16,
+		Controllers:     1,
+		InlineThreshold: -1, // force the controller path
 		Chaos: &ChaosHooks{
 			BeforeChunkCopy: func(idx uint32, off, end int) { time.Sleep(5 * time.Microsecond) },
 		},

@@ -14,9 +14,9 @@ package realtime
 //     (plus a retry-after hint) before it can occupy enough of the slab
 //     to starve higher classes — occupancy thresholds play the role of
 //     kswapd watermarks, per class;
-//   - the worker pops the per-class submission queues in strict priority
-//     order, with an aging credit so a saturating high class cannot
-//     starve lower ones forever;
+//   - the worker pops the one submission queue in strict class priority
+//     order (its scheduler buckets requests by class), with an aging
+//     credit so a saturating high class cannot starve lower ones forever;
 //   - completion is adaptive: a single-chunk request at or below the
 //     inline threshold is copied by the worker itself (the "syscall
 //     path polls" case — no ring push, no controller wakeup), while
@@ -80,26 +80,6 @@ func (e *OverloadError) Error() string {
 // Unwrap makes errors.Is(e, ErrOverload) true.
 func (e *OverloadError) Unwrap() error { return ErrOverload }
 
-// QoSOptions tunes admission, dispatch priority, and adaptive
-// completion. The zero value means "all defaults"; construct Options
-// via DefaultOptions (or memif.DefaultRealtimeOptions) and override
-// fields.
-type QoSOptions struct {
-	// ClassShares[c] caps total pipeline occupancy (in-flight requests
-	// as a fraction of NumReqs) above which submissions at class c are
-	// shed with ErrOverload. A share >= 1 means the class is never shed
-	// (it may still see ErrNoSlots when the slab itself runs out).
-	// Zero fields take DefaultClassShares; values are clamped to (0, 1].
-	ClassShares [qos.NumClasses]float64
-	// InlineThreshold is the initial adaptive-completion threshold in
-	// bytes: a single-chunk request at or below it is copied inline by
-	// the worker instead of being dispatched to the chunk ring.
-	// 0 means DefaultInlineThreshold; negative disables inline
-	// completion (every request takes the ring/notify path — the
-	// "always-notify" ablation).
-	InlineThreshold int
-}
-
 // QoS defaults.
 const (
 	// agingCredit is the number of times a lower class may be passed over
@@ -124,37 +104,30 @@ const (
 	minInlineThreshold = 1 << 10
 )
 
-// DefaultClassShares returns the default occupancy thresholds:
-// foreground may fill the slab, background is shed past 85% occupancy,
+// DefaultClassShares returns the occupancy thresholds admission sheds
+// at: share c caps total pipeline occupancy (in-flight requests as a
+// fraction of the slots) above which class c is shed with ErrOverload.
+// Foreground may fill the slab (it may still see ErrNoSlots when the
+// slab itself runs out), background is shed past 85% occupancy,
 // scavenger past 50%.
 func DefaultClassShares() [qos.NumClasses]float64 {
 	return [qos.NumClasses]float64{1.0, 0.85, 0.5}
 }
 
-// resolveQoS fills q's zero fields with defaults and clamps the rest.
-func resolveQoS(q QoSOptions) QoSOptions {
-	def := DefaultClassShares()
-	for c := range q.ClassShares {
-		if q.ClassShares[c] <= 0 {
-			q.ClassShares[c] = def[c]
-		}
-		if q.ClassShares[c] > 1 {
-			q.ClassShares[c] = 1
-		}
+// resolveInline resolves Options.InlineThreshold: 0 means
+// DefaultInlineThreshold, negative disables inline completion (0).
+func resolveInline(threshold int) int64 {
+	if threshold == 0 {
+		return DefaultInlineThreshold
 	}
-	if q.InlineThreshold == 0 {
-		q.InlineThreshold = DefaultInlineThreshold
-	} else if q.InlineThreshold < 0 {
-		q.InlineThreshold = 0 // disabled
-	}
-	return q
+	return int64(max(threshold, 0))
 }
 
-// classLimits turns per-class occupancy shares into admission thresholds
+// classLimits turns the default class shares into admission thresholds
 // over n slots — the device's NumReqs, or a tenant's quota: a full share
 // may use all n, and no class is ever limited below one slot.
-func classLimits(shares [qos.NumClasses]float64, n int64) (limits [qos.NumClasses]int64) {
-	for c, share := range shares {
+func classLimits(n int64) (limits [qos.NumClasses]int64) {
+	for c, share := range DefaultClassShares() {
 		limit := int64(share * float64(n))
 		if share >= 1 || limit > n {
 			limit = n
@@ -218,10 +191,10 @@ func (d *Device) observeLatEWMA(latNs int64) {
 	d.latEWMA.Store(old + (latNs-old)/8)
 }
 
-// popSubmission takes the next request off the per-class submission
-// queues through the tenant scheduler: strict priority with the aging
-// credit across classes, weighted deficit round robin between tenants
-// within the chosen class (see tsched.go). Worker-only.
+// popSubmission takes the next request off the submission queue
+// through the tenant scheduler: strict priority with the aging credit
+// across classes, weighted deficit round robin between tenants within
+// the chosen class (see tsched.go). Worker-only.
 func (d *Device) popSubmission() (uint32, bool) {
 	idx, tenant, aged, ok := d.sched.pop()
 	if !ok {

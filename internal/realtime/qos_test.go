@@ -18,29 +18,14 @@ import (
 )
 
 func TestResolveQoSDefaults(t *testing.T) {
-	q := resolveQoS(QoSOptions{})
-	if q.ClassShares != DefaultClassShares() {
-		t.Errorf("zero shares resolved to %v, want defaults %v", q.ClassShares, DefaultClassShares())
+	if got := resolveInline(0); got != DefaultInlineThreshold {
+		t.Errorf("InlineThreshold 0 resolved to %d, want %d", got, DefaultInlineThreshold)
 	}
-	if q.InlineThreshold != DefaultInlineThreshold {
-		t.Errorf("InlineThreshold = %d, want %d", q.InlineThreshold, DefaultInlineThreshold)
+	if got := resolveInline(-1); got != 0 {
+		t.Errorf("negative InlineThreshold resolved to %d, want 0 (disabled)", got)
 	}
-
-	q = resolveQoS(QoSOptions{
-		ClassShares:     [qos.NumClasses]float64{2.5, -1, 0.25},
-		InlineThreshold: -1,
-	})
-	if q.ClassShares[ClassForeground] != 1 {
-		t.Errorf("share > 1 clamped to %v, want 1", q.ClassShares[ClassForeground])
-	}
-	if q.ClassShares[ClassBackground] != DefaultClassShares()[ClassBackground] {
-		t.Errorf("negative share resolved to %v, want default", q.ClassShares[ClassBackground])
-	}
-	if q.ClassShares[ClassScavenger] != 0.25 {
-		t.Errorf("explicit share rewritten to %v", q.ClassShares[ClassScavenger])
-	}
-	if q.InlineThreshold != 0 {
-		t.Errorf("negative InlineThreshold resolved to %d, want 0 (disabled)", q.InlineThreshold)
+	if got := resolveInline(4 << 10); got != 4<<10 {
+		t.Errorf("explicit InlineThreshold rewritten to %d", got)
 	}
 }
 
@@ -174,34 +159,36 @@ func TestRetryAfterTracksLatencyEWMA(t *testing.T) {
 }
 
 // popDevice builds the minimal Device popSubmission needs: the
-// per-class queues, the aging credits, and the resolved QoS options.
-// credit stands in for the agingCredit constant Open hands the scheduler.
+// submission queue, the default tenant and the scheduler. credit stands
+// in for the agingCredit constant Open hands the scheduler.
 func popDevice(credit int64) *Device {
-	d := &Device{qos: resolveQoS(QoSOptions{})}
-	slab := rbq.NewSlabForQueues(32, qos.NumClasses, qos.NumClasses+4)
-	for c := range d.submission {
-		d.submission[c] = slab.NewQueue(rbq.Blue)
-	}
+	d := &Device{}
+	slab := rbq.NewSlabForQueues(32, 1, 5)
+	d.submission = slab.NewQueue(rbq.Blue)
 	d.reqs = make([]*Request, 32)
 	for i := range d.reqs {
 		d.reqs[i] = &Request{idx: uint32(i)}
 	}
 	tab := []*tenantState{newDefaultTenant()}
 	d.tenants.Store(&tab)
-	d.sched = newTenantSched(d.submission[:],
-		func(idx uint32) uint32 { return d.reqs[idx].tenant.Load() },
-		d.tenantWeight, credit)
+	d.sched = newTenantSched(d.submission, qos.NumClasses, d.owner, d.tenantWeight, credit)
 	return d
+}
+
+// enqueue puts request idx on d's submission queue at class c.
+func enqueue(d *Device, c qos.Class, idx uint32) {
+	d.reqs[idx].Class = c
+	d.submission.Enqueue(idx)
 }
 
 // TestPopSubmissionStrictPriority: with a single class loaded, pops come
 // in FIFO order; with all classes loaded, higher classes drain first.
 func TestPopSubmissionStrictPriority(t *testing.T) {
 	d := popDevice(1 << 20) // credit high enough that aging never fires
-	d.submission[ClassScavenger].Enqueue(20)
-	d.submission[ClassBackground].Enqueue(10)
-	d.submission[ClassForeground].Enqueue(0)
-	d.submission[ClassForeground].Enqueue(1)
+	enqueue(d, ClassScavenger, 20)
+	enqueue(d, ClassBackground, 10)
+	enqueue(d, ClassForeground, 0)
+	enqueue(d, ClassForeground, 1)
 
 	want := []uint32{0, 1, 10, 20}
 	for i, w := range want {
@@ -224,10 +211,10 @@ func TestPopSubmissionStrictPriority(t *testing.T) {
 func TestPopSubmissionAging(t *testing.T) {
 	d := popDevice(2)
 	for i := uint32(0); i < 4; i++ {
-		d.submission[ClassForeground].Enqueue(i)
+		enqueue(d, ClassForeground, i)
 	}
-	d.submission[ClassBackground].Enqueue(10)
-	d.submission[ClassBackground].Enqueue(11)
+	enqueue(d, ClassBackground, 10)
+	enqueue(d, ClassBackground, 11)
 
 	// Pops 1-2 serve foreground and accrue background credit; pop 3 is
 	// the aged background pop; strict priority resumes for pops 4-5
@@ -259,7 +246,7 @@ func TestInlineRetuneMovesThreshold(t *testing.T) {
 		Controllers:      1,
 		ChunkBytes:       64 << 10,
 		TraceFullCapture: true,
-		QoS:              QoSOptions{InlineThreshold: minInlineThreshold}, // start at the floor
+		InlineThreshold:  minInlineThreshold, // start at the floor
 	}
 	d := Open(opts)
 	defer d.Close()
@@ -317,9 +304,9 @@ func TestInlineCompletionCountsAndCopies(t *testing.T) {
 	}
 
 	d := Open(Options{
-		NumReqs:     8,
-		Controllers: 1,
-		QoS:         QoSOptions{InlineThreshold: 4 << 10}, // two dispatches: far short of a retune
+		NumReqs:         8,
+		Controllers:     1,
+		InlineThreshold: 4 << 10, // two dispatches: far short of a retune
 	})
 	defer d.Close()
 
@@ -341,7 +328,7 @@ func TestInlineCompletionCountsAndCopies(t *testing.T) {
 	}
 	d.FreeRequest(large)
 
-	off := Open(Options{NumReqs: 8, Controllers: 1, QoS: QoSOptions{InlineThreshold: -1}})
+	off := Open(Options{NumReqs: 8, Controllers: 1, InlineThreshold: -1})
 	defer off.Close()
 	if r := run(off, 4<<10); r.Err != nil || !bytes.Equal(r.Src, r.Dst) {
 		t.Errorf("always-notify completion corrupt: err=%v", r.Err)
@@ -376,9 +363,9 @@ func TestCloseDrainContextStalled(t *testing.T) {
 	release := make(chan struct{})
 	var once sync.Once
 	d := Open(Options{
-		NumReqs:     8,
-		Controllers: 1,
-		QoS:         QoSOptions{InlineThreshold: -1}, // keep the copy off the worker
+		NumReqs:         8,
+		Controllers:     1,
+		InlineThreshold: -1, // keep the copy off the worker
 		Chaos: &ChaosHooks{
 			BeforeChunkCopy: func(idx uint32, off, end int) {
 				once.Do(func() { close(stalled) })

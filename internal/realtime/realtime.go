@@ -181,9 +181,13 @@ type Options struct {
 	// timeline. Its overhead is measured in EXPERIMENTS.md; leave it off
 	// in production and benchmarks.
 	TraceFullCapture bool
-	// QoS tunes priority classes, admission control and adaptive
-	// completion; the zero value applies the defaults (see QoSOptions).
-	QoS QoSOptions
+	// InlineThreshold is the initial adaptive-completion threshold in
+	// bytes: a single-chunk request at or below it is copied inline by
+	// the worker instead of being dispatched to the chunk ring.
+	// 0 means DefaultInlineThreshold; negative disables inline
+	// completion (every request takes the ring/notify path — the
+	// "always-notify" ablation).
+	InlineThreshold int
 	// Flight configures the always-on flight recorder: retroactive
 	// outlier capture (every request's stage stamps kept, breaching
 	// requests snapshotted into a bounded ring), the stall watchdog,
@@ -338,13 +342,12 @@ func (r *Request) Latency() (time.Duration, bool) {
 // Device is one realtime memif instance.
 type Device struct {
 	chunkBytes int // resolved: 0 disables chunking
-	qos        QoSOptions
 	reqs       []*Request
 	slab       *rbq.Slab
 
 	freeList   *rbq.Queue
-	staging    *rbq.Queue                 // the red-blue staging queue
-	submission [qos.NumClasses]*rbq.Queue // per-class, popped in priority order
+	staging    *rbq.Queue // the red-blue staging queue
+	submission *rbq.Queue // every class; the scheduler orders it (tsched.go)
 	// completions holds completed request indices. Producers are the
 	// finishers (controllers + the worker's inline path); consumers are
 	// RetrieveCompleted/RetrieveCompletedBatch callers, any number of
@@ -418,21 +421,19 @@ func Open(opts Options) *Device {
 	} else if chunkBytes < 0 {
 		chunkBytes = 0 // disabled
 	}
-	q := resolveQoS(opts.QoS)
-	// free + one submission queue per class + staging (completions live
-	// on the MPMC ring, not the slab); slack scales with the queue count
-	// since every queue can sit in a transient dummy-recycling window at
-	// once.
-	const numQueues = 1 + qos.NumClasses + 1
+	// free + staging + submission (completions live on the MPMC ring,
+	// not the slab); slack scales with the queue count since every queue
+	// can sit in a transient dummy-recycling window at once.
+	const numQueues = 3
 	slab := rbq.NewSlabForQueues(opts.NumReqs, numQueues, 5+numQueues)
 	d := &Device{
 		chunkBytes:  chunkBytes,
-		qos:         q,
-		classLimit:  classLimits(q.ClassShares, int64(opts.NumReqs)),
+		classLimit:  classLimits(int64(opts.NumReqs)),
 		reqs:        make([]*Request, opts.NumReqs),
 		slab:        slab,
 		freeList:    slab.NewQueue(rbq.Blue),
 		staging:     slab.NewQueue(rbq.Blue),
+		submission:  slab.NewQueue(rbq.Blue),
 		completions: newRing[uint32](opts.NumReqs),
 		ctr:         make([]ctrCounters, opts.Controllers+1),
 		pollSpin:    runtime.GOMAXPROCS(0) > 1,
@@ -441,15 +442,10 @@ func Open(opts Options) *Device {
 		done:        make(chan struct{}),
 		chaos:       opts.Chaos,
 	}
-	for c := range d.submission {
-		d.submission[c] = slab.NewQueue(rbq.Blue)
-	}
-	d.inline.Store(int64(q.InlineThreshold))
+	d.inline.Store(resolveInline(opts.InlineThreshold))
 	tab := []*tenantState{newDefaultTenant()}
 	d.tenants.Store(&tab)
-	d.sched = newTenantSched(d.submission[:],
-		func(idx uint32) uint32 { return d.reqs[idx].tenant.Load() },
-		d.tenantWeight, agingCredit)
+	d.sched = newTenantSched(d.submission, qos.NumClasses, d.owner, d.tenantWeight, agingCredit)
 	d.chunks = newRing[chunk](DefaultRingDepth * opts.Controllers)
 	d.work = make(chan struct{}, opts.Controllers)
 	lcShift := opts.TraceSampleShift

@@ -809,7 +809,7 @@ func TestStalledControllerStrandsNothing(t *testing.T) {
 		ChunkBytes:  -1,
 		// Inline completion would have the worker copy these small
 		// requests itself; this test is about the ring path.
-		QoS: QoSOptions{InlineThreshold: -1},
+		InlineThreshold: -1,
 		Chaos: &ChaosHooks{
 			BeforeChunkCopy: func(idx uint32, off, end int) {
 				// Freeze exactly one controller: the first to take a chunk.

@@ -115,7 +115,7 @@ func TestStampVectorClosesOnEveryPath(t *testing.T) {
 		var stalled atomic.Bool
 		d := Open(Options{
 			NumReqs: n, Controllers: 2, ChunkBytes: -1, TraceFullCapture: true,
-			QoS: QoSOptions{InlineThreshold: -1},
+			InlineThreshold: -1,
 			Chaos: &ChaosHooks{
 				BeforeChunkCopy: func(idx uint32, off, end int) {
 					// Freeze the first controller to take a chunk: the
@@ -157,7 +157,7 @@ func TestStampVectorClosesOnEveryPath(t *testing.T) {
 		defer once.Do(func() { close(stall) })
 		d := Open(Options{
 			NumReqs: n, Controllers: 2, ChunkBytes: 1 << 10, TraceFullCapture: true,
-			QoS: QoSOptions{InlineThreshold: -1},
+			InlineThreshold: -1,
 			Chaos: &ChaosHooks{
 				BeforeChunkCopy: func(idx uint32, off, end int) { <-stall },
 			},

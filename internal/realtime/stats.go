@@ -129,11 +129,16 @@ type StatsSnapshot struct {
 	// Tenants breaks submissions down by tenant namespace, default
 	// tenant (id 0) first, then OpenTenant order.
 	Tenants []TenantStats
-	// Queue-depth high watermarks, from rbq's atomic Size.
+	// Queue-depth high watermarks. SubmissionHighWater is the
+	// submission queue's own, observed at each enqueue: it bounds one
+	// flush's burst, not the backlog (the worker drains the queue into
+	// its scheduler buckets before every pop).
 	SubmissionHighWater, CompletionHighWater int64
-	// Live queue depths sampled at Stats time (the watermark fields
-	// above carry the maxima): staging, submission, completion, and
-	// chunk-ring occupancy.
+	// Live depths sampled at Stats time: the staging queue, the backlog,
+	// the completion ring and the chunk ring. SubmissionDepth is the
+	// backlog — requests flushed but not yet dispatched, whether on the
+	// submission queue or in the scheduler's buckets — the sum of the
+	// tenants' QueueDepth.
 	StagingDepth, SubmissionDepth, CompletionDepth, RingDepth int64
 	// Latency is the submission-to-completion histogram (ns); Sizes the
 	// request payload histogram (bytes).
@@ -157,8 +162,6 @@ type ClassStats struct {
 	Submitted, Completed, Shed int64
 	// InFlight is the live accepted-but-not-terminal count.
 	InFlight int64
-	// QueueDepth is the class's submission-queue depth at Stats time.
-	QueueDepth int64
 	// Latency is the submission-to-completion histogram (ns) of this
 	// class alone.
 	Latency obs.HistogramSnapshot
@@ -170,18 +173,19 @@ func (d *Device) Stats() StatsSnapshot {
 	var classes [qos.NumClasses]ClassStats
 	for c := range classes {
 		classes[c] = ClassStats{
-			Submitted:  d.m.classSubmitted[c].Load(),
-			Completed:  d.m.classCompleted[c].Load(),
-			Shed:       d.m.classShed[c].Load(),
-			InFlight:   d.m.classOccupancy(c),
-			QueueDepth: int64(d.submission[c].Size()),
-			Latency:    d.m.classLatency[c].Snapshot(),
+			Submitted: d.m.classSubmitted[c].Load(),
+			Completed: d.m.classCompleted[c].Load(),
+			Shed:      d.m.classShed[c].Load(),
+			InFlight:  d.m.classOccupancy(c),
+			Latency:   d.m.classLatency[c].Snapshot(),
 		}
 	}
 	tab := *d.tenants.Load()
 	tenants := make([]TenantStats, len(tab))
+	var backlog int64 // summed from the same reads, so the snapshot adds up
 	for i, ts := range tab {
 		tenants[i] = d.tenantStats(ts)
+		backlog += tenants[i].QueueDepth
 	}
 	var chunks, bytesMoved int64
 	for i := range d.ctr {
@@ -190,7 +194,7 @@ func (d *Device) Stats() StatsSnapshot {
 	}
 	return StatsSnapshot{
 		StagingDepth:         int64(d.staging.Size()),
-		SubmissionDepth:      d.submissionDepth(),
+		SubmissionDepth:      backlog,
 		CompletionDepth:      d.completions.size(),
 		RingDepth:            d.chunks.size(),
 		Lifecycle:            d.rec.Snapshot(),
@@ -244,20 +248,14 @@ func (d *Device) AuditSlots(held []uint32) error {
 		owner[idx] = who
 		return nil
 	}
-	queues := []struct {
+	for _, qi := range []struct {
 		name string
 		q    *rbq.Queue
 	}{
 		{"free", d.freeList},
 		{"staging", d.staging},
-	}
-	for c, q := range d.submission {
-		queues = append(queues, struct {
-			name string
-			q    *rbq.Queue
-		}{fmt.Sprintf("submission[%s]", qos.Class(c)), q})
-	}
-	for _, qi := range queues {
+		{"submission", d.submission},
+	} {
 		for _, idx := range qi.q.Snapshot() {
 			if err := claim(idx, qi.name); err != nil {
 				return err

@@ -114,7 +114,7 @@ func (d *Device) unstage(r *Request) bool {
 const flushRetries = 64
 
 // toSubmission is the one staging drain step, shared by the submitter's
-// flush and the worker's drain: move a staged index onto its
+// flush and the worker's drain: move a staged index onto the
 // submission queue, or — the retry budget spent — complete it with
 // ErrNoSlots. The slot must not vanish, so the owner gets it back
 // through the normal completion path.
@@ -126,19 +126,17 @@ func (d *Device) toSubmission(idx uint32, nano int64) {
 	}
 }
 
-// enqueueSubmission moves one request index onto its class's submission
-// queue, retrying briefly across transient slab exhaustion. false means
-// the retry budget ran out and the caller must fail the request rather
+// enqueueSubmission moves one request index onto the submission queue,
+// retrying briefly across transient slab exhaustion. false means the
+// retry budget ran out and the caller must fail the request rather
 // than drop it. nano is the caller's flush-pass clock for the flushed
 // stamp (0 with the flight recorder disarmed): flush loops read the
 // clock once per pass instead of once per request, and only a sampled
 // request reads its own.
 func (d *Device) enqueueSubmission(idx uint32, nano int64) bool {
-	class := qos.Foreground
 	var ts *tenantState
 	r, valid := d.req(idx)
 	if valid {
-		class = r.Class
 		ts = d.tenantOf(r)
 		if r.sampled {
 			nano = time.Now().UnixNano()
@@ -148,22 +146,23 @@ func (d *Device) enqueueSubmission(idx uint32, nano int64) bool {
 			// the retrieval-side reader is ordered behind it.
 			r.flushedNs = max(nano, r.submitted.Load())
 		}
+		// Counted before the enqueue, so the worker's decrement at
+		// dispatch (popSubmission) can never run ahead of it and the
+		// backlog never reads below zero.
+		ts.queued.Add(1)
 	}
-	q := d.submission[class]
 	for attempt := 0; ; attempt++ {
 		forced := d.chaos != nil && d.chaos.FlushEnqueue != nil && d.chaos.FlushEnqueue(idx)
 		if !forced {
-			if _, ok := q.Enqueue(idx); ok {
-				if ts != nil {
-					ts.queued.Add(1) // popSubmission decrements at dispatch
-				}
-				d.m.submissionHW.Observe(d.submissionDepth())
+			if _, ok := d.submission.Enqueue(idx); ok {
+				d.m.submissionHW.Observe(int64(d.submission.Size()))
 				return true
 			}
 		}
 		if attempt >= flushRetries {
 			if valid {
 				r.flushedNs = 0 // never flushed: the caller fails it from here
+				ts.queued.Add(-1)
 			}
 			return false
 		}
@@ -172,11 +171,15 @@ func (d *Device) enqueueSubmission(idx uint32, nano int64) bool {
 	}
 }
 
-// submissionDepth sums the per-class submission queue depths.
-func (d *Device) submissionDepth() int64 {
+// backlog counts the requests flushed but not yet dispatched, whether
+// on the submission queue or in the scheduler's buckets: the sum of the
+// tenants' queued counters (Stats sums its own tenant snapshot). It
+// walks the tenant table, so only the monitor tick and outlier capture
+// read it.
+func (d *Device) backlog() int64 {
 	var n int64
-	for _, q := range d.submission {
-		n += int64(q.Size())
+	for _, ts := range *d.tenants.Load() {
+		n += ts.queued.Load()
 	}
 	return n
 }

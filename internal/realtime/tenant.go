@@ -114,7 +114,7 @@ type tenantState struct {
 	// padding keeps it on its own cache line, off the counters the
 	// submitters and finishers write.
 	_      [64]byte
-	queued atomic.Int64 // flushed to submission, not yet dispatched
+	queued atomic.Int64 // flushed, not yet dispatched: the tenant's share of the backlog
 	_      [56]byte
 
 	submitted, completed obs.Counter
@@ -148,7 +148,7 @@ func (d *Device) OpenTenant(cfg TenantConfig) (*Tenant, error) {
 		quota = int64(len(d.reqs))
 	}
 	ts := &tenantState{name: cfg.Name, weight: weight, quota: quota,
-		classLimit: classLimits(d.qos.ClassShares, quota)}
+		classLimit: classLimits(quota)}
 	d.tenantMu.Lock()
 	defer d.tenantMu.Unlock()
 	old := *d.tenants.Load()
@@ -207,6 +207,13 @@ func (d *Device) tenantOf(r *Request) *tenantState { return d.tenant(r.tenant.Lo
 
 // tenantWeight is the scheduler's weight lookup (worker goroutine).
 func (d *Device) tenantWeight(id uint32) int64 { return d.tenant(id).weight }
+
+// owner is the scheduler's bucket lookup (worker goroutine): the class
+// and tenant of the request in slot idx, both set before it was staged.
+func (d *Device) owner(idx uint32) (int, uint32) {
+	r := d.reqs[idx]
+	return int(r.Class), r.tenant.Load()
+}
 
 // Name returns the tenant's configured name.
 func (t *Tenant) Name() string { return t.d.tenant(t.id).name }
@@ -276,7 +283,8 @@ type TenantStats struct {
 	Submitted, Completed, Shed, Canceled int64
 	// InFlight is the live accepted-but-not-terminal count; QueueDepth
 	// the flushed-but-not-yet-dispatched count (submission queue plus
-	// scheduler bucket).
+	// scheduler buckets). The tenants' QueueDepths sum to the device's
+	// SubmissionDepth.
 	InFlight, QueueDepth int64
 	// Latency is the submission-to-completion histogram (ns) of this
 	// tenant alone.

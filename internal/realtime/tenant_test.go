@@ -89,9 +89,9 @@ func TestTenantQuotaAdmissionIsolated(t *testing.T) {
 	stall := make(chan struct{})
 	var once sync.Once
 	d := Open(Options{
-		NumReqs:     32,
-		Controllers: 1,
-		QoS:         QoSOptions{InlineThreshold: -1}, // keep copies off the worker
+		NumReqs:         32,
+		Controllers:     1,
+		InlineThreshold: -1, // keep copies off the worker
 		Chaos: &ChaosHooks{
 			BeforeChunkCopy: func(idx uint32, off, end int) { <-stall },
 		},
@@ -175,8 +175,8 @@ func TestTenantSchedWeightedOrder(t *testing.T) {
 	q := slab.NewQueue(rbq.Blue)
 	owner := map[uint32]uint32{}
 	weights := map[uint32]int64{1: 3, 2: 1}
-	s := newTenantSched([]*rbq.Queue{q},
-		func(idx uint32) uint32 { return owner[idx] },
+	s := newTenantSched(q, 1,
+		func(idx uint32) (int, uint32) { return 0, owner[idx] },
 		func(ten uint32) int64 { return weights[ten] },
 		16)
 
@@ -225,8 +225,8 @@ func TestTenantSchedNoBanking(t *testing.T) {
 	slab := rbq.NewSlab(64)
 	q := slab.NewQueue(rbq.Blue)
 	owner := map[uint32]uint32{}
-	s := newTenantSched([]*rbq.Queue{q},
-		func(idx uint32) uint32 { return owner[idx] },
+	s := newTenantSched(q, 1,
+		func(idx uint32) (int, uint32) { return 0, owner[idx] },
 		func(ten uint32) int64 { return 8 }, // big quantum for everyone
 		16)
 	enq := func(ten uint32, n int, base uint32) {
@@ -274,10 +274,10 @@ func TestTenantCancelAllIsolation(t *testing.T) {
 	stall := make(chan struct{})
 	var once sync.Once
 	d := Open(Options{
-		NumReqs:     32,
-		Controllers: 2,
-		ChunkBytes:  1 << 10,
-		QoS:         QoSOptions{InlineThreshold: -1},
+		NumReqs:         32,
+		Controllers:     2,
+		ChunkBytes:      1 << 10,
+		InlineThreshold: -1,
 		Chaos: &ChaosHooks{
 			BeforeChunkCopy: func(idx uint32, off, end int) { <-stall },
 		},

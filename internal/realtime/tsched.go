@@ -4,16 +4,16 @@ package realtime
 // between tenants inside each priority class, strict priority with the
 // PR 5 aging credit preserved across classes.
 //
-// The lock-free submit path is untouched — submitters still enqueue on
-// the per-class red-blue submission queues. The single-consumer worker
-// drains those queues into worker-local per-(class, tenant) FIFO
-// buckets and serves the buckets with classic DRR: on each visit a
-// tenant's deficit is topped up by its weight (the quantum, in
-// requests), one request costs one deficit unit, and a bucket that
-// empties is deactivated with its deficit reset — no banking while
-// idle. A tenant with weight w therefore gets w consecutive pops per
-// round while backlogged, and the long-run service ratio between
-// backlogged tenants converges to their weight ratio.
+// The lock-free submit path is untouched — submitters still enqueue
+// every class on the device's one red-blue submission queue. The
+// single-consumer worker drains that queue into worker-local
+// per-(class, tenant) FIFO buckets and serves the buckets with classic
+// DRR: on each visit a tenant's deficit is topped up by its weight (the
+// quantum, in requests), one request costs one deficit unit, and a
+// bucket that empties is deactivated with its deficit reset — no
+// banking while idle. A tenant with weight w therefore gets w
+// consecutive pops per round while backlogged, and the long-run service
+// ratio between backlogged tenants converges to their weight ratio.
 //
 // Everything here runs on the worker goroutine only (the same
 // single-consumer discipline the aging credits already relied on), so
@@ -22,28 +22,28 @@ package realtime
 // or exit through that path, which keeps the AuditSlots accounting
 // exact: a parked device holds no indices in scheduler buckets.
 //
-// The type is deliberately self-contained (queues plus two lookup
+// The type is deliberately self-contained (the queue plus two lookup
 // closures) so the linearizability suite can drive the exact production
 // discipline through rbq sched-hook yield points against the
 // internal/check sequential models.
 
 import "memif/internal/rbq"
 
-// tenantSched arbitrates the per-class submission queues across tenants.
+// tenantSched orders the submission queue by class, then across tenants.
 //
 // False-sharing audit note (PR 8): everything below — credits, drrClass
 // maps/slices, drrBucket deficits — is touched by exactly one goroutine,
 // the dispatch worker. Single-writer-single-reader state needs no
 // cache-line padding; the lines live dirty in the worker's L1 and no
-// other core ever requests them. Only the shared rbq queues it drains
-// carry cross-core traffic, and those are padded in rbq.Queue itself.
+// other core ever requests them. Only the shared rbq queue it drains
+// carries cross-core traffic, and that is padded in rbq.Queue itself.
 type tenantSched struct {
-	queues   []*rbq.Queue              // per-class submission queues (shared, lock-free)
-	tenantOf func(idx uint32) uint32   // slot index -> owning tenant id
-	weightOf func(tenant uint32) int64 // tenant id -> DRR quantum (requests/round)
-	aging    int64                     // pops a lower class may be passed over
-	credits  []int64                   // per-class aging credits
-	classes  []drrClass                // per-class worker-local DRR state
+	queue    *rbq.Queue                                  // the submission queue (shared, lock-free)
+	owner    func(idx uint32) (class int, tenant uint32) // slot index -> its class and tenant
+	weightOf func(tenant uint32) int64                   // tenant id -> DRR quantum (requests/round)
+	aging    int64                                       // pops a lower class may be passed over
+	credits  []int64                                     // per-class aging credits
+	classes  []drrClass                                  // per-class worker-local DRR state
 }
 
 // drrClass is one priority class's DRR round: the set of tenants with
@@ -62,14 +62,14 @@ type drrBucket struct {
 	deficit int64
 }
 
-func newTenantSched(queues []*rbq.Queue, tenantOf func(uint32) uint32, weightOf func(uint32) int64, aging int64) *tenantSched {
+func newTenantSched(queue *rbq.Queue, numClasses int, owner func(uint32) (int, uint32), weightOf func(uint32) int64, aging int64) *tenantSched {
 	s := &tenantSched{
-		queues:   queues,
-		tenantOf: tenantOf,
+		queue:    queue,
+		owner:    owner,
 		weightOf: weightOf,
 		aging:    aging,
-		credits:  make([]int64, len(queues)),
-		classes:  make([]drrClass, len(queues)),
+		credits:  make([]int64, numClasses),
+		classes:  make([]drrClass, numClasses),
 	}
 	for c := range s.classes {
 		s.classes[c].buckets = make(map[uint32]*drrBucket)
@@ -77,19 +77,18 @@ func newTenantSched(queues []*rbq.Queue, tenantOf func(uint32) uint32, weightOf 
 	return s
 }
 
-// drain moves everything currently on the shared submission queues into
+// drain moves everything currently on the shared submission queue into
 // the worker-local buckets. Dequeue observing empty is a linearization
 // point, so any enqueue that completed before the caller's pop began is
 // guaranteed to be included.
 func (s *tenantSched) drain() {
-	for c := range s.queues {
-		for {
-			idx, _, ok := s.queues[c].Dequeue()
-			if !ok {
-				break
-			}
-			s.classes[c].push(s.tenantOf(idx), idx)
+	for {
+		idx, _, ok := s.queue.Dequeue()
+		if !ok {
+			return
 		}
+		class, tenant := s.owner(idx)
+		s.classes[class].push(tenant, idx)
 	}
 }
 

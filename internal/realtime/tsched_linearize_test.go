@@ -1,8 +1,8 @@
 package realtime
 
 // Linearizability of the production submission scheduler: concurrent
-// submitters enqueue on the shared red-blue class queues while the
-// worker pops through tenantSched, with every rbq operation yielding to
+// submitters enqueue every class on the one shared red-blue submission
+// queue while the worker pops through tenantSched, with every rbq operation yielding to
 // the deterministic scheduler. Each history must linearize against the
 // sequential models in internal/check — SubmissionModel for the
 // single-tenant priority+aging discipline, DRRSubmissionModel for the
@@ -17,9 +17,19 @@ import (
 	"memif/internal/rbq"
 )
 
-// tsValue encodes ownership in the value itself so the tenant lookup
+// tsTenantOf encodes ownership in the value itself so the owner lookup
 // needs no shared mutable state: value v belongs to tenant v/100.
 func tsTenantOf(v uint32) uint32 { return v / 100 }
+
+// drrOwner is runTenantSchedDRR's owner lookup: tenants 1 and 2 submit
+// foreground, tenant 3 background.
+func drrOwner(v uint32) (int, uint32) {
+	ten := tsTenantOf(v)
+	if ten == 3 {
+		return 1, ten
+	}
+	return 0, ten
+}
 
 // runTenantSchedDRR drives the real scheduler under one seed: three
 // tenants across two classes, tenant 1 at weight 2, and checks the
@@ -32,32 +42,29 @@ func runTenantSchedDRR(seed int64) error {
 		return 1
 	}
 	const numClasses = 2
-	slab := rbq.NewSlab(512)
-	queues := make([]*rbq.Queue, numClasses)
-	for i := range queues {
-		queues[i] = slab.NewQueue(rbq.Blue)
-	}
-	sched := newTenantSched(queues, tsTenantOf, weightOf, 3)
+	queue := rbq.NewSlab(512).NewQueue(rbq.Blue)
+	sched := newTenantSched(queue, numClasses, drrOwner, weightOf, 3)
 
 	hist := check.NewHistory(4)
 	s := check.NewSched(seed)
 	rbq.SetSchedHook(s.YieldHook())
 	defer rbq.SetSchedHook(nil)
 
-	push := func(t *check.Thread, client, class int, vals ...uint32) {
+	push := func(t *check.Thread, client int, vals ...uint32) {
 		for _, v := range vals {
 			v := v
-			hist.Record(client, check.TOp{Push: true, Class: class, Tenant: tsTenantOf(v), V: v}, func() any {
-				_, ok := queues[class].Enqueue(v)
+			class, ten := drrOwner(v)
+			hist.Record(client, check.TOp{Push: true, Class: class, Tenant: ten, V: v}, func() any {
+				_, ok := queue.Enqueue(v)
 				return check.TRes{Ok: ok}
 			})
 			t.Yield()
 		}
 	}
-	s.Go(func(t *check.Thread) { push(t, 0, 0, 100, 101, 102) }) // tenant 1, foreground
-	s.Go(func(t *check.Thread) { push(t, 1, 0, 200, 201) })      // tenant 2, foreground
-	s.Go(func(t *check.Thread) { push(t, 2, 1, 300, 301) })      // tenant 3, background
-	s.Go(func(t *check.Thread) {                                 // the worker
+	s.Go(func(t *check.Thread) { push(t, 0, 100, 101, 102) }) // tenant 1, foreground
+	s.Go(func(t *check.Thread) { push(t, 1, 200, 201) })      // tenant 2, foreground
+	s.Go(func(t *check.Thread) { push(t, 2, 300, 301) })      // tenant 3, background
+	s.Go(func(t *check.Thread) {                              // the worker
 		for i := 0; i < 10; i++ {
 			hist.Record(3, check.TOp{}, func() any {
 				idx, ten, aged, ok := sched.pop()
@@ -82,12 +89,11 @@ func runTenantSchedDRR(seed int64) error {
 // layer preserves the PR 5 discipline exactly.
 func runTenantSchedSingle(seed int64) error {
 	const numClasses = 3
-	slab := rbq.NewSlab(512)
-	queues := make([]*rbq.Queue, numClasses)
-	for i := range queues {
-		queues[i] = slab.NewQueue(rbq.Blue)
-	}
-	sched := newTenantSched(queues, func(uint32) uint32 { return 0 }, func(uint32) int64 { return 1 }, 2)
+	queue := rbq.NewSlab(512).NewQueue(rbq.Blue)
+	// Value 10*(class+1)+i is the i-th push at class: the class is the
+	// value's tens digit less one, and every value belongs to tenant 0.
+	owner := func(v uint32) (int, uint32) { return int(v/10) - 1, 0 }
+	sched := newTenantSched(queue, numClasses, owner, func(uint32) int64 { return 1 }, 2)
 
 	hist := check.NewHistory(4)
 	s := check.NewSched(seed)
@@ -100,7 +106,7 @@ func runTenantSchedSingle(seed int64) error {
 			for i := 0; i < 3; i++ {
 				v := uint32(10*(class+1) + i)
 				hist.Record(class, check.TOp{Push: true, Class: class, V: v}, func() any {
-					_, ok := queues[class].Enqueue(v)
+					_, ok := queue.Enqueue(v)
 					return check.TRes{Ok: ok}
 				})
 				t.Yield()

@@ -247,16 +247,18 @@ type RealtimeDevice = realtime.Device
 type RealtimeRequest = realtime.Request
 
 // RealtimeOptions sizes a realtime device: request slots, transfer
-// controllers, the chunking threshold, tracing, the QoS knobs and the
-// flight recorder. Construct it with
-// DefaultRealtimeOptions and override fields.
+// controllers, the chunking threshold, tracing, the initial
+// inline-completion threshold and the flight recorder. Construct it
+// with DefaultRealtimeOptions and override fields.
 type RealtimeOptions = realtime.Options
 
 // DefaultRealtimeOptions mirrors the EDMA3-ish defaults, including
-// min(4, GOMAXPROCS) transfer controllers and 256 KB chunking. QoS
-// fields left zero take their documented defaults (foreground never
-// shed, background past 85% occupancy, scavenger past 50%; adaptive
-// inline completion on).
+// min(4, GOMAXPROCS) transfer controllers and 256 KB chunking.
+// InlineThreshold left zero starts adaptive inline completion at
+// 32 KiB; admission always sheds at DefaultRealtimeClassShares
+// (foreground never, background past 85% occupancy, scavenger past
+// 50%). The dispatch aging credit (16) and the retune cadence (512
+// dispatches) are constants.
 func DefaultRealtimeOptions() RealtimeOptions { return realtime.DefaultOptions() }
 
 // OpenRealtime starts a realtime device.
@@ -280,12 +282,6 @@ const (
 
 // NumClasses is the number of priority classes.
 const NumClasses = qos.NumClasses
-
-// RealtimeQoSOptions tunes admission control (per-class occupancy
-// shares) and the initial adaptive inline-completion threshold of a
-// realtime device (RealtimeOptions.QoS). The dispatch aging credit (16)
-// and the retune cadence (512 dispatches) are constants.
-type RealtimeQoSOptions = realtime.QoSOptions
 
 // DefaultRealtimeClassShares returns the default per-class occupancy
 // thresholds: foreground 1.0 (never shed), background 0.85, scavenger

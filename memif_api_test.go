@@ -162,10 +162,6 @@ func TestFacadeSymbolCoverage(t *testing.T) {
 	if shares[memif.Foreground] != 1.0 || shares[memif.Scavenger] >= shares[memif.Background] {
 		t.Errorf("default class shares out of order: %v", shares)
 	}
-	var qos memif.RealtimeQoSOptions
-	qos.InlineThreshold = -1
-	_ = qos
-
 	for _, err := range []error{memif.ErrCanceled, memif.ErrDeadline, memif.ErrNoSlots,
 		memif.ErrOverload, memif.ErrClosed, memif.ErrBadSizes} {
 		if err == nil || err.Error() == "" {
@@ -637,7 +633,6 @@ func TestOptionsSnapshot(t *testing.T) {
 	for name, v := range map[string]any{
 		"Options":              memif.Options{},
 		"RealtimeOptions":      memif.RealtimeOptions{},
-		"RealtimeQoSOptions":   memif.RealtimeQoSOptions{},
 		"FlightOptions":        memif.FlightOptions{},
 		"RealtimeTenantConfig": memif.RealtimeTenantConfig{},
 		"SwapOptions":          memif.SwapOptions{},
