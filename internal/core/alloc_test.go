@@ -167,11 +167,12 @@ func TestDataPathAllocGate(t *testing.T) {
 // benchmark's 4k16 phase, a 16-page 4 KiB migration ping-pong with four in
 // flight. Per page the driver moves a reverse mapping, builds the page's
 // mapping list, checks the migration claim and charges phases, and none of
-// that allocates; what is left is per request (the inflight record, its
-// page, segment and sub-transfer lists, the page-table slot list, the
-// transfer). One allocation per page brought back costs 16 and fails here.
+// that allocates; per request it reuses a recycled inflight record with
+// its page, segment, sub-transfer and slot lists, recycled transfers and,
+// for an interrupt, a pooled handler coroutine. Anything that allocates per
+// request again fails here.
 func TestMigrateAllocGate(t *testing.T) {
-	const budget = 8 // allocations per request
+	const budget = 0 // allocations per request
 	m, l := newMoveLoop(uapi.OpMigrate, 4, 16, hw.Page4K)
 	const warm, reqs = 64, 1024
 	var perReq uint64
@@ -187,6 +188,65 @@ func TestMigrateAllocGate(t *testing.T) {
 	})
 	m.Eng.Run()
 	t.Logf("%d allocations per request", perReq)
+	if perReq > budget {
+		t.Errorf("%d allocations per request, budget %d", perReq, budget)
+	}
+}
+
+// backgroundFill submits one 512 KiB Background replicate of src onto dst
+// and waits for it: the streaming runtime's fill, a train of eight
+// channel quanta whose last completes by interrupt.
+func backgroundFill(tb testing.TB, d *Device, p *sim.Proc, src, dst int64) {
+	r := d.AllocRequest(p)
+	r.Op, r.SrcBase, r.DstBase, r.Length, r.Class = uapi.OpReplicate, src, dst, fillBytes, uapi.ClassBackground
+	if err := d.Submit(p, r); err != nil {
+		tb.Fatal(err)
+	}
+	for d.RetrieveCompleted(p) == nil {
+		d.Poll(p, 0)
+	}
+	if r.Status != uapi.StatusDone {
+		tb.Fatalf("fill: %v", r)
+	}
+	d.FreeRequest(p, r)
+}
+
+const fillBytes = 512 << 10
+
+// TestBackgroundFillAllocGate holds the interrupt-completed Background
+// fill (backgroundFill, BenchmarkBackgroundFill's shape) to what it
+// allocates per request in steady state, counted in allocations: its
+// record, its eight transfers and its interrupt handler's coroutine are
+// all reused, so the budget is 0. It checks that every fill raised its
+// interrupt, so the handler path is the one measured.
+func TestBackgroundFillAllocGate(t *testing.T) {
+	const budget = 0 // allocations per request
+	m := machine.New(hw.KeyStoneII())
+	d := Open(m, m.NewAddressSpace(4096), DefaultOptions())
+	const warm, reqs = 16, 512
+	var perReq, irqs uint64
+	m.Eng.Spawn("app", func(p *sim.Proc) {
+		defer d.Close()
+		src, _ := d.AS.Mmap(p, fillBytes, hw.NodeSlow, "src")
+		dst, _ := d.AS.Mmap(p, fillBytes, hw.NodeFast, "dst")
+		for i := 0; i < warm; i++ {
+			backgroundFill(t, d, p, src, dst)
+		}
+		irq0 := d.M.DMA.Stats().IRQs
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		for i := 0; i < reqs; i++ {
+			backgroundFill(t, d, p, src, dst)
+		}
+		runtime.ReadMemStats(&after)
+		perReq = (after.Mallocs - before.Mallocs) / reqs
+		irqs = uint64(d.M.DMA.Stats().IRQs - irq0)
+	})
+	m.Eng.Run()
+	t.Logf("%d allocations per request", perReq)
+	if irqs != reqs {
+		t.Errorf("%d interrupts over %d fills: not the interrupt path", irqs, reqs)
+	}
 	if perReq > budget {
 		t.Errorf("%d allocations per request, budget %d", perReq, budget)
 	}

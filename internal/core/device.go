@@ -49,11 +49,14 @@ type Device struct {
 
 	// pipe holds the polled requests the worker has started and not yet
 	// reaped, oldest first; at most pipeDepth (worker.go).
-	pipe []*inflight
+	pipe []infRef
 
 	// recoverMap resolves a faulting PTE slot back to its in-flight
 	// migration (RaceRecover mode).
-	recoverMap map[*slotKey]*inflight
+	recoverMap map[*slotKey]infRef
+
+	// free holds recycled inflight records for take (driver.go).
+	free []*inflight
 
 	// subStarted, when a test sets it, observes every sub-transfer the
 	// moment startTrain has put it on the channel.
@@ -92,7 +95,7 @@ func Open(m *machine.Machine, as *vm.AddressSpace, opts Options) *Device {
 		Breakdown:  stats.NewBreakdown(),
 		workSignal: sim.NewCond(m.Eng),
 		notifySig:  sim.NewCond(m.Eng),
-		recoverMap: make(map[*slotKey]*inflight),
+		recoverMap: make(map[*slotKey]infRef),
 	}
 	if opts.RaceMode == RaceRecover {
 		as.SetFaultHandler(d.handleRecoverFault)

@@ -3,6 +3,7 @@ package core
 import (
 	"errors"
 	"fmt"
+
 	"memif/internal/dma"
 	"memif/internal/hw"
 	"memif/internal/pagetable"
@@ -51,14 +52,24 @@ type pageMove struct {
 }
 
 // inflight is one request being served: its pages, its DMA segments, and
-// completion state.
+// completion state. Records are recycled per Device (take, recycle) with
+// their lists kept at capacity, so a steady stream of requests allocates
+// none; gen tells one use of a record from the next (infRef).
 type inflight struct {
+	d       *Device
+	gen     uint64       // bumped by every recycle
+	irqGen  uint64       // the generation whose completion interrupt is armed; 0 when none
+	onIRQ   func()       // the completion interrupt, bound once: inf.irq
+	irqBody sim.ProcFunc // the interrupt handler's body, bound once: inf.handleIRQ
+
 	req      *uapi.MovReq
-	pages    []pageMove      // migrations only
-	segs     []dma.Segment   // everything the request copies, one per page
-	subs     []*dma.Transfer // the train: sub-transfers started so far, in order
-	pinned   bool            // the request holds a pin on every frame of segs
-	aborted  bool            // recover-mode fault handler took over
+	pages    []pageMove        // migrations only
+	segs     []dma.Segment     // everything the request copies, one per page
+	subs     []*dma.Transfer   // the train: sub-transfers started so far, in order
+	slots    []*pagetable.Slot // Prep's lookup of the source region
+	dstSlots []*pagetable.Slot // and of a replication's destination
+	pinned   bool              // the request holds a pin on every frame of segs
+	aborted  bool              // recover-mode fault handler took over
 	released bool
 	txn      bool // transactional migration (ReqTxn)
 	keepSrc  bool // retain committed source frames as shadow copies
@@ -66,6 +77,85 @@ type inflight struct {
 	// Migration claim to drop once the move ends (success or abort).
 	claimVPN uint64
 	claimN   int
+}
+
+// reservePages returns the record's page list emptied, with room for n
+// pages: remap and prepareTxn build each page in place and point its
+// mapping list into it, so the array must not move while they append.
+func (inf *inflight) reservePages(n int) []pageMove {
+	if cap(inf.pages) < n {
+		return make([]pageMove, 0, n)
+	}
+	return inf.pages[:0]
+}
+
+// infRef is a deferred use of an inflight record — a worker pipeline
+// entry, a recover-map entry, an armed completion interrupt — pinned to
+// the generation it was made under. get panics if the record has been
+// recycled since: the stale use would act on another request.
+type infRef struct {
+	inf *inflight
+	gen uint64
+}
+
+func (inf *inflight) ref() infRef { return infRef{inf, inf.gen} }
+
+func (r infRef) get() *inflight {
+	if r.inf.gen != r.gen {
+		panic(fmt.Sprintf("memif: stale use of a request record: generation %d, recycled to %d", r.gen, r.inf.gen))
+	}
+	return r.inf
+}
+
+// take returns a record for req with its lists empty: a recycled one, or
+// a new one whose interrupt callback and handler body are bound once for
+// every later use.
+func (d *Device) take(req *uapi.MovReq) *inflight {
+	var inf *inflight
+	if n := len(d.free); n > 0 {
+		inf = d.free[n-1]
+		d.free[n-1] = nil
+		d.free = d.free[:n-1]
+	} else {
+		inf = &inflight{d: d, gen: 1}
+		inf.onIRQ = inf.irq
+		inf.irqBody = inf.handleIRQ
+	}
+	inf.req = req
+	return inf
+}
+
+// recycle hands inf, and the transfers of its train, back for reuse under
+// a new generation. The caller holds the last reference (DESIGN.md §7):
+// prepare when the request failed before anything else saw it, and retire
+// after finish.
+func (d *Device) recycle(inf *inflight) {
+	for _, t := range inf.subs {
+		d.M.DMA.Recycle(t)
+	}
+	inf.gen++ // an interrupt still armed for the old generation now panics
+	inf.req = nil
+	// The lists keep their arrays, cleared so that they pin nothing of
+	// this use: subs would otherwise alias the transfers' next users.
+	clear(inf.pages)
+	clear(inf.segs)
+	clear(inf.subs)
+	clear(inf.slots)
+	clear(inf.dstSlots)
+	inf.pages, inf.segs, inf.subs = inf.pages[:0], inf.segs[:0], inf.subs[:0]
+	inf.slots, inf.dstSlots = inf.slots[:0], inf.dstSlots[:0]
+	inf.pinned, inf.aborted, inf.released, inf.txn, inf.keepSrc = false, false, false, false, false
+	inf.claimVPN, inf.claimN = 0, 0
+	d.free = append(d.free, inf)
+}
+
+// retire recycles inf once finish has released it. A record the recover
+// handler aborted is left to the GC: the transfers it dropped may still be
+// on the calendar and its completion interrupt may still be due.
+func (d *Device) retire(inf *inflight) {
+	if inf.released && !inf.aborted {
+		d.recycle(inf)
+	}
 }
 
 // last returns the newest sub-transfer started for the request. Once
@@ -177,6 +267,7 @@ func (d *Device) serveReq(p *sim.Proc, m *sim.Meter, ctx execCtx, req *uapi.MovR
 	// false tells the syscall path to wake the worker itself.
 	if inf.txn && len(inf.segs) == 0 {
 		d.finish(p, m, inf)
+		d.retire(inf)
 		return false
 	}
 	inf.pin()
@@ -192,7 +283,7 @@ func (d *Device) serveReq(p *sim.Proc, m *sim.Meter, ctx execCtx, req *uapi.MovR
 		if len(d.pipe) > 0 {
 			d.stats.Overlapped++
 		}
-		d.pipe = append(d.pipe, inf)
+		d.pipe = append(d.pipe, inf.ref())
 	}
 	return true
 }
@@ -201,8 +292,7 @@ func (d *Device) serveReq(p *sim.Proc, m *sim.Meter, ctx execCtx, req *uapi.MovR
 // for migrations, Remap. It returns the inflight state or a failure code.
 func (d *Device) prepare(p *sim.Proc, m *sim.Meter, req *uapi.MovReq) (*inflight, uapi.ErrCode) {
 	as := d.AS
-	pb := as.PageBytes
-	if req.Length <= 0 || req.Length%pb != 0 {
+	if req.Length <= 0 || req.Length%as.PageBytes != 0 {
 		return nil, uapi.ErrBadRequest
 	}
 	// The class becomes the transfer's DMA queue priority; the request
@@ -213,72 +303,80 @@ func (d *Device) prepare(p *sim.Proc, m *sim.Meter, req *uapi.MovReq) (*inflight
 	if as.CheckRegion(req.SrcBase, req.Length) != nil {
 		return nil, uapi.ErrBadRequest
 	}
-	n := int(req.Length / pb)
-
+	inf := d.take(req)
+	errc := uapi.ErrBadRequest
 	switch req.Op {
 	case uapi.OpReplicate:
-		if as.CheckRegion(req.DstBase, req.Length) != nil {
-			return nil, uapi.ErrBadRequest
-		}
-		src, ok := d.lookupRegion(p, m, req.SrcBase, n)
-		if !ok {
-			return nil, uapi.ErrBadRequest
-		}
-		dst, ok := d.lookupRegion(p, m, req.DstBase, n)
-		if !ok {
-			return nil, uapi.ErrBadRequest
-		}
-		segs := make([]dma.Segment, n)
-		for i := 0; i < n; i++ {
-			sf, okS := as.Mem.Lookup(src[i].Load().Frame())
-			df, okD := as.Mem.Lookup(dst[i].Load().Frame())
-			if !okS || !okD {
-				return nil, uapi.ErrBadRequest
-			}
-			segs[i] = dma.Segment{Src: sf, Dst: df, Bytes: pb}
-		}
-		return &inflight{req: req, segs: segs}, uapi.ErrNone
-
+		errc = d.prepareReplicate(p, m, inf)
 	case uapi.OpMigrate:
-		if !d.hasNode(req.DstNode) {
-			return nil, uapi.ErrBadRequest
-		}
-		// Take the per-page migration claim (the page-lock role): a
-		// concurrent move of any overlapping page — from this device
-		// or another on the same address space — bounces with EAGAIN.
-		vpn := as.VPN(req.SrcBase)
-		if !as.MigClaim(vpn, n) {
-			return nil, uapi.ErrBusy
-		}
-		slots, ok := d.lookupRegion(p, m, req.SrcBase, n)
-		if !ok {
-			as.MigRelease(vpn, n)
-			return nil, uapi.ErrBadRequest
-		}
-		if req.Flags&uapi.ReqTxn != 0 {
-			inf := &inflight{
-				req: req, claimVPN: vpn, claimN: n,
-				txn: true, keepSrc: req.Flags&uapi.ReqKeepSrc != 0,
-			}
-			if errc := d.prepareTxn(p, m, inf, slots, req); errc != uapi.ErrNone {
-				as.MigRelease(vpn, n)
-				return nil, errc
-			}
-			return inf, uapi.ErrNone
-		}
-		inf := &inflight{req: req, claimVPN: vpn, claimN: n}
-		if errc := d.remap(p, m, inf, slots, req); errc != uapi.ErrNone {
-			as.MigRelease(vpn, n)
-			return nil, errc
-		}
-		inf.segs = make([]dma.Segment, n)
-		for i, pg := range inf.pages {
-			inf.segs[i] = dma.Segment{Src: pg.oldFrame, Dst: pg.newFrame, Bytes: pb}
-		}
-		return inf, uapi.ErrNone
-	default:
-		return nil, uapi.ErrBadRequest
+		errc = d.prepareMigrate(p, m, inf)
 	}
+	if errc != uapi.ErrNone {
+		// Nothing else saw the record: the rollbacks have taken back the
+		// PTEs, recover-map entries and frames, and the claim goes here.
+		inf.dropClaim(as)
+		d.recycle(inf)
+		return nil, errc
+	}
+	return inf, uapi.ErrNone
+}
+
+// prepareReplicate looks up both regions and builds one segment per page.
+func (d *Device) prepareReplicate(p *sim.Proc, m *sim.Meter, inf *inflight) uapi.ErrCode {
+	as, req := d.AS, inf.req
+	if as.CheckRegion(req.DstBase, req.Length) != nil {
+		return uapi.ErrBadRequest
+	}
+	n := int(req.Length / as.PageBytes)
+	var ok bool
+	if inf.slots, ok = d.lookupRegion(p, m, inf.slots, req.SrcBase, n); !ok {
+		return uapi.ErrBadRequest
+	}
+	if inf.dstSlots, ok = d.lookupRegion(p, m, inf.dstSlots, req.DstBase, n); !ok {
+		return uapi.ErrBadRequest
+	}
+	for i := 0; i < n; i++ {
+		sf, okS := as.Mem.Lookup(inf.slots[i].Load().Frame())
+		df, okD := as.Mem.Lookup(inf.dstSlots[i].Load().Frame())
+		if !okS || !okD {
+			return uapi.ErrBadRequest
+		}
+		inf.segs = append(inf.segs, dma.Segment{Src: sf, Dst: df, Bytes: as.PageBytes})
+	}
+	return uapi.ErrNone
+}
+
+// prepareMigrate takes the migration claim, looks up the region and
+// performs Remap, or the transactional prepare.
+func (d *Device) prepareMigrate(p *sim.Proc, m *sim.Meter, inf *inflight) uapi.ErrCode {
+	as, req := d.AS, inf.req
+	if !d.hasNode(req.DstNode) {
+		return uapi.ErrBadRequest
+	}
+	// Take the per-page migration claim (the page-lock role): a
+	// concurrent move of any overlapping page — from this device or
+	// another on the same address space — bounces with EAGAIN.
+	n := int(req.Length / as.PageBytes)
+	vpn := as.VPN(req.SrcBase)
+	if !as.MigClaim(vpn, n) {
+		return uapi.ErrBusy
+	}
+	inf.claimVPN, inf.claimN = vpn, n
+	var ok bool
+	if inf.slots, ok = d.lookupRegion(p, m, inf.slots, req.SrcBase, n); !ok {
+		return uapi.ErrBadRequest
+	}
+	if req.Flags&uapi.ReqTxn != 0 {
+		inf.txn, inf.keepSrc = true, req.Flags&uapi.ReqKeepSrc != 0
+		return d.prepareTxn(p, m, inf, inf.slots, req)
+	}
+	if errc := d.remap(p, m, inf, inf.slots, req); errc != uapi.ErrNone {
+		return errc
+	}
+	for _, pg := range inf.pages {
+		inf.segs = append(inf.segs, dma.Segment{Src: pg.oldFrame, Dst: pg.newFrame, Bytes: as.PageBytes})
+	}
+	return uapi.ErrNone
 }
 
 func (d *Device) hasNode(id hw.NodeID) bool {
@@ -292,20 +390,19 @@ func (d *Device) hasNode(id hw.NodeID) bool {
 
 // lookupRegion performs the Prep operation: locate the PTE slots of all
 // pages in the region, with gang lookup (Section 5.1) or, when disabled
-// for ablation, a full vertical walk per page.
-func (d *Device) lookupRegion(p *sim.Proc, m *sim.Meter, base int64, n int) ([]*pagetable.Slot, bool) {
+// for ablation, a full vertical walk per page. The slots are appended to
+// slots, the record's own list, which is returned also on failure.
+func (d *Device) lookupRegion(p *sim.Proc, m *sim.Meter, slots []*pagetable.Slot, base int64, n int) ([]*pagetable.Slot, bool) {
 	as := d.AS
 	cost := &d.M.Plat.Cost
 	vpn := as.VPN(base)
-	var slots []*pagetable.Slot
 	var wst pagetable.WalkStats
 	if d.opts.GangLookup {
-		slots, wst = as.Table.GangLookup(vpn, n)
+		slots, wst = as.Table.GangLookup(slots, vpn, n)
 	} else {
-		slots = make([]*pagetable.Slot, n)
 		for i := 0; i < n; i++ {
 			s, st := as.Table.Lookup(vpn + uint64(i))
-			slots[i] = s
+			slots = append(slots, s)
 			wst.Add(st)
 		}
 	}
@@ -313,7 +410,7 @@ func (d *Device) lookupRegion(p *sim.Proc, m *sim.Meter, base int64, n int) ([]*
 		int64(wst.Verticals)*cost.PageLookupVertical+int64(wst.Horizontals)*cost.PageLookupHorizontal)
 	for _, s := range slots {
 		if s == nil || !s.Load().Has(pagetable.FlagPresent) {
-			return nil, false
+			return slots, false
 		}
 	}
 	return slots, true
@@ -343,7 +440,7 @@ func (d *Device) remap(p *sim.Proc, m *sim.Meter, inf *inflight, slots []*pageta
 	perMapping := cost.PTEReplace + cost.TLBFlushPage + cost.RmapBook
 	var remapNS int64
 
-	inf.pages = make([]pageMove, 0, len(slots))
+	inf.pages = inf.reservePages(len(slots))
 	for i, slot := range slots {
 		old := slot.Load()
 		oldFrame, ok := as.Mem.Lookup(old.Frame())
@@ -392,7 +489,7 @@ func (d *Device) remap(p *sim.Proc, m *sim.Meter, inf *inflight, slots []*pageta
 			pg.maps[j].slot.Store(installed)
 			pg.maps[j].as.InvalidatePage(pg.maps[j].vpn)
 			if d.opts.RaceMode == RaceRecover {
-				d.recoverMap[pg.maps[j].slot] = inf
+				d.recoverMap[pg.maps[j].slot] = inf.ref()
 			}
 		}
 		remapNS += cost.PageAlloc + int64(len(pg.maps))*perMapping
@@ -415,9 +512,8 @@ func (d *Device) prepareTxn(p *sim.Proc, m *sim.Meter, inf *inflight, slots []*p
 	cost := &d.M.Plat.Cost
 	pb := as.PageBytes
 	var ns int64
-	var segs []dma.Segment
 
-	inf.pages = make([]pageMove, 0, len(slots))
+	inf.pages = inf.reservePages(len(slots))
 	for i, slot := range slots {
 		old := slot.Load()
 		oldFrame, ok := as.Mem.Lookup(old.Frame())
@@ -478,11 +574,10 @@ func (d *Device) prepareTxn(p *sim.Proc, m *sim.Meter, inf *inflight, slots []*p
 			}
 			pg.newFrame = newFrame
 			ns += cost.PageAlloc
-			segs = append(segs, dma.Segment{Src: oldFrame, Dst: newFrame, Bytes: pb})
+			inf.segs = append(inf.segs, dma.Segment{Src: oldFrame, Dst: newFrame, Bytes: pb})
 		}
 	}
 	d.busy(p, m, stats.PhaseRemap, ns)
-	inf.segs = segs
 	return uapi.ErrNone
 }
 
@@ -499,7 +594,7 @@ func (d *Device) rollbackTxnPrep(p *sim.Proc, m *sim.Meter, inf *inflight) {
 		}
 	}
 	d.busy(p, m, stats.PhaseRemap, ns)
-	inf.pages = nil
+	inf.pages = inf.pages[:0]
 }
 
 // rollbackRemap undoes partially completed remaps after a mid-request
@@ -532,7 +627,7 @@ func (d *Device) rollbackRemap(p *sim.Proc, m *sim.Meter, inf *inflight) {
 		}
 	}
 	d.busy(p, m, stats.PhaseRemap, ns)
-	inf.pages = nil
+	inf.pages = inf.pages[:0]
 }
 
 // subPages is how many pages one sub-transfer of a request of class c
@@ -566,7 +661,7 @@ func (d *Device) subPages(c uapi.Class) int {
 // started so far.
 func (d *Device) startTrain(p *sim.Proc, m *sim.Meter, inf *inflight, irq bool) bool {
 	per := d.subPages(inf.req.Class)
-	inf.subs = make([]*dma.Transfer, 0, (len(inf.segs)+per-1)/per)
+	inf.subs = inf.subs[:0]
 	for rest := inf.segs; len(rest) > 0; {
 		batch := rest[:min(per, len(rest))]
 		rest = rest[len(batch):]
@@ -582,7 +677,8 @@ func (d *Device) startTrain(p *sim.Proc, m *sim.Meter, inf *inflight, irq bool) 
 		d.Breakdown.Add(stats.PhaseCopy,
 			d.M.Plat.DMATransferNS(tr.Bytes(), batch[0].Src.Node, batch[0].Dst.Node))
 		if irq && len(rest) == 0 {
-			d.M.DMA.Start(tr, true, func() { d.irqComplete(inf) })
+			inf.irqGen = inf.gen
+			d.M.DMA.Start(tr, true, inf.onIRQ)
 		} else {
 			d.M.DMA.Start(tr, false, nil)
 		}
@@ -843,10 +939,11 @@ func (d *Device) complete(p *sim.Proc, m *sim.Meter, req *uapi.MovReq, errc uapi
 // the DMA, restores the original mappings of the whole request, and posts
 // an aborted completion. Runs in the faulting application's context.
 func (d *Device) handleRecoverFault(p *sim.Proc, addr int64, slot *pagetable.Slot, write bool) bool {
-	inf, ok := d.recoverMap[slot]
+	ref, ok := d.recoverMap[slot]
 	if !ok {
 		return false
 	}
+	inf := ref.get()
 	// Claim the in-flight migration *before* spending any time: the
 	// release path may be racing us off the transfer's completion. If
 	// it already claimed (released), the final PTEs are in place — let

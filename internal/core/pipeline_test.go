@@ -250,10 +250,10 @@ func TestRecoverAbortsQueuedTransfer(t *testing.T) {
 		head := b.replicate(src, dst, big)
 		victim := b.migrate(region, small, hw.NodeFast)
 		b.waitFor("victim queued behind the head", func() bool {
-			return len(d.pipe) == 2 && d.pipe[1].last().State() == dma.StateQueued
+			return len(d.pipe) == 2 && d.pipe[1].get().last().State() == dma.StateQueued
 		})
-		if d.pipe[0].last().State() != dma.StateActive {
-			t.Fatalf("head transfer is %v", d.pipe[0].last().State())
+		if d.pipe[0].get().last().State() != dma.StateActive {
+			t.Fatalf("head transfer is %v", d.pipe[0].get().last().State())
 		}
 		if err := d.AS.Write(p, region, []byte{1}); err != nil {
 			t.Fatal(err)
@@ -290,8 +290,8 @@ func TestRecoverAbortsHeadDuringPrepareOfNext(t *testing.T) {
 		head := b.migrate(regA, n, hw.NodeFast)
 		next := b.migrate(regB, n, hw.NodeFast)
 		b.waitFor("head active, next in prepare", func() bool {
-			return len(d.pipe) == 1 && d.pipe[0].req == head &&
-				d.pipe[0].last().State() == dma.StateActive &&
+			return len(d.pipe) == 1 && d.pipe[0].get().req == head &&
+				d.pipe[0].get().last().State() == dma.StateActive &&
 				next.Status == uapi.StatusInFlight
 		})
 		if err := d.AS.Write(p, regA+4096, []byte{1}); err != nil {

@@ -380,30 +380,19 @@ func TestCloseWithTrainInFlight(t *testing.T) {
 
 // BenchmarkBackgroundFill is the simulator's host cost of one 512 KiB
 // Background replicate — the streaming runtime's fill — served by the
-// worker: a train of eight must not cost eight requests' allocations.
+// worker: a train of eight must not cost eight requests' allocations
+// (TestBackgroundFillAllocGate holds it to none).
 func BenchmarkBackgroundFill(b *testing.B) {
 	m := machine.New(hw.KeyStoneII())
 	d := Open(m, m.NewAddressSpace(4096), DefaultOptions())
-	const n = 512 << 10
 	m.Eng.Spawn("app", func(p *sim.Proc) {
 		defer d.Close()
-		src, _ := d.AS.Mmap(p, n, hw.NodeSlow, "src")
-		dst, _ := d.AS.Mmap(p, n, hw.NodeFast, "dst")
+		src, _ := d.AS.Mmap(p, fillBytes, hw.NodeSlow, "src")
+		dst, _ := d.AS.Mmap(p, fillBytes, hw.NodeFast, "dst")
 		b.ReportAllocs()
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
-			r := d.AllocRequest(p)
-			r.Op, r.SrcBase, r.DstBase, r.Length, r.Class = uapi.OpReplicate, src, dst, n, uapi.ClassBackground
-			if err := d.Submit(p, r); err != nil {
-				b.Fatal(err)
-			}
-			for d.RetrieveCompleted(p) == nil {
-				d.Poll(p, 0)
-			}
-			if r.Status != uapi.StatusDone {
-				b.Fatalf("fill: %v", r)
-			}
-			d.FreeRequest(p, r)
+			backgroundFill(b, d, p, src, dst)
 		}
 	})
 	m.Eng.Run()

@@ -58,8 +58,15 @@ func (s State) String() string {
 	return [...]string{"queued", "active", "done", "aborted"}[s]
 }
 
-// Transfer is one scatter-gather transfer submitted to the engine.
+// Transfer is one scatter-gather transfer submitted to the engine. The
+// engine recycles transfers (Program takes one, Recycle gives it back), so
+// a *Transfer names one use only between the two; gen tells the uses
+// apart.
 type Transfer struct {
+	eng     *Engine
+	gen     uint64 // bumped by every recycle
+	due     uint64 // the generation whose completion is on the calendar; 0 when none
+	fire    func() // the calendar's completion callback, bound once: t.complete
 	segs    []Segment
 	first   int // first descriptor slot of the chain
 	nDesc   int
@@ -135,6 +142,7 @@ type Engine struct {
 
 	queue  []*Transfer // transfers waiting for the channel
 	active *Transfer
+	free   []*Transfer // recycled transfers, for Program to take
 
 	// Meter accumulates engine busy time (bus occupancy, not CPU).
 	Meter *sim.Meter
@@ -310,19 +318,48 @@ func (e *Engine) Program(p *sim.Proc, reuse bool, segs []Segment, meters ...*sim
 		p.Busy(cpu, meters...)
 	}
 
-	t := &Transfer{
-		segs:    segs,
-		first:   start,
-		nDesc:   n,
-		ownsRun: held == nil,
-		chain:   held,
-		bytes:   total,
-		src:     segs[0].Src.Node,
-		dst:     segs[0].Dst.Node,
+	t := e.take()
+	t.segs, t.first, t.nDesc = segs, start, n
+	t.ownsRun, t.chain = held == nil, held
+	t.bytes, t.src, t.dst = total, segs[0].Src.Node, segs[0].Dst.Node
+	return t, nil
+}
+
+// take pops a recycled transfer, or makes one with its completion
+// callback and its Done event bound once for every later use.
+func (e *Engine) take() *Transfer {
+	if n := len(e.free); n > 0 {
+		t := e.free[n-1]
+		e.free[n-1] = nil
+		e.free = e.free[:n-1]
+		return t
 	}
+	t := &Transfer{eng: e, gen: 1}
+	t.fire = t.complete
 	t.done.Init(e.eng)
 	t.Done = &t.done
-	return t, nil
+	return t
+}
+
+// Recycle hands a finished transfer back for Program to reuse. The caller
+// must hold the last reference: the transfer is done or aborted, so no
+// completion of it is left on the calendar, and its Done has fired.
+func (e *Engine) Recycle(t *Transfer) {
+	if t.state != StateDone && t.state != StateAborted {
+		panic(fmt.Sprintf("dma: recycling a transfer that is %v", t.state))
+	}
+	e.recycle(t)
+}
+
+// recycle resets t for its next use under a new generation, so that a
+// completion still scheduled for the old one panics instead of acting.
+func (e *Engine) recycle(t *Transfer) {
+	t.gen++
+	t.segs, t.chain, t.onIRQ = nil, nil, nil
+	t.ownsRun, t.irq, t.aborted = false, false, false
+	t.state, t.Class = StateQueued, 0
+	t.done.Reset()
+	e.free = append(e.free, t)
 }
 
 // Start triggers the transfer. If irq is true, onIRQ runs (in engine
@@ -360,10 +397,18 @@ func (e *Engine) begin(t *Transfer) {
 	t.state = StateActive
 	dur := e.plat.DMATransferNS(t.bytes, t.src, t.dst)
 	e.Meter.Add(dur)
-	e.eng.AfterNS(dur, func() { e.complete(t) })
+	t.due = t.gen
+	e.eng.AfterNS(dur, t.fire)
 }
 
-func (e *Engine) complete(t *Transfer) {
+// complete is the calendar's callback when t's copy ends. It checks that
+// the transfer was not recycled while the copy was on the calendar.
+func (t *Transfer) complete() {
+	if t.due != t.gen {
+		panic(fmt.Sprintf("dma: completion of generation %d reached a transfer recycled to generation %d", t.due, t.gen))
+	}
+	t.due = 0
+	e := t.eng
 	if t.state == StateActive {
 		if !t.aborted {
 			for _, s := range t.segs {
@@ -382,7 +427,7 @@ func (e *Engine) complete(t *Transfer) {
 	e.active = nil
 	if len(e.queue) > 0 {
 		next := e.queue[0]
-		e.queue = e.queue[1:]
+		e.queue = e.dequeue(0)
 		e.begin(next)
 	}
 	t.Done.Fire()
@@ -411,6 +456,15 @@ func (t *Transfer) releaseResources(e *Engine) {
 	e.slotsFreed.Broadcast()
 }
 
+// dequeue removes queue entry i in place. The vacated slot is cleared: a
+// recycled transfer left in the backing array would alias its next use.
+func (e *Engine) dequeue(i int) []*Transfer {
+	q := e.queue
+	n := i + copy(q[i:], q[i+1:])
+	q[n] = nil
+	return q[:n]
+}
+
 // WaitSlots parks p until some transfer lets go of its descriptors: the
 // wait after ErrSlotsBusy. Every programmed transfer is started or
 // aborted by its driver and the channel drains on its own, so the wait
@@ -428,7 +482,7 @@ func (e *Engine) Abort(t *Transfer) {
 	case StateQueued:
 		for i, q := range e.queue {
 			if q == t {
-				e.queue = append(e.queue[:i], e.queue[i+1:]...)
+				e.queue = e.dequeue(i)
 				break
 			}
 		}

@@ -187,9 +187,9 @@ func (t *Table) Lookup(vpn uint64) (*Slot, WalkStats) {
 // Section 5.1 optimization: descend vertically once, then walk adjacent
 // PTEs horizontally, re-descending only when the walk crosses a leaf-table
 // boundary. Missing leaves yield nil slots (holes) and still cost the
-// descent that discovered them.
-func (t *Table) GangLookup(vpn uint64, n int) ([]*Slot, WalkStats) {
-	slots := make([]*Slot, n)
+// descent that discovered them. The n slots are appended to dst, which
+// the caller owns and may reuse from one lookup to the next.
+func (t *Table) GangLookup(dst []*Slot, vpn uint64, n int) ([]*Slot, WalkStats) {
 	var st WalkStats
 	var leaf []Slot
 	for i := 0; i < n; i++ {
@@ -201,9 +201,11 @@ func (t *Table) GangLookup(vpn uint64, n int) ([]*Slot, WalkStats) {
 		} else {
 			st.Horizontals++
 		}
+		var s *Slot
 		if leaf != nil {
-			slots[i] = &leaf[v&levelMask]
+			s = &leaf[v&levelMask]
 		}
+		dst = append(dst, s)
 	}
-	return slots, st
+	return dst, st
 }

@@ -116,7 +116,7 @@ func TestGangLookupWithinOneLeaf(t *testing.T) {
 		s, _ := tbl.Ensure(base + i)
 		s.Store(Make(phys.FrameID(i+1), FlagPresent))
 	}
-	slots, st := tbl.GangLookup(base, n)
+	slots, st := tbl.GangLookup(nil, base, n)
 	if len(slots) != n {
 		t.Fatalf("len = %d, want %d", len(slots), n)
 	}
@@ -138,7 +138,7 @@ func TestGangLookupCrossesLeafBoundary(t *testing.T) {
 		s, _ := tbl.Ensure(base + i)
 		s.Store(Make(phys.FrameID(i+1), FlagPresent))
 	}
-	slots, st := tbl.GangLookup(base, 8)
+	slots, st := tbl.GangLookup(nil, base, 8)
 	for i, s := range slots {
 		if s == nil || s.Load().Frame() != phys.FrameID(i+1) {
 			t.Fatalf("slot %d wrong", i)
@@ -155,7 +155,7 @@ func TestGangLookupHole(t *testing.T) {
 	s.Store(Make(1, FlagPresent))
 	// VPN range 10..12 where only 10 exists at leaf level: same leaf, so
 	// 11 and 12 get live slots holding zero PTEs (non-present).
-	slots, _ := tbl.GangLookup(10, 3)
+	slots, _ := tbl.GangLookup(nil, 10, 3)
 	if slots[0] == nil || slots[1] == nil {
 		t.Fatal("slots in an existing leaf must be non-nil")
 	}
@@ -163,9 +163,37 @@ func TestGangLookupHole(t *testing.T) {
 		t.Error("unmapped slot reads as present")
 	}
 	// A range in a fully absent leaf yields nil slots.
-	slots, _ = tbl.GangLookup(1<<20, 2)
+	slots, _ = tbl.GangLookup(slots[:0], 1<<20, 2)
 	if slots[0] != nil || slots[1] != nil {
 		t.Error("absent leaf produced slots")
+	}
+}
+
+// GangLookup appends to the caller's slice: what dst already holds stays
+// in front, and a dst with room is filled in place, with no allocation.
+func TestGangLookupAppendsToDst(t *testing.T) {
+	tbl := New()
+	const base, n = 100, 8
+	for i := uint64(0); i < n; i++ {
+		tbl.Ensure(base + i)
+	}
+	head, _ := tbl.Lookup(7)
+	buf := make([]*Slot, 1, 1+n)
+	buf[0] = head
+	out, st := tbl.GangLookup(buf, base, n)
+	if len(out) != 1+n || out[0] != head || &out[0] != &buf[0] {
+		t.Fatalf("len %d, head kept %v, same array %v", len(out), out[0] == head, &out[0] == &buf[0])
+	}
+	for i := 0; i < n; i++ {
+		if single, _ := tbl.Lookup(base + uint64(i)); out[1+i] != single {
+			t.Fatalf("slot %d differs from Lookup", i)
+		}
+	}
+	if st.Verticals != 1 || st.Horizontals != n-1 {
+		t.Errorf("stats = %+v", st)
+	}
+	if a := testing.AllocsPerRun(100, func() { out, _ = tbl.GangLookup(out[:0], base, n) }); a != 0 {
+		t.Errorf("a reused slice: %v allocations per lookup, want 0", a)
 	}
 }
 
@@ -180,7 +208,7 @@ func TestGangLookupMatchesPerPage(t *testing.T) {
 			s, _ := tbl.Ensure(base + uint64(i))
 			s.Store(Make(phys.FrameID(i+1), FlagPresent))
 		}
-		gang, _ := tbl.GangLookup(base, count)
+		gang, _ := tbl.GangLookup(nil, base, count)
 		for i := 0; i < count; i++ {
 			single, _ := tbl.Lookup(base + uint64(i))
 			if gang[i] != single {
@@ -205,7 +233,7 @@ func TestGangLookupCheaperThanVertical(t *testing.T) {
 		for i := 0; i < count; i++ {
 			tbl.Ensure(base + uint64(i))
 		}
-		_, st := tbl.GangLookup(base, count)
+		_, st := tbl.GangLookup(nil, base, count)
 		leaves := int((base+uint64(count-1))>>levelBits-base>>levelBits) + 1
 		return st.Verticals == leaves && st.Verticals+st.Horizontals == count
 	}

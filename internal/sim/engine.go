@@ -120,6 +120,7 @@ type Engine struct {
 	seq      uint64
 	calendar []event
 	live     map[*Proc]bool // spawned and not yet exited
+	pool     []*Proc        // exited, their coroutines waiting for Spawn's next body
 	ranOnce  bool
 	trace    func(string)
 }
@@ -156,10 +157,20 @@ func (e *Engine) AfterNS(ns int64, fn func()) {
 
 // Spawn creates a process running fn and schedules it to start at the
 // current virtual time. It may be called before Run or from inside a
-// running process or engine callback.
+// running process or engine callback. The process reuses the coroutine of
+// one that has exited, if there is one, so a steady stream of short-lived
+// processes (a completion interrupt per request) allocates nothing.
 func (e *Engine) Spawn(name string, fn ProcFunc) *Proc {
-	p := &Proc{eng: e, name: name}
-	p.bind(fn)
+	var p *Proc
+	if n := len(e.pool); n > 0 {
+		p = e.pool[n-1]
+		e.pool[n-1] = nil
+		e.pool = e.pool[:n-1]
+		p.name, p.fn, p.done = name, fn, false
+	} else {
+		p = &Proc{eng: e, name: name, fn: fn}
+		p.bind()
+	}
 	e.live[p] = true
 	e.schedule(event{at: e.now, kind: evDispatch, p: p})
 	return p
@@ -177,6 +188,7 @@ func (e *Engine) dispatch(p *Proc) {
 	p.next()
 	if p.done {
 		delete(e.live, p)
+		e.pool = append(e.pool, p)
 	}
 }
 
@@ -234,11 +246,17 @@ func (e *Engine) Parked() int { return len(e.live) }
 // stop resumes the coroutine with its yield reporting false, park turns
 // that into errShutdown, and stop returns once the body has unwound. The
 // entry it leaves due now keeps a sleep in a deferred cleanup from running
-// ahead, so that sleep parks and the unwinding goes on.
+// ahead, so that sleep parks and the unwinding goes on. The pooled
+// coroutines of exited processes are stopped last; theirs is the yield
+// between two bodies, so they end at once.
 func (e *Engine) teardown() {
 	e.schedule(event{at: e.now, kind: evCall})
 	for p := range e.live {
 		delete(e.live, p)
 		p.stop()
 	}
+	for _, p := range e.pool {
+		p.stop()
+	}
+	e.pool = nil
 }

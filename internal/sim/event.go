@@ -37,11 +37,23 @@ func (ev *Event) Fire() {
 		return
 	}
 	ev.fired = true
-	ws := ev.waiters
-	ev.waiters = nil
-	for _, w := range ws {
+	for _, w := range ev.waiters {
 		ev.eng.wake(w.p, w.seq)
 	}
+	ev.waiters = dropWaiters(ev.waiters, len(ev.waiters))
+}
+
+// Reset makes a fired event unfired again. Fire left its waiter array
+// empty and kept, so a record recycled with its event embedded (a DMA
+// transfer's Done) starts its next use without allocating.
+func (ev *Event) Reset() { ev.fired = false }
+
+// dropWaiters removes the first n waiters in place and clears the
+// vacated slots, so the array is kept and pins no parked process.
+func dropWaiters(ws []waiter, n int) []waiter {
+	rest := copy(ws, ws[n:])
+	clear(ws[rest:])
+	return ws[:rest]
 }
 
 // Cond is a reusable signalling point, analogous to a condition variable.
@@ -56,22 +68,24 @@ type Cond struct {
 // NewCond returns a condition on e.
 func NewCond(e *Engine) *Cond { return &Cond{eng: e} }
 
-// Signal wakes one waiter (the longest parked), if any.
+// Signal wakes one waiter (the longest parked), if any, dropping the
+// stale waiters ahead of it.
 func (c *Cond) Signal() {
-	for len(c.waiters) > 0 {
-		w := c.waiters[0]
-		c.waiters = c.waiters[1:]
+	n := 0
+	for n < len(c.waiters) {
+		w := c.waiters[n]
+		n++
 		if c.eng.wake(w.p, w.seq) {
-			return
+			break
 		}
 	}
+	c.waiters = dropWaiters(c.waiters, n)
 }
 
 // Broadcast wakes all current waiters.
 func (c *Cond) Broadcast() {
-	ws := c.waiters
-	c.waiters = nil
-	for _, w := range ws {
+	for _, w := range c.waiters {
 		c.eng.wake(w.p, w.seq)
 	}
+	c.waiters = dropWaiters(c.waiters, len(c.waiters))
 }

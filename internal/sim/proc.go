@@ -13,13 +13,16 @@ var errShutdown = errors.New("sim: engine shutdown")
 type ProcFunc func(p *Proc)
 
 // Proc is a simulated process. All its methods must be called from the
-// process's own goroutine (inside its ProcFunc).
+// process's own goroutine (inside its ProcFunc). A Proc is valid until its
+// body returns: Spawn may hand it, coroutine and all, to a later body.
 type Proc struct {
 	eng  *Engine
 	name string
 
 	// The coroutine bound by Spawn (see bind): next runs the body until
-	// its next park, yield is what park calls, stop unwinds it.
+	// its next park, yield is what park calls, stop unwinds it. fn is the
+	// body it runs now; a reused coroutine runs a new one.
+	fn    ProcFunc
 	next  func() (struct{}, bool)
 	yield func(struct{}) bool
 	stop  func()
@@ -30,18 +33,19 @@ type Proc struct {
 	timedOut bool // the timeout, not the waited-for thing, ended the last timed wait
 }
 
-// top is the coroutine body: it runs fn and records the exit. An
-// errShutdown unwind ends here; any other panic (or a runtime.Goexit from
-// t.Fatal) carries on into the coroutine, which re-raises it from next on
-// the goroutine that called Run.
-func (p *Proc) top(fn ProcFunc) {
+// top runs the body p.fn and records the exit. An errShutdown unwind
+// ends here; any other panic (or a runtime.Goexit from t.Fatal) carries on
+// into the coroutine, which re-raises it from next on the goroutine that
+// called Run.
+func (p *Proc) top() {
 	defer func() {
 		p.done = true
+		p.fn = nil                                        // an exited process pins nothing of its body
 		if r := recover(); r != nil && r != errShutdown { //nolint:errorlint // sentinel identity
 			panic(r)
 		}
 	}()
-	fn(p)
+	p.fn(p)
 }
 
 // Name returns the process name given at Spawn.
