@@ -257,6 +257,11 @@ func auditQuiesced(t *testing.T, d *Device, p *sim.Proc, regions []int64, region
 	if len(d.pipe) != 0 {
 		t.Errorf("%d transfers left in the worker pipeline", len(d.pipe))
 	}
+	for _, r := range d.pipe[:cap(d.pipe)] {
+		if r.inf != nil {
+			t.Error("a reaped pipeline slot still holds its record")
+		}
+	}
 	var backed int64
 	for _, base := range regions {
 		for off := int64(0); off < regionBytes; off += as.PageBytes {
