@@ -23,7 +23,23 @@ import (
 	"time"
 
 	"memif/internal/obs/lifecycle"
+	"memif/internal/rbq"
 )
+
+// submitParked submits r once the worker is parked: the staging queue
+// is blue — recolored by the worker's last Park, or never red since Open
+// — and the worker sleeps without a kick pending, because only a
+// blue→red flush kicks and it wakes once per kick before it parks again.
+// So this submit's own flush, not the worker's drain, takes r off
+// staging: the only staging→submission move, and the only path where
+// the slab can run out.
+func submitParked(t *testing.T, d *Device, r *Request) {
+	t.Helper()
+	awaitCond(t, "worker parked", func() bool { return d.staging.Color() == rbq.Blue })
+	if err := d.Submit(r); err != nil {
+		t.Fatalf("submit: %v", err)
+	}
+}
 
 // drainAll retrieves every pending completion, polling until count
 // completions arrived or the deadline passes.
@@ -186,9 +202,10 @@ func TestChaosChunkRingFullBackpressure(t *testing.T) {
 }
 
 // TestChaosForcedExhaustionErrNoSlots makes every staging→submission
-// flush attempt fail, driving requests down the ErrNoSlots completion
-// path; the slots must come back through the completion queue, and the
-// device must recover fully once the fault clears.
+// flush attempt fail and submits each request to a parked worker, so
+// its own flush takes it down the ErrNoSlots completion path; the slots
+// must come back through the completion queue, and the device must
+// recover fully once the fault clears.
 func TestChaosForcedExhaustionErrNoSlots(t *testing.T) {
 	var failing atomic.Bool
 	failing.Store(true)
@@ -205,9 +222,7 @@ func TestChaosForcedExhaustionErrNoSlots(t *testing.T) {
 	for i := 0; i < n; i++ {
 		r := d.AllocRequest()
 		r.Src, r.Dst = []byte{1, 2, 3}, make([]byte, 3)
-		if err := d.Submit(r); err != nil {
-			t.Fatalf("submit: %v", err)
-		}
+		submitParked(t, d, r)
 	}
 	got := drainAll(t, d, n)
 	for i, r := range got {
@@ -406,9 +421,10 @@ func TestChaosCancelVsFailedSubmitHonored(t *testing.T) {
 }
 
 // TestChaosBatchFlushExhaustionMidBatch forces every staging→submission
-// flush attempt to fail while a batch is submitted: all of the batch's
-// requests must surface as ErrNoSlots completions — none stranded, none
-// silently dropped — and the device must recover once the fault clears.
+// flush attempt to fail while a batch is submitted to a parked worker,
+// so the batch's one flush moves every request: all of them must
+// surface as ErrNoSlots completions — none stranded, none silently
+// dropped — and the device must recover once the fault clears.
 func TestChaosBatchFlushExhaustionMidBatch(t *testing.T) {
 	var failing atomic.Bool
 	failing.Store(true)
@@ -427,6 +443,7 @@ func TestChaosBatchFlushExhaustionMidBatch(t *testing.T) {
 		r.Src, r.Dst = []byte{1, 2, 3}, make([]byte, 3)
 		batch[i] = r
 	}
+	awaitCond(t, "worker parked", func() bool { return d.staging.Color() == rbq.Blue })
 	if err := d.SubmitBatch(batch); err != nil {
 		t.Fatalf("SubmitBatch: %v", err)
 	}
@@ -772,6 +789,87 @@ func TestChaosStalledWorkerBacklogVisible(t *testing.T) {
 	}
 	if st := d.Stats(); st.SubmissionDepth != 0 || st.DoubleCompletes != 0 {
 		t.Errorf("after drain: SubmissionDepth %d, DoubleCompletes %d; want 0, 0", st.SubmissionDepth, st.DoubleCompletes)
+	}
+	if err := d.AuditSlots(nil); err != nil {
+		t.Error(err)
+	}
+}
+
+// TestChaosWorkerDrainsStagingDirectly pins the worker's own drain. Two
+// primers reach the parked worker through a batch's flush — the
+// submission queue — and the worker is held in the first one's dispatch
+// while n more are staged behind the red queue, where only the worker
+// can take them. Released once, it drains them straight into its
+// buckets, behind the second primer, and is held again in that primer's
+// dispatch: the n are the backlog (SubmissionDepth n, StagingDepth 0)
+// and never touched the submission queue (SubmissionHighWater still 2).
+// Released for good, they dispatch in staging order, the backlog reads
+// 0 and every slot comes home.
+func TestChaosWorkerDrainsStagingDirectly(t *testing.T) {
+	const n, size = 8, 4 << 10
+	entered := make(chan struct{}, 2)
+	gates := [2]chan struct{}{make(chan struct{}), make(chan struct{})}
+	open := [2]func(){
+		sync.OnceFunc(func() { close(gates[0]) }),
+		sync.OnceFunc(func() { close(gates[1]) }),
+	}
+	var dispatched []uint32 // worker-written; read after the completions
+	d := Open(Options{NumReqs: n + 2, Chaos: &ChaosHooks{BeforeDispatch: func(idx uint32) {
+		k := len(dispatched)
+		dispatched = append(dispatched, idx)
+		if k < len(gates) {
+			entered <- struct{}{}
+			<-gates[k]
+		}
+	}}})
+	defer d.Close()
+	defer open[1]()
+	defer open[0]()
+
+	var want []uint32
+	alloc := func(i int) *Request {
+		r := d.AllocRequest()
+		r.Src, r.Dst = bytes.Repeat([]byte{byte(i + 1)}, size), make([]byte, size)
+		want = append(want, r.idx)
+		return r
+	}
+	if err := d.SubmitBatch([]*Request{alloc(0), alloc(1)}); err != nil {
+		t.Fatal(err)
+	}
+	<-entered
+	const hw = 2 // the batch's flush; the worker slept through it
+	if st := d.Stats(); st.SubmissionHighWater != hw {
+		t.Fatalf("SubmissionHighWater = %d after a 2-request flush, want %d", st.SubmissionHighWater, hw)
+	}
+	for i := 0; i < n; i++ {
+		if err := d.Submit(alloc(2 + i)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if st := d.Stats(); st.StagingDepth != n || st.SubmissionDepth != 1 {
+		t.Errorf("held on the first primer: StagingDepth %d, SubmissionDepth %d; want %d, 1",
+			st.StagingDepth, st.SubmissionDepth, n)
+	}
+	open[0]()
+	<-entered
+	st := d.Stats()
+	if st.SubmissionDepth != n || st.Tenants[0].QueueDepth != n || st.StagingDepth != 0 || st.SubmissionHighWater != hw {
+		t.Errorf("held on the second primer: SubmissionDepth %d, QueueDepth %d, StagingDepth %d, SubmissionHighWater %d; want %d, %d, 0, %d",
+			st.SubmissionDepth, st.Tenants[0].QueueDepth, st.StagingDepth, st.SubmissionHighWater, n, n, hw)
+	}
+	open[1]()
+	for _, r := range drainAll(t, d, n+2) {
+		if r.Err != nil || !bytes.Equal(r.Dst, r.Src) {
+			t.Errorf("slot %d: err=%v, or destination differs from source", r.idx, r.Err)
+		}
+		d.FreeRequest(r)
+	}
+	if fmt.Sprint(dispatched) != fmt.Sprint(want) {
+		t.Errorf("dispatch order %v, want the primers then staging order: %v", dispatched, want)
+	}
+	if st := d.Stats(); st.SubmissionDepth != 0 || st.SubmissionHighWater != hw || st.DoubleCompletes != 0 {
+		t.Errorf("after drain: SubmissionDepth %d, SubmissionHighWater %d, DoubleCompletes %d; want 0, %d, 0",
+			st.SubmissionDepth, st.SubmissionHighWater, st.DoubleCompletes, hw)
 	}
 	if err := d.AuditSlots(nil); err != nil {
 		t.Error(err)

@@ -37,8 +37,7 @@ func (d *Device) finish(r *Request, forced error) {
 	ts := d.tenantOf(r)
 	if s := r.submitted.Load(); s > 0 {
 		lat := now - s
-		d.m.latency.Observe(lat)
-		d.m.classLatency[r.Class].Observe(lat)
+		d.m.classLatency[r.Class].Observe(lat) // Stats sums the classes
 		ts.latency.Observe(lat)
 		d.observeLatEWMA(lat)
 	}

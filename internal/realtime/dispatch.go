@@ -47,43 +47,48 @@ func (c *coarseClock) now() int64 {
 	return c.nano
 }
 
-// worker is the kernel thread: drain the staging queue, chunk and
-// dispatch submissions to the controllers, then recolor the staging
-// queue blue and sleep.
+// worker is the kernel thread: drain the submission and staging queues
+// straight into the scheduler's buckets, chunk and dispatch what it
+// pops to the controllers, then recolor the staging queue blue and
+// sleep. It starts asleep: the staging queue starts blue, so nothing
+// reaches either queue before a submitter's flush kicks it.
 func (d *Device) worker() {
 	defer func() {
 		close(d.work) // controllers drain the chunk ring and exit
 		d.wg.Done()
 	}()
 	clk := coarseClock{armed: d.stampAll}
+	// Flushed stamps share the worker's coarse clock — under load a pass
+	// often moves a single element before the next dispatch, so a
+	// per-pass read would degenerate to per-request.
+	staged := func(idx uint32) { d.flushed(d.reqs[idx], clk.now()) }
 	for {
-		// Flushed stamps share the worker's coarse clock — under load a
-		// pass often moves a single element before the next dispatch, so
-		// a per-pass read would degenerate to per-request.
-		d.staging.Drain(func(idx uint32) { d.toSubmission(idx, clk.now()) })
-		if idx, ok := d.popSubmission(); ok {
-			d.dispatch(idx, clk.now())
-			continue
-		}
-		// Before sleeping, recolor the staging queue blue; a queue that
-		// refilled under us refuses the recolor and sends the worker
-		// around again. This is the Section 4.4 invariant: after the
-		// worker sleeps the queue is blue, so the first submitter kicks
-		// exactly once.
-		if !d.staging.Park() {
-			continue
-		}
-		// Close has waited out every submitter before setting closed, so
-		// nothing can be staged from here on: go around until the queues
-		// are dry.
-		if d.closed.Load() {
+		<-d.kick
+		d.m.wakes.Inc()
+		for {
+			d.sched.drain(staged)
+			if idx, ok := d.popSubmission(); ok {
+				d.dispatch(idx, clk.now())
+				continue
+			}
+			// Before sleeping, recolor the staging queue blue; a queue
+			// that refilled under us refuses the recolor and sends the
+			// worker around again. This is the Section 4.4 invariant:
+			// after the worker sleeps the queue is blue, so the first
+			// submitter kicks exactly once.
+			if !d.staging.Park() {
+				continue
+			}
+			if !d.closed.Load() {
+				break
+			}
+			// Close has waited out every submitter before setting closed,
+			// so nothing can be staged from here on: go around until the
+			// queues are dry.
 			if !d.queuedWork() {
 				return
 			}
-			continue
 		}
-		<-d.kick
-		d.m.wakes.Inc()
 	}
 }
 

@@ -11,3 +11,10 @@ func (s *tenantSched) queuedTotal() int {
 	}
 	return n
 }
+
+// next is one worker step on a bare scheduler: drain (no Device, so
+// nothing to stamp on the way in from staging), then pop.
+func (s *tenantSched) next() (idx, tenant uint32, aged, ok bool) {
+	s.drain(func(uint32) {})
+	return s.pop()
+}

@@ -172,9 +172,10 @@ func TestLifecycleMonotoneUnderCancelChaos(t *testing.T) {
 }
 
 // TestLifecycleErrNoSlotsPath forces the staging→submission flush to
-// exhaust: requests complete with ErrNoSlots having never been
-// dispatched, and their lifecycles must reflect that — failed outcome,
-// no dispatch/copy stamps, still monotone.
+// exhaust and submits each request to a parked worker: every request
+// completes with ErrNoSlots having never been dispatched, and their
+// lifecycles must reflect that — failed outcome, no dispatch/copy
+// stamps, still monotone.
 func TestLifecycleErrNoSlotsPath(t *testing.T) {
 	d := Open(Options{
 		NumReqs: 8, Controllers: 1,
@@ -190,9 +191,7 @@ func TestLifecycleErrNoSlotsPath(t *testing.T) {
 	for i := 0; i < n; i++ {
 		r := d.AllocRequest()
 		r.Src, r.Dst = src, make([]byte, len(src))
-		if err := d.Submit(r); err != nil {
-			t.Fatal(err)
-		}
+		submitParked(t, d, r)
 	}
 	got := drainAll(t, d, n)
 	failed := 0
@@ -202,8 +201,8 @@ func TestLifecycleErrNoSlotsPath(t *testing.T) {
 		}
 		d.FreeRequest(r)
 	}
-	if failed == 0 {
-		t.Fatal("forced exhaustion produced no ErrNoSlots completions")
+	if failed != n {
+		t.Fatalf("forced exhaustion produced %d ErrNoSlots completions of %d", failed, n)
 	}
 	s := d.Stats().Lifecycle
 	for _, lc := range s.Captured {

@@ -14,9 +14,10 @@ package realtime
 //     (plus a retry-after hint) before it can occupy enough of the slab
 //     to starve higher classes — occupancy thresholds play the role of
 //     kswapd watermarks, per class;
-//   - the worker pops the one submission queue in strict class priority
-//     order (its scheduler buckets requests by class), with an aging
-//     credit so a saturating high class cannot starve lower ones forever;
+//   - the worker serves its scheduler's buckets, filled from the
+//     submission and staging queues, in strict class priority order,
+//     with an aging credit so a saturating high class cannot starve
+//     lower ones forever;
 //   - completion is adaptive: a single-chunk request at or below the
 //     inline threshold is copied by the worker itself (the "syscall
 //     path polls" case — no ring push, no controller wakeup), while
@@ -191,10 +192,10 @@ func (d *Device) observeLatEWMA(latNs int64) {
 	d.latEWMA.Store(old + (latNs-old)/8)
 }
 
-// popSubmission takes the next request off the submission queue
-// through the tenant scheduler: strict priority with the aging credit
-// across classes, weighted deficit round robin between tenants within
-// the chosen class (see tsched.go). Worker-only.
+// popSubmission takes the next request out of the tenant scheduler's
+// buckets, which tenantSched.drain fills: strict priority with the aging
+// credit across classes, weighted deficit round robin between tenants
+// within the chosen class (see tsched.go). Worker-only.
 func (d *Device) popSubmission() (uint32, bool) {
 	idx, tenant, aged, ok := d.sched.pop()
 	if !ok {

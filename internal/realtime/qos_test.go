@@ -13,6 +13,7 @@ import (
 	"testing"
 	"time"
 
+	"memif/internal/obs"
 	"memif/internal/qos"
 	"memif/internal/rbq"
 )
@@ -159,20 +160,27 @@ func TestRetryAfterTracksLatencyEWMA(t *testing.T) {
 }
 
 // popDevice builds the minimal Device popSubmission needs: the
-// submission queue, the default tenant and the scheduler. credit stands
-// in for the agingCredit constant Open hands the scheduler.
+// submission and staging queues, the default tenant and the scheduler.
+// credit stands in for the agingCredit constant Open hands the
+// scheduler.
 func popDevice(credit int64) *Device {
 	d := &Device{}
-	slab := rbq.NewSlabForQueues(32, 1, 5)
-	d.submission = slab.NewQueue(rbq.Blue)
+	slab := rbq.NewSlabForQueues(32, 2, 6)
+	d.submission, d.staging = slab.NewQueue(rbq.Blue), slab.NewQueue(rbq.Red)
 	d.reqs = make([]*Request, 32)
 	for i := range d.reqs {
 		d.reqs[i] = &Request{idx: uint32(i)}
 	}
 	tab := []*tenantState{newDefaultTenant()}
 	d.tenants.Store(&tab)
-	d.sched = newTenantSched(d.submission, qos.NumClasses, d.owner, d.tenantWeight, credit)
+	d.sched = newTenantSched(d.submission, d.staging, qos.NumClasses, d.owner, d.tenantWeight, credit)
 	return d
+}
+
+// nextPop is one worker step on d: drain into the buckets, then pop.
+func nextPop(d *Device) (uint32, bool) {
+	d.sched.drain(func(uint32) {})
+	return d.popSubmission()
 }
 
 // enqueue puts request idx on d's submission queue at class c.
@@ -192,12 +200,12 @@ func TestPopSubmissionStrictPriority(t *testing.T) {
 
 	want := []uint32{0, 1, 10, 20}
 	for i, w := range want {
-		idx, ok := d.popSubmission()
+		idx, ok := nextPop(d)
 		if !ok || idx != w {
 			t.Fatalf("pop %d = (%d, %v), want (%d, true)", i, idx, ok, w)
 		}
 	}
-	if _, ok := d.popSubmission(); ok {
+	if _, ok := nextPop(d); ok {
 		t.Error("pop on empty queues reported work")
 	}
 	if d.m.agedPops.Load() != 0 {
@@ -222,7 +230,7 @@ func TestPopSubmissionAging(t *testing.T) {
 	// as a second aged pop.
 	want := []uint32{0, 1, 10, 2, 3, 11}
 	for i, w := range want {
-		idx, ok := d.popSubmission()
+		idx, ok := nextPop(d)
 		if !ok || idx != w {
 			t.Fatalf("pop %d = (%d, %v), want (%d, true)", i, idx, ok, w)
 		}
@@ -335,6 +343,50 @@ func TestInlineCompletionCountsAndCopies(t *testing.T) {
 	}
 	if got := off.Stats().InlineCompleted; got != 0 {
 		t.Errorf("InlineCompleted = %d with InlineThreshold -1, want 0", got)
+	}
+}
+
+// TestLatencyIsSumOfClasses: finish observes each request's latency
+// once, in its class's histogram, and Stats().Latency is the sum of the
+// class snapshots — count, sum and every bucket — after a run that
+// spans all three classes with a size mix on both completion paths.
+func TestLatencyIsSumOfClasses(t *testing.T) {
+	d := Open(Options{NumReqs: 32, Controllers: 2, ChunkBytes: 16 << 10})
+	defer d.Close()
+	classes := []qos.Class{ClassForeground, ClassBackground, ClassScavenger}
+	const rounds = 4
+	for i := 0; i < rounds*len(classes); i++ {
+		r := d.AllocRequest()
+		n := 1 << (10 + i%7) // 1 KiB .. 64 KiB: inline, ring, chunked
+		r.Src, r.Dst = make([]byte, n), make([]byte, n)
+		r.Class = classes[i%len(classes)]
+		if err := d.Submit(r); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for _, r := range drainAll(t, d, rounds*len(classes)) {
+		if r.Err != nil {
+			t.Fatalf("request %d: %v", r.idx, r.Err)
+		}
+		d.FreeRequest(r)
+	}
+	st := d.Stats()
+	var sum obs.HistogramSnapshot
+	for c, cs := range st.Classes {
+		if cs.Latency.Count != cs.Completed {
+			t.Errorf("class %d: %d latency samples for %d completions", c, cs.Latency.Count, cs.Completed)
+		}
+		sum.Count += cs.Latency.Count
+		sum.Sum += cs.Latency.Sum
+		for i, n := range cs.Latency.Buckets {
+			sum.Buckets[i] += n
+		}
+	}
+	if st.Latency != sum {
+		t.Errorf("Latency %+v is not the sum of the classes' %+v", st.Latency, sum)
+	}
+	if st.Latency.Count != st.Completed || st.Completed != rounds*int64(len(classes)) {
+		t.Errorf("Latency.Count %d, Completed %d; want both %d", st.Latency.Count, st.Completed, rounds*len(classes))
 	}
 }
 

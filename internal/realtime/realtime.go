@@ -141,10 +141,11 @@ type ChaosHooks struct {
 	// StagingEnqueue, when it returns true, forces this request's
 	// staging enqueue in Submit/SubmitBatch to report slab exhaustion.
 	StagingEnqueue func(idx uint32) bool
-	// FlushEnqueue, when it returns true, forces one staging→submission
-	// enqueue attempt to fail as if the slab were exhausted; returning
-	// true persistently exhausts the flush retry budget and drives the
-	// request down the ErrNoSlots completion path.
+	// FlushEnqueue, when it returns true, forces one enqueue attempt of
+	// a submitter's staging→submission flush to fail as if the slab
+	// were exhausted; returning true persistently exhausts the flush
+	// retry budget and drives the request down the ErrNoSlots completion
+	// path. The worker's drain never calls it: a bucket cannot run out.
 	FlushEnqueue func(idx uint32) bool
 	// BeforeDispatch runs in the worker just before a submission is
 	// chunked; blocking here holds an accepted request undispatched.
@@ -293,8 +294,9 @@ type Request struct {
 	//   - stageSeq, sampled: the submitter, in stage, before the staging
 	//     enqueue. stageSeq counts this slot's submissions and drives the
 	//     1-in-2^shift decision slot-locally.
-	//   - flushedNs: the flusher (submitter or worker), before the
-	//     submission-queue enqueue.
+	//   - flushedNs: whoever takes the request off staging, before it
+	//     moves on — a submitter's flush, before the submission-queue
+	//     enqueue, or the worker's drain, before the bucket push.
 	//   - dispatchedNs, inlined: the worker, in dispatch, before any
 	//     chunk push or the inline copy.
 	//   - copyStartNs: parallel chunk controllers race for it (the first
@@ -347,7 +349,7 @@ type Device struct {
 
 	freeList   *rbq.Queue
 	staging    *rbq.Queue // the red-blue staging queue
-	submission *rbq.Queue // every class; the scheduler orders it (tsched.go)
+	submission *rbq.Queue // what a submitter's flush moved; drained into the scheduler (tsched.go)
 	// completions holds completed request indices. Producers are the
 	// finishers (controllers + the worker's inline path); consumers are
 	// RetrieveCompleted/RetrieveCompletedBatch callers, any number of
@@ -445,7 +447,7 @@ func Open(opts Options) *Device {
 	d.inline.Store(resolveInline(opts.InlineThreshold))
 	tab := []*tenantState{newDefaultTenant()}
 	d.tenants.Store(&tab)
-	d.sched = newTenantSched(d.submission, qos.NumClasses, d.owner, d.tenantWeight, agingCredit)
+	d.sched = newTenantSched(d.submission, d.staging, qos.NumClasses, d.owner, d.tenantWeight, agingCredit)
 	d.chunks = newRing[chunk](DefaultRingDepth * opts.Controllers)
 	d.work = make(chan struct{}, opts.Controllers)
 	lcShift := opts.TraceSampleShift

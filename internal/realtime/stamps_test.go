@@ -9,6 +9,7 @@ import (
 	"time"
 
 	"memif/internal/obs/lifecycle"
+	"memif/internal/rbq"
 )
 
 // checkClosedVector asserts what every sampled lifecycle owes its
@@ -189,7 +190,11 @@ func TestStampVectorClosesOnEveryPath(t *testing.T) {
 			Chaos: &ChaosHooks{FlushEnqueue: func(uint32) bool { return true }},
 		})
 		defer d.Close()
-		submitAll(t, d, 1<<10)
+		for i := 0; i < n; i++ {
+			r := d.AllocRequest()
+			r.Src, r.Dst = make([]byte, 1<<10), make([]byte, 1<<10)
+			submitParked(t, d, r) // so the flush, not the worker, moves it
+		}
 		for _, r := range drainAll(t, d, n) {
 			if !errors.Is(r.Err, ErrNoSlots) {
 				t.Errorf("slot %d: err = %v, want ErrNoSlots", r.idx, r.Err)
@@ -259,7 +264,8 @@ func TestStampsDoNotLeakAcrossSlotReuse(t *testing.T) {
 		d.FreeRequest(first)
 
 		failFlush.Store(true)
-		second := run()
+		awaitCond(t, "worker parked", func() bool { return d.staging.Color() == rbq.Blue })
+		second := run() // to a parked worker: its own flush fails it
 		if got := drainOne(t, d); got != second || !errors.Is(got.Err, ErrNoSlots) {
 			t.Fatalf("second request: %v err=%v, want ErrNoSlots", got, got.Err)
 		}

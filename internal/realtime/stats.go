@@ -53,7 +53,6 @@ type metrics struct {
 	sizes          obs.Histogram
 	_              [64]byte
 	completionHW   obs.Gauge
-	latency        obs.Histogram
 }
 
 // ctrCounters is one transfer controller's private counter block,
@@ -136,12 +135,14 @@ type StatsSnapshot struct {
 	SubmissionHighWater, CompletionHighWater int64
 	// Live depths sampled at Stats time: the staging queue, the backlog,
 	// the completion ring and the chunk ring. SubmissionDepth is the
-	// backlog — requests flushed but not yet dispatched, whether on the
-	// submission queue or in the scheduler's buckets — the sum of the
-	// tenants' QueueDepth.
+	// backlog — requests taken off staging (by a flush or by the
+	// worker's drain) but not yet dispatched, whether on the submission
+	// queue or in the scheduler's buckets — the sum of the tenants'
+	// QueueDepth.
 	StagingDepth, SubmissionDepth, CompletionDepth, RingDepth int64
-	// Latency is the submission-to-completion histogram (ns); Sizes the
-	// request payload histogram (bytes).
+	// Latency is the submission-to-completion histogram (ns), the sum of
+	// the classes' (each request is observed once, in its class); Sizes
+	// the request payload histogram (bytes).
 	Latency, Sizes obs.HistogramSnapshot
 	// Lifecycle is the sampled-lifecycle snapshot: per-stage latency
 	// histograms (staging wait, dispatch wait, ring wait, copy,
@@ -171,6 +172,7 @@ type ClassStats struct {
 // watermarks and sampled lifecycles. Safe from any goroutine at any time.
 func (d *Device) Stats() StatsSnapshot {
 	var classes [qos.NumClasses]ClassStats
+	var latency obs.HistogramSnapshot // every request is observed once, in its class
 	for c := range classes {
 		classes[c] = ClassStats{
 			Submitted: d.m.classSubmitted[c].Load(),
@@ -178,6 +180,12 @@ func (d *Device) Stats() StatsSnapshot {
 			Shed:      d.m.classShed[c].Load(),
 			InFlight:  d.m.classOccupancy(c),
 			Latency:   d.m.classLatency[c].Snapshot(),
+		}
+		l := &classes[c].Latency
+		latency.Count += l.Count
+		latency.Sum += l.Sum
+		for i, n := range l.Buckets {
+			latency.Buckets[i] += n
 		}
 	}
 	tab := *d.tenants.Load()
@@ -224,7 +232,7 @@ func (d *Device) Stats() StatsSnapshot {
 		Tenants:              tenants,
 		SubmissionHighWater:  d.m.submissionHW.Load(),
 		CompletionHighWater:  d.m.completionHW.Load(),
-		Latency:              d.m.latency.Snapshot(),
+		Latency:              latency,
 		Sizes:                d.m.sizes.Snapshot(),
 	}
 }

@@ -113,69 +113,65 @@ func (d *Device) unstage(r *Request) bool {
 // slab is being starved externally.
 const flushRetries = 64
 
-// toSubmission is the one staging drain step, shared by the submitter's
-// flush and the worker's drain: move a staged index onto the
-// submission queue, or — the retry budget spent — complete it with
-// ErrNoSlots. The slot must not vanish, so the owner gets it back
-// through the normal completion path.
+// toSubmission is the submitter's flush step and the only move from
+// staging onto the submission queue (the worker drains staging straight
+// into its buckets, see tenantSched.drain): move a staged index there,
+// retrying briefly across transient slab exhaustion, or — the retry
+// budget spent — complete it with ErrNoSlots. The slot must not vanish,
+// so the owner gets it back through the normal completion path. nano is
+// the flush pass's clock for the flushed stamp (0 with the flight
+// recorder disarmed): one read per pass, not per request.
 func (d *Device) toSubmission(idx uint32, nano int64) {
-	if !d.enqueueSubmission(idx, nano) {
-		if r, valid := d.req(idx); valid {
-			d.finish(r, ErrNoSlots)
-		}
-	}
-}
-
-// enqueueSubmission moves one request index onto the submission queue,
-// retrying briefly across transient slab exhaustion. false means the
-// retry budget ran out and the caller must fail the request rather
-// than drop it. nano is the caller's flush-pass clock for the flushed
-// stamp (0 with the flight recorder disarmed): flush loops read the
-// clock once per pass instead of once per request, and only a sampled
-// request reads its own.
-func (d *Device) enqueueSubmission(idx uint32, nano int64) bool {
-	var ts *tenantState
 	r, valid := d.req(idx)
+	var ts *tenantState
 	if valid {
-		ts = d.tenantOf(r)
-		if r.sampled {
-			nano = time.Now().UnixNano()
-		}
-		if nano != 0 {
-			// Plain field: written before the enqueue publishes idx, so
-			// the retrieval-side reader is ordered behind it.
-			r.flushedNs = max(nano, r.submitted.Load())
-		}
-		// Counted before the enqueue, so the worker's decrement at
-		// dispatch (popSubmission) can never run ahead of it and the
-		// backlog never reads below zero.
-		ts.queued.Add(1)
+		ts = d.flushed(r, nano)
 	}
 	for attempt := 0; ; attempt++ {
 		forced := d.chaos != nil && d.chaos.FlushEnqueue != nil && d.chaos.FlushEnqueue(idx)
 		if !forced {
 			if _, ok := d.submission.Enqueue(idx); ok {
 				d.m.submissionHW.Observe(int64(d.submission.Size()))
-				return true
+				return
 			}
 		}
 		if attempt >= flushRetries {
 			if valid {
-				r.flushedNs = 0 // never flushed: the caller fails it from here
+				r.flushedNs = 0 // never flushed
 				ts.queued.Add(-1)
+				d.finish(r, ErrNoSlots)
 			}
-			return false
+			return
 		}
 		d.m.enqueueRetries.Inc()
 		runtime.Gosched()
 	}
 }
 
-// backlog counts the requests flushed but not yet dispatched, whether
-// on the submission queue or in the scheduler's buckets: the sum of the
-// tenants' queued counters (Stats sums its own tenant snapshot). It
-// walks the tenant table, so only the monitor tick and outlier capture
-// read it.
+// flushed does what r owes on leaving staging, for the flush and the
+// worker's drain alike: the flushed stamp (a sampled request reads its
+// own clock) and the backlog count. Both happen before idx is published
+// onward — the stamp is a plain field the retrieval side reads behind
+// that handoff, and the count can never be run ahead of by the worker's
+// decrement at dispatch (popSubmission), so the backlog never reads
+// below zero.
+func (d *Device) flushed(r *Request, nano int64) *tenantState {
+	if r.sampled {
+		nano = time.Now().UnixNano()
+	}
+	if nano != 0 {
+		r.flushedNs = max(nano, r.submitted.Load())
+	}
+	ts := d.tenantOf(r)
+	ts.queued.Add(1)
+	return ts
+}
+
+// backlog counts the requests taken off staging but not yet
+// dispatched, whether on the submission queue or in the scheduler's
+// buckets: the sum of the tenants' queued counters (Stats sums its own
+// tenant snapshot). It walks the tenant table, so only the monitor tick
+// and outlier capture read it.
 func (d *Device) backlog() int64 {
 	var n int64
 	for _, ts := range *d.tenants.Load() {

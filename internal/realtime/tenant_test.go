@@ -175,7 +175,7 @@ func TestTenantSchedWeightedOrder(t *testing.T) {
 	q := slab.NewQueue(rbq.Blue)
 	owner := map[uint32]uint32{}
 	weights := map[uint32]int64{1: 3, 2: 1}
-	s := newTenantSched(q, 1,
+	s := newTenantSched(q, slab.NewQueue(rbq.Red), 1,
 		func(idx uint32) (int, uint32) { return 0, owner[idx] },
 		func(ten uint32) int64 { return weights[ten] },
 		16)
@@ -193,7 +193,7 @@ func TestTenantSchedWeightedOrder(t *testing.T) {
 	}
 	var order []uint32
 	for {
-		_, ten, aged, ok := s.pop()
+		_, ten, aged, ok := s.next()
 		if !ok {
 			break
 		}
@@ -225,7 +225,7 @@ func TestTenantSchedNoBanking(t *testing.T) {
 	slab := rbq.NewSlab(64)
 	q := slab.NewQueue(rbq.Blue)
 	owner := map[uint32]uint32{}
-	s := newTenantSched(q, 1,
+	s := newTenantSched(q, slab.NewQueue(rbq.Red), 1,
 		func(idx uint32) (int, uint32) { return 0, owner[idx] },
 		func(ten uint32) int64 { return 8 }, // big quantum for everyone
 		16)
@@ -239,7 +239,7 @@ func TestTenantSchedNoBanking(t *testing.T) {
 	}
 	// Tenant 1 has one request: it is served, empties, deficit resets.
 	enq(1, 1, 0)
-	if _, ten, _, ok := s.pop(); !ok || ten != 1 {
+	if _, ten, _, ok := s.next(); !ok || ten != 1 {
 		t.Fatalf("first pop = tenant %d ok=%v", ten, ok)
 	}
 	// Now 1 re-activates behind 2; with weight 8 each and both
@@ -249,7 +249,7 @@ func TestTenantSchedNoBanking(t *testing.T) {
 	enq(1, 8, 200)
 	var order []uint32
 	for i := 0; i < 16; i++ {
-		_, ten, _, ok := s.pop()
+		_, ten, _, ok := s.next()
 		if !ok {
 			t.Fatalf("pop %d failed", i)
 		}

@@ -5,15 +5,18 @@ package realtime
 // PR 5 aging credit preserved across classes.
 //
 // The lock-free submit path is untouched — submitters still enqueue
-// every class on the device's one red-blue submission queue. The
-// single-consumer worker drains that queue into worker-local
-// per-(class, tenant) FIFO buckets and serves the buckets with classic
-// DRR: on each visit a tenant's deficit is topped up by its weight (the
-// quantum, in requests), one request costs one deficit unit, and a
-// bucket that empties is deactivated with its deficit reset — no
-// banking while idle. A tenant with weight w therefore gets w
-// consecutive pops per round while backlogged, and the long-run service
-// ratio between backlogged tenants converges to their weight ratio.
+// every class on the device's one red-blue staging queue, and a
+// submitter's Section 4.4 flush moves what it drains onto the one
+// submission queue. The single-consumer worker drains both straight into
+// worker-local per-(class, tenant) FIFO buckets — the submission queue
+// first, then staging, so a flushed request never lands behind one
+// staged after it — and serves the buckets with classic DRR: on each
+// visit a tenant's deficit is topped up by its weight (the quantum, in
+// requests), one request costs one deficit unit, and a bucket that
+// empties is deactivated with its deficit reset — no banking while idle.
+// A tenant with weight w therefore gets w consecutive pops per round
+// while backlogged, and the long-run service ratio between backlogged
+// tenants converges to their weight ratio.
 //
 // Everything here runs on the worker goroutine only (the same
 // single-consumer discipline the aging credits already relied on), so
@@ -22,23 +25,25 @@ package realtime
 // or exit through that path, which keeps the AuditSlots accounting
 // exact: a parked device holds no indices in scheduler buckets.
 //
-// The type is deliberately self-contained (the queue plus two lookup
-// closures) so the linearizability suite can drive the exact production
-// discipline through rbq sched-hook yield points against the
-// internal/check sequential models.
+// The type is deliberately self-contained (the two queues plus two
+// lookup closures) so the linearizability suite can drive the exact
+// production drain and discipline through rbq sched-hook yield points
+// against the internal/check sequential models.
 
 import "memif/internal/rbq"
 
-// tenantSched orders the submission queue by class, then across tenants.
+// tenantSched orders the flushed and staged requests by class, then
+// across tenants.
 //
 // False-sharing audit note (PR 8): everything below — credits, drrClass
 // maps/slices, drrBucket deficits — is touched by exactly one goroutine,
 // the dispatch worker. Single-writer-single-reader state needs no
 // cache-line padding; the lines live dirty in the worker's L1 and no
-// other core ever requests them. Only the shared rbq queue it drains
-// carries cross-core traffic, and that is padded in rbq.Queue itself.
+// other core ever requests them. Only the shared rbq queues it drains
+// carry cross-core traffic, and that is padded in rbq.Queue itself.
 type tenantSched struct {
-	queue    *rbq.Queue                                  // the submission queue (shared, lock-free)
+	submission, staging *rbq.Queue // shared, lock-free; drained in that order
+
 	owner    func(idx uint32) (class int, tenant uint32) // slot index -> its class and tenant
 	weightOf func(tenant uint32) int64                   // tenant id -> DRR quantum (requests/round)
 	aging    int64                                       // pops a lower class may be passed over
@@ -62,14 +67,15 @@ type drrBucket struct {
 	deficit int64
 }
 
-func newTenantSched(queue *rbq.Queue, numClasses int, owner func(uint32) (int, uint32), weightOf func(uint32) int64, aging int64) *tenantSched {
+func newTenantSched(submission, staging *rbq.Queue, numClasses int, owner func(uint32) (int, uint32), weightOf func(uint32) int64, aging int64) *tenantSched {
 	s := &tenantSched{
-		queue:    queue,
-		owner:    owner,
-		weightOf: weightOf,
-		aging:    aging,
-		credits:  make([]int64, numClasses),
-		classes:  make([]drrClass, numClasses),
+		submission: submission,
+		staging:    staging,
+		owner:      owner,
+		weightOf:   weightOf,
+		aging:      aging,
+		credits:    make([]int64, numClasses),
+		classes:    make([]drrClass, numClasses),
 	}
 	for c := range s.classes {
 		s.classes[c].buckets = make(map[uint32]*drrBucket)
@@ -77,28 +83,35 @@ func newTenantSched(queue *rbq.Queue, numClasses int, owner func(uint32) (int, u
 	return s
 }
 
-// drain moves everything currently on the shared submission queue into
-// the worker-local buckets. Dequeue observing empty is a linearization
-// point, so any enqueue that completed before the caller's pop began is
-// guaranteed to be included.
-func (s *tenantSched) drain() {
-	for {
-		idx, _, ok := s.queue.Dequeue()
-		if !ok {
-			return
-		}
-		class, tenant := s.owner(idx)
-		s.classes[class].push(tenant, idx)
+// drain moves everything waiting into the worker-local buckets: first
+// what a submitter's flush left on the submission queue, then what is
+// still on staging, whose every index passes through staged on its way
+// in. Everything on the submission queue was staged before anything
+// still on staging, so the order keeps each bucket FIFO. A Dequeue
+// observing empty is a linearization point, so any enqueue that
+// completed before the drain began is included.
+func (s *tenantSched) drain(staged func(idx uint32)) {
+	for idx, _, ok := s.submission.Dequeue(); ok; idx, _, ok = s.submission.Dequeue() {
+		s.push(idx)
 	}
+	for idx, _, ok := s.staging.Dequeue(); ok; idx, _, ok = s.staging.Dequeue() {
+		staged(idx)
+		s.push(idx)
+	}
+}
+
+// push buffers idx in its owner's bucket.
+func (s *tenantSched) push(idx uint32) {
+	class, tenant := s.owner(idx)
+	s.classes[class].push(tenant, idx)
 }
 
 // pop returns the next request index under the full discipline: an aged
 // lower class is served first (one pop, credit reset), then classes in
 // strict priority order, DRR between tenants within the chosen class.
 // aged reports an out-of-order pop; tenant is the owner of the returned
-// index.
+// index. It serves the buckets alone: drain fills them.
 func (s *tenantSched) pop() (idx, tenant uint32, aged, ok bool) {
-	s.drain()
 	// Serve an aged class first: it has been passed over aging times
 	// while non-empty, so it gets one pop out of strict-priority order.
 	for c := 1; c < len(s.classes); c++ {

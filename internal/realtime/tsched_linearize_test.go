@@ -1,8 +1,10 @@
 package realtime
 
 // Linearizability of the production submission scheduler: concurrent
-// submitters enqueue every class on the one shared red-blue submission
-// queue while the worker pops through tenantSched, with every rbq operation yielding to
+// submitters stage every class on one red-blue staging queue under the
+// Section 4.4 protocol while the worker takes its production steps —
+// tenantSched.drain (the submission queue, then staging, into the
+// buckets) and tenantSched.pop — with every rbq operation yielding to
 // the deterministic scheduler. Each history must linearize against the
 // sequential models in internal/check — SubmissionModel for the
 // single-tenant priority+aging discipline, DRRSubmissionModel for the
@@ -31,6 +33,88 @@ func drrOwner(v uint32) (int, uint32) {
 	return 0, ten
 }
 
+// runTenantSchedProtocol drives one scheduler under one seed and checks
+// the history against m. producers[p] is the values client p submits, in
+// order. Producer 0 submits as Submit does: it stages, and when its
+// enqueue observes blue it flushes staging onto the submission queue and
+// kicks the worker. The others only stage, leaving their values to the
+// next flush or to the worker. The worker starts asleep, as the device's
+// does; kicked — or once every producer has returned — it takes pops
+// recorded steps of drain-then-pop and parks staging whenever a pop
+// finds nothing, sleeping again if the recolor succeeds.
+//
+// One flusher keeps staging's consumers exclusive — the flush while the
+// worker sleeps, the worker while it is awake — which is what the drain
+// order relies on. Two concurrent flushers are weaker than the models:
+// one can hold a staged value between its dequeue and its
+// submission-queue enqueue while the other recolors and kicks, and the
+// woken worker drains values staged after it first.
+func runTenantSchedProtocol(seed int64, m check.Model, numClasses int, owner func(uint32) (int, uint32),
+	weightOf func(uint32) int64, aging int64, producers [][]uint32, pops int) error {
+	slab := rbq.NewSlab(512)
+	submission, staging := slab.NewQueue(rbq.Blue), slab.NewQueue(rbq.Blue)
+	sched := newTenantSched(submission, staging, numClasses, owner, weightOf, aging)
+
+	worker := len(producers)
+	hist := check.NewHistory(worker + 1)
+	s := check.NewSched(seed)
+	rbq.SetSchedHook(s.YieldHook())
+	defer rbq.SetSchedHook(nil)
+
+	var kicks, woken, returned int
+	for p, vals := range producers {
+		s.Go(func(t *check.Thread) {
+			for _, v := range vals {
+				class, ten := owner(v)
+				hist.Record(p, check.TOp{Push: true, Class: class, Tenant: ten, V: v}, func() any {
+					c, ok := staging.Enqueue(v)
+					if ok && c == rbq.Blue && p == 0 &&
+						staging.Flush(func(v uint32) { submission.Enqueue(v) }) {
+						kicks++
+					}
+					return check.TRes{Ok: ok}
+				})
+				t.Yield()
+			}
+			returned++
+		})
+	}
+	s.Go(func(t *check.Thread) {
+		asleep := true
+		for i := 0; i < pops; i++ {
+			for asleep {
+				switch {
+				case kicks > woken:
+					woken++
+					asleep = false
+				case returned == len(producers):
+					asleep = false
+				default:
+					t.Yield()
+				}
+			}
+			var popped bool
+			hist.Record(worker, check.TOp{}, func() any {
+				sched.drain(func(uint32) {})
+				idx, ten, aged, ok := sched.pop()
+				popped = ok
+				return check.TRes{V: idx, Tenant: ten, Aged: aged, Ok: ok}
+			})
+			if !popped && staging.Park() {
+				asleep = true
+			}
+			t.Yield()
+		}
+	})
+	if err := s.Run(); err != nil {
+		return err
+	}
+	if r := check.CheckHistory(m, hist); !r.Ok {
+		return fmt.Errorf("not linearizable: %s", r.Info)
+	}
+	return nil
+}
+
 // runTenantSchedDRR drives the real scheduler under one seed: three
 // tenants across two classes, tenant 1 at weight 2, and checks the
 // history against the DRR model.
@@ -41,46 +125,14 @@ func runTenantSchedDRR(seed int64) error {
 		}
 		return 1
 	}
-	const numClasses = 2
-	queue := rbq.NewSlab(512).NewQueue(rbq.Blue)
-	sched := newTenantSched(queue, numClasses, drrOwner, weightOf, 3)
-
-	hist := check.NewHistory(4)
-	s := check.NewSched(seed)
-	rbq.SetSchedHook(s.YieldHook())
-	defer rbq.SetSchedHook(nil)
-
-	push := func(t *check.Thread, client int, vals ...uint32) {
-		for _, v := range vals {
-			v := v
-			class, ten := drrOwner(v)
-			hist.Record(client, check.TOp{Push: true, Class: class, Tenant: ten, V: v}, func() any {
-				_, ok := queue.Enqueue(v)
-				return check.TRes{Ok: ok}
-			})
-			t.Yield()
-		}
-	}
-	s.Go(func(t *check.Thread) { push(t, 0, 100, 101, 102) }) // tenant 1, foreground
-	s.Go(func(t *check.Thread) { push(t, 1, 200, 201) })      // tenant 2, foreground
-	s.Go(func(t *check.Thread) { push(t, 2, 300, 301) })      // tenant 3, background
-	s.Go(func(t *check.Thread) {                              // the worker
-		for i := 0; i < 10; i++ {
-			hist.Record(3, check.TOp{}, func() any {
-				idx, ten, aged, ok := sched.pop()
-				return check.TRes{V: idx, Tenant: ten, Aged: aged, Ok: ok}
-			})
-			t.Yield()
-		}
-	})
-	if err := s.Run(); err != nil {
-		return err
-	}
-	m := check.DRRSubmissionModel(numClasses, 3, weightOf)
-	if r := check.CheckHistory(m, hist); !r.Ok {
-		return fmt.Errorf("not linearizable: %s", r.Info)
-	}
-	return nil
+	const numClasses, aging = 2, 3
+	return runTenantSchedProtocol(seed, check.DRRSubmissionModel(numClasses, aging, weightOf),
+		numClasses, drrOwner, weightOf, aging,
+		[][]uint32{
+			{100, 101, 102}, // tenant 1, foreground, the flusher
+			{200, 201},      // tenant 2, foreground
+			{300, 301},      // tenant 3, background
+		}, 10)
 }
 
 // runTenantSchedSingle drives the scheduler in its degenerate
@@ -88,47 +140,20 @@ func runTenantSchedDRR(seed int64) error {
 // checks against the plain priority+aging model, pinning that the DRR
 // layer preserves the PR 5 discipline exactly.
 func runTenantSchedSingle(seed int64) error {
-	const numClasses = 3
-	queue := rbq.NewSlab(512).NewQueue(rbq.Blue)
+	const numClasses, aging = 3, 2
 	// Value 10*(class+1)+i is the i-th push at class: the class is the
 	// value's tens digit less one, and every value belongs to tenant 0.
 	owner := func(v uint32) (int, uint32) { return int(v/10) - 1, 0 }
-	sched := newTenantSched(queue, numClasses, owner, func(uint32) int64 { return 1 }, 2)
-
-	hist := check.NewHistory(4)
-	s := check.NewSched(seed)
-	rbq.SetSchedHook(s.YieldHook())
-	defer rbq.SetSchedHook(nil)
-
+	var producers [][]uint32
 	for class := 0; class < numClasses; class++ {
-		class := class
-		s.Go(func(t *check.Thread) {
-			for i := 0; i < 3; i++ {
-				v := uint32(10*(class+1) + i)
-				hist.Record(class, check.TOp{Push: true, Class: class, V: v}, func() any {
-					_, ok := queue.Enqueue(v)
-					return check.TRes{Ok: ok}
-				})
-				t.Yield()
-			}
-		})
-	}
-	s.Go(func(t *check.Thread) {
-		for i := 0; i < 12; i++ {
-			hist.Record(3, check.TOp{}, func() any {
-				idx, ten, aged, ok := sched.pop()
-				return check.TRes{V: idx, Tenant: ten, Aged: aged, Ok: ok}
-			})
-			t.Yield()
+		var vals []uint32
+		for i := 0; i < 3; i++ {
+			vals = append(vals, uint32(10*(class+1)+i))
 		}
-	})
-	if err := s.Run(); err != nil {
-		return err
+		producers = append(producers, vals)
 	}
-	if r := check.CheckHistory(check.SubmissionModel(numClasses, 2), hist); !r.Ok {
-		return fmt.Errorf("not linearizable: %s", r.Info)
-	}
-	return nil
+	return runTenantSchedProtocol(seed, check.SubmissionModel(numClasses, aging),
+		numClasses, owner, func(uint32) int64 { return 1 }, aging, producers, 12)
 }
 
 func TestTenantSchedLinearizableDRR(t *testing.T) {
