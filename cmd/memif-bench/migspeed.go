@@ -12,6 +12,7 @@ import (
 	"memif/internal/sim"
 	"memif/internal/stats"
 	"memif/internal/uapi"
+	"memif/internal/workloads"
 )
 
 // migspeed mirrors the utility of the same name shipped with numactl,
@@ -106,19 +107,12 @@ func migspeed(args []string) {
 			start := p.Now()
 			node := hw.NodeFast
 			for i := 0; i < 2**loops; i++ {
-				r := d.AllocRequest(p)
-				r.Op = uapi.OpMigrate
-				r.SrcBase, r.Length, r.DstNode = base, length, node
-				if err := d.Submit(p, r); err != nil {
+				// Same region each trip: wait for completion before
+				// reversing direction.
+				if _, _, err := workloads.MoveSync(p, d, uapi.OpMigrate, base, 0, length, node); err != nil {
 					fmt.Fprintf(os.Stderr, "migspeed: %v\n", err)
 					return
 				}
-				// Same region each trip: wait for completion before
-				// reversing direction.
-				for d.RetrieveCompleted(p) == nil {
-					d.Poll(p, 0)
-				}
-				d.FreeRequest(p, r)
 				if node == hw.NodeFast {
 					node = hw.NodeSlow
 				} else {

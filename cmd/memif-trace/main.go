@@ -43,6 +43,7 @@ import (
 	"memif/internal/realtime"
 	"memif/internal/sim"
 	"memif/internal/uapi"
+	"memif/internal/workloads"
 )
 
 func main() {
@@ -155,20 +156,13 @@ func main() {
 			}
 			rows[i] = row{idx: r.Cookie, submitted: r.Submitted}
 		}
-		for done := 0; done < *reqs; {
-			r := d.RetrieveCompleted(p)
-			if r == nil {
-				d.Poll(p, 0)
-				continue
-			}
+		workloads.Await(p, d, *reqs, func(r *uapi.MovReq) {
 			rw := &rows[r.Cookie]
 			rw.completed = r.Completed
 			rw.retrieved = p.Now()
 			rw.status = r.Status
 			rw.errc = r.Err
-			d.FreeRequest(p, r)
-			done++
-		}
+		})
 	})
 	end := m.Eng.Run()
 	if appErr != nil {

@@ -134,22 +134,8 @@ func runSimScenario() (swapd.MetricsSnapshot, streamrt.EngineSnapshot, error) {
 		for round := 0; round < 3; round++ {
 			for _, base := range bases {
 				if f := as.FrameAt(base); f == nil || f.Node != hw.NodeFast {
-					r := dev.AllocRequest(p)
-					if r == nil {
+					if _, _, err := workloads.MoveSync(p, dev, uapi.OpMigrate, base, 0, bufBytes, hw.NodeFast); err != nil {
 						continue
-					}
-					r.Op = uapi.OpMigrate
-					r.SrcBase, r.Length, r.DstNode = base, bufBytes, hw.NodeFast
-					if err := dev.Submit(p, r); err != nil {
-						dev.FreeRequest(p, r)
-						continue
-					}
-					for {
-						if got := dev.RetrieveCompleted(p); got != nil {
-							dev.FreeRequest(p, got)
-							break
-						}
-						dev.Poll(p, 0)
 					}
 				}
 				sd.Register(base, bufBytes)
@@ -186,7 +172,10 @@ func runSimScenario() (swapd.MetricsSnapshot, streamrt.EngineSnapshot, error) {
 				fail("mmap: %w", err)
 				return
 			}
-			workloads.FillInput(p, as2, base, length, uint64(i)+42)
+			if _, err := workloads.FillInput(p, as2, base, length, uint64(i)+42); err != nil {
+				fail("fill input: %w", err)
+				return
+			}
 			s, err := eng.OpenStream(p, streamrt.StreamSpec{
 				Kernel: k, Base: base, Length: length,
 				Class: qos.Background, Credits: 2, Name: k.Name,

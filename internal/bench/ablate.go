@@ -42,17 +42,18 @@ func ablationMigrate(opts core.Options, reqs int, pagesPerReq int) (cpuPerReqUS 
 	runApp(m, func(p *sim.Proc) {
 		defer d.Close()
 		base := mmapOrDie(p, as, int64(reqs+1)*reqBytes, hw.NodeSlow, "w")
-		// Warm up one request, then measure the rest.
-		submitMove(p, d, uapi.OpMigrate, base, 0, reqBytes, hw.NodeFast, 0)
-		waitAll(p, d, 1, nil)
+		// burst migrates regions first..first+n-1 at once.
+		burst := func(first, n int) {
+			window(p, d, n, n, func(i int) {
+				submitMove(p, d, uapi.OpMigrate, base+int64(first+i)*reqBytes, 0, reqBytes, hw.NodeFast, uint64(i))
+			}, nil)
+		}
+		burst(0, 1) // warm up one request, then measure the rest
 		d.Breakdown.Reset()
 		d.UserMeter.Reset()
 		d.KernMeter.Reset()
 		start := p.Now()
-		for i := 1; i <= reqs; i++ {
-			submitMove(p, d, uapi.OpMigrate, base+int64(i)*reqBytes, 0, reqBytes, hw.NodeFast, uint64(i))
-		}
-		waitAll(p, d, reqs, nil)
+		burst(1, reqs)
 		gbs = stats.ThroughputGBs(int64(reqs)*reqBytes, p.Now()-start)
 	})
 	cpu := sim.MeterGroup{d.UserMeter, d.KernMeter}.Busy()

@@ -21,13 +21,13 @@ import (
 
 // System names used across experiments.
 const (
-	SysLinux         = "Linux"
-	SysMemifMigrate  = "memif-migrate"
-	SysMemifReplicte = "memif-replicate"
+	SysLinux          = "Linux"
+	SysMemifMigrate   = "memif-migrate"
+	SysMemifReplicate = "memif-replicate"
 )
 
 // Systems lists the Figure 6/8 comparison systems in display order.
-var Systems = []string{SysLinux, SysMemifMigrate, SysMemifReplicte}
+var Systems = []string{SysLinux, SysMemifMigrate, SysMemifReplicate}
 
 // evalPlatform returns the KeyStone II platform with the fast node
 // enlarged. The paper emulates medium/large pages by moving extra bytes
@@ -61,7 +61,7 @@ func runApp(m *machine.Machine, fn func(p *sim.Proc)) {
 
 // submitMove fills in and submits one request; it panics on library
 // errors (experiment plumbing, not system under test).
-func submitMove(p *sim.Proc, d *core.Device, op uapi.Op, src, dst, length int64, node hw.NodeID, cookie uint64) *uapi.MovReq {
+func submitMove(p *sim.Proc, d *core.Device, op uapi.Op, src, dst, length int64, node hw.NodeID, cookie uint64) {
 	r := d.AllocRequest(p)
 	if r == nil {
 		panic("bench: out of mov_req slots")
@@ -72,13 +72,23 @@ func submitMove(p *sim.Proc, d *core.Device, op uapi.Op, src, dst, length int64,
 	if err := d.Submit(p, r); err != nil {
 		panic(fmt.Sprintf("bench: submit: %v", err))
 	}
-	return r
 }
 
-// waitAll polls until n completions have been retrieved, invoking fn on
-// each (fn may be nil). Failed completions panic: evaluation workloads
-// are race-free by construction.
-func waitAll(p *sim.Proc, d *core.Device, n int, fn func(r *uapi.MovReq)) {
+// window keeps w of n requests in flight on d, polling before it
+// drains: submit(slot) issues a request whose cookie is slot, first for
+// slots 0..w-1, then again for each drained request's cookie until n
+// have been issued. done (if non-nil) sees each completion before it is
+// freed. Failed completions panic: evaluation workloads are race-free by
+// construction.
+//
+// The order is the paper figures' own: workloads.Await retrieves first,
+// and since RetrieveCompleted charges a queue op even when it finds
+// nothing, the two orders are different virtual-time programs.
+func window(p *sim.Proc, d *core.Device, n, w int, submit func(slot int), done func(r *uapi.MovReq)) {
+	issued := 0
+	for ; issued < min(w, n); issued++ {
+		submit(issued)
+	}
 	for got := 0; got < n; {
 		if !d.Poll(p, 0) {
 			panic("bench: poll gave up")
@@ -91,12 +101,38 @@ func waitAll(p *sim.Proc, d *core.Device, n int, fn func(r *uapi.MovReq)) {
 			if r.Status != uapi.StatusDone {
 				panic(fmt.Sprintf("bench: move failed: %v", r))
 			}
-			if fn != nil {
-				fn(r)
+			if done != nil {
+				done(r)
 			}
+			slot := int(r.Cookie)
 			d.FreeRequest(p, r)
 			got++
+			if issued < n {
+				submit(slot)
+				issued++
+			}
 		}
+	}
+}
+
+// pingPong maps n regions of reqBytes on the slow node of d's address
+// space and returns a submitter for window: each call migrates region
+// slot to the node it is not on, so the requests are independent and the
+// mover streams continuously, like migspeed.
+func pingPong(p *sim.Proc, d *core.Device, n int, reqBytes int64) func(slot int) {
+	regions := make([]int64, n)
+	loc := make([]hw.NodeID, n)
+	for i := range regions {
+		regions[i] = mmapOrDie(p, d.AS, reqBytes, hw.NodeSlow, "r")
+		loc[i] = hw.NodeSlow
+	}
+	return func(slot int) {
+		dst := hw.NodeFast
+		if loc[slot] == hw.NodeFast {
+			dst = hw.NodeSlow
+		}
+		submitMove(p, d, uapi.OpMigrate, regions[slot], 0, reqBytes, dst, uint64(slot))
+		loc[slot] = dst
 	}
 }
 

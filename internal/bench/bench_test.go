@@ -14,7 +14,7 @@ import (
 func TestFig6SmallPageShape(t *testing.T) {
 	linux := Fig6(SysLinux, hw.Page4K, 16)
 	mig := Fig6(SysMemifMigrate, hw.Page4K, 16)
-	rep := Fig6(SysMemifReplicte, hw.Page4K, 16)
+	rep := Fig6(SysMemifReplicate, hw.Page4K, 16)
 
 	// Baseline is synchronous: 100% CPU.
 	if linux.CPUUsage < 0.99 {
@@ -118,7 +118,7 @@ func TestFig8Shape(t *testing.T) {
 	// least 40% for small pages" outside the 1-page extreme).
 	linux := fig8Cell(t, SysLinux, hw.Page4K, 16)
 	mig := fig8Cell(t, SysMemifMigrate, hw.Page4K, 16)
-	rep := fig8Cell(t, SysMemifReplicte, hw.Page4K, 16)
+	rep := fig8Cell(t, SysMemifReplicate, hw.Page4K, 16)
 	if mig.GBs < linux.GBs*1.4 {
 		t.Errorf("4KB x16: memif %.2f GB/s < 1.4x Linux %.2f GB/s", mig.GBs, linux.GBs)
 	}

@@ -3,11 +3,9 @@ package bench
 import (
 	"memif/internal/core"
 	"memif/internal/hw"
-	"memif/internal/machine"
 	"memif/internal/sim"
 	"memif/internal/stats"
 	"memif/internal/streamrt"
-	"memif/internal/uapi"
 	"memif/internal/workloads"
 )
 
@@ -50,45 +48,9 @@ func MultiApp(apps int, pageBytes int64, pages int) MultiAppResult {
 			d := core.Open(m, as, core.DefaultOptions())
 			m.Eng.Spawn("app", func(p *sim.Proc) {
 				defer d.Close()
-				regions := make([]int64, regionN)
-				loc := make([]hw.NodeID, regionN)
-				for i := range regions {
-					regions[i] = mmapOrDie(p, as, reqBytes, hw.NodeSlow, "r")
-					loc[i] = hw.NodeSlow
-				}
-				submit := func(i int) {
-					dst := hw.NodeFast
-					if loc[i] == hw.NodeFast {
-						dst = hw.NodeSlow
-					}
-					submitMove(p, d, uapi.OpMigrate, regions[i], 0, reqBytes, dst, uint64(i))
-					loc[i] = dst
-				}
+				submit := pingPong(p, d, regionN, reqBytes)
 				start := p.Now()
-				issued := 0
-				for i := 0; i < regionN; i++ {
-					submit(i)
-					issued++
-				}
-				for doneReqs := 0; doneReqs < rounds; {
-					d.Poll(p, 0)
-					for {
-						r := d.RetrieveCompleted(p)
-						if r == nil {
-							break
-						}
-						if r.Status != uapi.StatusDone {
-							panic("bench: multiapp move failed")
-						}
-						buf := int(r.Cookie)
-						d.FreeRequest(p, r)
-						doneReqs++
-						if issued < rounds {
-							submit(buf)
-							issued++
-						}
-					}
-				}
+				window(p, d, rounds, regionN, submit, nil)
 				out[a] = stats.ThroughputGBs(int64(rounds)*reqBytes, p.Now()-start)
 			})
 		}
@@ -129,26 +91,13 @@ var (
 func Limitations() []LimitationRow {
 	var out []LimitationRow
 	for _, k := range []workloads.Kernel{WordCount, Psearchy} {
-		m := machine.New(hw.KeyStoneII())
-		m.Mem.DisableData()
-		as := m.NewAddressSpace(hw.Page4K)
-		d := core.Open(m, as, core.DefaultOptions())
-		row := LimitationRow{Workload: k.Name}
-		runApp(m, func(p *sim.Proc) {
-			defer d.Close()
-			cfg := streamrt.DefaultConfig()
-			const input = 32 << 20
-			base := mmapOrDie(p, as, input, hw.NodeSlow, "input")
-			direct, err := streamrt.RunDirect(p, as, k, base, input, cfg)
-			if err != nil {
-				panic(err)
-			}
-			fast := streamWholeRing(p, d, k, base, input, cfg)
-			row.LinuxMBs = direct.ThroughputMBs
-			row.MemifMBs = fast.ThroughputMBs
+		direct, fast := directVsRing(hw.KeyStoneII(), hw.Page4K, streamrt.DefaultConfig(), k, 32<<20)
+		out = append(out, LimitationRow{
+			Workload: k.Name,
+			LinuxMBs: direct.ThroughputMBs,
+			MemifMBs: fast.ThroughputMBs,
+			GainPct:  (fast.ThroughputMBs/direct.ThroughputMBs - 1) * 100,
 		})
-		row.GainPct = (row.MemifMBs/row.LinuxMBs - 1) * 100
-		out = append(out, row)
 	}
 	return out
 }

@@ -65,32 +65,27 @@ func Fig6(system string, pageBytes int64, pages int) Fig6Result {
 			res.Breakdown = mg.Breakdown.Clone()
 		})
 
-	case SysMemifMigrate, SysMemifReplicte:
+	case SysMemifMigrate, SysMemifReplicate:
 		d := core.Open(m, as, core.DefaultOptions())
 		runApp(m, func(p *sim.Proc) {
 			defer d.Close()
-			run := func(tag uint64) (sim.Time, sim.Time) {
+			run := func() (lat sim.Time) {
 				src := mmapOrDie(p, as, length, hw.NodeSlow, "src")
-				var dst int64
-				if system == SysMemifReplicte {
-					dst = mmapOrDie(p, as, length, hw.NodeFast, "dst")
+				op, dst := uapi.OpMigrate, int64(0)
+				if system == SysMemifReplicate {
+					op, dst = uapi.OpReplicate, mmapOrDie(p, as, length, hw.NodeFast, "dst")
 				}
-				var r *uapi.MovReq
 				start := p.Now()
-				if system == SysMemifMigrate {
-					r = submitMove(p, d, uapi.OpMigrate, src, 0, length, hw.NodeFast, tag)
-				} else {
-					r = submitMove(p, d, uapi.OpReplicate, src, dst, length, hw.NodeFast, tag)
-				}
-				waitAll(p, d, 1, nil)
-				return r.Completed - start, p.Now() - start
+				window(p, d, 1, 1, func(slot int) {
+					submitMove(p, d, op, src, dst, length, hw.NodeFast, uint64(slot))
+				}, func(r *uapi.MovReq) { lat = r.Completed - start })
+				return lat
 			}
-			run(0) // warm up chains and worker
+			run() // warm up chains and worker
 			d.Breakdown.Reset()
 			d.UserMeter.Reset()
 			d.KernMeter.Reset()
-			lat, _ := run(1)
-			res.Elapsed = lat
+			res.Elapsed = run()
 			res.CPUBusy = sim.MeterGroup{d.UserMeter, d.KernMeter}.Busy()
 			res.Breakdown = d.Breakdown.Clone()
 		})

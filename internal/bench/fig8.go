@@ -48,14 +48,14 @@ func Fig8(system string, pageBytes int64, pages int) Fig8Result {
 	// Ping-pong regions: each request migrates a region to the other
 	// node (or replicates it into a peer buffer), so requests are
 	// independent and the mover streams continuously like migspeed.
-	const window = 4
+	const depth = 4
 
 	switch system {
 	case SysLinux:
 		mg := linuxmig.New(m, as)
 		runApp(m, func(p *sim.Proc) {
-			regions := make([]int64, window)
-			loc := make([]hw.NodeID, window)
+			regions := make([]int64, depth)
+			loc := make([]hw.NodeID, depth)
 			for i := range regions {
 				regions[i] = mmapOrDie(p, as, reqBytes, hw.NodeSlow, "r")
 				loc[i] = hw.NodeSlow
@@ -75,100 +75,32 @@ func Fig8(system string, pageBytes int64, pages int) Fig8Result {
 			}
 			start := p.Now()
 			for r := 0; r < nReqs; r++ {
-				flip(r % window)
+				flip(r % depth)
 			}
 			res.GBs = stats.ThroughputGBs(int64(nReqs)*reqBytes, p.Now()-start)
 		})
 
-	case SysMemifMigrate:
+	case SysMemifMigrate, SysMemifReplicate:
 		d := core.Open(m, as, core.DefaultOptions())
 		runApp(m, func(p *sim.Proc) {
 			defer d.Close()
-			regions := make([]int64, window)
-			loc := make([]hw.NodeID, window)
-			for i := range regions {
-				regions[i] = mmapOrDie(p, as, reqBytes, hw.NodeSlow, "r")
-				loc[i] = hw.NodeSlow
-			}
-			submit := func(i int) {
-				dst := hw.NodeFast
-				if loc[i] == hw.NodeFast {
-					dst = hw.NodeSlow
+			var submit func(slot int)
+			if system == SysMemifMigrate {
+				submit = pingPong(p, d, depth, reqBytes)
+			} else {
+				srcs := make([]int64, depth)
+				dsts := make([]int64, depth)
+				for i := range srcs {
+					srcs[i] = mmapOrDie(p, as, reqBytes, hw.NodeSlow, "src")
+					dsts[i] = mmapOrDie(p, as, reqBytes, hw.NodeFast, "dst")
 				}
-				submitMove(p, d, uapi.OpMigrate, regions[i], 0, reqBytes, dst, uint64(i))
-				loc[i] = dst
+				submit = func(i int) {
+					submitMove(p, d, uapi.OpReplicate, srcs[i], dsts[i], reqBytes, hw.NodeFast, uint64(i))
+				}
 			}
-			for i := range regions { // warm up
-				submit(i)
-			}
-			waitAll(p, d, window, nil)
+			window(p, d, depth, depth, submit, nil) // warm up
 			start := p.Now()
-			issued := 0
-			for i := 0; i < window && issued < nReqs; i++ {
-				submit(i)
-				issued++
-			}
-			for done := 0; done < nReqs; {
-				d.Poll(p, 0)
-				for {
-					r := d.RetrieveCompleted(p)
-					if r == nil {
-						break
-					}
-					if r.Status != uapi.StatusDone {
-						panic("bench: fig8 move failed")
-					}
-					buf := int(r.Cookie)
-					d.FreeRequest(p, r)
-					done++
-					if issued < nReqs {
-						submit(buf)
-						issued++
-					}
-				}
-			}
-			res.GBs = stats.ThroughputGBs(int64(nReqs)*reqBytes, p.Now()-start)
-		})
-
-	case SysMemifReplicte:
-		d := core.Open(m, as, core.DefaultOptions())
-		runApp(m, func(p *sim.Proc) {
-			defer d.Close()
-			srcs := make([]int64, window)
-			dsts := make([]int64, window)
-			for i := range srcs {
-				srcs[i] = mmapOrDie(p, as, reqBytes, hw.NodeSlow, "src")
-				dsts[i] = mmapOrDie(p, as, reqBytes, hw.NodeFast, "dst")
-			}
-			submit := func(i int) {
-				submitMove(p, d, uapi.OpReplicate, srcs[i], dsts[i], reqBytes, hw.NodeFast, uint64(i))
-			}
-			for i := range srcs {
-				submit(i)
-			}
-			waitAll(p, d, window, nil)
-			start := p.Now()
-			issued := 0
-			for i := 0; i < window && issued < nReqs; i++ {
-				submit(i)
-				issued++
-			}
-			for done := 0; done < nReqs; {
-				d.Poll(p, 0)
-				for {
-					r := d.RetrieveCompleted(p)
-					if r == nil {
-						break
-					}
-					buf := int(r.Cookie)
-					d.FreeRequest(p, r)
-					done++
-					if issued < nReqs {
-						submit(buf)
-						issued++
-					}
-				}
-			}
+			window(p, d, nReqs, depth, submit, nil)
 			res.GBs = stats.ThroughputGBs(int64(nReqs)*reqBytes, p.Now()-start)
 		})
 	default:

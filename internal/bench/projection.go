@@ -1,10 +1,7 @@
 package bench
 
 import (
-	"memif/internal/core"
 	"memif/internal/hw"
-	"memif/internal/machine"
-	"memif/internal/sim"
 	"memif/internal/streamrt"
 	"memif/internal/workloads"
 )
@@ -42,45 +39,20 @@ type ProjectionRow struct {
 	FutureMBs  float64
 }
 
-// projectionRun measures one (platform, page size, buffer config) cell.
-func projectionRun(plat *hw.Platform, pageBytes int64, cfg streamrt.Config, k workloads.Kernel) (direct, fast float64) {
-	m := machine.New(plat)
-	m.Mem.DisableData()
-	as := m.NewAddressSpace(pageBytes)
-	d := core.Open(m, as, core.DefaultOptions())
-	runApp(m, func(p *sim.Proc) {
-		defer d.Close()
-		const input = 64 << 20
-		base := mmapOrDie(p, as, input, hw.NodeSlow, "input")
-		dr, err := streamrt.RunDirect(p, as, k, base, input, cfg)
-		if err != nil {
-			panic(err)
-		}
-		fr := streamWholeRing(p, d, k, base, input, cfg)
-		direct, fast = dr.ThroughputMBs, fr.ThroughputMBs
-	})
-	return direct, fast
-}
-
 // Projection runs the comparison for every Table 4 workload.
 func Projection() []ProjectionRow {
 	var out []ProjectionRow
 	for _, k := range workloads.All {
-		today := streamrt.DefaultConfig()
-		dT, fT := projectionRun(hw.KeyStoneII(), hw.Page4K, today, k)
-
-		future := streamrt.Config{
-			BufBytes: 4 << 20, // larger buffers: fast node is 1 GB now
-			NumBufs:  16,
-		}
-		dF, fF := projectionRun(FuturePlatform(), hw.Page64K, future, k)
-
+		today := Table4Run(k)
+		// Larger buffers: the fast node is 1 GB now.
+		future := streamrt.Config{BufBytes: 4 << 20, NumBufs: 16}
+		direct, fast := directVsRing(FuturePlatform(), hw.Page64K, future, k, table4InputBytes)
 		out = append(out, ProjectionRow{
 			Workload:   k.Name,
-			TodayGain:  (fT/dT - 1) * 100,
-			FutureGain: (fF/dF - 1) * 100,
-			TodayMBs:   fT,
-			FutureMBs:  fF,
+			TodayGain:  today.GainPct,
+			FutureGain: (fast.ThroughputMBs/direct.ThroughputMBs - 1) * 100,
+			TodayMBs:   today.MemifMBs,
+			FutureMBs:  fast.ThroughputMBs,
 		})
 	}
 	return out

@@ -53,33 +53,39 @@ func streamWholeRing(p *sim.Proc, d *core.Device, k workloads.Kernel, base, leng
 	return res
 }
 
-// Table4Run measures one workload.
-func Table4Run(k workloads.Kernel) Table4Row {
-	// Table 4 runs on the real KeyStone II memory layout: the 6 MB fast
-	// node holds only the prefetch buffers. Data content is immaterial
-	// to the timing, so the machine is dataless for speed.
-	m := machine.New(hw.KeyStoneII())
+// directVsRing streams input bytes through kernel k on a fresh
+// dataless machine of plat with pageBytes pages, twice: straight out of
+// the slow node (the "Linux" cell of Table 4) and through a whole ring of
+// cfg's geometry (the "Memif" cell).
+func directVsRing(plat *hw.Platform, pageBytes int64, cfg streamrt.Config, k workloads.Kernel, input int64) (direct, fast streamrt.Result) {
+	m := machine.New(plat)
 	m.Mem.DisableData()
-	as := m.NewAddressSpace(hw.Page4K)
+	as := m.NewAddressSpace(pageBytes)
 	d := core.Open(m, as, core.DefaultOptions())
-
-	row := Table4Row{Workload: k.Name}
 	runApp(m, func(p *sim.Proc) {
 		defer d.Close()
-		cfg := streamrt.DefaultConfig()
-		base := mmapOrDie(p, as, table4InputBytes, hw.NodeSlow, "input")
-
-		direct, err := streamrt.RunDirect(p, as, k, base, table4InputBytes, cfg)
-		if err != nil {
+		base := mmapOrDie(p, as, input, hw.NodeSlow, "input")
+		var err error
+		if direct, err = streamrt.RunDirect(p, as, k, base, input, cfg); err != nil {
 			panic(err)
 		}
-		fast := streamWholeRing(p, d, k, base, table4InputBytes, cfg)
-		row.LinuxMBs = direct.ThroughputMBs
-		row.MemifMBs = fast.ThroughputMBs
-		row.FastChunks, row.SlowChunks = fast.FastChunks, fast.SlowChunks
+		fast = streamWholeRing(p, d, k, base, input, cfg)
 	})
-	row.GainPct = (row.MemifMBs/row.LinuxMBs - 1) * 100
-	return row
+	return direct, fast
+}
+
+// Table4Run measures one workload on the real KeyStone II memory layout:
+// the 6 MB fast node holds only the prefetch buffers.
+func Table4Run(k workloads.Kernel) Table4Row {
+	direct, fast := directVsRing(hw.KeyStoneII(), hw.Page4K, streamrt.DefaultConfig(), k, table4InputBytes)
+	return Table4Row{
+		Workload:   k.Name,
+		LinuxMBs:   direct.ThroughputMBs,
+		MemifMBs:   fast.ThroughputMBs,
+		GainPct:    (fast.ThroughputMBs/direct.ThroughputMBs - 1) * 100,
+		FastChunks: fast.FastChunks,
+		SlowChunks: fast.SlowChunks,
+	}
 }
 
 // Table4 runs all three workloads in the paper's column order.

@@ -38,7 +38,10 @@ func TestSpanConservation(t *testing.T) {
 						t.Error(err)
 						return
 					}
-					workloads.FillInput(p, d.AS, base, length, uint64(i)+1)
+					if _, err := workloads.FillInput(p, d.AS, base, length, uint64(i)+1); err != nil {
+						t.Error(err)
+						return
+					}
 					s, err := e.OpenStream(p, StreamSpec{
 						Kernel: k, Base: base, Length: length,
 						Class: uapi.ClassBackground, Credits: 3, Name: k.Name,

@@ -47,20 +47,14 @@ func TestEngineMultiStreamChecksums(t *testing.T) {
 		}
 		dst := hw.NodeFast
 		probe := func(h *obs.Histogram) {
-			r := app.AllocRequest(p)
-			r.Op, r.Class = uapi.OpMigrate, uapi.ClassForeground
-			r.SrcBase, r.Length, r.DstNode = page, 4096, dst
-			if err := app.Submit(p, r); err != nil {
+			lat, ok, err := workloads.MoveSync(p, app, uapi.OpMigrate, page, 0, 4096, dst)
+			if err != nil {
 				t.Errorf("probe submit: %v", err)
 			}
-			for app.RetrieveCompleted(p) == nil {
-				app.Poll(p, 0)
-			}
-			if r.Status == uapi.StatusDone {
-				h.Observe(int64(r.Completed - r.Submitted))
+			if ok {
+				h.Observe(lat)
 				dst = 1 - dst // NodeFast <-> NodeSlow
 			}
-			app.FreeRequest(p, r)
 			p.SleepNS(50_000)
 		}
 		for p.Now() < 20_000_000 {
@@ -85,7 +79,9 @@ func TestEngineMultiStreamChecksums(t *testing.T) {
 			if bases[i], err = d.AS.Mmap(p, length, hw.NodeSlow, "input"); err != nil {
 				t.Fatal(err)
 			}
-			want[i], _ = workloads.FillInput(p, d.AS, bases[i], length, uint64(i+1))
+			if want[i], err = workloads.FillInput(p, d.AS, bases[i], length, uint64(i+1)); err != nil {
+				t.Fatal(err)
+			}
 		}
 		for ingestStart == 0 {
 			p.SleepNS(500_000)
@@ -206,7 +202,9 @@ func TestCreditInvariantsProperty(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				workloads.FillInput(p, d.AS, base, length, uint64(seed))
+				if _, err := workloads.FillInput(p, d.AS, base, length, uint64(seed)); err != nil {
+					t.Fatal(err)
+				}
 				s, err := e.OpenStream(p, StreamSpec{
 					Kernel: workloads.Add, Base: base, Length: length,
 					Credits: 1 + rng.Intn(3),
@@ -362,7 +360,9 @@ func TestChaosCloseMidFlight(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			want[i], _ = workloads.FillInput(p, d.AS, base, length, uint64(i+9))
+			if want[i], err = workloads.FillInput(p, d.AS, base, length, uint64(i+9)); err != nil {
+				t.Fatal(err)
+			}
 			s, err := e.OpenStream(p, StreamSpec{
 				Kernel: workloads.Add, Base: base, Length: length, Credits: 2, Name: name,
 			})
@@ -533,7 +533,9 @@ func TestFlightCapturesSlowFills(t *testing.T) {
 		}
 		length := int64(32) * opts.BufBytes
 		base, _ := d.AS.Mmap(p, length, hw.NodeSlow, "input")
-		workloads.FillInput(p, d.AS, base, length, 5)
+		if _, err := workloads.FillInput(p, d.AS, base, length, 5); err != nil {
+			t.Fatal(err)
+		}
 		s, err := e.OpenStream(p, StreamSpec{
 			Kernel: workloads.PGain, Base: base, Length: length,
 			Class: uapi.ClassBackground, Credits: 4, Name: "ingest",

@@ -58,7 +58,9 @@ func TestDirectRunChecksumAndThroughput(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		want, _ = workloads.FillInput(p, d.AS, base, length, 42)
+		if want, err = workloads.FillInput(p, d.AS, base, length, 42); err != nil {
+			t.Fatal(err)
+		}
 		res, err = RunDirect(p, d.AS, workloads.Triad, base, length, cfg)
 		if err != nil {
 			t.Fatal(err)
@@ -92,7 +94,9 @@ func TestMemifRunBeatsDirect(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				want, _ = workloads.FillInput(p, d.AS, base, length, 7)
+				if want, err = workloads.FillInput(p, d.AS, base, length, 7); err != nil {
+					t.Fatal(err)
+				}
 				direct, err = RunDirect(p, d.AS, k, base, length, cfg)
 				if err != nil {
 					t.Fatal(err)
@@ -127,7 +131,9 @@ func TestRunFreesBuffersAndSlots(t *testing.T) {
 		cfg := DefaultConfig()
 		length := int64(8) * cfg.BufBytes
 		base, _ := d.AS.Mmap(p, length, hw.NodeSlow, "input")
-		workloads.FillInput(p, d.AS, base, length, 1)
+		if _, err := workloads.FillInput(p, d.AS, base, length, 1); err != nil {
+			t.Fatal(err)
+		}
 		if _, err := run(p, d, workloads.Add, base, length, cfg); err != nil {
 			t.Fatal(err)
 		}
@@ -174,7 +180,10 @@ func TestSmallInputFewerChunksThanBuffers(t *testing.T) {
 		cfg := DefaultConfig()
 		length := int64(2) * cfg.BufBytes // 2 chunks, 8 buffers
 		base, _ := d.AS.Mmap(p, length, hw.NodeSlow, "input")
-		want, _ := workloads.FillInput(p, d.AS, base, length, 3)
+		want, err := workloads.FillInput(p, d.AS, base, length, 3)
+		if err != nil {
+			t.Fatal(err)
+		}
 		res, err := run(p, d, workloads.Triad, base, length, cfg)
 		if err != nil {
 			t.Fatal(err)
@@ -236,7 +245,9 @@ func TestFallbackChecksumMatchesPrefetched(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		want, _ = workloads.FillInput(p, d.AS, base, length, 11)
+		if want, err = workloads.FillInput(p, d.AS, base, length, 11); err != nil {
+			t.Fatal(err)
+		}
 
 		// Reference: as many buffers as chunks. Priming assigns every
 		// chunk to a fill before the consume loop starts, so the

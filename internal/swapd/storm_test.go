@@ -13,6 +13,8 @@ import (
 	"memif/internal/obs"
 	"memif/internal/obs/lifecycle"
 	"memif/internal/sim"
+	"memif/internal/uapi"
+	"memif/internal/workloads"
 )
 
 var update = flag.Bool("update", false, "rewrite testdata/storm.golden from this run instead of comparing")
@@ -78,7 +80,7 @@ func TestStormAllPathsFireAndForegroundHolds(t *testing.T) {
 		probe := func(h *obs.Histogram) {
 			// A move that fails (fast node transiently full) is retried
 			// to the same node next period and not observed.
-			if lat, ok := moveSync(p, app, fgBase, pageBytes, dst); ok {
+			if lat, ok, _ := workloads.MoveSync(p, app, uapi.OpMigrate, fgBase, 0, pageBytes, dst); ok {
 				h.Observe(lat)
 				dst = 1 - dst // NodeFast <-> NodeSlow
 			}

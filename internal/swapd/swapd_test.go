@@ -10,6 +10,7 @@ import (
 	"memif/internal/machine"
 	"memif/internal/sim"
 	"memif/internal/uapi"
+	"memif/internal/workloads"
 )
 
 func setup() (*machine.Machine, *core.Device) {
@@ -18,36 +19,11 @@ func setup() (*machine.Machine, *core.Device) {
 	return m, core.Open(m, as, core.DefaultOptions())
 }
 
-// moveSync migrates one region to dst as a foreground request and waits
-// for it, reporting the submit-to-completion latency and whether the
-// move succeeded.
-func moveSync(p *sim.Proc, d *core.Device, base, length int64, dst hw.NodeID) (latNS int64, ok bool) {
-	r := d.AllocRequest(p)
-	if r == nil {
-		return 0, false
-	}
-	r.Op = uapi.OpMigrate
-	r.SrcBase, r.Length, r.DstNode = base, length, dst
-	r.Class = uapi.ClassForeground
-	if err := d.Submit(p, r); err != nil {
-		d.FreeRequest(p, r)
-		return 0, false
-	}
-	for {
-		if got := d.RetrieveCompleted(p); got != nil {
-			latNS, ok = int64(got.Completed-got.Submitted), got.Status == uapi.StatusDone
-			d.FreeRequest(p, got)
-			return latNS, ok
-		}
-		d.Poll(p, 0)
-	}
-}
-
 // migrateIn moves a region into fast memory through the app device.
 func migrateIn(t *testing.T, d *core.Device, p *sim.Proc, base, length int64) {
 	t.Helper()
-	if _, ok := moveSync(p, d, base, length, hw.NodeFast); !ok {
-		t.Fatalf("migrate in of %#x+%d failed", base, length)
+	if _, ok, err := workloads.MoveSync(p, d, uapi.OpMigrate, base, 0, length, hw.NodeFast); !ok {
+		t.Fatalf("migrate in of %#x+%d failed (err %v)", base, length, err)
 	}
 }
 
@@ -200,16 +176,12 @@ func TestPromotionMeetingAppMigrationIsFailedNotAborted(t *testing.T) {
 		if err := d.Submit(p, r); err != nil {
 			t.Fatal(err)
 		}
-		for d.Poll(p, 0) {
-			if got := d.RetrieveCompleted(p); got != nil {
-				if got.Status != uapi.StatusDone {
-					t.Errorf("application migration failed: %v", got)
-				}
-				appDone = got.Completed
-				d.FreeRequest(p, got)
-				break
+		workloads.Await(p, d, 1, func(got *uapi.MovReq) {
+			if got.Status != uapi.StatusDone {
+				t.Errorf("application migration failed: %v", got)
 			}
-		}
+			appDone = got.Completed
+		})
 		// Stop before the second pump, which would promote the region now
 		// that the claim is free: one promotion attempt, one failure.
 		sd.Stop()

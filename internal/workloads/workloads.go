@@ -8,6 +8,14 @@
 // kernel entirely out of the slow DDR3 node reproduces the "Linux" row
 // of Table 4 (1440 / 2384 / 2390 MB/s); the memif row then emerges from
 // the runtime's prefetch behaviour rather than from calibration.
+//
+// The package also holds the simulated application's synchronous move
+// loop: Await drains completions and MoveSync moves one region and waits
+// for it. Both retrieve before they poll. The paper-figure drivers in
+// internal/bench poll before they drain instead, and the two orders are
+// different virtual-time programs: core.Device.RetrieveCompleted charges
+// a queue op even when it finds nothing. So each order has one loop, and
+// merging them would move the goldens.
 package workloads
 
 import (
