@@ -28,6 +28,10 @@ func migspeed(args []string) {
 	useMemif := fs.Bool("memif", false, "also measure memif migration")
 	xeon := fs.Bool("xeon", false, "use the Xeon E5 platform instead of KeyStone II")
 	_ = fs.Parse(args) // ExitOnError: Parse exits instead of returning an error
+	if err := checkMigspeedFlags(*pages, *loops); err != nil {
+		fmt.Fprintf(os.Stderr, "migspeed: %v\n", err)
+		os.Exit(2)
+	}
 
 	var pb int64
 	switch *pageSize {
@@ -70,14 +74,14 @@ func migspeed(args []string) {
 			base, err := as.Mmap(p, length, hw.NodeSlow, "region")
 			if err != nil {
 				fmt.Fprintf(os.Stderr, "migspeed: %v\n", err)
-				return
+				os.Exit(1)
 			}
 			start := p.Now()
 			node := hw.NodeFast
 			for i := 0; i < 2**loops; i++ {
 				if err := mg.MBind(p, base, length, node); err != nil {
 					fmt.Fprintf(os.Stderr, "migspeed: %v\n", err)
-					return
+					os.Exit(1)
 				}
 				if node == hw.NodeFast {
 					node = hw.NodeSlow
@@ -102,7 +106,7 @@ func migspeed(args []string) {
 			base, err := as.Mmap(p, length, hw.NodeSlow, "region")
 			if err != nil {
 				fmt.Fprintf(os.Stderr, "migspeed: %v\n", err)
-				return
+				os.Exit(1)
 			}
 			start := p.Now()
 			node := hw.NodeFast
@@ -111,7 +115,7 @@ func migspeed(args []string) {
 				// reversing direction.
 				if _, _, err := workloads.MoveSync(p, d, uapi.OpMigrate, base, 0, length, node); err != nil {
 					fmt.Fprintf(os.Stderr, "migspeed: %v\n", err)
-					return
+					os.Exit(1)
 				}
 				if node == hw.NodeFast {
 					node = hw.NodeSlow
@@ -127,4 +131,17 @@ func migspeed(args []string) {
 		})
 		m.Eng.Run()
 	}
+}
+
+// checkMigspeedFlags rejects, before anything runs, the flag values
+// that cannot make a measurement: a request needs a page and the run a
+// round trip.
+func checkMigspeedFlags(pages, loops int) error {
+	switch {
+	case pages < 1:
+		return fmt.Errorf("-pages %d must be at least 1", pages)
+	case loops < 1:
+		return fmt.Errorf("-loops %d must be at least 1", loops)
+	}
+	return nil
 }

@@ -60,7 +60,7 @@ func main() {
 	outliersFrom := flag.String("outliers", "", "render a /debug/outliers URL or saved file as a top-K table and exit")
 	topK := flag.Int("top", 10, "with -outliers: how many outliers to show")
 	flag.Parse()
-	if err := checkFlags(*reqs, *pages, *topK); err != nil {
+	if err := checkFlags(*reqs, *pages, *topK, *rtBytes); err != nil {
 		fmt.Fprintf(os.Stderr, "memif-trace: %v\n", err)
 		os.Exit(2)
 	}
@@ -190,8 +190,9 @@ func main() {
 
 // checkFlags rejects, before anything runs, the flag values no mode
 // can run with: -reqs must fit the request slots of both the simulated
-// and the realtime device, and -pages and -top must be positive.
-func checkFlags(reqs, pages, top int) error {
+// and the realtime device, -pages and -top must be positive, and
+// -rt-bytes must not be negative.
+func checkFlags(reqs, pages, top, rtBytes int) error {
 	slots := min(core.DefaultOptions().NumReqs, realtime.DefaultOptions().NumReqs)
 	switch {
 	case reqs < 1 || reqs > slots:
@@ -200,6 +201,8 @@ func checkFlags(reqs, pages, top int) error {
 		return fmt.Errorf("-pages %d must be at least 1", pages)
 	case top < 1:
 		return fmt.Errorf("-top %d must be at least 1", top)
+	case rtBytes < 0:
+		return fmt.Errorf("-rt-bytes %d must not be negative", rtBytes)
 	}
 	return nil
 }

@@ -177,31 +177,32 @@ func TestServeEndpoints(t *testing.T) {
 }
 
 // TestCheckFlags pins the up-front flag check: every value a mode can
-// run passes, and each out-of-range -reqs, -pages or -top is refused
-// with a message naming the flag.
+// run passes, and each out-of-range -reqs, -pages, -top or -rt-bytes is
+// refused with a message naming the flag.
 func TestCheckFlags(t *testing.T) {
 	for _, tc := range []struct {
-		reqs, pages, top int
-		want             string // "" = accepted, else a substring of the error
+		reqs, pages, top, rtBytes int
+		want                      string // "" = accepted, else a substring of the error
 	}{
-		{8, 16, 10, ""},
-		{1, 1, 1, ""},
-		{256, 1, 1, ""},
-		{0, 16, 10, "-reqs 0 out of range [1, 256]"},
-		{-1, 16, 10, "-reqs -1"},
-		{257, 16, 10, "-reqs 257 out of range [1, 256]"},
-		{300, 1, 10, "-reqs 300"},
-		{8, 0, 10, "-pages 0"},
-		{8, -3, 10, "-pages -3"},
-		{8, 16, 0, "-top 0"},
-		{8, 16, -1, "-top -1"},
+		{8, 16, 10, 4096, ""},
+		{1, 1, 1, 0, ""},
+		{256, 1, 1, 4096, ""},
+		{0, 16, 10, 4096, "-reqs 0 out of range [1, 256]"},
+		{-1, 16, 10, 4096, "-reqs -1"},
+		{257, 16, 10, 4096, "-reqs 257 out of range [1, 256]"},
+		{300, 1, 10, 4096, "-reqs 300"},
+		{8, 0, 10, 4096, "-pages 0"},
+		{8, -3, 10, 4096, "-pages -3"},
+		{8, 16, 0, 4096, "-top 0"},
+		{8, 16, -1, 4096, "-top -1"},
+		{8, 16, 10, -1, "-rt-bytes -1 must not be negative"},
 	} {
-		err := checkFlags(tc.reqs, tc.pages, tc.top)
+		err := checkFlags(tc.reqs, tc.pages, tc.top, tc.rtBytes)
 		switch {
 		case tc.want == "" && err != nil:
-			t.Errorf("checkFlags(%d, %d, %d) = %v, want accepted", tc.reqs, tc.pages, tc.top, err)
+			t.Errorf("checkFlags(%d, %d, %d, %d) = %v, want accepted", tc.reqs, tc.pages, tc.top, tc.rtBytes, err)
 		case tc.want != "" && (err == nil || !strings.Contains(err.Error(), tc.want)):
-			t.Errorf("checkFlags(%d, %d, %d) = %v, want an error containing %q", tc.reqs, tc.pages, tc.top, err, tc.want)
+			t.Errorf("checkFlags(%d, %d, %d, %d) = %v, want an error containing %q", tc.reqs, tc.pages, tc.top, tc.rtBytes, err, tc.want)
 		}
 	}
 }

@@ -428,9 +428,8 @@ func TestMigrationOutOfFastMemoryRollsBack(t *testing.T) {
 }
 
 func TestLargeRequestSplitsIntoBatches(t *testing.T) {
-	opts := DefaultOptions()
-	opts.MaxChainPages = 16
-	m, d := newRig(t, opts)
+	m, d := newRig(t, DefaultOptions())
+	d.maxChain = 16
 	m.Eng.Spawn("app", func(p *sim.Proc) {
 		defer d.Close()
 		const pages = 50 // 4 batches: 16+16+16+2
@@ -452,9 +451,8 @@ func TestLargeRequestSplitsIntoBatches(t *testing.T) {
 }
 
 func TestPollThresholdControlsIRQUsage(t *testing.T) {
-	opts := DefaultOptions()
-	opts.WorkerIdleGraceNS = 0 // deterministic wake-by-IRQ flow
-	m, d := newRig(t, opts)
+	m, d := newRig(t, DefaultOptions())
+	d.idleGrace = 0 // deterministic wake-by-IRQ flow
 	m.Eng.Spawn("app", func(p *sim.Proc) {
 		defer d.Close()
 		// 4 small (16-page = 64 KB < 512 KB) requests: the first is

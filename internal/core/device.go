@@ -27,6 +27,10 @@ type Device struct {
 	AS   *vm.AddressSpace
 	Area *uapi.Area
 	opts Options
+	// maxChain (maxChainPages within the PaRAM slots) and idleGrace
+	// (workerIdleGraceNS; 0 disables lingering) are set by Open.
+	maxChain  int
+	idleGrace int64
 
 	// UserMeter accumulates CPU time spent in application context on
 	// interface work: library calls and the MOV_ONE syscall path.
@@ -79,17 +83,13 @@ func Open(m *machine.Machine, as *vm.AddressSpace, opts Options) *Device {
 	if m.Plat.DMA.ParamSlots < 1 {
 		panic(fmt.Sprintf("core: platform %q has no DMA descriptor slots: memif needs a DMA engine", m.Plat.Name))
 	}
-	if opts.MaxChainPages <= 0 {
-		opts.MaxChainPages = 256
-	}
-	if opts.MaxChainPages > m.Plat.DMA.ParamSlots {
-		opts.MaxChainPages = m.Plat.DMA.ParamSlots
-	}
 	d := &Device{
 		M:          m,
 		AS:         as,
 		Area:       uapi.NewArea(opts.NumReqs),
 		opts:       opts,
+		maxChain:   min(maxChainPages, m.Plat.DMA.ParamSlots),
+		idleGrace:  workerIdleGraceNS,
 		UserMeter:  sim.NewMeter("memif-user"),
 		KernMeter:  sim.NewMeter("memif-kernel"),
 		Breakdown:  stats.NewBreakdown(),

@@ -634,9 +634,9 @@ func (d *Device) rollbackRemap(p *sim.Proc, m *sim.Meter, inf *inflight) {
 // carries. A class that can be bypassed at the channel holds it for at
 // most one channelQuantum at a time (never less than a page); Foreground
 // has nobody to yield to and is bounded only by the PaRAM array, through
-// MaxChainPages.
+// maxChain.
 func (d *Device) subPages(c uapi.Class) int {
-	n := d.opts.MaxChainPages
+	n := d.maxChain
 	if c != uapi.ClassForeground {
 		if q := int(channelQuantum / d.AS.PageBytes); q < n {
 			n = max(q, 1)
@@ -651,7 +651,7 @@ func (d *Device) subPages(c uapi.Class) int {
 // handler — configures sub-transfer k+1 while k copies and starts each as
 // soon as it is programmed, keeping at most pipeDepth of the request on
 // the channel; a request of one sub-transfer (every Foreground request up
-// to MaxChainPages) is programmed and started exactly as a single
+// to maxChain pages) is programmed and started exactly as a single
 // transfer. Only the last sub-transfer delivers the completion: with irq
 // true to the interrupt path, otherwise through its Done event. It
 // reports whether the whole train was started; on false the request has
@@ -703,7 +703,7 @@ func (d *Device) program(p *sim.Proc, m *sim.Meter, inf *inflight, batch []dma.S
 		case errors.Is(err, dma.ErrSlotsBusy):
 			d.M.DMA.WaitSlots(p)
 		case err != nil:
-			// Cannot happen with MaxChainPages capped at the PaRAM size
+			// Cannot happen with maxChain capped at the PaRAM size
 			// and one page size per request; fail the request.
 			inf.released = true
 			inf.unpin()

@@ -92,7 +92,7 @@ type workout struct {
 	seed     int64
 	mode     RaceMode
 	burst    int // requests submitted back-to-back per submit op
-	maxChain int // Options.MaxChainPages; 0 keeps the default
+	maxChain int // Device.maxChain; 0 keeps the default
 }
 
 const (
@@ -108,10 +108,10 @@ func runWorkout(t *testing.T, w workout) Stats {
 	opts := DefaultOptions()
 	opts.NumReqs = 64
 	opts.RaceMode = w.mode
-	if w.maxChain > 0 {
-		opts.MaxChainPages = w.maxChain
-	}
 	d := Open(m, as, opts)
+	if w.maxChain > 0 {
+		d.maxChain = w.maxChain
+	}
 	// However the classes and the chain cap cut a request (odd sweep seeds:
 	// four sub-transfers each), at most pipeDepth of them share the channel.
 	d.subStarted = func(inf *inflight) {

@@ -28,6 +28,22 @@ const (
 	RacePrevent
 )
 
+// Two properties of the prototype's driver, not deployment choices.
+const (
+	// maxChainPages caps the descriptors of one DMA transfer: half the
+	// KeyStone II's 512 PaRAM slots (Open clamps it to the platform's),
+	// so the worker's pipeDepth (two) chains fit at once. Larger requests
+	// move as consecutive sub-transfers; how long one may hold the
+	// channel is channelQuantum's business.
+	maxChainPages = 256
+	// workerIdleGraceNS is how long the kernel worker lingers in polling
+	// mode after draining all queues before recoloring the staging queue
+	// blue and sleeping: like a NAPI driver (Section 5.4's inspiration),
+	// lingering spares a steady request stream a kick-start syscall
+	// each. 200 µs is ten of linger's polls; AdaptiveLinger stretches it.
+	workerIdleGraceNS = 200_000
+)
+
 // Options configures a memif Device. The zero value is not useful; start
 // from DefaultOptions.
 type Options struct {
@@ -44,19 +60,6 @@ type Options struct {
 	GangLookup bool
 	// DescReuse enables descriptor-chain reuse (Section 5.3 knob).
 	DescReuse bool
-	// MaxChainPages caps the descriptors of one DMA transfer: the
-	// 512-entry PaRAM array bounds chain length. Larger requests move as
-	// consecutive sub-transfers. It is not a latency knob — how long a
-	// bulk transfer may hold the channel is channelQuantum's business.
-	MaxChainPages int
-	// WorkerIdleGraceNS is how long the kernel worker lingers in
-	// polling mode after draining all queues before recoloring the
-	// staging queue blue and sleeping. Like a NAPI network driver
-	// (which Section 5.4 cites as the inspiration for the worker's
-	// interrupt/polling switching), lingering absorbs steady request
-	// streams without bouncing each one through a kick-start syscall.
-	// Zero disables lingering.
-	WorkerIdleGraceNS int64
 	// AdaptiveLinger stretches the grace toward 4x the observed request
 	// inter-arrival gap (capped at 20x the base grace), so steady but
 	// slow request streams keep the worker alive. Disable for the
@@ -72,8 +75,6 @@ func DefaultOptions() Options {
 		RaceMode:           RaceDetect,
 		GangLookup:         true,
 		DescReuse:          true,
-		MaxChainPages:      256,
-		WorkerIdleGraceNS:  200_000,
 		AdaptiveLinger:     true,
 	}
 }

@@ -385,14 +385,14 @@ func TestReapsOutOfOrder(t *testing.T) {
 	}
 }
 
-// Requests above MaxChainPages on the polled path (PollThresholdBytes
+// Requests above the chain cap on the polled path (PollThresholdBytes
 // raised above them): each moves as a train of three sub-transfers, the
 // next request is prepared under the last one, and every byte lands.
 func TestMultiBatchPolledPipeline(t *testing.T) {
 	opts := DefaultOptions()
-	opts.MaxChainPages = 32
 	opts.PollThresholdBytes = 4 << 20
 	m, d := newRig(t, opts)
+	d.maxChain = 32
 	const n = 80 * 4096 // 3 sub-transfers: 32+32+16
 	m.Eng.Spawn("app", func(p *sim.Proc) {
 		defer d.Close()

@@ -81,9 +81,8 @@ func newMigrate(d *Device, p *sim.Proc, c uapi.Class, base, n int64, node hw.Nod
 // longer.)
 func TestBulkTrainYieldsToForeground(t *testing.T) {
 	m, bulk := newRig(t, DefaultOptions())
-	fgOpts := DefaultOptions()
-	fgOpts.WorkerIdleGraceNS = 0 // every probe takes the syscall path: one timeline
-	fg := Open(m, bulk.AS, fgOpts)
+	fg := Open(m, bulk.AS, DefaultOptions())
+	fg.idleGrace = 0 // every probe takes the syscall path: one timeline
 	const fillBytes = 512 << 10
 	var (
 		baselineDone     bool

@@ -127,7 +127,7 @@ func (d *Device) reap(p *sim.Proc) {
 // slower than the base grace still keeps the worker alive, up to 20x the
 // configured grace.
 func (d *Device) linger(p *sim.Proc) bool {
-	grace := d.opts.WorkerIdleGraceNS
+	grace := d.idleGrace
 	if grace <= 0 || d.closed {
 		return false
 	}

@@ -158,14 +158,14 @@ func TestChaosChunkRingFullBackpressure(t *testing.T) {
 	release := make(chan struct{})
 	var once sync.Once
 	d := Open(Options{
-		NumReqs:         128,
-		Controllers:     1,
-		ChunkBytes:      -1,
-		InlineThreshold: -1,
+		NumReqs:     128,
+		Controllers: 1,
+		ChunkBytes:  -1,
 		Chaos: &ChaosHooks{
 			BeforeChunkCopy: func(idx uint32, off, end int) { <-release },
 		},
 	})
+	d.inline.Store(0)
 	defer d.Close()
 	defer once.Do(func() { close(release) })
 
@@ -886,15 +886,15 @@ func TestChaosCancelDuringShed(t *testing.T) {
 	stall := make(chan struct{})
 	var once sync.Once
 	opts := Options{
-		NumReqs:         16,
-		Controllers:     1,
-		ChunkBytes:      1 << 10,
-		InlineThreshold: -1, // keep copies off the worker
+		NumReqs:     16,
+		Controllers: 1,
+		ChunkBytes:  1 << 10,
 		Chaos: &ChaosHooks{
 			BeforeChunkCopy: func(idx uint32, off, end int) { <-stall },
 		},
 	}
 	d := Open(opts)
+	d.inline.Store(0) // keep copies off the worker
 	defer d.Close()
 	defer once.Do(func() { close(stall) })
 

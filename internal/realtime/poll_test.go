@@ -20,13 +20,13 @@ func TestPollMicroWaitSpins(t *testing.T) {
 		t.Skip("the micro-wait is off on a single P: nothing can complete while the poller spins")
 	}
 	d := Open(Options{
-		NumReqs:         16,
-		Controllers:     1,
-		InlineThreshold: -1, // force the controller path
+		NumReqs:     16,
+		Controllers: 1,
 		Chaos: &ChaosHooks{
 			BeforeChunkCopy: func(idx uint32, off, end int) { time.Sleep(5 * time.Microsecond) },
 		},
 	})
+	d.inline.Store(0) // force the controller path
 	defer d.Close()
 
 	src := bytes.Repeat([]byte{9}, 1<<10)

@@ -1,7 +1,6 @@
 package realtime
 
-// Unit coverage for the QoS layer: option resolution, the admission
-// controller's occupancy thresholds and typed overload error, the
+// Unit coverage for the QoS layer: the admission controller's occupancy thresholds and typed overload error, the
 // strict-priority-with-aging dispatch order, the adaptive inline
 // threshold retuner, and the context-based poll/drain entry points.
 
@@ -17,18 +16,6 @@ import (
 	"memif/internal/qos"
 	"memif/internal/rbq"
 )
-
-func TestResolveQoSDefaults(t *testing.T) {
-	if got := resolveInline(0); got != DefaultInlineThreshold {
-		t.Errorf("InlineThreshold 0 resolved to %d, want %d", got, DefaultInlineThreshold)
-	}
-	if got := resolveInline(-1); got != 0 {
-		t.Errorf("negative InlineThreshold resolved to %d, want 0 (disabled)", got)
-	}
-	if got := resolveInline(4 << 10); got != 4<<10 {
-		t.Errorf("explicit InlineThreshold rewritten to %d", got)
-	}
-}
 
 // TestSubmitBatchBadClass: Class is a caller-set uint8, so the batch's
 // all-or-nothing validation pass must reject an undefined one exactly as
@@ -254,9 +241,9 @@ func TestInlineRetuneMovesThreshold(t *testing.T) {
 		Controllers:      1,
 		ChunkBytes:       64 << 10,
 		TraceFullCapture: true,
-		InlineThreshold:  minInlineThreshold, // start at the floor
 	}
 	d := Open(opts)
+	d.inline.Store(minInlineThreshold) // start at the floor
 	defer d.Close()
 
 	src := make([]byte, 48<<10) // single chunk, well above the floor: ring path
@@ -311,11 +298,8 @@ func TestInlineCompletionCountsAndCopies(t *testing.T) {
 		return r
 	}
 
-	d := Open(Options{
-		NumReqs:         8,
-		Controllers:     1,
-		InlineThreshold: 4 << 10, // two dispatches: far short of a retune
-	})
+	d := Open(Options{NumReqs: 8, Controllers: 1})
+	d.inline.Store(4 << 10) // two dispatches: far short of a retune
 	defer d.Close()
 
 	small := run(d, 4<<10)
@@ -336,13 +320,14 @@ func TestInlineCompletionCountsAndCopies(t *testing.T) {
 	}
 	d.FreeRequest(large)
 
-	off := Open(Options{NumReqs: 8, Controllers: 1, InlineThreshold: -1})
+	off := Open(Options{NumReqs: 8, Controllers: 1})
+	off.inline.Store(0)
 	defer off.Close()
 	if r := run(off, 4<<10); r.Err != nil || !bytes.Equal(r.Src, r.Dst) {
 		t.Errorf("always-notify completion corrupt: err=%v", r.Err)
 	}
 	if got := off.Stats().InlineCompleted; got != 0 {
-		t.Errorf("InlineCompleted = %d with InlineThreshold -1, want 0", got)
+		t.Errorf("InlineCompleted = %d with inline completion off, want 0", got)
 	}
 }
 
@@ -415,9 +400,8 @@ func TestCloseDrainContextStalled(t *testing.T) {
 	release := make(chan struct{})
 	var once sync.Once
 	d := Open(Options{
-		NumReqs:         8,
-		Controllers:     1,
-		InlineThreshold: -1, // keep the copy off the worker
+		NumReqs:     8,
+		Controllers: 1,
 		Chaos: &ChaosHooks{
 			BeforeChunkCopy: func(idx uint32, off, end int) {
 				once.Do(func() { close(stalled) })
@@ -425,6 +409,7 @@ func TestCloseDrainContextStalled(t *testing.T) {
 			},
 		},
 	})
+	d.inline.Store(0) // keep the copy off the worker
 
 	r := d.AllocRequest()
 	r.Src, r.Dst = make([]byte, 1<<10), make([]byte, 1<<10)

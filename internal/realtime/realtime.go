@@ -182,13 +182,6 @@ type Options struct {
 	// timeline. Its overhead is measured in EXPERIMENTS.md; leave it off
 	// in production and benchmarks.
 	TraceFullCapture bool
-	// InlineThreshold is the initial adaptive-completion threshold in
-	// bytes: a single-chunk request at or below it is copied inline by
-	// the worker instead of being dispatched to the chunk ring.
-	// 0 means DefaultInlineThreshold; negative disables inline
-	// completion (every request takes the ring/notify path — the
-	// "always-notify" ablation).
-	InlineThreshold int
 	// Flight configures the always-on flight recorder: retroactive
 	// outlier capture (every request's stage stamps kept, breaching
 	// requests snapshotted into a bounded ring), the stall watchdog,
@@ -444,7 +437,7 @@ func Open(opts Options) *Device {
 		done:        make(chan struct{}),
 		chaos:       opts.Chaos,
 	}
-	d.inline.Store(resolveInline(opts.InlineThreshold))
+	d.inline.Store(DefaultInlineThreshold)
 	tab := []*tenantState{newDefaultTenant()}
 	d.tenants.Store(&tab)
 	d.sched = newTenantSched(d.submission, d.staging, qos.NumClasses, d.owner, d.tenantWeight, agingCredit)

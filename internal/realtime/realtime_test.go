@@ -807,9 +807,6 @@ func TestStalledControllerStrandsNothing(t *testing.T) {
 		NumReqs:     32,
 		Controllers: 2,
 		ChunkBytes:  -1,
-		// Inline completion would have the worker copy these small
-		// requests itself; this test is about the ring path.
-		InlineThreshold: -1,
 		Chaos: &ChaosHooks{
 			BeforeChunkCopy: func(idx uint32, off, end int) {
 				// Freeze exactly one controller: the first to take a chunk.
@@ -820,6 +817,9 @@ func TestStalledControllerStrandsNothing(t *testing.T) {
 		},
 	}
 	d := Open(opts)
+	// Inline completion would have the worker copy these small
+	// requests itself; this test is about the ring path.
+	d.inline.Store(0)
 	defer d.Close()
 
 	const n = 16

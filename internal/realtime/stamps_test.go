@@ -116,7 +116,6 @@ func TestStampVectorClosesOnEveryPath(t *testing.T) {
 		var stalled atomic.Bool
 		d := Open(Options{
 			NumReqs: n, Controllers: 2, ChunkBytes: -1, TraceFullCapture: true,
-			InlineThreshold: -1,
 			Chaos: &ChaosHooks{
 				BeforeChunkCopy: func(idx uint32, off, end int) {
 					// Freeze the first controller to take a chunk: the
@@ -127,6 +126,7 @@ func TestStampVectorClosesOnEveryPath(t *testing.T) {
 				},
 			},
 		})
+		d.inline.Store(0)
 		defer d.Close()
 		submitAll(t, d, 4<<10)
 		deadline := time.Now().Add(5 * time.Second)
@@ -158,11 +158,11 @@ func TestStampVectorClosesOnEveryPath(t *testing.T) {
 		defer once.Do(func() { close(stall) })
 		d := Open(Options{
 			NumReqs: n, Controllers: 2, ChunkBytes: 1 << 10, TraceFullCapture: true,
-			InlineThreshold: -1,
 			Chaos: &ChaosHooks{
 				BeforeChunkCopy: func(idx uint32, off, end int) { <-stall },
 			},
 		})
+		d.inline.Store(0)
 		defer d.Close()
 		reqs := submitAll(t, d, 4<<10)
 		for i, r := range reqs {

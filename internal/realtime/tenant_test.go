@@ -89,13 +89,13 @@ func TestTenantQuotaAdmissionIsolated(t *testing.T) {
 	stall := make(chan struct{})
 	var once sync.Once
 	d := Open(Options{
-		NumReqs:         32,
-		Controllers:     1,
-		InlineThreshold: -1, // keep copies off the worker
+		NumReqs:     32,
+		Controllers: 1,
 		Chaos: &ChaosHooks{
 			BeforeChunkCopy: func(idx uint32, off, end int) { <-stall },
 		},
 	})
+	d.inline.Store(0) // keep copies off the worker
 	defer d.Close()
 	defer once.Do(func() { close(stall) })
 
@@ -274,14 +274,14 @@ func TestTenantCancelAllIsolation(t *testing.T) {
 	stall := make(chan struct{})
 	var once sync.Once
 	d := Open(Options{
-		NumReqs:         32,
-		Controllers:     2,
-		ChunkBytes:      1 << 10,
-		InlineThreshold: -1,
+		NumReqs:     32,
+		Controllers: 2,
+		ChunkBytes:  1 << 10,
 		Chaos: &ChaosHooks{
 			BeforeChunkCopy: func(idx uint32, off, end int) { <-stall },
 		},
 	})
+	d.inline.Store(0)
 	defer d.Close()
 	defer once.Do(func() { close(stall) })
 

@@ -42,15 +42,14 @@ func TestStormAllPathsFireAndForegroundHolds(t *testing.T) {
 	)
 	m, app := setup()
 	as := app.AS
-	opts := DefaultOptions()
-	// The promotion rate is MaxInflight-bound, so a 30 ms storm must hit
+	sd := New(app, DefaultOptions())
+	// The promotion rate is maxInflight-bound, so a 30 ms storm must hit
 	// pressure with ~70 resident regions rather than the default ~90.
-	opts.HighWatermark, opts.LowWatermark = 0.72, 0.55
-	opts.PeriodNS = 500_000
-	opts.ScanPeriodNS = 1_000_000
-	opts.MaxInflight = 8
-	opts.ScanBudget = 400
-	sd := New(app, opts)
+	sd.pol = policy{
+		high: 0.72, low: 0.55,
+		periodNS: 500_000, scanPeriodNS: 1_000_000,
+		scanBudget: 400, maxInflight: 8,
+	}
 
 	var (
 		bases      [numRegions]int64

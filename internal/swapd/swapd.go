@@ -25,7 +25,6 @@
 package swapd
 
 import (
-	"fmt"
 	"sort"
 	"sync"
 
@@ -38,22 +37,8 @@ import (
 	"memif/internal/uapi"
 )
 
-// Options tunes the daemon.
+// Options configures the daemon; its policy is the constants below.
 type Options struct {
-	// HighWatermark is the fast-node usage fraction that triggers
-	// pressure demotion; LowWatermark is the target to demote down to,
-	// and the headroom ceiling promotions fill up to.
-	HighWatermark, LowWatermark float64
-	// PeriodNS is the poll interval of the daemon.
-	PeriodNS int64
-	// ScanPeriodNS is the access-bit scan cadence (defaults to PeriodNS).
-	ScanPeriodNS int64
-	// ScanBudget bounds how many regions one pass scans (round-robin
-	// across passes; 0 = all registered regions).
-	ScanBudget int
-	// MaxInflight caps concurrently outstanding tiering migrations.
-	MaxInflight int
-
 	// Flight configures the daemon's flight recorder. The zero value
 	// arms it: slow migrations and slow promotions breach adaptive
 	// per-class thresholds and capture full stage vectors, and txn
@@ -64,16 +49,8 @@ type Options struct {
 	Flight lifecycle.FlightOptions
 }
 
-// DefaultOptions returns watermarks suited to the 6 MB MSMC node.
-func DefaultOptions() Options {
-	return Options{
-		HighWatermark: 0.90,
-		LowWatermark:  0.70,
-		PeriodNS:      1_000_000, // 1 ms
-		ScanPeriodNS:  2_000_000,
-		MaxInflight:   4,
-	}
-}
+// DefaultOptions arms the daemon's flight recorder.
+func DefaultOptions() Options { return Options{} }
 
 // The tiering policy: properties of the two-node machine and of the
 // heat model, not deployment choices.
@@ -101,7 +78,27 @@ const (
 	// to the application's own moves; a promotion (a region someone is
 	// using) goes ahead of a demotion (nobody waits for it).
 	promoteClass, demoteClass = qos.Background, qos.Scavenger
+	// highWatermark is the fast-node usage that triggers pressure
+	// demotion, and lowWatermark the usage it demotes down to and
+	// promotions fill up to: a crossing frees 1.2 MB of the 6 MB node.
+	highWatermark, lowWatermark = 0.90, 0.70
+	// periodNS is the daemon's poll interval, long beside one 64 KB
+	// migration (tens of µs); scanPeriodNS scans every second period,
+	// since heat is an EWMA and needs no sample each time.
+	periodNS, scanPeriodNS = 1_000_000, 2_000_000
+	// scanBudget bounds the regions one pass scans, round robin; 0 scans
+	// all (samplePages bounds each region's cost). maxInflight caps the
+	// outstanding migrations: four keep the channel fed between polls.
+	scanBudget, maxInflight = 0, 4
 )
+
+// policy holds the watermarks and cadence above; a test in this
+// package may swap in another between New and the engine's first step.
+type policy struct {
+	high, low               float64
+	periodNS, scanPeriodNS  int64
+	scanBudget, maxInflight int
+}
 
 // region is one registered tiering candidate.
 type region struct {
@@ -157,8 +154,8 @@ type MetricsSnapshot struct {
 
 // Daemon is the tiering engine.
 type Daemon struct {
-	dev  *core.Device // the daemon's own memif device
-	opts Options
+	dev *core.Device // the daemon's own memif device
+	pol policy
 
 	// mu guards regions, stop, outstanding, pendingDelta, and the
 	// demotion log against Register/Unregister/Touch/Stop racing the
@@ -182,19 +179,9 @@ type Daemon struct {
 // opens its own memif device on the same address space so its moves do
 // not interleave with the application's completion queue.
 func New(app *core.Device, opts Options) *Daemon {
-	if opts.HighWatermark <= 0 || opts.HighWatermark > 1 ||
-		opts.LowWatermark <= 0 || opts.LowWatermark >= opts.HighWatermark {
-		panic(fmt.Sprintf("swapd: bad watermarks %+v", opts))
-	}
-	if opts.ScanPeriodNS <= 0 {
-		opts.ScanPeriodNS = opts.PeriodNS
-	}
-	if opts.MaxInflight <= 0 {
-		opts.MaxInflight = 4
-	}
 	d := &Daemon{
 		dev:     core.Open(app.M, app.AS, core.DefaultOptions()),
-		opts:    opts,
+		pol:     policy{highWatermark, lowWatermark, periodNS, scanPeriodNS, scanBudget, maxInflight},
 		regions: make(map[int64]*region),
 	}
 	// The daemon lives on the simulated clock: no SLO burn windows, no
@@ -331,7 +318,7 @@ func (d *Daemon) scan(p *sim.Proc) {
 		return
 	}
 	sort.Slice(regs, func(i, j int) bool { return regs[i].base < regs[j].base })
-	budget := d.opts.ScanBudget
+	budget := d.pol.scanBudget
 	if budget <= 0 || budget > len(regs) {
 		budget = len(regs)
 	}
@@ -472,7 +459,7 @@ func (d *Daemon) pump(p *sim.Proc) {
 	}
 	room := func() bool {
 		d.mu.Lock()
-		ok := d.outstanding < d.opts.MaxInflight
+		ok := d.outstanding < d.pol.maxInflight
 		d.mu.Unlock()
 		return ok
 	}
@@ -480,8 +467,8 @@ func (d *Daemon) pump(p *sim.Proc) {
 	// Pressure demotion: over the high watermark, shed coldest-first
 	// down to the low one.
 	di := 0
-	if projected() >= d.opts.HighWatermark {
-		for projected() > d.opts.LowWatermark && di < len(demote) && room() {
+	if projected() >= d.pol.high {
+		for projected() > d.pol.low && di < len(demote) && room() {
 			d.submit(p, demote[di], false)
 			di++
 		}
@@ -494,7 +481,7 @@ func (d *Daemon) pump(p *sim.Proc) {
 			break
 		}
 		need := float64(hot.length) / capacity
-		for projected()+need > d.opts.HighWatermark && di < len(demote) && room() {
+		for projected()+need > d.pol.high && di < len(demote) && room() {
 			cold := demote[di]
 			if cold.heat >= hot.heat {
 				break // nothing colder than the promotion candidate
@@ -502,7 +489,7 @@ func (d *Daemon) pump(p *sim.Proc) {
 			d.submit(p, cold, false)
 			di++
 		}
-		if projected()+need > d.opts.HighWatermark || !room() {
+		if projected()+need > d.pol.high || !room() {
 			continue
 		}
 		d.submit(p, hot, true)
@@ -614,7 +601,7 @@ func (d *Daemon) drain(p *sim.Proc, block bool) {
 		if !block || d.Outstanding() == 0 {
 			return
 		}
-		d.dev.Poll(p, d.opts.PeriodNS)
+		d.dev.Poll(p, d.pol.periodNS)
 	}
 }
 
@@ -625,12 +612,12 @@ func (d *Daemon) run(p *sim.Proc) {
 	defer d.dev.Close()
 	var lastScan sim.Time
 	for {
-		p.SleepNS(d.opts.PeriodNS)
+		p.SleepNS(d.pol.periodNS)
 		d.drain(p, false)
 		if d.stopping() {
 			break
 		}
-		if lastScan == 0 || int64(p.Now()-lastScan) >= d.opts.ScanPeriodNS {
+		if lastScan == 0 || int64(p.Now()-lastScan) >= d.pol.scanPeriodNS {
 			d.scan(p)
 			lastScan = p.Now()
 		}

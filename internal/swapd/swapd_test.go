@@ -56,7 +56,7 @@ func TestDemotesColdestWhenOverWatermark(t *testing.T) {
 			t.Errorf("hottest region demoted (node %v)", f)
 		}
 		usage := float64(m.Mem.Used(hw.NodeFast)) / float64(m.Mem.Node(hw.NodeFast).Capacity)
-		if usage > DefaultOptions().HighWatermark {
+		if usage > highWatermark {
 			t.Errorf("usage still %.2f after daemon ran", usage)
 		}
 		// Demoted data survives intact.
@@ -421,15 +421,4 @@ func TestConcurrentRegistrationChaos(t *testing.T) {
 	if err := sd.Audit(); err != nil {
 		t.Errorf("request accounting after chaos: %v", err)
 	}
-}
-
-func TestBadWatermarksPanic(t *testing.T) {
-	m, d := setup()
-	defer func() {
-		_ = m
-		if recover() == nil {
-			t.Error("bad watermarks did not panic")
-		}
-	}()
-	New(d, Options{HighWatermark: 0.5, LowWatermark: 0.9, PeriodNS: 1000})
 }

@@ -210,11 +210,12 @@ func NewLinuxMigrator(m *Machine, as *AddressSpace) *LinuxMigrator {
 // copy, so demoting a still-clean region is a zero-byte PTE flip.
 type SwapDaemon = swapd.Daemon
 
-// SwapOptions tunes the daemon's watermarks, period, scan cadence and
-// budget, and in-flight cap.
+// SwapOptions configures the daemon's flight recorder. Its watermarks
+// (0.90/0.70), 1 ms period, 2 ms scan and 4 in-flight migrations are
+// fixed policy for the 6 MB MSMC node, not options.
 type SwapOptions = swapd.Options
 
-// DefaultSwapOptions suits the 6 MB MSMC node.
+// DefaultSwapOptions arms the daemon's flight recorder.
 func DefaultSwapOptions() SwapOptions { return swapd.DefaultOptions() }
 
 // NewSwapDaemon starts an evictor for the address space behind app.
@@ -247,18 +248,16 @@ type RealtimeDevice = realtime.Device
 type RealtimeRequest = realtime.Request
 
 // RealtimeOptions sizes a realtime device: request slots, transfer
-// controllers, the chunking threshold, tracing, the initial
-// inline-completion threshold and the flight recorder. Construct it
-// with DefaultRealtimeOptions and override fields.
+// controllers, the chunking threshold, tracing and the flight recorder.
+// Construct it with DefaultRealtimeOptions and override fields.
 type RealtimeOptions = realtime.Options
 
 // DefaultRealtimeOptions mirrors the EDMA3-ish defaults, including
 // min(4, GOMAXPROCS) transfer controllers and 256 KB chunking.
-// InlineThreshold left zero starts adaptive inline completion at
-// 32 KiB; admission always sheds at DefaultRealtimeClassShares
-// (foreground never, background past 85% occupancy, scavenger past
-// 50%). The dispatch aging credit (16) and the retune cadence (512
-// dispatches) are constants.
+// Adaptive inline completion always starts at 32 KiB; admission always
+// sheds at DefaultRealtimeClassShares (foreground never, background
+// past 85% occupancy, scavenger past 50%). The dispatch aging credit
+// (16) and the retune cadence (512 dispatches) are constants.
 func DefaultRealtimeOptions() RealtimeOptions { return realtime.DefaultOptions() }
 
 // OpenRealtime starts a realtime device.
