@@ -270,9 +270,10 @@ func TestFreeStackLinearizable(t *testing.T) {
 }
 
 // TestSizeNeverNegativeDeterministic pins the Size regression under the
-// deterministic scheduler, which can park a dequeuer exactly between its
-// head CAS and its size decrement — the window where the raw counter
-// lags. Size() must still never report a negative depth.
+// deterministic scheduler, which can park an enqueuer between its
+// publishing CAS and its enqs increment while a dequeuer takes the
+// element and bumps deqs — the window where enqs − deqs reads negative.
+// Size() must still never report a negative depth.
 func TestSizeNeverNegativeDeterministic(t *testing.T) {
 	err := check.Explore(100, 42, func(seed int64) error {
 		slab := rbq.NewSlab(32)
@@ -321,7 +322,9 @@ func TestSizeNeverNegativeDeterministic(t *testing.T) {
 
 // TestSizeNeverNegativeStress is the same regression under real
 // preemption: producers and consumers hammer the queue while samplers
-// continuously read Size.
+// continuously read Size. The consumers stop short of the producers, so
+// the storm quiesces with elements still queued, and the split counters
+// must then agree with the pointer walk exactly.
 func TestSizeNeverNegativeStress(t *testing.T) {
 	slab := rbq.NewSlab(256)
 	q := slab.NewQueue(rbq.Blue)
@@ -329,6 +332,7 @@ func TestSizeNeverNegativeStress(t *testing.T) {
 		producers = 4
 		consumers = 4
 		perProd   = 2000
+		left      = 100 // still queued when the storm quiesces
 	)
 	var wg sync.WaitGroup
 	var negative atomic.Bool
@@ -369,9 +373,8 @@ func TestSizeNeverNegativeStress(t *testing.T) {
 		cwg.Add(1)
 		go func() {
 			defer cwg.Done()
-			for consumed.Load() < producers*perProd {
-				if _, _, ok := q.Dequeue(); ok {
-					consumed.Add(1)
+			for consumed.Add(1) <= producers*perProd-left {
+				for _, _, ok := q.Dequeue(); !ok; _, _, ok = q.Dequeue() {
 				}
 			}
 		}()
@@ -382,6 +385,10 @@ func TestSizeNeverNegativeStress(t *testing.T) {
 	if negative.Load() {
 		t.Fatal("Size() reported a negative depth under concurrency")
 	}
+	if q.Size() != left || q.Len() != left {
+		t.Fatalf("quiesced queue reports Size=%d Len=%d, want %d", q.Size(), q.Len(), left)
+	}
+	q.Drain(func(uint32) {})
 	if q.Size() != 0 || q.Len() != 0 {
 		t.Fatalf("drained queue reports Size=%d Len=%d", q.Size(), q.Len())
 	}
