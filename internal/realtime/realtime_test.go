@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"math/rand"
 	"runtime"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -424,9 +425,9 @@ func TestSlabExhaustionNoLeak(t *testing.T) {
 	d := Open(Options{NumReqs: 8, Controllers: 2})
 	defer d.Close()
 
-	// The slab is NewSlabForQueues(8, 5, 10): 8
-	// live indices, 5 dummies (free list, 3 class queues, 1 staging) and
-	// 10 slack nodes. A parasite queue takes one more as its dummy and
+	// The slab is NewSlabForQueues(8, 2, 7): 8 live indices, 2 dummies
+	// (staging and submission; the free list is a ring off the slab) and
+	// 7 slack nodes. A parasite queue takes one more as its dummy and
 	// pins all but 2 of the rest — enough that the device works, tight
 	// enough that transient exhaustion is constant under concurrency.
 	const spare = 2
@@ -527,6 +528,31 @@ func TestSlabExhaustionNoLeak(t *testing.T) {
 	}
 	for _, r := range rs {
 		d.FreeRequest(r)
+	}
+}
+
+// TestAuditSlotsFreeRing pins where the audit reads the free list from:
+// the free ring's own snapshot. A slot freed while the caller still
+// lists it as held is in two places, and a slot neither free nor held
+// has vanished.
+func TestAuditSlotsFreeRing(t *testing.T) {
+	d := Open(Options{NumReqs: 4, Controllers: 1})
+	defer d.Close()
+	r := d.AllocRequest()
+	if err := d.AuditSlots([]uint32{r.idx}); err != nil {
+		t.Fatalf("one slot held, three free: %v", err)
+	}
+	want := fmt.Sprintf("index %d vanished", r.idx)
+	if err := d.AuditSlots(nil); err == nil || !strings.Contains(err.Error(), want) {
+		t.Fatalf("held slot left unlisted: err = %v, want %q", err, want)
+	}
+	d.FreeRequest(r)
+	want = fmt.Sprintf("index %d in two places: free and user-held", r.idx)
+	if err := d.AuditSlots([]uint32{r.idx}); err == nil || !strings.Contains(err.Error(), want) {
+		t.Fatalf("freed slot listed as held: err = %v, want %q", err, want)
+	}
+	if err := d.AuditSlots(nil); err != nil {
+		t.Fatalf("every slot free: %v", err)
 	}
 }
 

@@ -9,9 +9,9 @@ import "sync/atomic"
 const DefaultRingDepth = 64
 
 // ring is a bounded lock-free MPMC ring (Vyukov's bounded queue). The
-// device instantiates it twice — the chunk ring every controller pops
-// from and the completion ring; the Device fields say which side of
-// each is contended.
+// device instantiates it three times — the free list, the chunk ring
+// every controller pops from and the completion ring; the Device fields
+// say which side of each is contended.
 //
 // Each slot carries a sequence word. A slot is writable when
 // seq == enqueue position, readable when seq == dequeue position + 1;
@@ -66,6 +66,16 @@ func (r *ring[T]) tryPush(v T) bool {
 			return false // full: the slot has not been consumed yet
 		}
 		// seq > pos: lost a race with another producer; reload and retry.
+	}
+}
+
+// push appends v to a ring sized so that it cannot be full: one that
+// holds request slot indices, each at most once, NumReqs slots. tryPush
+// can still refuse while a concurrent tryPop of the cell v lands in has
+// claimed it but not yet released it; push waits that out.
+func (r *ring[T]) push(v T) {
+	for attempt := 0; !r.tryPush(v); attempt++ {
+		backoff(attempt)
 	}
 }
 
