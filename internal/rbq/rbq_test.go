@@ -5,6 +5,7 @@ import (
 	"sync/atomic"
 	"testing"
 	"testing/quick"
+	"unsafe"
 )
 
 func TestPacking(t *testing.T) {
@@ -523,5 +524,20 @@ func TestSizeConcurrentNoRace(t *testing.T) {
 	wg.Wait()
 	if q.Size() != q.Len() {
 		t.Errorf("quiescent Size = %d, Len = %d", q.Size(), q.Len())
+	}
+}
+
+// TestQueueLayout pins the cache-line split of Queue: the dequeuers'
+// words (head, deqs) and the enqueuers' (tail, enqs) are at least 64
+// bytes apart, so at any base alignment they share no line.
+func TestQueueLayout(t *testing.T) {
+	var q Queue
+	deqEnd := max(unsafe.Offsetof(q.head)+unsafe.Sizeof(q.head), unsafe.Offsetof(q.deqs)+unsafe.Sizeof(q.deqs))
+	enqStart := min(unsafe.Offsetof(q.tail), unsafe.Offsetof(q.enqs))
+	if enqStart < deqEnd+64 {
+		t.Errorf("head/deqs end at byte %d, tail/enqs start at %d: want at least 64 bytes between", deqEnd, enqStart)
+	}
+	if unsafe.Offsetof(q.head) < unsafe.Offsetof(q.slab)+unsafe.Sizeof(q.slab)+64 {
+		t.Errorf("head at byte %d shares a line with the slab pointer", unsafe.Offsetof(q.head))
 	}
 }

@@ -110,16 +110,19 @@ type tenantState struct {
 	quota      int64 // 0 on the default tenant: global admission applies
 	classLimit [qos.NumClasses]int64
 
-	// queued is RMW'd by submitters (flush) and the worker (dispatch);
-	// padding keeps it on its own cache line, off the counters the
-	// submitters and finishers write.
+	// queued is RMW'd by submitters (flush) and the worker (drain and
+	// dispatch); padding keeps it on its own cache line. The submitters'
+	// counters and the finishers' are a pad apart as well, so each side
+	// RMWs a line the other does not (TestCacheLineLayout pins it).
 	_      [64]byte
 	queued atomic.Int64 // flushed, not yet dispatched: the tenant's share of the backlog
-	_      [56]byte
+	_      [64]byte
 
-	submitted, completed obs.Counter
-	shed, canceled       obs.Counter
-	latency              obs.Histogram
+	submitted, shed obs.Counter // submitters: accept and admit
+	_               [64]byte
+
+	completed, canceled obs.Counter // finishers: finish
+	latency             obs.Histogram
 }
 
 // Tenant is a handle on one tenant namespace of a Device. Handles are
