@@ -32,7 +32,7 @@ func (d *Device) monitor() {
 			return
 		case <-ticker.C:
 		}
-		d.rec.Tick(time.Now().UnixNano(), lifecycle.ProbeState{
+		d.rec.Tick(nanotime(), lifecycle.ProbeState{
 			QueuedWork:       d.queuedWork(),
 			DispatchProgress: d.m.dispatched.Load(),
 			CompletionDepth:  d.completions.size(),

@@ -252,7 +252,7 @@ func TestStampsDoNotLeakAcrossSlotReuse(t *testing.T) {
 		if !first.sampled {
 			t.Fatal("a slot's first request must be sampled at shift 1")
 		}
-		ts, flags := first.stamps(time.Now().UnixNano())
+		ts, flags := first.stamps(nanotime())
 		for st, v := range ts {
 			if v == 0 {
 				t.Fatalf("first occupant left stage %v unstamped: %v", lifecycle.Stage(st), ts)
@@ -275,7 +275,7 @@ func TestStampsDoNotLeakAcrossSlotReuse(t *testing.T) {
 		if second.sampled {
 			t.Error("sampled bit leaked into the slot's second request")
 		}
-		ts, flags = second.stamps(time.Now().UnixNano())
+		ts, flags = second.stamps(nanotime())
 		for _, st := range []lifecycle.Stage{
 			lifecycle.StageFlushed, lifecycle.StageDispatched,
 			lifecycle.StageCopyStart, lifecycle.StageCopyEnd,
