@@ -876,6 +876,96 @@ func TestChaosWorkerDrainsStagingDirectly(t *testing.T) {
 	}
 }
 
+// TestChaosParkRechecksSubmission closes the lost wake of ROADMAP item
+// 4(c)'s second window on a fixed schedule. Flusher A takes its index
+// off staging and is held (FlushEnqueue) before moving it on. B stages
+// and flushes its own request, turning staging red and kicking the
+// worker, which dispatches it and drains again. The rbq scheduling hook
+// holds the worker right after that drain found the submission queue
+// empty, before its Park. Released, A moves its index onto the
+// submission queue and finds staging red, so it owes no kick. Then the
+// worker parks staging blue: unless it looks at the submission queue
+// once more before sleeping, A's index waits there for a kick that
+// never comes. The guard below only reports that hang; the schedule is
+// sequenced on hooks alone.
+func TestChaosParkRechecksSubmission(t *testing.T) {
+	var aIdx, bIdx atomic.Int64
+	aIdx.Store(-1)
+	bIdx.Store(-1)
+	aHeld, aGo := make(chan struct{}), make(chan struct{})
+	var armed atomic.Bool
+	d := Open(Options{NumReqs: 2, Controllers: 1, Flight: lifecycle.FlightOptions{Disable: true},
+		Chaos: &ChaosHooks{
+			FlushEnqueue: func(idx uint32) bool {
+				if int64(idx) == aIdx.Load() {
+					close(aHeld)
+					<-aGo
+				}
+				return false
+			},
+			BeforeDispatch: func(idx uint32) {
+				if int64(idx) == bIdx.Load() {
+					armed.Store(true)
+				}
+			},
+		}})
+	defer d.Close()
+	a, b := d.AllocRequest(), d.AllocRequest()
+	for _, r := range []*Request{a, b} {
+		r.Src, r.Dst = bytes.Repeat([]byte{byte(r.idx + 1)}, 1<<10), make([]byte, 1<<10)
+	}
+	aIdx.Store(int64(a.idx))
+	bIdx.Store(int64(b.idx))
+
+	// Armed in B's dispatch, the hook sees only the worker: A is held
+	// in its flush, this goroutine waits, and the controller and the
+	// monitor (disarmed here) never touch an rbq queue. The worker's
+	// next drain calls it once per empty Dequeue — the submission
+	// queue's, then staging's — so the second call is the point after
+	// the submission queue was found empty and before the Park.
+	workerHeld, workerGo := make(chan struct{}), make(chan struct{})
+	var calls atomic.Int32
+	rbq.SetSchedHook(func() {
+		if armed.Load() && calls.Add(1) == 2 {
+			close(workerHeld)
+			<-workerGo
+		}
+	})
+	defer rbq.SetSchedHook(nil)
+
+	aDone := make(chan error, 1)
+	go func() { aDone <- d.Submit(a) }()
+	<-aHeld
+	if err := d.Submit(b); err != nil {
+		t.Fatal(err)
+	}
+	<-workerHeld
+	close(aGo)
+	if err := <-aDone; err != nil {
+		t.Fatal(err)
+	}
+	if k, n, c := d.Kicks(), d.submission.Size(), d.staging.Color(); k != 1 || n != 1 || c != rbq.Red {
+		t.Fatalf("schedule missed the window: kicks %d, submission depth %d, staging %v; want 1, 1, red", k, n, c)
+	}
+	close(workerGo)
+
+	got := 0
+	for deadline := time.Now().Add(waitGuard); got < 2; {
+		if r := d.RetrieveCompleted(); r != nil {
+			if r.Err != nil || !bytes.Equal(r.Dst, r.Src) {
+				t.Errorf("slot %d: err=%v, or destination differs from source", r.idx, r.Err)
+			}
+			got++
+			continue
+		}
+		if time.Now().After(deadline) {
+			t.Fatalf("slot %d stranded on the submission queue (depth %d) behind a parked worker",
+				a.idx, d.submission.Size())
+		}
+		d.Poll(time.Millisecond)
+	}
+}
+
 // TestChaosCancelDuringShed lands a cancel storm inside the admission
 // shed window: the pipeline is saturated with stalled foreground work so
 // every scavenger in a batch is shed, while a concurrent canceler races

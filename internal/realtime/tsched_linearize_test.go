@@ -41,7 +41,8 @@ func drrOwner(v uint32) (int, uint32) {
 // next flush or to the worker. The worker starts asleep, as the device's
 // does; kicked — or once every producer has returned — it takes pops
 // recorded steps of drain-then-pop and parks staging whenever a pop
-// finds nothing, sleeping again if the recolor succeeds.
+// finds nothing, sleeping again if the recolor succeeds and the
+// submission queue is still empty after it, as the device's does.
 //
 // One flusher keeps staging's consumers exclusive — the flush while the
 // worker sleeps, the worker while it is awake — which is what the drain
@@ -100,7 +101,7 @@ func runTenantSchedProtocol(seed int64, m check.Model, numClasses int, owner fun
 				popped = ok
 				return check.TRes{V: idx, Tenant: ten, Aged: aged, Ok: ok}
 			})
-			if !popped && staging.Park() {
+			if !popped && staging.Park() && submission.Empty() {
 				asleep = true
 			}
 			t.Yield()
