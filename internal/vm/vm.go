@@ -363,9 +363,18 @@ func (as *AddressSpace) View(p *sim.Proc, addr, n int64, fn func(page []byte), m
 	return as.access(p, addr, n, false, func(_ int64, page []byte) { fn(page) }, meters...)
 }
 
-// access is the one page walk behind Read, Write and View. Per page it
-// applies reference semantics and charges the TLB walk, hands visit the
-// page's piece of the frame (mutable if write), then charges the access.
+// WriteInPlace writes n bytes in place: it charges what Write would, and
+// hands fn each page's piece of the frame's bytes, in order, where Write
+// would copy into it. The piece is already unshared, so fn may write it,
+// but must not keep it. In dataless mode fn is never called.
+func (as *AddressSpace) WriteInPlace(p *sim.Proc, addr, n int64, fn func(page []byte), meters ...*sim.Meter) error {
+	return as.access(p, addr, n, true, func(_ int64, page []byte) { fn(page) }, meters...)
+}
+
+// access is the one page walk behind Read, Write, View and WriteInPlace.
+// Per page it applies reference semantics and charges the TLB walk, hands
+// visit the page's piece of the frame (mutable if write), then charges
+// the access.
 func (as *AddressSpace) access(p *sim.Proc, addr, n int64, write bool, visit func(off int64, page []byte), meters ...*sim.Meter) error {
 	if v := as.FindVMA(addr); v != nil {
 		v.TouchedBytes += n

@@ -1,6 +1,7 @@
 package workloads
 
 import (
+	"encoding/binary"
 	"math/rand"
 	"slices"
 	"testing"
@@ -201,9 +202,11 @@ type consumeRun struct {
 	elapsed sim.Time
 	touched int64    // the VMA's TouchedBytes
 	ptes    []uint64 // the VMA's PTEs, reference bits included
+	bytes   []byte   // the VMA's frame bytes at the end, nil when dataless
 }
 
-// runConsume builds a fresh machine for c with seeded input bytes and
+// runConsume builds a fresh machine for c with seeded input bytes in a
+// VMA of five pages, or of as many as the range touches plus one, and
 // times body over the range. With c.race set, a writer proc stores
 // seeded bytes into the range's first page (behind the consumer's
 // cursor once touched), its last page (ahead of it until touched) and
@@ -221,20 +224,21 @@ func runConsume(t *testing.T, c consumeCase, seed int64, body func(p *sim.Proc, 
 	if c.tlb {
 		as.TLB = tlb.NewCortexA15()
 	}
+	pages := max(5, (c.off+c.n+c.page-1)/c.page+1)
 	var base, addr int64
 	running, done := false, false
 	eng.Spawn("consumer", func(p *sim.Proc) {
 		var err error
-		if base, err = as.Mmap(p, 5*c.page, hw.NodeSlow, "in"); err != nil {
+		if base, err = as.Mmap(p, pages*c.page, hw.NodeSlow, "in"); err != nil {
 			t.Fatal(err)
 		}
-		in := make([]byte, 5*c.page)
+		in := make([]byte, pages*c.page)
 		rand.New(rand.NewSource(seed)).Read(in)
 		if err := as.Write(p, base, in); err != nil {
 			t.Fatal(err)
 		}
 		addr = base + c.off
-		as.ScanAccessBits(p, as.VPN(base), 5) // arm young: touches clear it
+		as.ScanAccessBits(p, as.VPN(base), int(pages)) // arm young: touches clear it
 		start := p.Now()
 		running = true
 		r.sum = body(p, as, addr)
@@ -263,9 +267,10 @@ func runConsume(t *testing.T, c consumeCase, seed int64, body func(p *sim.Proc, 
 	}
 	eng.Run()
 	r.touched = as.FindVMA(base).TouchedBytes
-	for a := base; a < base+5*c.page; a += c.page {
+	for a := base; a < base+pages*c.page; a += c.page {
 		slot, _ := as.Table.Lookup(as.VPN(a))
 		r.ptes = append(r.ptes, uint64(slot.Load()))
+		r.bytes = append(r.bytes, as.FrameAt(a).Bytes()...)
 	}
 	return r
 }
@@ -352,6 +357,100 @@ func TestConsumeAllocGate(t *testing.T) {
 		}
 		if got != want {
 			t.Errorf("checksum %#x, want %#x", got, want)
+		}
+	})
+	eng.Run()
+}
+
+// fillByWrite is FillInput as it was before it generated in place: the
+// pattern materialised in a zeroed buffer, copied in with Write, summed
+// by sum64. It is the oracle of TestFillInputMatchesWrite.
+func fillByWrite(p *sim.Proc, as *vm.AddressSpace, base, n int64, seed uint64) (uint64, error) {
+	buf := make([]byte, n)
+	x := seed*6364136223846793005 + 1442695040888963407
+	for i := int64(0); i+8 <= n; i += 8 {
+		x = x*6364136223846793005 + 1442695040888963407
+		binary.LittleEndian.PutUint64(buf[i:], x)
+	}
+	if err := as.Write(p, base, buf); err != nil {
+		return 0, err
+	}
+	return sum64(0, buf), nil
+}
+
+// TestFillInputMatchesWrite: generating the input in place leaves the
+// same frame bytes, returns the same checksum, takes the same virtual
+// time and leaves the same reference bits and TouchedBytes as writing a
+// materialised copy of it: at word-aligned and unaligned starts, with
+// words and tails split by page boundaries, over memory that held other
+// bytes, with a TLB and on a dataless machine.
+func TestFillInputMatchesWrite(t *testing.T) {
+	var cases []consumeCase
+	for _, off := range []int64{0, 3, 4093} {
+		for _, n := range []int64{1, 7, 8, 13, 4095, 4096, 4099, 65541, 512 << 10} {
+			for _, c := range []consumeCase{{}, {tlb: true}, {dataless: true}} {
+				c.page, c.off, c.n = hw.Page4K, off, n
+				cases = append(cases, c)
+			}
+		}
+	}
+	for i, c := range cases {
+		seed := int64(i) + 1
+		fill := uint64(i)*0x9e3779b9 + 1
+		want := runConsume(t, c, seed, func(p *sim.Proc, as *vm.AddressSpace, addr int64) uint64 {
+			sum, err := fillByWrite(p, as, addr, c.n, fill)
+			if err != nil {
+				t.Fatal(err)
+			}
+			return sum
+		})
+		got := runConsume(t, c, seed, func(p *sim.Proc, as *vm.AddressSpace, addr int64) uint64 {
+			sum, err := FillInput(p, as, addr, c.n, fill)
+			if err != nil {
+				t.Fatal(err)
+			}
+			return sum
+		})
+		if got.sum != want.sum {
+			t.Errorf("%+v: checksum %#x, write of the materialised input %#x", c, got.sum, want.sum)
+		}
+		if got.elapsed != want.elapsed {
+			t.Errorf("%+v: fill took %d ns, write %d", c, got.elapsed, want.elapsed)
+		}
+		if got.touched != want.touched || !slices.Equal(got.ptes, want.ptes) {
+			t.Errorf("%+v: fill left TouchedBytes %d, PTEs %#x; write %d, %#x", c, got.touched, got.ptes, want.touched, want.ptes)
+		}
+		if !slices.Equal(got.bytes, want.bytes) {
+			at := 0
+			for at < len(got.bytes) && got.bytes[at] == want.bytes[at] {
+				at++
+			}
+			t.Errorf("%+v: frame bytes differ from write's, first at VMA offset %d", c, at)
+		}
+	}
+}
+
+// TestFillInputAllocGate: refilling a region whose frames already hold
+// private bytes allocates nothing per call; a staging buffer would cost
+// one n-byte allocation each time.
+func TestFillInputAllocGate(t *testing.T) {
+	eng, as := setup()
+	eng.Spawn("p", func(p *sim.Proc) {
+		const n = 512 << 10
+		base, _ := as.Mmap(p, n, hw.NodeSlow, "in")
+		if _, err := FillInput(p, as, base, n, 1); err != nil {
+			t.Fatal(err)
+		}
+		seed := uint64(1)
+		allocs := testing.AllocsPerRun(20, func() {
+			seed++
+			if _, err := FillInput(p, as, base, n, seed); err != nil {
+				t.Fatal(err)
+			}
+		})
+		t.Logf("%.0f allocs per %d-byte fill", allocs, n)
+		if allocs != 0 {
+			t.Errorf("FillInput allocates %.2f times per call, want 0", allocs)
 		}
 	})
 	eng.Run()
