@@ -249,11 +249,10 @@ func runRealtime(reqs, bytesPer, controllers, chunkBytes int) {
 		float64(st.BytesMoved)/elapsed.Seconds()/1e6)
 	fmt.Printf("submitted %d  completed %d  canceled %d  expired %d  failed %d\n",
 		st.Submitted, st.Completed, st.Canceled, st.Expired, st.Failed)
-	fmt.Printf("kicks %d  worker wakes %d  chunks %d  bytes %d MB  flush retries %d\n",
-		st.Kicks, st.WorkerWakes, st.Chunks, st.BytesMoved>>20, st.EnqueueRetries)
+	fmt.Printf("kicks %d  worker wakes %d  chunks %d  bytes %d MB\n",
+		st.Kicks, st.WorkerWakes, st.Chunks, st.BytesMoved>>20)
 	fmt.Printf("batches %d  dispatch retries %d\n", st.Batches, st.DispatchRetries)
-	fmt.Printf("queue high watermarks: submission %d, completion %d\n",
-		st.SubmissionHighWater, st.CompletionHighWater)
+	fmt.Printf("completion high watermark %d\n", st.CompletionHighWater)
 	fmt.Printf("latency (ns): %v\n", st.Latency)
 	fmt.Printf("sizes (bytes): %v\n", st.Sizes)
 	showLifecycles(st.Lifecycle.Captured)

@@ -77,6 +77,43 @@ func TestQueueModelRejectsStaleColor(t *testing.T) {
 	}
 }
 
+// TestQueueModelStage: a stage on a blue queue kicks and turns it red,
+// values already queued keep the color they were linked with, and a
+// second stage on the red queue does not kick.
+func TestQueueModelStage(t *testing.T) {
+	m := QueueModel(rbq.Blue)
+	legal := mkOps([]opSpec{
+		{0, QOp{Kind: QEnqueue, V: 1}, QRes{C: rbq.Blue, Ok: true}, 1, 2},
+		{0, QOp{Kind: QStage, V: 2}, QRes{Kick: true, Ok: true}, 3, 4},
+		{0, QOp{Kind: QStage, V: 3}, QRes{Ok: true}, 5, 6},
+		{0, QOp{Kind: QDequeue}, QRes{V: 1, C: rbq.Blue, Ok: true}, 7, 8},
+		{0, QOp{Kind: QDequeue}, QRes{V: 2, C: rbq.Red, Ok: true}, 9, 10},
+		{0, QOp{Kind: QDequeue}, QRes{V: 3, C: rbq.Red, Ok: true}, 11, 12},
+		{0, QOp{Kind: QDequeue}, QRes{C: rbq.Red, Ok: false}, 13, 14},
+		{0, QOp{Kind: QSetColor, C: rbq.Blue}, QRes{C: rbq.Red, Ok: true}, 15, 16},
+		{0, QOp{Kind: QStage, V: 4}, QRes{Kick: true, Ok: true}, 17, 18},
+	})
+	if r := Check(m, legal); !r.Ok {
+		t.Fatalf("legal stage history rejected: %s", r.Info)
+	}
+	// A second stage that kicks: the queue was already red.
+	twoKicks := mkOps([]opSpec{
+		{0, QOp{Kind: QStage, V: 1}, QRes{Kick: true, Ok: true}, 1, 2},
+		{0, QOp{Kind: QStage, V: 2}, QRes{Kick: true, Ok: true}, 3, 4},
+	})
+	if r := Check(m, twoKicks); r.Ok {
+		t.Fatal("a second kick for one blue→red transition accepted")
+	}
+	// An enqueue after a stage that still observes blue.
+	staleBlue := mkOps([]opSpec{
+		{0, QOp{Kind: QStage, V: 1}, QRes{Kick: true, Ok: true}, 1, 2},
+		{0, QOp{Kind: QEnqueue, V: 2}, QRes{C: rbq.Blue, Ok: true}, 3, 4},
+	})
+	if r := Check(m, staleBlue); r.Ok {
+		t.Fatal("blue observed after a stage accepted")
+	}
+}
+
 func TestQueueModelAcceptsConcurrentReorder(t *testing.T) {
 	m := QueueModel(rbq.Blue)
 	// Concurrent enqueues may linearize in either order; the dequeues

@@ -11,11 +11,11 @@ import (
 // ---------------------------------------------------------------------
 // Red-blue queue: sequential spec of rbq.Queue.
 //
-// State: a FIFO of values plus the queue color. The protocol invariant
-// (Section 4.3) that makes the spec this simple is that SetColor only
-// succeeds on an empty queue — so every element in a non-empty queue
-// was enqueued under the current color, and Dequeue's atomically
-// observed color is always the current color.
+// State: a FIFO of values, each with the color its link carries, plus
+// the queue color. SetColor only succeeds on an empty queue (Section
+// 4.3), so only Stage changes the color of a non-empty queue: it links
+// its value red. Enqueue links its value with the queue color, and
+// Dequeue observes the color of the value it takes.
 // ---------------------------------------------------------------------
 
 // QOpKind selects the queue operation of a QOp.
@@ -26,26 +26,30 @@ const (
 	QEnqueue QOpKind = iota
 	QDequeue
 	QSetColor
+	QStage
 )
 
 // QOp is the input of one rbq.Queue operation.
 type QOp struct {
 	Kind QOpKind
-	V    uint32    // QEnqueue: value
+	V    uint32    // QEnqueue, QStage: value
 	C    rbq.Color // QSetColor: new color
 }
 
 // QRes is the output of one rbq.Queue operation.
 type QRes struct {
-	V  uint32    // QDequeue: value
-	C  rbq.Color // observed / previous color
-	Ok bool
+	V    uint32    // QDequeue: value
+	C    rbq.Color // observed / previous color
+	Kick bool      // QStage: the stage turned the queue from blue to red
+	Ok   bool
 }
 
 func (o QOp) String() string {
 	switch o.Kind {
 	case QEnqueue:
 		return fmt.Sprintf("enqueue(%d)", o.V)
+	case QStage:
+		return fmt.Sprintf("stage(%d)", o.V)
 	case QDequeue:
 		return "dequeue()"
 	default:
@@ -53,23 +57,27 @@ func (o QOp) String() string {
 	}
 }
 
-func (r QRes) String() string { return fmt.Sprintf("(v=%d c=%v ok=%v)", r.V, r.C, r.Ok) }
+func (r QRes) String() string {
+	return fmt.Sprintf("(v=%d c=%v kick=%v ok=%v)", r.V, r.C, r.Kick, r.Ok)
+}
 
 type queueState struct {
-	items string // comma-joined values, FIFO order
+	items string // comma-joined value:color pairs, FIFO order
 	color rbq.Color
 }
 
-func (s queueState) push(v uint32) queueState {
+// push appends v linked with color c and leaves the queue color c.
+func (s queueState) push(v uint32, c rbq.Color) queueState {
+	item := fmt.Sprintf("%d:%d", v, c)
 	if s.items == "" {
-		return queueState{fmt.Sprintf("%d", v), s.color}
+		return queueState{item, c}
 	}
-	return queueState{fmt.Sprintf("%s,%d", s.items, v), s.color}
+	return queueState{s.items + "," + item, c}
 }
 
-func (s queueState) front() (uint32, queueState, bool) {
+func (s queueState) front() (uint32, rbq.Color, queueState, bool) {
 	if s.items == "" {
-		return 0, s, false
+		return 0, 0, s, false
 	}
 	head := s.items
 	rest := ""
@@ -77,8 +85,9 @@ func (s queueState) front() (uint32, queueState, bool) {
 		head, rest = s.items[:i], s.items[i+1:]
 	}
 	var v uint32
-	fmt.Sscanf(head, "%d", &v)
-	return v, queueState{rest, s.color}, true
+	var c rbq.Color
+	fmt.Sscanf(head, "%d:%d", &v, &c)
+	return v, c, queueState{rest, s.color}, true
 }
 
 // QueueModel returns the sequential specification of a red-blue queue
@@ -100,19 +109,27 @@ func QueueModel(initial rbq.Color) Model {
 				if out.C != st.color {
 					return false, nil
 				}
-				return true, st.push(op.V)
+				return true, st.push(op.V, st.color)
+			case QStage:
+				if !out.Ok {
+					return true, st // slab exhausted, as for QEnqueue
+				}
+				if out.Kick != (st.color == rbq.Blue) {
+					return false, nil
+				}
+				return true, st.push(op.V, rbq.Red)
 			case QDequeue:
-				v, rest, nonEmpty := st.front()
+				v, c, rest, nonEmpty := st.front()
 				if !out.Ok {
 					// Empty dequeue reports the current color.
 					return !nonEmpty && out.C == st.color, st
 				}
-				if !nonEmpty || v != out.V || out.C != st.color {
+				if !nonEmpty || v != out.V || out.C != c {
 					return false, nil
 				}
 				return true, rest
 			case QSetColor:
-				_, _, nonEmpty := st.front()
+				_, _, _, nonEmpty := st.front()
 				if !out.Ok {
 					return nonEmpty, st // fails exactly when non-empty
 				}

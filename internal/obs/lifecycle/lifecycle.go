@@ -38,14 +38,16 @@ import (
 type Stage uint8
 
 // The stage model. A pipeline stamps the subset it has: the realtime
-// device stamps all of them; a request failing off-protocol (e.g.
-// ErrNoSlots at the flush) skips straight from StageSubmit to
-// StageCompleted, and span derivation skips spans with a missing
+// device stamps all of them; a request failing off-protocol (e.g. a
+// batch member's ErrNoSlots at staging) skips straight from StageSubmit
+// to StageCompleted, and span derivation skips spans with a missing
 // endpoint.
 const (
 	// StageSubmit: the request entered the staging queue.
 	StageSubmit Stage = iota
-	// StageFlushed: the flush moved it staging → submission queue.
+	// StageFlushed: it left the staging queue — a flush moved it onto
+	// the submission queue (the simulated driver), or the realtime
+	// worker drained it into its scheduler's buckets.
 	StageFlushed
 	// StageDispatched: the worker dequeued it and began chunking.
 	StageDispatched
@@ -76,10 +78,11 @@ type Span uint8
 // edition.
 const (
 	// SpanStagingWait: submit → flushed; time spent in the staging queue
-	// waiting for a flush.
+	// waiting for a flush or the worker's drain.
 	SpanStagingWait Span = iota
 	// SpanDispatchWait: flushed → dispatched; time on the submission
-	// queue waiting for the worker.
+	// queue (or in the realtime scheduler's buckets) waiting for the
+	// worker.
 	SpanDispatchWait
 	// SpanRingWait: push → pop of a chunk on a dispatch ring (chunk
 	// level; observed once per sampled chunk).

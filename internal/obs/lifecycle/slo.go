@@ -76,8 +76,8 @@ const (
 type ProbeState struct {
 	// QueuedWork reports whether work was waiting for dispatch at probe
 	// time. The realtime device reports a non-empty staging queue or a
-	// non-zero backlog: requests flushed but not yet dispatched, on its
-	// submission queue or in its scheduler's buckets.
+	// non-zero backlog: requests its worker drained off staging but has
+	// not yet dispatched, in its scheduler's buckets.
 	QueuedWork bool
 	// DispatchProgress is a cumulative dispatch counter; the watchdog
 	// compares ticks, so any monotone counter works.

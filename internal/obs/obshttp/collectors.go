@@ -32,7 +32,6 @@ func RealtimeMetrics(device string, s realtime.StatsSnapshot) []Metric {
 		counter("memif_realtime_chunks_total", "Controller work units executed.", lb, s.Chunks),
 		counter("memif_realtime_bytes_moved_total", "Payload bytes actually copied.", lb, s.BytesMoved),
 		counter("memif_realtime_dispatch_retries_total", "Worker backoffs with the chunk ring full.", lb, s.DispatchRetries),
-		counter("memif_realtime_enqueue_retries_total", "Transient slab-exhaustion retries in the flush path.", lb, s.EnqueueRetries),
 		counter("memif_realtime_double_completes_total", "Completion paths finding the request already terminal (must stay 0).", lb, s.DoubleCompletes),
 		counter("memif_realtime_shed_total", "Submissions rejected by the admission controller with ErrOverload.", lb, s.Shed),
 		counter("memif_realtime_overload_completions_total", "Admission rejections surfaced as ErrOverload completions (batch members).", lb, s.Overloaded),
@@ -41,10 +40,9 @@ func RealtimeMetrics(device string, s realtime.StatsSnapshot) []Metric {
 		counter("memif_realtime_aged_pops_total", "Dispatches serving a lower class out of strict-priority order.", lb, s.AgedPops),
 		gauge("memif_realtime_inline_threshold_bytes", "Current adaptive inline-completion cutoff (0 = disabled).", lb, s.InlineThresholdBytes),
 		gauge("memif_realtime_staging_depth", "Live staging-queue depth at scrape time.", lb, s.StagingDepth),
-		gauge("memif_realtime_submission_depth", "Requests flushed but not yet dispatched at scrape time, on the submission queue or in the scheduler's buckets.", lb, s.SubmissionDepth),
+		gauge("memif_realtime_submission_depth", "Requests the worker took off staging but has not yet dispatched, in the scheduler's buckets, at scrape time.", lb, s.SubmissionDepth),
 		gauge("memif_realtime_completion_depth", "Live completion-queue depth at scrape time.", lb, s.CompletionDepth),
 		gauge("memif_realtime_ring_depth", "Live chunk-ring occupancy at scrape time.", lb, s.RingDepth),
-		gauge("memif_realtime_submission_depth_high_water", "Deepest the submission queue itself has ever been (one flush's burst, not the backlog).", lb, s.SubmissionHighWater),
 		gauge("memif_realtime_completion_depth_high_water", "Deepest the completion queue has ever been.", lb, s.CompletionHighWater),
 		hist("memif_realtime_request_latency_ns", "Submission-to-completion latency (ns).", lb, s.Latency),
 		hist("memif_realtime_request_bytes", "Request payload size (bytes).", lb, s.Sizes),
@@ -70,7 +68,7 @@ func RealtimeMetrics(device string, s realtime.StatsSnapshot) []Metric {
 			gauge("memif_realtime_tenant_weight", "Configured DRR weight (requests per scheduling round).", tlb, ts.Weight),
 			gauge("memif_realtime_tenant_slot_quota", "Configured in-flight cap (0 = default namespace, global admission).", tlb, ts.SlotQuota),
 			gauge("memif_realtime_tenant_in_flight", "Live accepted-but-not-terminal requests by tenant.", tlb, ts.InFlight),
-			gauge("memif_realtime_tenant_queue_depth", "Live flushed-but-not-dispatched requests by tenant.", tlb, ts.QueueDepth),
+			gauge("memif_realtime_tenant_queue_depth", "Live drained-but-not-dispatched requests by tenant.", tlb, ts.QueueDepth),
 			hist("memif_realtime_tenant_request_latency_ns", "Submission-to-completion latency by tenant (ns).", tlb, ts.Latency),
 		)
 		if s.Lifecycle.Enabled {

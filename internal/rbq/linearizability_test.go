@@ -23,6 +23,9 @@ func execQOp(q *rbq.Queue, op check.QOp) any {
 	case check.QEnqueue:
 		c, ok := q.Enqueue(op.V)
 		return check.QRes{C: c, Ok: ok}
+	case check.QStage:
+		kick, ok := q.Stage(op.V)
+		return check.QRes{Kick: kick, Ok: ok}
 	case check.QDequeue:
 		v, c, ok := q.Dequeue()
 		return check.QRes{V: v, C: c, Ok: ok}
@@ -66,11 +69,14 @@ func randomScripts(seed int64, nThreads, opsPer int) [][]check.QOp {
 	var next uint32
 	for i := range scripts {
 		for j := 0; j < opsPer; j++ {
-			switch rng.Intn(5) {
+			switch rng.Intn(6) {
 			case 0, 1:
 				next++
 				scripts[i] = append(scripts[i], check.QOp{Kind: check.QEnqueue, V: next})
-			case 2, 3:
+			case 2:
+				next++
+				scripts[i] = append(scripts[i], check.QOp{Kind: check.QStage, V: next})
+			case 3, 4:
 				scripts[i] = append(scripts[i], check.QOp{Kind: check.QDequeue})
 			default:
 				scripts[i] = append(scripts[i], check.QOp{Kind: check.QSetColor, C: rbq.Color(rng.Intn(2))})
@@ -127,6 +133,46 @@ func TestRecolorWhileEnqueue(t *testing.T) {
 		seeds = 50
 	}
 	err := check.Explore(seeds, 1000, func(seed int64) error {
+		return runQueueSchedule(seed, scripts)
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestStageWhileRecolor is TestRecolorWhileEnqueue for Stage: the
+// worker's Park (a recolor to blue, refused on a non-empty queue) and
+// its drain race stagers whose publishing CAS also turns the queue red.
+// Exactly one stage may kick per blue→red transition, and a stage that
+// observes red must find its value linked red behind everything queued.
+func TestStageWhileRecolor(t *testing.T) {
+	scripts := [][]check.QOp{
+		// Two stagers, one mixing in a plain enqueue on the red queue.
+		{
+			{Kind: check.QStage, V: 1},
+			{Kind: check.QStage, V: 2},
+			{Kind: check.QEnqueue, V: 3},
+		},
+		{
+			{Kind: check.QStage, V: 4},
+			{Kind: check.QStage, V: 5},
+		},
+		// The worker: drain and park, twice over.
+		{
+			{Kind: check.QDequeue},
+			{Kind: check.QDequeue},
+			{Kind: check.QSetColor, C: rbq.Blue},
+			{Kind: check.QDequeue},
+			{Kind: check.QDequeue},
+			{Kind: check.QDequeue},
+			{Kind: check.QSetColor, C: rbq.Blue},
+		},
+	}
+	seeds := 250
+	if testing.Short() {
+		seeds = 50
+	}
+	err := check.Explore(seeds, 3000, func(seed int64) error {
 		return runQueueSchedule(seed, scripts)
 	})
 	if err != nil {

@@ -1,26 +1,40 @@
 package rbq_test
 
-// The Section 4.4 submit protocol, model-checked once over the real
-// Queue.Flush and Queue.Park that both engines call. Each submitter
-// stages its values; one whose enqueue observed blue calls Flush and
-// counts a kick when Flush says so. One worker sleeps — a Yield loop on
-// the kick count — until a kick is pending, then drains and parks,
-// draining again while Park refuses. check.Sched serializes the threads
-// and may preempt them at every step of the lock-free queue, and at each
-// of those points a monitor samples the queue's color. Every schedule
-// must keep three claims:
+// The Section 4.4 submit protocol, model-checked over the real queue
+// steps both engines call. It runs in two forms. In the paper's, which
+// package core keeps, each submitter enqueues its values and one whose
+// enqueue observed blue calls Flush, delivering what it drains, and
+// counts a kick when Flush says so. In realtime's, each submitter calls
+// Stage and counts a kick when Stage says so; it drains nothing. One
+// worker sleeps — a Yield loop on the kick count — until a kick is
+// pending, then drains, delivering, and parks, draining again while Park
+// refuses. check.Sched serializes the threads and may preempt them at
+// every step of the lock-free queue, and at each of those points a
+// monitor samples the queue's color. Every schedule must keep three
+// claims:
 //
 //  1. exactly one kick per blue→red transition of the queue;
 //  2. once the worker sleeps with no kick pending and every submitter has
 //     returned, nothing staged is left behind, and every value was
 //     delivered exactly once;
-//  3. an enqueue that observes red finds the worker responsible for its
-//     value — a kick pending or the worker awake — so a submitter that
+//  3. a submitter that owes no kick finds its value delivered or the
+//     worker responsible for it — a kick pending, the worker awake, or
+//     a blue→red transition whose kick is still owed (under Stage, the
+//     transition is published inside Stage and kicked after it returns,
+//     so a neighbor can observe red in between) — so a submitter that
 //     saw only red never has to flush.
 //
-// The model runs two ways: PCT over a fixed seed corpus, and every
-// schedule of 2 submitters × 2 values with at most 2 preemptions. Two
-// deliberately broken protocols, defined here, must fail it.
+// Realtime's form keeps a fourth:
+//
+//  4. each submitter's values are delivered in the order it submitted
+//     them.
+//
+// Each form runs two ways: PCT over a fixed seed corpus, and every
+// schedule of 2 submitters × 2 values with at most 2 preemptions.
+// Deliberately broken protocols, defined here, must fail it — among
+// them the paper's form held to claim 4, as realtime ran it while a
+// submitter's flush fed the worker: two flushers can deliver one
+// submitter's values out of order.
 
 import (
 	"fmt"
@@ -34,14 +48,46 @@ import (
 
 // protocol is the pair of steps under test.
 type protocol struct {
-	flush func(q *rbq.Queue, drain func(uint32)) (kick bool)
-	park  func(q *rbq.Queue) bool
+	// submit puts v on the queue and reports whether the caller owes the
+	// worker a kick; a flushing submitter delivers what it drains.
+	submit func(q *rbq.Queue, v uint32, deliver func(uint32)) (kick bool)
+	park   func(q *rbq.Queue) bool
+	// ordered holds the run to claim 4.
+	ordered bool
 }
 
-var memifProtocol = protocol{flush: (*rbq.Queue).Flush, park: (*rbq.Queue).Park}
+// flushSubmit is the paper's submitter: enqueue, and flush on blue.
+func flushSubmit(q *rbq.Queue, v uint32, deliver func(uint32)) bool {
+	c, ok := q.Enqueue(v)
+	if !ok {
+		panic("slab exhausted")
+	}
+	return c == rbq.Blue && q.Flush(deliver)
+}
+
+// stageSubmit is realtime's submitter: stage, and nothing else.
+func stageSubmit(q *rbq.Queue, v uint32, _ func(uint32)) bool {
+	kick, ok := q.Stage(v)
+	if !ok {
+		panic("slab exhausted")
+	}
+	return kick
+}
+
+var (
+	flushProtocol = protocol{submit: flushSubmit, park: (*rbq.Queue).Park}
+	stageProtocol = protocol{submit: stageSubmit, park: (*rbq.Queue).Park, ordered: true}
+)
+
+// legs are the two correct forms, each run by both exploration legs.
+var legs = []struct {
+	name string
+	p    protocol
+}{{"flush", flushProtocol}, {"stage", stageProtocol}}
 
 // runProtocol runs one schedule of subs submitters × reqs values and
-// one worker on s, and reports the first broken claim.
+// one worker on s, and reports the first broken claim. Submitter i's
+// values are i*reqs+1 .. i*reqs+reqs, submitted in increasing order.
 func runProtocol(s *check.Sched, p protocol, subs, reqs int) error {
 	// Room for every value, the dummy and each thread's recycling window.
 	q := rbq.NewSlab(2*subs*reqs + 2).NewQueue(rbq.Blue)
@@ -50,6 +96,7 @@ func runProtocol(s *check.Sched, p protocol, subs, reqs int) error {
 		awake                             bool // from a wake to the worker's next Park
 		last                              = rbq.Blue
 		delivered                         = map[uint32]int{}
+		latest                            = make([]uint32, subs) // per submitter: highest value delivered
 	)
 	watch := func() {
 		if c := q.ColorForTest(); c != last {
@@ -62,22 +109,26 @@ func runProtocol(s *check.Sched, p protocol, subs, reqs int) error {
 	hook := s.YieldHook()
 	rbq.SetSchedHook(func() { watch(); hook() })
 	defer rbq.SetSchedHook(nil)
-	deliver := func(v uint32) { delivered[v]++ }
+	deliver := func(v uint32) {
+		delivered[v]++
+		i := (v - 1) / uint32(reqs)
+		if p.ordered && v < latest[i] {
+			panic(fmt.Sprintf("claim 4: submitter %d's %d delivered after %d", i, v, latest[i]))
+		}
+		latest[i] = max(latest[i], v)
+	}
 
 	for i := 0; i < subs; i++ {
 		s.Go(func(*check.Thread) {
 			for j := 0; j < reqs; j++ {
 				v := uint32(i*reqs + j + 1)
-				c, ok := q.Enqueue(v)
-				switch {
-				case !ok:
-					panic("slab exhausted")
-				case c == rbq.Blue:
-					if p.flush(q, deliver) {
-						kicks++
-					}
-				case kicks == woken && !awake && slices.Contains(q.Snapshot(), v):
-					panic(fmt.Sprintf("claim 3: value %d staged under red with no kick pending and the worker asleep", v))
+				if p.submit(q, v, deliver) {
+					kicks++
+					continue
+				}
+				watch()
+				if kicks == woken && !awake && blueToRed <= kicks && slices.Contains(q.Snapshot(), v) {
+					panic(fmt.Sprintf("claim 3: value %d staged under red with no kick pending or owed and the worker asleep", v))
 				}
 			}
 			returned++
@@ -138,33 +189,43 @@ func exhaustiveProtocol(p protocol) (int, error) {
 }
 
 func TestProtocolPCT(t *testing.T) {
-	if err := pctProtocol(memifProtocol); err != nil {
-		t.Fatal(err)
+	for _, leg := range legs {
+		t.Run(leg.name, func(t *testing.T) {
+			if err := pctProtocol(leg.p); err != nil {
+				t.Fatal(err)
+			}
+		})
 	}
 }
 
-// TestProtocolExhaustive visits 36,028 schedules: about 3 s on a 2-vCPU
-// host and 12 s under -race, so -short leaves it to the PCT leg.
+// TestProtocolExhaustive visits 36,028 schedules of the paper's form and
+// 16,296 of realtime's: about 10 s together on a 2-vCPU host, so -short
+// leaves it to the PCT leg.
 func TestProtocolExhaustive(t *testing.T) {
 	if testing.Short() {
 		t.Skip("bounded-exhaustive pass in long mode only")
 	}
-	n, err := exhaustiveProtocol(memifProtocol)
-	if err != nil {
-		t.Fatal(err)
+	for _, leg := range legs {
+		t.Run(leg.name, func(t *testing.T) {
+			n, err := exhaustiveProtocol(leg.p)
+			if err != nil {
+				t.Fatal(err)
+			}
+			t.Logf("%d schedules", n)
+		})
 	}
-	t.Logf("%d schedules", n)
 }
 
 // expectCaught runs both legs on a broken protocol: each must fail with
-// one of the claims named and print the failing schedule.
+// one of the claims named and print the failing schedule (and, for the
+// exhaustive leg, how many schedules it took to find).
 func expectCaught(t *testing.T, p protocol, claims ...string) {
 	t.Helper()
-	_, exhaustive := exhaustiveProtocol(p)
+	n, exhaustive := exhaustiveProtocol(p)
 	for _, leg := range []struct {
 		name string
 		err  error
-	}{{"exhaustive", exhaustive}, {"pct", pctProtocol(p)}} {
+	}{{fmt.Sprintf("exhaustive, schedule %d", n), exhaustive}, {"pct", pctProtocol(p)}} {
 		name, err := leg.name, leg.err
 		if err == nil {
 			t.Errorf("%s: the broken protocol passed", name)
@@ -184,9 +245,12 @@ func expectCaught(t *testing.T, p protocol, claims ...string) {
 // transition.
 func TestProtocolCatchesRedKick(t *testing.T) {
 	expectCaught(t, protocol{
-		flush: func(q *rbq.Queue, drain func(uint32)) bool {
+		submit: func(q *rbq.Queue, v uint32, deliver func(uint32)) bool {
+			if c, _ := q.Enqueue(v); c != rbq.Blue {
+				return false
+			}
 			for {
-				q.Drain(drain)
+				q.Drain(deliver)
 				if _, ok := q.SetColor(rbq.Red); ok {
 					return true
 				}
@@ -199,8 +263,35 @@ func TestProtocolCatchesRedKick(t *testing.T) {
 // TestProtocolCatchesParklessSleep: a worker that sleeps without Park
 // leaves the queue red, so later values are staged for nobody.
 func TestProtocolCatchesParklessSleep(t *testing.T) {
+	for _, leg := range legs {
+		t.Run(leg.name, func(t *testing.T) {
+			p := leg.p
+			p.park = func(*rbq.Queue) bool { return true }
+			expectCaught(t, p, "claim 2", "claim 3")
+		})
+	}
+}
+
+// TestProtocolCatchesStageWithoutRecolor: a Stage that carries the
+// observed color on, as Enqueue does, instead of writing red leaves the
+// queue blue, so every submitter kicks and no kick matches a transition.
+func TestProtocolCatchesStageWithoutRecolor(t *testing.T) {
 	expectCaught(t, protocol{
-		flush: (*rbq.Queue).Flush,
-		park:  func(*rbq.Queue) bool { return true },
-	}, "claim 2", "claim 3")
+		submit: func(q *rbq.Queue, v uint32, _ func(uint32)) bool {
+			c, _ := q.Enqueue(v)
+			return c == rbq.Blue
+		},
+		park:    (*rbq.Queue).Park,
+		ordered: true,
+	}, "claim 1")
+}
+
+// TestProtocolCatchesTwoFlushers holds the paper's form to claim 4, as
+// realtime ran it while a submitter's flush fed the worker: one flusher
+// can hold a submitter's first value between its dequeue and its
+// delivery while another flusher, or the worker, delivers the second.
+func TestProtocolCatchesTwoFlushers(t *testing.T) {
+	p := flushProtocol
+	p.ordered = true
+	expectCaught(t, p, "claim 4")
 }

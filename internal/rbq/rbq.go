@@ -119,7 +119,7 @@ type node struct {
 // One memif instance allocates a single slab inside the user/kernel
 // shared pages and builds its red-blue queues on it: the simulated
 // interface its free, staging, submission and completion queues, the
-// realtime device its staging and submission queues.
+// realtime device its one staging queue.
 type Slab struct {
 	nodes    []node
 	freeHead atomic.Uint64 // packed {idx, tag} Treiber stack head
@@ -249,7 +249,23 @@ func (s *Slab) NewQueue(initial Color) *Queue {
 // Enqueue appends v and returns the queue color observed atomically with
 // the append (the color the value was enqueued under). ok is false only
 // if the slab is out of nodes — a sizing bug in the caller.
-func (q *Queue) Enqueue(v uint32) (Color, bool) {
+func (q *Queue) Enqueue(v uint32) (Color, bool) { return q.enqueue(v, false) }
+
+// Stage is the submitter's whole half of the protocol when the worker is
+// the queue's only consumer: append v and turn the queue red in the same
+// publishing CAS. kick is true only for the append that observed blue —
+// the one blue→red transition, whose caller owes the worker the kick;
+// every later append finds red until the worker parks. Nothing is
+// drained. ok is false as for Enqueue.
+func (q *Queue) Stage(v uint32) (kick, ok bool) {
+	c, ok := q.enqueue(v, true)
+	return ok && c == Blue, ok
+}
+
+// enqueue is Enqueue and Stage: it appends v and returns the color it
+// observed on the old tail's nil link. The new tail's nil link carries
+// that color on, or Red when red is set.
+func (q *Queue) enqueue(v uint32, red bool) (Color, bool) {
 	s := q.slab
 	n, ok := s.allocNode()
 	if !ok {
@@ -270,10 +286,14 @@ func (q *Queue) Enqueue(v uint32) (Color, bool) {
 			continue
 		}
 		c := unpackColor(next)
-		// Propagate the color into the new tail's nil link before
-		// publication (the node is still private).
+		// Propagate the color (or write red) into the new tail's nil
+		// link before publication (the node is still private).
+		nc := c
+		if red {
+			nc = Red
+		}
 		old := s.nodes[n].next.Load()
-		s.nodes[n].next.Store(pack(0, c, bump(old)))
+		s.nodes[n].next.Store(pack(0, nc, bump(old)))
 		schedPoint()
 		if tn.next.CompareAndSwap(next, pack(n, c, bump(next))) {
 			schedPoint()
@@ -348,10 +368,10 @@ func (q *Queue) SetColor(newColor Color) (old Color, ok bool) {
 	}
 }
 
-// Flush is the submitter's half of the Section 4.4 protocol, run by a
-// caller whose enqueue observed blue: drain the queue into drain, then
-// recolor it red. A refused recolor means a neighbor staged meanwhile,
-// so it drains again. kick is true only for the caller whose recolor
+// Flush is the submitter's half of the Section 4.4 protocol as the paper
+// runs it (package core), by a caller whose enqueue observed blue: drain
+// the queue into drain, then recolor it red. A refused recolor means a
+// neighbor staged meanwhile, so it drains again. kick is true only for the caller whose recolor
 // turned the queue from blue to red: that caller owes the worker the one
 // kick, and a flusher that found the queue red already owes nothing.
 func (q *Queue) Flush(drain func(v uint32)) (kick bool) {
@@ -364,8 +384,9 @@ func (q *Queue) Flush(drain func(v uint32)) (kick bool) {
 }
 
 // Park is the worker's half: recolor the queue blue, handing flush duty
-// back to the submitters, before it sleeps. It fails, leaving the queue
-// unchanged, when the queue is not empty; the worker then drains again.
+// (under Stage, kick duty) back to the submitters, before it sleeps. It
+// fails, leaving the queue unchanged, when the queue is not empty; the
+// worker then drains again.
 func (q *Queue) Park() bool {
 	_, ok := q.SetColor(Blue)
 	return ok

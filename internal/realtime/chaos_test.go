@@ -2,8 +2,7 @@ package realtime
 
 // Chaos-driven coverage: fault injection through Options.Chaos forces
 // the failure windows real load only samples — stalled controllers
-// under a cancel storm, persistent slab exhaustion at the flush,
-// shutdown with chunked requests in flight, and close/cancel races
+// under a cancel storm, slab exhaustion at staging, shutdown with chunked requests in flight, and close/cancel races
 // inside the submission protocol. After every storm the suite asserts
 // the two invariants the device promises: no index ever vanishes
 // (AuditSlots) and completion fires exactly once (DoubleCompletes == 0).
@@ -23,23 +22,7 @@ import (
 	"time"
 
 	"memif/internal/obs/lifecycle"
-	"memif/internal/rbq"
 )
-
-// submitParked submits r once the worker is parked: the staging queue
-// is blue — recolored by the worker's last Park, or never red since Open
-// — and the worker sleeps without a kick pending, because only a
-// blue→red flush kicks and it wakes once per kick before it parks again.
-// So this submit's own flush, not the worker's drain, takes r off
-// staging: the only staging→submission move, and the only path where
-// the slab can run out.
-func submitParked(t *testing.T, d *Device, r *Request) {
-	t.Helper()
-	awaitCond(t, "worker parked", func() bool { return d.staging.Color() == rbq.Blue })
-	if err := d.Submit(r); err != nil {
-		t.Fatalf("submit: %v", err)
-	}
-}
 
 // drainAll retrieves every pending completion, polling until count
 // completions arrived or the deadline passes.
@@ -198,57 +181,6 @@ func TestChaosChunkRingFullBackpressure(t *testing.T) {
 	}
 	if err := d.AuditSlots(nil); err != nil {
 		t.Error(err)
-	}
-}
-
-// TestChaosForcedExhaustionErrNoSlots makes every staging→submission
-// flush attempt fail and submits each request to a parked worker, so
-// its own flush takes it down the ErrNoSlots completion path; the slots
-// must come back through the completion queue, and the device must
-// recover fully once the fault clears.
-func TestChaosForcedExhaustionErrNoSlots(t *testing.T) {
-	var failing atomic.Bool
-	failing.Store(true)
-	opts := Options{
-		NumReqs: 16,
-		Chaos: &ChaosHooks{
-			FlushEnqueue: func(idx uint32) bool { return failing.Load() },
-		},
-	}
-	d := Open(opts)
-	defer d.Close()
-
-	const n = 4
-	for i := 0; i < n; i++ {
-		r := d.AllocRequest()
-		r.Src, r.Dst = []byte{1, 2, 3}, make([]byte, 3)
-		submitParked(t, d, r)
-	}
-	got := drainAll(t, d, n)
-	for i, r := range got {
-		if !errors.Is(r.Err, ErrNoSlots) {
-			t.Errorf("request %d: err = %v, want ErrNoSlots", i, r.Err)
-		}
-		d.FreeRequest(r)
-	}
-	if err := d.AuditSlots(nil); err != nil {
-		t.Error(err)
-	}
-
-	// Fault cleared: the same slots must serve clean copies again.
-	failing.Store(false)
-	r := d.AllocRequest()
-	r.Src, r.Dst = []byte{9, 8, 7}, make([]byte, 3)
-	if err := d.Submit(r); err != nil {
-		t.Fatalf("post-recovery submit: %v", err)
-	}
-	rr := drainAll(t, d, 1)[0]
-	if rr.Err != nil || !bytes.Equal(rr.Src, rr.Dst) {
-		t.Fatalf("post-recovery completion: err=%v dst=%v", rr.Err, rr.Dst)
-	}
-	d.FreeRequest(rr)
-	if st := d.Stats(); st.DoubleCompletes != 0 {
-		t.Errorf("DoubleCompletes = %d, want 0", st.DoubleCompletes)
 	}
 }
 
@@ -414,68 +346,6 @@ func TestChaosCancelVsFailedSubmitHonored(t *testing.T) {
 	d.FreeRequest(rr)
 	if err := d.AuditSlots(nil); err != nil {
 		t.Error(err)
-	}
-	if st := d.Stats(); st.DoubleCompletes != 0 {
-		t.Errorf("DoubleCompletes = %d, want 0", st.DoubleCompletes)
-	}
-}
-
-// TestChaosBatchFlushExhaustionMidBatch forces every staging→submission
-// flush attempt to fail while a batch is submitted to a parked worker,
-// so the batch's one flush moves every request: all of them must
-// surface as ErrNoSlots completions — none stranded, none silently
-// dropped — and the device must recover once the fault clears.
-func TestChaosBatchFlushExhaustionMidBatch(t *testing.T) {
-	var failing atomic.Bool
-	failing.Store(true)
-	d := Open(Options{
-		NumReqs: 16,
-		Chaos: &ChaosHooks{
-			FlushEnqueue: func(idx uint32) bool { return failing.Load() },
-		},
-	})
-	defer d.Close()
-
-	const n = 6
-	batch := make([]*Request, n)
-	for i := range batch {
-		r := d.AllocRequest()
-		r.Src, r.Dst = []byte{1, 2, 3}, make([]byte, 3)
-		batch[i] = r
-	}
-	awaitCond(t, "worker parked", func() bool { return d.staging.Color() == rbq.Blue })
-	if err := d.SubmitBatch(batch); err != nil {
-		t.Fatalf("SubmitBatch: %v", err)
-	}
-	got := drainAll(t, d, n)
-	for i, r := range got {
-		if !errors.Is(r.Err, ErrNoSlots) {
-			t.Errorf("request %d: err = %v, want ErrNoSlots", i, r.Err)
-		}
-		d.FreeRequest(r)
-	}
-	if err := d.AuditSlots(nil); err != nil {
-		t.Error(err)
-	}
-
-	// Fault cleared: the same slots must serve a clean batch again.
-	failing.Store(false)
-	for i := range batch {
-		r := d.AllocRequest()
-		if r == nil {
-			t.Fatalf("slot leak: alloc %d failed after exhausted batch", i)
-		}
-		r.Src, r.Dst = []byte{9, 8, 7}, make([]byte, 3)
-		batch[i] = r
-	}
-	if err := d.SubmitBatch(batch); err != nil {
-		t.Fatalf("post-recovery SubmitBatch: %v", err)
-	}
-	for _, r := range drainAll(t, d, n) {
-		if r.Err != nil || !bytes.Equal(r.Src, r.Dst) {
-			t.Errorf("post-recovery completion: err=%v dst=%v", r.Err, r.Dst)
-		}
-		d.FreeRequest(r)
 	}
 	if st := d.Stats(); st.DoubleCompletes != 0 {
 		t.Errorf("DoubleCompletes = %d, want 0", st.DoubleCompletes)
@@ -679,7 +549,7 @@ func TestChaosBatchSubmitCloseRaceNoLostRequests(t *testing.T) {
 }
 
 // TestChaosDispatchStallCancelStorm parks the worker inside dispatch
-// (after the request left the submission queue, before chunking) while
+// (after the worker took the request off staging, before chunking) while
 // cancels land: the cancel must be observed before any byte moves, and
 // the completion must still fire exactly once.
 func TestChaosDispatchStallCancelStorm(t *testing.T) {
@@ -754,9 +624,9 @@ func TestChaosStalledWorkerBacklogVisible(t *testing.T) {
 		t.Fatal(err)
 	}
 	<-entered
-	// The batch's own flush emptied staging before SubmitBatch returned,
-	// and the worker holds one request in dispatch: the other 49 wait
-	// behind it, on the submission queue or in the scheduler's buckets.
+	// The batch's kick woke the worker to all 50, and it drained staging
+	// into its buckets before its first pop: it holds one request in
+	// dispatch and the other 49 wait behind it in the buckets.
 	st := d.Stats()
 	if st.SubmissionDepth != n-1 || st.Tenants[0].QueueDepth != n-1 || st.StagingDepth != 0 {
 		t.Errorf("worker wedged with %d waiting: SubmissionDepth %d, Tenants[0].QueueDepth %d, StagingDepth %d; want %d, %d, 0",
@@ -792,177 +662,6 @@ func TestChaosStalledWorkerBacklogVisible(t *testing.T) {
 	}
 	if err := d.AuditSlots(nil); err != nil {
 		t.Error(err)
-	}
-}
-
-// TestChaosWorkerDrainsStagingDirectly pins the worker's own drain. Two
-// primers reach the parked worker through a batch's flush — the
-// submission queue — and the worker is held in the first one's dispatch
-// while n more are staged behind the red queue, where only the worker
-// can take them. Released once, it drains them straight into its
-// buckets, behind the second primer, and is held again in that primer's
-// dispatch: the n are the backlog (SubmissionDepth n, StagingDepth 0)
-// and never touched the submission queue (SubmissionHighWater still 2).
-// Released for good, they dispatch in staging order, the backlog reads
-// 0 and every slot comes home.
-func TestChaosWorkerDrainsStagingDirectly(t *testing.T) {
-	const n, size = 8, 4 << 10
-	entered := make(chan struct{}, 2)
-	gates := [2]chan struct{}{make(chan struct{}), make(chan struct{})}
-	open := [2]func(){
-		sync.OnceFunc(func() { close(gates[0]) }),
-		sync.OnceFunc(func() { close(gates[1]) }),
-	}
-	var dispatched []uint32 // worker-written; read after the completions
-	d := Open(Options{NumReqs: n + 2, Chaos: &ChaosHooks{BeforeDispatch: func(idx uint32) {
-		k := len(dispatched)
-		dispatched = append(dispatched, idx)
-		if k < len(gates) {
-			entered <- struct{}{}
-			<-gates[k]
-		}
-	}}})
-	defer d.Close()
-	defer open[1]()
-	defer open[0]()
-
-	var want []uint32
-	alloc := func(i int) *Request {
-		r := d.AllocRequest()
-		r.Src, r.Dst = bytes.Repeat([]byte{byte(i + 1)}, size), make([]byte, size)
-		want = append(want, r.idx)
-		return r
-	}
-	if err := d.SubmitBatch([]*Request{alloc(0), alloc(1)}); err != nil {
-		t.Fatal(err)
-	}
-	<-entered
-	const hw = 2 // the batch's flush; the worker slept through it
-	if st := d.Stats(); st.SubmissionHighWater != hw {
-		t.Fatalf("SubmissionHighWater = %d after a 2-request flush, want %d", st.SubmissionHighWater, hw)
-	}
-	for i := 0; i < n; i++ {
-		if err := d.Submit(alloc(2 + i)); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if st := d.Stats(); st.StagingDepth != n || st.SubmissionDepth != 1 {
-		t.Errorf("held on the first primer: StagingDepth %d, SubmissionDepth %d; want %d, 1",
-			st.StagingDepth, st.SubmissionDepth, n)
-	}
-	open[0]()
-	<-entered
-	st := d.Stats()
-	if st.SubmissionDepth != n || st.Tenants[0].QueueDepth != n || st.StagingDepth != 0 || st.SubmissionHighWater != hw {
-		t.Errorf("held on the second primer: SubmissionDepth %d, QueueDepth %d, StagingDepth %d, SubmissionHighWater %d; want %d, %d, 0, %d",
-			st.SubmissionDepth, st.Tenants[0].QueueDepth, st.StagingDepth, st.SubmissionHighWater, n, n, hw)
-	}
-	open[1]()
-	for _, r := range drainAll(t, d, n+2) {
-		if r.Err != nil || !bytes.Equal(r.Dst, r.Src) {
-			t.Errorf("slot %d: err=%v, or destination differs from source", r.idx, r.Err)
-		}
-		d.FreeRequest(r)
-	}
-	if fmt.Sprint(dispatched) != fmt.Sprint(want) {
-		t.Errorf("dispatch order %v, want the primers then staging order: %v", dispatched, want)
-	}
-	if st := d.Stats(); st.SubmissionDepth != 0 || st.SubmissionHighWater != hw || st.DoubleCompletes != 0 {
-		t.Errorf("after drain: SubmissionDepth %d, SubmissionHighWater %d, DoubleCompletes %d; want 0, %d, 0",
-			st.SubmissionDepth, st.SubmissionHighWater, st.DoubleCompletes, hw)
-	}
-	if err := d.AuditSlots(nil); err != nil {
-		t.Error(err)
-	}
-}
-
-// TestChaosParkRechecksSubmission closes the lost wake of ROADMAP item
-// 4(c)'s second window on a fixed schedule. Flusher A takes its index
-// off staging and is held (FlushEnqueue) before moving it on. B stages
-// and flushes its own request, turning staging red and kicking the
-// worker, which dispatches it and drains again. The rbq scheduling hook
-// holds the worker right after that drain found the submission queue
-// empty, before its Park. Released, A moves its index onto the
-// submission queue and finds staging red, so it owes no kick. Then the
-// worker parks staging blue: unless it looks at the submission queue
-// once more before sleeping, A's index waits there for a kick that
-// never comes. The guard below only reports that hang; the schedule is
-// sequenced on hooks alone.
-func TestChaosParkRechecksSubmission(t *testing.T) {
-	var aIdx, bIdx atomic.Int64
-	aIdx.Store(-1)
-	bIdx.Store(-1)
-	aHeld, aGo := make(chan struct{}), make(chan struct{})
-	var armed atomic.Bool
-	d := Open(Options{NumReqs: 2, Controllers: 1, Flight: lifecycle.FlightOptions{Disable: true},
-		Chaos: &ChaosHooks{
-			FlushEnqueue: func(idx uint32) bool {
-				if int64(idx) == aIdx.Load() {
-					close(aHeld)
-					<-aGo
-				}
-				return false
-			},
-			BeforeDispatch: func(idx uint32) {
-				if int64(idx) == bIdx.Load() {
-					armed.Store(true)
-				}
-			},
-		}})
-	defer d.Close()
-	a, b := d.AllocRequest(), d.AllocRequest()
-	for _, r := range []*Request{a, b} {
-		r.Src, r.Dst = bytes.Repeat([]byte{byte(r.idx + 1)}, 1<<10), make([]byte, 1<<10)
-	}
-	aIdx.Store(int64(a.idx))
-	bIdx.Store(int64(b.idx))
-
-	// Armed in B's dispatch, the hook sees only the worker: A is held
-	// in its flush, this goroutine waits, and the controller and the
-	// monitor (disarmed here) never touch an rbq queue. The worker's
-	// next drain calls it once per empty Dequeue — the submission
-	// queue's, then staging's — so the second call is the point after
-	// the submission queue was found empty and before the Park.
-	workerHeld, workerGo := make(chan struct{}), make(chan struct{})
-	var calls atomic.Int32
-	rbq.SetSchedHook(func() {
-		if armed.Load() && calls.Add(1) == 2 {
-			close(workerHeld)
-			<-workerGo
-		}
-	})
-	defer rbq.SetSchedHook(nil)
-
-	aDone := make(chan error, 1)
-	go func() { aDone <- d.Submit(a) }()
-	<-aHeld
-	if err := d.Submit(b); err != nil {
-		t.Fatal(err)
-	}
-	<-workerHeld
-	close(aGo)
-	if err := <-aDone; err != nil {
-		t.Fatal(err)
-	}
-	if k, n, c := d.Kicks(), d.submission.Size(), d.staging.Color(); k != 1 || n != 1 || c != rbq.Red {
-		t.Fatalf("schedule missed the window: kicks %d, submission depth %d, staging %v; want 1, 1, red", k, n, c)
-	}
-	close(workerGo)
-
-	got := 0
-	for deadline := time.Now().Add(waitGuard); got < 2; {
-		if r := d.RetrieveCompleted(); r != nil {
-			if r.Err != nil || !bytes.Equal(r.Dst, r.Src) {
-				t.Errorf("slot %d: err=%v, or destination differs from source", r.idx, r.Err)
-			}
-			got++
-			continue
-		}
-		if time.Now().After(deadline) {
-			t.Fatalf("slot %d stranded on the submission queue (depth %d) behind a parked worker",
-				a.idx, d.submission.Size())
-		}
-		d.Poll(time.Millisecond)
 	}
 }
 

@@ -138,7 +138,7 @@ func lcOutcome(err error) lifecycle.Outcome {
 // fields, on the retrieval path, ending at retrieved (no earlier than
 // its completed stamp). A field below the submitted stamp was last
 // written for the slot's previous occupant: this request never reached
-// that stage (it failed at the flush, or was canceled before any chunk
+// that stage (it failed at staging, or was canceled before any chunk
 // ran) and the stage stays 0. A stage that was reached is clamped up to
 // the stage before it, because an amortized clock can lag a fresher
 // upstream stamp by microseconds. An inline request's copy began at its

@@ -47,11 +47,11 @@ func (c *coarseClock) now() int64 {
 	return c.nano
 }
 
-// worker is the kernel thread: drain the submission and staging queues
-// straight into the scheduler's buckets, chunk and dispatch what it
-// pops to the controllers, then recolor the staging queue blue and
-// sleep. It starts asleep: the staging queue starts blue, so nothing
-// reaches either queue before a submitter's flush kicks it.
+// worker is the kernel thread and staging's only consumer: drain the
+// staging queue straight into the scheduler's buckets, chunk and
+// dispatch what it pops to the controllers, then recolor the staging
+// queue blue and sleep. It starts asleep: the staging queue starts
+// blue, so the first stage turns it red and kicks.
 func (d *Device) worker() {
 	defer func() {
 		close(d.work) // controllers drain the chunk ring and exit
@@ -79,19 +79,12 @@ func (d *Device) worker() {
 			if !d.staging.Park() {
 				continue
 			}
-			// A flusher that took an index off staging before the drain
-			// above may have moved it onto the submission queue since and
-			// found staging still red, so it kicked nobody: look once more
-			// before sleeping. One that finds staging blue kicks.
-			if !d.submission.Empty() {
-				continue
-			}
 			if !d.closed.Load() {
 				break
 			}
 			// Close has waited out every submitter before setting closed,
-			// so nothing can be staged from here on: go around until the
-			// queues are dry.
+			// so nothing can be staged from here on: go around until
+			// staging and the buckets are dry.
 			if !d.queuedWork() {
 				return
 			}

@@ -49,9 +49,9 @@ func (d *Device) monitor() {
 func (d *Device) FlightSnapshot() lifecycle.FlightSnapshot { return d.rec.FlightSnapshot() }
 
 // queuedWork reports whether the staging queue held work or the
-// backlog was non-zero at probe time: requests on the submission queue
-// and in the scheduler's buckets alike (racy snapshot — the watchdog
-// needs consecutive bad ticks anyway).
+// backlog — requests in the scheduler's buckets — was non-zero at probe
+// time (racy snapshot — the watchdog needs consecutive bad ticks
+// anyway).
 func (d *Device) queuedWork() bool {
 	return !d.staging.Empty() || d.backlog() > 0
 }

@@ -50,11 +50,10 @@ func checkCacheLines(t *testing.T, typ reflect.Type, fields []lineField) {
 // the worker or a poller writes.
 func TestCacheLineLayout(t *testing.T) {
 	const (
-		sub    = "submitters"
-		fin    = "finishers"
-		wrk    = "worker"
-		poll   = "pollers"
-		queued = "submitters and worker"
+		sub  = "submitters"
+		fin  = "finishers"
+		wrk  = "worker"
+		poll = "pollers"
 	)
 	var m metrics
 	checkCacheLines(t, reflect.TypeOf(&m).Elem(), []lineField{
@@ -62,11 +61,9 @@ func TestCacheLineLayout(t *testing.T) {
 		{"kicks", unsafe.Offsetof(m.kicks), unsafe.Sizeof(m.kicks), sub},
 		{"batches", unsafe.Offsetof(m.batches), unsafe.Sizeof(m.batches), sub},
 		{"shed", unsafe.Offsetof(m.shed), unsafe.Sizeof(m.shed), sub},
-		{"enqueueRetries", unsafe.Offsetof(m.enqueueRetries), unsafe.Sizeof(m.enqueueRetries), sub},
 		{"classSubmitted", unsafe.Offsetof(m.classSubmitted), unsafe.Sizeof(m.classSubmitted), sub},
 		{"classShed", unsafe.Offsetof(m.classShed), unsafe.Sizeof(m.classShed), sub},
 		{"sizes", unsafe.Offsetof(m.sizes), unsafe.Sizeof(m.sizes), sub},
-		{"submissionHW", unsafe.Offsetof(m.submissionHW), unsafe.Sizeof(m.submissionHW), sub},
 		{"completed", unsafe.Offsetof(m.completed), unsafe.Sizeof(m.completed), fin},
 		{"canceled", unsafe.Offsetof(m.canceled), unsafe.Sizeof(m.canceled), fin},
 		{"expired", unsafe.Offsetof(m.expired), unsafe.Sizeof(m.expired), fin},
@@ -93,7 +90,7 @@ func TestCacheLineLayout(t *testing.T) {
 		{"weight", unsafe.Offsetof(ts.weight), unsafe.Sizeof(ts.weight), ""},
 		{"quota", unsafe.Offsetof(ts.quota), unsafe.Sizeof(ts.quota), ""},
 		{"classLimit", unsafe.Offsetof(ts.classLimit), unsafe.Sizeof(ts.classLimit), ""},
-		{"queued", unsafe.Offsetof(ts.queued), unsafe.Sizeof(ts.queued), queued},
+		{"queued", unsafe.Offsetof(ts.queued), unsafe.Sizeof(ts.queued), wrk},
 		{"submitted", unsafe.Offsetof(ts.submitted), unsafe.Sizeof(ts.submitted), sub},
 		{"shed", unsafe.Offsetof(ts.shed), unsafe.Sizeof(ts.shed), sub},
 		{"completed", unsafe.Offsetof(ts.completed), unsafe.Sizeof(ts.completed), fin},

@@ -171,27 +171,31 @@ func TestLifecycleMonotoneUnderCancelChaos(t *testing.T) {
 	_ = okCount
 }
 
-// TestLifecycleErrNoSlotsPath forces the staging→submission flush to
-// exhaust and submits each request to a parked worker: every request
-// completes with ErrNoSlots having never been dispatched, and their
-// lifecycles must reflect that — failed outcome, no dispatch/copy
-// stamps, still monotone.
+// TestLifecycleErrNoSlotsPath forces every staging enqueue to exhaust
+// and submits a batch, whose contract surfaces each failure as a
+// completion: every request completes with ErrNoSlots having never been
+// dispatched, and their lifecycles must reflect that — failed outcome,
+// no dispatch/copy stamps, still monotone.
 func TestLifecycleErrNoSlotsPath(t *testing.T) {
 	d := Open(Options{
 		NumReqs: 8, Controllers: 1,
 		TraceFullCapture: true,
 		Chaos: &ChaosHooks{
-			FlushEnqueue: func(idx uint32) bool { return true },
+			StagingEnqueue: func(idx uint32) bool { return true },
 		},
 	})
 	defer d.Close()
 
 	const n = 4
 	src := make([]byte, 4096)
-	for i := 0; i < n; i++ {
+	batch := make([]*Request, n)
+	for i := range batch {
 		r := d.AllocRequest()
 		r.Src, r.Dst = src, make([]byte, len(src))
-		submitParked(t, d, r)
+		batch[i] = r
+	}
+	if err := d.SubmitBatch(batch); err != nil {
+		t.Fatal(err)
 	}
 	got := drainAll(t, d, n)
 	failed := 0

@@ -15,7 +15,7 @@ package realtime
 //     to starve higher classes — occupancy thresholds play the role of
 //     kswapd watermarks, per class;
 //   - the worker serves its scheduler's buckets, filled from the
-//     submission and staging queues, in strict class priority order,
+//     staging queue, in strict class priority order,
 //     with an aging credit so a saturating high class cannot starve
 //     lower ones forever;
 //   - completion is adaptive: a single-chunk request at or below the

@@ -146,21 +146,20 @@ func TestRetryAfterTracksLatencyEWMA(t *testing.T) {
 	}
 }
 
-// popDevice builds the minimal Device popSubmission needs: the
-// submission and staging queues, the default tenant and the scheduler.
+// popDevice builds the minimal Device popSubmission needs: the staging
+// queue, the default tenant and the scheduler.
 // credit stands in for the agingCredit constant Open hands the
 // scheduler.
 func popDevice(credit int64) *Device {
 	d := &Device{}
-	slab := rbq.NewSlabForQueues(32, 2, 6)
-	d.submission, d.staging = slab.NewQueue(rbq.Blue), slab.NewQueue(rbq.Red)
+	d.staging = rbq.NewSlabForQueues(32, 1, 6).NewQueue(rbq.Red)
 	d.reqs = make([]*Request, 32)
 	for i := range d.reqs {
 		d.reqs[i] = &Request{idx: uint32(i)}
 	}
 	tab := []*tenantState{newDefaultTenant()}
 	d.tenants.Store(&tab)
-	d.sched = newTenantSched(d.submission, d.staging, qos.NumClasses, d.owner, d.tenantWeight, credit)
+	d.sched = newTenantSched(d.staging, qos.NumClasses, d.owner, d.tenantWeight, credit)
 	return d
 }
 
@@ -170,10 +169,10 @@ func nextPop(d *Device) (uint32, bool) {
 	return d.popSubmission()
 }
 
-// enqueue puts request idx on d's submission queue at class c.
+// enqueue stages request idx on d at class c.
 func enqueue(d *Device, c qos.Class, idx uint32) {
 	d.reqs[idx].Class = c
-	d.submission.Enqueue(idx)
+	d.staging.Enqueue(idx)
 }
 
 // TestPopSubmissionStrictPriority: with a single class loaded, pops come

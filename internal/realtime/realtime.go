@@ -6,13 +6,12 @@
 // user/kernel *interface* alone — the paper's central contribution —
 // deployed as a host-side asynchronous copy service:
 //
-//   - application goroutines submit requests through the same staging /
-//     submission / completion queues, built on the same red-blue
-//     lock-free queue (package rbq);
-//   - the SubmitRequest flush protocol (Section 4.4) decides with one
-//     atomically-observed color whether the caller must kick the worker;
+//   - application goroutines stage requests on the same red-blue
+//     lock-free staging queue (package rbq);
+//   - the Section 4.4 protocol decides with one atomically-observed
+//     color whether the caller must kick the worker;
 //   - a worker goroutine plays the kernel thread: woken by the "syscall"
-//     (a channel send), it drains the queues, splits large requests into
+//     (a channel send), it drains staging, splits large requests into
 //     chunks, and dispatches them to a pool of transfer goroutines (the
 //     DMA engine's transfer controllers), recoloring the staging queue
 //     blue before sleeping;
@@ -28,19 +27,23 @@
 // # One staging queue
 //
 // The device keeps one red-blue staging queue, as the paper's interface
-// does, and the Section 4.4 protocol runs on it through the queue's own
-// two steps: a submitter that observes blue flushes it
-// (rbq.Queue.Flush) and kicks once; the worker drains it and parks it
-// (rbq.Queue.Park) before sleeping. After the worker sleeps the queue is
-// blue, so a burst — from one goroutine or many — costs exactly one
-// kick.
+// does, and the worker is its only consumer. The Section 4.4 protocol
+// runs on it through the queue's own two steps: a submitter stages
+// (rbq.Queue.Stage), which turns the queue red in the same CAS that
+// publishes the request, and kicks once if its stage found the queue
+// blue; the worker drains it and parks it (rbq.Queue.Park) before
+// sleeping. After the worker sleeps the queue is blue, so a burst —
+// from one goroutine or many — costs exactly one kick. Unlike the
+// paper's application, a submitter never flushes: with one consumer,
+// each submitter's requests reach the scheduler in the order it staged
+// them (DESIGN.md §7).
 //
 // # Batched submission
 //
 // SubmitBatch validates a whole slice of requests against the checks
-// Submit makes (sizes, class — all or nothing), stages them, and runs
-// the flush protocol and the kick once for the batch — Figure 7's
-// batching amortization without giving up per-request completions.
+// Submit makes (sizes, class — all or nothing), stages them, and kicks
+// at most once for the batch — Figure 7's batching amortization without
+// giving up per-request completions.
 // RetrieveCompletedBatch symmetrically drains many completions in one
 // call so high-rate pollers don't pay one Poll wakeup per request;
 // RetrieveCompleted is a batch of one, and Poll and PollContext are two
@@ -88,18 +91,17 @@
 // # Verification
 //
 // Beyond stress, the device carries a fault-injection layer
-// (Options.Chaos, test-only hooks on the staging enqueue, the flush,
-// dispatch, the chunk copy, and the completion path) that the chaos
-// suite uses to force slab exhaustion, stalled controllers, and
-// cancel/close storms deterministically; AuditSlots asserts the "no
-// index may ever vanish" invariant after each storm, and the
-// DoubleCompletes counter proves completion fired exactly once. The
-// same hooks make the scenario tests event-counted instead of timed: a
-// worker held in BeforeDispatch, a waiter counted into PollerParks
-// (TestWaitScenarios runs one table through Poll and PollContext). The
-// underlying queues are separately checked for linearizability by
-// internal/check. DESIGN.md §8.3 maps each file of the package to its
-// pipeline stage and its writers.
+// (Options.Chaos, test-only hooks on the staging enqueue, dispatch, the
+// chunk copy, and the completion path) that the chaos suite uses to
+// force slab exhaustion, stalled controllers, and cancel/close storms
+// deterministically; AuditSlots asserts the "no index may ever vanish"
+// invariant after each storm, and the DoubleCompletes counter proves
+// completion fired exactly once. The same hooks make the scenario tests
+// event-counted instead of timed: a worker held in BeforeDispatch, a
+// waiter counted into PollerParks (TestWaitScenarios runs one table
+// through Poll and PollContext). The underlying queues are separately
+// checked for linearizability by internal/check. DESIGN.md §8.3 maps
+// each file of the package to its pipeline stage and its writers.
 package realtime
 
 import (
@@ -133,7 +135,7 @@ const DefaultChunkBytes = 256 << 10
 // device's paths (installed via Options.Chaos; nil in production, where
 // each site costs one pointer check). They let the verification suite
 // force the failure windows that real load only samples: slab
-// exhaustion at the flush, stalled transfer controllers, and
+// exhaustion at staging, stalled transfer controllers, and
 // cancel/close storms landing inside the submission protocol. Hooks run
 // on the device's own goroutines — a hook that blocks stalls exactly
 // the path it is installed on.
@@ -141,12 +143,6 @@ type ChaosHooks struct {
 	// StagingEnqueue, when it returns true, forces this request's
 	// staging enqueue in Submit/SubmitBatch to report slab exhaustion.
 	StagingEnqueue func(idx uint32) bool
-	// FlushEnqueue, when it returns true, forces one enqueue attempt of
-	// a submitter's staging→submission flush to fail as if the slab
-	// were exhausted; returning true persistently exhausts the flush
-	// retry budget and drives the request down the ErrNoSlots completion
-	// path. The worker's drain never calls it: a bucket cannot run out.
-	FlushEnqueue func(idx uint32) bool
 	// BeforeDispatch runs in the worker just before a submission is
 	// chunked; blocking here holds an accepted request undispatched.
 	BeforeDispatch func(idx uint32)
@@ -287,9 +283,8 @@ type Request struct {
 	//   - stageSeq, sampled: the submitter, in stage, before the staging
 	//     enqueue. stageSeq counts this slot's submissions and drives the
 	//     1-in-2^shift decision slot-locally.
-	//   - flushedNs: whoever takes the request off staging, before it
-	//     moves on — a submitter's flush, before the submission-queue
-	//     enqueue, or the worker's drain, before the bucket push.
+	//   - flushedNs: the worker, as its drain takes the request off
+	//     staging, before the bucket push.
 	//   - dispatchedNs, inlined: the worker, in dispatch, before any
 	//     chunk push or the inline copy.
 	//   - copyStartNs: parallel chunk controllers race for it (the first
@@ -344,9 +339,8 @@ type Device struct {
 	// freeList holds the unallocated slot indices. AllocRequest pops and
 	// FreeRequest pushes, from any goroutine. It is sized to NumReqs and
 	// a slot is on it at most once, so a push is never refused (ring.push).
-	freeList   *ring[uint32]
-	staging    *rbq.Queue // the red-blue staging queue
-	submission *rbq.Queue // what a submitter's flush moved; drained into the scheduler (tsched.go)
+	freeList *ring[uint32]
+	staging  *rbq.Queue // the red-blue staging queue; the worker drains it into the scheduler (tsched.go)
 	// completions holds completed request indices. Producers are the
 	// finishers (controllers + the worker's inline path); consumers are
 	// RetrieveCompleted/RetrieveCompletedBatch callers, any number of
@@ -420,10 +414,10 @@ func Open(opts Options) *Device {
 	} else if chunkBytes < 0 {
 		chunkBytes = 0 // disabled
 	}
-	// staging + submission (the free list and the completions live on
-	// MPMC rings, not the slab); slack scales with the queue count since
+	// staging alone (the free list and the completions live on MPMC
+	// rings, not the slab); slack scales with the queue count since
 	// every queue can sit in a transient dummy-recycling window at once.
-	const numQueues = 2
+	const numQueues = 1
 	slab := rbq.NewSlabForQueues(opts.NumReqs, numQueues, 5+numQueues)
 	d := &Device{
 		chunkBytes:  chunkBytes,
@@ -432,7 +426,6 @@ func Open(opts Options) *Device {
 		slab:        slab,
 		freeList:    newRing[uint32](opts.NumReqs),
 		staging:     slab.NewQueue(rbq.Blue),
-		submission:  slab.NewQueue(rbq.Blue),
 		completions: newRing[uint32](opts.NumReqs),
 		ctr:         make([]ctrCounters, opts.Controllers+1),
 		pollSpin:    runtime.GOMAXPROCS(0) > 1,
@@ -444,7 +437,7 @@ func Open(opts Options) *Device {
 	d.inline.Store(DefaultInlineThreshold)
 	tab := []*tenantState{newDefaultTenant()}
 	d.tenants.Store(&tab)
-	d.sched = newTenantSched(d.submission, d.staging, qos.NumClasses, d.owner, d.tenantWeight, agingCredit)
+	d.sched = newTenantSched(d.staging, qos.NumClasses, d.owner, d.tenantWeight, agingCredit)
 	d.chunks = newRing[chunk](DefaultRingDepth * opts.Controllers)
 	d.work = make(chan struct{}, opts.Controllers)
 	lcShift := opts.TraceSampleShift

@@ -61,6 +61,63 @@ func TestSizeMismatchRejected(t *testing.T) {
 	}
 }
 
+// TestSubmitterOrderKept: the worker dispatches each submitter's
+// same-class requests in the order that submitter staged them, however
+// many submitters race. Four goroutines submit to one device, round
+// after round, while the worker alternately sleeps and drains; the
+// dispatch hook records the order, and each submitter's sequence
+// numbers must rise.
+func TestSubmitterOrderKept(t *testing.T) {
+	const subs, per, rounds = 4, 32, 25
+	var (
+		d          *Device
+		dispatched []uint64 // worker-written; read after the completions
+	)
+	d = Open(Options{NumReqs: subs * per, Chaos: &ChaosHooks{BeforeDispatch: func(idx uint32) {
+		dispatched = append(dispatched, d.reqs[idx].Cookie)
+	}}})
+	defer d.Close()
+	src := make([]byte, 256)
+	for round := 0; round < rounds; round++ {
+		var wg sync.WaitGroup
+		for s := 0; s < subs; s++ {
+			reqs := make([]*Request, per)
+			for i := range reqs {
+				reqs[i] = d.AllocRequest()
+				reqs[i].Src, reqs[i].Dst = src, make([]byte, len(src))
+				reqs[i].Cookie = uint64(s)<<32 | uint64(i)
+			}
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				for i, r := range reqs {
+					if i%8 == 7 {
+						runtime.Gosched() // let the worker catch up and park
+					}
+					if err := d.Submit(r); err != nil {
+						t.Error(err)
+					}
+				}
+			}()
+		}
+		wg.Wait()
+		for _, r := range drainAll(t, d, subs*per) {
+			d.FreeRequest(r)
+		}
+	}
+	next := make([]uint64, subs)
+	for _, c := range dispatched {
+		s, i := c>>32, c&(1<<32-1)
+		if i != next[s] {
+			t.Fatalf("submitter %d: request %d dispatched where %d was due", s, i, next[s])
+		}
+		next[s] = (i + 1) % per
+	}
+	if len(dispatched) != subs*per*rounds {
+		t.Errorf("%d dispatches, want %d", len(dispatched), subs*per*rounds)
+	}
+}
+
 // TestBurstSingleKick is the paper's headline property, counted rather
 // than timed: a burst costs one kick-start, not one per request, whether
 // one goroutine submits it or several. A primer request wakes the parked
@@ -419,15 +476,15 @@ func TestMultiPollerNoLostWakeup(t *testing.T) {
 // request drop: under artificial slab starvation (a parasite queue
 // holding most of the slack nodes), every accepted submission must
 // still complete — possibly with ErrNoSlots — and every slot must
-// remain allocatable afterwards. The pre-fix device lost indices when
-// submission.Enqueue failed, leaking slots forever.
+// remain allocatable afterwards. A device that dropped an index on a
+// failed enqueue would leak slots forever.
 func TestSlabExhaustionNoLeak(t *testing.T) {
 	d := Open(Options{NumReqs: 8, Controllers: 2})
 	defer d.Close()
 
-	// The slab is NewSlabForQueues(8, 2, 7): 8 live indices, 2 dummies
-	// (staging and submission; the free list is a ring off the slab) and
-	// 7 slack nodes. A parasite queue takes one more as its dummy and
+	// The slab is NewSlabForQueues(8, 1, 6): 8 live indices, staging's
+	// dummy (the free list and completions are rings off the slab) and
+	// 6 slack nodes. A parasite queue takes one more as its dummy and
 	// pins all but 2 of the rest — enough that the device works, tight
 	// enough that transient exhaustion is constant under concurrency.
 	const spare = 2

@@ -9,7 +9,6 @@ import (
 	"time"
 
 	"memif/internal/obs/lifecycle"
-	"memif/internal/rbq"
 )
 
 // checkClosedVector asserts what every sampled lifecycle owes its
@@ -187,13 +186,18 @@ func TestStampVectorClosesOnEveryPath(t *testing.T) {
 	t.Run("errnoslots", func(t *testing.T) {
 		d := Open(Options{
 			NumReqs: n, Controllers: 1, TraceFullCapture: true,
-			Chaos: &ChaosHooks{FlushEnqueue: func(uint32) bool { return true }},
+			Chaos: &ChaosHooks{StagingEnqueue: func(uint32) bool { return true }},
 		})
 		defer d.Close()
-		for i := 0; i < n; i++ {
+		batch := make([]*Request, n)
+		for i := range batch {
 			r := d.AllocRequest()
 			r.Src, r.Dst = make([]byte, 1<<10), make([]byte, 1<<10)
-			submitParked(t, d, r) // so the flush, not the worker, moves it
+			batch[i] = r
+		}
+		// A batch, so each failed stage surfaces as a completion.
+		if err := d.SubmitBatch(batch); err != nil {
+			t.Fatal(err)
 		}
 		for _, r := range drainAll(t, d, n) {
 			if !errors.Is(r.Err, ErrNoSlots) {
@@ -207,7 +211,7 @@ func TestStampVectorClosesOnEveryPath(t *testing.T) {
 				lifecycle.StageCopyStart, lifecycle.StageCopyEnd,
 			} {
 				if lc.TS[st] != 0 {
-					t.Errorf("slot %d: stage %v stamped on a request that failed at the flush: %v", lc.Slot, st, lc.TS)
+					t.Errorf("slot %d: stage %v stamped on a request that failed at staging: %v", lc.Slot, st, lc.TS)
 				}
 			}
 			if lc.Outcome != lifecycle.OutcomeFailed || lc.Flags != 0 {
@@ -222,17 +226,17 @@ func TestStampVectorClosesOnEveryPath(t *testing.T) {
 // so everything a previous occupant left must read as "not reached" for
 // the next one. First a sampled request copied inline leaves a full
 // vector — inline flag included — in the device's only slot and an
-// unsampled one that fails at the flush follows it; then slots whose
+// unsampled one that fails at staging follows it; then slots whose
 // last occupants were sampled are shed by admission before staging,
 // where not even the sampled bit is rewritten.
 func TestStampsDoNotLeakAcrossSlotReuse(t *testing.T) {
 	t.Run("unsampled-after-sampled", func(t *testing.T) {
-		var failFlush atomic.Bool
+		var failStage atomic.Bool
 		d := Open(Options{
 			NumReqs: 1, Controllers: 1,
 			TraceSampleShift: 1, // each slot samples its 1st, 3rd, ... request
 			Chaos: &ChaosHooks{
-				FlushEnqueue: func(uint32) bool { return failFlush.Load() },
+				StagingEnqueue: func(uint32) bool { return failStage.Load() },
 			},
 		})
 		defer d.Close()
@@ -263,9 +267,13 @@ func TestStampsDoNotLeakAcrossSlotReuse(t *testing.T) {
 		}
 		d.FreeRequest(first)
 
-		failFlush.Store(true)
-		awaitCond(t, "worker parked", func() bool { return d.staging.Color() == rbq.Blue })
-		second := run() // to a parked worker: its own flush fails it
+		failStage.Store(true)
+		second := d.AllocRequest()
+		second.Src, second.Dst = make([]byte, 1<<10), make([]byte, 1<<10)
+		// A batch of one, so the failed stage surfaces as a completion.
+		if err := d.SubmitBatch([]*Request{second}); err != nil {
+			t.Fatal(err)
+		}
 		if got := drainOne(t, d); got != second || !errors.Is(got.Err, ErrNoSlots) {
 			t.Fatalf("second request: %v err=%v, want ErrNoSlots", got, got.Err)
 		}

@@ -20,15 +20,13 @@ import (
 // used to true-share here (chunks, bytesMoved) moved to per-controller
 // ctrCounters blocks instead. TestCacheLineLayout pins the grouping.
 type metrics struct {
-	// Submitter-side: bumped on Submit/SubmitBatch/admit and in a
-	// submitter's flush.
+	// Submitter-side: bumped on Submit/SubmitBatch/admit and at the
+	// kick.
 	submitted, kicks obs.Counter
 	batches, shed    obs.Counter
-	enqueueRetries   obs.Counter
 	classSubmitted   [qos.NumClasses]obs.Counter
 	classShed        [qos.NumClasses]obs.Counter
 	sizes            obs.Histogram
-	submissionHW     obs.Gauge
 	_                [64]byte
 	// Finisher-side: bumped in finish, from whichever controller (or
 	// the worker, inline) retires the request.
@@ -99,9 +97,6 @@ type StatsSnapshot struct {
 	// chunk is taken from another controller's. The field stays because
 	// the benchmark module reads it (realtime.steals_per_op).
 	Steals, DispatchRetries int64
-	// EnqueueRetries counts transient slab-exhaustion retries in the
-	// flush path.
-	EnqueueRetries int64
 	// DoubleCompletes counts completion paths that found the request
 	// already terminal. The protocol guarantees completion fires exactly
 	// once, so any nonzero value is a bug; the chaos suite asserts it
@@ -126,16 +121,13 @@ type StatsSnapshot struct {
 	// Tenants breaks submissions down by tenant namespace, default
 	// tenant (id 0) first, then OpenTenant order.
 	Tenants []TenantStats
-	// Queue-depth high watermarks. SubmissionHighWater is the
-	// submission queue's own, observed at each enqueue: it bounds one
-	// flush's burst, not the backlog (the worker drains the queue into
-	// its scheduler buckets before every pop).
-	SubmissionHighWater, CompletionHighWater int64
+	// CompletionHighWater is the completion ring's deepest depth,
+	// observed at each post.
+	CompletionHighWater int64
 	// Live depths sampled at Stats time: the staging queue, the backlog,
 	// the completion ring and the chunk ring. SubmissionDepth is the
-	// backlog — requests taken off staging (by a flush or by the
-	// worker's drain) but not yet dispatched, whether on the submission
-	// queue or in the scheduler's buckets — the sum of the tenants'
+	// backlog — requests the worker took off staging but has not yet
+	// dispatched, in the scheduler's buckets — the sum of the tenants'
 	// QueueDepth.
 	StagingDepth, SubmissionDepth, CompletionDepth, RingDepth int64
 	// Latency is the submission-to-completion histogram (ns), the sum of
@@ -218,7 +210,6 @@ func (d *Device) Stats() StatsSnapshot {
 		Chunks:               chunks,
 		BytesMoved:           bytesMoved,
 		DispatchRetries:      d.m.dispatchRetries.Load(),
-		EnqueueRetries:       d.m.enqueueRetries.Load(),
 		DoubleCompletes:      d.m.doubleCompletes.Load(),
 		Shed:                 d.m.shed.Load(),
 		Overloaded:           d.m.overloaded.Load(),
@@ -228,7 +219,6 @@ func (d *Device) Stats() StatsSnapshot {
 		AgedPops:             d.m.agedPops.Load(),
 		Classes:              classes,
 		Tenants:              tenants,
-		SubmissionHighWater:  d.m.submissionHW.Load(),
 		CompletionHighWater:  d.m.completionHW.Load(),
 		Latency:              latency,
 		Sizes:                d.m.sizes.Snapshot(),
@@ -237,7 +227,7 @@ func (d *Device) Stats() StatsSnapshot {
 
 // AuditSlots verifies, on a quiescent device (no Submit/Retrieve in
 // flight, pipeline drained), that every request slot is in exactly one
-// of {free list, staging, submission, completion, caller-held}.
+// of {free list, staging, completion, caller-held}.
 // held lists slot indices of requests the caller has allocated or
 // retrieved and not yet freed. This is the realtime side of the "no
 // index may ever vanish" invariant; the chaos suite runs it after every
@@ -250,7 +240,6 @@ func (d *Device) AuditSlots(held []uint32) error {
 	}{
 		{"free", d.freeList.snapshot()},
 		{"staging", d.staging.Snapshot()},
-		{"submission", d.submission.Snapshot()},
 		{"completion", d.completions.snapshot()},
 		{"user-held", held},
 	} {

@@ -2,11 +2,9 @@ package realtime
 
 import (
 	"fmt"
-	"runtime"
 	"time"
 
 	"memif/internal/qos"
-	"memif/internal/rbq"
 )
 
 // req validates an index off a queue.
@@ -39,31 +37,31 @@ func (d *Device) AllocRequest() *Request {
 // list is a ring with room for every slot.
 func (d *Device) FreeRequest(r *Request) { d.freeList.push(r.idx) }
 
-// stage marks r pending and enqueues it on the staging queue, returning the color
-// observed atomically with the enqueue. ok is false on slab exhaustion
-// (or a forced chaos failure), with r left stPending for the caller to
-// resolve. It also takes the submitted stamp and makes the request's
-// sampling decision, slot-locally: both are published to every later
-// stamping site by the staging enqueue.
-func (d *Device) stage(r *Request) (rbq.Color, bool) {
+// stage marks r pending and stages it (rbq.Queue.Stage), reporting
+// whether this enqueue turned the staging queue red and so owes the
+// worker a kick. ok is false on slab exhaustion (or a forced chaos
+// failure), with r left stPending for the caller to resolve. It also
+// takes the submitted stamp and makes the request's sampling decision,
+// slot-locally: both are published to every later stamping site by the
+// staging enqueue.
+func (d *Device) stage(r *Request) (kick, ok bool) {
 	r.submitted.Store(nanotime())
 	r.stageSeq++
 	r.sampled = d.rec.Sample(r.stageSeq)
 	r.state.Store(r.word(stPending))
 	if d.chaos != nil && d.chaos.StagingEnqueue != nil && d.chaos.StagingEnqueue(r.idx) {
-		return 0, false // forced slab exhaustion
+		return false, false // forced slab exhaustion
 	}
 	// Once enqueued the slot is the pipeline's: it can complete, be freed
 	// and be resubmitted by another tenant before this call returns, so
 	// whatever is accounted after the enqueue is read before it.
 	class, ts, size := r.Class, d.tenantOf(r), int64(len(r.Src))
-	color, ok := d.staging.Enqueue(r.idx)
-	if !ok {
-		return 0, false
+	if kick, ok = d.staging.Stage(r.idx); !ok {
+		return false, false
 	}
 	d.accept(class, ts)
 	d.m.sizes.Observe(size)
-	return color, true
+	return kick, true
 }
 
 // accept does the accepted-submission accounting: the global, per-class
@@ -97,72 +95,26 @@ func (d *Device) unstage(r *Request) bool {
 	return false
 }
 
-// flushRetries bounds the transient-slab-exhaustion retry loop in the
-// staging→submission flush. Exhaustion there is always transient — every
-// request index occupies at most one queue node, and the slab carries
-// slack beyond NumReqs — so a handful of yields is enough unless the
-// slab is being starved externally.
-const flushRetries = 64
-
-// toSubmission is the submitter's flush step and the only move from
-// staging onto the submission queue (the worker drains staging straight
-// into its buckets, see tenantSched.drain): move a staged index there,
-// retrying briefly across transient slab exhaustion, or — the retry
-// budget spent — complete it with ErrNoSlots. The slot must not vanish,
-// so the owner gets it back through the normal completion path. nano is
-// the flush pass's clock for the flushed stamp (0 with the flight
-// recorder disarmed): one read per pass, not per request.
-func (d *Device) toSubmission(idx uint32, nano int64) {
-	r, valid := d.req(idx)
-	var ts *tenantState
-	if valid {
-		ts = d.flushed(r, nano)
-	}
-	for attempt := 0; ; attempt++ {
-		forced := d.chaos != nil && d.chaos.FlushEnqueue != nil && d.chaos.FlushEnqueue(idx)
-		if !forced {
-			if _, ok := d.submission.Enqueue(idx); ok {
-				d.m.submissionHW.Observe(int64(d.submission.Size()))
-				return
-			}
-		}
-		if attempt >= flushRetries {
-			if valid {
-				r.flushedNs = 0 // never flushed
-				ts.queued.Add(-1)
-				d.finish(r, ErrNoSlots)
-			}
-			return
-		}
-		d.m.enqueueRetries.Inc()
-		runtime.Gosched()
-	}
-}
-
-// flushed does what r owes on leaving staging, for the flush and the
-// worker's drain alike: the flushed stamp (a sampled request reads its
-// own clock) and the backlog count. Both happen before idx is published
-// onward — the stamp is a plain field the retrieval side reads behind
-// that handoff, and the count can never be run ahead of by the worker's
-// decrement at dispatch (popSubmission), so the backlog never reads
-// below zero.
-func (d *Device) flushed(r *Request, nano int64) *tenantState {
+// flushed does what r owes on leaving staging, in the worker's drain:
+// the flushed stamp (a sampled request reads its own clock) and the
+// backlog count. Both happen before idx enters a bucket — the stamp is a
+// plain field the retrieval side reads behind later handoffs, and the
+// count is bumped before the worker's own decrement at dispatch
+// (popSubmission), so the backlog never reads below zero.
+func (d *Device) flushed(r *Request, nano int64) {
 	if r.sampled {
 		nano = nanotime()
 	}
 	if nano != 0 {
 		r.flushedNs = max(nano, r.submitted.Load())
 	}
-	ts := d.tenantOf(r)
-	ts.queued.Add(1)
-	return ts
+	d.tenantOf(r).queued.Add(1)
 }
 
-// backlog counts the requests taken off staging but not yet
-// dispatched, whether on the submission queue or in the scheduler's
-// buckets: the sum of the tenants' queued counters (Stats sums its own
-// tenant snapshot). It walks the tenant table, so only the monitor tick
-// and outlier capture read it.
+// backlog counts the requests the worker took off staging but has not
+// yet dispatched, in the scheduler's buckets: the sum of the tenants'
+// queued counters (Stats sums its own tenant snapshot). It walks the
+// tenant table, so only the monitor tick and outlier capture read it.
 func (d *Device) backlog() int64 {
 	var n int64
 	for _, ts := range *d.tenants.Load() {
@@ -171,20 +123,9 @@ func (d *Device) backlog() int64 {
 	return n
 }
 
-// flushStaging runs the blue side of the Section 4.4 protocol
-// (rbq.Queue.Flush) and kicks the worker if this flush turned the
-// staging queue red.
-func (d *Device) flushStaging() {
-	// One clock read covers the flushed stamp of every unsampled request
-	// in this drain.
-	var flushNano int64
-	if d.stampAll {
-		flushNano = nanotime()
-	}
-	if !d.staging.Flush(func(idx uint32) { d.toSubmission(idx, flushNano) }) {
-		return
-	}
-	// The kick-start "syscall".
+// kickWorker is the kick-start "syscall", owed by the submitter whose
+// stage turned the staging queue red.
+func (d *Device) kickWorker() {
 	d.m.kicks.Inc()
 	select {
 	case d.kick <- struct{}{}:
@@ -192,9 +133,10 @@ func (d *Device) flushStaging() {
 	}
 }
 
-// Submit queues an asynchronous copy of r.Src into r.Dst, implementing
-// the Section 4.4 protocol on the staging queue. It never
-// blocks beyond the bounded flush. The request is submitted under the
+// Submit queues an asynchronous copy of r.Src into r.Dst: it stages r
+// and kicks the worker if its stage turned the staging queue red (the
+// submitter's half of the Section 4.4 protocol; the worker drains
+// staging alone). It never blocks. The request is submitted under the
 // device's default tenant namespace; use Tenant.Submit for tenant
 // quotas, weights and attribution.
 func (d *Device) Submit(r *Request) error {
@@ -219,23 +161,22 @@ func (d *Device) submit(r *Request) error {
 	if err := d.admit(r); err != nil {
 		return err
 	}
-	color, ok := d.stage(r)
+	kick, ok := d.stage(r)
 	if !ok {
 		if d.unstage(r) {
 			return nil
 		}
 		return ErrNoSlots
 	}
-	if color == rbq.Blue {
-		d.flushStaging()
+	if kick {
+		d.kickWorker()
 	}
 	return nil
 }
 
 // SubmitBatch queues every request in reqs as one protocol round: all
-// of them are staged, and the flush / recolor
-// / kick sequence runs at most once for the whole batch — one color
-// observation and at most one syscall-equivalent, the Figure 7
+// of them are staged, and the kick is made at most once, after the last
+// — at most one syscall-equivalent for the batch, the Figure 7
 // amortization — while each request still gets its own completion.
 //
 // The whole batch is validated before anything is staged, against the
@@ -277,7 +218,7 @@ func (d *Device) submitBatch(reqs []*Request) error {
 			return fmt.Errorf("%w: request %d: %d", ErrBadClass, i, uint8(r.Class))
 		}
 	}
-	mustFlush := false
+	mustKick := false
 	for _, r := range reqs {
 		if err := d.admit(r); err != nil {
 			// Shed by admission mid-batch. The batch contract promises a
@@ -289,7 +230,7 @@ func (d *Device) submitBatch(reqs []*Request) error {
 			d.finish(r, err)
 			continue
 		}
-		color, ok := d.stage(r)
+		kick, ok := d.stage(r)
 		if !ok {
 			// Staging failed mid-batch. The request was accepted, so it
 			// must surface as a completion: ErrNoSlots, or ErrCanceled
@@ -298,17 +239,14 @@ func (d *Device) submitBatch(reqs []*Request) error {
 			d.finish(r, ErrNoSlots)
 			continue
 		}
-		if color == rbq.Blue {
-			mustFlush = true
-		}
+		mustKick = mustKick || kick
 	}
 	d.m.batches.Inc()
-	if mustFlush {
-		// At least one enqueue observed blue: this batch owns the flush.
-		// Running it once at the end drains everything staged above (and
-		// anything a neighbor staged meanwhile) with a single recolor
-		// and at most a single kick.
-		d.flushStaging()
+	if mustKick {
+		// One stage turned the queue red: this batch owes the kick, and
+		// making it once at the end wakes the worker to everything staged
+		// above (and anything a neighbor staged meanwhile).
+		d.kickWorker()
 	}
 	return nil
 }

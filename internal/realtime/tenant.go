@@ -5,8 +5,8 @@ package realtime
 // latency histogram and lifecycle span attribution.
 //
 // A tenant is a namespace over the device, not a copy of it: requests
-// still come from the shared slab and flow through the shared staging /
-// submission / completion queues. The tenant id rides on the request
+// still come from the shared slots and flow through the shared staging
+// queue and completion ring. The tenant id rides on the request
 // (stamped at Submit) and three mechanisms keyed off it provide the
 // isolation guarantees:
 //
@@ -110,12 +110,13 @@ type tenantState struct {
 	quota      int64 // 0 on the default tenant: global admission applies
 	classLimit [qos.NumClasses]int64
 
-	// queued is RMW'd by submitters (flush) and the worker (drain and
-	// dispatch); padding keeps it on its own cache line. The submitters'
-	// counters and the finishers' are a pad apart as well, so each side
-	// RMWs a line the other does not (TestCacheLineLayout pins it).
+	// queued is RMW'd by the worker alone (drain and dispatch) and read
+	// by Stats and the monitor; padding keeps it on its own cache line.
+	// The submitters' counters and the finishers' are a pad apart as
+	// well, so each side RMWs a line the other does not
+	// (TestCacheLineLayout pins it).
 	_      [64]byte
-	queued atomic.Int64 // flushed, not yet dispatched: the tenant's share of the backlog
+	queued atomic.Int64 // drained off staging, not yet dispatched: the tenant's share of the backlog
 	_      [64]byte
 
 	submitted, shed obs.Counter // submitters: accept and admit
@@ -285,8 +286,8 @@ type TenantStats struct {
 	// ErrCanceled completions (CancelAll and per-request Cancel alike).
 	Submitted, Completed, Shed, Canceled int64
 	// InFlight is the live accepted-but-not-terminal count; QueueDepth
-	// the flushed-but-not-yet-dispatched count (submission queue plus
-	// scheduler buckets). The tenants' QueueDepths sum to the device's
+	// the count the worker took off staging but has not yet dispatched
+	// (its scheduler buckets). The tenants' QueueDepths sum to the device's
 	// SubmissionDepth.
 	InFlight, QueueDepth int64
 	// Latency is the submission-to-completion histogram (ns) of this

@@ -175,7 +175,7 @@ func TestTenantSchedWeightedOrder(t *testing.T) {
 	q := slab.NewQueue(rbq.Blue)
 	owner := map[uint32]uint32{}
 	weights := map[uint32]int64{1: 3, 2: 1}
-	s := newTenantSched(q, slab.NewQueue(rbq.Red), 1,
+	s := newTenantSched(q, 1,
 		func(idx uint32) (int, uint32) { return 0, owner[idx] },
 		func(ten uint32) int64 { return weights[ten] },
 		16)
@@ -225,7 +225,7 @@ func TestTenantSchedNoBanking(t *testing.T) {
 	slab := rbq.NewSlab(64)
 	q := slab.NewQueue(rbq.Blue)
 	owner := map[uint32]uint32{}
-	s := newTenantSched(q, slab.NewQueue(rbq.Red), 1,
+	s := newTenantSched(q, 1,
 		func(idx uint32) (int, uint32) { return 0, owner[idx] },
 		func(ten uint32) int64 { return 8 }, // big quantum for everyone
 		16)
@@ -410,9 +410,9 @@ func TestTenantQueueDepthAccounting(t *testing.T) {
 		t.Fatal(err)
 	}
 	const n = 4
-	// One batch, so all n are on the submission queue before the flush's
-	// kick wakes the worker: the depth below never depends on the submit
-	// loop outrunning the first dispatch.
+	// One batch, so all n are staged before its kick wakes the worker:
+	// the depth below never depends on the submit loop outrunning the
+	// first dispatch.
 	reqs := make([]*Request, n)
 	for i := range reqs {
 		reqs[i] = d.AllocRequest()

@@ -4,13 +4,11 @@ package realtime
 // between tenants inside each priority class, strict priority with the
 // PR 5 aging credit preserved across classes.
 //
-// The lock-free submit path is untouched — submitters still enqueue
-// every class on the device's one red-blue staging queue, and a
-// submitter's Section 4.4 flush moves what it drains onto the one
-// submission queue. The single-consumer worker drains both straight into
-// worker-local per-(class, tenant) FIFO buckets — the submission queue
-// first, then staging, so a flushed request never lands behind one
-// staged after it — and serves the buckets with classic DRR: on each
+// The lock-free submit path is untouched — submitters stage every class
+// on the device's one red-blue staging queue, whose only consumer is the
+// worker. It drains staging straight into worker-local per-(class,
+// tenant) FIFO buckets, so each bucket keeps staging order, and serves
+// them with classic DRR: on each
 // visit a tenant's deficit is topped up by its weight (the quantum, in
 // requests), one request costs one deficit unit, and a bucket that
 // empties is deactivated with its deficit reset — no banking while idle.
@@ -25,24 +23,23 @@ package realtime
 // or exit through that path, which keeps the AuditSlots accounting
 // exact: a parked device holds no indices in scheduler buckets.
 //
-// The type is deliberately self-contained (the two queues plus two
+// The type is deliberately self-contained (the staging queue plus two
 // lookup closures) so the linearizability suite can drive the exact
 // production drain and discipline through rbq sched-hook yield points
 // against the internal/check sequential models.
 
 import "memif/internal/rbq"
 
-// tenantSched orders the flushed and staged requests by class, then
-// across tenants.
+// tenantSched orders the staged requests by class, then across tenants.
 //
 // False-sharing audit note (PR 8): everything below — credits, drrClass
 // maps/slices, drrBucket deficits — is touched by exactly one goroutine,
 // the dispatch worker. Single-writer-single-reader state needs no
 // cache-line padding; the lines live dirty in the worker's L1 and no
-// other core ever requests them. Only the shared rbq queues it drains
-// carry cross-core traffic, and that is padded in rbq.Queue itself.
+// other core ever requests them. Only the shared rbq queue it drains
+// carries cross-core traffic, and that is padded in rbq.Queue itself.
 type tenantSched struct {
-	submission, staging *rbq.Queue // shared, lock-free; drained in that order
+	staging *rbq.Queue // shared, lock-free; the worker is its only consumer
 
 	owner    func(idx uint32) (class int, tenant uint32) // slot index -> its class and tenant
 	weightOf func(tenant uint32) int64                   // tenant id -> DRR quantum (requests/round)
@@ -67,15 +64,14 @@ type drrBucket struct {
 	deficit int64
 }
 
-func newTenantSched(submission, staging *rbq.Queue, numClasses int, owner func(uint32) (int, uint32), weightOf func(uint32) int64, aging int64) *tenantSched {
+func newTenantSched(staging *rbq.Queue, numClasses int, owner func(uint32) (int, uint32), weightOf func(uint32) int64, aging int64) *tenantSched {
 	s := &tenantSched{
-		submission: submission,
-		staging:    staging,
-		owner:      owner,
-		weightOf:   weightOf,
-		aging:      aging,
-		credits:    make([]int64, numClasses),
-		classes:    make([]drrClass, numClasses),
+		staging:  staging,
+		owner:    owner,
+		weightOf: weightOf,
+		aging:    aging,
+		credits:  make([]int64, numClasses),
+		classes:  make([]drrClass, numClasses),
 	}
 	for c := range s.classes {
 		s.classes[c].buckets = make(map[uint32]*drrBucket)
@@ -83,17 +79,12 @@ func newTenantSched(submission, staging *rbq.Queue, numClasses int, owner func(u
 	return s
 }
 
-// drain moves everything waiting into the worker-local buckets: first
-// what a submitter's flush left on the submission queue, then what is
-// still on staging, whose every index passes through staged on its way
-// in. Everything on the submission queue was staged before anything
-// still on staging, so the order keeps each bucket FIFO. A Dequeue
-// observing empty is a linearization point, so any enqueue that
+// drain moves everything on staging into the worker-local buckets,
+// passing every index through staged on its way in. Staging is FIFO and
+// this is its only consumer, so each bucket keeps staging order. A
+// Dequeue observing empty is a linearization point, so any enqueue that
 // completed before the drain began is included.
 func (s *tenantSched) drain(staged func(idx uint32)) {
-	for idx, _, ok := s.submission.Dequeue(); ok; idx, _, ok = s.submission.Dequeue() {
-		s.push(idx)
-	}
 	for idx, _, ok := s.staging.Dequeue(); ok; idx, _, ok = s.staging.Dequeue() {
 		staged(idx)
 		s.push(idx)

@@ -3,9 +3,8 @@ package realtime
 // Linearizability of the production submission scheduler: concurrent
 // submitters stage every class on one red-blue staging queue under the
 // Section 4.4 protocol while the worker takes its production steps —
-// tenantSched.drain (the submission queue, then staging, into the
-// buckets) and tenantSched.pop — with every rbq operation yielding to
-// the deterministic scheduler. Each history must linearize against the
+// tenantSched.drain (staging into the buckets) and tenantSched.pop —
+// with every rbq operation yielding to the deterministic scheduler. Each history must linearize against the
 // sequential models in internal/check — SubmissionModel for the
 // single-tenant priority+aging discipline, DRRSubmissionModel for the
 // weighted multi-tenant refinement. This is the same treatment the
@@ -35,26 +34,17 @@ func drrOwner(v uint32) (int, uint32) {
 
 // runTenantSchedProtocol drives one scheduler under one seed and checks
 // the history against m. producers[p] is the values client p submits, in
-// order. Producer 0 submits as Submit does: it stages, and when its
-// enqueue observes blue it flushes staging onto the submission queue and
-// kicks the worker. The others only stage, leaving their values to the
-// next flush or to the worker. The worker starts asleep, as the device's
-// does; kicked — or once every producer has returned — it takes pops
-// recorded steps of drain-then-pop and parks staging whenever a pop
-// finds nothing, sleeping again if the recolor succeeds and the
-// submission queue is still empty after it, as the device's does.
-//
-// One flusher keeps staging's consumers exclusive — the flush while the
-// worker sleeps, the worker while it is awake — which is what the drain
-// order relies on. Two concurrent flushers are weaker than the models:
-// one can hold a staged value between its dequeue and its
-// submission-queue enqueue while the other recolors and kicks, and the
-// woken worker drains values staged after it first.
+// order. Every producer submits as Submit does: it stages, and kicks the
+// worker when its stage turned the queue red. The worker starts asleep,
+// as the device's does; kicked — or once every producer has returned —
+// it takes pops recorded steps of drain-then-pop and parks staging
+// whenever a pop finds nothing, sleeping again if the recolor succeeds,
+// as the device's does. The worker is staging's only consumer, so every
+// bucket keeps staging order however the producers interleave.
 func runTenantSchedProtocol(seed int64, m check.Model, numClasses int, owner func(uint32) (int, uint32),
 	weightOf func(uint32) int64, aging int64, producers [][]uint32, pops int) error {
-	slab := rbq.NewSlab(512)
-	submission, staging := slab.NewQueue(rbq.Blue), slab.NewQueue(rbq.Blue)
-	sched := newTenantSched(submission, staging, numClasses, owner, weightOf, aging)
+	staging := rbq.NewSlab(512).NewQueue(rbq.Blue)
+	sched := newTenantSched(staging, numClasses, owner, weightOf, aging)
 
 	worker := len(producers)
 	hist := check.NewHistory(worker + 1)
@@ -68,9 +58,8 @@ func runTenantSchedProtocol(seed int64, m check.Model, numClasses int, owner fun
 			for _, v := range vals {
 				class, ten := owner(v)
 				hist.Record(p, check.TOp{Push: true, Class: class, Tenant: ten, V: v}, func() any {
-					c, ok := staging.Enqueue(v)
-					if ok && c == rbq.Blue && p == 0 &&
-						staging.Flush(func(v uint32) { submission.Enqueue(v) }) {
+					kick, ok := staging.Stage(v)
+					if kick {
 						kicks++
 					}
 					return check.TRes{Ok: ok}
@@ -101,7 +90,7 @@ func runTenantSchedProtocol(seed int64, m check.Model, numClasses int, owner fun
 				popped = ok
 				return check.TRes{V: idx, Tenant: ten, Aged: aged, Ok: ok}
 			})
-			if !popped && staging.Park() && submission.Empty() {
+			if !popped && staging.Park() {
 				asleep = true
 			}
 			t.Yield()
@@ -130,7 +119,7 @@ func runTenantSchedDRR(seed int64) error {
 	return runTenantSchedProtocol(seed, check.DRRSubmissionModel(numClasses, aging, weightOf),
 		numClasses, drrOwner, weightOf, aging,
 		[][]uint32{
-			{100, 101, 102}, // tenant 1, foreground, the flusher
+			{100, 101, 102}, // tenant 1, foreground
 			{200, 201},      // tenant 2, foreground
 			{300, 301},      // tenant 3, background
 		}, 10)
@@ -157,14 +146,23 @@ func runTenantSchedSingle(seed int64) error {
 		numClasses, owner, func(uint32) int64 { return 1 }, aging, producers, 12)
 }
 
+// tschedSeeds is each model's seed corpus: 2,000 seeds take about 1 s
+// per model on a 2-vCPU host, so -short runs the first 200.
+func tschedSeeds() int {
+	if testing.Short() {
+		return 200
+	}
+	return 2000
+}
+
 func TestTenantSchedLinearizableDRR(t *testing.T) {
-	if err := check.Explore(48, 1, runTenantSchedDRR); err != nil {
+	if err := check.Explore(tschedSeeds(), 1, runTenantSchedDRR); err != nil {
 		t.Fatalf("production DRR scheduler produced a non-linearizable history: %v", err)
 	}
 }
 
 func TestTenantSchedLinearizableSingleTenant(t *testing.T) {
-	if err := check.Explore(48, 1, runTenantSchedSingle); err != nil {
+	if err := check.Explore(tschedSeeds(), 1, runTenantSchedSingle); err != nil {
 		t.Fatalf("production scheduler violated the priority+aging spec: %v", err)
 	}
 }
