@@ -29,9 +29,9 @@ func TestQueueModelSequentialAccept(t *testing.T) {
 	ops := mkOps([]opSpec{
 		{0, QOp{Kind: QEnqueue, V: 1}, QRes{C: rbq.Blue, Ok: true}, 1, 2},
 		{0, QOp{Kind: QEnqueue, V: 2}, QRes{C: rbq.Blue, Ok: true}, 3, 4},
-		{0, QOp{Kind: QDequeue}, QRes{V: 1, C: rbq.Blue, Ok: true}, 5, 6},
-		{0, QOp{Kind: QDequeue}, QRes{V: 2, C: rbq.Blue, Ok: true}, 7, 8},
-		{0, QOp{Kind: QDequeue}, QRes{C: rbq.Blue, Ok: false}, 9, 10},
+		{0, QOp{Kind: QDequeue}, QRes{V: 1, Ok: true}, 5, 6},
+		{0, QOp{Kind: QDequeue}, QRes{V: 2, Ok: true}, 7, 8},
+		{0, QOp{Kind: QDequeue}, QRes{Ok: false}, 9, 10},
 		{0, QOp{Kind: QSetColor, C: rbq.Red}, QRes{C: rbq.Blue, Ok: true}, 11, 12},
 		{0, QOp{Kind: QEnqueue, V: 3}, QRes{C: rbq.Red, Ok: true}, 13, 14},
 	})
@@ -46,7 +46,7 @@ func TestQueueModelRejectsFIFOViolation(t *testing.T) {
 	ops := mkOps([]opSpec{
 		{0, QOp{Kind: QEnqueue, V: 1}, QRes{C: rbq.Blue, Ok: true}, 1, 2},
 		{0, QOp{Kind: QEnqueue, V: 2}, QRes{C: rbq.Blue, Ok: true}, 3, 4},
-		{0, QOp{Kind: QDequeue}, QRes{V: 2, C: rbq.Blue, Ok: true}, 5, 6},
+		{0, QOp{Kind: QDequeue}, QRes{V: 2, Ok: true}, 5, 6},
 	})
 	if r := Check(m, ops); r.Ok {
 		t.Fatal("FIFO violation accepted")
@@ -57,7 +57,7 @@ func TestQueueModelRejectsPhantomValue(t *testing.T) {
 	m := QueueModel(rbq.Blue)
 	ops := mkOps([]opSpec{
 		{0, QOp{Kind: QEnqueue, V: 1}, QRes{C: rbq.Blue, Ok: true}, 1, 2},
-		{0, QOp{Kind: QDequeue}, QRes{V: 99, C: rbq.Blue, Ok: true}, 3, 4},
+		{0, QOp{Kind: QDequeue}, QRes{V: 99, Ok: true}, 3, 4},
 	})
 	if r := Check(m, ops); r.Ok {
 		t.Fatal("dequeue of never-enqueued value accepted")
@@ -78,23 +78,34 @@ func TestQueueModelRejectsStaleColor(t *testing.T) {
 }
 
 // TestQueueModelStage: a stage on a blue queue kicks and turns it red,
-// values already queued keep the color they were linked with, and a
-// second stage on the red queue does not kick.
+// a second stage on the red queue does not kick, and the red stays until
+// a recolor of the drained queue reports it.
 func TestQueueModelStage(t *testing.T) {
 	m := QueueModel(rbq.Blue)
 	legal := mkOps([]opSpec{
 		{0, QOp{Kind: QEnqueue, V: 1}, QRes{C: rbq.Blue, Ok: true}, 1, 2},
 		{0, QOp{Kind: QStage, V: 2}, QRes{Kick: true, Ok: true}, 3, 4},
 		{0, QOp{Kind: QStage, V: 3}, QRes{Ok: true}, 5, 6},
-		{0, QOp{Kind: QDequeue}, QRes{V: 1, C: rbq.Blue, Ok: true}, 7, 8},
-		{0, QOp{Kind: QDequeue}, QRes{V: 2, C: rbq.Red, Ok: true}, 9, 10},
-		{0, QOp{Kind: QDequeue}, QRes{V: 3, C: rbq.Red, Ok: true}, 11, 12},
-		{0, QOp{Kind: QDequeue}, QRes{C: rbq.Red, Ok: false}, 13, 14},
+		{0, QOp{Kind: QDequeue}, QRes{V: 1, Ok: true}, 7, 8},
+		{0, QOp{Kind: QDequeue}, QRes{V: 2, Ok: true}, 9, 10},
+		{0, QOp{Kind: QDequeue}, QRes{V: 3, Ok: true}, 11, 12},
+		{0, QOp{Kind: QDequeue}, QRes{Ok: false}, 13, 14},
 		{0, QOp{Kind: QSetColor, C: rbq.Blue}, QRes{C: rbq.Red, Ok: true}, 15, 16},
 		{0, QOp{Kind: QStage, V: 4}, QRes{Kick: true, Ok: true}, 17, 18},
 	})
 	if r := Check(m, legal); !r.Ok {
 		t.Fatalf("legal stage history rejected: %s", r.Info)
+	}
+	// A drained staged queue that recolors from blue: the red Stage
+	// wrote was lost. With no color on a dequeue, this recolor is the
+	// one place that red can be seen.
+	lostRed := mkOps([]opSpec{
+		{0, QOp{Kind: QStage, V: 1}, QRes{Kick: true, Ok: true}, 1, 2},
+		{0, QOp{Kind: QDequeue}, QRes{V: 1, Ok: true}, 3, 4},
+		{0, QOp{Kind: QSetColor, C: rbq.Blue}, QRes{C: rbq.Blue, Ok: true}, 5, 6},
+	})
+	if r := Check(m, lostRed); r.Ok {
+		t.Fatal("blue reported by the recolor of a drained staged queue accepted")
 	}
 	// A second stage that kicks: the queue was already red.
 	twoKicks := mkOps([]opSpec{
@@ -121,8 +132,8 @@ func TestQueueModelAcceptsConcurrentReorder(t *testing.T) {
 	ops := mkOps([]opSpec{
 		{0, QOp{Kind: QEnqueue, V: 1}, QRes{C: rbq.Blue, Ok: true}, 1, 10},
 		{1, QOp{Kind: QEnqueue, V: 2}, QRes{C: rbq.Blue, Ok: true}, 2, 9},
-		{0, QOp{Kind: QDequeue}, QRes{V: 2, C: rbq.Blue, Ok: true}, 11, 12},
-		{0, QOp{Kind: QDequeue}, QRes{V: 1, C: rbq.Blue, Ok: true}, 13, 14},
+		{0, QOp{Kind: QDequeue}, QRes{V: 2, Ok: true}, 11, 12},
+		{0, QOp{Kind: QDequeue}, QRes{V: 1, Ok: true}, 13, 14},
 	})
 	r := Check(m, ops)
 	if !r.Ok {
@@ -246,7 +257,7 @@ func runBuggy(seed int64) error {
 		for i := 0; i < 8; i++ {
 			hist.Record(2, QOp{Kind: QDequeue}, func() any {
 				v, ok := q.dequeue(t)
-				return QRes{V: v, C: rbq.Blue, Ok: ok}
+				return QRes{V: v, Ok: ok}
 			})
 			t.Yield()
 		}

@@ -11,11 +11,11 @@ import (
 // ---------------------------------------------------------------------
 // Red-blue queue: sequential spec of rbq.Queue.
 //
-// State: a FIFO of values, each with the color its link carries, plus
-// the queue color. SetColor only succeeds on an empty queue (Section
-// 4.3), so only Stage changes the color of a non-empty queue: it links
-// its value red. Enqueue links its value with the queue color, and
-// Dequeue observes the color of the value it takes.
+// State: a FIFO of values plus the queue color. SetColor only succeeds
+// on an empty queue (Section 4.3), so only Stage changes the color of a
+// non-empty queue: it turns it red. The color is checked where the
+// queue reports it — the color Enqueue observed, Stage's kick and the
+// old color SetColor returns; a dequeue reports none.
 // ---------------------------------------------------------------------
 
 // QOpKind selects the queue operation of a QOp.
@@ -39,7 +39,7 @@ type QOp struct {
 // QRes is the output of one rbq.Queue operation.
 type QRes struct {
 	V    uint32    // QDequeue: value
-	C    rbq.Color // observed / previous color
+	C    rbq.Color // QEnqueue: observed color; QSetColor: previous color
 	Kick bool      // QStage: the stage turned the queue from blue to red
 	Ok   bool
 }
@@ -57,37 +57,27 @@ func (o QOp) String() string {
 	}
 }
 
-func (r QRes) String() string {
-	return fmt.Sprintf("(v=%d c=%v kick=%v ok=%v)", r.V, r.C, r.Kick, r.Ok)
-}
-
 type queueState struct {
-	items string // comma-joined value:color pairs, FIFO order
+	items string // comma-joined values, FIFO order
 	color rbq.Color
 }
 
-// push appends v linked with color c and leaves the queue color c.
+// push appends v and leaves the queue color c.
 func (s queueState) push(v uint32, c rbq.Color) queueState {
-	item := fmt.Sprintf("%d:%d", v, c)
 	if s.items == "" {
-		return queueState{item, c}
+		return queueState{fmt.Sprint(v), c}
 	}
-	return queueState{s.items + "," + item, c}
+	return queueState{fmt.Sprintf("%s,%d", s.items, v), c}
 }
 
-func (s queueState) front() (uint32, rbq.Color, queueState, bool) {
+func (s queueState) front() (uint32, queueState, bool) {
 	if s.items == "" {
-		return 0, 0, s, false
+		return 0, s, false
 	}
-	head := s.items
-	rest := ""
-	if i := strings.IndexByte(s.items, ','); i >= 0 {
-		head, rest = s.items[:i], s.items[i+1:]
-	}
+	head, rest, _ := strings.Cut(s.items, ",")
 	var v uint32
-	var c rbq.Color
-	fmt.Sscanf(head, "%d:%d", &v, &c)
-	return v, c, queueState{rest, s.color}, true
+	fmt.Sscan(head, &v)
+	return v, queueState{rest, s.color}, true
 }
 
 // QueueModel returns the sequential specification of a red-blue queue
@@ -119,17 +109,16 @@ func QueueModel(initial rbq.Color) Model {
 				}
 				return true, st.push(op.V, rbq.Red)
 			case QDequeue:
-				v, c, rest, nonEmpty := st.front()
+				v, rest, nonEmpty := st.front()
 				if !out.Ok {
-					// Empty dequeue reports the current color.
-					return !nonEmpty && out.C == st.color, st
+					return !nonEmpty, st
 				}
-				if !nonEmpty || v != out.V || out.C != c {
+				if !nonEmpty || v != out.V {
 					return false, nil
 				}
 				return true, rest
 			case QSetColor:
-				_, _, _, nonEmpty := st.front()
+				nonEmpty := st.items != ""
 				if !out.Ok {
 					return nonEmpty, st // fails exactly when non-empty
 				}
@@ -140,8 +129,16 @@ func QueueModel(initial rbq.Color) Model {
 			}
 			return false, nil
 		},
+		// Each kind prints only the outputs it reports.
 		Describe: func(input, output any) string {
-			return fmt.Sprintf("%v -> %v", input, output)
+			op, out := input.(QOp), output.(QRes)
+			switch op.Kind {
+			case QEnqueue, QSetColor:
+				return fmt.Sprintf("%v -> (c=%v ok=%v)", op, out.C, out.Ok)
+			case QStage:
+				return fmt.Sprintf("%v -> (kick=%v ok=%v)", op, out.Kick, out.Ok)
+			}
+			return fmt.Sprintf("%v -> (v=%d ok=%v)", op, out.V, out.Ok)
 		},
 	}
 }

@@ -224,9 +224,9 @@ func (d *Device) ioctlMovOne(p *sim.Proc) {
 // first, then failures. Returns nil when none is pending (never blocks).
 func (d *Device) RetrieveCompleted(p *sim.Proc) *uapi.MovReq {
 	d.busy(p, d.UserMeter, stats.PhaseInterface, d.M.Plat.Cost.QueueOp)
-	idx, _, ok := d.Area.CompOK.Dequeue()
+	idx, ok := d.Area.CompOK.Dequeue()
 	if !ok {
-		idx, _, ok = d.Area.CompFail.Dequeue()
+		idx, ok = d.Area.CompFail.Dequeue()
 	}
 	if !ok {
 		return nil

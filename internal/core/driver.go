@@ -213,7 +213,7 @@ func (d *Device) busy(p *sim.Proc, m *sim.Meter, phase string, ns int64) {
 // transactional commit with no bytes to move.
 func (d *Device) serveNext(p *sim.Proc, m *sim.Meter, ctx execCtx) (found, started bool) {
 	d.busy(p, m, stats.PhaseInterface, d.M.Plat.Cost.QueueOp)
-	idx, _, ok := d.Area.Submission.Dequeue()
+	idx, ok := d.Area.Submission.Dequeue()
 	if !ok {
 		return false, false
 	}

@@ -19,7 +19,7 @@ func BenchmarkMultiQueueContention(b *testing.B) {
 	for _, queues := range []int{1, 4, 16} {
 		queues := queues
 		b.Run(fmt.Sprintf("queues=%d", queues), func(b *testing.B) {
-			s := NewSlabForQueues(1<<14, queues, 8*queues)
+			s := NewSlab(1<<14 + queues + 8*queues)
 			qs := make([]*Queue, queues)
 			for i := range qs {
 				qs[i] = s.NewQueue(Blue)

@@ -25,8 +25,8 @@ func TestMultiValuedProperty(t *testing.T) {
 		if _, ok := q.SetColor(want + 1); ok {
 			t.Fatal("recolored a non-empty queue")
 		}
-		if v, c, _ := q.Dequeue(); v != uint32(want) || c != want {
-			t.Fatalf("dequeue = %d,%v", v, c)
+		if v, _ := q.Dequeue(); v != uint32(want) {
+			t.Fatalf("dequeue = %d", v)
 		}
 		if old, ok := q.SetColor(want + 1); !ok || old != want {
 			t.Fatalf("SetColor -> %v,%v", old, ok)

@@ -27,8 +27,8 @@ func execQOp(q *rbq.Queue, op check.QOp) any {
 		kick, ok := q.Stage(op.V)
 		return check.QRes{Kick: kick, Ok: ok}
 	case check.QDequeue:
-		v, c, ok := q.Dequeue()
-		return check.QRes{V: v, C: c, Ok: ok}
+		v, ok := q.Dequeue()
+		return check.QRes{V: v, Ok: ok}
 	default:
 		old, ok := q.SetColor(op.C)
 		return check.QRes{C: old, Ok: ok}
@@ -420,7 +420,7 @@ func TestSizeNeverNegativeStress(t *testing.T) {
 		go func() {
 			defer cwg.Done()
 			for consumed.Add(1) <= producers*perProd-left {
-				for _, _, ok := q.Dequeue(); !ok; _, _, ok = q.Dequeue() {
+				for _, ok := q.Dequeue(); !ok; _, ok = q.Dequeue() {
 				}
 			}
 		}()

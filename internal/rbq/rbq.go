@@ -11,7 +11,9 @@
 // The red-blue queue encodes the color in every link word: enqueue reads
 // the color off the old tail's nil link and propagates it into the new
 // tail's nil link within the same CAS-published update; set_color swaps a
-// recolored nil link into an empty queue's dummy with one CAS.
+// recolored nil link into an empty queue's dummy with one CAS. A dequeue
+// reads no color: the Section 4.4 protocols observe it only where they
+// enqueue (Enqueue, Stage) or recolor (SetColor, Flush, Park).
 //
 // Layout notes. Elements are uint32 values (in memif: indices into the
 // mov_req array, validated by the driver before use — Section 4.2's
@@ -125,10 +127,11 @@ type Slab struct {
 	freeHead atomic.Uint64 // packed {idx, tag} Treiber stack head
 }
 
-// NewSlab returns a slab with room for capacity live elements plus the
-// per-queue dummies the caller will create. Each queue consumes one node
-// permanently (its dummy) and each enqueued element one node while
-// queued.
+// NewSlab returns a slab of capacity nodes. Size it live + queues +
+// slack: each queue consumes one node permanently (its dummy), each
+// queued element one node, and a few slack nodes absorb the windows in
+// which a dequeuer has not yet recycled the old dummy while a producer
+// already allocates.
 func NewSlab(capacity int) *Slab {
 	if capacity < 1 || capacity > MaxNodes-1 {
 		panic(fmt.Sprintf("rbq: slab capacity %d out of range", capacity))
@@ -148,24 +151,6 @@ func NewSlab(capacity int) *Slab {
 
 // Capacity returns the number of allocatable nodes.
 func (s *Slab) Capacity() int { return len(s.nodes) - 1 }
-
-// NewSlabForQueues sizes a slab for a device that builds numQueues
-// queues over at most live simultaneously queued elements. Each queue
-// permanently consumes one node as its dummy, and slack spare nodes
-// absorb the transient over-allocation windows where a dequeuing
-// consumer has not yet recycled the old dummy while a producer is
-// already allocating. Devices with many queues on one slab should scale
-// slack with the queue count, since every queue can be in such a window
-// at once.
-func NewSlabForQueues(live, numQueues, slack int) *Slab {
-	if numQueues < 1 {
-		numQueues = 1
-	}
-	if slack < 0 {
-		slack = 0
-	}
-	return NewSlab(live + numQueues + slack)
-}
 
 // allocNode pops a node off the free stack. ok is false when the slab is
 // exhausted.
@@ -305,10 +290,9 @@ func (q *Queue) enqueue(v uint32, red bool) (Color, bool) {
 	}
 }
 
-// Dequeue removes and returns the oldest value, along with the color
-// observed on the dequeued element's link. ok is false when the queue is
-// empty (the returned Color is then the current queue color).
-func (q *Queue) Dequeue() (v uint32, c Color, ok bool) {
+// Dequeue removes and returns the oldest value. ok is false when the
+// queue is empty.
+func (q *Queue) Dequeue() (v uint32, ok bool) {
 	s := q.slab
 	for {
 		schedPoint()
@@ -320,22 +304,20 @@ func (q *Queue) Dequeue() (v uint32, c Color, ok bool) {
 			continue
 		}
 		if unpackIdx(next) == 0 {
-			return 0, unpackColor(next), false
+			return 0, false
 		}
 		if unpackIdx(head) == unpackIdx(tail) {
 			// Tail lagging behind a completed enqueue: help it.
 			q.tail.CompareAndSwap(tail, pack(unpackIdx(next), 0, bump(tail)))
 			continue
 		}
-		nn := &s.nodes[unpackIdx(next)]
-		val := nn.value.Load()
-		col := unpackColor(nn.next.Load())
+		val := s.nodes[unpackIdx(next)].value.Load()
 		schedPoint()
 		if q.head.CompareAndSwap(head, pack(unpackIdx(next), 0, bump(head))) {
 			schedPoint()
 			q.deqs.Add(1)
 			s.freeNode(unpackIdx(head))
-			return val, col, true
+			return val, true
 		}
 	}
 }
@@ -395,7 +377,7 @@ func (q *Queue) Park() bool {
 // Color returns the queue's current color: the color on the tail's nil
 // link (equivalently, on an empty queue, the dummy's nil link). The
 // value is a racy snapshot; the atomically-coupled reads are the ones
-// Enqueue/Dequeue/SetColor return.
+// Enqueue, Stage and SetColor return.
 func (q *Queue) Color() Color {
 	s := q.slab
 	for {
@@ -461,17 +443,12 @@ func (q *Queue) Snapshot() []uint32 {
 	return out
 }
 
-// Drain repeatedly dequeues into fn until the queue is empty. Returns the
-// number of elements drained. Concurrent enqueues may keep it going; the
-// caller's protocol (the red-blue color) bounds that.
-func (q *Queue) Drain(fn func(v uint32)) int {
-	n := 0
-	for {
-		v, _, ok := q.Dequeue()
-		if !ok {
-			return n
-		}
+// Drain dequeues into fn until it finds the queue empty. Concurrent
+// enqueues may keep it going; the caller's protocol (the red-blue color)
+// bounds that. It is the one drain loop: Flush, core's worker and
+// realtime's worker all drain through it.
+func (q *Queue) Drain(fn func(v uint32)) {
+	for v, ok := q.Dequeue(); ok; v, ok = q.Dequeue() {
 		fn(v)
-		n++
 	}
 }

@@ -31,12 +31,12 @@ func TestFIFOOrder(t *testing.T) {
 		t.Errorf("Len = %d, want 10", q.Len())
 	}
 	for i := uint32(1); i <= 10; i++ {
-		v, _, ok := q.Dequeue()
+		v, ok := q.Dequeue()
 		if !ok || v != i {
 			t.Fatalf("dequeue = %d,%v; want %d,true", v, ok, i)
 		}
 	}
-	if _, _, ok := q.Dequeue(); ok {
+	if _, ok := q.Dequeue(); ok {
 		t.Error("dequeue on empty queue succeeded")
 	}
 	if !q.Empty() {
@@ -60,13 +60,7 @@ func TestColorPropagation(t *testing.T) {
 	if c := q.Color(); c != Blue {
 		t.Errorf("color after enqueues = %v", c)
 	}
-	// Dequeues observe the element-link color.
-	for i := 0; i < 5; i++ {
-		_, c, _ := q.Dequeue()
-		if c != Blue {
-			t.Errorf("dequeue %d saw %v", i, c)
-		}
-	}
+	q.Drain(func(uint32) {})
 	// Recolor the (now empty) queue; subsequent ops see red.
 	if old, ok := q.SetColor(Red); !ok || old != Blue {
 		t.Fatalf("SetColor = %v,%v", old, ok)
@@ -101,14 +95,6 @@ func TestSetColorIdempotent(t *testing.T) {
 	old, ok := q.SetColor(Red)
 	if !ok || old != Red {
 		t.Errorf("SetColor(same) = %v,%v", old, ok)
-	}
-}
-
-func TestEmptyDequeueReturnsCurrentColor(t *testing.T) {
-	s := NewSlab(8)
-	q := s.NewQueue(Red)
-	if _, c, ok := q.Dequeue(); ok || c != Red {
-		t.Errorf("empty dequeue = color %v, ok %v", c, ok)
 	}
 }
 
@@ -154,10 +140,10 @@ func TestMultipleQueuesShareSlab(t *testing.T) {
 	b := s.NewQueue(Red)
 	a.Enqueue(1)
 	b.Enqueue(2)
-	if v, _, _ := a.Dequeue(); v != 1 {
+	if v, _ := a.Dequeue(); v != 1 {
 		t.Error("queue a corrupted")
 	}
-	if v, _, _ := b.Dequeue(); v != 2 {
+	if v, _ := b.Dequeue(); v != 2 {
 		t.Error("queue b corrupted")
 	}
 	if a.Color() != Blue || b.Color() != Red {
@@ -184,12 +170,10 @@ func TestDrainCount(t *testing.T) {
 	for i := uint32(1); i <= 7; i++ {
 		q.Enqueue(i)
 	}
-	var sum uint32
-	if n := q.Drain(func(v uint32) { sum += v }); n != 7 {
-		t.Errorf("Drain = %d, want 7", n)
-	}
-	if sum != 28 {
-		t.Errorf("sum = %d, want 28", sum)
+	var n, sum uint32
+	q.Drain(func(v uint32) { n, sum = n+1, sum+v })
+	if n != 7 || sum != 28 {
+		t.Errorf("Drain visited %d values summing to %d, want 7 and 28", n, sum)
 	}
 }
 
@@ -211,7 +195,7 @@ func TestConcurrentMultiset(t *testing.T) {
 		go func() {
 			defer wg.Done()
 			for {
-				v, _, ok := q.Dequeue()
+				v, ok := q.Dequeue()
 				if ok {
 					seen[v].Add(1)
 					continue
@@ -219,7 +203,7 @@ func TestConcurrentMultiset(t *testing.T) {
 				if done.Load() {
 					// Final sweep after producers finish.
 					for {
-						v, _, ok := q.Dequeue()
+						v, ok := q.Dequeue()
 						if !ok {
 							return
 						}
@@ -276,7 +260,7 @@ func TestConcurrentPerProducerOrder(t *testing.T) {
 		last[i] = -1
 	}
 	for {
-		v, _, ok := q.Dequeue()
+		v, ok := q.Dequeue()
 		if !ok {
 			break
 		}
@@ -433,7 +417,7 @@ func TestQuickSequentialModel(t *testing.T) {
 				model = append(model, next)
 				next++
 			case 2: // dequeue
-				v, _, ok := q.Dequeue()
+				v, ok := q.Dequeue()
 				if len(model) == 0 {
 					if ok {
 						return false

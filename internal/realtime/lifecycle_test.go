@@ -3,8 +3,10 @@ package realtime
 import (
 	"bytes"
 	"errors"
+	"fmt"
 	"math"
 	"os"
+	"runtime/pprof"
 	"sync"
 	"testing"
 	"time"
@@ -280,6 +282,19 @@ func TestLifecycleDisabled(t *testing.T) {
 	}
 }
 
+// dumpIfStalled arms a timer that writes every goroutine's stack to
+// stderr once if an overhead guard is still running after five minutes
+// (a lone run takes 15–20 s), so a stalled guard leaves its stacks
+// behind instead of waiting silently for the test timeout. The guard
+// stops the timer when it returns.
+func dumpIfStalled(name string) *time.Timer {
+	const after = 5 * time.Minute
+	return time.AfterFunc(after, func() {
+		fmt.Fprintf(os.Stderr, "%s still running after %v; goroutine stacks:\n", name, after)
+		pprof.Lookup("goroutine").WriteTo(os.Stderr, 2)
+	})
+}
+
 // TestLifecycleTracingOverheadGuard is the CI benchmark guard for the
 // always-on tracing cost: at the default sample shift, the acceptance
 // benchmark configuration (8 submitters, 4 KB batched x16 — the
@@ -290,6 +305,7 @@ func TestLifecycleTracingOverheadGuard(t *testing.T) {
 	if os.Getenv("MEMIF_BENCH_GUARD") == "" {
 		t.Skip("set MEMIF_BENCH_GUARD=1 to run the tracing-overhead guard")
 	}
+	defer dumpIfStalled(t.Name()).Stop()
 	measure := func(shift int) float64 {
 		r := testing.Benchmark(func(b *testing.B) {
 			benchConcurrentSubmit(b, 8, 4<<10, 16, Options{
@@ -332,6 +348,7 @@ func TestFlightOverheadGuard(t *testing.T) {
 	if os.Getenv("MEMIF_BENCH_GUARD") == "" {
 		t.Skip("set MEMIF_BENCH_GUARD=1 to run the flight-overhead guard")
 	}
+	defer dumpIfStalled(t.Name()).Stop()
 	measure := func(disable bool) float64 {
 		r := testing.Benchmark(func(b *testing.B) {
 			benchConcurrentSubmit(b, 8, 4<<10, 16, Options{

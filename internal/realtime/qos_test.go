@@ -152,7 +152,7 @@ func TestRetryAfterTracksLatencyEWMA(t *testing.T) {
 // scheduler.
 func popDevice(credit int64) *Device {
 	d := &Device{}
-	d.staging = rbq.NewSlabForQueues(32, 1, 6).NewQueue(rbq.Red)
+	d.staging = rbq.NewSlab(32 + 1 + 6).NewQueue(rbq.Red)
 	d.reqs = make([]*Request, 32)
 	for i := range d.reqs {
 		d.reqs[i] = &Request{idx: uint32(i)}

@@ -414,11 +414,10 @@ func Open(opts Options) *Device {
 	} else if chunkBytes < 0 {
 		chunkBytes = 0 // disabled
 	}
-	// staging alone (the free list and the completions live on MPMC
-	// rings, not the slab); slack scales with the queue count since
-	// every queue can sit in a transient dummy-recycling window at once.
-	const numQueues = 1
-	slab := rbq.NewSlabForQueues(opts.NumReqs, numQueues, 5+numQueues)
+	// The slab carries one queue, staging (the free list and the
+	// completions live on MPMC rings, not the slab): every slot, the
+	// staging dummy and 6 slack nodes for dummy-recycling windows.
+	slab := rbq.NewSlab(opts.NumReqs + 1 + 6)
 	d := &Device{
 		chunkBytes:  chunkBytes,
 		classLimit:  classLimits(int64(opts.NumReqs)),

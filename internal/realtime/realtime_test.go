@@ -482,9 +482,9 @@ func TestSlabExhaustionNoLeak(t *testing.T) {
 	d := Open(Options{NumReqs: 8, Controllers: 2})
 	defer d.Close()
 
-	// The slab is NewSlabForQueues(8, 1, 6): 8 live indices, staging's
-	// dummy (the free list and completions are rings off the slab) and
-	// 6 slack nodes. A parasite queue takes one more as its dummy and
+	// The slab is NewSlab(8 + 1 + 6): 8 live indices, staging's dummy
+	// (the free list and completions are rings off the slab) and 6
+	// slack nodes. A parasite queue takes one more as its dummy and
 	// pins all but 2 of the rest — enough that the device works, tight
 	// enough that transient exhaustion is constant under concurrency.
 	const spare = 2

@@ -85,16 +85,11 @@ func newTenantSched(staging *rbq.Queue, numClasses int, owner func(uint32) (int,
 // Dequeue observing empty is a linearization point, so any enqueue that
 // completed before the drain began is included.
 func (s *tenantSched) drain(staged func(idx uint32)) {
-	for idx, _, ok := s.staging.Dequeue(); ok; idx, _, ok = s.staging.Dequeue() {
+	s.staging.Drain(func(idx uint32) {
 		staged(idx)
-		s.push(idx)
-	}
-}
-
-// push buffers idx in its owner's bucket.
-func (s *tenantSched) push(idx uint32) {
-	class, tenant := s.owner(idx)
-	s.classes[class].push(tenant, idx)
+		class, tenant := s.owner(idx)
+		s.classes[class].push(tenant, idx)
+	})
 }
 
 // pop returns the next request index under the full discipline: an aged

@@ -49,7 +49,7 @@ func (c *areaClient) deq(q check.AreaQueue) (uint32, bool) {
 	var idx uint32
 	var ok bool
 	c.hist.Record(c.id, check.AOp{Queue: q}, func() any {
-		idx, _, ok = c.queue(q).Dequeue()
+		idx, ok = c.queue(q).Dequeue()
 		return check.ARes{Idx: idx, Ok: ok}
 	})
 	if ok {

@@ -292,7 +292,7 @@ func (a *Area) Audit(held []uint32) error {
 // AllocReq takes a request slot off the free list. Returns nil when all
 // slots are in use.
 func (a *Area) AllocReq() *MovReq {
-	idx, _, ok := a.FreeList.Dequeue()
+	idx, ok := a.FreeList.Dequeue()
 	if !ok {
 		return nil
 	}

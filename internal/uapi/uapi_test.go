@@ -81,7 +81,7 @@ func TestQueuesAreIsolated(t *testing.T) {
 	if !a.Submission.Empty() || !a.CompOK.Empty() || !a.CompFail.Empty() {
 		t.Error("enqueue on staging leaked into other queues")
 	}
-	idx, _, ok := a.Staging.Dequeue()
+	idx, ok := a.Staging.Dequeue()
 	if !ok || idx != r.Index() {
 		t.Errorf("staging dequeue = %d,%v", idx, ok)
 	}

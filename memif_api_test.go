@@ -143,8 +143,11 @@ func TestFacadeSymbolCoverage(t *testing.T) {
 	if color, ok := q.Enqueue(1); !ok || color != memif.Red {
 		t.Fatalf("enqueue: color=%v ok=%v", color, ok)
 	}
-	if v, color, ok := q.Dequeue(); !ok || v != 1 || color != memif.Red {
-		t.Fatalf("dequeue: v=%d color=%v ok=%v", v, color, ok)
+	if v, ok := q.Dequeue(); !ok || v != 1 {
+		t.Fatalf("dequeue: v=%d ok=%v", v, ok)
+	}
+	if old, ok := q.SetColor(memif.Blue); !ok || old != memif.Red {
+		t.Fatalf("SetColor on drained queue: old=%v ok=%v", old, ok)
 	}
 
 	// Realtime group compile-time coverage; behavior is in the QoS tests

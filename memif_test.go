@@ -109,11 +109,10 @@ func TestRedBlueFacade(t *testing.T) {
 	if c, ok := q.Enqueue(42); !ok || c != memif.Blue {
 		t.Fatalf("enqueue = %v,%v", c, ok)
 	}
-	v, c, ok := q.Dequeue()
-	if !ok || v != 42 || c != memif.Blue {
-		t.Fatalf("dequeue = %d,%v,%v", v, c, ok)
+	if v, ok := q.Dequeue(); !ok || v != 42 {
+		t.Fatalf("dequeue = %d,%v", v, ok)
 	}
-	if _, ok := q.SetColor(memif.Red); !ok {
-		t.Fatal("SetColor on empty queue failed")
+	if old, ok := q.SetColor(memif.Red); !ok || old != memif.Blue {
+		t.Fatalf("SetColor on empty queue = %v,%v", old, ok)
 	}
 }
