@@ -3,6 +3,7 @@ package phys
 import (
 	"bytes"
 	"math/rand"
+	"runtime"
 	"testing"
 
 	"memif/internal/hw"
@@ -235,6 +236,60 @@ func TestPoolReusesBuffers(t *testing.T) {
 	mustAudit(t, m)
 }
 
+// TestFirstUseAllocGate holds frame-buffer first use to what it
+// allocates, counted in allocations (Mallocs), not time. Buffers are
+// carved from slabs that double from one frame up to 2 MiB, each slab one
+// allocation for the bytes and one for the headers: 4,096 fresh 4 KiB
+// frames take 17 slabs, 34 allocations. A buffer allocated per frame
+// again costs 4,096 or more and fails here.
+func TestFirstUseAllocGate(t *testing.T) {
+	const frames, budget = 4096, 40
+	m := newMem()
+	fs := make([]*Frame, frames)
+	for i := range fs {
+		f, err := m.Alloc(hw.NodeSlow, hw.Page4K)
+		if err != nil {
+			t.Fatal(err)
+		}
+		fs[i] = f
+	}
+	// A collection first: the first one in a process starts its mark
+	// workers, and each is an allocation that would count here.
+	runtime.GC()
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for i, f := range fs {
+		b := f.MutableBytes()
+		b[0], b[len(b)-1] = byte(i), byte(i>>8)
+	}
+	runtime.ReadMemStats(&after)
+	allocs := after.Mallocs - before.Mallocs
+	t.Logf("%d allocations for %d fresh %d-byte frames", allocs, frames, hw.Page4K)
+	if allocs > budget {
+		t.Errorf("%d allocations for %d fresh frames, budget %d", allocs, frames, budget)
+	}
+	for i, f := range fs {
+		if b := f.Bytes(); b[0] != byte(i) || b[len(b)-1] != byte(i>>8) {
+			t.Fatalf("%v lost its write: a neighbour's bytes overlap it", f)
+		}
+	}
+	mustAudit(t, m)
+}
+
+// A frame above smallFrame gets a slab of one, so a size that only ever
+// needs a few more buffers is never given a reserve it does not use.
+func TestLargeFramesKeepNoReserve(t *testing.T) {
+	m := newMem()
+	for i := 0; i < 4; i++ {
+		written(t, m, hw.NodeSlow, hw.Page64K, byte(i))
+		if n := len(m.bufs[hw.Page64K].spare); n != 0 {
+			t.Fatalf("after %d fresh 64 KiB frames the slab keeps %d in reserve", i+1, n)
+		}
+	}
+	mustAudit(t, m)
+}
+
 func TestDatalessIsNoop(t *testing.T) {
 	m := newMem()
 	m.DisableData()
@@ -246,7 +301,7 @@ func TestDatalessIsNoop(t *testing.T) {
 	Copy(b, a, 4096)
 	Copy(b, a, 100)
 	m.Free(a)
-	if a.buf != nil || b.buf != nil || len(m.pool) != 0 {
+	if a.buf != nil || b.buf != nil || len(m.bufs) != 0 {
 		t.Error("dataless mode made a buffer")
 	}
 	mustAudit(t, m)

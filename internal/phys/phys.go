@@ -20,11 +20,15 @@
 //     its buffer, cleared, on first use; one that a whole-frame Copy
 //     overwrites is never cleared. The kernel zeroes an anonymous page
 //     when it hands it out; we zero it when someone can first see it.
-//   - Buffers are pooled. A buffer that no frame holds goes to a per-size
-//     free list of its Memory, and a frame that needs a buffer takes one
-//     from there before the host allocates one. Buffers, live or pooled,
-//     therefore never outnumber the frames ever allocated: the host
-//     footprint is at most what an eager copy's would be.
+//   - Buffers are pooled and carved from slabs. A buffer that no frame
+//     holds goes to a per-size free list of its Memory, and a frame that
+//     needs a buffer takes one from there first, else from its size's
+//     current slab: one allocation for many small frames, the way struct
+//     page sits in one mem_map. Slabs double from one frame up to
+//     slabBytes (2 MiB); a frame above smallFrame (32 KiB) gets a slab of
+//     one. Buffers never outnumber the frames ever allocated, and a slab's
+//     uncarved rest never outnumbers the buffers carved before it: the
+//     host holds at most twice the bytes an eager copy would.
 //
 // In dataless mode (DisableData) there are no buffers at all. None of this
 // carries a virtual cost: bytes are invisible to virtual time.
@@ -112,7 +116,7 @@ func (f *Frame) drop() {
 	f.buf = nil
 	b.shares--
 	if b.shares == 0 {
-		f.mem.pool[f.Size] = append(f.mem.pool[f.Size], b)
+		f.mem.bufs[f.Size].pool = append(f.mem.bufs[f.Size].pool, b)
 	}
 }
 
@@ -169,8 +173,21 @@ type Stats struct {
 type Memory struct {
 	nodes    []*nodeState // indexed by hw.NodeID; nil where the platform has none
 	frames   []*Frame     // indexed by FrameID; IDs are dense and never reused
-	pool     map[int64][]*buffer
+	bufs     map[int64]*bufSize
 	dataless bool
+}
+
+// slabBytes caps the slabs frame buffers are carved from. Only frames of
+// at most smallFrame, Go's largest small object, share one: a larger
+// buffer gets a span of its own anyway, and a shared slab adds a reserve.
+const slabBytes, smallFrame = 2 << 20, 32 << 10
+
+// bufSize is the buffers of one frame size: those no frame holds, and
+// those of the current slab not yet handed out.
+type bufSize struct {
+	pool   []*buffer // held by no frame; they keep their last owner's bytes
+	spare  []buffer  // the current slab's buffers never handed out: zero
+	carved int64     // buffers ever handed out of a slab
 }
 
 // DisableData switches the memory into dataless mode: frames carry no
@@ -186,7 +203,7 @@ func (m *Memory) DisableData() { m.dataless = true }
 func New(plat *hw.Platform) *Memory {
 	m := &Memory{
 		frames: []*Frame{NoFrame: nil},
-		pool:   make(map[int64][]*buffer),
+		bufs:   make(map[int64]*bufSize),
 	}
 	base := int64(0x0C00_0000) // SRAM-like low base
 	for _, n := range plat.Nodes {
@@ -264,16 +281,38 @@ func (m *Memory) Alloc(node hw.NodeID, size int64) (*Frame, error) {
 }
 
 // take hands out a buffer of size bytes with one share: a pooled one,
-// holding whatever its last owner left in it, or, with the pool empty, a
-// new one, which is zeroed (fresh).
+// holding whatever its last owner left in it, or, with the pool empty, one
+// carved from the current slab, which is zeroed (fresh). A used-up slab is
+// followed by one of as many as were carved so far, within slabBytes, or
+// of one for a frame above smallFrame.
 func (m *Memory) take(size int64) (b *buffer, fresh bool) {
-	if l := m.pool[size]; len(l) > 0 {
+	bs := m.bufs[size]
+	if bs == nil {
+		bs = &bufSize{}
+		m.bufs[size] = bs
+	}
+	if l := bs.pool; len(l) > 0 {
 		b = l[len(l)-1]
-		m.pool[size] = l[:len(l)-1]
+		bs.pool = l[:len(l)-1]
 		b.shares = 1
 		return b, false
 	}
-	return &buffer{b: make([]byte, size), shares: 1}, true
+	if len(bs.spare) == 0 {
+		n := int64(1)
+		if size <= smallFrame {
+			n = min(max(1, bs.carved), slabBytes/size)
+		}
+		slab := make([]byte, n*size)
+		bs.spare = make([]buffer, n)
+		for i := range bs.spare {
+			bs.spare[i].b, slab = slab[:size:size], slab[size:]
+		}
+	}
+	b = &bs.spare[0]
+	bs.spare = bs.spare[1:]
+	bs.carved++
+	b.shares = 1
+	return b, true
 }
 
 // zeroed hands out a cleared buffer of size bytes with one share.
