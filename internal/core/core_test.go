@@ -450,31 +450,89 @@ func TestLargeRequestSplitsIntoBatches(t *testing.T) {
 	}
 }
 
-func TestPollThresholdControlsIRQUsage(t *testing.T) {
-	m, d := newRig(t, DefaultOptions())
-	d.idleGrace = 0 // deterministic wake-by-IRQ flow
-	m.Eng.Spawn("app", func(p *sim.Proc) {
-		defer d.Close()
-		// 4 small (16-page = 64 KB < 512 KB) requests: the first is
-		// kick-started via syscall and completes by IRQ; the kernel
-		// thread serves the remaining three in polling mode.
-		base, _ := d.AS.Mmap(p, 4*16*4096, hw.NodeSlow, "w")
-		for i := 0; i < 4; i++ {
-			r := d.AllocRequest(p)
-			r.Op = uapi.OpMigrate
-			r.SrcBase, r.Length, r.DstNode = base+int64(i)*16*4096, 16*4096, hw.NodeFast
-			d.Submit(p, r)
-		}
-		for done := 0; done < 4; {
-			d.Poll(p, 0)
-			for d.RetrieveCompleted(p) != nil {
-				done++
+// The completion-mode rule (serveReq, DESIGN.md §5.4). The kernel thread
+// polls a request below PollThresholdBytes while nothing else is queued,
+// or while the channel is still busy with an earlier transfer; with work
+// waiting on an idle channel the worker's CPU is the bottleneck, and it
+// arms the request's interrupt so that Release+Notify run in the handler.
+// The syscall path always takes the interrupt. Each row counts the
+// engine's interrupts, the requests started with the pipeline occupied
+// and the kick-start syscalls, exactly.
+func TestCompletionModeRule(t *testing.T) {
+	for _, tc := range []struct {
+		name      string
+		pageBytes int64
+		op        uapi.Op
+		pages     int64
+		n         int  // requests submitted back to back
+		awake     bool // a warm-up request first: the worker is lingering when the burst arrives
+		// want
+		irqs, overlapped, syscalls int64
+	}{
+		// One 16 x 4 KiB migration on an asleep worker: the MOV_ONE
+		// kick serves it and its interrupt completes it.
+		{"syscall_kick", hw.Page4K, uapi.OpMigrate, 16, 1, false, 1, 0, 1},
+		// The same request found alone by the lingering worker: polled.
+		// The one interrupt is the warm-up's.
+		{"lone_request_polls", hw.Page4K, uapi.OpMigrate, 16, 1, true, 1, 0, 1},
+		// Four 16 x 4 KiB migrations: the kick serves the first, the
+		// worker the rest. Each copy (12.8 µs) ends long before the next
+		// Remap does, so the second and third find the channel idle with
+		// work queued and take the interrupt; the fourth is alone and
+		// polls.
+		{"queued_behind_idle_channel", hw.Page4K, uapi.OpMigrate, 16, 4, false, 3, 0, 1},
+		// Four 4 x 64 KiB replications: each copy (48.6 µs) outlasts the
+		// next request's prepare. The worker, woken by the kick's
+		// interrupt, finds the second on an idle channel (interrupt); the
+		// third and fourth queue behind busy transfers and poll, the
+		// fourth started with the third still in the pipeline.
+		{"queued_behind_busy_channel", hw.Page64K, uapi.OpReplicate, 4, 4, false, 2, 1, 1},
+	} {
+		tc := tc
+		t.Run(tc.name, func(t *testing.T) {
+			m := machine.New(hw.KeyStoneII())
+			d := Open(m, m.NewAddressSpace(tc.pageBytes), DefaultOptions())
+			m.Eng.Spawn("app", func(p *sim.Proc) {
+				defer d.Close()
+				n := tc.pages * tc.pageBytes
+				warm, _ := d.AS.Mmap(p, tc.pageBytes, hw.NodeSlow, "warm")
+				reqs := make([]*uapi.MovReq, tc.n)
+				for i := range reqs {
+					src, _ := d.AS.Mmap(p, n, hw.NodeSlow, "src")
+					if tc.op == uapi.OpMigrate {
+						reqs[i] = newMigrate(d, p, uapi.ClassForeground, src, n, hw.NodeFast)
+					} else {
+						dst, _ := d.AS.Mmap(p, n, hw.NodeFast, "dst")
+						reqs[i] = newReplicate(d, p, uapi.ClassForeground, src, dst, n)
+					}
+				}
+				p.SleepNS(d.idleGrace) // the worker's start-up linger ends: it sleeps
+				if tc.awake {
+					r := submitAndWait(t, d, p, newMigrate(d, p, uapi.ClassForeground, warm, tc.pageBytes, hw.NodeFast))
+					d.FreeRequest(p, r)
+				}
+				for _, r := range reqs {
+					if err := d.Submit(p, r); err != nil {
+						t.Fatal(err)
+					}
+				}
+				for done := 0; done < tc.n; {
+					d.Poll(p, 0)
+					for r := d.RetrieveCompleted(p); r != nil; r = d.RetrieveCompleted(p) {
+						if r.Status != uapi.StatusDone {
+							t.Errorf("completion = %v", r)
+						}
+						done++
+					}
+				}
+			})
+			m.Eng.Run()
+			st := d.Stats()
+			if irqs := m.DMA.Stats().IRQs; irqs != tc.irqs || st.Overlapped != tc.overlapped || st.Syscalls != tc.syscalls {
+				t.Errorf("IRQs %d, overlapped %d, syscalls %d; want %d, %d, %d",
+					irqs, st.Overlapped, st.Syscalls, tc.irqs, tc.overlapped, tc.syscalls)
 			}
-		}
-	})
-	m.Eng.Run()
-	if irqs := m.DMA.Stats().IRQs; irqs != 1 {
-		t.Errorf("IRQs = %d, want 1 (only the kick-started request)", irqs)
+		})
 	}
 }
 

@@ -159,9 +159,9 @@ func (d *Device) stage(p *sim.Proc, r *uapi.MovReq) (rbq.Color, error) {
 //
 // Ordering: requests are dequeued in submission order, but one is
 // prepared while earlier ones are still in flight, whatever their size —
-// above PollThresholdBytes behind an interrupt-completed transfer, below
-// it behind the worker's polled pipeline. Requests that touch the same
-// pages are therefore not serialised by the device. A migration of pages
+// behind an interrupt-completed transfer or behind the worker's polled
+// pipeline. Requests that touch the same pages are therefore not
+// serialised by the device. A migration of pages
 // that an unfinished migration still holds fails with ErrBusy (resubmit
 // it after retrieving the first); a replication is not ordered against a
 // migration of its source or destination that has not been notified yet

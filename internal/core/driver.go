@@ -231,11 +231,11 @@ func (d *Device) serveNext(p *sim.Proc, m *sim.Meter, ctx execCtx) (found, start
 
 // serveReq performs operations 1–3 of Table 1 for one request and starts
 // its DMA. Completion (operations 4–5) happens on the interrupt path or,
-// for small requests served by the kernel thread, in polling mode: the
-// request joins the worker's pipeline and reap completes it. It reports
-// whether a transfer was started (false: the request failed validation
-// and its failure notification has already been posted, or it needed no
-// transfer).
+// for a small request the kernel thread serves while nothing else waits
+// or the channel is busy, in polling mode: the request joins the worker's
+// pipeline and reap completes it. It reports whether a transfer was
+// started (false: the request failed validation and its failure
+// notification has already been posted, or it needed no transfer).
 func (d *Device) serveReq(p *sim.Proc, m *sim.Meter, ctx execCtx, req *uapi.MovReq) bool {
 	req.Status = uapi.StatusInFlight
 	req.Dispatched = p.Now()
@@ -272,10 +272,18 @@ func (d *Device) serveReq(p *sim.Proc, m *sim.Meter, ctx execCtx, req *uapi.MovR
 	}
 	inf.pin()
 
-	// Decide the completion mode (Section 5.4): the kernel thread polls
-	// small transfers with the interrupt off; everything else, and
-	// everything started from the syscall path, completes by interrupt.
-	poll := ctx == ctxKthread && req.Length < d.opts.PollThresholdBytes
+	// Decide the completion mode (Section 5.4), after prepare's last
+	// yield: the kernel thread polls a small transfer with the interrupt
+	// off while nothing else waits for it, or while the channel is still
+	// busy with an earlier transfer (the shape is DMA-bound and polling
+	// costs it nothing). With work waiting and the channel idle the
+	// worker's CPU is the bottleneck, so the request takes the interrupt
+	// and its Release+Notify run in the handler beside the worker.
+	// Everything else, and everything started from the syscall path,
+	// completes by interrupt. A stale read here can only pick the slower
+	// mode: each request still completes through exactly one of them.
+	poll := ctx == ctxKthread && req.Length < d.opts.PollThresholdBytes &&
+		(!d.M.DMA.Idle() || d.Area.Staging.Empty() && d.Area.Submission.Empty())
 	if !d.startTrain(p, m, inf, !poll) {
 		return false
 	}

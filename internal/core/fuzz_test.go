@@ -7,6 +7,7 @@ import (
 	"testing"
 	"time"
 
+	"memif/internal/dma"
 	"memif/internal/hw"
 	"memif/internal/machine"
 	"memif/internal/pagetable"
@@ -30,14 +31,21 @@ func TestDriverRandomWorkout(t *testing.T) {
 	}
 }
 
-// Yield-window exploration for the worker's polled pipeline: the workout
-// under every race policy with requests submitted in back-to-back bursts,
-// so the worker always finds the next request queued while a transfer is
-// in flight and the pipeline runs two deep (asserted through
-// Stats.Overlapped). The application's writes land at arbitrary points of
-// the overlapped Prep/Remap/DMAcfg/Release windows. Odd seeds cut every
-// request into four polled batches. -short keeps 8 of the 64 seeds (the
-// race detector makes every virtual-time yield ~25x dearer).
+// Yield-window exploration for the worker's two completion modes: the
+// workout under every race policy with requests submitted in
+// back-to-back bursts, on a DMA-bound shape (regions of four 64 KiB
+// pages, whose copy outlasts the worker's CPU per request). The worker
+// finds the first request of a burst on an idle channel with work queued
+// behind it and arms its interrupt, and polls the ones that queue behind
+// its busy transfer, the pipeline two deep. Both are asserted: through
+// Stats.Overlapped, and through more interrupts than kick-start syscalls
+// (no workout request reaches PollThresholdBytes, so every other
+// interrupt is the worker's choice on an idle channel). The
+// application's writes land at arbitrary points of the overlapped
+// Prep/Remap/DMAcfg/Release windows, in the worker and in the handler.
+// Odd seeds cut every request into four polled batches. -short keeps 8
+// of the 64 seeds (the race detector makes every virtual-time yield ~25x
+// dearer).
 func TestPipelineSweep(t *testing.T) {
 	seeds := make([]int64, 64)
 	if testing.Short() {
@@ -73,14 +81,17 @@ var (
 func sweepSeeds(t *testing.T, seeds []int64) {
 	for _, seed := range seeds {
 		for _, mode := range raceModes {
-			w := workout{seed: seed, mode: mode, burst: 4}
+			w := workout{seed: seed, mode: mode, burst: 4, pageBytes: hw.Page64K, regionPages: 4}
 			if seed%2 == 1 {
-				w.maxChain = 4
+				w.maxChain = 1
 			}
 			t.Run(fmt.Sprintf("seed=%d/%v", seed, mode), func(t *testing.T) {
-				st := runWorkout(t, w)
+				st, dst := runWorkout(t, w)
 				if st.Overlapped == 0 {
 					t.Errorf("pipeline never ran two deep: %+v", st)
+				}
+				if dst.IRQs <= st.Syscalls {
+					t.Errorf("no request took the interrupt on an idle channel: %d IRQs, %d syscalls", dst.IRQs, st.Syscalls)
 				}
 			})
 		}
@@ -89,22 +100,28 @@ func sweepSeeds(t *testing.T, seeds []int64) {
 
 // workout parameterizes runWorkout.
 type workout struct {
-	seed     int64
-	mode     RaceMode
-	burst    int // requests submitted back-to-back per submit op
-	maxChain int // Device.maxChain; 0 keeps the default
+	seed        int64
+	mode        RaceMode
+	burst       int   // requests submitted back-to-back per submit op
+	maxChain    int   // Device.maxChain; 0 keeps the default
+	pageBytes   int64 // 0 is 4 KiB
+	regionPages int64 // pages per region, each request's length; 0 is 16
 }
 
-const (
-	workoutRegions     = 12
-	workoutRegionPages = 16
-	workoutRegionBytes = workoutRegionPages * 4096
-)
+const workoutRegions = 12
 
-func runWorkout(t *testing.T, w workout) Stats {
+// runWorkout returns the device's and the engine's counters.
+func runWorkout(t *testing.T, w workout) (Stats, dma.Stats) {
+	if w.pageBytes == 0 {
+		w.pageBytes = hw.Page4K
+	}
+	if w.regionPages == 0 {
+		w.regionPages = 16
+	}
+	regionBytes := w.regionPages * w.pageBytes
 	rng := rand.New(rand.NewSource(w.seed))
 	m := machine.New(hw.KeyStoneII())
-	as := m.NewAddressSpace(4096)
+	as := m.NewAddressSpace(w.pageBytes)
 	opts := DefaultOptions()
 	opts.NumReqs = 64
 	opts.RaceMode = w.mode
@@ -125,7 +142,7 @@ func runWorkout(t *testing.T, w workout) Stats {
 		defer d.Close()
 		regions := make([]int64, workoutRegions)
 		for i := range regions {
-			b, err := as.Mmap(p, workoutRegionBytes, hw.NodeSlow, "r")
+			b, err := as.Mmap(p, regionBytes, hw.NodeSlow, "r")
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -179,7 +196,7 @@ func runWorkout(t *testing.T, w workout) Stats {
 				submit(func(r *uapi.MovReq) {
 					r.Op = uapi.OpMigrate
 					r.SrcBase = regions[rng.Intn(workoutRegions)]
-					r.Length = workoutRegionBytes
+					r.Length = regionBytes
 					r.DstNode = hw.NodeID(rng.Intn(2))
 				})
 			case 3, 4: // replicate between two random regions
@@ -187,18 +204,18 @@ func runWorkout(t *testing.T, w workout) Stats {
 					r.Op = uapi.OpReplicate
 					r.SrcBase = regions[rng.Intn(workoutRegions)]
 					r.DstBase = regions[rng.Intn(workoutRegions)]
-					r.Length = workoutRegionBytes
+					r.Length = regionBytes
 				})
 			case 5: // submit something invalid
 				submit(func(r *uapi.MovReq) {
 					r.Op = uapi.OpMigrate
 					r.SrcBase = 0x100 // unmapped
-					r.Length = workoutRegionBytes
+					r.Length = regionBytes
 					r.DstNode = hw.NodeFast
 				})
 			case 6, 7: // touch random pages (provokes races/recovers)
 				base := regions[rng.Intn(workoutRegions)]
-				addr := base + int64(rng.Intn(workoutRegionPages))*4096
+				addr := base + int64(rng.Intn(int(w.regionPages)))*w.pageBytes
 				if err := as.Write(p, addr, []byte{byte(op)}); err != nil {
 					t.Fatalf("write: %v", err)
 				}
@@ -209,7 +226,7 @@ func runWorkout(t *testing.T, w workout) Stats {
 			}
 		}
 		drain(true)
-		auditQuiesced(t, d, p, regions, workoutRegionBytes)
+		auditQuiesced(t, d, p, regions, regionBytes)
 	})
 	end := m.Eng.Run()
 	if end <= 0 {
@@ -218,7 +235,7 @@ func runWorkout(t *testing.T, w workout) Stats {
 	if m.Eng.Parked() != 0 {
 		t.Errorf("seed %d: %d processes leaked", w.seed, m.Eng.Parked())
 	}
-	return d.Stats()
+	return d.Stats(), m.DMA.Stats()
 }
 
 // auditQuiesced asserts what the driver promises once every request has

@@ -49,10 +49,12 @@ const (
 type Options struct {
 	// NumReqs is the number of mov_req slots in the shared area.
 	NumReqs int
-	// PollThresholdBytes: requests strictly smaller run in the kernel
-	// thread's polling mode (DMA interrupt off, Section 5.4); larger
-	// ones complete through the interrupt path. The prototype uses
-	// 512 KB.
+	// PollThresholdBytes: requests strictly smaller may run in the
+	// kernel thread's polling mode (DMA interrupt off, Section 5.4) —
+	// it polls them while nothing else is queued or the channel is
+	// busy, and takes the interrupt when work waits on an idle channel;
+	// larger ones always complete through the interrupt path. The
+	// prototype uses 512 KB.
 	PollThresholdBytes int64
 	// RaceMode selects the migration race policy.
 	RaceMode RaceMode

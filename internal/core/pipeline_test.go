@@ -6,6 +6,7 @@ import (
 
 	"memif/internal/dma"
 	"memif/internal/hw"
+	"memif/internal/machine"
 	"memif/internal/sim"
 	"memif/internal/uapi"
 )
@@ -16,7 +17,7 @@ import (
 // burst builds the tests' standard shape: once the regions are mapped, a
 // throw-away one-page migration takes the kick-start syscall path, and
 // every request submitted right behind it is served by the kernel worker
-// its interrupt wakes.
+// its interrupt wakes. Pages are the address space's own size.
 type burst struct {
 	t *testing.T
 	d *Device
@@ -30,7 +31,7 @@ type burst struct {
 
 func newBurst(t *testing.T, d *Device, p *sim.Proc) *burst {
 	b := &burst{t: t, d: d, p: p}
-	b.kickPage = b.mmap(4096, hw.NodeSlow)
+	b.kickPage = b.mmap(d.AS.PageBytes, hw.NodeSlow)
 	return b
 }
 
@@ -40,7 +41,7 @@ func (b *burst) mmap(n int64, node hw.NodeID) int64 {
 	if err != nil {
 		b.t.Fatal(err)
 	}
-	for off := int64(0); off < n; off += 4096 {
+	for off := int64(0); off < n; off += b.d.AS.PageBytes {
 		b.pages = append(b.pages, base+off)
 	}
 	return base
@@ -52,7 +53,18 @@ func (b *burst) kick() {
 	if b.d.AS.FrameAt(b.kickPage).Node == hw.NodeFast {
 		node = hw.NodeSlow
 	}
-	b.migrate(b.kickPage, 4096, node)
+	b.migrate(b.kickPage, b.d.AS.PageBytes, node)
+}
+
+// lead takes the request just submitted and returns once the worker has
+// prepared it and decided its completion mode. The first of requests
+// queued together on an idle channel would take the interrupt (serveReq);
+// r was alone in the queues, so it polls, and the requests submitted next
+// are prepared while its transfer holds the channel, so they poll too.
+func (b *burst) lead(r *uapi.MovReq) *uapi.MovReq {
+	b.t.Helper()
+	b.waitFor("the lead request prepared", func() bool { return r.CopyStart != 0 })
+	return r
 }
 
 func (b *burst) submit(r *uapi.MovReq) *uapi.MovReq {
@@ -97,7 +109,7 @@ func (b *burst) audit() {
 		b.d.FreeRequest(b.p, r)
 	}
 	b.retrieved, b.submitted = nil, 0
-	auditQuiesced(b.t, b.d, b.p, b.pages, 4096)
+	auditQuiesced(b.t, b.d, b.p, b.pages, b.d.AS.PageBytes)
 }
 
 // waitFor spins the application in 100 ns steps until cond holds.
@@ -241,13 +253,13 @@ func TestRecoverAbortsQueuedTransfer(t *testing.T) {
 	m.Eng.Spawn("app", func(p *sim.Proc) {
 		defer d.Close()
 		// 120 pages copy for ~100 µs; a 4-page migration is prepared and
-		// started well inside that.
+		// started well inside that, so it polls too.
 		const big, small = 120 * 4096, 4 * 4096
 		b := newBurst(t, d, p)
 		src, dst := b.mmap(big, hw.NodeSlow), b.mmap(big, hw.NodeFast)
 		region := b.mmap(small, hw.NodeSlow)
 		b.kick()
-		head := b.replicate(src, dst, big)
+		head := b.lead(b.replicate(src, dst, big))
 		victim := b.migrate(region, small, hw.NodeFast)
 		b.waitFor("victim queued behind the head", func() bool {
 			return len(d.pipe) == 2 && d.pipe[1].get().last().State() == dma.StateQueued
@@ -287,7 +299,7 @@ func TestRecoverAbortsHeadDuringPrepareOfNext(t *testing.T) {
 		b := newBurst(t, d, p)
 		regA, regB := b.mmap(n, hw.NodeSlow), b.mmap(n, hw.NodeSlow)
 		b.kick()
-		head := b.migrate(regA, n, hw.NodeFast)
+		head := b.lead(b.migrate(regA, n, hw.NodeFast))
 		next := b.migrate(regB, n, hw.NodeFast)
 		b.waitFor("head active, next in prepare", func() bool {
 			return len(d.pipe) == 1 && d.pipe[0].get().req == head &&
@@ -309,6 +321,60 @@ func TestRecoverAbortsHeadDuringPrepareOfNext(t *testing.T) {
 	m.Eng.Run()
 }
 
+// The same write on the interrupt path under load: head and next are
+// queued together, so the worker finds next waiting on an idle channel
+// and arms head's interrupt instead of polling it. The handler drops
+// head's active transfer while the worker prepares next; the interrupt
+// is never delivered, head completes once, as aborted, and next is
+// unaffected.
+func TestRecoverAbortsInterruptUnderLoad(t *testing.T) {
+	opts := DefaultOptions()
+	opts.RaceMode = RaceRecover
+	m, d := newRig(t, opts)
+	var headInf infRef
+	m.Eng.Spawn("app", func(p *sim.Proc) {
+		defer d.Close()
+		const n = 64 * 4096
+		b := newBurst(t, d, p)
+		regA, regB := b.mmap(n, hw.NodeSlow), b.mmap(n, hw.NodeSlow)
+		b.kick()
+		head := b.migrate(regA, n, hw.NodeFast)
+		next := b.migrate(regB, n, hw.NodeFast)
+		d.subStarted = func(inf *inflight) {
+			if inf.req == head {
+				headInf = inf.ref()
+			}
+		}
+		b.waitFor("head active on its interrupt, next in prepare", func() bool {
+			inf := headInf.inf // read only while the record is head's
+			return inf != nil && inf.gen == headInf.gen && inf.irqGen != 0 &&
+				inf.last().State() == dma.StateActive &&
+				next.Status == uapi.StatusInFlight
+		})
+		if len(d.pipe) != 0 {
+			t.Fatalf("head is in the polled pipeline")
+		}
+		if err := d.AS.Write(p, regA+4096, []byte{1}); err != nil {
+			t.Fatal(err)
+		}
+		if next.CopyStart != 0 {
+			t.Fatalf("next request left prepare before the write landed")
+		}
+		b.wait()
+		if head.Err != uapi.ErrAborted || next.Err != uapi.ErrNone {
+			t.Errorf("head %v, next %v; want aborted, ok", head.Err, next.Err)
+		}
+		b.audit()
+	})
+	m.Eng.Run()
+	if d.Stats().Recovered != 1 || m.DMA.Stats().Aborts != 1 {
+		t.Errorf("recovered %d, engine aborts %d", d.Stats().Recovered, m.DMA.Stats().Aborts)
+	}
+	if irqs := m.DMA.Stats().IRQs; irqs != 1 {
+		t.Errorf("IRQs = %d, want only the kick's: an aborted transfer delivers none", irqs)
+	}
+}
+
 // Close with both pipeline stages occupied and more requests queued: the
 // worker drains everything before it exits.
 func TestCloseWithPipelineOccupied(t *testing.T) {
@@ -321,7 +387,8 @@ func TestCloseWithPipelineOccupied(t *testing.T) {
 			srcs[i], dsts[i] = b.mmap(n, hw.NodeSlow), b.mmap(n, hw.NodeFast)
 		}
 		b.kick()
-		for i := range srcs {
+		b.lead(b.replicate(srcs[0], dsts[0], n))
+		for i := 1; i < len(srcs); i++ {
 			b.replicate(srcs[i], dsts[i], n)
 		}
 		b.waitFor("pipeline two deep", func() bool { return len(d.pipe) == pipeDepth })
@@ -345,6 +412,8 @@ func TestCloseWithPipelineOccupied(t *testing.T) {
 // Background train queues and the younger Foreground request, started
 // later, bypasses it. The worker reaps whichever entry has finished; it
 // does not hold the younger notification back behind the older request.
+// Both are prepared while the sibling holds the channel, so the worker
+// polls both; with an idle channel the older would take the interrupt.
 func TestReapsOutOfOrder(t *testing.T) {
 	m, d := newRig(t, DefaultOptions())
 	hog := hogChannel(t, m)
@@ -383,17 +452,24 @@ func TestReapsOutOfOrder(t *testing.T) {
 	if m.DMA.Stats().PriorityBypasses == 0 {
 		t.Error("the younger transfer never bypassed the older train")
 	}
+	if irqs := m.DMA.Stats().IRQs; irqs != 2 {
+		t.Errorf("IRQs = %d, want the kick's and the sibling's only", irqs)
+	}
 }
 
 // Requests above the chain cap on the polled path (PollThresholdBytes
 // raised above them): each moves as a train of three sub-transfers, the
-// next request is prepared under the last one, and every byte lands.
+// next request is prepared under the last one, and every byte lands. The
+// pages are 64 KiB, so a sub-transfer's copy (two pages, 24.7 µs) outlasts
+// its descriptor writes and the next request's prepare: the worker finds
+// the channel busy and polls every request behind the lead.
 func TestMultiBatchPolledPipeline(t *testing.T) {
 	opts := DefaultOptions()
 	opts.PollThresholdBytes = 4 << 20
-	m, d := newRig(t, opts)
-	d.maxChain = 32
-	const n = 80 * 4096 // 3 sub-transfers: 32+32+16
+	m := machine.New(hw.KeyStoneII())
+	d := Open(m, m.NewAddressSpace(hw.Page64K), opts)
+	d.maxChain = 2
+	const n = 5 * hw.Page64K // 3 sub-transfers: 2+2+1
 	m.Eng.Spawn("app", func(p *sim.Proc) {
 		defer d.Close()
 		b := newBurst(t, d, p)
@@ -403,7 +479,8 @@ func TestMultiBatchPolledPipeline(t *testing.T) {
 			fill(t, d, p, srcs[i], n, byte(20+i))
 		}
 		b.kick()
-		for i := range srcs {
+		b.lead(b.replicate(srcs[0], dsts[0], n))
+		for i := 1; i < len(srcs); i++ {
 			b.replicate(srcs[i], dsts[i], n)
 		}
 		b.audit()

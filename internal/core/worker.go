@@ -35,7 +35,10 @@ const channelQuantum = 64 << 10
 //
 // As a schedulable kernel context it can sleep, which is what permits the
 // polling completion mode for small transfers; and it runs on a core of
-// its own, shielding the application from the driver's CPU work.
+// its own, shielding the application from the driver's CPU work. It polls
+// a small transfer only where polling costs no bandwidth; with work
+// waiting on an idle channel the request takes the interrupt instead
+// (serveReq has the rule).
 //
 // Polled requests form a two-stage software pipeline, NAPI-style: the
 // worker polls between requests while there is work and never sleeps on

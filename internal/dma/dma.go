@@ -498,6 +498,11 @@ func (e *Engine) Abort(t *Transfer) {
 	}
 }
 
+// Idle reports whether the channel has no active transfer. A transfer
+// queued behind the active one starts the instant it ends, so the channel
+// is idle only when nothing is on it at all.
+func (e *Engine) Idle() bool { return e.active == nil }
+
 // FreeSlots reports how many descriptor slots are currently unclaimed.
 func (e *Engine) FreeSlots() int {
 	n := 0
