@@ -10,9 +10,10 @@
 // shipped off-box.
 //
 // The package deliberately knows nothing about what it measures. The
-// realtime device, the swap daemon and the streaming runtime each define
-// their own metric sets on these primitives and expose typed snapshot
-// accessors (e.g. realtime.Device.Stats).
+// realtime device defines its metric set on these primitives and exposes
+// a typed snapshot accessor (realtime.Device.Stats). The swap daemon and
+// the streaming runtime run on the simulator, one process at a time:
+// they count in plain int64s and borrow only Histogram.
 package obs
 
 import (
@@ -24,33 +25,20 @@ import (
 // Counter is a monotonically increasing lock-free counter.
 type Counter struct{ v atomic.Int64 }
 
-// Add increments the counter by n.
-func (c *Counter) Add(n int64) { c.v.Add(n) }
-
 // Inc increments the counter by one.
 func (c *Counter) Inc() { c.v.Add(1) }
 
 // Load returns the current value.
 func (c *Counter) Load() int64 { return c.v.Load() }
 
-// Gauge is a lock-free level gauge tracking both the current value
-// (the last sample, via Set/Current) and the high watermark (the
-// largest sample ever, via Load). Used for queue depths: the watermark
-// says how deep a queue has ever been, the current value what it holds
-// right now.
-type Gauge struct{ cur, max atomic.Int64 }
+// Gauge is a lock-free high-watermark gauge: the largest sample ever
+// observed. Used for queue depths, where it says how deep a queue has
+// ever been.
+type Gauge struct{ max atomic.Int64 }
 
-// Set records v as the current value, keeping the high watermark.
-func (g *Gauge) Set(v int64) {
-	g.cur.Store(v)
-	g.Observe(v)
-}
-
-// Observe records a sample for the watermark only — the hot-path
-// variant: below the current maximum it costs one atomic load and no
-// store, so per-request call sites stay contention-free. Use Set where
-// the current value matters (Current is only meaningful on gauges fed
-// through Set).
+// Observe records a sample: below the current maximum it costs one
+// atomic load and no store, so per-request call sites stay
+// contention-free.
 func (g *Gauge) Observe(v int64) {
 	for {
 		m := g.max.Load()
@@ -59,9 +47,6 @@ func (g *Gauge) Observe(v int64) {
 		}
 	}
 }
-
-// Current returns the last value set.
-func (g *Gauge) Current() int64 { return g.cur.Load() }
 
 // Load returns the high watermark.
 func (g *Gauge) Load() int64 { return g.max.Load() }

@@ -120,23 +120,17 @@ func TestQuantileEmptyAndEdges(t *testing.T) {
 	}
 }
 
-func TestGaugeCurrentAndWatermark(t *testing.T) {
+func TestGaugeWatermark(t *testing.T) {
 	var g Gauge
-	g.Set(10)
-	g.Set(50)
-	g.Set(3)
-	if cur := g.Current(); cur != 3 {
-		t.Errorf("Current() = %d, want 3 (last set)", cur)
+	for _, v := range []int64{10, 50, 3} {
+		g.Observe(v)
 	}
 	if hw := g.Load(); hw != 50 {
 		t.Errorf("Load() = %d, want watermark 50", hw)
 	}
-	g.Set(-1)
-	if cur := g.Current(); cur != -1 {
-		t.Errorf("Current() = %d, want -1", cur)
-	}
+	g.Observe(-1)
 	if hw := g.Load(); hw != 50 {
-		t.Errorf("Load() = %d after lower Set, want 50", hw)
+		t.Errorf("Load() = %d after a lower sample, want 50", hw)
 	}
 }
 

@@ -1,10 +1,6 @@
 package streamrt
 
-import (
-	"fmt"
-
-	"memif/internal/obs"
-)
+import "fmt"
 
 // creditLedger is one stream's backpressure account.
 //
@@ -20,14 +16,15 @@ import (
 // round-robin grant pass divides leftover ring capacity by credit
 // share.
 //
-// Invariants (checked in take/put, property-tested in credits_test):
+// Invariants (checked in take/put, property-tested by
+// TestCreditInvariantsProperty):
 //
 //	0 <= inFlight <= total
 //	available() == total - inFlight
 //	granted - returned == inFlight   (conservation)
 //
-// The ints are only mutated from sim procs (cooperatively scheduled);
-// the gauges mirror them for cross-goroutine scrapes.
+// Like the engine's state, the ledger is read and written from sim
+// procs, or read after sim.Engine.Run returns.
 type creditLedger struct {
 	total    int
 	inFlight int
@@ -35,9 +32,6 @@ type creditLedger struct {
 	// granted/returned are cumulative, for conservation checks and the
 	// per-stream snapshot.
 	granted, returned int64
-
-	// inFlightG mirrors inFlight for lock-free Snapshot reads.
-	inFlightG obs.Gauge
 }
 
 func newCreditLedger(total int) creditLedger {
@@ -54,7 +48,6 @@ func (c *creditLedger) take() {
 	if c.inFlight > c.total {
 		panic(fmt.Sprintf("streamrt: credit overdraft: in-flight %d > total %d", c.inFlight, c.total))
 	}
-	c.inFlightG.Set(int64(c.inFlight))
 }
 
 // put returns one credit on consume/failure/close.
@@ -64,5 +57,4 @@ func (c *creditLedger) put() {
 	if c.inFlight < 0 {
 		panic(fmt.Sprintf("streamrt: credit double-return: in-flight %d", c.inFlight))
 	}
-	c.inFlightG.Set(int64(c.inFlight))
 }

@@ -3,10 +3,8 @@ package streamrt
 import (
 	"errors"
 	"fmt"
-	"sync"
 
 	"memif/internal/core"
-	"memif/internal/obs"
 	"memif/internal/obs/lifecycle"
 	"memif/internal/sim"
 	"memif/internal/uapi"
@@ -55,8 +53,10 @@ func DefaultEngineOptions() EngineOptions {
 // concurrent Stream handles. Buffers are mmap'd once at OpenEngine and
 // recycled across streams until Close — never carved per run.
 //
-// Engine methods must be called from sim procs (any proc; streams
-// commonly run on one proc each). Snapshot alone is goroutine-safe.
+// Engine methods, Snapshot included, are called from a sim proc (any
+// proc; streams commonly run on one proc each), or after sim.Engine.Run
+// returns: the sim runs one process at a time, so the streams share the
+// engine with no lock.
 type Engine struct {
 	d    *core.Device
 	opts EngineOptions
@@ -65,18 +65,17 @@ type Engine struct {
 	bufChunk []int64 // chunk index a granted buffer is being filled with
 	freeBufs []int   // free ring slots (LIFO)
 
-	// Registry of live streams (open, or closed with fills draining).
-	// mu guards it against concurrent Snapshot; sim procs serialize
-	// among themselves.
-	mu          sync.Mutex
-	byID        map[int]*Stream
-	order       []*Stream // round-robin grant order
-	streamNames []string  // indexed by stream id, all streams ever opened
-	nextID      int
-	openCount   int
-	rr          int
+	// streams holds every stream ever opened, indexed by id; order the
+	// registered ones (open, or closed with fills draining) in
+	// round-robin grant order.
+	streams   []*Stream
+	order     []*Stream
+	openCount int
+	rr        int
 
-	outstanding int // fills submitted, completion not yet retrieved
+	outstanding int   // fills submitted, completion not yet retrieved
+	bufMmaps    int64 // ring mmaps ever made
+	fillBatches int64 // SubmitBatch flushes of fill grants
 
 	closed bool
 	err    error // sticky engine-fatal error (submit failure)
@@ -84,16 +83,6 @@ type Engine struct {
 	// rec records every fill, one tenant row per stream: the stream's
 	// stage spans and its outlier lane.
 	rec *lifecycle.Recorder
-
-	// Lock-free mirrors for Snapshot.
-	bufMmaps                     obs.Counter
-	fills, fillBatches           obs.Counter
-	fastChunks, slowChunks       obs.Counter
-	bytesPrefetched              obs.Counter
-	stalls                       obs.Counter
-	streamsOpened, streamsClosed obs.Counter
-	freeBufsG, outstandingG      obs.Gauge
-	openG                        obs.Gauge
 }
 
 // OpenEngine carves the buffer ring out of the fast node and returns
@@ -112,7 +101,6 @@ func OpenEngine(p *sim.Proc, d *core.Device, opts EngineOptions) (*Engine, error
 		bufs:     make([]int64, opts.NumBufs),
 		bufChunk: make([]int64, opts.NumBufs),
 		freeBufs: make([]int, 0, opts.NumBufs),
-		byID:     make(map[int]*Stream),
 	}
 	// Virtual clock: no SLO burn windows, no watchdog (the swapd
 	// convention).
@@ -126,10 +114,9 @@ func OpenEngine(p *sim.Proc, d *core.Device, opts EngineOptions) (*Engine, error
 			return nil, fmt.Errorf("streamrt: carving ring buffer %d: %w", i, err)
 		}
 		e.bufs[i] = b
-		e.bufMmaps.Inc()
+		e.bufMmaps++
 		e.freeBufs = append(e.freeBufs, i)
 	}
-	e.freeBufsG.Set(int64(len(e.freeBufs)))
 	return e, nil
 }
 
@@ -153,8 +140,7 @@ func (e *Engine) OpenStream(p *sim.Proc, spec StreamSpec) (*Stream, error) {
 	if e.openCount >= maxStreams {
 		return nil, fmt.Errorf("%w: engine at its stream cap (%d)", ErrBadStream, maxStreams)
 	}
-	id := e.nextID
-	e.nextID++
+	id := len(e.streams)
 	name := spec.Name
 	if name == "" {
 		name = fmt.Sprintf("stream-%d", id)
@@ -169,29 +155,20 @@ func (e *Engine) OpenStream(p *sim.Proc, spec StreamSpec) (*Stream, error) {
 		openedAt: p.Now(),
 	}
 	e.rec.EnsureTenants(id + 1)
-	e.mu.Lock()
-	e.byID[id] = s
+	e.streams = append(e.streams, s)
 	e.order = append(e.order, s)
-	e.streamNames = append(e.streamNames, name)
-	e.mu.Unlock()
 	e.openCount++
-	e.openG.Set(int64(e.openCount))
-	e.streamsOpened.Inc()
 	e.refill(p)
 	return s, nil
 }
 
 // releaseBuf returns a ring slot to the free list.
-func (e *Engine) releaseBuf(buf int) {
-	e.freeBufs = append(e.freeBufs, buf)
-	e.freeBufsG.Set(int64(len(e.freeBufs)))
-}
+func (e *Engine) releaseBuf(buf int) { e.freeBufs = append(e.freeBufs, buf) }
 
 // popBuf takes a ring slot off the free list (caller checked len > 0).
 func (e *Engine) popBuf() int {
 	buf := e.freeBufs[len(e.freeBufs)-1]
 	e.freeBufs = e.freeBufs[:len(e.freeBufs)-1]
-	e.freeBufsG.Set(int64(len(e.freeBufs)))
 	return buf
 }
 
@@ -199,7 +176,6 @@ func (e *Engine) popBuf() int {
 // flight, and re-offer whatever capacity it released.
 func (e *Engine) streamClosed(p *sim.Proc, s *Stream) {
 	e.openCount--
-	e.openG.Set(int64(e.openCount))
 	if s.credits.inFlight == 0 {
 		e.retire(s)
 	}
@@ -210,16 +186,12 @@ func (e *Engine) streamClosed(p *sim.Proc, s *Stream) {
 
 // retire removes a fully drained, closed stream from the registry.
 func (e *Engine) retire(s *Stream) {
-	e.mu.Lock()
-	delete(e.byID, s.id)
 	for i, x := range e.order {
 		if x == s {
 			e.order = append(e.order[:i], e.order[i+1:]...)
 			break
 		}
 	}
-	e.mu.Unlock()
-	e.streamsClosed.Inc()
 }
 
 // cookie packs (stream id, ring slot) into a fill request's cookie.
@@ -244,15 +216,14 @@ func (e *Engine) drain(p *sim.Proc) {
 		lc.Nano = lc.TS[lifecycle.StageCompleted]
 		e.d.FreeRequest(p, r) // yields; r is dead past this point
 
-		sid, buf := int(ck>>32), int(uint32(ck))
+		// A fill holds its stream's credit until here, so its stream
+		// cannot have retired.
+		s, buf := e.streams[ck>>32], int(uint32(ck))
 		e.outstanding--
-		e.outstandingG.Set(int64(e.outstanding))
-		s := e.byID[sid]
 
-		if ok && s != nil {
+		if ok {
 			s.fillLatency.Observe(lc.LatencyNs)
-			s.bytesPrefetched.Add(lc.Bytes)
-			e.bytesPrefetched.Add(lc.Bytes)
+			s.bytesPrefetched += lc.Bytes
 			// One (class, tenant) lane per stream: a breach lets
 			// /debug/outliers attribute the slow fill to staging wait,
 			// dispatch wait, copy time or completion dwell.
@@ -262,12 +233,8 @@ func (e *Engine) drain(p *sim.Proc) {
 		}
 
 		switch {
-		case s == nil:
-			// Stream already retired (or unknown): recycle the slot.
-			e.releaseBuf(buf)
-			freed = true
 		case !ok:
-			s.fillFailures.Inc()
+			s.fillFailures++
 			s.fail(fmt.Errorf("streamrt: fill failed: %s", errCode))
 			s.credits.put()
 			e.releaseBuf(buf)
@@ -337,8 +304,6 @@ func (e *Engine) refill(p *sim.Proc) {
 			r.Length = e.opts.BufBytes
 			r.Class = s.spec.Class
 			r.Cookie = cookie(s.id, buf)
-			s.fills.Inc()
-			e.fills.Inc()
 			batch = append(batch, r)
 			progress = true
 		}
@@ -347,9 +312,8 @@ func (e *Engine) refill(p *sim.Proc) {
 	if len(batch) == 0 {
 		return
 	}
-	e.fillBatches.Inc()
+	e.fillBatches++
 	e.outstanding += len(batch)
-	e.outstandingG.Set(int64(e.outstanding))
 	if err := e.d.SubmitBatch(p, batch); err != nil && e.err == nil {
 		e.err = fmt.Errorf("streamrt: submitting fill batch: %w", err)
 	}
@@ -363,10 +327,7 @@ func (e *Engine) Close(p *sim.Proc) {
 		return
 	}
 	e.closed = true
-	e.mu.Lock()
-	live := append([]*Stream(nil), e.order...)
-	e.mu.Unlock()
-	for _, s := range live {
+	for _, s := range append([]*Stream(nil), e.order...) { // Close may retire s
 		s.Close(p)
 	}
 	for e.outstanding > 0 {
@@ -379,33 +340,33 @@ func (e *Engine) Close(p *sim.Proc) {
 		_ = e.d.AS.Munmap(p, b)
 	}
 	e.freeBufs = e.freeBufs[:0]
-	e.freeBufsG.Set(0)
 }
 
 // Snapshot captures the engine state: ring occupancy, engine totals,
-// per-stream stats and the flight view. Safe from any goroutine.
+// per-stream stats and the flight view. The totals sum every stream
+// ever opened, so closed streams keep contributing.
 func (e *Engine) Snapshot() EngineSnapshot {
 	es := EngineSnapshot{
-		RingBufs:        e.opts.NumBufs,
-		BufBytes:        e.opts.BufBytes,
-		FreeBufs:        int(e.freeBufsG.Current()),
-		BufMmaps:        e.bufMmaps.Load(),
-		OpenStreams:     int(e.openG.Current()),
-		StreamsOpened:   e.streamsOpened.Load(),
-		StreamsClosed:   e.streamsClosed.Load(),
-		Fills:           e.fills.Load(),
-		FillBatches:     e.fillBatches.Load(),
-		FastChunks:      e.fastChunks.Load(),
-		SlowChunks:      e.slowChunks.Load(),
-		BytesPrefetched: e.bytesPrefetched.Load(),
-		Stalls:          e.stalls.Load(),
+		RingBufs:      e.opts.NumBufs,
+		BufBytes:      e.opts.BufBytes,
+		FreeBufs:      len(e.freeBufs),
+		BufMmaps:      e.bufMmaps,
+		OpenStreams:   e.openCount,
+		StreamsOpened: int64(len(e.streams)),
+		StreamsClosed: int64(len(e.streams) - len(e.order)),
+		FillBatches:   e.fillBatches,
 	}
-	e.mu.Lock()
+	for _, s := range e.streams {
+		es.StreamNames = append(es.StreamNames, s.name)
+		es.Fills += s.credits.granted
+		es.FastChunks += s.fastChunks
+		es.SlowChunks += s.slowChunks
+		es.BytesPrefetched += s.bytesPrefetched
+		es.Stalls += s.stalls
+	}
 	for _, s := range e.order {
 		es.Streams = append(es.Streams, s.Stats())
 	}
-	es.StreamNames = append([]string(nil), e.streamNames...)
-	e.mu.Unlock()
 	es.Flight = e.rec.FlightSnapshot() // zero when disabled
 	return es
 }

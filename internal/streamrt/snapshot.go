@@ -5,8 +5,8 @@ import (
 	"memif/internal/obs/lifecycle"
 )
 
-// StreamStats is a point-in-time copy of one stream's counters, safe to
-// take from any goroutine.
+// StreamStats is a point-in-time copy of one stream's counters
+// (Stream.Stats: from a sim proc, or after sim.Engine.Run returns).
 type StreamStats struct {
 	// ID and Name identify the stream within its engine.
 	ID   int
@@ -51,7 +51,8 @@ type StreamStats struct {
 // EngineSnapshot is a point-in-time copy of a StreamEngine's state:
 // ring occupancy, engine-wide totals, per-stream stats for every stream
 // still registered (open, or closed with fills draining), and the
-// flight-recorder view. Safe to take from any goroutine (scrape path).
+// flight-recorder view (Engine.Snapshot: from a sim proc, or after
+// sim.Engine.Run returns).
 type EngineSnapshot struct {
 	// RingBufs / BufBytes echo the engine geometry; FreeBufs is the
 	// current free-buffer count; BufMmaps counts mmap calls the engine

@@ -87,10 +87,10 @@ type readyFill struct {
 
 // Stream is one open stream: a cursor over [Base, Base+Length) whose
 // chunks arrive either zero-copy through the engine's ring (fast path)
-// or straight from the slow node (never-stall fallback). Handles are
-// not goroutine-safe — drive each stream from one sim proc — but any
-// number of streams multiplex over one engine concurrently, and Stats
-// may be read from any goroutine.
+// or straight from the slow node (never-stall fallback). Drive each
+// stream from one sim proc; any number of streams multiplex over one
+// engine. Like the engine's, its methods are called from a sim proc, or
+// after sim.Engine.Run returns.
 type Stream struct {
 	eng  *Engine
 	id   int
@@ -111,21 +111,19 @@ type Stream struct {
 	openedAt sim.Time
 	doneAt   sim.Time
 
-	// Counters are obs primitives so Stats/Snapshot can read them from
-	// the scrape goroutine while the stream runs.
-	fastChunks, slowChunks obs.Counter
-	bytesPrefetched        obs.Counter
-	fills, fillFailures    obs.Counter
-	tailWaits, stalls      obs.Counter
+	// The stream's counters; its fills are credits.granted.
+	fastChunks, slowChunks int64
+	bytesPrefetched        int64
+	fillFailures           int64
+	tailWaits, stalls      int64
 	fillLatency            obs.Histogram
-	closedG, doneG         obs.Gauge
 }
 
 // Name returns the stream's metric label.
 func (s *Stream) Name() string { return s.name }
 
 // Done reports whether every chunk has been consumed.
-func (s *Stream) Done() bool { return s.doneG.Current() != 0 }
+func (s *Stream) Done() bool { return s.consumed >= s.chunks }
 
 // Err returns the stream's sticky failure, if any.
 func (s *Stream) Err() error { return s.failed }
@@ -134,8 +132,7 @@ func (s *Stream) Err() error { return s.failed }
 // consumed so far.
 func (s *Stream) Checksum() uint64 { return s.acc }
 
-// Stats snapshots the stream's counters. Safe from any goroutine; valid
-// after Close.
+// Stats snapshots the stream's counters; valid after Close.
 func (s *Stream) Stats() StreamStats {
 	return StreamStats{
 		ID:              s.id,
@@ -145,18 +142,18 @@ func (s *Stream) Stats() StreamStats {
 		Bytes:           s.spec.Length,
 		Chunks:          s.chunks,
 		Credits:         s.credits.total,
-		CreditsInFlight: int(s.credits.inFlightG.Current()),
-		CreditsGranted:  s.fills.Load(),
-		CreditsReturned: s.fills.Load() - s.credits.inFlightG.Current(),
-		FastChunks:      s.fastChunks.Load(),
-		SlowChunks:      s.slowChunks.Load(),
-		BytesPrefetched: s.bytesPrefetched.Load(),
-		Fills:           s.fills.Load(),
-		FillFailures:    s.fillFailures.Load(),
-		TailWaits:       s.tailWaits.Load(),
-		Stalls:          s.stalls.Load(),
-		Closed:          s.closedG.Current() != 0,
-		Done:            s.doneG.Current() != 0,
+		CreditsInFlight: s.credits.inFlight,
+		CreditsGranted:  s.credits.granted,
+		CreditsReturned: s.credits.returned,
+		FastChunks:      s.fastChunks,
+		SlowChunks:      s.slowChunks,
+		BytesPrefetched: s.bytesPrefetched,
+		Fills:           s.credits.granted,
+		FillFailures:    s.fillFailures,
+		TailWaits:       s.tailWaits,
+		Stalls:          s.stalls,
+		Closed:          s.closed,
+		Done:            s.Done(),
 		FillLatency:     s.fillLatency.Snapshot(),
 		Stages:          s.eng.rec.TenantSpans(s.id),
 	}
@@ -199,8 +196,7 @@ func (s *Stream) Consume(p *sim.Proc) (done bool, err error) {
 			}
 			s.acc = acc
 			s.consumed++
-			s.fastChunks.Inc()
-			e.fastChunks.Inc()
+			s.fastChunks++
 			e.refill(p)
 			return s.finishChunk(p), e.err
 		}
@@ -217,8 +213,7 @@ func (s *Stream) Consume(p *sim.Proc) (done bool, err error) {
 			}
 			s.acc = acc
 			s.consumed++
-			s.slowChunks.Inc()
-			e.slowChunks.Inc()
+			s.slowChunks++
 			return s.finishChunk(p), nil
 		}
 
@@ -227,8 +222,7 @@ func (s *Stream) Consume(p *sim.Proc) (done bool, err error) {
 		// a runtime bug, counted as a stall (gated to zero in the tests
 		// and by the benchmark's sim_streams check).
 		if s.credits.inFlight == 0 {
-			s.stalls.Inc()
-			e.stalls.Inc()
+			s.stalls++
 			err := fmt.Errorf("streamrt: stream %d (%s) stuck with no outstanding fills", s.id, s.name)
 			s.fail(err)
 			return false, err
@@ -237,7 +231,7 @@ func (s *Stream) Consume(p *sim.Proc) (done bool, err error) {
 		// by a sibling stream's proc (which appends to s.ready) is
 		// picked up at the next quantum even though no new device
 		// notification will arrive for it.
-		s.tailWaits.Inc()
+		s.tailWaits++
 		e.d.Poll(p, tailPollQuantumNS)
 	}
 }
@@ -248,7 +242,6 @@ func (s *Stream) finishChunk(p *sim.Proc) bool {
 		return false
 	}
 	s.doneAt = p.Now()
-	s.doneG.Set(1)
 	return true
 }
 
@@ -278,8 +271,8 @@ func (s *Stream) Run(p *sim.Proc) (Result, error) {
 		Bytes:         s.spec.Length,
 		Elapsed:       elapsed,
 		ThroughputMBs: stats.ThroughputMBs(s.spec.Length, elapsed),
-		FastChunks:    s.fastChunks.Load(),
-		SlowChunks:    s.slowChunks.Load(),
+		FastChunks:    s.fastChunks,
+		SlowChunks:    s.slowChunks,
 		Checksum:      s.acc,
 	}
 	s.Close(p)
@@ -295,7 +288,6 @@ func (s *Stream) Close(p *sim.Proc) {
 		return
 	}
 	s.closed = true
-	s.closedG.Set(1)
 	e := s.eng
 	for _, rf := range s.ready {
 		e.releaseBuf(rf.buf)

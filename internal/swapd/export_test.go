@@ -5,12 +5,14 @@ package swapd
 // DemotionLog returns the region bases in demotion-submission order —
 // the replay-stability assertion surface for the seeded scheduler.
 func (d *Daemon) DemotionLog() []int64 {
-	d.mu.Lock()
-	defer d.mu.Unlock()
 	out := make([]int64, len(d.demotionLog))
 	copy(out, d.demotionLog)
 	return out
 }
+
+// Outstanding reports how many tiering migrations are submitted and
+// not yet retrieved.
+func (d *Daemon) Outstanding() int { return d.outstanding }
 
 // Audit verifies the daemon device's request-conservation invariant.
 // Call after the daemon has exited (post engine run): every request slot

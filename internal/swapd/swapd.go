@@ -26,7 +26,6 @@ package swapd
 
 import (
 	"sort"
-	"sync"
 
 	"memif/internal/core"
 	"memif/internal/hw"
@@ -111,14 +110,14 @@ type region struct {
 	migrating    bool     // a tiering request for this region is in flight
 }
 
-// metrics is the daemon's obs instrument set: the MetricsSnapshot
+// metrics is the daemon's instrument set: the MetricsSnapshot
 // counters, a migration latency histogram (virtual ns, submission to
 // completion), a per-migration byte histogram, the promotion-lag
 // histogram (region turning hot → promotion committed). The per-stage
 // spans live in the daemon's recorder.
 type metrics struct {
-	promotions, demotions, zeroCopy, aborts, failed obs.Counter
-	bytesPromoted, bytesDemoted, bytesMoved         obs.Counter
+	promotions, demotions, zeroCopy, aborts, failed int64
+	bytesPromoted, bytesDemoted, bytesMoved         int64
 	latency, sizes, promoLag                        obs.Histogram
 }
 
@@ -152,15 +151,15 @@ type MetricsSnapshot struct {
 	Flight lifecycle.FlightSnapshot
 }
 
-// Daemon is the tiering engine.
+// Daemon is the tiering engine. Its methods, Metrics included, are
+// called from a sim proc, or after sim.Engine.Run returns: the
+// simulator runs one process at a time, so the daemon process and the
+// application's Register/Unregister/Touch/Stop share its state with no
+// lock.
 type Daemon struct {
 	dev *core.Device // the daemon's own memif device
 	pol policy
 
-	// mu guards regions, stop, outstanding, pendingDelta, and the
-	// demotion log against Register/Unregister/Touch/Stop racing the
-	// daemon process.
-	mu          sync.Mutex
 	regions     map[int64]*region
 	stop        bool
 	outstanding int
@@ -195,15 +194,11 @@ func New(app *core.Device, opts Options) *Daemon {
 
 // Register adds a tiering candidate covering [base, base+length).
 func (d *Daemon) Register(base, length int64) {
-	d.mu.Lock()
-	defer d.mu.Unlock()
 	d.regions[base] = &region{base: base, length: length}
 }
 
 // Unregister removes a candidate (e.g. before unmapping it).
 func (d *Daemon) Unregister(base int64) {
-	d.mu.Lock()
-	defer d.mu.Unlock()
 	delete(d.regions, base)
 }
 
@@ -212,8 +207,6 @@ func (d *Daemon) Unregister(base int64) {
 // alongside the access-bit scan. A touch counts as a fully referenced
 // scan sample.
 func (d *Daemon) Touch(base int64, now sim.Time) {
-	d.mu.Lock()
-	defer d.mu.Unlock()
 	r, ok := d.regions[base]
 	if !ok {
 		return
@@ -224,7 +217,7 @@ func (d *Daemon) Touch(base int64, now sim.Time) {
 
 // observeHeat folds one scan sample — the referenced fraction of the
 // sampled pages, 0..1 — into the region's heat EWMA at now, stamping
-// hotSince when the region turns hot. The caller holds the daemon's mu.
+// hotSince when the region turns hot.
 func (r *region) observeHeat(sample float64, now sim.Time) {
 	was := r.heat
 	r.heat = heatDecay*r.heat + (1-heatDecay)*sample
@@ -237,24 +230,20 @@ func (r *region) observeHeat(sample float64, now sim.Time) {
 // in-flight migration before exiting and closing its device, so no
 // request is ever leaked — Audit stays clean even when Stop races a
 // migration storm.
-func (d *Daemon) Stop() {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	d.stop = true
-}
+func (d *Daemon) Stop() { d.stop = true }
 
 // Metrics returns the daemon's snapshot: counters, histograms, stage
 // spans and the flight recorder.
 func (d *Daemon) Metrics() MetricsSnapshot {
 	return MetricsSnapshot{
-		Promotions:        d.m.promotions.Load(),
-		Demotions:         d.m.demotions.Load(),
-		ZeroCopyDemotions: d.m.zeroCopy.Load(),
-		Aborts:            d.m.aborts.Load(),
-		Failed:            d.m.failed.Load(),
-		BytesPromoted:     d.m.bytesPromoted.Load(),
-		BytesDemoted:      d.m.bytesDemoted.Load(),
-		BytesMoved:        d.m.bytesMoved.Load(),
+		Promotions:        d.m.promotions,
+		Demotions:         d.m.demotions,
+		ZeroCopyDemotions: d.m.zeroCopy,
+		Aborts:            d.m.aborts,
+		Failed:            d.m.failed,
+		BytesPromoted:     d.m.bytesPromoted,
+		BytesDemoted:      d.m.bytesDemoted,
+		BytesMoved:        d.m.bytesMoved,
 		Latency:           d.m.latency.Snapshot(),
 		Sizes:             d.m.sizes.Snapshot(),
 		PromotionLag:      d.m.promoLag.Snapshot(),
@@ -263,25 +252,11 @@ func (d *Daemon) Metrics() MetricsSnapshot {
 	}
 }
 
-// Outstanding reports how many tiering migrations are submitted and
-// not yet retrieved.
-func (d *Daemon) Outstanding() int {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	return d.outstanding
-}
-
-// stopping reports whether Stop was called.
-func (d *Daemon) stopping() bool {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	return d.stop
-}
-
-// usage returns the fast node's used fraction.
-func (d *Daemon) usage() float64 {
-	node := d.dev.M.Mem.Node(fastNode)
-	return float64(d.dev.M.Mem.Used(fastNode)) / float64(node.Capacity)
+// projected returns the fast node's used fraction once the in-flight
+// migrations commit.
+func (d *Daemon) projected() float64 {
+	capacity := float64(d.dev.M.Mem.Node(fastNode).Capacity)
+	return float64(d.dev.M.Mem.Used(fastNode))/capacity + float64(d.pendingDelta)/capacity
 }
 
 // tier reports which node the region currently resides on (the node of
@@ -308,12 +283,10 @@ func cookie(base int64, promote bool) uint64 {
 // subset of) the registered regions and folds the referenced fraction
 // into each region's heat EWMA.
 func (d *Daemon) scan(p *sim.Proc) {
-	d.mu.Lock()
 	regs := make([]*region, 0, len(d.regions))
 	for _, r := range d.regions {
 		regs = append(regs, r)
 	}
-	d.mu.Unlock()
 	if len(regs) == 0 {
 		return
 	}
@@ -334,10 +307,8 @@ func (d *Daemon) scan(p *sim.Proc) {
 		if n > pages {
 			n = pages
 		}
-		d.mu.Lock()
 		off := r.scanOff % pages
 		r.scanOff = (off + n) % pages
-		d.mu.Unlock()
 		if off+n > pages {
 			n = pages - off
 		}
@@ -350,7 +321,6 @@ func (d *Daemon) scan(p *sim.Proc) {
 		// bits and contributes no heat (a fresh mmap or a migration
 		// release leaves young clear without any access having happened).
 		rotations := (pages + n - 1) / n
-		d.mu.Lock()
 		if r.primePasses < rotations {
 			r.primePasses++
 		} else {
@@ -360,18 +330,15 @@ func (d *Daemon) scan(p *sim.Proc) {
 				r.lastTouch = p.Now()
 			}
 		}
-		d.mu.Unlock()
 	}
 	d.scanCursor = (d.scanCursor + budget) % len(regs)
 }
 
-// plan snapshots, under the lock, the demotion candidates (fast-tier,
+// plan lists the demotion candidates (fast-tier,
 // coldest first; ties by last touch, then base — the deterministic-order
 // fix) and promotion candidates (slow-tier, hot, hottest first; ties by
 // how long they have been hot, then base).
 func (d *Daemon) plan() (demote, promote []*region) {
-	d.mu.Lock()
-	defer d.mu.Unlock()
 	for _, r := range d.regions {
 		if r.migrating {
 			continue
@@ -431,7 +398,6 @@ func (d *Daemon) submit(p *sim.Proc, r *region, promote bool) bool {
 		d.dev.FreeRequest(p, req)
 		return false
 	}
-	d.mu.Lock()
 	r.migrating = true
 	d.outstanding++
 	if promote {
@@ -440,7 +406,6 @@ func (d *Daemon) submit(p *sim.Proc, r *region, promote bool) bool {
 		d.pendingDelta -= r.length
 		d.demotionLog = append(d.demotionLog, r.base)
 	}
-	d.mu.Unlock()
 	return true
 }
 
@@ -451,24 +416,11 @@ func (d *Daemon) pump(p *sim.Proc) {
 	capacity := float64(d.dev.M.Mem.Node(fastNode).Capacity)
 	demote, promote := d.plan()
 
-	projected := func() float64 {
-		d.mu.Lock()
-		delta := d.pendingDelta
-		d.mu.Unlock()
-		return d.usage() + float64(delta)/capacity
-	}
-	room := func() bool {
-		d.mu.Lock()
-		ok := d.outstanding < d.pol.maxInflight
-		d.mu.Unlock()
-		return ok
-	}
-
 	// Pressure demotion: over the high watermark, shed coldest-first
 	// down to the low one.
 	di := 0
-	if projected() >= d.pol.high {
-		for projected() > d.pol.low && di < len(demote) && room() {
+	if d.projected() >= d.pol.high {
+		for d.projected() > d.pol.low && di < len(demote) && d.outstanding < d.pol.maxInflight {
 			d.submit(p, demote[di], false)
 			di++
 		}
@@ -477,11 +429,11 @@ func (d *Daemon) pump(p *sim.Proc) {
 	// Promotion, with make-room demotion: a hot slow region may displace
 	// a strictly colder fast region even below the high watermark.
 	for _, hot := range promote {
-		if !room() {
+		if d.outstanding >= d.pol.maxInflight {
 			break
 		}
 		need := float64(hot.length) / capacity
-		for projected()+need > d.pol.high && di < len(demote) && room() {
+		for d.projected()+need > d.pol.high && di < len(demote) && d.outstanding < d.pol.maxInflight {
 			cold := demote[di]
 			if cold.heat >= hot.heat {
 				break // nothing colder than the promotion candidate
@@ -489,7 +441,7 @@ func (d *Daemon) pump(p *sim.Proc) {
 			d.submit(p, cold, false)
 			di++
 		}
-		if projected()+need > d.pol.high || !room() {
+		if d.projected()+need > d.pol.high || d.outstanding >= d.pol.maxInflight {
 			continue
 		}
 		d.submit(p, hot, true)
@@ -500,7 +452,6 @@ func (d *Daemon) pump(p *sim.Proc) {
 func (d *Daemon) handleCompletion(p *sim.Proc, got *uapi.MovReq) {
 	promoted := got.Cookie&1 == 1
 	base := int64(got.Cookie &^ 1)
-	d.mu.Lock()
 	r := d.regions[base]
 	var hotSince sim.Time
 	if r != nil {
@@ -514,25 +465,24 @@ func (d *Daemon) handleCompletion(p *sim.Proc, got *uapi.MovReq) {
 		d.pendingDelta += got.Length
 	}
 	inflight := int64(d.outstanding)
-	d.mu.Unlock()
 
 	if got.Status == uapi.StatusDone {
 		var lag int64
 		if promoted {
-			d.m.promotions.Inc()
-			d.m.bytesPromoted.Add(got.Length)
+			d.m.promotions++
+			d.m.bytesPromoted += got.Length
 			if hotSince > 0 {
 				lag = int64(got.Completed - hotSince)
 				d.m.promoLag.Observe(lag)
 			}
 		} else {
-			d.m.demotions.Inc()
-			d.m.bytesDemoted.Add(got.Length)
+			d.m.demotions++
+			d.m.bytesDemoted += got.Length
 			if got.MovedBytes == 0 {
-				d.m.zeroCopy.Inc()
+				d.m.zeroCopy++
 			}
 		}
-		d.m.bytesMoved.Add(got.MovedBytes)
+		d.m.bytesMoved += got.MovedBytes
 		lat := int64(got.Latency())
 		d.m.latency.Observe(lat)
 		d.m.sizes.Observe(got.Length)
@@ -562,7 +512,7 @@ func (d *Daemon) handleCompletion(p *sim.Proc, got *uapi.MovReq) {
 		// region stays put and is bumped in recency, so cold candidates
 		// go first on retry.
 		if got.Err == uapi.ErrTxnDirty {
-			d.m.aborts.Inc()
+			d.m.aborts++
 			d.rec.CaptureEvent(&lifecycle.Lifecycle{
 				Reason:  lifecycle.ReasonTxnAbort,
 				Nano:    int64(p.Now()),
@@ -572,12 +522,10 @@ func (d *Daemon) handleCompletion(p *sim.Proc, got *uapi.MovReq) {
 				Ambient: lifecycle.Ambient{SubmissionDepth: inflight},
 			})
 		} else {
-			d.m.failed.Inc()
+			d.m.failed++
 		}
 		if r != nil {
-			d.mu.Lock()
 			r.lastTouch = p.Now()
-			d.mu.Unlock()
 		}
 	}
 	d.dev.FreeRequest(p, got)
@@ -598,7 +546,7 @@ func (d *Daemon) drain(p *sim.Proc, block bool) {
 			d.handleCompletion(p, got)
 			continue
 		}
-		if !block || d.Outstanding() == 0 {
+		if !block || d.outstanding == 0 {
 			return
 		}
 		d.dev.Poll(p, d.pol.periodNS)
@@ -614,7 +562,7 @@ func (d *Daemon) run(p *sim.Proc) {
 	for {
 		p.SleepNS(d.pol.periodNS)
 		d.drain(p, false)
-		if d.stopping() {
+		if d.stop {
 			break
 		}
 		if lastScan == 0 || int64(p.Now()-lastScan) >= d.pol.scanPeriodNS {

@@ -364,8 +364,10 @@ func TestDemotionOrderReplayStable(t *testing.T) {
 	}
 }
 
-// Register/Unregister/Touch from application processes racing the
-// daemon's scan/pump/completion path; run under -race in CI.
+// Register/Unregister/Touch from application processes interleaved
+// with the daemon's scan/pump/completion path at its yield points: the
+// region a completion or a scan holds may be unregistered, re-registered
+// or touched while the daemon sleeps.
 func TestConcurrentRegistrationChaos(t *testing.T) {
 	m, d := setup()
 	sd := New(d, DefaultOptions())
