@@ -17,6 +17,8 @@
 //	ablate     design-choice ablations (DESIGN.md section 5)
 //	extra      beyond the paper: multi-app sharing, compute-bound limits
 //	all        everything above (default)
+//	ledger     every virtual value of the benchmark's two simulated shapes,
+//	           sim_move and sim_streams, at seed 1 (not part of all)
 //	migspeed   numactl's migspeed on the simulated machine, the Figure 8
 //	           Linux baseline (not part of all):
 //	           migspeed [-pages N] [-pagesize 4K|64K|2M] [-loops N] [-memif] [-xeon]
@@ -48,13 +50,17 @@ func main() {
 	}
 	known := map[string]bool{"platform": true, "sloc": true, "sec2": true,
 		"fig6": true, "fig7": true, "fig8": true, "table4": true,
-		"ablate": true, "extra": true, "all": true}
+		"ablate": true, "extra": true, "all": true, "ledger": true}
 	if !known[cmd] {
 		fmt.Fprintf(os.Stderr, "memif-bench: unknown command %q\n", cmd)
-		fmt.Fprintln(os.Stderr, "commands: platform sloc sec2 fig6 fig7 fig8 table4 ablate extra all migspeed")
+		fmt.Fprintln(os.Stderr, "commands: platform sloc sec2 fig6 fig7 fig8 table4 ablate extra all ledger migspeed")
 		os.Exit(2)
 	}
 
+	if cmd == "ledger" {
+		bench.ReportLedger(w, bench.Ledger())
+		return
+	}
 	run("platform", func() { bench.ReportPlatform(w) })
 	run("sloc", func() {
 		root := "."

@@ -56,7 +56,7 @@ func newEvalMachine() *machine.Machine {
 // completion, panicking on simulation deadlock.
 func runApp(m *machine.Machine, fn func(p *sim.Proc)) {
 	m.Eng.Spawn("app", fn)
-	m.Eng.Run()
+	run(m, audit)
 }
 
 // submitMove fills in and submits one request; it panics on library

@@ -54,7 +54,7 @@ func MultiApp(apps int, pageBytes int64, pages int) MultiAppResult {
 				out[a] = stats.ThroughputGBs(int64(rounds)*reqBytes, p.Now()-start)
 			})
 		}
-		m.Eng.Run()
+		run(m, audit)
 		return out
 	}
 

@@ -13,14 +13,30 @@ import (
 
 var update = flag.Bool("update", false, "rewrite the testdata goldens from this run instead of comparing")
 
-// Runs shared by the shape tests and TestBenchGoldens: each experiment
-// runs once per test binary.
+// Runs shared by the shape tests, TestBenchGoldens and
+// TestBusyProcessesWithinCores: each experiment runs once per test
+// binary, and its first run also takes the busy audit.
 var (
-	fig7Run   = sync.OnceValue(Fig7)
-	fig8Run   = sync.OnceValue(Fig8Sweep)
-	table4Run = sync.OnceValue(Table4)
-	ablateRun = sync.OnceValue(Ablations)
+	fig6Run   = audited("fig6", Fig6Sweep)
+	fig7Run   = audited("fig7", Fig7)
+	fig8Run   = audited("fig8", Fig8Sweep)
+	table4Run = audited("table4", Table4)
+	ablateRun = audited("ablate", Ablations)
+	ledgerRun = sync.OnceValue(Ledger)
 )
+
+// audits holds the busy audit of each shared run that has run.
+var audits = map[string]*coreAudit{}
+
+// audited returns fn run once, with the busy audit of every machine that
+// run boots recorded under name.
+func audited[T any](name string, fn func() T) func() T {
+	return sync.OnceValue(func() T {
+		audit = &coreAudit{}
+		defer func() { audits[name], audit = audit, nil }()
+		return fn()
+	})
+}
 
 // checkGolden compares got with testdata/<name>.golden line by line
 // (-update rewrites the file instead).
@@ -62,7 +78,7 @@ func TestFig6Golden(t *testing.T) {
 		t.Skip("full sweep in long mode only")
 	}
 	var b strings.Builder
-	for _, r := range Fig6Sweep() {
+	for _, r := range fig6Run() {
 		fmt.Fprintf(&b, "%s page=%d pages=%d elapsed=%d cpu=%d",
 			r.System, r.PageBytes, r.Pages, int64(r.Elapsed), int64(r.CPUBusy))
 		for _, ph := range stats.AllPhases {
@@ -111,6 +127,8 @@ func TestBenchGoldens(t *testing.T) {
 				fmt.Fprintf(b, "%s metric=%q on=%v off=%v\n", a.Name, a.Metric, a.On, a.Off)
 			}
 		}},
+		// memif-bench ledger: the benchmark's simulated shapes.
+		{"ledger", false, func(b *strings.Builder) { ReportLedger(b, ledgerRun()) }},
 		// memif-bench extra: the same calls and shapes as its report.
 		{"extra", false, func(b *strings.Builder) {
 			for _, r := range []MultiAppResult{MultiApp(2, 4<<10, 16), MultiApp(2, 2<<20, 4)} {

@@ -4,9 +4,11 @@ import (
 	"memif/internal/core"
 	"memif/internal/hw"
 	"memif/internal/linuxmig"
+	"memif/internal/machine"
 	"memif/internal/sim"
 	"memif/internal/stats"
 	"memif/internal/uapi"
+	"memif/internal/vm"
 )
 
 // Fig8PageSizes and Fig8PageCounts are the sweep axes of Figure 8.
@@ -52,33 +54,8 @@ func Fig8(system string, pageBytes int64, pages int) Fig8Result {
 
 	switch system {
 	case SysLinux:
-		mg := linuxmig.New(m, as)
-		runApp(m, func(p *sim.Proc) {
-			regions := make([]int64, depth)
-			loc := make([]hw.NodeID, depth)
-			for i := range regions {
-				regions[i] = mmapOrDie(p, as, reqBytes, hw.NodeSlow, "r")
-				loc[i] = hw.NodeSlow
-			}
-			flip := func(i int) {
-				dst := hw.NodeFast
-				if loc[i] == hw.NodeFast {
-					dst = hw.NodeSlow
-				}
-				if err := mg.MBind(p, regions[i], reqBytes, dst); err != nil {
-					panic(err)
-				}
-				loc[i] = dst
-			}
-			for i := range regions { // warm up
-				flip(i)
-			}
-			start := p.Now()
-			for r := 0; r < nReqs; r++ {
-				flip(r % depth)
-			}
-			res.GBs = stats.ThroughputGBs(int64(nReqs)*reqBytes, p.Now()-start)
-		})
+		virt, _ := linuxPingPong(m, as, depth, reqBytes, nReqs)
+		res.GBs = stats.ThroughputGBs(int64(nReqs)*reqBytes, virt)
 
 	case SysMemifMigrate, SysMemifReplicate:
 		d := core.Open(m, as, core.DefaultOptions())
@@ -107,6 +84,41 @@ func Fig8(system string, pageBytes int64, pages int) Fig8Result {
 		panic("bench: unknown system " + system)
 	}
 	return res
+}
+
+// linuxPingPong is the migspeed-style baseline: it maps depth regions of
+// reqBytes on the slow node of m and moves them to the other node with
+// synchronous mbind() calls, one each to warm up, then n round-robin. It
+// returns the virtual time and the syscall CPU time of the n.
+func linuxPingPong(m *machine.Machine, as *vm.AddressSpace, depth int, reqBytes int64, n int) (virt, cpu sim.Time) {
+	mg := linuxmig.New(m, as)
+	runApp(m, func(p *sim.Proc) {
+		regions := make([]int64, depth)
+		loc := make([]hw.NodeID, depth)
+		for i := range regions {
+			regions[i] = mmapOrDie(p, as, reqBytes, hw.NodeSlow, "r")
+			loc[i] = hw.NodeSlow
+		}
+		flip := func(i int) {
+			dst := hw.NodeFast
+			if loc[i] == hw.NodeFast {
+				dst = hw.NodeSlow
+			}
+			if err := mg.MBind(p, regions[i], reqBytes, dst); err != nil {
+				panic(err)
+			}
+			loc[i] = dst
+		}
+		for i := range regions { // warm up
+			flip(i)
+		}
+		start, busy0 := p.Now(), mg.Meter.Busy()
+		for r := 0; r < n; r++ {
+			flip(r % depth)
+		}
+		virt, cpu = p.Now()-start, mg.Meter.Busy()-busy0
+	})
+	return virt, cpu
 }
 
 // Fig8Sweep runs the full figure.

@@ -220,3 +220,11 @@ func ReportSLoC(w io.Writer, root string) error {
 	fmt.Fprintf(w, "  %-24s %7d\n", "total", total)
 	return nil
 }
+
+// ReportLedger prints one ledger row per line: shape, metric and value at
+// full precision, the form testdata/ledger.golden pins.
+func ReportLedger(w io.Writer, rows []LedgerRow) {
+	for _, r := range rows {
+		fmt.Fprintf(w, "%s %s %v\n", r.Shape, r.Metric, r.Value)
+	}
+}

@@ -139,7 +139,13 @@ func (p *Proc) Busy(ns int64, meters ...*Meter) {
 			m.Add(ns)
 		}
 	}
+	if ns == 0 {
+		p.SleepNS(0)
+		return
+	}
+	p.eng.busyShift(1)
 	p.SleepNS(ns)
+	p.eng.busyShift(-1)
 }
 
 // WaitEvent blocks until ev fires. Returns immediately if it already has.

@@ -438,3 +438,24 @@ func BenchmarkSleepInterleaved(b *testing.B) {
 	b.ResetTimer()
 	benchEnd = e.Run()
 }
+
+// TestBusyTimeCountsOverlap pins the busy audit: time is split by how
+// many processes are inside Busy at once, and a sleeping process or a
+// zero-length Busy counts for nothing.
+func TestBusyTimeCountsOverlap(t *testing.T) {
+	e := NewEngine()
+	e.Spawn("a", func(p *Proc) { p.Busy(100) })
+	e.Spawn("b", func(p *Proc) { p.SleepNS(20); p.Busy(50); p.Busy(0) })
+	e.Spawn("c", func(p *Proc) { p.SleepNS(300) })
+	e.Run()
+	got := e.BusyTime()
+	want := []Time{0, 50, 50} // a alone 0-20 and 70-100, a and b 20-70
+	if len(got) != len(want) {
+		t.Fatalf("BusyTime = %v, want %v", got, want)
+	}
+	for k := range want {
+		if got[k] != want[k] {
+			t.Fatalf("BusyTime = %v, want %v", got, want)
+		}
+	}
+}
