@@ -226,7 +226,13 @@ func (d *Device) serveNext(p *sim.Proc, m *sim.Meter, ctx execCtx) (found, start
 	if !valid {
 		return true, false // hostile index: drop it, stay safe
 	}
-	return true, d.serveReq(p, m, ctx, req)
+	if ctx != ctxKthread {
+		return true, d.serveReq(p, m, ctx, req)
+	}
+	d.preparing = true
+	started = d.serveReq(p, m, ctx, req)
+	d.preparing = false
+	return true, started
 }
 
 // serveReq performs operations 1–3 of Table 1 for one request and starts

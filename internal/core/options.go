@@ -98,6 +98,10 @@ type Stats struct {
 	// while an earlier polled transfer of the device was still unreaped:
 	// zero with one request outstanding.
 	Overlapped int64
+	// PollServes counts requests a caller blocked in Poll served itself
+	// while the worker was the bottleneck (Device.Poll): they are not
+	// MOV_ONE kicks and add nothing to Syscalls.
+	PollServes int64
 
 	// Transactional migration activity (ReqTxn requests).
 	TxnMigrations int64 // transactional migrations served
