@@ -124,8 +124,11 @@ func (d *Device) reap(p *sim.Proc) {
 	}
 }
 
-// linger polls the queues for the idle grace, checking every few
-// microseconds, and reports whether work arrived. The grace adapts to
+// linger polls the queues for the idle grace, checking every pollEvery
+// (20 µs) unless workSignal wakes it first, and reports whether work
+// arrived. A request submitted while the worker lingers waits for the
+// next check: on Fig 6's single-page cell that wait is most of memif's
+// latency (DESIGN.md §5.4). The grace adapts to
 // the observed request inter-arrival gap (NAPI-style): a steady stream
 // slower than the base grace still keeps the worker alive, up to 20x the
 // configured grace.
